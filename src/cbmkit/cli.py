@@ -10,6 +10,7 @@ failure, 2 config error, 3 estimation infeasible.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from typing import Optional, Sequence
@@ -27,7 +28,8 @@ from .estimators import (
     invert_mean_inspections,
     mle_estimate,
 )
-from .oracle import verification_rows, write_verification_report
+from .formulas import MAX_SHAPE
+from .oracle import MIN_SAMPLES, verification_rows, write_verification_report
 from .simulator import (
     CountSnapshot,
     counts_at,
@@ -112,6 +114,17 @@ def _require_seed(config: ModelConfig) -> int:
     return config.seed
 
 
+def _require_closed_form_shape(config: ModelConfig) -> None:
+    """The closed forms (counting estimates, their intervals, the oracle's
+    moments) need jets of order shape + 4; simulation and the event-log
+    MLE do not."""
+    if config.sane.shape > MAX_SHAPE:
+        raise ConfigError(
+            f"sane.shape {config.sane.shape} exceeds {MAX_SHAPE}, the largest "
+            "shape the closed forms support"
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cbmkit",
@@ -172,6 +185,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_counts(tokens: Sequence[str]) -> CountSnapshot:
+    """The --counts values: three finite nonnegative counts and a finite
+    positive elapsed time."""
+    try:
+        n_r, n_i, n_f, t = (float(tok) for tok in tokens)
+    except ValueError:
+        raise ConfigError(f"--counts needs four numbers, got {' '.join(tokens)}") from None
+    if not (all(0.0 <= n < math.inf for n in (n_r, n_i, n_f)) and 0.0 < t < math.inf):
+        raise ConfigError(
+            "--counts needs finite nonnegative counts and a finite positive time, "
+            f"got {' '.join(tokens)}"
+        )
+    return CountSnapshot(t, n_r, n_i, n_f)
+
+
 def _estimate_rows(args: argparse.Namespace, config: ModelConfig) -> list[str]:
     interval = args.interval
     if args.reproduce:
@@ -182,8 +210,7 @@ def _estimate_rows(args: argparse.Namespace, config: ModelConfig) -> list[str]:
         if interval is None:
             interval = "tabulated"
     elif args.counts:
-        n_r, n_i, n_f, t = args.counts
-        snapshot = CountSnapshot(float(t), float(n_r), float(n_i), float(n_f))
+        snapshot = _parse_counts(args.counts)
     elif args.method == "am" or args.method == "both":
         if not args.events:
             raise ConfigError("estimate needs --counts, --events or --reproduce")
@@ -209,6 +236,7 @@ def _estimate_rows(args: argparse.Namespace, config: ModelConfig) -> list[str]:
     methods = ("am", "mle") if args.method == "both" else (args.method,)
     for method in methods:
         if method == "am":
+            _require_closed_form_shape(config)
             report = asymptotic_estimate(snapshot, config, interval=interval)
             rows.append(
                 report.csv_row(
@@ -272,6 +300,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         grid = list(config.grid)
     else:
         raise ConfigError("convergence needs a grid (config key or --grid-count)")
+    _require_closed_form_shape(config)
     rng = np.random.default_rng(seed)
     trajectory = simulate_horizon(rng, config)
     lines = [CONVERGENCE_HEADER]
@@ -313,6 +342,9 @@ def _convergence_row(t: float, trajectory, config: ModelConfig) -> str:
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args)
     seed = _require_seed(config)
+    if args.samples < MIN_SAMPLES:
+        raise ConfigError(f"--samples must be at least {MIN_SAMPLES}, got {args.samples}")
+    _require_closed_form_shape(config)
     rows = verification_rows(config, args.samples, seed)
     if args.out:
         write_verification_report(args.out, rows)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laws import (
+    DERIVATIVE_CAP,
     DamageLaw,
     InspectionLaw,
     SaneLaw,
@@ -37,6 +38,10 @@ EQUAL_RATE_BAND = 1e-6
 # Terms kept in the diagonal Taylor resummation; the truncation error is
 # O(((lam-mu) * spacing)^4), far below float resolution inside the band.
 _DIAGONAL_TERMS = 3
+
+# The moment bundle asks for jets of order shape + _DIAGONAL_TERMS + 1, so
+# the derivative cap bounds the gamma shapes the closed forms support.
+MAX_SHAPE = DERIVATIVE_CAP - _DIAGONAL_TERMS - 1
 
 
 def _near_diagonal(mu: float, lam: float, shape: int, spacing: float) -> bool:

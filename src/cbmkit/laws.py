@@ -112,10 +112,24 @@ class TaylorJet:
 
 
 def survival_sane(t: float, law: SaneLaw) -> float:
-    """P(damage later than t): sum_{i<shape} (rate*t)^i/i! * exp(-rate*t)."""
+    """P(damage later than t): sum_{i<shape} (rate*t)^i/i! * exp(-rate*t).
+
+    Below rate*t = 1 a shape above 1 takes one minus the lower tail
+    sum_{i>=shape} instead: the head sum rounds above 1 near t = 0, and
+    one minus the tiny tail stays at most 1 and nonincreasing.
+    """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     x = law.rate * t
+    if law.shape > 1 and x < 1.0:
+        term = x**law.shape / math.factorial(law.shape)
+        tail = 0.0
+        i = law.shape
+        while tail + term != tail:
+            tail += term
+            i += 1
+            term *= x / i
+        return 1.0 - tail * math.exp(-x)
     term = 1.0
     acc = 1.0
     for i in range(1, law.shape):

@@ -1,8 +1,9 @@
 """Brute-force Monte Carlo verification of every closed form.
 
 Each closed-form quantity gets an estimate built from plain cycle draws
-(the same :func:`cbmkit.simulator.simulate_cycle` the simulator uses) with
-a plain standard error, and the comparison harness flags any |z| above 4.
+(the batch engine :func:`cbmkit.simulator.simulate_cycles`, which the
+horizon simulator also runs on) with a plain standard error, and the
+comparison harness flags any |z| above 4.
 With a million cycles that threshold has a per-comparison false-alarm rate
 around 6e-5, tolerable across the whole suite.
 """
@@ -23,7 +24,10 @@ from .formulas import (
     mean_cycle_length,
 )
 from .laws import DETERMINISTIC
-from .simulator import simulate_cycle, simulate_horizon
+from .simulator import simulate_cycles, simulate_horizon
+
+# Fewer cycles than this give meaningless standard errors.
+MIN_SAMPLES = 10_000
 
 # Asymptotic two-sided Kolmogorov-Smirnov critical scales: D_crit = c / sqrt(n).
 KS_CRITICAL_SCALE = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628, 0.001: 1.949}
@@ -69,20 +73,15 @@ class ComparisonRow:
 
 
 def _cycle_arrays(config: ModelConfig, n_samples: int, seed: int):
-    rng = np.random.default_rng(seed)
-    k = np.empty(n_samples)
-    x = np.empty(n_samples)
-    failed = np.empty(n_samples)
-    fail_age = np.empty(n_samples)
-    overshoot = np.empty(n_samples)
-    for i in range(n_samples):
-        cyc = simulate_cycle(rng, config)
-        k[i] = cyc.inspection_count
-        x[i] = cyc.length
-        failed[i] = 1.0 if cyc.failed else 0.0
-        fail_age[i] = cyc.failure_age
-        overshoot[i] = cyc.detection_age - cyc.time_to_damage
-    return k, x, failed, fail_age, overshoot
+    # only these columns outlive the draw
+    cycles = simulate_cycles(np.random.default_rng(seed), config, n_samples)
+    return (
+        cycles.inspection_count.astype(float),
+        cycles.length,
+        cycles.failed.astype(float),
+        cycles.failure_age,
+        cycles.detection_age - cycles.time_to_damage,
+    )
 
 
 def _mc_mean(arr: np.ndarray, seed: int) -> McEstimate:
@@ -97,30 +96,36 @@ def _mc_cov(a: np.ndarray, b: np.ndarray, seed: int) -> McEstimate:
     return McEstimate(value, float(w.std(ddof=1) / math.sqrt(n)), n, seed)
 
 
-def mc_moment_set(config: ModelConfig, n_samples: int, seed: int) -> MomentEstimates:
-    """Sample means (with plain standard errors) for every cycle moment.
+def _mc_moments(config: ModelConfig, n_samples: int, seed: int):
+    """Per-cycle (count, length, failed) arrays and the estimate of every
+    cycle moment, keyed by its :class:`MomentEstimates` field.
 
     The detected-inspections moment uses the per-cycle statistic
     count * survival(overshoot) evaluated at the configured failure rate,
     whatever the end type, matching the expectation it estimates.
     """
-    if n_samples < 10_000:
-        raise ValueError("n_samples below 1e4 gives meaningless standard errors")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples below {MIN_SAMPLES} gives meaningless standard errors")
     k, x, failed, fail_age, overshoot = _cycle_arrays(config, n_samples, seed)
-    lam = config.damage.rate
-    k_detected = k * np.exp(-lam * overshoot)
-    return MomentEstimates(
-        mean_inspections=_mc_mean(k, seed),
-        failure_prob=_mc_mean(failed, seed),
-        mean_cycle=_mc_mean(x, seed),
-        mean_inspections_sq=_mc_mean(k**2, seed),
-        mean_cycle_sq=_mc_mean(x**2, seed),
-        cov_cycle_failure=_mc_cov(x, failed, seed),
-        cov_inspections_failure=_mc_cov(k, failed, seed),
-        cov_inspections_cycle=_mc_cov(k, x, seed),
-        mean_cycle_on_failure=_mc_mean(fail_age * failed, seed),
-        mean_inspections_detected=_mc_mean(k_detected, seed),
-    )
+    k_detected = k * np.exp(-config.damage.rate * overshoot)
+    estimates = {
+        "mean_inspections": _mc_mean(k, seed),
+        "failure_prob": _mc_mean(failed, seed),
+        "mean_cycle": _mc_mean(x, seed),
+        "mean_inspections_sq": _mc_mean(k**2, seed),
+        "mean_cycle_sq": _mc_mean(x**2, seed),
+        "cov_cycle_failure": _mc_cov(x, failed, seed),
+        "cov_inspections_failure": _mc_cov(k, failed, seed),
+        "cov_inspections_cycle": _mc_cov(k, x, seed),
+        "mean_cycle_on_failure": _mc_mean(fail_age * failed, seed),
+        "mean_inspections_detected": _mc_mean(k_detected, seed),
+    }
+    return (k, x, failed), estimates
+
+
+def mc_moment_set(config: ModelConfig, n_samples: int, seed: int) -> MomentEstimates:
+    """Sample means (with plain standard errors) for every cycle moment."""
+    return MomentEstimates(**_mc_moments(config, n_samples, seed)[1])
 
 
 def verification_rows(
@@ -138,27 +143,10 @@ def verification_rows(
     selected closed values before comparison; it exists so the harness can
     prove it catches a corrupted formula.
     """
-    if n_samples < 10_000:
-        raise ValueError("n_samples below 1e4 gives meaningless standard errors")
     overrides = closed_overrides or {}
     moments = cycle_moments(config.sane, config.damage, config.inspection)
     rate_cov = count_rate_covariance(moments)
-    k, x, failed, fail_age, overshoot = _cycle_arrays(config, n_samples, seed)
-    lam = config.damage.rate
-    k_detected = k * np.exp(-lam * overshoot)
-
-    mc: dict[str, McEstimate] = {
-        "mean_inspections": _mc_mean(k, seed),
-        "failure_prob": _mc_mean(failed, seed),
-        "mean_cycle": _mc_mean(x, seed),
-        "mean_inspections_sq": _mc_mean(k**2, seed),
-        "mean_cycle_sq": _mc_mean(x**2, seed),
-        "cov_cycle_failure": _mc_cov(x, failed, seed),
-        "cov_inspections_failure": _mc_cov(k, failed, seed),
-        "cov_inspections_cycle": _mc_cov(k, x, seed),
-        "mean_cycle_on_failure": _mc_mean(fail_age * failed, seed),
-        "mean_inspections_detected": _mc_mean(k_detected, seed),
-    }
+    (k, x, failed), mc = _mc_moments(config, n_samples, seed)
     closed: dict[str, float] = {
         name: getattr(moments, name) for name in mc
     }

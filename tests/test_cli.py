@@ -222,6 +222,52 @@ class TestVerifyCommand:
         assert code == 2
 
 
+class TestInputErrors:
+    """Invalid input exits 2 with a one-line message, never a traceback;
+    exit 1 means only that verification failed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--samples", "100"],
+            ["verify", "--samples", "0"],
+            ["verify", "--samples", "20000", "--sane.shape", "5"],
+            ["estimate", "--counts", "100", "200", "10", "5000", "--sane.shape", "5"],
+            ["estimate", "--counts", "100", "200", "10", "-5"],
+            ["estimate", "--counts", "100", "200", "ten", "5000"],
+        ],
+        ids=["samples-100", "samples-0", "verify-shape-5", "estimate-am-shape-5",
+             "negative-time", "non-numeric-count"],
+    )
+    def test_one_line_config_error(self, argv, config_file, capsys):
+        code = cli.main(argv + ["--config", config_file])
+        self._assert_one_line_config_error(code, capsys)
+
+    def test_shape_beyond_the_closed_forms(self, config_file, tmp_path, capsys):
+        # only the commands that evaluate closed forms reject shape 5;
+        # simulation and the event-log MLE need no jets of order shape + 4
+        shape = ["--config", config_file, "--sane.shape", "5"]
+        events = str(tmp_path / "ev.csv")
+        code = cli.main(["simulate", *shape, "--events", events,
+                         "--snapshots", str(tmp_path / "snap.csv")])
+        assert code == 0
+        assert cli.main(["estimate", *shape, "--events", events, "--method", "mle"]) == 0
+        capsys.readouterr()
+        code = cli.main(["convergence", *shape, "--out", str(tmp_path / "conv.csv")])
+        self._assert_one_line_config_error(code, capsys)
+        assert not (tmp_path / "conv.csv").exists()
+        code = cli.main(["estimate", *shape, "--events", events, "--method", "both"])
+        self._assert_one_line_config_error(code, capsys)
+
+    @staticmethod
+    def _assert_one_line_config_error(code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestConfigProperties:
     @given(
         shape=st.integers(1, 4),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -71,10 +71,20 @@ class TestSurvival:
         t2=st.floats(0.0, 5e4),
     )
     @settings(max_examples=60, deadline=None)
+    @example(shape=4, rate=1e-5, t1=0.0, t2=1.0)
     def test_nonincreasing(self, shape, rate, t1, t2):
         lo, hi = sorted((t1, t2))
         law = SaneLaw(shape, rate)
         assert survival_sane(lo, law) >= survival_sane(hi, law)
+
+    @pytest.mark.parametrize("shape", [2, 3, 4])
+    def test_at_most_one_and_nonincreasing_across_unit_rate_time(self, shape):
+        # the small-t tail sum hands over to the head sum at rate*t = 1
+        law = SaneLaw(shape, 1e-3)
+        ts = np.concatenate((np.linspace(0.0, 2.0, 201), np.linspace(990.0, 1010.0, 2001)))
+        values = [survival_sane(t, law) for t in ts]
+        assert max(values) <= 1.0
+        assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 class TestLaplaceJet:

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from cbmkit import formulas as F
+from cbmkit import simulator
+from cbmkit.laws import InspectionLaw
+from cbmkit.oracle import MIN_SAMPLES, verification_rows
 from cbmkit.simulator import (
     CycleRecord,
     Trajectory,
@@ -11,21 +14,28 @@ from cbmkit.simulator import (
     counts_at,
     read_event_log,
     simulate_cycle,
+    simulate_cycles,
     simulate_horizon,
     write_event_log,
     write_snapshots,
 )
 from conftest import make_config
 
+# Seeds of the batch-engine tests, fixed once before their first run.
+SCALAR_SEED = 7001
+BATCH_SEED = 7002
+
 
 class _ScriptedRng:
-    """Stands in for a generator; pops pre-chosen exponential draws."""
+    """Stands in for a generator; pops pre-chosen exponential draws (a
+    value, or an array shaped as a sized draw asks)."""
 
     def __init__(self, values):
         self.values = list(values)
 
-    def exponential(self, scale):
-        return self.values.pop(0)
+    def exponential(self, scale, size=None):
+        value = self.values.pop(0)
+        return value if size is None else np.reshape(value, size)
 
 
 def _cycle(length, inspections, failed, count=None):
@@ -90,6 +100,134 @@ class TestSimulateCycle:
         se = counts.std(ddof=1) / math.sqrt(len(counts))
         expected = F.mean_inspections(cfg.sane, cfg.inspection)
         assert abs(counts.mean() - expected) <= 4.0 * se
+
+
+def _two_sample_z(a, b):
+    diff = a.mean() - b.mean()
+    se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+    if se == 0.0:
+        return 0.0 if diff == 0.0 else math.inf
+    return diff / se
+
+
+class TestSimulateCycles:
+    """The batch engine against the scalar reference cycle."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            make_config(shape=1, kind="deterministic"),
+            make_config(shape=2, kind="deterministic"),
+            make_config(shape=1, kind="uniform"),
+            make_config(shape=2, kind="uniform"),
+            make_config(lam=1.0, horizon=1e5),
+        ],
+        ids=["n1-det", "n2-det", "n1-unif", "n2-unif", "fast-failure"],
+    )
+    def test_agrees_with_scalar_cycles(self, cfg):
+        n = 20_000
+        rng = np.random.default_rng(SCALAR_SEED)
+        scalar = [simulate_cycle(rng, cfg) for _ in range(n)]
+        batch = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, n)
+        pairs = (
+            ([c.inspection_count for c in scalar], batch.inspection_count),
+            ([c.failed for c in scalar], batch.failed),
+            ([c.length for c in scalar], batch.length),
+        )
+        for one, many in pairs:
+            z = _two_sample_z(np.asarray(one, dtype=float), many.astype(float))
+            assert abs(z) <= 4.0
+
+    def test_deterministic_count_is_ceiling(self):
+        for shape in (1, 2):
+            cfg = make_config(shape=shape)
+            c = cfg.inspection.spacing
+            batch = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 50_000)
+            y_s, det = batch.time_to_damage, batch.detection_age
+            assert np.array_equal(batch.inspection_count, np.ceil(y_s / c))
+            assert (y_s <= det).all()
+            assert (det < y_s + c).all()
+
+    def test_spacing_multiples_not_running_sums(self):
+        # with c = 0.1 the tenth inspection sits at 10 * 0.1 == 1.0, while
+        # ten repeated additions of 0.1 stop short of it
+        cfg = make_config().with_overrides(inspection=InspectionLaw("deterministic", 0.1))
+        ages = tuple(i * 0.1 for i in range(1, 11))
+        assert ages[-1] == 1.0 and sum([0.1] * 10) != 1.0
+        one = simulate_cycle(_ScriptedRng([0.95, 10.0]), cfg)
+        many = simulate_cycles(_ScriptedRng([[0.95], [10.0]]), cfg, 1, inspections=True)
+        assert one.inspections == ages
+        assert one.detection_age == 1.0
+        assert many.records(1) == [one]
+
+    def test_tie_counts_as_failure(self):
+        # failure at 1500 + 500 == the detection at 2000
+        cfg = make_config()
+        one = simulate_cycle(_ScriptedRng([1500.0, 500.0]), cfg)
+        many = simulate_cycles(_ScriptedRng([[1500.0], [500.0]]), cfg, 1, inspections=True)
+        assert one.failed and one.length == 2000.0
+        assert many.records(1) == [one]
+
+    def test_horizon_blocks_join_seamlessly(self, base_config):
+        # long enough for several draw blocks; every end snapshot carries
+        # the running totals across block boundaries
+        trajectory = simulate_horizon(np.random.default_rng(BATCH_SEED), base_config, horizon=2e7)
+        cycles = trajectory.cycles
+        assert len(cycles) > 2 * simulator._CHUNK
+        assert [s.time for s in trajectory.snapshots] == list(trajectory.repair_epochs)
+        assert [s.repairs for s in trajectory.snapshots] == list(range(1, len(cycles) + 1))
+        assert [s.inspections for s in trajectory.snapshots] == np.cumsum(
+            [c.inspection_count for c in cycles]).tolist()
+        assert [s.failures for s in trajectory.snapshots] == np.cumsum(
+            [c.failed for c in cycles]).tolist()
+
+    def test_uniform_trajectory_counts_match_stored_ages(self):
+        cfg = make_config(shape=2, kind="uniform")
+        law = cfg.inspection
+        rng = np.random.default_rng(BATCH_SEED)
+        trajectory = simulate_horizon(rng, cfg, horizon=2e5)
+        starts = (0.0,) + trajectory.repair_epochs[:-1]
+        ends = trajectory.repair_epochs
+        for cyc in trajectory.cycles:
+            assert len(cyc.inspections) == cyc.inspection_count
+            assert cyc.inspections[-1] == cyc.detection_age
+            gaps = np.diff((0.0,) + cyc.inspections)
+            assert (gaps >= law.spacing - law.half_width - 1e-9).all()
+            assert (gaps <= law.spacing + law.half_width + 1e-9).all()
+        probes = np.concatenate(
+            (ends, np.random.default_rng(SCALAR_SEED).uniform(0.0, ends[-1], size=300))
+        )
+        for t in probes.tolist():
+            inspections = failures = repairs = 0
+            for cyc, start, end in zip(trajectory.cycles, starts, ends):
+                if end <= t:
+                    repairs += 1
+                    failures += cyc.failed
+                    inspections += len(cyc.inspections)
+                elif start <= t:
+                    inspections += sum(1 for a in cyc.inspections if a <= t - start)
+            snap = counts_at(t, trajectory)
+            assert (snap.repairs, snap.inspections, snap.failures) == (
+                repairs, inspections, failures,
+            )
+
+    def test_reproducible_one_past_a_chunk(self):
+        cfg = make_config(shape=2, kind="uniform")
+        # the first chunk boundary at or past the oracle's minimum, plus one
+        n = -(-MIN_SAMPLES // simulator._CHUNK) * simulator._CHUNK + 1
+        first = verification_rows(cfg, n, seed=BATCH_SEED)
+        second = verification_rows(cfg, n, seed=BATCH_SEED)
+        assert first == second
+        assert all(r.passed for r in first)
+        # chunks are consecutive draws of the one generator
+        whole = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, n)
+        rng = np.random.default_rng(BATCH_SEED)
+        sizes = [simulator._CHUNK] * (n // simulator._CHUNK) + [1]
+        parts = [simulate_cycles(rng, cfg, size) for size in sizes]
+        for name in ("time_to_damage", "damage_to_failure", "inspection_count",
+                     "detection_age", "failure_age", "length", "failed"):
+            joined = np.concatenate([getattr(p, name) for p in parts])
+            assert np.array_equal(getattr(whole, name), joined)
 
 
 class TestSimulateHorizon:
