@@ -12,7 +12,9 @@ mu = lam: the generic expressions carry (mu - lam)^-shape factors whose
 poles only cancel analytically.  Inside a band around the diagonal (see
 ``_near_diagonal``) the code switches to a Taylor resummation that is
 smooth through the diagonal, so inversion and differentiation stay
-accurate there.
+accurate there.  Both branches live in ``_indexed_series_sum`` only; the
+parameter sensitivities come from the same series carried one Taylor order
+further, not from hand-differentiated copies of it.
 """
 
 from __future__ import annotations
@@ -120,32 +122,50 @@ def law_derivatives(s: float, insp: InspectionLaw, order: int) -> LawDerivatives
 # ---------------------------------------------------------------------------
 
 
+def _taylor_tail(h_lam: float, h_mu: np.ndarray, mu: float, lam: float, n: int) -> float:
+    """h(lam) minus its Taylor polynomial of degree n - 1 about mu."""
+    acc = h_lam
+    for j in range(n):
+        acc -= (mu - lam) ** j / math.factorial(j) * (-1.0) ** j * h_mu[j]
+    return acc
+
+
 def _indexed_series_sum(
-    sane: SaneLaw,
+    n: int,
     mu_derivs: np.ndarray,
     at_lam: float,
     mu: float,
     lam: float,
-    spacing: float,
-) -> float:
-    """sum_k k^w E[exp(-lam D_k) * integral] in terms of a rational h of L.
+    diagonal: bool,
+    slope_at_lam: float | None = None,
+) -> float | tuple[float, float]:
+    """sum_k k^w E[exp(-lam D_k) * integral] = (-mu)^n h[mu (n times), lam].
 
-    Generic branch: (mu/(mu-lam))^n (h(lam) - sum_{j<n} (mu-lam)^j/j!
-    (-1)^j h^(j)(mu)).  Diagonal branch: the same analytic function,
-    resummed as mu^n (-1)^n sum_m (lam-mu)^m / (m+n)! h^(m+n)(mu).
+    h is a rational function of L, ``mu_derivs`` its derivatives at mu and
+    ``at_lam`` its value at lam.  Generic branch: (mu/(mu-lam))^n (h(lam) -
+    sum_{j<n} (mu-lam)^j/j! (-1)^j h^(j)(mu)).  ``diagonal`` branch
+    (chosen by the caller at the sane shape): the same analytic function,
+    resummed as mu^n (-1)^n sum_m (lam-mu)^m / (m+n)! h^(m+n)(mu).  Given
+    ``slope_at_lam`` = h'(lam), returns (value, d value / d lam).
     """
-    n = sane.shape
-    if _near_diagonal(mu, lam, n, spacing):
+    if diagonal:
         eps = lam - mu
-        total = 0.0
+        total = d_total = 0.0
         for m in range(_DIAGONAL_TERMS + 1):
-            total += eps**m / math.factorial(m + n) * mu_derivs[m + n]
-        return (-1.0) ** n * mu**n * total
-    rho = (mu / (mu - lam)) ** n
-    acc = at_lam
-    for j in range(n):
-        acc -= (mu - lam) ** j / math.factorial(j) * (-1.0) ** j * mu_derivs[j]
-    return rho * acc
+            fm = math.factorial(m + n)
+            total += eps**m / fm * mu_derivs[m + n]
+            if m >= 1:
+                d_total += m * eps ** (m - 1) / fm * mu_derivs[m + n]
+        scale = (-1.0) ** n * mu**n
+        value, slope = scale * total, scale * d_total
+    else:
+        rho = (mu / (mu - lam)) ** n
+        acc = _taylor_tail(at_lam, mu_derivs, mu, lam, n)
+        value = rho * acc
+        if slope_at_lam is not None:
+            d_acc = _taylor_tail(slope_at_lam, mu_derivs[1:], mu, lam, n - 1)
+            slope = rho * (n / (mu - lam) * acc + d_acc)
+    return value if slope_at_lam is None else (value, slope)
 
 
 def inspection_series(
@@ -160,18 +180,26 @@ def inspection_series(
     """
     if kind not in ("plain", "weighted"):
         raise ValueError(f"kind must be 'plain' or 'weighted', got {kind!r}")
-    mu, lam = sane.rate, damage.rate
-    order = sane.shape + _DIAGONAL_TERMS
-    at_mu = law_derivatives(mu, insp, order)
+    n, mu, lam = sane.shape, sane.rate, damage.rate
+    diagonal = _near_diagonal(mu, lam, n, insp.spacing)
+    at_mu = law_derivatives(mu, insp, n + _DIAGONAL_TERMS)
     at_lam = law_derivatives(lam, insp, 0)
     if kind == "plain":
-        return _indexed_series_sum(sane, at_mu.gain, at_lam.gain[0], mu, lam, insp.spacing)
-    return _indexed_series_sum(sane, at_mu.gain_sq, at_lam.gain_sq[0], mu, lam, insp.spacing)
+        return _indexed_series_sum(n, at_mu.gain, at_lam.gain[0], mu, lam, diagonal)
+    return _indexed_series_sum(n, at_mu.gain_sq, at_lam.gain_sq[0], mu, lam, diagonal)
 
 
 # ---------------------------------------------------------------------------
 # First moments
 # ---------------------------------------------------------------------------
+
+
+def _taylor_mean(w: np.ndarray, mu: float, n: int) -> float:
+    """sum_{i<n} mu^i/i! (-1)^i w^(i)(mu) for w = 1/(1-L)."""
+    total = 0.0
+    for i in range(n):
+        total += mu**i / math.factorial(i) * (-1.0) ** i * w[i]
+    return total
 
 
 def mean_inspections(sane: SaneLaw, insp: InspectionLaw) -> float:
@@ -180,26 +208,17 @@ def mean_inspections(sane: SaneLaw, insp: InspectionLaw) -> float:
     Equals sum_{i<shape} mu^i/i! (-1)^i d^i/ds^i [1/(1-L)](mu); always >= 1.
     """
     mu, n = sane.rate, sane.shape
-    w = law_derivatives(mu, insp, n - 1).inv_one_minus
-    total = 0.0
-    for i in range(n):
-        total += mu**i / math.factorial(i) * (-1.0) ** i * w[i]
-    return total
-
-
-def detection_probability(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> float:
-    """P(cycle ends at a planned inspection), i.e. 1 - failure probability.
-
-    Computed as (1 - L(lam)) * plain series, which is exact for the
-    absolutely continuous damage-time laws supported here.
-    """
-    series = inspection_series(sane, damage, insp, "plain")
-    return one_minus_laplace(damage.rate, insp) * series
+    return _taylor_mean(law_derivatives(mu, insp, n - 1).inv_one_minus, mu, n)
 
 
 def failure_probability(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> float:
-    """P(cycle ends in failure rather than detection)."""
-    return 1.0 - detection_probability(sane, damage, insp)
+    """P(cycle ends in failure rather than detection).
+
+    One minus the detection probability (1 - L(lam)) * plain series, which
+    is exact for the absolutely continuous damage-time laws supported here.
+    """
+    series = inspection_series(sane, damage, insp, "plain")
+    return 1.0 - one_minus_laplace(damage.rate, insp) * series
 
 
 def mean_cycle_length(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> float:
@@ -254,15 +273,16 @@ def cycle_moments(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> Cycl
     l_lam = at_lam.laplace[0]
     lp_lam = at_lam.laplace[1]
 
-    plain = _indexed_series_sum(sane, at_mu.gain, at_lam.gain[0], mu, lam, insp.spacing)
-    weighted = _indexed_series_sum(sane, at_mu.gain_sq, at_lam.gain_sq[0], mu, lam, insp.spacing)
-    first_age = _indexed_series_sum(sane, -at_mu.gain[1:], -at_lam.gain[1], mu, lam, insp.spacing)
+    diagonal = _near_diagonal(mu, lam, n, insp.spacing)
+    plain = _indexed_series_sum(n, at_mu.gain, at_lam.gain[0], mu, lam, diagonal)
+    weighted = _indexed_series_sum(n, at_mu.gain_sq, at_lam.gain_sq[0], mu, lam, diagonal)
+    first_age = _indexed_series_sum(n, -at_mu.gain[1:], -at_lam.gain[1], mu, lam, diagonal)
 
     detect = oml * plain
     p_fail = 1.0 - detect
 
-    mk = mean_inspections(sane, insp)
-    mk_next = mean_inspections(SaneLaw(n + 1, mu), insp)
+    mk = _taylor_mean(at_mu.inv_one_minus, mu, n)
+    mk_next = _taylor_mean(at_mu.inv_one_minus, mu, n + 1)
     mx = n / mu + p_fail / lam
 
     e_k_sq = mk
@@ -376,127 +396,34 @@ class Sensitivities:
     dpd_dlambda: float
 
 
-def _sensitivities_jet(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> Sensitivities:
-    n, mu, lam = sane.shape, sane.rate, damage.rate
-    at_mu = law_derivatives(mu, insp, n + _DIAGONAL_TERMS + 1)
-    at_lam = law_derivatives(lam, insp, 1)
-    oml = one_minus_laplace(lam, insp)
-    lp_lam = at_lam.laplace[1]
-    psi = at_mu.gain
-
-    # d(mean inspections)/d(mu) straight from the defining sum.
-    w = at_mu.inv_one_minus
-    fp = 0.0
-    for i in range(n):
-        sign = (-1.0) ** i
-        if i >= 1:
-            fp += sign * mu ** (i - 1) / math.factorial(i - 1) * w[i]
-        fp += sign * mu**i / math.factorial(i) * w[i + 1]
-
-    if _near_diagonal(mu, lam, n, insp.spacing):
-        # Diagonal resummation: series value, its eps-derivative, and the
-        # mu-derivative split into shape term, order bump, minus eps term.
-        eps = lam - mu
-        sgn = (-1.0) ** n
-        base = bumped = d_eps = 0.0
-        for m in range(_DIAGONAL_TERMS + 1):
-            fm = math.factorial(m + n)
-            base += eps**m / fm * psi[m + n]
-            bumped += eps**m / fm * psi[m + n + 1]
-            if m >= 1:
-                d_eps += m * eps ** (m - 1) / fm * psi[m + n]
-        phi_v = sgn * mu**n * base
-        dphi_lam = sgn * mu**n * d_eps
-        dphi_mu = sgn * (n * mu ** (n - 1) * base + mu**n * bumped) - dphi_lam
-    else:
-        rho = (mu / (mu - lam)) ** n
-        bracket = at_lam.gain[0]
-        for j in range(n):
-            bracket -= (mu - lam) ** j / math.factorial(j) * (-1.0) ** j * psi[j]
-        phi_v = rho * bracket
-        d_bracket_lam = at_lam.gain[1]
-        for j in range(n - 1):
-            d_bracket_lam -= (mu - lam) ** j / math.factorial(j) * (-1.0) ** j * psi[j + 1]
-        dphi_lam = rho * (n / (mu - lam) * bracket + d_bracket_lam)
-        d_bracket_mu = 0.0
-        for j in range(n):
-            sign = (-1.0) ** j
-            if j >= 1:
-                d_bracket_mu -= sign * (mu - lam) ** (j - 1) / math.factorial(j - 1) * psi[j]
-            d_bracket_mu -= sign * (mu - lam) ** j / math.factorial(j) * psi[j + 1]
-        dphi_mu = rho * (-n * lam / (mu * (mu - lam)) * bracket + d_bracket_mu)
-
-    dpd_dlambda = lp_lam * phi_v - oml * dphi_lam
-    dpd_dmu = -oml * dphi_mu
-    return Sensitivities(dmk_dmu=fp, dpd_dmu=dpd_dmu, dpd_dlambda=dpd_dlambda)
-
-
-def _sensitivities_closed(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> Sensitivities:
-    """Closed-form sensitivity maps, available for shapes 1 and 2."""
-    n, mu, lam = sane.shape, sane.rate, damage.rate
-    at_mu = law_derivatives(mu, insp, 4)
-    l_mu, lp, lpp, lppp = at_mu.laplace[0], at_mu.laplace[1], at_mu.laplace[2], at_mu.laplace[3]
-    om = one_minus_laplace(mu, insp)
-    diagonal = _near_diagonal(mu, lam, n, insp.spacing)
-    if not diagonal:
-        at_lam = law_derivatives(lam, insp, 1)
-        l_lam, lp_lam = at_lam.laplace[0], at_lam.laplace[1]
-        oml = one_minus_laplace(lam, insp)
-        d = mu - lam
-
-    if n == 1:
-        fp = lp / om**2
-        if diagonal:
-            gmu = (0.5 * mu * lpp + lp) / om + mu * lp**2 / om**2
-            gl = mu * lpp / (2.0 * om)
-        else:
-            gmu = lam / d**2 * (l_lam - l_mu) / om - mu / d * lp * (l_lam - 1.0) / om**2
-            gl = -(mu / d**2 * (l_lam - l_mu) / om + mu / d * lp_lam / om)
-        return Sensitivities(fp, gmu, gl)
-
-    if n == 2:
-        fp = -mu * (lpp * om + 2.0 * lp**2) / om**3
-        if diagonal:
-            gmu = -mu / om**3 * (
-                2.0 * om * (mu * lp * lpp + lp**2)
-                + om**2 * (lpp + mu / 3.0 * lppp)
-                + 2.0 * mu * lp**3
-            )
-            gl = -mu**2 / (2.0 * om**2) * (lpp * lp + om * lppp / 3.0)
-        else:
-            gmu = -mu / (om**3 * d**3) * (
-                -2.0 * lam * om * ((l_lam - l_mu) * om + d * lp * (1.0 - l_lam))
-                + mu * d**2 * (1.0 - l_lam) * (lpp * om + 2.0 * lp**2)
-            )
-            gl = -2.0 * mu**2 / (d**3 * om**2) * (
-                om * (l_lam - l_mu)
-                + d / 2.0 * (lp_lam * om + lp * (1.0 - l_lam))
-                - d**2 / 2.0 * lp_lam * lp
-            )
-        return Sensitivities(fp, gmu, gl)
-
-    raise ValueError("closed-form sensitivities cover shapes 1 and 2 only")
-
-
 def parameter_sensitivities(
-    sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw, method: str = "auto"
+    sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw
 ) -> Sensitivities:
     """Derivatives (dmk/dmu, dpd/dmu, dpd/dlambda) of the estimating maps.
 
-    ``jet`` is the series path, valid for any shape and uniformly accurate
-    through the equal-rates diagonal; ``closed`` uses the explicit
-    shape-1/shape-2 formulas, whose generic branch degrades inside the
-    diagonal band (use it for cross-validation away from the diagonal or
-    exactly on it).  ``auto`` therefore resolves to ``jet``; the tests pin
-    the two paths to each other at 1e-8 relative on both regimes.
+    Each comes from the jets that define the map, one Taylor order up;
+    nothing is differentiated by hand.  With w = 1/(1-L), the
+    mean-inspections sum telescopes under d/dmu to its last term,
+    (-mu)^(n-1)/(n-1)! w^(n)(mu).  The failure probability is
+    1 - (1-L(lam)) S_n with S_n = (-mu)^n psi[mu (n times), lam] the plain
+    series of psi = L/(1-L), so d/dlambda takes the series' own slope and
+    dS_n/dmu = n (S_n - S_{n+1}) / mu exactly.  S_n and S_{n+1} share the
+    branch chosen at shape n, which keeps all three uniformly accurate
+    through the equal-rates diagonal for every supported shape.
     """
-    if method == "auto":
-        method = "jet"
-    if method == "closed":
-        return _sensitivities_closed(sane, damage, insp)
-    if method == "jet":
-        return _sensitivities_jet(sane, damage, insp)
-    raise ValueError(f"unknown method {method!r}")
+    n, mu, lam = sane.shape, sane.rate, damage.rate
+    diagonal = _near_diagonal(mu, lam, n, insp.spacing)
+    at_mu = law_derivatives(mu, insp, n + _DIAGONAL_TERMS + 1)
+    at_lam = law_derivatives(lam, insp, 1)
+    oml = one_minus_laplace(lam, insp)
+    psi, psi_lam = at_mu.gain, at_lam.gain
+    plain, slope = _indexed_series_sum(n, psi, psi_lam[0], mu, lam, diagonal, psi_lam[1])
+    plain_next = _indexed_series_sum(n + 1, psi, psi_lam[0], mu, lam, diagonal)
+    return Sensitivities(
+        dmk_dmu=(-mu) ** (n - 1) / math.factorial(n - 1) * at_mu.inv_one_minus[n],
+        dpd_dmu=-oml * n * (plain - plain_next) / mu,
+        dpd_dlambda=at_lam.laplace[1] * plain - oml * slope,
+    )
 
 
 # ---------------------------------------------------------------------------

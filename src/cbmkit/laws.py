@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Jets beyond this order are never needed (shape <= 2 plus slack for the
-# near-diagonal expansions); the cap keeps the recurrences auditable.
+# Jets beyond this order are never needed: the closed forms ask for order
+# shape + 4, so the cap bounds formulas.MAX_SHAPE = 4; it also keeps the
+# recurrences auditable.
 DERIVATIVE_CAP = 8
 
 DETERMINISTIC = "deterministic"

@@ -30,6 +30,7 @@ from cbmkit.oracle import (
     verification_rows,
 )
 from cbmkit.simulator import CountSnapshot, simulate_horizon
+from closed_forms import closed_sensitivities
 from conftest import make_config
 
 # Published reference rows: counts, elapsed time, point estimates, intervals.
@@ -188,8 +189,8 @@ class TestDerivativeCorrectness:
                 for lam in np.geomspace(2.5e-4, 1e-3, 5):
                     cfg = make_config(shape=shape, mu=float(mu), lam=float(lam))
                     sane, dmg, insp = cfg.sane, cfg.damage, cfg.inspection
-                    closed = F.parameter_sensitivities(sane, dmg, insp, "closed")
-                    jet = F.parameter_sensitivities(sane, dmg, insp, "jet")
+                    closed = closed_sensitivities(sane, dmg, insp)
+                    jet = F.parameter_sensitivities(sane, dmg, insp)
                     for a, b in (
                         (closed.dmk_dmu, jet.dmk_dmu),
                         (closed.dpd_dmu, jet.dpd_dmu),

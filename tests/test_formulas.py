@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from cbmkit import formulas as F
 from cbmkit.laws import DamageLaw, InspectionLaw, SaneLaw, laplace_jet, one_minus_laplace
+from closed_forms import closed_sensitivities
 
 DET = InspectionLaw("deterministic", 1000.0)
 UNIF = InspectionLaw("uniform", 1000.0, 100.0)
@@ -230,8 +231,8 @@ class TestSensitivities:
     def test_closed_matches_jet_on_grid(self, law, n):
         for mu, lam in grid_rates():
             sane, dmg = SaneLaw(n, mu), DamageLaw(lam)
-            closed = F.parameter_sensitivities(sane, dmg, law, "closed")
-            jet = F.parameter_sensitivities(sane, dmg, law, "jet")
+            closed = closed_sensitivities(sane, dmg, law)
+            jet = F.parameter_sensitivities(sane, dmg, law)
             assert_allclose(closed.dmk_dmu, jet.dmk_dmu, rtol=1e-8)
             assert_allclose(closed.dpd_dmu, jet.dpd_dmu, rtol=1e-8)
             assert_allclose(closed.dpd_dlambda, jet.dpd_dlambda, rtol=1e-8)
@@ -241,8 +242,8 @@ class TestSensitivities:
     def test_closed_matches_jet_on_diagonal(self, law, n):
         for mu in np.geomspace(5e-4, 2e-3, 5):
             sane, dmg = SaneLaw(n, float(mu)), DamageLaw(float(mu))
-            closed = F.parameter_sensitivities(sane, dmg, law, "closed")
-            jet = F.parameter_sensitivities(sane, dmg, law, "jet")
+            closed = closed_sensitivities(sane, dmg, law)
+            jet = F.parameter_sensitivities(sane, dmg, law)
             assert_allclose(closed.dpd_dmu, jet.dpd_dmu, rtol=1e-8)
             assert_allclose(closed.dpd_dlambda, jet.dpd_dlambda, rtol=1e-8)
 
@@ -285,7 +286,34 @@ class TestSensitivities:
 
     def test_closed_rejects_large_shape(self):
         with pytest.raises(ValueError):
-            F.parameter_sensitivities(SaneLaw(3, 1e-3), DamageLaw(5e-4), DET, "closed")
+            closed_sensitivities(SaneLaw(3, 1e-3), DamageLaw(5e-4), DET)
+
+    @pytest.mark.parametrize(
+        "shape, mu, lam, expected",
+        [
+            (1, 1e-3, 0.998e-3, 47.659181087152049812),
+            (2, 1e-3, 0.998e-3, 6.2332618009256260767),
+            (3, 1e-3, 0.998e-3, -1.7935842080061958608),
+            (2, 1e-3, 1.0005e-3, 6.24534164381600476),
+            (2, 2e-4, 2.02e-4, 0.081105450581727553722),
+            (3, 2e-4, 2.02e-4, -0.030048987953462082692),
+        ],
+    )
+    def test_dpd_dmu_near_diagonal_matches_quadrature(self, shape, mu, lam, expected):
+        # references: 50-digit quadrature of
+        # -sum_k int exp(-lam (k c - u)) f(u) (shape/mu - u) du over
+        # ((k-1) c, k c], f the gamma damage density; all but the shape-1
+        # point lie inside the equal-rates band
+        got = F.parameter_sensitivities(SaneLaw(shape, mu), DamageLaw(lam), DET)
+        assert_allclose(got.dpd_dmu, expected, rtol=1e-9)
+
+    def test_dpd_dmu_series_orders_share_one_branch(self):
+        # lam lies outside the shape-2 band but inside the shape-3 one: the
+        # order-3 series must follow the shape-2 (generic) branch, or the
+        # difference of the two orders is off by 1e-2.  The generic branch
+        # itself carries 2e-6 here (mu*c = 0.2); same quadrature reference.
+        got = F.parameter_sensitivities(SaneLaw(2, 2e-4), DamageLaw(2.035e-4), DET)
+        assert_allclose(got.dpd_dmu, 0.081799764504704204208, rtol=1e-4)
 
 
 class TestEstimatorCovariance:
