@@ -220,17 +220,20 @@ def _estimate_rows(args: argparse.Namespace, config: ModelConfig) -> list[str]:
     if interval is None:
         interval = "delta"
 
-    records = None
+    records = log_counts = None
     if args.events:
-        records = read_event_log(args.events)
+        try:
+            records = read_event_log(args.events)
+        except ValueError as exc:
+            raise ConfigError(f"{args.events}: {exc}") from None
+        log_counts = CountSnapshot(
+            sum(r.length for r in records),
+            len(records),
+            sum(r.inspection_count for r in records),
+            sum(1 for r in records if r.failed),
+        )
         if args.counts is None and args.reproduce is None:
-            t = sum(r.length for r in records)
-            snapshot = CountSnapshot(
-                t,
-                len(records),
-                sum(r.inspection_count for r in records),
-                sum(1 for r in records if r.failed),
-            )
+            snapshot = log_counts
 
     rows = []
     methods = ("am", "mle") if args.method == "both" else (args.method,)
@@ -238,29 +241,18 @@ def _estimate_rows(args: argparse.Namespace, config: ModelConfig) -> list[str]:
         if method == "am":
             _require_closed_form_shape(config)
             report = asymptotic_estimate(snapshot, config, interval=interval)
-            rows.append(
-                report.csv_row(
-                    snapshot.time,
-                    snapshot.repairs,
-                    snapshot.inspections,
-                    snapshot.failures,
-                    config.seed,
-                )
-            )
+            counts = snapshot
         else:
             if records is None:
                 raise ConfigError("--method mle needs an --events log")
             data = ObservedData.from_event_log_records(records, config.inspection)
             report = mle_estimate(data, config)
-            rows.append(
-                report.csv_row(
-                    sum(r.length for r in records),
-                    len(records),
-                    sum(r.inspection_count for r in records),
-                    sum(1 for r in records if r.failed),
-                    config.seed,
-                )
+            counts = log_counts
+        rows.append(
+            report.csv_row(
+                counts.time, counts.repairs, counts.inspections, counts.failures, config.seed
             )
+        )
     return rows
 
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from statistics import NormalDist
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -354,9 +355,26 @@ class ObservedCycle:
     end_age: float
 
 
+class CensoringBounds(NamedTuple):
+    """The likelihood's integration bounds and the count totals of one data
+    set, built in one pass in cycle order."""
+
+    det_a: np.ndarray
+    det_b: np.ndarray
+    fail_a: np.ndarray
+    fail_z: np.ndarray
+    n_fail: int
+    n_inspections: int
+    total_time: float
+
+
 @dataclass(frozen=True)
 class ObservedData:
     cycles: tuple[ObservedCycle, ...]
+
+    @cached_property
+    def bounds(self) -> CensoringBounds:
+        return _censoring_bounds(self.cycles)
 
     @classmethod
     def from_records(cls, records: Sequence[CycleRecord]) -> "ObservedData":
@@ -385,10 +403,13 @@ class ObservedData:
                 "likelihood from a log requires deterministic gaps"
             )
         c = insp.spacing
+        schedules: dict[int, tuple[float, ...]] = {}
         out = []
         for rec in records:
             planned = rec.inspection_count - 1 if rec.failed else rec.inspection_count
-            ages = tuple(c * (i + 1) for i in range(planned))
+            ages = schedules.get(planned)
+            if ages is None:
+                ages = schedules[planned] = tuple(c * (i + 1) for i in range(planned))
             out.append(ObservedCycle(ages, rec.failed, rec.length))
         return cls(tuple(out))
 
@@ -403,17 +424,19 @@ def censored_log_likelihood(
     clean inspection at age a contributes log lam int_a^z exp(-lam (z-u))
     dF_s(u).  The sum is over cycles, order-free.
     """
-    det_a, det_b, fail_a, fail_z = _censoring_bounds(data)
+    bounds = data.bounds
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if det_a.size:
-            vals = detection_window_integral(det_a, det_b, sane, damage)
+        if bounds.det_a.size:
+            vals = detection_window_integral(bounds.det_a, bounds.det_b, sane, damage)
             logs = np.log(vals)
             if not np.isfinite(logs).all():
                 return -math.inf
             total += float(logs.sum())
-        if fail_a.size:
-            vals = damage.rate * detection_window_integral(fail_a, fail_z, sane, damage)
+        if bounds.fail_a.size:
+            vals = damage.rate * detection_window_integral(
+                bounds.fail_a, bounds.fail_z, sane, damage
+            )
             logs = np.log(vals)
             if not np.isfinite(logs).all():
                 return -math.inf
@@ -421,20 +444,27 @@ def censored_log_likelihood(
     return total
 
 
-def _censoring_bounds(data: ObservedData):
-    det_a, det_b, fail_a, fail_z = [], [], [], []
-    for cyc in data.cycles:
+def _censoring_bounds(cycles: Sequence[ObservedCycle]) -> CensoringBounds:
+    det_a, det_b, fail_a, fail_z, ends = [], [], [], [], []
+    n_planned = 0
+    for cyc in cycles:
         if cyc.failed:
             fail_a.append(cyc.inspections[-1] if cyc.inspections else 0.0)
             fail_z.append(cyc.end_age)
         else:
             det_a.append(cyc.inspections[-2] if len(cyc.inspections) >= 2 else 0.0)
             det_b.append(cyc.inspections[-1])
-    return (
+        n_planned += len(cyc.inspections)
+        ends.append(cyc.end_age)
+    return CensoringBounds(
         np.asarray(det_a),
         np.asarray(det_b),
         np.asarray(fail_a),
         np.asarray(fail_z),
+        len(fail_z),
+        # the failure itself counts as one inspection
+        n_planned + len(fail_z),
+        sum(ends),
     )
 
 
@@ -505,18 +535,18 @@ def mle_estimate(
     differences, relative step 1e-4).
     """
     confidence = config.confidence if confidence is None else confidence
-    n_fail = sum(1 for c in data.cycles if c.failed)
-    n_det = len(data.cycles) - n_fail
-    if n_fail == 0 or n_det == 0:
+    bounds = data.bounds
+    n_fail = bounds.n_fail
+    n_r = len(data.cycles)
+    if n_fail == 0 or n_fail == n_r:
         raise DegenerateDataError(
             "censored likelihood needs at least one detection and one failure"
         )
     shape = config.sane.shape
     insp = config.inspection
 
-    n_r = len(data.cycles)
-    n_i = sum(len(c.inspections) for c in data.cycles) + n_fail
-    t_total = sum(c.end_age for c in data.cycles)
+    n_i = bounds.n_inspections
+    t_total = bounds.total_time
     try:
         start_mu = invert_mean_inspections(n_i / n_r, shape, insp)
         start_lam = invert_failure_probability(

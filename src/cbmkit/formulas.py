@@ -540,18 +540,28 @@ def detection_window_integral(a, b, sane: SaneLaw, damage: DamageLaw):
 
 
 def _exp_poly_moments(g, theta: float, top: int) -> list:
-    """m_i = int_0^g w^i exp(theta w) dw for i = 0..top, stable near theta=0."""
+    """m_i = int_0^g w^i exp(theta w) dw for i = 0..top, stable near theta=0.
+
+    Elements with |theta*g| < 1e-4 (all of them when theta == 0) take a
+    six-term Taylor series, evaluated on those elements only; the rest take
+    the recursion m_i = (g^i exp(theta g) - i m_(i-1))/theta.
+    """
     g = np.asarray(g, dtype=float)
-    small = np.abs(theta * g) < 1e-4
+    flat = g.reshape(-1)
+    small = np.abs(theta * flat) < 1e-4 if theta != 0.0 else np.ones(flat.shape, bool)
+    g_small = flat[small]
+    eg = np.exp(theta * np.where(small, 0.0, flat))
     moments = []
-    eg = np.exp(theta * np.where(small, 0.0, g))
     for i in range(top + 1):
-        series = np.zeros_like(g)
-        for j in range(6):
-            series += theta**j * g ** (i + j + 1) / (math.factorial(j) * (i + j + 1))
-        if i == 0:
-            exact = np.where(small, series, np.expm1(theta * g) / theta if theta != 0.0 else series)
+        if theta == 0.0:
+            exact = np.empty_like(flat)
+        elif i == 0:
+            exact = np.expm1(theta * flat) / theta
         else:
-            exact = np.where(small, series, (g**i * eg - i * moments[i - 1]) / theta if theta != 0.0 else series)
+            exact = (flat**i * eg - i * moments[i - 1]) / theta
+        series = np.zeros_like(g_small)
+        for j in range(6):
+            series += theta**j * g_small ** (i + j + 1) / (math.factorial(j) * (i + j + 1))
+        exact[small] = series
         moments.append(exact)
-    return moments
+    return [m.reshape(g.shape) for m in moments]

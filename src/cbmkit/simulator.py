@@ -383,20 +383,27 @@ def read_event_log(path) -> list[CycleRecord]:
 
     The planned-inspection ages inside each cycle are not serialized; they
     are rebuilt only to the extent the observables need (the estimators
-    work from the gap law plus the logged count and ages).
+    work from the gap law plus the logged count and ages).  A wrong header,
+    a row without eight fields, a field that does not parse or an end other
+    than Failed/Detected raises ValueError naming the line.
     """
     cycles = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != EVENT_LOG_HEADER:
             raise ValueError(f"unexpected event-log header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            (_, y_s, y_d, k_r, v_s, z_d, x_r, end) = line.split(",")
-            cycles.append(
-                CycleRecord(
+            fields = line.split(",")
+            if len(fields) != 8:
+                raise ValueError(f"line {lineno}: expected 8 fields, got {len(fields)}")
+            (_, y_s, y_d, k_r, v_s, z_d, x_r, end) = fields
+            if end != "Failed" and end != "Detected":
+                raise ValueError(f"line {lineno}: end {end!r} is neither Failed nor Detected")
+            try:
+                record = CycleRecord(
                     time_to_damage=float(y_s),
                     damage_to_failure=float(y_d),
                     inspections=(),
@@ -406,5 +413,7 @@ def read_event_log(path) -> list[CycleRecord]:
                     length=float(x_r),
                     failed=end == "Failed",
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            cycles.append(record)
     return cycles

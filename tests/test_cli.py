@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,35 @@ seed = 1
 confidence = 0.95
 grid = 50000, 100000
 """
+
+# `estimate --events LOG --method both` on the log of
+# TestEstimateCommand.test_events_rows_pinned, by sane shape
+PINNED_EVENT_ROWS = {
+    1: [
+        (
+            "AM,0.00022389609117167363,0.00019279205015381134,0.00025500013218953592,"
+            "0.00018457449503164554,9.7941490798390091e-05,0.00027120749926490099,"
+            "0.94999999999999996,990198,200,997,18,1"
+        ),
+        (
+            "MLE,0.00022396833242372823,0.00019286461549315148,0.00025507204935430494,"
+            "0.00018515735672980512,9.8293229265761651e-05,0.00027202148419384859,"
+            "0.94999999999999996,990198,200,997,18,1"
+        ),
+    ],
+    2: [
+        (
+            "AM,0.0004459551467051451,0.00040205690570675176,0.00048985338770353838,"
+            "0.00019156513203974707,0.00010155431989921405,0.00028157594418028008,"
+            "0.94999999999999996,990198,200,997,18,1"
+        ),
+        (
+            "MLE,0.00044586928010743827,0.00040200285619247813,0.00048973570402239836,"
+            "0.00019339430996434919,0.0001025908025692507,0.00028419781735944768,"
+            "0.94999999999999996,990198,200,997,18,1"
+        ),
+    ],
+}
 
 
 @pytest.fixture
@@ -147,6 +178,28 @@ class TestEstimateCommand:
     def test_no_inputs_is_config_error(self, config_file):
         assert cli.main(["estimate", "--config", config_file]) == 2
 
+    @pytest.mark.parametrize("shape", [1, 2])
+    def test_events_rows_pinned(self, tmp_path, config_file, capsys, shape):
+        # a fixed 200-cycle deterministic-gap log built by arithmetic alone;
+        # the rows are the bytes this log gave before the censoring bounds
+        # were hoisted out of the likelihood and the small-|theta*g| series
+        # was masked (both must leave every output bit unchanged)
+        lines = ["cycle,y_s,y_d,k_r,v_s,z_d,x_r,end"]
+        for i in range(200):
+            y_s = 45.0 * ((i * 37) % 200) + 7.5
+            y_d = 30.0 * ((i * 73) % 200) + 11.0
+            k = math.ceil(y_s / 1000.0)
+            detect, fail = k * 1000.0, y_s + y_d
+            failed = detect >= fail
+            lines.append(f"{i + 1},{y_s!r},{y_d!r},{k},{detect!r},{fail!r},"
+                         f"{min(detect, fail)!r},{'Failed' if failed else 'Detected'}")
+        log = tmp_path / "log.csv"
+        log.write_text("\n".join(lines) + "\n")
+        code = cli.main(["estimate", "--config", config_file, "--sane.shape", str(shape),
+                         "--events", str(log), "--method", "both"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1:] == PINNED_EVENT_ROWS[shape]
+
     def test_reproduce_table2_values(self, capsys):
         assert cli.main(["estimate", "--reproduce", "table2"]) == 0
         row = capsys.readouterr().out.strip().splitlines()[1].split(",")
@@ -259,9 +312,40 @@ class TestInputErrors:
         code = cli.main(["estimate", *shape, "--events", events, "--method", "both"])
         self._assert_one_line_config_error(code, capsys)
 
-    @staticmethod
-    def _assert_one_line_config_error(code, capsys):
+    GOOD_ROW = "1,1500.5,800.25,2,2000,2300.75,2000,Detected"
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("cycle,y_s,y_d\n" + GOOD_ROW + "\n", "unexpected event-log header"),
+            ("", "unexpected event-log header"),
+            ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW + "\n1,2,3\n",
+             "line 3: expected 8 fields, got 3"),
+            ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW + ",extra\n",
+             "line 2: expected 8 fields, got 9"),
+            ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW.replace("1500.5", "abc") + "\n",
+             "line 2: could not convert"),
+            ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW.replace(",2,", ",2.5,") + "\n",
+             "line 2: invalid literal for int()"),
+            ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW.replace("Detected", "Lost") + "\n",
+             "line 2: end 'Lost' is neither Failed nor Detected"),
+        ],
+        ids=["header", "empty-file", "short-row", "long-row", "non-numeric", "non-integer-count",
+             "unknown-end"],
+    )
+    @pytest.mark.parametrize("method", ["am", "mle", "both"])
+    def test_malformed_event_log(self, text, reason, method, config_file, tmp_path, capsys):
+        log = tmp_path / "bad.csv"
+        log.write_text(text)
+        code = cli.main(["estimate", "--config", config_file, "--events", str(log),
+                         "--method", method])
         err = capsys.readouterr().err
+        self._assert_one_line_config_error(code, capsys, err)
+        assert err.startswith(f"config error: {log}: {reason}")
+
+    @staticmethod
+    def _assert_one_line_config_error(code, capsys, err=None):
+        err = capsys.readouterr().err if err is None else err
         assert code == 2
         assert err.startswith("config error: ")
         assert err.count("\n") == 1

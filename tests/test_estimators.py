@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from cbmkit import estimators
 from cbmkit import formulas as F
 from cbmkit.estimators import (
     DegenerateDataError,
@@ -276,6 +277,35 @@ class TestMleEstimate:
         data = ObservedData((ObservedCycle((1000.0,), False, 1000.0),))
         with pytest.raises(DegenerateDataError):
             mle_estimate(data, base_config)
+
+    def test_bounds_built_once_per_data_set(self, monkeypatch):
+        # every likelihood evaluation of a fit reads the same bounds; they
+        # and the count totals come from one pass over the cycles
+        calls = []
+        build = estimators._censoring_bounds
+
+        def counting_build(cycles):
+            calls.append(cycles)
+            return build(cycles)
+
+        monkeypatch.setattr(estimators, "_censoring_bounds", counting_build)
+        cfg = make_config(seed=22)
+        trajectory = simulate_horizon(np.random.default_rng(22), cfg, horizon=5e5)
+        data = ObservedData.from_records(trajectory.cycles)
+        report = mle_estimate(data, cfg)
+        assert report.diagnostics["iterations"] > 10
+        assert len(calls) == 1
+        mle_estimate(data, cfg)
+        assert len(calls) == 1
+        mle_estimate(ObservedData(data.cycles), cfg)
+        assert len(calls) == 2
+
+        bounds = data.bounds
+        n_fail = sum(1 for c in data.cycles if c.failed)
+        assert bounds.n_fail == n_fail == bounds.fail_z.size
+        assert bounds.det_b.size == len(data.cycles) - n_fail
+        assert bounds.n_inspections == sum(len(c.inspections) for c in data.cycles) + n_fail
+        assert bounds.total_time == sum(c.end_age for c in data.cycles)
 
     def test_event_log_projection_uniform_rejected(self, base_config):
         rng = np.random.default_rng(3)

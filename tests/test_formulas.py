@@ -316,6 +316,69 @@ class TestSensitivities:
         assert_allclose(got.dpd_dmu, 0.081799764504704204208, rtol=1e-4)
 
 
+def full_series_moments(g, theta, top):
+    """The moments with the six-term series evaluated on every element and
+    kept where |theta*g| < 1e-4: the reference the masked evaluation in
+    formulas must reproduce bit for bit."""
+    g = np.asarray(g, dtype=float)
+    small = np.abs(theta * g) < 1e-4
+    moments = []
+    eg = np.exp(theta * np.where(small, 0.0, g))
+    for i in range(top + 1):
+        series = np.zeros_like(g)
+        for j in range(6):
+            series += theta**j * g ** (i + j + 1) / (math.factorial(j) * (i + j + 1))
+        if i == 0:
+            exact = np.where(small, series, np.expm1(theta * g) / theta if theta != 0.0 else series)
+        else:
+            exact = np.where(small, series, (g**i * eg - i * moments[i - 1]) / theta if theta != 0.0 else series)
+        moments.append(exact)
+    return moments
+
+
+class TestExpPolyMoments:
+    @staticmethod
+    def assert_bit_identical(g, theta, top):
+        got = F._exp_poly_moments(g, theta, top)
+        want = full_series_moments(g, theta, top)
+        assert len(got) == len(want) == top + 1
+        for m_got, m_want in zip(got, want):
+            assert isinstance(m_got, np.ndarray)
+            assert m_got.shape == m_want.shape
+            assert m_got.tobytes() == m_want.tobytes()
+
+    # top = shape - 1 for shapes 1-4
+    @pytest.mark.parametrize("top", [0, 1, 2, 3])
+    @pytest.mark.parametrize("theta", [1e-7, -1e-7, 5e-9, 3e-5, -4e-4, 2e-3])
+    def test_mixed_switch_sides(self, theta, top):
+        edge = 1e-4 / abs(theta)
+        g = np.concatenate([
+            np.geomspace(1e-2, 3e5, 61),
+            edge * np.array([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]),
+            [0.0, 1000.0],
+        ])
+        small = np.abs(theta * g) < 1e-4
+        assert small.any() and not small.all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_bit_identical(g, theta, top)
+
+    @pytest.mark.parametrize("top", [0, 1, 2, 3])
+    def test_theta_zero_takes_the_series_everywhere(self, top):
+        self.assert_bit_identical(np.geomspace(1e-2, 1e5, 40), 0.0, top)
+
+    @pytest.mark.parametrize("top", [0, 3])
+    @pytest.mark.parametrize("theta", [0.0, 1e-9, 2e-3])
+    @pytest.mark.parametrize("g", [0.0, 7.5, 1234.5])
+    def test_scalar_input(self, g, theta, top):
+        self.assert_bit_identical(g, theta, top)
+        got = F._exp_poly_moments(g, theta, top)
+        assert all(m.ndim == 0 for m in got)
+
+    def test_two_dimensional_input(self):
+        g = np.geomspace(1.0, 1e4, 12).reshape(3, 4)
+        self.assert_bit_identical(g, 1e-7, 3)
+
+
 class TestEstimatorCovariance:
     def test_product_is_exact(self, any_config):
         b = F.estimator_covariance(any_config.sane, any_config.damage, any_config.inspection)
