@@ -284,9 +284,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
+    if args.grid_count is not None and args.grid_count < 1:
+        raise ConfigError(f"--grid-count must be at least 1, got {args.grid_count}")
     config = _load_config(args)
     seed = _require_seed(config)
-    if args.grid_count:
+    if args.grid_count is not None:
         grid = [config.horizon * (i + 1) / args.grid_count for i in range(args.grid_count)]
     elif config.grid:
         grid = list(config.grid)

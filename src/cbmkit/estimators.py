@@ -64,43 +64,56 @@ def invert_monotone(
 ) -> float:
     """Solve func(x) = target for monotone func on a positive domain.
 
-    Scans a geometric grid over [lo, hi] for a sign change, expanding the
-    interval geometrically if none is found, then polishes the bracket by
+    Finds the first interval of a 64-point geometric grid over [lo, hi]
+    where func - target reaches zero or changes sign, expanding the
+    interval geometrically if there is none, then polishes that bracket by
     a secant/bisection hybrid until |func(x) - target| <= rtol*|target| +
-    atol.  Raises OutOfRangeError when no bracket exists.  When ``trace``
-    is given it receives the bracket used and the iteration count.
+    atol.  Monotonicity makes the signs on the grid one run of the first
+    point's sign followed by the rest, so that interval is found by
+    bisecting over the grid indices from the two end points, in 8
+    evaluations per grid.
+    Raises OutOfRangeError when no bracket exists.  When ``trace`` is
+    given it receives the bracket used, the iteration count and the number
+    of func evaluations.
     """
+    if trace is None:
+        trace = {}
+    trace["evaluations"] = 0
 
     def g(x: float) -> float:
+        trace["evaluations"] += 1
         return func(x) - target
 
     for _ in range(max_expand):
         xs = np.geomspace(lo, hi, 64)
-        vals = [g(x) for x in xs]
-        bracket = None
-        for i in range(len(xs) - 1):
-            if vals[i] == 0.0:
-                return float(xs[i])
-            if vals[i] * vals[i + 1] <= 0.0:
-                bracket = (float(xs[i]), float(xs[i + 1]), vals[i], vals[i + 1])
-                break
-        if bracket is not None:
+        first, last = g(xs[0]), g(xs[-1])
+        if first == 0.0:
+            return float(xs[0])
+        if first * last <= 0.0:
+            # i keeps the sign of the first point, j is the first index found
+            # that does not
+            i, j, fi, fj = 0, len(xs) - 1, first, last
+            while j - i > 1:
+                mid = (i + j) // 2
+                fm = g(xs[mid])
+                if first * fm > 0.0:
+                    i, fi = mid, fm
+                else:
+                    j, fj = mid, fm
+            a, b, fa, fb = float(xs[i]), float(xs[j]), fi, fj
             break
         lo, hi = lo / 100.0, hi * 100.0
     else:
         raise OutOfRangeError(
             f"target {target!r} outside the attainable range "
-            f"[{min(vals[0], vals[-1]) + target!r}, {max(vals[0], vals[-1]) + target!r}]"
+            f"[{min(first, last) + target!r}, {max(first, last) + target!r}]"
         )
 
-    a, b, fa, fb = bracket
-    if trace is not None:
-        trace["bracket"] = (a, b)
+    trace["bracket"] = (a, b)
     tol = rtol * abs(target) + atol
     x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
     for iteration in range(200):
-        if trace is not None:
-            trace["iterations"] = iteration
+        trace["iterations"] = iteration
         if abs(fx) <= tol:
             return x
         # secant proposal, clipped to the bracket; fall back to bisection
@@ -330,8 +343,10 @@ def asymptotic_estimate(
             "n_f": n_f,
             "mu_bracket": mu_trace.get("bracket"),
             "mu_iterations": mu_trace.get("iterations"),
+            "mu_evaluations": mu_trace.get("evaluations"),
             "lambda_bracket": lam_trace.get("bracket"),
             "lambda_iterations": lam_trace.get("iterations"),
+            "lambda_evaluations": lam_trace.get("evaluations"),
         },
     )
 

@@ -19,6 +19,7 @@ further, not from hand-differentiated copies of it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,8 +95,17 @@ class LawDerivatives:
     gain_sq: np.ndarray
 
 
+# typed: a numpy scalar and an equal float keep separate entries, so a
+# caller always gets the bundle its own argument computes
+@functools.lru_cache(maxsize=32, typed=True)
 def law_derivatives(s: float, insp: InspectionLaw, order: int) -> LawDerivatives:
-    """Derivative bundle of L, 1/(1-L), L/(1-L), L/(1-L)^2 at s."""
+    """Derivative bundle of L, 1/(1-L), L/(1-L), L/(1-L)^2 at s.
+
+    Cached per (s, insp, order): an inversion in the failure rate reuses
+    the jet at the fixed damage rate, and the moment bundle and the
+    sensitivities share theirs.  Every caller gets the same arrays, so
+    they are read-only.
+    """
     jet = laplace_jet(s, insp, order)
     fact = np.array([math.factorial(i) for i in range(order + 1)], dtype=float)
     l_taylor = np.asarray(jet.coefficients) / fact
@@ -108,13 +118,16 @@ def law_derivatives(s: float, insp: InspectionLaw, order: int) -> LawDerivatives
     w = _series_div(one, den)
     psi = _series_mul(l_taylor, w)
     phi = _series_mul(psi, w)
-    return LawDerivatives(
+    out = LawDerivatives(
         anchor=s,
         laplace=np.asarray(jet.coefficients, dtype=float),
         inv_one_minus=w * fact,
         gain=psi * fact,
         gain_sq=phi * fact,
     )
+    for arr in (out.laplace, out.inv_one_minus, out.gain, out.gain_sq):
+        arr.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------

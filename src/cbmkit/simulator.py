@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -71,21 +72,46 @@ class CountSnapshot:
     failures: int
 
 
+class _Totals(NamedTuple):
+    """Prefix sums over a trajectory's cycles: the repair epochs, and at
+    index i the inspections charged to and the failures among the first i
+    cycles."""
+
+    epochs: tuple[float, ...]
+    inspections: np.ndarray
+    failures: np.ndarray
+
+
 @dataclass(frozen=True)
 class Trajectory:
+    """Simulated cycles and the snapshots taken along them.
+
+    The repair epochs and the running inspection and failure totals are
+    held as prefix sums, built on first use, so counts at any time cost a
+    bisection.
+    """
+
     cycles: tuple[CycleRecord, ...]
     snapshots: tuple[CountSnapshot, ...]
     seed: Optional[int]
     config: ModelConfig
 
+    @cached_property
+    def _totals(self) -> _Totals:
+        n = len(self.cycles)
+        # np.cumsum adds left to right, as simulate_horizon's end times do
+        epochs = np.cumsum(np.fromiter((c.length for c in self.cycles), float, n))
+        inspections = np.fromiter((c.inspection_count for c in self.cycles), np.int64, n)
+        failures = np.fromiter((c.failed for c in self.cycles), np.int64, n)
+        return _Totals(
+            tuple(epochs.tolist()),
+            np.concatenate(([0], np.cumsum(inspections))),
+            np.concatenate(([0], np.cumsum(failures))),
+        )
+
     @property
     def repair_epochs(self) -> tuple[float, ...]:
-        total = 0.0
-        out = []
-        for cyc in self.cycles:
-            total += cyc.length
-            out.append(total)
-        return tuple(out)
+        return self._totals.epochs
 
     @property
     def final_snapshot(self) -> CountSnapshot:
@@ -273,7 +299,7 @@ def simulate_horizon(
     while total < horizon:
         batch = simulate_cycles(rng, config, _CHUNK, inspections=True)
         # running sums seeded with the carried totals, so every end time
-        # is the same left-to-right sum that repair_epochs recomputes
+        # is the same left-to-right sum that Trajectory._totals builds
         ends = np.cumsum(np.concatenate(([total], batch.length)))[1:]
         keep = min(int(np.searchsorted(ends, horizon)) + 1, _CHUNK)
         cycles.extend(batch.records(keep))
@@ -328,10 +354,10 @@ def counts_at(t: float, trajectory: Trajectory) -> CountSnapshot:
     when the cycle completes, never before.
     """
     age, elapsed = age_and_index(t, trajectory)
-    epochs = trajectory.repair_epochs
-    done = _completed_before(t, epochs)
-    inspections = sum(c.inspection_count for c in trajectory.cycles[:done]) + elapsed
-    failures = sum(1 for c in trajectory.cycles[:done] if c.failed)
+    totals = trajectory._totals
+    done = _completed_before(t, totals.epochs)
+    inspections = int(totals.inspections[done]) + elapsed
+    failures = int(totals.failures[done])
     return CountSnapshot(t, done, inspections, failures)
 
 

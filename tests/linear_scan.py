@@ -1,0 +1,78 @@
+"""The 64-point linear bracket scan: an independent reference.
+
+``cbmkit.estimators.invert_monotone`` finds its bracket by bisecting over
+the indices of a geometric grid.  The function here is the linear scan it
+replaced: it evaluates every grid point and stops at the first zero or sign
+change.  The polish that follows is the same code in both, so on monotone
+maps the two must return the same bracket, the same iteration count and a
+bit-identical root.
+"""
+
+from typing import Callable, Optional
+
+import numpy as np
+
+from cbmkit.estimators import NonConvergenceError, OutOfRangeError
+
+
+def linear_scan_invert(
+    func: Callable[[float], float],
+    target: float,
+    lo: float = 1e-8,
+    hi: float = 1e2,
+    rtol: float = 1e-12,
+    atol: float = 0.0,
+    max_expand: int = 8,
+    trace: Optional[dict] = None,
+) -> float:
+    def g(x: float) -> float:
+        return func(x) - target
+
+    for _ in range(max_expand):
+        xs = np.geomspace(lo, hi, 64)
+        vals = [g(x) for x in xs]
+        bracket = None
+        for i in range(len(xs) - 1):
+            if vals[i] == 0.0:
+                return float(xs[i])
+            if vals[i] * vals[i + 1] <= 0.0:
+                bracket = (float(xs[i]), float(xs[i + 1]), vals[i], vals[i + 1])
+                break
+        if bracket is not None:
+            break
+        lo, hi = lo / 100.0, hi * 100.0
+    else:
+        raise OutOfRangeError(
+            f"target {target!r} outside the attainable range "
+            f"[{min(vals[0], vals[-1]) + target!r}, {max(vals[0], vals[-1]) + target!r}]"
+        )
+
+    a, b, fa, fb = bracket
+    if trace is not None:
+        trace["bracket"] = (a, b)
+    tol = rtol * abs(target) + atol
+    x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+    for iteration in range(200):
+        if trace is not None:
+            trace["iterations"] = iteration
+        if abs(fx) <= tol:
+            return x
+        # secant proposal, clipped to the bracket; fall back to bisection
+        if fb != fa:
+            cand = b - fb * (b - a) / (fb - fa)
+        else:
+            cand = 0.5 * (a + b)
+        if not a < cand < b:
+            cand = 0.5 * (a + b)
+        fc = g(cand)
+        if fa * fc <= 0.0:
+            b, fb = cand, fc
+        else:
+            a, fa = cand, fc
+        x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+        if b - a <= abs(x) * 4e-16:
+            # bracket exhausted at float resolution; best point stands
+            return x
+    if abs(fx) <= tol:
+        return x
+    raise NonConvergenceError("root refinement stalled before reaching tolerance")

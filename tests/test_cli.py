@@ -52,6 +52,176 @@ PINNED_EVENT_ROWS = {
 }
 
 
+# `convergence --grid-count 20` at horizon 2e6, seed 3, base rates: the
+# rows of TestConvergenceCommand.test_rows_pinned, by (shape, gap law)
+PINNED_CONVERGENCE_ROWS = {
+    (1, "deterministic"): [
+        (
+            "100000,0.00083772840937107018,0.00037253040442480526,0.00061771135139331479,"
+            "0.0010577454673488256,0.00014545814869090692,0.0005996026601587036"
+        ),
+        (
+            "200000,0.00081799738344014042,0.00051102199186689055,0.00066605755769336378,"
+            "0.00096993720918691706,0.00031550539448177325,0.00070653858925200791"
+        ),
+        (
+            "300000,0.00087484197456383014,0.00052911881878719654,0.00074475887484767639,"
+            "0.0010049250742799839,0.00037033928572172429,0.00068789835185266879"
+        ),
+        (
+            "400000,0.00085123642396724164,0.00052684769934871229,0.00074077602942593127,"
+            "0.00096169681850855201,0.00038821111366469947,0.00066548428503272511"
+        ),
+        (
+            "500000,0.00084035119525654209,0.00051037588503209826,0.0007423860603092585,"
+            "0.00093831633020382567,0.00038813681551616846,0.00063261495454802806"
+        ),
+        (
+            "600000,0.00088685405957942079,0.00056572353027201973,0.00079411686651980652,"
+            "0.00097959125263903505,0.0004493442180694147,0.00068210284247462475"
+        ),
+        (
+            "700000,0.00092168158050940502,0.00055817345583256042,0.00083332758937943862,"
+            "0.0010100355716393713,0.00045292260088647114,0.00066342431077864969"
+        ),
+        (
+            "800000,0.00093110581766037625,0.00055837761336812288,0.00084783338018330019,"
+            "0.0010143782551374522,0.00046029156094408056,0.00065646366579216525"
+        ),
+        (
+            "900000,0.00094490953718033848,0.0005588556514927285,0.00086553601774762214,"
+            "0.0010242830566130549,0.00046685733627871418,0.00065085396670674282"
+        ),
+        (
+            "1000000,0.0009683757919410705,0.00056461409896505855,0.00089169873326284997,"
+            "0.001045052850619291,0.00047760956025799135,0.00065161863767212579"
+        ),
+        (
+            "1100000,0.00098568016850253859,0.00055979568922158939,0.00091156616222081821,"
+            "0.0010597941747842591,0.00047783828059650758,0.0006417530978466712"
+        ),
+        (
+            "1200000,0.00096940055718879167,0.00055612682398543966,0.00089931767007115292,"
+            "0.0010394834443064305,0.00047747546685758269,0.00063477818111329657"
+        ),
+        (
+            "1300000,0.00097098168934515539,0.00055129420306722896,0.00090354839951972644,"
+            "0.0010384149791705843,0.00047618128321113889,0.00062640712292331903"
+        ),
+        (
+            "1400000,0.0009855478327141275,0.00052960274197435262,0.00091975474553391244,"
+            "0.0010513409198943426,0.00045938517962336705,0.00059982030432533819"
+        ),
+        (
+            "1500000,0.00097644465469512887,0.00053882258177325869,0.00091335953538042628,"
+            "0.0010395297740098315,0.00047002149918446697,0.00060762366436205035"
+        ),
+        (
+            "1600000,0.00097945683832869647,0.00054174192958950063,0.0009182415144406372,"
+            "0.0010406721622167557,0.00047498314850422346,0.00060850071067477781"
+        ),
+        (
+            "1700000,0.00097217756536072326,0.00053410516573308589,0.00091310098818291475,"
+            "0.0010312541425385317,0.00046971711773065192,0.00059849321373551981"
+        ),
+        (
+            "1800000,0.00097249587145347327,0.00054567947333089106,0.00091510427872938422,"
+            "0.0010298874641775624,0.00048228478309068066,0.00060907416357110146"
+        ),
+        (
+            "1900000,0.00097408968612017958,0.00054734758960645643,0.00091816444263363749,"
+            "0.0010300149296067218,0.00048556660904793783,0.00060912857016497503"
+        ),
+        (
+            "2000000,0.0009661986418439244,0.00054314873463095755,0.00091201155519903552,"
+            "0.0010203857284888133,0.00048302898326922921,0.00060326848599268589"
+        ),
+    ],
+    (2, "uniform"): [
+        (
+            "100000,0.00093586205325086561,0.00054489372203224971,0.00072432493400386181,"
+            "0.0011473991724978694,0.00017067016266769685,0.00091911728139680256"
+        ),
+        (
+            "200000,0.00087600048705571644,0.00077670090544327251,0.00073313086582179558,"
+            "0.0010188701082896373,0.0004336882532726748,0.0011197135576138703"
+        ),
+        (
+            "300000,0.00086343335539165202,0.00086679945498746699,0.00074801405595471024,"
+            "0.0009788526548285938,0.00056268095853000285,0.0011709179514449311"
+        ),
+        (
+            "400000,0.000852180172394274,0.0007976862308650991,0.00075286864575649793,"
+            "0.00095149169903205007,0.00054768895099027248,0.0010476835107399258"
+        ),
+        (
+            "500000,0.0008992653351049606,0.0007162068704452874,0.00080733188450831707,"
+            "0.00099119878570160425,0.00051313139125284696,0.00091928234963772784"
+        ),
+        (
+            "600000,0.00092962546161134171,0.00062870684802670109,0.00084379958604372993,"
+            "0.0010154513371789535,0.00046092280439625295,0.00079649089165714922"
+        ),
+        (
+            "700000,0.00095000145316095875,0.00065629667613166997,0.00086952460606609173,"
+            "0.0010304783002558257,0.00049804475843639529,0.00081454859382694466"
+        ),
+        (
+            "800000,0.00098036416479547659,0.00064754355205683491,0.00090358242931182426,"
+            "0.001057145900279129,0.00050275413830885873,0.0007923329658048111"
+        ),
+        (
+            "900000,0.0010035822977661332,0.00060343681305398487,0.0009300405393660473,"
+            "0.0010771240561662191,0.00047427507834302908,0.00073259854776494071"
+        ),
+        (
+            "1000000,0.00098705637825460455,0.00057661337847593919,0.00091796304801677409,"
+            "0.001056149708492435,0.00045672804701610297,0.00069649870993577535"
+        ),
+        (
+            "1100000,0.00099780927981406959,0.00057717386274827674,0.00093148327514085323,"
+            "0.0010641352844872861,0.00046332027270618525,0.00069102745279036822"
+        ),
+        (
+            "1200000,0.00099513799531636025,0.00057900803286417481,0.00093174547241945901,"
+            "0.0010585305182132614,0.00046965884448866928,0.00068835722123968034"
+        ),
+        (
+            "1300000,0.00099521323343440939,0.00056309852048257365,0.00093427934647776661,"
+            "0.0010561471203910523,0.00045987193508542173,0.00066632510587972551"
+        ),
+        (
+            "1400000,0.00098661347247520122,0.00056929430738552657,0.00092822423630825428,"
+            "0.0010450027086421482,0.00046876716537792948,0.00066982144939312365"
+        ),
+        (
+            "1500000,0.00099086612768567494,0.00054575058887751339,0.0009342695074038075,"
+            "0.0010474627479675424,0.00045134337331017356,0.00064015780444485321"
+        ),
+        (
+            "1600000,0.00097605181723938133,0.00056071513780153314,0.00092178809234386432,"
+            "0.0010303155421348984,0.00046714973022641269,0.00065428054537665359"
+        ),
+        (
+            "1700000,0.00098612566538759726,0.0005446972452345059,0.00093312056593220828,"
+            "0.0010391307648429863,0.00045594451322350239,0.00063344997724550946"
+        ),
+        (
+            "1800000,0.00097761014406793105,0.00055916607007838205,0.00092639671811927337,"
+            "0.0010288235700165887,0.00047116435109738575,0.00064716778905937831"
+        ),
+        (
+            "1900000,0.00097982809609095537,0.00054190866129330279,0.00092988740938618067,"
+            "0.0010297687827957301,0.00045799867034478526,0.00062581865224182033"
+        ),
+        (
+            "2000000,0.00099217611898712939,0.00053742911055046068,0.00094311053457776708,"
+            "0.0010412417033964917,0.00045649476877336544,0.00061836345232755587"
+        ),
+    ],
+}
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "run.cfg"
@@ -241,6 +411,20 @@ class TestConvergenceCommand:
         assert code == 0
         assert len(out.read_text().splitlines()) == 5
 
+    @pytest.mark.parametrize("shape, kind", sorted(PINNED_CONVERGENCE_ROWS))
+    def test_rows_pinned(self, shape, kind, tmp_path):
+        out = tmp_path / "series.csv"
+        code = cli.main([
+            "convergence", "--sane.shape", str(shape), "--sane.rate", "1e-3",
+            "--damage.rate", "5e-4", "--inspection.kind", kind, "--inspection.c", "1000",
+            "--inspection.h", "100" if kind == "uniform" else "0", "--horizon", "2e6",
+            "--seed", "3", "--grid-count", "20", "--out", str(out),
+        ])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t,mu_hat,lambda_hat,mu_lo,mu_hi,lambda_lo,lambda_hi"
+        assert lines[1:] == PINNED_CONVERGENCE_ROWS[(shape, kind)]
+
     def test_needs_grid(self, tmp_path, config_file):
         code = cli.main(["convergence", "--config", config_file, "--grid", "",
                          "--out", str(tmp_path / "x.csv")])
@@ -295,6 +479,18 @@ class TestInputErrors:
     def test_one_line_config_error(self, argv, config_file, capsys):
         code = cli.main(argv + ["--config", config_file])
         self._assert_one_line_config_error(code, capsys)
+
+    @pytest.mark.parametrize("count", [-3, 0])
+    def test_grid_count_below_one(self, count, config_file, tmp_path, capsys):
+        # the config file carries a grid, which --grid-count 0 must not fall
+        # back to
+        out = tmp_path / "conv.csv"
+        code = cli.main(["convergence", "--config", config_file, "--grid-count", str(count),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        self._assert_one_line_config_error(code, capsys, err)
+        assert err == f"config error: --grid-count must be at least 1, got {count}\n"
+        assert not out.exists()
 
     def test_shape_beyond_the_closed_forms(self, config_file, tmp_path, capsys):
         # only the commands that evaluate closed forms reject shape 5;

@@ -27,6 +27,7 @@ from cbmkit.estimators import (
 from cbmkit.laws import DamageLaw, InspectionLaw, SaneLaw, density_sane
 from cbmkit.simulator import CountSnapshot, simulate_cycle, simulate_horizon
 from conftest import make_config
+from linear_scan import linear_scan_invert
 
 DET = InspectionLaw("deterministic", 1000.0)
 UNIF = InspectionLaw("uniform", 1000.0, 100.0)
@@ -65,6 +66,103 @@ class TestInvertMonotone:
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             invert_monotone(lambda v: 1.0 / (1.0 + v), 2.0, 1e-8, 1e2, max_expand=2)
+
+
+class TestBracketSearch:
+    """invert_monotone bisects over the grid indices where the reference
+    scans them one by one; bracket, iterations and root must agree."""
+
+    XS = np.geomspace(1e-8, 1e2, 64)
+
+    @staticmethod
+    def _outcome(solver, func, target, **kwargs):
+        trace = {}
+        try:
+            x = solver(func, target, trace=trace, **kwargs)
+        except (OutOfRangeError, estimators.NonConvergenceError) as exc:
+            return type(exc), str(exc)
+        return float(x).hex(), trace.get("bracket"), trace.get("iterations")
+
+    def _assert_same(self, func, targets, **kwargs):
+        for target in targets:
+            expected = self._outcome(linear_scan_invert, func, target, **kwargs)
+            assert self._outcome(invert_monotone, func, target, **kwargs) == expected, target
+
+    @pytest.mark.parametrize("law", [DET, UNIF], ids=["det", "unif"])
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    def test_mean_inspections_map(self, shape, law):
+        def func(mu):
+            return F.mean_inspections(SaneLaw(shape, mu), law)
+
+        exact = [func(float(mu)) for mu in np.geomspace(3e-8, 30.0, 8)]
+        # count ratios seen early in a series, and ratios needing expansion
+        early = [2 / 1, 3 / 2, 4 / 3, 7 / 5, 12 / 7, 25 / 11, 101 / 100, 1.0000001, 3e5, 1e7]
+        self._assert_same(func, exact + early)
+
+    @pytest.mark.parametrize("law", [DET, UNIF], ids=["det", "unif"])
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    def test_failure_probability_map(self, shape, law):
+        for mu in (1e-3, 3.7e-4):
+            sane = SaneLaw(shape, mu)
+
+            def func(lam):
+                return F.failure_probability(sane, DamageLaw(lam), law)
+
+            exact = [func(float(lam)) for lam in np.geomspace(1e-6, 1.0, 7)] + [func(mu)]
+            early = [1 / 2, 1 / 3, 1 / 7, 2 / 9, 1e-2, 1e-3, 1e-7, 0.9, 0.999]
+            self._assert_same(func, exact + early, atol=1e-12, rtol=0.0)
+
+    @pytest.mark.parametrize("k", [0, 1, 31, 62, 63])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["increasing", "decreasing"])
+    def test_root_on_a_grid_point(self, k, sign):
+        self._assert_same(lambda v: sign * v, [sign * float(self.XS[k])])
+        assert invert_monotone(lambda v: sign * v, sign * float(self.XS[k])) == self.XS[k]
+
+    @pytest.mark.parametrize("interval", [0, 62], ids=["first", "last"])
+    @pytest.mark.parametrize("func", [lambda v: v, lambda v: -(v**3), lambda v: 1.0 / v],
+                             ids=["linear", "cubic", "reciprocal"])
+    def test_root_in_an_end_interval(self, interval, func):
+        root = math.sqrt(self.XS[interval] * self.XS[interval + 1])
+        self._assert_same(func, [func(root)])
+        trace = {}
+        invert_monotone(func, func(root), trace=trace)
+        assert trace["bracket"] == (self.XS[interval], self.XS[interval + 1])
+
+    def test_expansion(self):
+        for func in (lambda v: v, lambda v: 1.0 / v):
+            self._assert_same(func, [3e2, 1e-11, 1e7, 4e-13])
+
+    def test_out_of_range_text(self):
+        self._assert_same(lambda v: 1.0 / (1.0 + v), [2.0, -1.0], max_expand=2)
+        expected = self._outcome(linear_scan_invert, lambda v: v, -1.0)
+        assert expected[0] is OutOfRangeError
+        assert self._outcome(invert_monotone, lambda v: v, -1.0) == expected
+
+    @pytest.mark.parametrize(
+        "func, target, kwargs, raises",
+        [
+            (lambda mu: F.mean_inspections(SaneLaw(2, mu), UNIF),
+             F.mean_inspections(SaneLaw(2, 1e-3), UNIF), {}, False),
+            (lambda v: v, 1e-8, {}, False),
+            (lambda v: 1.0 / (1.0 + v), 2.0, {"max_expand": 2}, True),
+        ],
+        ids=["polished", "first-grid-point", "out-of-range"],
+    )
+    def test_evaluations_traced(self, func, target, kwargs, raises):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return func(x)
+
+        trace = {}
+        try:
+            invert_monotone(counted, target, trace=trace, **kwargs)
+        except OutOfRangeError:
+            assert raises
+        else:
+            assert not raises
+        assert trace["evaluations"] == len(calls) > 0
 
 
 class TestInvertMeanInspections:
@@ -147,6 +245,22 @@ class TestAsymptoticEstimate:
             report = asymptotic_estimate(snap, cfg, interval=interval)
             assert_allclose(report.mu_hat, cfg.sane.rate, rtol=1e-8)
             assert_allclose(report.lambda_hat, cfg.damage.rate, rtol=1e-8)
+
+    def test_map_evaluations_bounded(self, any_config, monkeypatch):
+        # counts of a horizon-5e7 run, at their expected values
+        cfg = any_config
+        m = F.cycle_moments(cfg.sane, cfg.damage, cfg.inspection)
+        n_r = round(cfg.horizon / m.mean_cycle)
+        snap = CountSnapshot(cfg.horizon, n_r, round(n_r * m.mean_inspections),
+                             round(n_r * m.failure_prob))
+        calls = []
+        for name in ("mean_inspections", "failure_probability"):
+            original = getattr(estimators, name)
+            monkeypatch.setattr(estimators, name,
+                                lambda *a, _f=original: calls.append(1) or _f(*a))
+        report = asymptotic_estimate(snap, cfg)
+        d = report.diagnostics
+        assert d["mu_evaluations"] + d["lambda_evaluations"] == len(calls) <= 45
 
     def test_zero_confidence_gives_point_interval(self, base_config):
         snap = CountSnapshot(50001908.0, 33501, 53116, 8255)

@@ -182,6 +182,23 @@ class TestCycleMoments:
             assert abs(a - b) <= 5e-3 * max(abs(a), abs(b))
 
 
+class TestLawDerivativesCache:
+    def test_cached_arrays_are_read_only(self):
+        bundle = F.law_derivatives(1e-3, UNIF, 5)
+        for arr in (bundle.laplace, bundle.inv_one_minus, bundle.gain, bundle.gain_sq):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
+    def test_repeated_calls_agree(self, law):
+        first = F.law_derivatives(7.3e-4, law, 6)
+        again = F.law_derivatives(7.3e-4, law, 6)
+        assert again is first
+        fresh = F.law_derivatives.__wrapped__(7.3e-4, law, 6)
+        for name in ("laplace", "inv_one_minus", "gain", "gain_sq"):
+            assert getattr(again, name).tobytes() == getattr(fresh, name).tobytes()
+
+
 class TestCountRateCovariance:
     def test_first_entry_assembly(self):
         m = F.cycle_moments(SaneLaw(1, 1e-3), DamageLaw(5e-4), DET)

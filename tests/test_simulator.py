@@ -359,6 +359,69 @@ class TestAgeAndIndex:
         assert (snap.repairs, snap.inspections, snap.failures) == (1, 4, 1)
 
 
+def _brute_counts(t, trajectory):
+    """Counts and (age, elapsed) at t by walking the cycles from the start."""
+    end = 0.0
+    repairs = inspections = failures = 0
+    for c in trajectory.cycles:
+        start, end = end, end + c.length
+        if end > t:
+            elapsed = sum(1 for a in c.inspections if a <= t - start)
+            return (t, repairs, inspections + elapsed, failures), (t - start, elapsed)
+        repairs += 1
+        inspections += c.inspection_count
+        failures += c.failed
+    return (t, repairs, inspections, failures), (t - end, 0)
+
+
+class TestCountsAtPrefixSums:
+    """counts_at and age_and_index bisect into prefix sums built once per
+    trajectory; a walk over the cycles is the reference."""
+
+    @staticmethod
+    def _times(trajectory):
+        epochs = trajectory.repair_epochs
+        times = [0.0, epochs[-1]]
+        for e in epochs:
+            times += [np.nextafter(e, -np.inf), e]
+            if e < epochs[-1]:
+                times.append(np.nextafter(e, np.inf))
+        return [float(t) for t in times]
+
+    def _assert_brute(self, trajectory):
+        for t in self._times(trajectory):
+            counts, age_index = _brute_counts(t, trajectory)
+            snap = counts_at(t, trajectory)
+            assert (snap.time, snap.repairs, snap.inspections, snap.failures) == counts, t
+            assert all(type(v) is int for v in (snap.repairs, snap.inspections, snap.failures))
+            assert age_and_index(t, trajectory) == age_index, t
+
+    def test_hand_built(self):
+        cfg = make_config()
+        cycles = [_cycle(1500.0, [1000.0, 2000.0], failed=True, count=2),
+                  _cycle(3000.0, [1000.0, 2000.0, 3000.0], failed=False),
+                  _cycle(0.1, [], failed=True, count=1),
+                  _cycle(2000.0, [1000.0, 2000.0], failed=False)]
+        trajectory = _manual_trajectory(cycles, cfg)
+        assert trajectory.repair_epochs == (1500.0, 4500.0, 4500.1, 6500.1)
+        self._assert_brute(trajectory)
+
+    @pytest.mark.parametrize("shape, kind", [(1, "deterministic"), (2, "uniform")])
+    def test_simulated(self, shape, kind):
+        cfg = make_config(shape=shape, kind=kind, seed=11)
+        trajectory = simulate_horizon(np.random.default_rng(11), cfg, horizon=3e5)
+        assert type(trajectory.repair_epochs) is tuple
+        assert len(trajectory.cycles) > 100
+        self._assert_brute(trajectory)
+
+    def test_built_once(self):
+        cycles = [_cycle(1500.0, [1000.0, 2000.0], failed=True, count=2),
+                  _cycle(3000.0, [1000.0, 2000.0, 3000.0], failed=False)]
+        trajectory = _manual_trajectory(cycles, make_config())
+        assert trajectory.repair_epochs is trajectory.repair_epochs
+        assert trajectory._totals is trajectory._totals
+
+
 class TestCsv:
     def test_event_log_round_trip(self, tmp_path, base_config):
         rng = np.random.default_rng(8)
