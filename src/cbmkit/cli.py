@@ -220,18 +220,13 @@ def _estimate_rows(args: argparse.Namespace, config: ModelConfig) -> list[str]:
     if interval is None:
         interval = "delta"
 
-    records = log_counts = None
+    cycles = log_counts = None
     if args.events:
         try:
-            records = read_event_log(args.events)
+            cycles = read_event_log(args.events)
         except ValueError as exc:
             raise ConfigError(f"{args.events}: {exc}") from None
-        log_counts = CountSnapshot(
-            sum(r.length for r in records),
-            len(records),
-            sum(r.inspection_count for r in records),
-            sum(1 for r in records if r.failed),
-        )
+        log_counts = cycles.counts()
         if args.counts is None and args.reproduce is None:
             snapshot = log_counts
 
@@ -243,9 +238,9 @@ def _estimate_rows(args: argparse.Namespace, config: ModelConfig) -> list[str]:
             report = asymptotic_estimate(snapshot, config, interval=interval)
             counts = snapshot
         else:
-            if records is None:
+            if cycles is None:
                 raise ConfigError("--method mle needs an --events log")
-            data = ObservedData.from_event_log_records(records, config.inspection)
+            data = ObservedData.from_event_log_records(cycles, config.inspection)
             report = mle_estimate(data, config)
             counts = log_counts
         rows.append(

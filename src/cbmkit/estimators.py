@@ -9,7 +9,10 @@ asymptotic covariance of the count rates pushed through the inverse maps
 
 The likelihood baseline works from observables only: the damage time is
 interval-censored between the last clean inspection and the end of the
-cycle, failure instants are exact.  A fully observed variant (closed-form,
+cycle, failure instants are exact.  :class:`ObservedData` holds those
+windows as columns, built once from a :class:`~cbmkit.simulator.CycleBatch`
+(a simulated one, or a parsed event log with deterministic gaps), and every
+likelihood evaluation reads them.  A fully observed variant (closed-form,
 uses the latent times) is provided for verification.
 """
 
@@ -18,9 +21,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from statistics import NormalDist
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .formulas import (
     mean_inspections,
 )
 from .laws import DETERMINISTIC, DamageLaw, InspectionLaw, SaneLaw
-from .simulator import CountSnapshot, CycleRecord
+from .simulator import CountSnapshot, CycleBatch, CycleRecord
 
 
 class OutOfRangeError(ValueError):
@@ -242,19 +244,6 @@ class EstimateReport:
         ]
         return ",".join(cells)
 
-    def flat_text(self) -> str:
-        lines = [
-            f"method = {self.method}",
-            f"mu_hat = {self.mu_hat:.17g}",
-            f"mu_ci = [{self.ci_mu[0]:.17g}, {self.ci_mu[1]:.17g}]",
-            f"lambda_hat = {self.lambda_hat:.17g}",
-            f"lambda_ci = [{self.ci_lambda[0]:.17g}, {self.ci_lambda[1]:.17g}]",
-            f"confidence = {self.confidence}",
-        ]
-        for key in sorted(self.diagnostics):
-            lines.append(f"{key} = {self.diagnostics[key]}")
-        return "\n".join(lines) + "\n"
-
 
 def _z_quantile(confidence: float) -> float:
     if not 0.0 <= confidence < 1.0:
@@ -356,77 +345,56 @@ def asymptotic_estimate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObservedCycle:
-    """What an observer actually sees of one cycle.
+@dataclass(frozen=True, eq=False)
+class ObservedData:
+    """What an observer sees of a set of cycles, as the likelihood reads it.
 
-    ``inspections`` are the planned visits that happened (for a detection
-    cycle the last one is the detection itself); ``end_age`` is the cycle
-    length, which on failure cycles is the exact failure instant.
+    A detection cycle contributes the window from its last clean inspection
+    ``det_a`` to the detection ``det_b``; a failure cycle its last clean
+    inspection ``fail_a`` and its exact failure age ``fail_z``.  Without a
+    clean inspection the age is 0.  Each column keeps cycle order.  The
+    failures count as inspections in ``n_inspections``, and ``total_time``
+    is the running sum of the cycle lengths.
     """
-
-    inspections: tuple[float, ...]
-    failed: bool
-    end_age: float
-
-
-class CensoringBounds(NamedTuple):
-    """The likelihood's integration bounds and the count totals of one data
-    set, built in one pass in cycle order."""
 
     det_a: np.ndarray
     det_b: np.ndarray
     fail_a: np.ndarray
     fail_z: np.ndarray
-    n_fail: int
     n_inspections: int
     total_time: float
 
-
-@dataclass(frozen=True)
-class ObservedData:
-    cycles: tuple[ObservedCycle, ...]
-
-    @cached_property
-    def bounds(self) -> CensoringBounds:
-        return _censoring_bounds(self.cycles)
-
-    @classmethod
-    def from_records(cls, records: Sequence[CycleRecord]) -> "ObservedData":
-        out = []
-        for rec in records:
-            if rec.failed:
-                planned = rec.inspections[:-1]
-            else:
-                planned = rec.inspections
-            out.append(ObservedCycle(tuple(planned), rec.failed, rec.length))
-        return cls(tuple(out))
-
     @classmethod
     def from_event_log_records(
-        cls, records: Sequence[CycleRecord], insp: InspectionLaw
+        cls, cycles: CycleBatch, insp: InspectionLaw
     ) -> "ObservedData":
-        """Rebuild observables from a parsed event log.
+        """The observables of a batch of cycles.
 
-        Event logs do not serialize the per-cycle planned schedule, so this
-        only works when the gap law is deterministic (ages are the
-        multiples of the spacing).
+        The censoring windows come from the batch's inspection ages when it
+        has them.  A parsed event log has none; with deterministic gaps the
+        k-th age is ``c * k``, and with any other gap law the likelihood
+        cannot be built (DegenerateDataError).
         """
-        if insp.kind != DETERMINISTIC:
+        k = cycles.inspection_count
+        if cycles.inspection_ages.size:
+            ages = cycles.inspection_ages
+            last = cycles.totals.inspections[1:] - 1
+            before = np.where(k >= 2, ages[np.maximum(last - 1, 0)], 0.0)
+            end = ages[last]
+        elif insp.kind == DETERMINISTIC:
+            before = insp.spacing * (k - 1)
+            end = insp.spacing * k
+        else:
             raise DegenerateDataError(
                 "event logs do not carry the planned schedule; the censored "
                 "likelihood from a log requires deterministic gaps"
             )
-        c = insp.spacing
-        schedules: dict[int, tuple[float, ...]] = {}
-        out = []
-        for rec in records:
-            planned = rec.inspection_count - 1 if rec.failed else rec.inspection_count
-            ages = schedules.get(planned)
-            if ages is None:
-                ages = schedules[planned] = tuple(c * (i + 1) for i in range(planned))
-            out.append(ObservedCycle(ages, rec.failed, rec.length))
-        return cls(tuple(out))
+        failed = cycles.failed
+        counts = cycles.counts()
+        return cls(
+            before[~failed], end[~failed], before[failed], cycles.length[failed],
+            counts.inspections, counts.time,
+        )
 
 
 def censored_log_likelihood(
@@ -439,48 +407,23 @@ def censored_log_likelihood(
     clean inspection at age a contributes log lam int_a^z exp(-lam (z-u))
     dF_s(u).  The sum is over cycles, order-free.
     """
-    bounds = data.bounds
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if bounds.det_a.size:
-            vals = detection_window_integral(bounds.det_a, bounds.det_b, sane, damage)
+        if data.det_a.size:
+            vals = detection_window_integral(data.det_a, data.det_b, sane, damage)
             logs = np.log(vals)
             if not np.isfinite(logs).all():
                 return -math.inf
             total += float(logs.sum())
-        if bounds.fail_a.size:
+        if data.fail_a.size:
             vals = damage.rate * detection_window_integral(
-                bounds.fail_a, bounds.fail_z, sane, damage
+                data.fail_a, data.fail_z, sane, damage
             )
             logs = np.log(vals)
             if not np.isfinite(logs).all():
                 return -math.inf
             total += float(logs.sum())
     return total
-
-
-def _censoring_bounds(cycles: Sequence[ObservedCycle]) -> CensoringBounds:
-    det_a, det_b, fail_a, fail_z, ends = [], [], [], [], []
-    n_planned = 0
-    for cyc in cycles:
-        if cyc.failed:
-            fail_a.append(cyc.inspections[-1] if cyc.inspections else 0.0)
-            fail_z.append(cyc.end_age)
-        else:
-            det_a.append(cyc.inspections[-2] if len(cyc.inspections) >= 2 else 0.0)
-            det_b.append(cyc.inspections[-1])
-        n_planned += len(cyc.inspections)
-        ends.append(cyc.end_age)
-    return CensoringBounds(
-        np.asarray(det_a),
-        np.asarray(det_b),
-        np.asarray(fail_a),
-        np.asarray(fail_z),
-        len(fail_z),
-        # the failure itself counts as one inspection
-        n_planned + len(fail_z),
-        sum(ends),
-    )
 
 
 def nelder_mead(
@@ -550,9 +493,8 @@ def mle_estimate(
     differences, relative step 1e-4).
     """
     confidence = config.confidence if confidence is None else confidence
-    bounds = data.bounds
-    n_fail = bounds.n_fail
-    n_r = len(data.cycles)
+    n_fail = data.fail_z.size
+    n_r = n_fail + data.det_b.size
     if n_fail == 0 or n_fail == n_r:
         raise DegenerateDataError(
             "censored likelihood needs at least one detection and one failure"
@@ -560,8 +502,8 @@ def mle_estimate(
     shape = config.sane.shape
     insp = config.inspection
 
-    n_i = bounds.n_inspections
-    t_total = bounds.total_time
+    n_i = data.n_inspections
+    t_total = data.total_time
     try:
         start_mu = invert_mean_inspections(n_i / n_r, shape, insp)
         start_lam = invert_failure_probability(

@@ -6,21 +6,28 @@ either at that inspection (detection) or at the failure instant, whichever
 comes first.  Cycles are i.i.d., so repairs form a renewal process;
 failures and inspections are the associated reward processes.
 
-:func:`simulate_cycles` draws many cycles at once as arrays and is what the
-horizon simulator and the Monte Carlo oracle run on; :func:`simulate_cycle`
-draws one cycle with scalar calls and is kept as the reference the hand
-traces pin.  Deterministic gaps put the k-th inspection at ``k * c`` (not
-at a running sum of ``c``), with ``k = ceil(y_s / c)`` at detection, in
-both.
+Cycles are held as columns: a :class:`CycleBatch` has one array per cycle
+field plus the flat planned-inspection ages.  :func:`simulate_cycles`
+draws one, :func:`simulate_horizon` joins its blocks into
+``Trajectory.cycles``, and :func:`read_event_log` parses a log into one
+(without the ages, which logs do not carry).  The running totals of cycle
+time, inspections and failures are built once per batch, adding left to
+right; snapshots, counts at arbitrary times and the likelihood's total
+time all read them.  :func:`simulate_cycle` draws one cycle with scalar
+calls and is kept as the reference the hand traces pin; a batch yields the
+same :class:`CycleRecord` rows on iteration or indexing.  Deterministic
+gaps put the k-th inspection at ``k * c`` (not at a running sum of
+``c``), with ``k = ceil(y_s / c)`` at detection, in both.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -72,50 +79,127 @@ class CountSnapshot:
     failures: int
 
 
-class _Totals(NamedTuple):
-    """Prefix sums over a trajectory's cycles: the repair epochs, and at
-    index i the inspections charged to and the failures among the first i
-    cycles."""
+def _running_sums(values: np.ndarray, start: float = 0) -> np.ndarray:
+    """``start`` followed by its running sums with ``values``.
 
-    epochs: tuple[float, ...]
+    Cycle times are always totalled this way, left to right: the end
+    times, the counts of an event log and the likelihood's total time are
+    all these sums, so they agree to the bit (numpy's pairwise ``np.sum``
+    would not).
+    """
+    return np.cumsum(np.concatenate(([start], values)))
+
+
+class _Totals(NamedTuple):
+    """Running totals over a batch's cycles: at index i, the time, the
+    inspections charged and the failures of the first i cycles."""
+
+    time: np.ndarray
     inspections: np.ndarray
     failures: np.ndarray
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Simulated cycles and the snapshots taken along them.
+@dataclass(frozen=True, eq=False)
+class CycleBatch:
+    """Cycles as parallel arrays, one entry per cycle, fields as in
+    :class:`CycleRecord`.
 
-    The repair epochs and the running inspection and failure totals are
-    held as prefix sums, built on first use, so counts at any time cost a
-    bisection.
+    ``inspection_ages`` concatenates every cycle's planned schedule in
+    cycle order, ``inspection_count`` entries per cycle; it is empty
+    unless the batch was drawn with ``inspections=True``.  ``len()`` is
+    the number of cycles; iteration and integer indexing yield
+    :class:`CycleRecord` rows (with empty schedules when the batch has no
+    ages).
     """
 
-    cycles: tuple[CycleRecord, ...]
-    snapshots: tuple[CountSnapshot, ...]
+    time_to_damage: np.ndarray
+    damage_to_failure: np.ndarray
+    inspection_count: np.ndarray
+    detection_age: np.ndarray
+    failure_age: np.ndarray
+    length: np.ndarray
+    failed: np.ndarray
+    inspection_ages: np.ndarray
+
+    @cached_property
+    def totals(self) -> _Totals:
+        # the inspection totals double as each cycle's offset into the ages
+        return _Totals(
+            _running_sums(self.length),
+            _running_sums(self.inspection_count),
+            _running_sums(self.failed),
+        )
+
+    def counts(self) -> CountSnapshot:
+        """Counts at the end of the last cycle."""
+        totals = self.totals
+        return CountSnapshot(
+            float(totals.time[-1]), len(self),
+            int(totals.inspections[-1]), int(totals.failures[-1]),
+        )
+
+    def head(self, count: int) -> CycleBatch:
+        """The first ``count`` cycles."""
+        ages = int(self.totals.inspections[count]) if self.inspection_ages.size else 0
+        return CycleBatch(
+            *(getattr(self, name)[:count] for name in _PER_CYCLE),
+            self.inspection_ages[:ages],
+        )
+
+    def __len__(self) -> int:
+        return len(self.length)
+
+    def __iter__(self) -> Iterator[CycleRecord]:
+        return self._rows(0, len(self))
+
+    def __getitem__(self, i: int) -> CycleRecord:
+        i = range(len(self))[i]
+        return next(self._rows(i, i + 1))
+
+    def _rows(self, lo: int, hi: int) -> Iterator[CycleRecord]:
+        offsets = self.totals.inspections[lo:hi + 1].tolist()
+        base = offsets[0]
+        ages = self.inspection_ages[base:offsets[-1]].tolist()
+        columns = zip(*(getattr(self, name)[lo:hi].tolist() for name in _PER_CYCLE))
+        for (y_s, y_d, k, v, z, x, f), a, b in zip(columns, offsets, offsets[1:]):
+            yield CycleRecord(y_s, y_d, tuple(ages[a - base:b - base]), k, v, z, x, f)
+
+
+_PER_CYCLE = tuple(f.name for f in fields(CycleBatch) if f.name != "inspection_ages")
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Simulated cycles and the counts at the requested grid times.
+
+    The snapshots (one per cycle end and one per grid time) are built on
+    first use, from the batch's running totals; so are the repair epochs,
+    which make counts at any time cost a bisection.
+    """
+
+    cycles: CycleBatch
+    grid_snapshots: tuple[CountSnapshot, ...]
     seed: Optional[int]
     config: ModelConfig
 
     @cached_property
-    def _totals(self) -> _Totals:
-        n = len(self.cycles)
-        # np.cumsum adds left to right, as simulate_horizon's end times do
-        epochs = np.cumsum(np.fromiter((c.length for c in self.cycles), float, n))
-        inspections = np.fromiter((c.inspection_count for c in self.cycles), np.int64, n)
-        failures = np.fromiter((c.failed for c in self.cycles), np.int64, n)
-        return _Totals(
-            tuple(epochs.tolist()),
-            np.concatenate(([0], np.cumsum(inspections))),
-            np.concatenate(([0], np.cumsum(failures))),
-        )
-
-    @property
     def repair_epochs(self) -> tuple[float, ...]:
-        return self._totals.epochs
+        return tuple(self.cycles.totals.time[1:].tolist())
+
+    @cached_property
+    def snapshots(self) -> tuple[CountSnapshot, ...]:
+        """Every cycle end and grid snapshot, in time order (a grid
+        snapshot at a cycle end equals that end's)."""
+        totals = self.cycles.totals
+        ends = map(
+            CountSnapshot, self.repair_epochs, range(1, len(self.cycles) + 1),
+            totals.inspections[1:].tolist(), totals.failures[1:].tolist(),
+        )
+        return tuple(sorted((*self.grid_snapshots, *ends), key=attrgetter("time")))
 
     @property
     def final_snapshot(self) -> CountSnapshot:
-        return self.snapshots[-1]
+        return self.cycles.counts()
 
 
 def simulate_cycle(rng: np.random.Generator, config: ModelConfig) -> CycleRecord:
@@ -148,49 +232,6 @@ def simulate_cycle(rng: np.random.Generator, config: ModelConfig) -> CycleRecord
     )
 
 
-class CycleBatch(NamedTuple):
-    """Cycles as parallel arrays, one entry per cycle, fields as in
-    :class:`CycleRecord`.
-
-    ``inspection_ages`` concatenates every cycle's planned schedule in
-    cycle order, ``inspection_count`` entries per cycle; it is empty
-    unless the batch was drawn with ``inspections=True``.
-    """
-
-    time_to_damage: np.ndarray
-    damage_to_failure: np.ndarray
-    inspection_count: np.ndarray
-    detection_age: np.ndarray
-    failure_age: np.ndarray
-    length: np.ndarray
-    failed: np.ndarray
-    inspection_ages: np.ndarray
-
-    def records(self, count: int) -> list[CycleRecord]:
-        """The first ``count`` cycles as records, built as
-        :func:`simulate_cycle` builds them; needs a batch drawn with
-        ``inspections=True``."""
-        counts = self.inspection_count[:count].tolist()
-        total = sum(counts)
-        if total > len(self.inspection_ages):
-            raise ValueError("records need a batch drawn with inspections=True")
-        ages = self.inspection_ages[:total].tolist()
-        out = []
-        pos = 0
-        for y_s, y_d, k, z, f in zip(
-            self.time_to_damage[:count].tolist(),
-            self.damage_to_failure[:count].tolist(),
-            counts,
-            self.failure_age[:count].tolist(),
-            self.failed[:count].tolist(),
-        ):
-            schedule = tuple(ages[pos:pos + k])
-            pos += k
-            v = schedule[-1] if schedule else 0.0
-            out.append(CycleRecord(y_s, y_d, schedule, k, v, z, z if f else v, f))
-        return out
-
-
 def simulate_cycles(
     rng: np.random.Generator, config: ModelConfig, n: int, inspections: bool = False
 ) -> CycleBatch:
@@ -208,14 +249,13 @@ def simulate_cycles(
         return _draw_chunk(rng, config, n, inspections)
     # per-cycle columns are filled in place, so the peak stays at the
     # result plus one chunk
-    names = [name for name in CycleBatch._fields if name != "inspection_ages"]
     columns: dict[str, np.ndarray] = {}
     ages = []
     for start in range(0, n, _CHUNK):
         chunk = _draw_chunk(rng, config, min(_CHUNK, n - start), inspections)
         if not columns:
-            columns = {name: np.empty(n, dtype=getattr(chunk, name).dtype) for name in names}
-        for name in names:
+            columns = {name: np.empty(n, dtype=getattr(chunk, name).dtype) for name in _PER_CYCLE}
+        for name in _PER_CYCLE:
             columns[name][start:start + _CHUNK] = getattr(chunk, name)
         ages.append(chunk.inspection_ages)
     return CycleBatch(**columns, inspection_ages=np.concatenate(ages))
@@ -286,57 +326,28 @@ def simulate_horizon(
     The final snapshot sits at the first cycle end at or beyond the
     horizon (so its time generally overshoots the requested horizon, and
     the overshooting cycle is included in the counts).  Additional
-    snapshots are emitted at the requested grid times, which must not
+    snapshots are taken at the requested grid times, which must not
     exceed the final snapshot time.
     """
     horizon = config.horizon if horizon is None else horizon
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
-    cycles = []
-    end_snapshots = []
+    blocks = []
     total = 0.0
-    repairs = inspections = failures = 0
     while total < horizon:
         batch = simulate_cycles(rng, config, _CHUNK, inspections=True)
-        # running sums seeded with the carried totals, so every end time
-        # is the same left-to-right sum that Trajectory._totals builds
-        ends = np.cumsum(np.concatenate(([total], batch.length)))[1:]
-        keep = min(int(np.searchsorted(ends, horizon)) + 1, _CHUNK)
-        cycles.extend(batch.records(keep))
-        insp = inspections + np.cumsum(batch.inspection_count[:keep])
-        fail = failures + np.cumsum(batch.failed[:keep])
-        end_snapshots.extend(
-            map(CountSnapshot, ends[:keep].tolist(),
-                range(repairs + 1, repairs + keep + 1), insp.tolist(), fail.tolist())
-        )
-        total = float(ends[keep - 1])
-        repairs += keep
-        inspections = int(insp[-1])
-        failures = int(fail[-1])
+        ends = _running_sums(batch.length, total)
+        keep = min(int(np.searchsorted(ends[1:], horizon)) + 1, _CHUNK)
+        blocks.append(batch.head(keep))
+        total = float(ends[keep])
 
-    trajectory = Trajectory(
-        cycles=tuple(cycles),
-        snapshots=(),
-        seed=config.seed,
-        config=config,
+    cycles = CycleBatch(
+        *(np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(CycleBatch))
     )
-    grid_times = sorted(float(t) for t in grid) if grid is not None else []
-    grid_snapshots = [counts_at(t, trajectory) for t in grid_times]
-    # merge the two time-sorted runs, grid entries first among ties so the
-    # final cycle end stays last
-    snapshots = []
-    gi = 0
-    for snap in end_snapshots:
-        while gi < len(grid_snapshots) and grid_snapshots[gi].time <= snap.time:
-            snapshots.append(grid_snapshots[gi])
-            gi += 1
-        snapshots.append(snap)
-    snapshots.extend(grid_snapshots[gi:])
-    return Trajectory(
-        cycles=trajectory.cycles,
-        snapshots=tuple(snapshots),
-        seed=config.seed,
-        config=config,
+    trajectory = Trajectory(cycles, (), config.seed, config)
+    grid_times = sorted(float(t) for t in grid or ())
+    return replace(
+        trajectory, grid_snapshots=tuple(counts_at(t, trajectory) for t in grid_times)
     )
 
 
@@ -354,8 +365,8 @@ def counts_at(t: float, trajectory: Trajectory) -> CountSnapshot:
     when the cycle completes, never before.
     """
     age, elapsed = age_and_index(t, trajectory)
-    totals = trajectory._totals
-    done = _completed_before(t, totals.epochs)
+    totals = trajectory.cycles.totals
+    done = _completed_before(t, trajectory.repair_epochs)
     inspections = int(totals.inspections[done]) + elapsed
     failures = int(totals.failures[done])
     return CountSnapshot(t, done, inspections, failures)
@@ -370,11 +381,12 @@ def age_and_index(t: float, trajectory: Trajectory) -> tuple[float, int]:
     done = _completed_before(t, epochs)
     last_epoch = epochs[done - 1] if done else 0.0
     age = t - last_epoch
-    if done >= len(trajectory.cycles):
+    cycles = trajectory.cycles
+    if done >= len(cycles):
         return age, 0
-    open_cycle = trajectory.cycles[done]
-    elapsed = bisect.bisect_right(open_cycle.inspections, age)
-    return age, elapsed
+    offsets = cycles.totals.inspections
+    schedule = cycles.inspection_ages[offsets[done]:offsets[done + 1]]
+    return age, int(np.searchsorted(schedule, age, side="right"))
 
 
 EVENT_LOG_HEADER = "cycle,y_s,y_d,k_r,v_s,z_d,x_r,end"
@@ -385,16 +397,13 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def write_event_log(path, cycles: Iterable[CycleRecord]) -> None:
+def write_event_log(path, cycles: CycleBatch) -> None:
+    rows = zip(*(getattr(cycles, name).tolist() for name in _PER_CYCLE))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(EVENT_LOG_HEADER + "\n")
-        for i, c in enumerate(cycles, start=1):
-            end = "Failed" if c.failed else "Detected"
-            fh.write(
-                f"{i},{_fmt(c.time_to_damage)},{_fmt(c.damage_to_failure)},"
-                f"{c.inspection_count},{_fmt(c.detection_age)},"
-                f"{_fmt(c.failure_age)},{_fmt(c.length)},{end}\n"
-            )
+        for i, (y_s, y_d, k, v, z, x, failed) in enumerate(rows, start=1):
+            end = "Failed" if failed else "Detected"
+            fh.write(f"{i},{_fmt(y_s)},{_fmt(y_d)},{k},{_fmt(v)},{_fmt(z)},{_fmt(x)},{end}\n")
 
 
 def write_snapshots(path, snapshots: Iterable[CountSnapshot]) -> None:
@@ -404,42 +413,56 @@ def write_snapshots(path, snapshots: Iterable[CountSnapshot]) -> None:
             fh.write(f"{_fmt(s.time)},{s.repairs},{s.inspections},{s.failures}\n")
 
 
-def read_event_log(path) -> list[CycleRecord]:
-    """Parse an event-log CSV back into cycle records.
+# one event-log row as read: the numeric fields, then whether it failed
+_LOG_ROW = np.dtype([
+    ("y_s", float), ("y_d", float), ("k_r", np.int64), ("v_s", float), ("z_d", float),
+    ("x_r", float), ("failed", bool),
+])
 
-    The planned-inspection ages inside each cycle are not serialized; they
-    are rebuilt only to the extent the observables need (the estimators
-    work from the gap law plus the logged count and ages).  A wrong header,
-    a row without eight fields, a field that does not parse or an end other
-    than Failed/Detected raises ValueError naming the line.
+
+def read_event_log(path) -> CycleBatch:
+    """Parse an event-log CSV into a :class:`CycleBatch`.
+
+    Rows are parsed into one table with a column per field, which the
+    batch's columns view.  Logs do not serialize the planned-inspection
+    ages, so the batch has none (the censored likelihood rebuilds them from
+    a deterministic gap law).  A wrong header, a row without eight fields,
+    an end other than Failed/Detected, a field that does not parse, a time
+    that is not finite and nonnegative or a count ``k_r`` outside
+    [1, 2**63) raises ValueError naming the first offending line.
     """
-    cycles = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != EVENT_LOG_HEADER:
             raise ValueError(f"unexpected event-log header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 8:
-                raise ValueError(f"line {lineno}: expected 8 fields, got {len(fields)}")
-            (_, y_s, y_d, k_r, v_s, z_d, x_r, end) = fields
-            if end != "Failed" and end != "Detected":
-                raise ValueError(f"line {lineno}: end {end!r} is neither Failed nor Detected")
-            try:
-                record = CycleRecord(
-                    time_to_damage=float(y_s),
-                    damage_to_failure=float(y_d),
-                    inspections=(),
-                    inspection_count=int(k_r),
-                    detection_age=float(v_s),
-                    failure_age=float(z_d),
-                    length=float(x_r),
-                    failed=end == "Failed",
+        rows = (
+            _parse_row(lineno, line)
+            for lineno, line in enumerate(map(str.strip, fh), start=2)
+            if line
+        )
+        table = np.fromiter(rows, _LOG_ROW)
+    return CycleBatch(*(table[name] for name in _LOG_ROW.names), np.empty(0))
+
+
+def _parse_row(lineno: int, line: str) -> tuple:
+    """One event-log row as a :data:`_LOG_ROW` record; raises the
+    ValueError that names the line and what is wrong with it."""
+    fields = line.split(",")
+    if len(fields) != 8:
+        raise ValueError(f"line {lineno}: expected 8 fields, got {len(fields)}")
+    (_, y_s, y_d, k_r, v_s, z_d, x_r, end) = fields
+    if end != "Failed" and end != "Detected":
+        raise ValueError(f"line {lineno}: end {end!r} is neither Failed nor Detected")
+    try:
+        values = (float(y_s), float(y_d), int(k_r), float(v_s), float(z_d), float(x_r))
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    for name, value in zip(_LOG_ROW.names, values):
+        if name == "k_r":
+            if not 1 <= value < 2**63:
+                raise ValueError(
+                    f"line {lineno}: k_r must be at least 1 and below 2**63, got {value}"
                 )
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            cycles.append(record)
-    return cycles
+        elif not 0.0 <= value < math.inf:
+            raise ValueError(f"line {lineno}: {name} must be finite and nonnegative, got {value}")
+    return (*values, end == "Failed")

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from cbmkit.config import ModelConfig
 from cbmkit.laws import DamageLaw, InspectionLaw, SaneLaw
+from cbmkit.simulator import CycleBatch
 
 # Base parameter set used throughout: damage rate 1e-3, failure rate 5e-4,
 # inspections every 1000 time units (uniform variant: half-width 100).
@@ -22,6 +24,16 @@ def make_config(shape=1, kind="deterministic", mu=BASE_MU, lam=BASE_LAMBDA,
         seed,
         **kwargs,
     )
+
+
+def batch_of(records):
+    """The columns of a list of cycle records; every record carries its
+    whole schedule, as a batch drawn with its inspection ages does."""
+    names = ("time_to_damage", "damage_to_failure", "inspection_count", "detection_age",
+             "failure_age", "length", "failed")
+    columns = [np.array([getattr(r, name) for r in records]) for name in names]
+    ages = np.array([a for r in records for a in r.inspections], dtype=float)
+    return CycleBatch(*columns, ages)
 
 
 @pytest.fixture

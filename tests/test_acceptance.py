@@ -292,7 +292,7 @@ class TestMleSanity:
             warnings.simplefilter("ignore")
             for _ in range(reps):
                 trajectory = simulate_horizon(rng, cfg, horizon=1e6)
-                data = ObservedData.from_records(trajectory.cycles)
+                data = ObservedData.from_event_log_records(trajectory.cycles, cfg.inspection)
                 report = mle_estimate(data, cfg)
                 hits_mu += report.ci_mu[0] <= cfg.sane.rate <= report.ci_mu[1]
                 hits_lam += report.ci_lambda[0] <= cfg.damage.rate <= report.ci_lambda[1]
@@ -323,7 +323,7 @@ class TestMleSanity:
         cfg = make_config(seed=8)
         rng = np.random.default_rng(8)
         trajectory = simulate_horizon(rng, cfg, horizon=5e7)
-        data = ObservedData.from_records(trajectory.cycles)
+        data = ObservedData.from_event_log_records(trajectory.cycles, cfg.inspection)
         report = mle_estimate(data, cfg)
         hw_mu = (report.ci_mu[1] - report.ci_mu[0]) / 2.0
         hw_lam = (report.ci_lambda[1] - report.ci_lambda[0]) / 2.0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -222,6 +223,23 @@ PINNED_CONVERGENCE_ROWS = {
 }
 
 
+# sha256 of the event log and of the snapshot file that `simulate` writes at
+# horizon 3e5, seed 5, grid 1e4, 1.5e5, 3e5, base rates: the files of
+# TestSimulateCommand.test_csv_bytes_pinned, by (shape, gap law).  Recorded
+# on x86-64 Linux, Python 3.11, numpy 2.4; both hold with numpy's AVX-512
+# and AVX2 loops switched off through NPY_DISABLE_CPU_FEATURES.
+PINNED_SIMULATE_SHA256 = {
+    (1, "deterministic"): (
+        "b378bbf9e9c6e576fe34f2d5ec44c15fa8c8f5a3f6fe6e39d6676554eb7c69aa",
+        "65c2cf18967ba3cfae07f5b85855a7a2dd796b6530e00fd17faa29382e076942",
+    ),
+    (2, "uniform"): (
+        "f1db64ce3d0ee7016ec88c482214fd375b8de8c83096dbb85e116098216203f4",
+        "d768c6c564a5cb892059689633e0fc804599fe1624e932133b37c0ff01094641",
+    ),
+}
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "run.cfg"
@@ -269,6 +287,20 @@ class TestSimulateCommand:
         ev_cycles = len(ev1.read_text().splitlines()) - 1
         assert len(lines) == ev_cycles + 2 + 1
         assert float(lines[-1].split(",")[0]) >= 200000.0
+
+    @pytest.mark.parametrize("shape, kind", sorted(PINNED_SIMULATE_SHA256))
+    def test_csv_bytes_pinned(self, shape, kind, tmp_path):
+        ev, sn = tmp_path / "e.csv", tmp_path / "s.csv"
+        code = cli.main([
+            "simulate", "--sane.shape", str(shape), "--sane.rate", "1e-3",
+            "--damage.rate", "5e-4", "--inspection.kind", kind, "--inspection.c", "1000",
+            "--inspection.h", "100" if kind == "uniform" else "0", "--horizon", "3e5",
+            "--seed", "5", "--grid", "1e4, 1.5e5, 3e5",
+            "--events", str(ev), "--snapshots", str(sn),
+        ])
+        assert code == 0
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (ev, sn))
+        assert digests == PINNED_SIMULATE_SHA256[(shape, kind)]
 
     def test_missing_seed_is_config_error(self, tmp_path, config_file):
         code = cli.main([
@@ -525,9 +557,27 @@ class TestInputErrors:
              "line 2: invalid literal for int()"),
             ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW.replace("Detected", "Lost") + "\n",
              "line 2: end 'Lost' is neither Failed nor Detected"),
+            ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW + "\n"
+             + GOOD_ROW.replace(",2,", ",0,") + "\n",
+             "line 3: k_r must be at least 1 and below 2**63, got 0\n"),
+            ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW.replace(",2,", ",-3,") + "\n",
+             "line 2: k_r must be at least 1 and below 2**63, got -3\n"),
+            ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW.replace(",2,", f",{2**63},") + "\n",
+             f"line 2: k_r must be at least 1 and below 2**63, got {2**63}\n"),
+            ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW.replace("800.25", "nan") + "\n",
+             "line 2: y_d must be finite and nonnegative, got nan\n"),
+            ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW.replace(",2000,D", ",inf,D") + "\n",
+             "line 2: x_r must be finite and nonnegative, got inf\n"),
+            ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW.replace("1500.5", "-1500.5") + "\n",
+             "line 2: y_s must be finite and nonnegative, got -1500.5\n"),
+            # the first offending line is named, whatever is wrong further on
+            ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW.replace("2300.75", "nan") + "\n"
+             + GOOD_ROW.replace(",2,", ",x,") + "\n1,2\n",
+             "line 2: z_d must be finite and nonnegative, got nan\n"),
         ],
         ids=["header", "empty-file", "short-row", "long-row", "non-numeric", "non-integer-count",
-             "unknown-end"],
+             "unknown-end", "zero-count", "negative-count", "huge-count", "nan-time",
+             "infinite-time", "negative-time", "first-bad-line"],
     )
     @pytest.mark.parametrize("method", ["am", "mle", "both"])
     def test_malformed_event_log(self, text, reason, method, config_file, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -11,7 +12,6 @@ from cbmkit import estimators
 from cbmkit import formulas as F
 from cbmkit.estimators import (
     DegenerateDataError,
-    ObservedCycle,
     ObservedData,
     OutOfRangeError,
     asymptotic_estimate,
@@ -25,12 +25,31 @@ from cbmkit.estimators import (
     nelder_mead,
 )
 from cbmkit.laws import DamageLaw, InspectionLaw, SaneLaw, density_sane
-from cbmkit.simulator import CountSnapshot, simulate_cycle, simulate_horizon
-from conftest import make_config
+from cbmkit.simulator import (
+    CountSnapshot,
+    CycleRecord,
+    read_event_log,
+    simulate_cycle,
+    simulate_cycles,
+    simulate_horizon,
+    write_event_log,
+)
+from conftest import batch_of, make_config
 from linear_scan import linear_scan_invert
 
 DET = InspectionLaw("deterministic", 1000.0)
 UNIF = InspectionLaw("uniform", 1000.0, 100.0)
+
+
+def _observed(*cycles):
+    """The observables of hand-built deterministic-gap cycles, each given
+    as (planned schedule, failed, length); latent times are left at 0."""
+    records = [
+        CycleRecord(0.0, 0.0, tuple(ages), len(ages), ages[-1], length if failed else math.inf,
+                    length, failed)
+        for ages, failed, length in cycles
+    ]
+    return ObservedData.from_event_log_records(batch_of(records), DET)
 
 
 def simpson_adaptive(f, a, b, tol=1e-12, depth=30):
@@ -293,7 +312,6 @@ class TestAsymptoticEstimate:
         row = report.csv_row(snap.time, snap.repairs, snap.inspections, snap.failures, 7)
         assert row.startswith("AM,")
         assert row.endswith(",7")
-        assert "mu_hat" in report.flat_text()
 
     def test_consistency_medians_shrink(self):
         # median absolute error decreases across growing horizons
@@ -319,7 +337,7 @@ class TestCensoredLikelihood:
         # one detected cycle with visits at 1000 and 2000: the likelihood
         # is the censored integral of the damage density against the
         # failure survival, cross-checked by adaptive quadrature
-        data = ObservedData((ObservedCycle((1000.0, 2000.0), False, 2000.0),))
+        data = _observed(((1000.0, 2000.0), False, 2000.0))
         for mu, lam in [(1e-3, 5e-4), (8e-4, 1.3e-3), (1e-3, 1e-3)]:
             sane, dmg = SaneLaw(1, mu), DamageLaw(lam)
             got = math.exp(censored_log_likelihood(data, sane, dmg))
@@ -331,7 +349,8 @@ class TestCensoredLikelihood:
             assert_allclose(got, oracle, rtol=1e-8)
 
     def test_single_failure_matches_quadrature(self):
-        data = ObservedData((ObservedCycle((1000.0,), True, 1700.0),))
+        # clean at 1000, failed at 1700 before the visit planned at 2000
+        data = _observed(((1000.0, 2000.0), True, 1700.0))
         for n, mu, lam in [(1, 1e-3, 5e-4), (2, 1e-3, 7e-4)]:
             sane, dmg = SaneLaw(n, mu), DamageLaw(lam)
             got = math.exp(censored_log_likelihood(data, sane, dmg))
@@ -344,7 +363,7 @@ class TestCensoredLikelihood:
 
     def test_first_interval_detection(self):
         # detection at the very first inspection censors against zero
-        data = ObservedData((ObservedCycle((1000.0,), False, 1000.0),))
+        data = _observed(((1000.0,), False, 1000.0))
         sane, dmg = SaneLaw(1, 1e-3), DamageLaw(5e-4)
         got = math.exp(censored_log_likelihood(data, sane, dmg))
         oracle = simpson_adaptive(
@@ -355,8 +374,11 @@ class TestCensoredLikelihood:
     def test_relabeling_invariance(self, base_config):
         rng = np.random.default_rng(77)
         records = [simulate_cycle(rng, base_config) for _ in range(200)]
-        data = ObservedData.from_records(records)
-        shuffled = ObservedData(tuple(np.random.default_rng(5).permutation(data.cycles)))
+        data = ObservedData.from_event_log_records(batch_of(records), DET)
+        order = np.random.default_rng(5).permutation(len(records))
+        shuffled = ObservedData.from_event_log_records(
+            batch_of([records[i] for i in order]), DET
+        )
         sane, dmg = SaneLaw(1, 9e-4), DamageLaw(6e-4)
         assert censored_log_likelihood(data, sane, dmg) == pytest.approx(
             censored_log_likelihood(shuffled, sane, dmg), rel=1e-15
@@ -381,75 +403,80 @@ class TestMleEstimate:
         cfg = make_config(seed=22)
         rng = np.random.default_rng(22)
         trajectory = simulate_horizon(rng, cfg, horizon=2e6)
-        data = ObservedData.from_records(trajectory.cycles)
+        data = ObservedData.from_event_log_records(trajectory.cycles, cfg.inspection)
         report = mle_estimate(data, cfg)
         assert report.ci_mu[0] < cfg.sane.rate < report.ci_mu[1]
         assert report.ci_lambda[0] < cfg.damage.rate < report.ci_lambda[1]
         assert report.diagnostics["iterations"] > 0
 
     def test_needs_both_end_types(self, base_config):
-        data = ObservedData((ObservedCycle((1000.0,), False, 1000.0),))
+        data = _observed(((1000.0,), False, 1000.0))
         with pytest.raises(DegenerateDataError):
             mle_estimate(data, base_config)
 
-    def test_bounds_built_once_per_data_set(self, monkeypatch):
-        # every likelihood evaluation of a fit reads the same bounds; they
-        # and the count totals come from one pass over the cycles
-        calls = []
-        build = estimators._censoring_bounds
-
-        def counting_build(cycles):
-            calls.append(cycles)
-            return build(cycles)
-
-        monkeypatch.setattr(estimators, "_censoring_bounds", counting_build)
+    def test_bounds_built_once_per_data_set(self):
+        # the censoring windows and totals are the fields of the data set,
+        # built once by its one builder and read by every likelihood
+        # evaluation of a fit; the totals match the cycles exactly
         cfg = make_config(seed=22)
         trajectory = simulate_horizon(np.random.default_rng(22), cfg, horizon=5e5)
-        data = ObservedData.from_records(trajectory.cycles)
+        data = ObservedData.from_event_log_records(trajectory.cycles, cfg.inspection)
         report = mle_estimate(data, cfg)
         assert report.diagnostics["iterations"] > 10
-        assert len(calls) == 1
-        mle_estimate(data, cfg)
-        assert len(calls) == 1
-        mle_estimate(ObservedData(data.cycles), cfg)
-        assert len(calls) == 2
 
-        bounds = data.bounds
-        n_fail = sum(1 for c in data.cycles if c.failed)
-        assert bounds.n_fail == n_fail == bounds.fail_z.size
-        assert bounds.det_b.size == len(data.cycles) - n_fail
-        assert bounds.n_inspections == sum(len(c.inspections) for c in data.cycles) + n_fail
-        assert bounds.total_time == sum(c.end_age for c in data.cycles)
+        rows = list(trajectory.cycles)
+        n_fail = sum(1 for c in rows if c.failed)
+        assert data.fail_a.size == n_fail == data.fail_z.size
+        assert data.det_a.size == len(rows) - n_fail == data.det_b.size
+        # planned visits that happened, plus the failure itself
+        assert data.n_inspections == sum(len(c.inspections) - c.failed for c in rows) + n_fail
+        total = 0.0
+        for c in rows:
+            total += c.length
+        assert data.total_time == total
 
-    def test_event_log_projection_uniform_rejected(self, base_config):
-        rng = np.random.default_rng(3)
-        records = [simulate_cycle(rng, base_config) for _ in range(10)]
+    def test_event_log_projection_uniform_rejected(self):
+        batch = simulate_cycles(np.random.default_rng(3), make_config(kind="uniform"), 10)
+        assert batch.inspection_ages.size == 0
         with pytest.raises(DegenerateDataError):
-            ObservedData.from_event_log_records(records, UNIF)
+            ObservedData.from_event_log_records(batch, UNIF)
 
-    def test_event_log_projection_deterministic(self, base_config):
-        rng = np.random.default_rng(3)
-        records = [simulate_cycle(rng, base_config) for _ in range(300)]
-        direct = ObservedData.from_records(records)
-        via_log = ObservedData.from_event_log_records(records, DET)
-        sane, dmg = SaneLaw(1, 1.1e-3), DamageLaw(4e-4)
-        assert_allclose(
-            censored_log_likelihood(via_log, sane, dmg),
-            censored_log_likelihood(direct, sane, dmg),
-            rtol=1e-12,
-        )
+    def test_one_builder_batch_and_log_agree(self, tmp_path):
+        # a deterministic-gap batch with its ages, and the same cycles read
+        # back from an event log without them, give the same bits
+        batch = simulate_cycles(np.random.default_rng(3), make_config(), 3000, inspections=True)
+        path = tmp_path / "events.csv"
+        write_event_log(path, batch)
+        direct = ObservedData.from_event_log_records(batch, DET)
+        via_log = ObservedData.from_event_log_records(read_event_log(path), DET)
+        assert 0 < direct.fail_z.size < 3000
+        for name in ("det_a", "det_b", "fail_a", "fail_z"):
+            one, other = getattr(direct, name), getattr(via_log, name)
+            assert one.dtype == other.dtype == np.float64
+            assert one.tobytes() == other.tobytes(), name
+        assert direct.n_inspections == via_log.n_inspections
+        assert direct.total_time == via_log.total_time
+        assert (type(direct.n_inspections), type(direct.total_time)) == (int, float)
 
-    def test_observed_projection_drops_latents(self, base_config):
-        rng = np.random.default_rng(13)
-        rec = simulate_cycle(rng, base_config)
-        data = ObservedData.from_records([rec])
-        cyc = data.cycles[0]
-        assert not hasattr(cyc, "time_to_damage")
-        assert cyc.end_age == rec.length
-        if rec.failed:
-            assert cyc.inspections == rec.inspections[:-1]
-        else:
-            assert cyc.inspections == rec.inspections
+    def test_observed_projection_drops_latents(self):
+        # only the censoring windows, the exact failure ages and the totals
+        # remain; each window is read off the cycle's schedule
+        assert [f.name for f in dataclasses.fields(ObservedData)] == [
+            "det_a", "det_b", "fail_a", "fail_z", "n_inspections", "total_time",
+        ]
+        for cfg in (make_config(), make_config(shape=2, kind="uniform")):
+            batch = simulate_cycles(np.random.default_rng(13), cfg, 500, inspections=True)
+            data = ObservedData.from_event_log_records(batch, cfg.inspection)
+            detected = [r for r in batch if not r.failed]
+            failed = [r for r in batch if r.failed]
+
+            def last_clean(r):
+                return r.inspections[-2] if r.inspection_count >= 2 else 0.0
+
+            assert data.det_a.tolist() == [last_clean(r) for r in detected]
+            assert data.det_b.tolist() == [r.inspections[-1] for r in detected]
+            assert data.fail_a.tolist() == [last_clean(r) for r in failed]
+            assert data.fail_z.tolist() == [r.length for r in failed]
 
 
 class TestFullInformationOracle:

@@ -19,7 +19,7 @@ from cbmkit.simulator import (
     write_event_log,
     write_snapshots,
 )
-from conftest import make_config
+from conftest import batch_of, make_config
 
 # Seeds of the batch-engine tests, fixed once before their first run.
 SCALAR_SEED = 7001
@@ -52,7 +52,7 @@ def _cycle(length, inspections, failed, count=None):
 
 
 def _manual_trajectory(cycles, config):
-    return Trajectory(tuple(cycles), (), seed=config.seed, config=config)
+    return Trajectory(batch_of(cycles), (), seed=config.seed, config=config)
 
 
 class TestSimulateCycle:
@@ -158,7 +158,7 @@ class TestSimulateCycles:
         many = simulate_cycles(_ScriptedRng([[0.95], [10.0]]), cfg, 1, inspections=True)
         assert one.inspections == ages
         assert one.detection_age == 1.0
-        assert many.records(1) == [one]
+        assert list(many) == [one]
 
     def test_tie_counts_as_failure(self):
         # failure at 1500 + 500 == the detection at 2000
@@ -166,7 +166,7 @@ class TestSimulateCycles:
         one = simulate_cycle(_ScriptedRng([1500.0, 500.0]), cfg)
         many = simulate_cycles(_ScriptedRng([[1500.0], [500.0]]), cfg, 1, inspections=True)
         assert one.failed and one.length == 2000.0
-        assert many.records(1) == [one]
+        assert list(many) == [one]
 
     def test_horizon_blocks_join_seamlessly(self, base_config):
         # long enough for several draw blocks; every end snapshot carries
@@ -230,6 +230,48 @@ class TestSimulateCycles:
             assert np.array_equal(getattr(whole, name), joined)
 
 
+class TestCycleBatchRows:
+    """A batch is the only cycle container; rows come out as records on
+    demand."""
+
+    @pytest.mark.parametrize("shape, kind", [(1, "deterministic"), (2, "uniform")])
+    def test_rows_match_columns(self, shape, kind):
+        cfg = make_config(shape=shape, kind=kind)
+        batch = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 300, inspections=True)
+        rows = list(batch)
+        assert len(batch) == len(rows) == 300
+        offsets = batch.totals.inspections
+        for i, row in enumerate(rows):
+            assert batch[i] == row
+            assert row.inspections == tuple(batch.inspection_ages[offsets[i]:offsets[i + 1]])
+            assert row.inspection_count == len(row.inspections)
+            assert row.detection_age == row.inspections[-1]
+            assert (row.length, row.failed) == (batch.length[i], batch.failed[i])
+        assert batch[-1] == rows[-1]
+        with pytest.raises(IndexError):
+            batch[300]
+
+    def test_head_keeps_the_schedules(self):
+        cfg = make_config(shape=2, kind="uniform")
+        batch = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 50, inspections=True)
+        assert list(batch.head(20)) == list(batch)[:20]
+        undrawn = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 50)
+        assert undrawn.inspection_ages.size == 0
+        assert all(row.inspections == () for row in undrawn.head(20))
+
+    def test_totals_add_left_to_right(self):
+        cfg = make_config(shape=2, kind="uniform")
+        batch = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 3000)
+        running = [0.0]
+        for x in batch.length.tolist():
+            running.append(running[-1] + x)
+        assert batch.totals.time.tolist() == running
+        counts = batch.counts()
+        assert (counts.time, counts.repairs) == (running[-1], 3000)
+        assert counts.inspections == int(batch.inspection_count.sum())
+        assert counts.failures == int(batch.failed.sum())
+
+
 class TestSimulateHorizon:
     def test_stops_at_first_cycle_end_past_horizon(self, base_config):
         rng = np.random.default_rng(3)
@@ -244,6 +286,7 @@ class TestSimulateHorizon:
         assert final.repairs == len(trajectory.cycles)
         assert final.failures == sum(1 for c in trajectory.cycles if c.failed)
         assert final.inspections == sum(c.inspection_count for c in trajectory.cycles)
+        assert final == trajectory.snapshots[-1]
 
     def test_degenerate_horizon_single_overshooting_cycle(self):
         # a horizon below the first inspection still completes one cycle
@@ -263,7 +306,7 @@ class TestSimulateHorizon:
     def test_determinism(self, base_config):
         t1 = simulate_horizon(np.random.default_rng(99), base_config, horizon=2e5)
         t2 = simulate_horizon(np.random.default_rng(99), base_config, horizon=2e5)
-        assert t1.cycles == t2.cycles
+        assert list(t1.cycles) == list(t2.cycles)
         assert t1.snapshots == t2.snapshots
 
     def test_rejects_bad_horizon(self, base_config):
@@ -344,6 +387,14 @@ class TestAgeAndIndex:
         trajectory = _manual_trajectory(cycles, cfg)
         assert age_and_index(1500.0 + 2500.0, trajectory) == (2500.0, 2)
 
+    def test_inspection_at_the_probe_time_has_elapsed(self):
+        cfg = make_config()
+        cycles = [_cycle(1500.0, [1000.0, 2000.0], failed=True, count=2),
+                  _cycle(3000.0, [1000.0, 2000.0, 3000.0], failed=False)]
+        trajectory = _manual_trajectory(cycles, cfg)
+        assert age_and_index(2500.0, trajectory) == (1000.0, 1)
+        assert counts_at(2500.0, trajectory).inspections == 3
+
     def test_beyond_horizon_rejected(self):
         cfg = make_config()
         trajectory = _manual_trajectory([_cycle(1000.0, [1000.0], failed=False)], cfg)
@@ -400,7 +451,7 @@ class TestCountsAtPrefixSums:
         cfg = make_config()
         cycles = [_cycle(1500.0, [1000.0, 2000.0], failed=True, count=2),
                   _cycle(3000.0, [1000.0, 2000.0, 3000.0], failed=False),
-                  _cycle(0.1, [], failed=True, count=1),
+                  _cycle(0.1, [1000.0], failed=True),
                   _cycle(2000.0, [1000.0, 2000.0], failed=False)]
         trajectory = _manual_trajectory(cycles, cfg)
         assert trajectory.repair_epochs == (1500.0, 4500.0, 4500.1, 6500.1)
@@ -419,7 +470,7 @@ class TestCountsAtPrefixSums:
                   _cycle(3000.0, [1000.0, 2000.0, 3000.0], failed=False)]
         trajectory = _manual_trajectory(cycles, make_config())
         assert trajectory.repair_epochs is trajectory.repair_epochs
-        assert trajectory._totals is trajectory._totals
+        assert trajectory.cycles.totals is trajectory.cycles.totals
 
 
 class TestCsv:
@@ -433,11 +484,17 @@ class TestCsv:
         assert "\r" not in text
         back = read_event_log(path)
         assert len(back) == len(trajectory.cycles)
+        assert back.inspection_ages.size == 0
         for orig, parsed in zip(trajectory.cycles, back):
             assert parsed.time_to_damage == orig.time_to_damage
+            assert parsed.damage_to_failure == orig.damage_to_failure
+            assert parsed.detection_age == orig.detection_age
+            assert parsed.failure_age == orig.failure_age
             assert parsed.length == orig.length
             assert parsed.failed == orig.failed
             assert parsed.inspection_count == orig.inspection_count
+            assert parsed.inspections == ()
+        assert back.counts() == trajectory.final_snapshot
 
     def test_snapshot_csv(self, tmp_path, base_config):
         rng = np.random.default_rng(9)
@@ -452,7 +509,7 @@ class TestCsv:
         cfg = make_config()
         rec = _cycle(1234.56789012345678, [1000.0], failed=False)
         path = tmp_path / "one.csv"
-        write_event_log(path, [rec])
+        write_event_log(path, batch_of([rec]))
         assert format(1234.56789012345678, ".17g") in path.read_text()
 
     def test_read_rejects_foreign_header(self, tmp_path):
