@@ -532,6 +532,24 @@ def estimator_covariance(
 # ---------------------------------------------------------------------------
 
 
+def _window_sums(a, b, n: int, theta: float, orders: int) -> list:
+    """P_r = int_0^(b-a) w^r (b-w)^(n-1) exp(theta w) dw for r = 0..orders.
+
+    (b-w)^(n-1) is expanded binomially about b, so every P_r is a weighted
+    sum of the moments m_r..m_(r+n-1) from one moments pass.
+    """
+    gap = b - a
+    moments = _exp_poly_moments(gap, theta, n - 1 + orders)
+    weights = [math.comb(n - 1, i) * (-1.0) ** i * b ** (n - 1 - i) for i in range(n)]
+    sums = []
+    for r in range(orders + 1):
+        inner = np.zeros_like(gap)
+        for i, weight in enumerate(weights):
+            inner += weight * moments[i + r]
+        sums.append(inner)
+    return sums
+
+
 def detection_window_integral(a, b, sane: SaneLaw, damage: DamageLaw):
     """int_a^b exp(-lam (b - u)) dF_s(u): damage in (a, b], no failure by b.
 
@@ -542,39 +560,90 @@ def detection_window_integral(a, b, sane: SaneLaw, damage: DamageLaw):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n, mu, lam = sane.shape, sane.rate, damage.rate
-    theta = mu - lam
-    gap = b - a
-    moments = _exp_poly_moments(gap, theta, n - 1)
-    inner = np.zeros_like(gap)
-    for i in range(n):
-        inner += math.comb(n - 1, i) * b ** (n - 1 - i) * (-1.0) ** i * moments[i]
+    (inner,) = _window_sums(a, b, n, mu - lam, 0)
     out = mu**n / math.factorial(n - 1) * np.exp(-mu * b) * inner
     return out if out.ndim else float(out)
 
 
-def _exp_poly_moments(g, theta: float, top: int) -> list:
-    """m_i = int_0^g w^i exp(theta w) dw for i = 0..top, stable near theta=0.
+def window_moments(a, b, sane: SaneLaw, damage: DamageLaw) -> tuple:
+    """Log of :func:`detection_window_integral` with the posterior mean and
+    variance of the damage-to-window-end time, elementwise.
 
-    Elements with |theta*g| < 1e-4 (all of them when theta == 0) take a
-    six-term Taylor series, evaluated on those elements only; the rest take
-    the recursion m_i = (g^i exp(theta g) - i m_(i-1))/theta.
+    Under the normalized integrand exp(-lam (b - u)) dF_s(u) on (a, b], the
+    damage age u has mean b - mean and variance var; the censored
+    likelihood's score and Hessian are sums of these (Louis's identity:
+    observed = complete-data minus missing information).  Value, mean and
+    variance come from one moments pass to order shape + 1, and the log
+    is taken term by term, so exp(-mu b) cannot underflow.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n, mu, lam = sane.shape, sane.rate, damage.rate
+    p0, p1, p2 = _window_sums(a, b, n, mu - lam, 2)
+    log_value = n * math.log(mu) - math.lgamma(n) - mu * b + np.log(p0)
+    mean = p1 / p0
+    return log_value, mean, p2 / p0 - mean * mean
+
+
+@functools.lru_cache(maxsize=None)
+def _series_coefficients(top: int, negative: bool, terms: int) -> tuple:
+    # theta > 0: mu_top(x) = sum_j x^j / (j! (top+j+1)); theta < 0:
+    # mu_top(x) = exp(x) sum_j |x|^j top! / (top+j+1)!; positive terms both
+    if negative:
+        return tuple(
+            math.factorial(top) / math.factorial(top + j + 1) for j in range(terms)
+        )
+    return tuple(1.0 / (math.factorial(j) * (top + j + 1)) for j in range(terms))
+
+
+def _exp_poly_moments(g, theta: float, top: int) -> list:
+    """m_i = int_0^g w^i exp(theta w) dw for i = 0..top, accurate for every
+    theta*g.
+
+    With x = theta*g, m_i = g^(i+1) mu_i(x) and mu_i(x) = int_0^1 t^i
+    exp(x t) dt, the phi-function exp(x) i! phi_(i+1)(-x).  The upward
+    recursion mu_i = (exp(x) - i mu_(i-1))/x multiplies the rounding error
+    of mu_0 by about (top+1)!/|x|^top, so it is used where that is at most
+    one, |x| >= ((top+1)!)^(1/top).  Below the switch, mu_top is a power
+    series in |x| with positive terms only (the Taylor series for x > 0,
+    exp(x) times the phi series for x < 0), summed to double precision,
+    and the downward recursion mu_(i-1) = (exp(x) - x mu_i)/i, whose error
+    shrinks by |x|/i per step, gives the rest.  Orders 0..6 match a
+    high-precision reference to a few ulps times |x|.
     """
     g = np.asarray(g, dtype=float)
     flat = g.reshape(-1)
-    small = np.abs(theta * flat) < 1e-4 if theta != 0.0 else np.ones(flat.shape, bool)
-    g_small = flat[small]
-    eg = np.exp(theta * np.where(small, 0.0, flat))
-    moments = []
-    for i in range(top + 1):
-        if theta == 0.0:
-            exact = np.empty_like(flat)
-        elif i == 0:
-            exact = np.expm1(theta * flat) / theta
-        else:
-            exact = (flat**i * eg - i * moments[i - 1]) / theta
-        series = np.zeros_like(g_small)
-        for j in range(6):
-            series += theta**j * g_small ** (i + j + 1) / (math.factorial(j) * (i + j + 1))
-        exact[small] = series
-        moments.append(exact)
-    return [m.reshape(g.shape) for m in moments]
+    x = theta * flat
+    ex = np.exp(x)
+    small = np.abs(x) < math.factorial(top + 1) ** (1.0 / max(top, 1))
+    every = bool(small.all())
+    out = np.empty((top + 1, flat.size))
+    if small.any():
+        pick = slice(None) if every else small
+        xs, es, gs = x[pick], ex[pick], flat[pick]
+        ax = np.abs(xs)
+        # terms until r^j/j! drops below half an ulp at the largest |x|
+        r, terms, last = float(ax.max()), 1, 1.0
+        while last > 2.0**-54:
+            last *= r / terms
+            terms += 1
+        coefficients = _series_coefficients(top, theta < 0.0, terms)
+        acc = np.full_like(xs, coefficients[-1])
+        for c in coefficients[-2::-1]:
+            acc *= ax
+            acc += c
+        if theta < 0.0:
+            acc *= es
+        out[top, pick] = acc * gs ** (top + 1)
+        for i in range(top, 0, -1):
+            acc = (es - xs * acc) / i
+            out[i - 1, pick] = acc * gs**i
+    if not every:
+        big = ~small
+        xb, eb, gb = x[big], ex[big], flat[big]
+        prev = np.expm1(xb) / theta
+        out[0, big] = prev
+        for i in range(1, top + 1):
+            prev = (gb**i * eb - i * prev) / theta
+            out[i, big] = prev
+    return [m.reshape(g.shape) for m in out]

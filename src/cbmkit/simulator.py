@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import warnings
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from operator import attrgetter
@@ -418,19 +419,46 @@ _LOG_ROW = np.dtype([
     ("y_s", float), ("y_d", float), ("k_r", np.int64), ("v_s", float), ("z_d", float),
     ("x_r", float), ("failed", bool),
 ])
+_TIMES = ("y_s", "y_d", "v_s", "z_d", "x_r")
+
+# the same row as np.loadtxt reads it: the cycle index as text, unchecked
+# like the row parser does, and the end one character wider than
+# "Detected", so that no longer end can truncate to a valid one
+_LOG_TEXT = np.dtype(
+    [("cycle", "U1")] + [(name, _LOG_ROW[name]) for name in _LOG_ROW.names[:-1]]
+    + [("end", "U9")]
+)
+# the bytes of a plain log besides CR, which must come before LF
+_PLAIN_BYTES = bytes(range(32, 127)) + b"\t\n"
+_BLOCK = 1 << 16
 
 
 def read_event_log(path) -> CycleBatch:
     """Parse an event-log CSV into a :class:`CycleBatch`.
 
-    Rows are parsed into one table with a column per field, which the
-    batch's columns view.  Logs do not serialize the planned-inspection
+    Rows are parsed into one table with a column per field, from which the
+    batch takes its columns.  Logs do not serialize the planned-inspection
     ages, so the batch has none (the censored likelihood rebuilds them from
     a deterministic gap law).  A wrong header, a row without eight fields,
     an end other than Failed/Detected, a field that does not parse, a time
     that is not finite and nonnegative or a count ``k_r`` outside
     [1, 2**63) raises ValueError naming the first offending line.
+
+    A plain log is read in one ``np.loadtxt`` pass and checked column by
+    column; any other log, and any log that pass or its checks reject, is
+    read again row by row (:func:`_read_rows`), which gives the same values
+    or the error.
     """
+    table = _read_plain_log(path)
+    if table is None:
+        return _read_rows(path)
+    # copied out of the table, so the batch does not keep its text columns
+    columns = [np.ascontiguousarray(table[name]) for name in _LOG_ROW.names[:-1]]
+    return CycleBatch(*columns, table["end"] == "Failed", np.empty(0))
+
+
+def _read_rows(path) -> CycleBatch:
+    """The log parsed row by row by :func:`_parse_row`."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != EVENT_LOG_HEADER:
@@ -442,6 +470,45 @@ def read_event_log(path) -> CycleBatch:
         )
         table = np.fromiter(rows, _LOG_ROW)
     return CycleBatch(*(table[name] for name in _LOG_ROW.names), np.empty(0))
+
+
+def _read_plain_log(path) -> Optional[np.ndarray]:
+    """The log as one :data:`_LOG_TEXT` table, or None when the row parser
+    must read it.
+
+    Plain means printable ASCII, tabs and LF or CRLF line ends only, the
+    header, and rows that ``np.loadtxt`` parses and that pass every check.
+    On other bytes numpy's parser and Python's ``float``/``int`` disagree:
+    numpy reads an end padded with NUL as the end, skips the separators
+    0x1c-0x1f around a number, and takes some non-ASCII letters for digits.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # in blocks: translate allocates its whole input's size up front
+    others = b"".join(
+        raw[i:i + _BLOCK].translate(None, _PLAIN_BYTES) for i in range(0, len(raw), _BLOCK)
+    )
+    if others.strip(b"\r") or (others and raw.count(b"\r") != raw.count(b"\r\n")):
+        return None
+    header_end = raw.find(b"\n")
+    if header_end < 0 or raw[:header_end].strip() != EVENT_LOG_HEADER.encode():
+        return None
+    del raw
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fh.readline()
+        try:
+            table = np.loadtxt(fh, dtype=_LOG_TEXT, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, OverflowError, Warning):
+            return None
+    end = table["end"]
+    if not (
+        ((end == "Failed") | (end == "Detected")).all()
+        and (table["k_r"] >= 1).all()
+        and all(((table[name] >= 0.0) & (table[name] < math.inf)).all() for name in _TIMES)
+    ):
+        return None
+    return table
 
 
 def _parse_row(lineno: int, line: str) -> tuple:

@@ -33,8 +33,8 @@ PINNED_EVENT_ROWS = {
             "0.94999999999999996,990198,200,997,18,1"
         ),
         (
-            "MLE,0.00022396833242372823,0.00019286461549315148,0.00025507204935430494,"
-            "0.00018515735672980512,9.8293229265761651e-05,0.00027202148419384859,"
+            "MLE,0.00022396833393440639,0.00019286461676779724,0.00025507205110101552,"
+            "0.00018515733666839718,9.8293132176276681e-05,0.00027202154116051766,"
             "0.94999999999999996,990198,200,997,18,1"
         ),
     ],
@@ -45,8 +45,8 @@ PINNED_EVENT_ROWS = {
             "0.94999999999999996,990198,200,997,18,1"
         ),
         (
-            "MLE,0.00044586928010743827,0.00040200285619247813,0.00048973570402239836,"
-            "0.00019339430996434919,0.0001025908025692507,0.00028419781735944768,"
+            "MLE,0.00044586929271558202,0.00040200286537562792,0.00048973572005553618,"
+            "0.00019339430123921193,0.00010259071564213115,0.00028419788683629269,"
             "0.94999999999999996,990198,200,997,18,1"
         ),
     ],

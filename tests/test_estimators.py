@@ -22,7 +22,6 @@ from cbmkit.estimators import (
     invert_mean_inspections,
     invert_monotone,
     mle_estimate,
-    nelder_mead,
 )
 from cbmkit.laws import DamageLaw, InspectionLaw, SaneLaw, density_sane
 from cbmkit.simulator import (
@@ -36,6 +35,7 @@ from cbmkit.simulator import (
 )
 from conftest import batch_of, make_config
 from linear_scan import linear_scan_invert
+from simplex import nelder_mead
 
 DET = InspectionLaw("deterministic", 1000.0)
 UNIF = InspectionLaw("uniform", 1000.0, 100.0)
@@ -385,25 +385,133 @@ class TestCensoredLikelihood:
         )
 
 
-class TestNelderMead:
-    def test_quadratic_minimum(self):
-        def f(v):
-            return (v[0] - 1.2) ** 2 + 3.0 * (v[1] + 0.4) ** 2
+def _simulated_data(shape):
+    """60 deterministic-gap cycles at the base rates."""
+    batch = simulate_cycles(np.random.default_rng(5), make_config(shape=shape), 60,
+                            inspections=True)
+    return ObservedData.from_event_log_records(batch, DET)
 
-        best, f_best, iterations = nelder_mead(f, np.array([0.0, 0.0]))
-        assert_allclose(best, [1.2, -0.4], atol=1e-8)
-        assert f_best < 1e-15
-        assert iterations > 0
+
+def _base_run():
+    """The base config (seed 22) and the observables of its 2e6 horizon."""
+    cfg = make_config(seed=22)
+    trajectory = simulate_horizon(np.random.default_rng(22), cfg, horizon=2e6)
+    return cfg, ObservedData.from_event_log_records(trajectory.cycles, cfg.inspection)
+
+
+class TestLikelihoodDerivatives:
+    """The analytic score and Hessian against central differences of the
+    likelihood value."""
+
+    # theta*c for c = 1000: on the diagonal, both sides of the 1e-4 switch
+    # of the old moments series, and well away from it
+    @pytest.mark.parametrize("x", [0.0, 5e-5, -5e-5, 1.01e-4, -1.01e-4, 3e-4, -0.25, 0.5])
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4, 5])
+    def test_matches_central_differences(self, shape, x):
+        data = _simulated_data(shape)
+        assert 0 < data.fail_z.size < 60
+        mu = 1e-3
+        lam = mu - x / 1000.0
+
+        def ll(m, l):
+            return censored_log_likelihood(data, SaneLaw(shape, m), DamageLaw(l))
+
+        sane, damage = SaneLaw(shape, mu), DamageLaw(lam)
+        terms = estimators._likelihood_terms(data, sane, damage)
+        # the value in logs against the window integrals themselves
+        direct = (np.log(F.detection_window_integral(data.det_a, data.det_b, sane, damage)).sum()
+                  + np.log(lam * F.detection_window_integral(data.fail_a, data.fail_z, sane,
+                                                             damage)).sum())
+        assert terms.value == pytest.approx(direct, rel=1e-13)
+        # relative steps 1e-6 for the slopes and 1e-4 for the curvatures;
+        # the value sums terms of a few thousand, so rounding alone moves a
+        # curvature in the log rates by up to about 1e-16 * 3e3 / 1e-8
+        hm, hl = 1e-6 * mu, 1e-6 * lam
+        grad = [(ll(mu + hm, lam) - ll(mu - hm, lam)) / (2 * hm),
+                (ll(mu, lam + hl) - ll(mu, lam - hl)) / (2 * hl)]
+        hm, hl = 1e-4 * mu, 1e-4 * lam
+        f0 = ll(mu, lam)
+        d_mm = (ll(mu + hm, lam) - 2.0 * f0 + ll(mu - hm, lam)) / hm**2
+        d_ll = (ll(mu, lam + hl) - 2.0 * f0 + ll(mu, lam - hl)) / hl**2
+        d_ml = (ll(mu + hm, lam + hl) - ll(mu + hm, lam - hl)
+                - ll(mu - hm, lam + hl) + ll(mu - hm, lam - hl)) / (4.0 * hm * hl)
+        # scale each entry by the parameters, so all read per unit log change
+        scale = np.array([mu, lam])
+        assert_allclose(terms.score * scale, np.array(grad) * scale, rtol=1e-6, atol=1e-6)
+        assert_allclose(terms.hessian * np.outer(scale, scale),
+                        np.array([[d_mm, d_ml], [d_ml, d_ll]]) * np.outer(scale, scale),
+                        rtol=1e-6, atol=2e-4)
+
+    def test_newton_steps_shrink_quadratically(self):
+        # pure Newton in the log rates from a start 5% off: each step's
+        # size is at most about the square of the last one
+        _, data = _base_run()
+        logs = np.log([1.05e-3, 4.75e-4])
+        sizes = []
+        for _ in range(5):
+            rates = np.exp(logs)
+            terms = estimators._likelihood_terms(data, SaneLaw(1, rates[0]), DamageLaw(rates[1]))
+            grad = rates * terms.score
+            hess = terms.hessian * np.outer(rates, rates) + np.diag(grad)
+            step = -np.linalg.solve(hess, grad)
+            sizes.append(float(np.max(np.abs(step))))
+            logs = logs + step
+        assert sizes[0] > 1e-2
+        for before, after in zip(sizes, sizes[1:]):
+            if before > 1e-7:
+                assert after <= 5.0 * before**2, sizes
+        assert sizes[-1] < 1e-12
+
+    @pytest.mark.parametrize("start", [(1e-2, 1e-5), (1e-6, 1e-6), (3e-2, 3e-2), (1e-4, 1e-1)])
+    def test_far_starts_reach_the_same_optimum(self, start):
+        # the last two starts have an indefinite Hessian in the log rates,
+        # so the fit first takes complete-data steps; capped steps and
+        # halving carry every start to the optimum of the asymptotic start
+        cfg, data = _base_run()
+        report = mle_estimate(data, cfg)
+        rates = np.array(start)
+        terms = estimators._likelihood_terms(data, SaneLaw(1, start[0]), DamageLaw(start[1]))
+        hess = terms.hessian * np.outer(rates, rates) + np.diag(rates * terms.score)
+        definite = hess[0, 0] < 0.0 and np.linalg.det(hess) > 0.0
+        assert definite == (start[0] < 2e-2 and start[1] < 1e-2)
+        logs, terms, iterations, _ = estimators._newton_fit(data, 1, np.log(start))
+        assert iterations <= 15
+        assert_allclose(np.exp(logs), [report.mu_hat, report.lambda_hat], rtol=1e-9)
+        assert terms.value == pytest.approx(report.diagnostics["log_likelihood"], rel=1e-14)
+
+
+class TestNewtonAgainstSimplex:
+    """The Newton fit against the derivative-free simplex walk, which reads
+    only likelihood values, from the same start."""
+
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    def test_same_optimum(self, shape):
+        cfg = make_config(shape=shape, seed=31)
+        trajectory = simulate_horizon(np.random.default_rng(31 + shape), cfg, horizon=2e6)
+        data = ObservedData.from_event_log_records(trajectory.cycles, cfg.inspection)
+        report = mle_estimate(data, cfg)
+        d = report.diagnostics
+
+        def negloglik(logs):
+            return -censored_log_likelihood(
+                data, SaneLaw(shape, math.exp(logs[0])), DamageLaw(math.exp(logs[1]))
+            )
+
+        best, f_best, _ = nelder_mead(
+            negloglik, np.log([d["start_mu"], d["start_lambda"]])
+        )
+        newton = -negloglik(np.log([report.mu_hat, report.lambda_hat]))
+        assert newton >= -f_best - 1e-9 * abs(f_best)
+        assert d["log_likelihood"] == pytest.approx(newton, rel=1e-13)
+        assert_allclose([report.mu_hat, report.lambda_hat], np.exp(best), rtol=1e-6)
+        assert d["iterations"] <= 8
 
 
 class TestMleEstimate:
     def test_recovers_truth_on_simulated_data(self):
         # a representative seed; the 100-replicate coverage check lives in
         # the acceptance suite
-        cfg = make_config(seed=22)
-        rng = np.random.default_rng(22)
-        trajectory = simulate_horizon(rng, cfg, horizon=2e6)
-        data = ObservedData.from_event_log_records(trajectory.cycles, cfg.inspection)
+        cfg, data = _base_run()
         report = mle_estimate(data, cfg)
         assert report.ci_mu[0] < cfg.sane.rate < report.ci_mu[1]
         assert report.ci_lambda[0] < cfg.damage.rate < report.ci_lambda[1]
@@ -422,7 +530,12 @@ class TestMleEstimate:
         trajectory = simulate_horizon(np.random.default_rng(22), cfg, horizon=5e5)
         data = ObservedData.from_event_log_records(trajectory.cycles, cfg.inspection)
         report = mle_estimate(data, cfg)
-        assert report.diagnostics["iterations"] > 10
+        # Newton from the asymptotic start: a few steps, each one pass
+        # over the windows, no step halved, the score gone at the optimum
+        d = report.diagnostics
+        assert 1 <= d["iterations"] <= 8
+        assert d["likelihood_evaluations"] == d["iterations"] + 1
+        assert d["score_norm"] <= 1e-6 * d["n_cycles"]
 
         rows = list(trajectory.cycles)
         n_fail = sum(1 for c in rows if c.failed)

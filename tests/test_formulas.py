@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from dataclasses import replace
 
 import numpy as np
@@ -333,36 +334,52 @@ class TestSensitivities:
         assert_allclose(got.dpd_dmu, 0.081799764504704204208, rtol=1e-4)
 
 
-def full_series_moments(g, theta, top):
-    """The moments with the six-term series evaluated on every element and
-    kept where |theta*g| < 1e-4: the reference the masked evaluation in
-    formulas must reproduce bit for bit."""
-    g = np.asarray(g, dtype=float)
-    small = np.abs(theta * g) < 1e-4
-    moments = []
-    eg = np.exp(theta * np.where(small, 0.0, g))
-    for i in range(top + 1):
-        series = np.zeros_like(g)
-        for j in range(6):
-            series += theta**j * g ** (i + j + 1) / (math.factorial(j) * (i + j + 1))
-        if i == 0:
-            exact = np.where(small, series, np.expm1(theta * g) / theta if theta != 0.0 else series)
-        else:
-            exact = np.where(small, series, (g**i * eg - i * moments[i - 1]) / theta if theta != 0.0 else series)
-        moments.append(exact)
-    return moments
+def decimal_moments(g: float, theta: float, top: int) -> list:
+    """m_i = int_0^g w^i exp(theta w) dw for i = 0..top, in 60-digit
+    decimal arithmetic from the float inputs: with x = theta*g, the Taylor
+    series sum_j x^j g^(i+j+1) / (j! (i+j+1)) for |x| <= 30 (its
+    cancellation costs at most 26 digits), the upward recursion
+    m_i = (g^i e^x - i m_(i-1)) / theta above (losing at most one)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        g, theta = Decimal(g), Decimal(theta)
+        x = theta * g
+        if abs(x) <= 30:
+            out = []
+            for i in range(top + 1):
+                total, term, j = Decimal(0), Decimal(1), 0
+                while True:
+                    add = term / (i + j + 1)
+                    total += add
+                    if j > abs(x) and abs(add) <= abs(total) * Decimal("1e-45"):
+                        break
+                    j += 1
+                    term = term * x / j
+                out.append(float(total * g ** (i + 1)))
+            return out
+        ex = x.exp()
+        moments = [(ex - 1) / theta]
+        for i in range(1, top + 1):
+            moments.append((g**i * ex - i * moments[-1]) / theta)
+        return [float(m) for m in moments]
 
 
 class TestExpPolyMoments:
+    """The window moments against a 60-digit reference, to 1e-12 relative
+    at every order and every theta*g (the old six-term series below
+    |theta*g| = 1e-4 and the recursion above it were off by up to 1.7e2 at
+    order 4 just above that switch)."""
+
     @staticmethod
-    def assert_bit_identical(g, theta, top):
+    def assert_accurate(g, theta, top):
         got = F._exp_poly_moments(g, theta, top)
-        want = full_series_moments(g, theta, top)
-        assert len(got) == len(want) == top + 1
-        for m_got, m_want in zip(got, want):
-            assert isinstance(m_got, np.ndarray)
-            assert m_got.shape == m_want.shape
-            assert m_got.tobytes() == m_want.tobytes()
+        g = np.asarray(g, dtype=float)
+        assert len(got) == top + 1
+        assert all(isinstance(m, np.ndarray) and m.shape == g.shape for m in got)
+        for k, value in enumerate(g.reshape(-1)):
+            want = decimal_moments(float(value), theta, top)
+            have = [float(m.reshape(-1)[k]) for m in got]
+            assert_allclose(have, want, rtol=1e-12, atol=0.0, err_msg=f"g={value!r}")
 
     # top = shape - 1 for shapes 1-4
     @pytest.mark.parametrize("top", [0, 1, 2, 3])
@@ -374,26 +391,44 @@ class TestExpPolyMoments:
             edge * np.array([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]),
             [0.0, 1000.0],
         ])
+        # both sides of the old series switch
         small = np.abs(theta * g) < 1e-4
         assert small.any() and not small.all()
         with np.errstate(over="ignore", invalid="ignore"):
-            self.assert_bit_identical(g, theta, top)
+            self.assert_accurate(g, theta, top)
 
     @pytest.mark.parametrize("top", [0, 1, 2, 3])
     def test_theta_zero_takes_the_series_everywhere(self, top):
-        self.assert_bit_identical(np.geomspace(1e-2, 1e5, 40), 0.0, top)
+        g = np.geomspace(1e-2, 1e5, 40)
+        self.assert_accurate(g, 0.0, top)
+        for i, m in enumerate(F._exp_poly_moments(g, 0.0, top)):
+            assert_allclose(m, g ** (i + 1) / (i + 1), rtol=4e-16)
 
     @pytest.mark.parametrize("top", [0, 3])
     @pytest.mark.parametrize("theta", [0.0, 1e-9, 2e-3])
     @pytest.mark.parametrize("g", [0.0, 7.5, 1234.5])
     def test_scalar_input(self, g, theta, top):
-        self.assert_bit_identical(g, theta, top)
+        self.assert_accurate(g, theta, top)
         got = F._exp_poly_moments(g, theta, top)
         assert all(m.ndim == 0 for m in got)
 
     def test_two_dimensional_input(self):
         g = np.geomspace(1.0, 1e4, 12).reshape(3, 4)
-        self.assert_bit_identical(g, 1e-7, 3)
+        self.assert_accurate(g, 1e-7, 3)
+
+    # the series/recursion switch sits at ((top+1)!)^(1/top): 4.14 at top 6
+    X = [0.0, 1e-12, 1e-8, 1e-4, 1.01e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 2.449, 2.45,
+         2.884, 2.885, 3.309, 3.31, 3.727, 3.728, 4.140, 4.141, 5.0, 7.0, 10.0, 20.0, 35.0, 50.0]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    @pytest.mark.parametrize("top", [4, 5, 6])
+    def test_high_orders_against_decimal(self, top, sign):
+        for g in (1000.0, 7.5):
+            for x in self.X:
+                theta = sign * x / g
+                got = [float(m) for m in F._exp_poly_moments(g, theta, top)]
+                assert_allclose(got, decimal_moments(g, theta, top), rtol=1e-12, atol=0.0,
+                                err_msg=f"theta*g={sign * x!r}, g={g!r}")
 
 
 class TestEstimatorCovariance:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -517,3 +518,97 @@ class TestCsv:
         path.write_text("a,b,c\n")
         with pytest.raises(ValueError):
             read_event_log(path)
+
+
+class TestEventLogReader:
+    """read_event_log takes one np.loadtxt pass on plain logs and falls back
+    to the row parser on anything else; on every log both must give the
+    same columns to the bit, or the same line-numbered error."""
+
+    HEADER = "cycle,y_s,y_d,k_r,v_s,z_d,x_r,end"
+    GOOD = "1,1500.5,800.25,2,2000,2300.75,2000,Detected"
+    FAILED = "2,300,200.5,1,1000,500.5,500.5,Failed"
+
+    @staticmethod
+    def _outcome(reader, path):
+        try:
+            batch = reader(path)
+        except ValueError as exc:
+            return str(exc)
+        columns = [getattr(batch, name) for name in simulator._PER_CYCLE]
+        return [(c.dtype.str, c.tobytes()) for c in columns], batch.inspection_ages.size
+
+    # (second data line, whether the one-pass reader keeps it)
+    @pytest.mark.parametrize(
+        "line, plain",
+        [
+            (FAILED, True),
+            ("2,300,200.5,+1,1000,500.5,500.5,Failed", True),
+            ("2,300,200.5,1_0,1000,500.5,500.5,Failed", False),
+            ("2,300,200.5,1.0,1000,500.5,500.5,Failed", False),
+            ("2,300,200.5,2**3,1000,500.5,500.5,Failed", False),
+            ("2,1_0,200.5,1,1000,500.5,500.5,Failed", False),
+            ("2,nan,200.5,1,1000,500.5,500.5,Failed", False),
+            ("2,300,inf,1,1000,500.5,500.5,Failed", False),
+            ("2,300,1e400,1,1000,500.5,500.5,Failed", False),
+            ("2,-0.0,200.5,1,1000,500.5,-0.0,Failed", True),
+            ("2,-1e-300,200.5,1,1000,500.5,500.5,Failed", False),
+            ("2, 300 ,\t200.5, 1 ,1000,500.5,500.5,Failed", True),
+            ("  2,300,200.5,1,1000,500.5,500.5,Failed  ", False),
+            ("2,300,200.5,1,1000,500.5,500.5, Failed", False),
+            ("2,300,200.5,1,1000,500.5,500.5,Failedx", False),
+            ("2,300,200.5,1,1000,500.5,500.5,Detectedx", False),
+            ("2,300,200.5,1,1000,500.5,500.5,Detected#x", False),
+            ("2,300,200.5,1,1000,500.5,500.5,Detected\0", False),
+            ("2,300\x1c,200.5,1,1000,500.5,500.5,Failed", False),
+            ("2,300,200.5,١,1000,500.5,500.5,Failed", False),
+            ("2,300,200.5,0,1000,500.5,500.5,Failed", False),
+            ("2,300,200.5,9223372036854775808,1000,500.5,500.5,Failed", False),
+            ("2,300,200.5,1,1000,500.5,500.5,Failed,", False),
+            ("2,300,200.5,1,1000,500.5,Failed", False),
+            ("anything at all,300,200.5,1,1000,500.5,500.5,Failed", True),
+            ("", True),
+            ("   ", False),
+        ],
+        ids=["plain", "plus-count", "underscore-count", "float-count", "expression-count",
+             "underscore-time", "nan", "inf", "overflow", "negative-zero", "negative-time",
+             "spaces-in-fields", "spaces-around-line", "space-before-end", "long-end",
+             "detectedx", "detected-hash", "nul-end", "file-separator", "arabic-digit",
+             "zero-count", "huge-count", "nine-fields", "seven-fields", "free-cycle-text",
+             "blank-line", "spaces-only-line"],
+    )
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_paths_agree(self, tmp_path, line, plain, newline):
+        path = tmp_path / "log.csv"
+        rows = [self.HEADER, self.GOOD, line, "", self.GOOD, ""]
+        path.write_bytes(newline.join(rows).encode("utf-8"))
+        expected = self._outcome(simulator._read_rows, path)
+        assert self._outcome(read_event_log, path) == expected
+        assert (simulator._read_plain_log(path) is not None) == plain
+        if isinstance(expected, str):
+            assert expected.startswith("line 3: ")
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n  \n"], ids=["bare", "newline", "blank-lines"])
+    def test_header_only_log_is_empty(self, tmp_path, body):
+        path = tmp_path / "log.csv"
+        path.write_text(self.HEADER + body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch = read_event_log(path)
+        assert caught == []
+        assert len(batch) == 0 and batch.counts().repairs == 0
+
+    def test_lone_carriage_return_ends_a_line(self, tmp_path):
+        # text mode reads a lone CR as a line end; the one-pass reader
+        # leaves such a log to the row parser
+        path = tmp_path / "log.csv"
+        path.write_bytes("\r".join([self.HEADER, self.GOOD, self.FAILED, ""]).encode())
+        assert simulator._read_plain_log(path) is None
+        assert len(read_event_log(path)) == 2
+
+    def test_written_logs_take_one_pass(self, tmp_path):
+        batch = simulate_cycles(np.random.default_rng(4), make_config(), 500, inspections=True)
+        path = tmp_path / "events.csv"
+        write_event_log(path, batch)
+        assert simulator._read_plain_log(path) is not None
+        assert self._outcome(read_event_log, path) == self._outcome(simulator._read_rows, path)
