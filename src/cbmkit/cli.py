@@ -181,7 +181,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(seed)
     trajectory = simulate_horizon(rng, config, grid=config.grid)
     write_event_log(args.events, trajectory.cycles)
-    write_snapshots(args.snapshots, trajectory.snapshots)
+    write_snapshots(args.snapshots, trajectory.snapshot_rows())
     return EXIT_OK
 
 

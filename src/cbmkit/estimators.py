@@ -22,6 +22,7 @@ for verification.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -58,6 +59,15 @@ class NonConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _scan_grid(lo: float, hi: float) -> np.ndarray:
+    """The scan's 64-point geometric grid over [lo, hi], built once and
+    read-only."""
+    xs = np.geomspace(lo, hi, 64)
+    xs.flags.writeable = False
+    return xs
+
+
 def invert_monotone(
     func: Callable[[float], float],
     target: float,
@@ -73,14 +83,16 @@ def invert_monotone(
     Finds the first interval of a 64-point geometric grid over [lo, hi]
     where func - target reaches zero or changes sign, expanding the
     interval geometrically if there is none, then polishes that bracket by
-    a secant/bisection hybrid until |func(x) - target| <= rtol*|target| +
-    atol.  Monotonicity makes the signs on the grid one run of the first
-    point's sign followed by the rest, so that interval is found by
-    bisecting over the grid indices from the two end points, in 8
-    evaluations per grid.
-    Raises OutOfRangeError when no bracket exists.  When ``trace`` is
-    given it receives the bracket used, the iteration count and the number
-    of func evaluations.
+    Chandrupatla's method (:func:`_chandrupatla`) until
+    |func(x) - target| <= rtol*|target| + atol, or until the bracket
+    reaches float resolution, when its best point stands.  Monotonicity
+    makes the signs on the grid one run of the first point's sign followed
+    by the rest, so that interval is found by bisecting over the grid
+    indices from the two end points, in 8 evaluations per grid.
+    Raises OutOfRangeError when no bracket exists and NonConvergenceError
+    when the polish stalls.  When ``trace`` is given it receives the
+    bracket used, the polish iteration count and the number of func
+    evaluations.
     """
     if trace is None:
         trace = {}
@@ -91,7 +103,7 @@ def invert_monotone(
         return func(x) - target
 
     for _ in range(max_expand):
-        xs = np.geomspace(lo, hi, 64)
+        xs = _scan_grid(lo, hi)
         first, last = g(xs[0]), g(xs[-1])
         if first == 0.0:
             return float(xs[0])
@@ -106,7 +118,6 @@ def invert_monotone(
                     i, fi = mid, fm
                 else:
                     j, fj = mid, fm
-            a, b, fa, fb = float(xs[i]), float(xs[j]), fi, fj
             break
         lo, hi = lo / 100.0, hi * 100.0
     else:
@@ -114,30 +125,54 @@ def invert_monotone(
             f"target {target!r} outside the attainable range "
             f"[{min(first, last) + target!r}, {max(first, last) + target!r}]"
         )
-
+    a, b = float(xs[i]), float(xs[j])
     trace["bracket"] = (a, b)
-    tol = rtol * abs(target) + atol
+    return _chandrupatla(g, a, b, fi, fj, rtol * abs(target) + atol, trace)
+
+
+def _chandrupatla(
+    g: Callable[[float], float], a: float, b: float, fa: float, fb: float, tol: float,
+    trace: dict,
+) -> float:
+    """Shrink a sign-change bracket [a, b] of g (values fa, fb) until
+    |g(x)| <= tol at its best point x, or until it spans at most about two
+    ulps of x, when x stands.
+
+    Chandrupatla (1997, Adv. Eng. Software 28:145): each step evaluates
+    inverse quadratic interpolation through the two bracket ends and the
+    point they last replaced where that interpolant is monotone over the
+    bracket, and the midpoint elsewhere; steps keep at least an ulp away
+    from the ends.  The first step bisects.  ``trace["iterations"]`` gets
+    the number of g evaluations made here.
+    """
     x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+    t = 0.5
     for iteration in range(200):
         trace["iterations"] = iteration
         if abs(fx) <= tol:
             return x
-        # secant proposal, clipped to the bracket; fall back to bisection
-        if fb != fa:
-            cand = b - fb * (b - a) / (fb - fa)
-        else:
-            cand = 0.5 * (a + b)
-        if not a < cand < b:
-            cand = 0.5 * (a + b)
-        fc = g(cand)
-        if fa * fc <= 0.0:
-            b, fb = cand, fc
-        else:
-            a, fa = cand, fc
-        x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-        if b - a <= abs(x) * 4e-16:
+        width = abs(b - a)
+        if width <= abs(x) * 4e-16:
             # bracket exhausted at float resolution; best point stands
             return x
+        near = abs(x) * 2e-16 / width
+        t = min(max(t, near), 1.0 - near)
+        xt = a + t * (b - a)
+        ft = g(xt)
+        # a is always the newest point, b the other end, c the point dropped
+        if (ft > 0.0) == (fa > 0.0):
+            c, fc = a, fa
+        else:
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = xt, ft
+        x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+        xi = (a - b) / (c - b)
+        phi = (fa - fb) / (fc - fb)
+        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            t = (fa / (fb - fa) * fc / (fb - fc)
+                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+        else:
+            t = 0.5
     if abs(fx) <= tol:
         return x
     raise NonConvergenceError("root refinement stalled before reaching tolerance")

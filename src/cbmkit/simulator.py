@@ -23,11 +23,12 @@ gaps put the k-th inspection at ``k * c`` (not at a running sum of
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -187,16 +188,25 @@ class Trajectory:
     def repair_epochs(self) -> tuple[float, ...]:
         return tuple(self.cycles.totals.time[1:].tolist())
 
-    @cached_property
-    def snapshots(self) -> tuple[CountSnapshot, ...]:
-        """Every cycle end and grid snapshot, in time order (a grid
-        snapshot at a cycle end equals that end's)."""
+    def snapshot_rows(self) -> Iterator[tuple[float, int, int, int]]:
+        """Every cycle end and grid snapshot as ``(t, n_r, n_i, n_f)``, in
+        time order, read from the running totals; a grid snapshot at a
+        cycle end's time comes first (and equals it)."""
         totals = self.cycles.totals
-        ends = map(
-            CountSnapshot, self.repair_epochs, range(1, len(self.cycles) + 1),
+        ends = zip(
+            self.repair_epochs, range(1, len(self.cycles) + 1),
             totals.inspections[1:].tolist(), totals.failures[1:].tolist(),
         )
-        return tuple(sorted((*self.grid_snapshots, *ends), key=attrgetter("time")))
+        grid = sorted(
+            ((s.time, s.repairs, s.inspections, s.failures) for s in self.grid_snapshots),
+            key=itemgetter(0),
+        )
+        return heapq.merge(grid, ends, key=itemgetter(0))
+
+    @cached_property
+    def snapshots(self) -> tuple[CountSnapshot, ...]:
+        """:meth:`snapshot_rows` as snapshots."""
+        return tuple(CountSnapshot(*row) for row in self.snapshot_rows())
 
     @property
     def final_snapshot(self) -> CountSnapshot:
@@ -407,11 +417,13 @@ def write_event_log(path, cycles: CycleBatch) -> None:
             fh.write(f"{i},{_fmt(y_s)},{_fmt(y_d)},{k},{_fmt(v)},{_fmt(z)},{_fmt(x)},{end}\n")
 
 
-def write_snapshots(path, snapshots: Iterable[CountSnapshot]) -> None:
+def write_snapshots(path, rows: Iterable[tuple[float, int, int, int]]) -> None:
+    """Write ``(t, n_r, n_i, n_f)`` rows, such as
+    :meth:`Trajectory.snapshot_rows`, as the snapshot CSV."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SNAPSHOT_HEADER + "\n")
-        for s in snapshots:
-            fh.write(f"{_fmt(s.time)},{s.repairs},{s.inspections},{s.failures}\n")
+        for t, n_r, n_i, n_f in rows:
+            fh.write(f"{_fmt(t)},{n_r},{n_i},{n_f}\n")
 
 
 # one event-log row as read: the numeric fields, then whether it failed

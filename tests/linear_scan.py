@@ -3,16 +3,18 @@
 ``cbmkit.estimators.invert_monotone`` finds its bracket by bisecting over
 the indices of a geometric grid.  The function here is the linear scan it
 replaced: it evaluates every grid point and stops at the first zero or sign
-change.  The polish that follows is the same code in both, so on monotone
-maps the two must return the same bracket, the same iteration count and a
-bit-identical root.
+change.  Both then hand the bracket to the same Chandrupatla polish
+(``cbmkit.estimators._chandrupatla``), so on monotone maps the two must
+return the same bracket, the same iteration count and a bit-identical
+root.  The polish itself is checked against a bisection reference in
+``TestChandrupatla``.
 """
 
 from typing import Callable, Optional
 
 import numpy as np
 
-from cbmkit.estimators import NonConvergenceError, OutOfRangeError
+from cbmkit.estimators import OutOfRangeError, _chandrupatla
 
 
 def linear_scan_invert(
@@ -48,31 +50,7 @@ def linear_scan_invert(
         )
 
     a, b, fa, fb = bracket
-    if trace is not None:
-        trace["bracket"] = (a, b)
-    tol = rtol * abs(target) + atol
-    x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-    for iteration in range(200):
-        if trace is not None:
-            trace["iterations"] = iteration
-        if abs(fx) <= tol:
-            return x
-        # secant proposal, clipped to the bracket; fall back to bisection
-        if fb != fa:
-            cand = b - fb * (b - a) / (fb - fa)
-        else:
-            cand = 0.5 * (a + b)
-        if not a < cand < b:
-            cand = 0.5 * (a + b)
-        fc = g(cand)
-        if fa * fc <= 0.0:
-            b, fb = cand, fc
-        else:
-            a, fa = cand, fc
-        x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-        if b - a <= abs(x) * 4e-16:
-            # bracket exhausted at float resolution; best point stands
-            return x
-    if abs(fx) <= tol:
-        return x
-    raise NonConvergenceError("root refinement stalled before reaching tolerance")
+    if trace is None:
+        trace = {}
+    trace["bracket"] = (a, b)
+    return _chandrupatla(g, a, b, fa, fb, rtol * abs(target) + atol, trace)

@@ -89,7 +89,8 @@ class TestInvertMonotone:
 
 class TestBracketSearch:
     """invert_monotone bisects over the grid indices where the reference
-    scans them one by one; bracket, iterations and root must agree."""
+    scans them one by one, and both polish the bracket with the same
+    Chandrupatla helper; bracket, iterations and root must agree."""
 
     XS = np.geomspace(1e-8, 1e2, 64)
 
@@ -182,6 +183,96 @@ class TestBracketSearch:
         else:
             assert not raises
         assert trace["evaluations"] == len(calls) > 0
+
+
+def _bisect_to_exhaustion(g, lo, hi):
+    """A root of g in the sign-change bracket [lo, hi], halving until the
+    midpoint rounds to an end: the reference the polish is checked
+    against."""
+    g_lo = g(lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo if abs(g_lo) <= abs(g(hi)) else hi
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            return mid
+        if (g_mid > 0.0) == (g_lo > 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+
+
+class TestChandrupatla:
+    """The polish meets its residual tolerance on both maps, lands where a
+    bisection to exhaustion puts the root within that tolerance, and ends
+    at float resolution without raising where the tolerance is out of
+    reach."""
+
+    @staticmethod
+    def _check(func, target, **kwargs):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return func(x)
+
+        trace = {}
+        x = invert_monotone(counted, target, trace=trace, **kwargs)
+        assert trace["evaluations"] == len(calls) == len(set(calls))
+        tol = kwargs.get("rtol", 1e-12) * abs(target) + kwargs.get("atol", 0.0)
+        assert abs(func(x) - target) <= tol, target
+        # both x and the reference are within tol of the target (the
+        # reference up to the map's rounding), so they lie within that
+        # much of each other through the local slope
+        a, b = trace["bracket"]
+        reference = _bisect_to_exhaustion(lambda v: func(v) - target, a, b)
+        slope = (func(x * (1 + 1e-6)) - func(x * (1 - 1e-6))) / (2e-6 * x)
+        spread = (tol + abs(func(reference) - target)) / abs(slope)
+        assert abs(x - reference) <= spread, (target, x, reference, spread)
+        return x, trace
+
+    @pytest.mark.parametrize("law", [DET, UNIF], ids=["det", "unif"])
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    def test_mean_inspections_map(self, shape, law):
+        def func(mu):
+            return F.mean_inspections(SaneLaw(shape, mu), law)
+
+        targets = [func(mu) for mu in (1e-4, 1e-3, 3e-3)] + [53116 / 33501, 51503 / 20668]
+        for target in targets:
+            self._check(func, target)
+
+    @pytest.mark.parametrize("law", [DET, UNIF], ids=["det", "unif"])
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    def test_failure_probability_map(self, shape, law):
+        sane = SaneLaw(shape, 1e-3)
+
+        def func(lam):
+            return F.failure_probability(sane, DamageLaw(lam), law)
+
+        targets = [func(lam) for lam in (1e-5, 5e-4, 0.1)] + [8255 / 33501, 4452 / 20470]
+        for target in targets:
+            self._check(func, target, atol=1e-12, rtol=0.0)
+
+    @pytest.mark.parametrize(
+        "func",
+        [lambda v: 0.0 if v < 0.37 else 1.0, lambda v: max(v - 0.37, 0.0) * 1e18],
+        ids=["step", "flat-then-steep"],
+    )
+    def test_ends_at_float_resolution(self, func):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return func(x)
+
+        trace = {}
+        target = 0.5 if func(1.0) == 1.0 else 1.0
+        x = invert_monotone(counted, target, trace=trace)
+        assert abs(func(x) - target) > 1e-12 * target
+        assert x == pytest.approx(0.37, rel=1e-15, abs=0.0)
+        assert trace["evaluations"] == len(calls) == len(set(calls))
+        assert trace["iterations"] < 200
 
 
 class TestInvertMeanInspections:
@@ -279,7 +370,8 @@ class TestAsymptoticEstimate:
                                 lambda *a, _f=original: calls.append(1) or _f(*a))
         report = asymptotic_estimate(snap, cfg)
         d = report.diagnostics
-        assert d["mu_evaluations"] + d["lambda_evaluations"] == len(calls) <= 45
+        assert d["mu_evaluations"] <= 14 and d["lambda_evaluations"] <= 14
+        assert d["mu_evaluations"] + d["lambda_evaluations"] == len(calls) <= 28
 
     def test_zero_confidence_gives_point_interval(self, base_config):
         snap = CountSnapshot(50001908.0, 33501, 53116, 8255)

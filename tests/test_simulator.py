@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -9,6 +10,7 @@ from cbmkit import simulator
 from cbmkit.laws import InspectionLaw
 from cbmkit.oracle import MIN_SAMPLES, verification_rows
 from cbmkit.simulator import (
+    CountSnapshot,
     CycleRecord,
     Trajectory,
     age_and_index,
@@ -304,6 +306,26 @@ class TestSimulateHorizon:
             1 for age in trajectory.cycles[0].inspections if age <= 400.0
         )
 
+    def test_snapshot_rows_are_the_time_sorted_snapshots(self, base_config, tmp_path):
+        # grid snapshots in any order, one time twice and one at a cycle
+        # end: the rows are the stable time sort of the grid then the ends
+        trajectory = simulate_horizon(np.random.default_rng(31), base_config, horizon=1e5)
+        at_end = trajectory.repair_epochs[3]
+        grid = [counts_at(t, trajectory) for t in (9e4, at_end, 2e4, 2e4, 0.0)]
+        trajectory = dataclasses.replace(trajectory, grid_snapshots=tuple(grid))
+        totals = trajectory.cycles.totals
+        ends = [
+            CountSnapshot(t, i, int(totals.inspections[i]), int(totals.failures[i]))
+            for i, t in enumerate(trajectory.repair_epochs, start=1)
+        ]
+        expected = sorted((*grid, *ends), key=lambda s: s.time)
+        assert trajectory.snapshots == tuple(expected)
+        path = tmp_path / "snaps.csv"
+        write_snapshots(path, trajectory.snapshot_rows())
+        assert path.read_text().splitlines()[1:] == [
+            f"{s.time:.17g},{s.repairs},{s.inspections},{s.failures}" for s in expected
+        ]
+
     def test_determinism(self, base_config):
         t1 = simulate_horizon(np.random.default_rng(99), base_config, horizon=2e5)
         t2 = simulate_horizon(np.random.default_rng(99), base_config, horizon=2e5)
@@ -501,7 +523,7 @@ class TestCsv:
         rng = np.random.default_rng(9)
         trajectory = simulate_horizon(rng, base_config, horizon=2e4, grid=[1e4])
         path = tmp_path / "snaps.csv"
-        write_snapshots(path, trajectory.snapshots)
+        write_snapshots(path, trajectory.snapshot_rows())
         lines = path.read_text().splitlines()
         assert lines[0] == "t,n_r,n_i,n_f"
         assert len(lines) == len(trajectory.snapshots) + 1
