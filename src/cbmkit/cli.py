@@ -4,7 +4,8 @@ Subcommands: ``simulate`` (event-log and snapshot CSVs), ``estimate``
 (counts or event log to estimate rows, with published-table presets),
 ``convergence`` (estimate time series over a grid), ``verify`` (Monte
 Carlo check of every closed form).  Exit codes: 0 ok, 1 verification
-failure, 2 config error, 3 estimation infeasible.
+failure, 2 config error (invalid input, or a path that cannot be read or
+written), 3 estimation infeasible.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ from .formulas import MAX_SHAPE
 from .oracle import MIN_SAMPLES, verification_rows, write_verification_report
 from .simulator import (
     CountSnapshot,
+    CycleBatch,
     counts_at,
     read_event_log,
     simulate_horizon,
+    snapshot_rows,
     write_event_log,
     write_snapshots,
 )
@@ -94,7 +97,11 @@ def _load_config(
     values: dict[str, str] = dict(defaults or {})
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            base = parse_config(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config}: {exc}") from None
+        base = parse_config(text)
         values.update(
             (k.strip(), v.strip())
             for k, _, v in (
@@ -179,9 +186,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     seed = _require_seed(config)
     rng = np.random.default_rng(seed)
-    trajectory = simulate_horizon(rng, config, grid=config.grid)
-    write_event_log(args.events, trajectory.cycles)
-    write_snapshots(args.snapshots, trajectory.snapshot_rows())
+    cycles = simulate_horizon(rng, config)
+    write_event_log(args.events, cycles)
+    write_snapshots(args.snapshots, snapshot_rows(cycles, config.grid))
     return EXIT_OK
 
 
@@ -291,20 +298,20 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         raise ConfigError("convergence needs a grid (config key or --grid-count)")
     _require_closed_form_shape(config)
     rng = np.random.default_rng(seed)
-    trajectory = simulate_horizon(rng, config)
+    cycles = simulate_horizon(rng, config)
     lines = [CONVERGENCE_HEADER]
     for t in grid:
-        lines.append(_convergence_row(t, trajectory, config))
+        lines.append(_convergence_row(t, cycles, config))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _convergence_row(t: float, trajectory, config: ModelConfig) -> str:
+def _convergence_row(t: float, cycles: CycleBatch, config: ModelConfig) -> str:
     """One time-series row; infeasible estimates leave their fields empty
     (before the first failure only the damage rate is reported, without
     intervals, since the interval covariance needs both rates)."""
-    snapshot = counts_at(t, trajectory)
+    snapshot = counts_at(t, cycles)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -336,14 +343,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _require_closed_form_shape(config)
     rows = verification_rows(config, args.samples, seed)
     if args.out:
-        write_verification_report(args.out, rows)
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            write_verification_report(fh, rows)
     else:
-        sys.stdout.write("quantity,closed_form,mc_value,mc_se,z_score,pass\n")
-        for r in rows:
-            sys.stdout.write(
-                f"{r.quantity},{r.closed_form:.17g},{r.mc_value:.17g},"
-                f"{r.mc_se:.17g},{r.z_score:.17g},{'true' if r.passed else 'false'}\n"
-            )
+        write_verification_report(sys.stdout, rows)
     return EXIT_OK if all(r.passed for r in rows) else EXIT_VERIFY_FAILED
 
 
@@ -358,10 +361,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:
+        # OSError: a path that cannot be read or written (missing, a
+        # directory, no permission)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OutOfRangeError, DegenerateDataError, NonConvergenceError) as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -37,29 +37,11 @@ KS_CRITICAL_SCALE = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628, 0.001: 1.949}
 class McEstimate:
     value: float
     std_err: float
-    n_samples: int
-    seed: int
 
     def z_score(self, closed_form: float) -> float:
         if self.std_err == 0.0:
             return 0.0 if closed_form == self.value else math.inf
         return (closed_form - self.value) / self.std_err
-
-
-@dataclass(frozen=True)
-class MomentEstimates:
-    """Monte Carlo counterpart of :class:`cbmkit.formulas.CycleMoments`."""
-
-    mean_inspections: McEstimate
-    failure_prob: McEstimate
-    mean_cycle: McEstimate
-    mean_inspections_sq: McEstimate
-    mean_cycle_sq: McEstimate
-    cov_cycle_failure: McEstimate
-    cov_inspections_failure: McEstimate
-    cov_inspections_cycle: McEstimate
-    mean_cycle_on_failure: McEstimate
-    mean_inspections_detected: McEstimate
 
 
 @dataclass(frozen=True)
@@ -84,21 +66,20 @@ def _cycle_arrays(config: ModelConfig, n_samples: int, seed: int):
     )
 
 
-def _mc_mean(arr: np.ndarray, seed: int) -> McEstimate:
-    n = len(arr)
-    return McEstimate(float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(n)), n, seed)
+def _mc_mean(arr: np.ndarray) -> McEstimate:
+    return McEstimate(float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr))))
 
 
-def _mc_cov(a: np.ndarray, b: np.ndarray, seed: int) -> McEstimate:
+def _mc_cov(a: np.ndarray, b: np.ndarray) -> McEstimate:
     n = len(a)
     w = (a - a.mean()) * (b - b.mean())
-    value = float(w.sum() / (n - 1))
-    return McEstimate(value, float(w.std(ddof=1) / math.sqrt(n)), n, seed)
+    return McEstimate(float(w.sum() / (n - 1)), float(w.std(ddof=1) / math.sqrt(n)))
 
 
 def _mc_moments(config: ModelConfig, n_samples: int, seed: int):
     """Per-cycle (count, length, failed) arrays and the estimate of every
-    cycle moment, keyed by its :class:`MomentEstimates` field.
+    cycle moment, keyed by its :class:`~cbmkit.formulas.CycleMoments`
+    field.
 
     The detected-inspections moment uses the per-cycle statistic
     count * survival(overshoot) evaluated at the configured failure rate,
@@ -109,23 +90,24 @@ def _mc_moments(config: ModelConfig, n_samples: int, seed: int):
     k, x, failed, fail_age, overshoot = _cycle_arrays(config, n_samples, seed)
     k_detected = k * np.exp(-config.damage.rate * overshoot)
     estimates = {
-        "mean_inspections": _mc_mean(k, seed),
-        "failure_prob": _mc_mean(failed, seed),
-        "mean_cycle": _mc_mean(x, seed),
-        "mean_inspections_sq": _mc_mean(k**2, seed),
-        "mean_cycle_sq": _mc_mean(x**2, seed),
-        "cov_cycle_failure": _mc_cov(x, failed, seed),
-        "cov_inspections_failure": _mc_cov(k, failed, seed),
-        "cov_inspections_cycle": _mc_cov(k, x, seed),
-        "mean_cycle_on_failure": _mc_mean(fail_age * failed, seed),
-        "mean_inspections_detected": _mc_mean(k_detected, seed),
+        "mean_inspections": _mc_mean(k),
+        "failure_prob": _mc_mean(failed),
+        "mean_cycle": _mc_mean(x),
+        "mean_inspections_sq": _mc_mean(k**2),
+        "mean_cycle_sq": _mc_mean(x**2),
+        "cov_cycle_failure": _mc_cov(x, failed),
+        "cov_inspections_failure": _mc_cov(k, failed),
+        "cov_inspections_cycle": _mc_cov(k, x),
+        "mean_cycle_on_failure": _mc_mean(fail_age * failed),
+        "mean_inspections_detected": _mc_mean(k_detected),
     }
     return (k, x, failed), estimates
 
 
-def mc_moment_set(config: ModelConfig, n_samples: int, seed: int) -> MomentEstimates:
-    """Sample means (with plain standard errors) for every cycle moment."""
-    return MomentEstimates(**_mc_moments(config, n_samples, seed)[1])
+def mc_moment_set(config: ModelConfig, n_samples: int, seed: int) -> dict[str, McEstimate]:
+    """Sample means (with plain standard errors) for every cycle moment,
+    keyed by its :class:`~cbmkit.formulas.CycleMoments` field."""
+    return _mc_moments(config, n_samples, seed)[1]
 
 
 def verification_rows(
@@ -159,7 +141,7 @@ def verification_rows(
     for i in range(3):
         for j in range(i, 3):
             name = f"rate_cov[{labels[i]},{labels[j]}]"
-            mc[name] = _mc_cov(stats[i], stats[j], seed)
+            mc[name] = _mc_cov(stats[i], stats[j])
             closed[name] = rate_cov[i, j] * mx**3
 
     rows = []
@@ -182,14 +164,14 @@ def verification_rows(
 VERIFICATION_HEADER = "quantity,closed_form,mc_value,mc_se,z_score,pass"
 
 
-def write_verification_report(path, rows: Iterable[ComparisonRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(VERIFICATION_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.quantity},{r.closed_form:.17g},{r.mc_value:.17g},"
-                f"{r.mc_se:.17g},{r.z_score:.17g},{'true' if r.passed else 'false'}\n"
-            )
+def write_verification_report(out: TextIO, rows: Iterable[ComparisonRow]) -> None:
+    """Write the rows as the verification-report CSV to a text stream."""
+    out.write(VERIFICATION_HEADER + "\n")
+    for r in rows:
+        out.write(
+            f"{r.quantity},{r.closed_form:.17g},{r.mc_value:.17g},"
+            f"{r.mc_se:.17g},{r.z_score:.17g},{'true' if r.passed else 'false'}\n"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -203,18 +185,16 @@ def mc_age_distribution(
     """Ages of the repair process sampled at uniform probe times.
 
     Probes are drawn in [horizon/2, horizon] so the process is well past
-    its transient; the trajectory itself runs until the first cycle end
+    its transient; the simulation itself runs until the first cycle end
     beyond the horizon.
     """
     if n_probes < 1:
         raise ValueError("need at least one probe")
     rng = np.random.default_rng(seed)
-    trajectory = simulate_horizon(rng, config, horizon=horizon)
-    epochs = np.asarray(trajectory.repair_epochs)
+    # 0 and every repair epoch
+    starts = simulate_horizon(rng, config, horizon=horizon).totals.time
     probes = rng.uniform(horizon / 2.0, horizon, size=n_probes)
-    idx = np.searchsorted(epochs, probes, side="right")
-    last = np.where(idx > 0, epochs[np.maximum(idx - 1, 0)], 0.0)
-    return probes - last
+    return probes - starts[np.searchsorted(starts, probes, side="right") - 1]
 
 
 def _survival_given_segment(u: np.ndarray, seg_start, config: ModelConfig):

@@ -8,28 +8,27 @@ failures and inspections are the associated reward processes.
 
 Cycles are held as columns: a :class:`CycleBatch` has one array per cycle
 field plus the flat planned-inspection ages.  :func:`simulate_cycles`
-draws one, :func:`simulate_horizon` joins its blocks into
-``Trajectory.cycles``, and :func:`read_event_log` parses a log into one
-(without the ages, which logs do not carry).  The running totals of cycle
-time, inspections and failures are built once per batch, adding left to
-right; snapshots, counts at arbitrary times and the likelihood's total
-time all read them.  :func:`simulate_cycle` draws one cycle with scalar
-calls and is kept as the reference the hand traces pin; a batch yields the
-same :class:`CycleRecord` rows on iteration or indexing.  Deterministic
-gaps put the k-th inspection at ``k * c`` (not at a running sum of
-``c``), with ``k = ceil(y_s / c)`` at detection, in both.
+draws one, :func:`simulate_horizon` joins its blocks into one, and
+:func:`read_event_log` parses a log into one (without the ages, which logs
+do not carry).  The running totals of cycle time, inspections and failures
+are built once per batch, adding left to right; :func:`snapshot_rows`,
+:func:`counts_at` and the likelihood's total time all read them.
+:func:`simulate_cycle` draws one cycle with scalar calls and is kept as
+the reference the hand traces pin; a batch yields the same
+:class:`CycleRecord` rows on iteration or indexing.  Deterministic gaps
+put the k-th inspection at ``k * c`` (not at a running sum of ``c``), with
+``k = ceil(y_s / c)`` at detection, in both.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -170,49 +169,6 @@ class CycleBatch:
 _PER_CYCLE = tuple(f.name for f in fields(CycleBatch) if f.name != "inspection_ages")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Simulated cycles and the counts at the requested grid times.
-
-    The snapshots (one per cycle end and one per grid time) are built on
-    first use, from the batch's running totals; so are the repair epochs,
-    which make counts at any time cost a bisection.
-    """
-
-    cycles: CycleBatch
-    grid_snapshots: tuple[CountSnapshot, ...]
-    seed: Optional[int]
-    config: ModelConfig
-
-    @cached_property
-    def repair_epochs(self) -> tuple[float, ...]:
-        return tuple(self.cycles.totals.time[1:].tolist())
-
-    def snapshot_rows(self) -> Iterator[tuple[float, int, int, int]]:
-        """Every cycle end and grid snapshot as ``(t, n_r, n_i, n_f)``, in
-        time order, read from the running totals; a grid snapshot at a
-        cycle end's time comes first (and equals it)."""
-        totals = self.cycles.totals
-        ends = zip(
-            self.repair_epochs, range(1, len(self.cycles) + 1),
-            totals.inspections[1:].tolist(), totals.failures[1:].tolist(),
-        )
-        grid = sorted(
-            ((s.time, s.repairs, s.inspections, s.failures) for s in self.grid_snapshots),
-            key=itemgetter(0),
-        )
-        return heapq.merge(grid, ends, key=itemgetter(0))
-
-    @cached_property
-    def snapshots(self) -> tuple[CountSnapshot, ...]:
-        """:meth:`snapshot_rows` as snapshots."""
-        return tuple(CountSnapshot(*row) for row in self.snapshot_rows())
-
-    @property
-    def final_snapshot(self) -> CountSnapshot:
-        return self.cycles.counts()
-
-
 def simulate_cycle(rng: np.random.Generator, config: ModelConfig) -> CycleRecord:
     """Draw one cycle: damage time, failure delay, and the inspection ages
     up to the first one at or after the damage."""
@@ -326,19 +282,14 @@ def _uniform_schedule(
 
 
 def simulate_horizon(
-    rng: np.random.Generator,
-    config: ModelConfig,
-    horizon: Optional[float] = None,
-    grid: Optional[Iterable[float]] = None,
-) -> Trajectory:
+    rng: np.random.Generator, config: ModelConfig, horizon: Optional[float] = None
+) -> CycleBatch:
     """Simulate whole cycles until their cumulative length reaches the
-    horizon.
+    horizon, as one batch with every cycle's inspection ages.
 
-    The final snapshot sits at the first cycle end at or beyond the
-    horizon (so its time generally overshoots the requested horizon, and
-    the overshooting cycle is included in the counts).  Additional
-    snapshots are taken at the requested grid times, which must not
-    exceed the final snapshot time.
+    The last cycle is the first to end at or beyond the horizon, so the
+    batch's total time generally overshoots the requested horizon and the
+    overshooting cycle is included in the counts.
     """
     horizon = config.horizon if horizon is None else horizon
     if not horizon > 0.0:
@@ -351,53 +302,47 @@ def simulate_horizon(
         keep = min(int(np.searchsorted(ends[1:], horizon)) + 1, _CHUNK)
         blocks.append(batch.head(keep))
         total = float(ends[keep])
-
-    cycles = CycleBatch(
+    return CycleBatch(
         *(np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(CycleBatch))
     )
-    trajectory = Trajectory(cycles, (), config.seed, config)
-    grid_times = sorted(float(t) for t in grid or ())
-    return replace(
-        trajectory, grid_snapshots=tuple(counts_at(t, trajectory) for t in grid_times)
-    )
 
 
-def _completed_before(t: float, epochs: Sequence[float]) -> int:
-    # number of cycle ends at or before t
-    return bisect.bisect_right(epochs, t)
-
-
-def counts_at(t: float, trajectory: Trajectory) -> CountSnapshot:
-    """Observer counts at an arbitrary time within the trajectory.
+def counts_at(t: float, cycles: CycleBatch) -> CountSnapshot:
+    """Observer counts at a time within the batch's span.
 
     Completed cycles contribute their full inspection charge; the open
-    cycle contributes only the planned inspections already elapsed.  The
-    unplanned inspection of a cycle that will end in failure is counted
-    when the cycle completes, never before.
+    cycle contributes only the planned inspections already elapsed (one
+    planned at exactly ``t`` included).  The unplanned inspection of a
+    cycle that will end in failure is counted when the cycle completes,
+    never before.
     """
-    age, elapsed = age_and_index(t, trajectory)
-    totals = trajectory.cycles.totals
-    done = _completed_before(t, trajectory.repair_epochs)
-    inspections = int(totals.inspections[done]) + elapsed
-    failures = int(totals.failures[done])
-    return CountSnapshot(t, done, inspections, failures)
+    totals = cycles.totals
+    end = float(totals.time[-1])
+    if t < 0.0 or t > end:
+        raise ValueError(f"time {t} outside the simulated range [0, {end}]")
+    # cycles ended at or before t; the open one started at totals.time[done]
+    done = int(np.searchsorted(totals.time, t, side="right")) - 1
+    offsets = totals.inspections
+    inspections = int(offsets[done])
+    if done < len(cycles):
+        schedule = cycles.inspection_ages[offsets[done]:offsets[done + 1]]
+        inspections += int(np.searchsorted(schedule, t - totals.time[done], side="right"))
+    return CountSnapshot(t, done, inspections, int(totals.failures[done]))
 
 
-def age_and_index(t: float, trajectory: Trajectory) -> tuple[float, int]:
-    """Age of the repair process at t and the number of planned
-    inspections already elapsed in the open cycle."""
-    epochs = trajectory.repair_epochs
-    if t < 0.0 or t > epochs[-1]:
-        raise ValueError(f"time {t} outside the simulated range [0, {epochs[-1]}]")
-    done = _completed_before(t, epochs)
-    last_epoch = epochs[done - 1] if done else 0.0
-    age = t - last_epoch
-    cycles = trajectory.cycles
-    if done >= len(cycles):
-        return age, 0
-    offsets = cycles.totals.inspections
-    schedule = cycles.inspection_ages[offsets[done]:offsets[done + 1]]
-    return age, int(np.searchsorted(schedule, age, side="right"))
+def snapshot_rows(
+    cycles: CycleBatch, grid: Iterable[float] = ()
+) -> Iterator[tuple[float, int, int, int]]:
+    """The counts at every cycle end and at each grid time as
+    ``(t, n_r, n_i, n_f)``, in time order, read from the running totals; a
+    grid row at a cycle end's time comes first (and equals it)."""
+    totals = cycles.totals
+    ends = zip(
+        totals.time[1:].tolist(), range(1, len(cycles) + 1),
+        totals.inspections[1:].tolist(), totals.failures[1:].tolist(),
+    )
+    at_grid = [astuple(counts_at(t, cycles)) for t in sorted(map(float, grid))]
+    return heapq.merge(at_grid, ends, key=itemgetter(0))
 
 
 EVENT_LOG_HEADER = "cycle,y_s,y_d,k_r,v_s,z_d,x_r,end"
@@ -418,8 +363,8 @@ def write_event_log(path, cycles: CycleBatch) -> None:
 
 
 def write_snapshots(path, rows: Iterable[tuple[float, int, int, int]]) -> None:
-    """Write ``(t, n_r, n_i, n_f)`` rows, such as
-    :meth:`Trajectory.snapshot_rows`, as the snapshot CSV."""
+    """Write ``(t, n_r, n_i, n_f)`` rows, such as :func:`snapshot_rows`'s,
+    as the snapshot CSV."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SNAPSHOT_HEADER + "\n")
         for t, n_r, n_i, n_f in rows:

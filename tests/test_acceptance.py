@@ -236,8 +236,8 @@ class TestCltCoverage:
         hits_mu = hits_lam = 0
         reps = 200
         for _ in range(reps):
-            trajectory = simulate_horizon(rng, cfg, horizon=1e7)
-            report = asymptotic_estimate(trajectory.final_snapshot, cfg)
+            cycles = simulate_horizon(rng, cfg, horizon=1e7)
+            report = asymptotic_estimate(cycles.counts(), cfg)
             hits_mu += report.ci_mu[0] <= cfg.sane.rate <= report.ci_mu[1]
             hits_lam += report.ci_lambda[0] <= cfg.damage.rate <= report.ci_lambda[1]
         elapsed = time.perf_counter() - start
@@ -291,14 +291,14 @@ class TestMleSanity:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for _ in range(reps):
-                trajectory = simulate_horizon(rng, cfg, horizon=1e6)
-                data = ObservedData.from_event_log_records(trajectory.cycles, cfg.inspection)
+                cycles = simulate_horizon(rng, cfg, horizon=1e6)
+                data = ObservedData.from_event_log_records(cycles, cfg.inspection)
                 report = mle_estimate(data, cfg)
                 hits_mu += report.ci_mu[0] <= cfg.sane.rate <= report.ci_mu[1]
                 hits_lam += report.ci_lambda[0] <= cfg.damage.rate <= report.ci_lambda[1]
         cov_mu, cov_lam = hits_mu / reps, hits_lam / reps
 
-        records = simulate_horizon(np.random.default_rng(5), cfg, horizon=2e6).cycles
+        records = simulate_horizon(np.random.default_rng(5), cfg, horizon=2e6)
         oracle = full_information_estimate(records, cfg)
         n = len(records)
         mu_closed = cfg.sane.shape * n / sum(r.time_to_damage for r in records)
@@ -322,8 +322,8 @@ class TestMleSanity:
         # check; that likelihood is not fully specified)
         cfg = make_config(seed=8)
         rng = np.random.default_rng(8)
-        trajectory = simulate_horizon(rng, cfg, horizon=5e7)
-        data = ObservedData.from_event_log_records(trajectory.cycles, cfg.inspection)
+        cycles = simulate_horizon(rng, cfg, horizon=5e7)
+        data = ObservedData.from_event_log_records(cycles, cfg.inspection)
         report = mle_estimate(data, cfg)
         hw_mu = (report.ci_mu[1] - report.ci_mu[0]) / 2.0
         hw_lam = (report.ci_lambda[1] - report.ci_lambda[0]) / 2.0

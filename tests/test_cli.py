@@ -491,6 +491,14 @@ class TestVerifyCommand:
                          "--samples", "20000"])
         assert code == 2
 
+    def test_stdout_bytes_are_the_report_file(self, tmp_path, config_file, capsysbinary):
+        out = tmp_path / "verify.csv"
+        argv = ["verify", "--config", config_file, "--samples", "10000"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert cli.main(argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
 
 class TestInputErrors:
     """Invalid input exits 2 with a one-line message, never a traceback;
@@ -540,6 +548,28 @@ class TestInputErrors:
         assert not (tmp_path / "conv.csv").exists()
         code = cli.main(["estimate", *shape, "--events", events, "--method", "both"])
         self._assert_one_line_config_error(code, capsys)
+
+    @pytest.mark.parametrize(
+        "case", ["events-directory", "out-directory", "config-directory", "config-not-utf8"]
+    )
+    def test_unusable_path(self, case, config_file, tmp_path, capsys):
+        # a directory where a file belongs, or a config file that is not
+        # UTF-8 text
+        not_utf8 = tmp_path / "latin1.cfg"
+        not_utf8.write_bytes(b"\xff" + CONFIG_TEXT.encode())
+        argv = {
+            "events-directory": ["estimate", "--config", config_file, "--events", str(tmp_path),
+                                 "--method", "both"],
+            "out-directory": ["estimate", "--config", config_file,
+                              "--counts", "100", "200", "10", "5000", "--out", str(tmp_path)],
+            "config-directory": ["verify", "--config", str(tmp_path), "--samples", "20000"],
+            "config-not-utf8": ["verify", "--config", str(not_utf8), "--samples", "20000"],
+        }[case]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        self._assert_one_line_config_error(code, capsys, err)
+        culprit = not_utf8 if case == "config-not-utf8" else tmp_path
+        assert str(culprit) in err
 
     GOOD_ROW = "1,1500.5,800.25,2,2000,2300.75,2000,Detected"
 

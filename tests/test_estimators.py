@@ -417,8 +417,8 @@ class TestAsymptoticEstimate:
             for horizon in (1e5, 1e6, 1e7):
                 errors = []
                 for _ in range(50):
-                    trajectory = simulate_horizon(rng, cfg, horizon=horizon)
-                    report = asymptotic_estimate(trajectory.final_snapshot, cfg)
+                    cycles = simulate_horizon(rng, cfg, horizon=horizon)
+                    report = asymptotic_estimate(cycles.counts(), cfg)
                     errors.append(abs(report.mu_hat - cfg.sane.rate))
                 medians.append(float(np.median(errors)))
         assert medians[0] > medians[1] > medians[2]
@@ -487,8 +487,8 @@ def _simulated_data(shape):
 def _base_run():
     """The base config (seed 22) and the observables of its 2e6 horizon."""
     cfg = make_config(seed=22)
-    trajectory = simulate_horizon(np.random.default_rng(22), cfg, horizon=2e6)
-    return cfg, ObservedData.from_event_log_records(trajectory.cycles, cfg.inspection)
+    cycles = simulate_horizon(np.random.default_rng(22), cfg, horizon=2e6)
+    return cfg, ObservedData.from_event_log_records(cycles, cfg.inspection)
 
 
 class TestLikelihoodDerivatives:
@@ -579,8 +579,8 @@ class TestNewtonAgainstSimplex:
     @pytest.mark.parametrize("shape", [1, 2, 3, 4])
     def test_same_optimum(self, shape):
         cfg = make_config(shape=shape, seed=31)
-        trajectory = simulate_horizon(np.random.default_rng(31 + shape), cfg, horizon=2e6)
-        data = ObservedData.from_event_log_records(trajectory.cycles, cfg.inspection)
+        cycles = simulate_horizon(np.random.default_rng(31 + shape), cfg, horizon=2e6)
+        data = ObservedData.from_event_log_records(cycles, cfg.inspection)
         report = mle_estimate(data, cfg)
         d = report.diagnostics
 
@@ -619,8 +619,8 @@ class TestMleEstimate:
         # built once by its one builder and read by every likelihood
         # evaluation of a fit; the totals match the cycles exactly
         cfg = make_config(seed=22)
-        trajectory = simulate_horizon(np.random.default_rng(22), cfg, horizon=5e5)
-        data = ObservedData.from_event_log_records(trajectory.cycles, cfg.inspection)
+        cycles = simulate_horizon(np.random.default_rng(22), cfg, horizon=5e5)
+        data = ObservedData.from_event_log_records(cycles, cfg.inspection)
         report = mle_estimate(data, cfg)
         # Newton from the asymptotic start: a few steps, each one pass
         # over the windows, no step halved, the score gone at the optimum
@@ -629,7 +629,7 @@ class TestMleEstimate:
         assert d["likelihood_evaluations"] == d["iterations"] + 1
         assert d["score_norm"] <= 1e-6 * d["n_cycles"]
 
-        rows = list(trajectory.cycles)
+        rows = list(cycles)
         n_fail = sum(1 for c in rows if c.failed)
         assert data.fail_a.size == n_fail == data.fail_z.size
         assert data.det_a.size == len(rows) - n_fail == data.det_b.size

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ class TestMcMomentSet:
         a = mc_moment_set(base_config, 20_000, seed=3)
         b = mc_moment_set(base_config, 20_000, seed=3)
         assert a == b
+        # one estimate per cycle moment, under its closed-form name
+        assert list(a) == [f.name for f in dataclasses.fields(F.CycleMoments)]
 
     def test_rejects_small_sample(self, base_config):
         with pytest.raises(ValueError):
@@ -39,8 +42,7 @@ class TestMcMomentSet:
             "mean_cycle_on_failure",
             "mean_inspections_detected",
         ):
-            e = getattr(est, name)
-            assert abs(e.z_score(getattr(closed, name))) <= 4.0
+            assert abs(est[name].z_score(getattr(closed, name))) <= 4.0
 
     def test_fast_failures_degenerate(self):
         # failures almost always precede the first inspection
@@ -48,14 +50,14 @@ class TestMcMomentSet:
         est = mc_moment_set(cfg, 20_000, seed=5)
         closed = F.cycle_moments(cfg.sane, cfg.damage, cfg.inspection)
         assert closed.failure_prob > 0.999
-        assert abs(est.failure_prob.z_score(closed.failure_prob)) <= 4.0
+        assert abs(est["failure_prob"].z_score(closed.failure_prob)) <= 4.0
 
     def test_se_halves_when_samples_quadruple(self, base_config):
         ratios = []
         for seed in range(10):
             small = mc_moment_set(base_config, 10_000, seed=seed)
             large = mc_moment_set(base_config, 40_000, seed=100 + seed)
-            ratios.append(large.mean_cycle.std_err / small.mean_cycle.std_err)
+            ratios.append(large["mean_cycle"].std_err / small["mean_cycle"].std_err)
         assert 0.4 <= float(np.mean(ratios)) <= 0.6
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -12,13 +11,12 @@ from cbmkit.oracle import MIN_SAMPLES, verification_rows
 from cbmkit.simulator import (
     CountSnapshot,
     CycleRecord,
-    Trajectory,
-    age_and_index,
     counts_at,
     read_event_log,
     simulate_cycle,
     simulate_cycles,
     simulate_horizon,
+    snapshot_rows,
     write_event_log,
     write_snapshots,
 )
@@ -52,10 +50,6 @@ def _cycle(length, inspections, failed, count=None):
         length=length,
         failed=failed,
     )
-
-
-def _manual_trajectory(cycles, config):
-    return Trajectory(batch_of(cycles), (), seed=config.seed, config=config)
 
 
 class TestSimulateCycle:
@@ -174,24 +168,22 @@ class TestSimulateCycles:
     def test_horizon_blocks_join_seamlessly(self, base_config):
         # long enough for several draw blocks; every end snapshot carries
         # the running totals across block boundaries
-        trajectory = simulate_horizon(np.random.default_rng(BATCH_SEED), base_config, horizon=2e7)
-        cycles = trajectory.cycles
+        cycles = simulate_horizon(np.random.default_rng(BATCH_SEED), base_config, horizon=2e7)
         assert len(cycles) > 2 * simulator._CHUNK
-        assert [s.time for s in trajectory.snapshots] == list(trajectory.repair_epochs)
-        assert [s.repairs for s in trajectory.snapshots] == list(range(1, len(cycles) + 1))
-        assert [s.inspections for s in trajectory.snapshots] == np.cumsum(
-            [c.inspection_count for c in cycles]).tolist()
-        assert [s.failures for s in trajectory.snapshots] == np.cumsum(
-            [c.failed for c in cycles]).tolist()
+        times, repairs, inspections, failures = map(list, zip(*snapshot_rows(cycles)))
+        assert times == np.cumsum([c.length for c in cycles]).tolist()
+        assert repairs == list(range(1, len(cycles) + 1))
+        assert inspections == np.cumsum([c.inspection_count for c in cycles]).tolist()
+        assert failures == np.cumsum([c.failed for c in cycles]).tolist()
 
     def test_uniform_trajectory_counts_match_stored_ages(self):
         cfg = make_config(shape=2, kind="uniform")
         law = cfg.inspection
         rng = np.random.default_rng(BATCH_SEED)
-        trajectory = simulate_horizon(rng, cfg, horizon=2e5)
-        starts = (0.0,) + trajectory.repair_epochs[:-1]
-        ends = trajectory.repair_epochs
-        for cyc in trajectory.cycles:
+        cycles = simulate_horizon(rng, cfg, horizon=2e5)
+        starts = cycles.totals.time[:-1].tolist()
+        ends = cycles.totals.time[1:].tolist()
+        for cyc in cycles:
             assert len(cyc.inspections) == cyc.inspection_count
             assert cyc.inspections[-1] == cyc.detection_age
             gaps = np.diff((0.0,) + cyc.inspections)
@@ -202,14 +194,14 @@ class TestSimulateCycles:
         )
         for t in probes.tolist():
             inspections = failures = repairs = 0
-            for cyc, start, end in zip(trajectory.cycles, starts, ends):
+            for cyc, start, end in zip(cycles, starts, ends):
                 if end <= t:
                     repairs += 1
                     failures += cyc.failed
                     inspections += len(cyc.inspections)
                 elif start <= t:
                     inspections += sum(1 for a in cyc.inspections if a <= t - start)
-            snap = counts_at(t, trajectory)
+            snap = counts_at(t, cycles)
             assert (snap.repairs, snap.inspections, snap.failures) == (
                 repairs, inspections, failures,
             )
@@ -278,18 +270,19 @@ class TestCycleBatchRows:
 class TestSimulateHorizon:
     def test_stops_at_first_cycle_end_past_horizon(self, base_config):
         rng = np.random.default_rng(3)
-        trajectory = simulate_horizon(rng, base_config, horizon=1e5)
-        # one snapshot per cycle end, the last one being the stop time
-        assert len(trajectory.snapshots) == len(trajectory.cycles)
-        final = trajectory.final_snapshot
-        epochs = trajectory.repair_epochs
-        assert final.time == epochs[-1]
+        cycles = simulate_horizon(rng, base_config, horizon=1e5)
+        final = cycles.counts()
+        ends = cycles.totals.time[1:]
+        assert final.time == ends[-1]
         assert final.time >= 1e5
-        assert epochs[-2] < 1e5
-        assert final.repairs == len(trajectory.cycles)
-        assert final.failures == sum(1 for c in trajectory.cycles if c.failed)
-        assert final.inspections == sum(c.inspection_count for c in trajectory.cycles)
-        assert final == trajectory.snapshots[-1]
+        assert ends[-2] < 1e5
+        assert final.repairs == len(cycles)
+        assert final.failures == sum(1 for c in cycles if c.failed)
+        assert final.inspections == sum(c.inspection_count for c in cycles)
+        # one snapshot row per cycle end, the last one being the stop time
+        rows = list(snapshot_rows(cycles))
+        assert len(rows) == len(cycles)
+        assert CountSnapshot(*rows[-1]) == final
 
     def test_degenerate_horizon_single_overshooting_cycle(self):
         # a horizon below the first inspection still completes one cycle
@@ -297,40 +290,39 @@ class TestSimulateHorizon:
         # grid times before that cycle's end are zero
         cfg = make_config(seed=5)
         rng = np.random.default_rng(5)
-        trajectory = simulate_horizon(rng, cfg, horizon=500.0, grid=[400.0])
-        assert len(trajectory.cycles) == 1
-        assert len(trajectory.snapshots) == 2
-        grid_snap = trajectory.snapshots[0]
-        assert (grid_snap.repairs, grid_snap.failures) == (0, 0)
-        assert grid_snap.inspections == sum(
-            1 for age in trajectory.cycles[0].inspections if age <= 400.0
-        )
+        cycles = simulate_horizon(rng, cfg, horizon=500.0)
+        assert len(cycles) == 1
+        rows = list(snapshot_rows(cycles, [400.0]))
+        assert len(rows) == 2
+        t, repairs, inspections, failures = rows[0]
+        assert (t, repairs, failures) == (400.0, 0, 0)
+        assert inspections == sum(1 for age in cycles[0].inspections if age <= 400.0)
 
     def test_snapshot_rows_are_the_time_sorted_snapshots(self, base_config, tmp_path):
-        # grid snapshots in any order, one time twice and one at a cycle
-        # end: the rows are the stable time sort of the grid then the ends
-        trajectory = simulate_horizon(np.random.default_rng(31), base_config, horizon=1e5)
-        at_end = trajectory.repair_epochs[3]
-        grid = [counts_at(t, trajectory) for t in (9e4, at_end, 2e4, 2e4, 0.0)]
-        trajectory = dataclasses.replace(trajectory, grid_snapshots=tuple(grid))
-        totals = trajectory.cycles.totals
+        # grid times in any order, one time twice and one at a cycle end:
+        # the rows are the stable time sort of the grid snapshots then the
+        # cycle ends
+        cycles = simulate_horizon(np.random.default_rng(31), base_config, horizon=1e5)
+        totals = cycles.totals
+        grid = (9e4, float(totals.time[4]), 2e4, 2e4, 0.0)
         ends = [
-            CountSnapshot(t, i, int(totals.inspections[i]), int(totals.failures[i]))
-            for i, t in enumerate(trajectory.repair_epochs, start=1)
+            CountSnapshot(float(totals.time[i]), i, int(totals.inspections[i]),
+                          int(totals.failures[i]))
+            for i in range(1, len(cycles) + 1)
         ]
-        expected = sorted((*grid, *ends), key=lambda s: s.time)
-        assert trajectory.snapshots == tuple(expected)
+        expected = sorted((*(counts_at(t, cycles) for t in grid), *ends), key=lambda s: s.time)
+        assert [CountSnapshot(*row) for row in snapshot_rows(cycles, grid)] == expected
         path = tmp_path / "snaps.csv"
-        write_snapshots(path, trajectory.snapshot_rows())
+        write_snapshots(path, snapshot_rows(cycles, grid))
         assert path.read_text().splitlines()[1:] == [
             f"{s.time:.17g},{s.repairs},{s.inspections},{s.failures}" for s in expected
         ]
 
     def test_determinism(self, base_config):
-        t1 = simulate_horizon(np.random.default_rng(99), base_config, horizon=2e5)
-        t2 = simulate_horizon(np.random.default_rng(99), base_config, horizon=2e5)
-        assert list(t1.cycles) == list(t2.cycles)
-        assert t1.snapshots == t2.snapshots
+        c1 = simulate_horizon(np.random.default_rng(99), base_config, horizon=2e5)
+        c2 = simulate_horizon(np.random.default_rng(99), base_config, horizon=2e5)
+        assert list(c1) == list(c2)
+        assert list(snapshot_rows(c1)) == list(snapshot_rows(c2))
 
     def test_rejects_bad_horizon(self, base_config):
         with pytest.raises(ValueError):
@@ -340,8 +332,7 @@ class TestSimulateHorizon:
         # count rates against their limits within 4 sqrt(R_ii / T)
         horizon = 1e7
         rng = np.random.default_rng(17)
-        trajectory = simulate_horizon(rng, any_config, horizon=horizon)
-        final = trajectory.final_snapshot
+        final = simulate_horizon(rng, any_config, horizon=horizon).counts()
         t = final.time
         m = F.cycle_moments(any_config.sane, any_config.damage, any_config.inspection)
         rate_cov = F.count_rate_covariance(m)
@@ -354,10 +345,8 @@ class TestSimulateHorizon:
     def test_wald_failure_interarrival(self, base_config):
         # mean time between failures is mean_cycle / failure_prob
         rng = np.random.default_rng(23)
-        trajectory = simulate_horizon(rng, base_config, horizon=1e7)
-        epochs = np.asarray(trajectory.repair_epochs)
-        failed = np.array([c.failed for c in trajectory.cycles])
-        fail_times = epochs[failed]
+        cycles = simulate_horizon(rng, base_config, horizon=1e7)
+        fail_times = cycles.totals.time[1:][cycles.failed]
         gaps = np.diff(np.concatenate(([0.0], fail_times)))
         m = F.cycle_moments(base_config.sane, base_config.damage, base_config.inspection)
         expected = m.mean_cycle / m.failure_prob
@@ -370,7 +359,7 @@ class TestSimulateHorizon:
         # within 5%, failures within 10%
         cfg = make_config()
         rng = np.random.default_rng(2)
-        final = simulate_horizon(rng, cfg, horizon=5e7).final_snapshot
+        final = simulate_horizon(rng, cfg, horizon=5e7).counts()
         assert abs(final.repairs - 33501) / 33501 < 0.05
         assert abs(final.failures - 8255) / 8255 < 0.10
         assert abs(final.inspections - 53116) / 53116 < 0.05
@@ -378,83 +367,82 @@ class TestSimulateHorizon:
     def test_reconstruction_from_cycles(self, any_config):
         rng = np.random.default_rng(31)
         grid = [2e4, 5e4, 9e4]
-        trajectory = simulate_horizon(rng, any_config, horizon=1e5, grid=grid)
-        assert len(trajectory.snapshots) == len(trajectory.cycles) + len(grid)
-        times = [s.time for s in trajectory.snapshots]
+        cycles = simulate_horizon(rng, any_config, horizon=1e5)
+        snapshots = [CountSnapshot(*row) for row in snapshot_rows(cycles, grid)]
+        assert len(snapshots) == len(cycles) + len(grid)
+        times = [s.time for s in snapshots]
         assert times == sorted(times)
-        epochs = trajectory.repair_epochs
-        for snap in trajectory.snapshots:
-            done = [c for c, e in zip(trajectory.cycles, epochs) if e <= snap.time]
+        epochs = cycles.totals.time[1:].tolist()
+        for snap in snapshots:
+            done = [c for c, e in zip(cycles, epochs) if e <= snap.time]
             assert snap.repairs == len(done)
             assert snap.failures == sum(1 for c in done if c.failed)
             planned_tail = 0
-            if snap.repairs < len(trajectory.cycles):
+            if snap.repairs < len(cycles):
                 last = epochs[snap.repairs - 1] if snap.repairs else 0.0
-                nxt = trajectory.cycles[snap.repairs]
+                nxt = cycles[snap.repairs]
                 planned_tail = sum(1 for a in nxt.inspections if a <= snap.time - last)
             assert snap.inspections == sum(c.inspection_count for c in done) + planned_tail
 
 
 class TestAgeAndIndex:
+    """The age of the repair process and the planned inspections elapsed
+    in the open cycle, as counts_at reads them from a hand-built batch: a
+    failed cycle of length 1500 charged two inspections, then a detected
+    one of length 3000 with inspections at ages 1000, 2000 and 3000."""
+
+    CYCLES = [_cycle(1500.0, [1000.0, 2000.0], failed=True, count=2),
+              _cycle(3000.0, [1000.0, 2000.0, 3000.0], failed=False)]
+
+    @staticmethod
+    def _counts(t, records):
+        snap = counts_at(t, batch_of(records))
+        return snap.repairs, snap.inspections, snap.failures
+
     def test_at_repair_epoch(self):
-        cfg = make_config()
-        cycles = [_cycle(1500.0, [1000.0, 2000.0], failed=True, count=2),
-                  _cycle(3000.0, [1000.0, 2000.0, 3000.0], failed=False)]
-        trajectory = _manual_trajectory(cycles, cfg)
-        assert age_and_index(1500.0, trajectory) == (0.0, 0)
+        # age 0: the first cycle is complete, nothing of the second elapsed
+        assert self._counts(1500.0, self.CYCLES) == (1, 2, 1)
+        assert self._counts(float(np.nextafter(1500.0, 0.0)), self.CYCLES) == (0, 1, 0)
 
     def test_open_cycle_count(self):
-        cfg = make_config()
-        cycles = [_cycle(1500.0, [1000.0, 2000.0], failed=True, count=2),
-                  _cycle(3000.0, [1000.0, 2000.0, 3000.0], failed=False)]
-        trajectory = _manual_trajectory(cycles, cfg)
-        assert age_and_index(1500.0 + 2500.0, trajectory) == (2500.0, 2)
+        # age 2500: two planned inspections of the open cycle have elapsed
+        assert self._counts(1500.0 + 2500.0, self.CYCLES) == (1, 4, 1)
 
     def test_inspection_at_the_probe_time_has_elapsed(self):
-        cfg = make_config()
-        cycles = [_cycle(1500.0, [1000.0, 2000.0], failed=True, count=2),
-                  _cycle(3000.0, [1000.0, 2000.0, 3000.0], failed=False)]
-        trajectory = _manual_trajectory(cycles, cfg)
-        assert age_and_index(2500.0, trajectory) == (1000.0, 1)
-        assert counts_at(2500.0, trajectory).inspections == 3
+        # age 1000, the open cycle's first inspection
+        assert self._counts(2500.0, self.CYCLES) == (1, 3, 1)
+        assert self._counts(float(np.nextafter(2500.0, 0.0)), self.CYCLES) == (1, 2, 1)
 
     def test_beyond_horizon_rejected(self):
-        cfg = make_config()
-        trajectory = _manual_trajectory([_cycle(1000.0, [1000.0], failed=False)], cfg)
-        with pytest.raises(ValueError):
-            age_and_index(1000.5, trajectory)
-
-    def test_counts_at_matches_age_index(self):
-        cfg = make_config()
-        cycles = [_cycle(1500.0, [1000.0, 2000.0], failed=True, count=2),
-                  _cycle(3000.0, [1000.0, 2000.0, 3000.0], failed=False)]
-        trajectory = _manual_trajectory(cycles, cfg)
-        snap = counts_at(4000.0, trajectory)
-        assert (snap.repairs, snap.inspections, snap.failures) == (1, 4, 1)
+        records = [_cycle(1000.0, [1000.0], failed=False)]
+        assert self._counts(1000.0, records) == (1, 1, 0)
+        for t in (1000.5, -1.0):
+            with pytest.raises(ValueError, match=r"outside the simulated range \[0, 1000.0\]"):
+                self._counts(t, records)
 
 
-def _brute_counts(t, trajectory):
-    """Counts and (age, elapsed) at t by walking the cycles from the start."""
+def _brute_counts(t, cycles):
+    """Counts at t by walking the cycles from the start."""
     end = 0.0
     repairs = inspections = failures = 0
-    for c in trajectory.cycles:
+    for c in cycles:
         start, end = end, end + c.length
         if end > t:
             elapsed = sum(1 for a in c.inspections if a <= t - start)
-            return (t, repairs, inspections + elapsed, failures), (t - start, elapsed)
+            return (t, repairs, inspections + elapsed, failures)
         repairs += 1
         inspections += c.inspection_count
         failures += c.failed
-    return (t, repairs, inspections, failures), (t - end, 0)
+    return (t, repairs, inspections, failures)
 
 
 class TestCountsAtPrefixSums:
-    """counts_at and age_and_index bisect into prefix sums built once per
-    trajectory; a walk over the cycles is the reference."""
+    """counts_at searches the running totals built once per batch; a walk
+    over the cycles is the reference."""
 
     @staticmethod
-    def _times(trajectory):
-        epochs = trajectory.repair_epochs
+    def _times(cycles):
+        epochs = cycles.totals.time[1:].tolist()
         times = [0.0, epochs[-1]]
         for e in epochs:
             times += [np.nextafter(e, -np.inf), e]
@@ -462,53 +450,47 @@ class TestCountsAtPrefixSums:
                 times.append(np.nextafter(e, np.inf))
         return [float(t) for t in times]
 
-    def _assert_brute(self, trajectory):
-        for t in self._times(trajectory):
-            counts, age_index = _brute_counts(t, trajectory)
-            snap = counts_at(t, trajectory)
-            assert (snap.time, snap.repairs, snap.inspections, snap.failures) == counts, t
+    def _assert_brute(self, cycles):
+        for t in self._times(cycles):
+            snap = counts_at(t, cycles)
+            assert (snap.time, snap.repairs, snap.inspections, snap.failures) == (
+                _brute_counts(t, cycles)), t
             assert all(type(v) is int for v in (snap.repairs, snap.inspections, snap.failures))
-            assert age_and_index(t, trajectory) == age_index, t
 
     def test_hand_built(self):
-        cfg = make_config()
-        cycles = [_cycle(1500.0, [1000.0, 2000.0], failed=True, count=2),
-                  _cycle(3000.0, [1000.0, 2000.0, 3000.0], failed=False),
-                  _cycle(0.1, [1000.0], failed=True),
-                  _cycle(2000.0, [1000.0, 2000.0], failed=False)]
-        trajectory = _manual_trajectory(cycles, cfg)
-        assert trajectory.repair_epochs == (1500.0, 4500.0, 4500.1, 6500.1)
-        self._assert_brute(trajectory)
+        cycles = batch_of([_cycle(1500.0, [1000.0, 2000.0], failed=True, count=2),
+                           _cycle(3000.0, [1000.0, 2000.0, 3000.0], failed=False),
+                           _cycle(0.1, [1000.0], failed=True),
+                           _cycle(2000.0, [1000.0, 2000.0], failed=False)])
+        assert cycles.totals.time.tolist() == [0.0, 1500.0, 4500.0, 4500.1, 6500.1]
+        self._assert_brute(cycles)
 
     @pytest.mark.parametrize("shape, kind", [(1, "deterministic"), (2, "uniform")])
     def test_simulated(self, shape, kind):
         cfg = make_config(shape=shape, kind=kind, seed=11)
-        trajectory = simulate_horizon(np.random.default_rng(11), cfg, horizon=3e5)
-        assert type(trajectory.repair_epochs) is tuple
-        assert len(trajectory.cycles) > 100
-        self._assert_brute(trajectory)
+        cycles = simulate_horizon(np.random.default_rng(11), cfg, horizon=3e5)
+        assert len(cycles) > 100
+        self._assert_brute(cycles)
 
     def test_built_once(self):
-        cycles = [_cycle(1500.0, [1000.0, 2000.0], failed=True, count=2),
-                  _cycle(3000.0, [1000.0, 2000.0, 3000.0], failed=False)]
-        trajectory = _manual_trajectory(cycles, make_config())
-        assert trajectory.repair_epochs is trajectory.repair_epochs
-        assert trajectory.cycles.totals is trajectory.cycles.totals
+        cycles = batch_of([_cycle(1500.0, [1000.0, 2000.0], failed=True, count=2),
+                           _cycle(3000.0, [1000.0, 2000.0, 3000.0], failed=False)])
+        assert cycles.totals is cycles.totals
 
 
 class TestCsv:
     def test_event_log_round_trip(self, tmp_path, base_config):
         rng = np.random.default_rng(8)
-        trajectory = simulate_horizon(rng, base_config, horizon=2e4)
+        cycles = simulate_horizon(rng, base_config, horizon=2e4)
         path = tmp_path / "events.csv"
-        write_event_log(path, trajectory.cycles)
+        write_event_log(path, cycles)
         text = path.read_text()
         assert text.startswith("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n")
         assert "\r" not in text
         back = read_event_log(path)
-        assert len(back) == len(trajectory.cycles)
+        assert len(back) == len(cycles)
         assert back.inspection_ages.size == 0
-        for orig, parsed in zip(trajectory.cycles, back):
+        for orig, parsed in zip(cycles, back):
             assert parsed.time_to_damage == orig.time_to_damage
             assert parsed.damage_to_failure == orig.damage_to_failure
             assert parsed.detection_age == orig.detection_age
@@ -517,16 +499,16 @@ class TestCsv:
             assert parsed.failed == orig.failed
             assert parsed.inspection_count == orig.inspection_count
             assert parsed.inspections == ()
-        assert back.counts() == trajectory.final_snapshot
+        assert back.counts() == cycles.counts()
 
     def test_snapshot_csv(self, tmp_path, base_config):
         rng = np.random.default_rng(9)
-        trajectory = simulate_horizon(rng, base_config, horizon=2e4, grid=[1e4])
+        cycles = simulate_horizon(rng, base_config, horizon=2e4)
         path = tmp_path / "snaps.csv"
-        write_snapshots(path, trajectory.snapshot_rows())
+        write_snapshots(path, snapshot_rows(cycles, [1e4]))
         lines = path.read_text().splitlines()
         assert lines[0] == "t,n_r,n_i,n_f"
-        assert len(lines) == len(trajectory.snapshots) + 1
+        assert len(lines) == len(cycles) + 2
 
     def test_seventeen_digit_times(self, tmp_path):
         cfg = make_config()
