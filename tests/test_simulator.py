@@ -420,6 +420,18 @@ class TestAgeAndIndex:
             with pytest.raises(ValueError, match=r"outside the simulated range \[0, 1000.0\]"):
                 self._counts(t, records)
 
+    def test_counts_at_matches_age_index(self):
+        # at t = 4000 the open cycle's age is 4000 - 1500 and its index is
+        # the number of stored inspection ages not past that age; the counts
+        # are the completed cycle's totals plus that index
+        t = 4000.0
+        done, open_cycle = self.CYCLES
+        age = t - done.length
+        index = sum(1 for a in open_cycle.inspections if a <= age)
+        assert (age, index) == (2500.0, 2)
+        assert self._counts(t, self.CYCLES) == (
+            1, done.inspection_count + index, int(done.failed))
+
 
 def _brute_counts(t, cycles):
     """Counts at t by walking the cycles from the start."""
