@@ -11,10 +11,13 @@ written), 3 estimation infeasible.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import math
+import os
 import sys
 import warnings
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -22,10 +25,12 @@ from .config import ConfigError, ModelConfig, config_from_values, parse_config, 
 from .estimators import (
     REPORT_HEADER,
     DegenerateDataError,
+    EstimateReport,
     NonConvergenceError,
     ObservedData,
     OutOfRangeError,
     asymptotic_estimate,
+    asymptotic_estimates,
     invert_mean_inspections,
     mle_estimate,
 )
@@ -34,7 +39,7 @@ from .oracle import MIN_SAMPLES, verification_rows, write_verification_report
 from .simulator import (
     CountSnapshot,
     CycleBatch,
-    counts_at,
+    counts_at_times,
     read_event_log,
     simulate_horizon,
     snapshot_rows,
@@ -182,13 +187,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _outputs(*paths: Optional[str]) -> Iterator[None]:
+    """Check that every output path (None for an absent one) can be
+    written before the command's work starts, and remove the files the
+    command created if it fails, so that it leaves no partial output.
+
+    An existing file is opened to append, which leaves its bytes alone
+    until the command writes it; for a new file the check asks whether
+    its directory takes new files, without creating one.  A file left
+    for the writer to truncate would cost the write a flush on ext4.
+    """
+    real = {path: os.path.realpath(path) for path in paths if path is not None}
+    # the files the command creates: a dangling symlink's target, not the link
+    created = list(dict.fromkeys(r for path, r in real.items() if not os.path.exists(path)))
+    try:
+        for path, r in real.items():
+            if r not in created:
+                open(path, "a").close()
+            elif not os.access(os.path.dirname(r), os.W_OK | os.X_OK):
+                raise PermissionError(errno.EACCES, "cannot create a file there", path)
+        yield
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _to_stdout(write: Callable[[TextIO], None]) -> None:
+    """Write to stdout with ``write`` and flush it.
+
+    A reader that has gone away (the ``head`` of ``| head -1``) is not an
+    error: the rest of the output is dropped, and the stdout descriptor is
+    pointed at devnull, so the interpreter's flush at exit stays quiet.
+    """
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     seed = _require_seed(config)
-    rng = np.random.default_rng(seed)
-    cycles = simulate_horizon(rng, config)
-    write_event_log(args.events, cycles)
-    write_snapshots(args.snapshots, snapshot_rows(cycles, config.grid))
+    with _outputs(args.events, args.snapshots):
+        cycles = simulate_horizon(np.random.default_rng(seed), config)
+        write_event_log(args.events, cycles)
+        write_snapshots(args.snapshots, snapshot_rows(cycles, config.grid))
     return EXIT_OK
 
 
@@ -275,13 +333,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             "horizon": str(preset["t"]),
         }
     config = _load_config(args, defaults)
-    rows = _estimate_rows(args, config)
-    text = REPORT_HEADER + "\n" + "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _outputs(args.out):
+        text = REPORT_HEADER + "\n" + "\n".join(_estimate_rows(args, config)) + "\n"
+        if args.out:
+            _write_text(args.out, text)
+        else:
+            _to_stdout(lambda stdout: stdout.write(text))
     return EXIT_OK
 
 
@@ -297,42 +354,43 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("convergence needs a grid (config key or --grid-count)")
     _require_closed_form_shape(config)
-    rng = np.random.default_rng(seed)
-    cycles = simulate_horizon(rng, config)
-    lines = [CONVERGENCE_HEADER]
-    for t in grid:
-        lines.append(_convergence_row(t, cycles, config))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with _outputs(args.out):
+        cycles = simulate_horizon(np.random.default_rng(seed), config)
+        lines = [CONVERGENCE_HEADER, *_convergence_rows(grid, cycles, config)]
+        _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _convergence_row(t: float, cycles: CycleBatch, config: ModelConfig) -> str:
-    """One time-series row; infeasible estimates leave their fields empty
-    (before the first failure only the damage rate is reported, without
-    intervals, since the interval covariance needs both rates)."""
-    snapshot = counts_at(t, cycles)
+def _convergence_rows(grid: Sequence[float], cycles: CycleBatch, config: ModelConfig) -> list[str]:
+    """The time-series rows, every grid time estimated in one batch.
+
+    Infeasible estimates leave their fields empty: before the first
+    failure only the damage rate is reported, without intervals, since the
+    interval covariance needs both rates.
+    """
+    snapshots = counts_at_times(grid, cycles)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        reports = asymptotic_estimates(snapshots, config)
+    rows = []
+    for t, snapshot, report in zip(grid, snapshots, reports):
+        if isinstance(report, EstimateReport):
+            rows.append(
+                f"{t:.17g},{report.mu_hat:.17g},{report.lambda_hat:.17g},"
+                f"{report.ci_mu[0]:.17g},{report.ci_mu[1]:.17g},"
+                f"{report.ci_lambda[0]:.17g},{report.ci_lambda[1]:.17g}"
+            )
+            continue
+        if not isinstance(report, (OutOfRangeError, DegenerateDataError)):
+            raise report
         try:
-            report = asymptotic_estimate(snapshot, config)
+            mu_hat = invert_mean_inspections(
+                snapshot.inspections / snapshot.repairs, config.sane.shape, config.inspection
+            ) if snapshot.repairs else None
         except (OutOfRangeError, DegenerateDataError):
-            report = None
-    if report is not None:
-        return (
-            f"{t:.17g},{report.mu_hat:.17g},{report.lambda_hat:.17g},"
-            f"{report.ci_mu[0]:.17g},{report.ci_mu[1]:.17g},"
-            f"{report.ci_lambda[0]:.17g},{report.ci_lambda[1]:.17g}"
-        )
-    try:
-        mu_hat = invert_mean_inspections(
-            snapshot.inspections / snapshot.repairs, config.sane.shape, config.inspection
-        ) if snapshot.repairs else None
-    except (OutOfRangeError, DegenerateDataError, ZeroDivisionError):
-        mu_hat = None
-    if mu_hat is None:
-        return f"{t:.17g},,,,,,"
-    return f"{t:.17g},{mu_hat:.17g},,,,,"
+            mu_hat = None
+        rows.append(f"{t:.17g},,,,,," if mu_hat is None else f"{t:.17g},{mu_hat:.17g},,,,,")
+    return rows
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -341,12 +399,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.samples < MIN_SAMPLES:
         raise ConfigError(f"--samples must be at least {MIN_SAMPLES}, got {args.samples}")
     _require_closed_form_shape(config)
-    rows = verification_rows(config, args.samples, seed)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            write_verification_report(fh, rows)
-    else:
-        write_verification_report(sys.stdout, rows)
+    with _outputs(args.out):
+        rows = verification_rows(config, args.samples, seed)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                write_verification_report(fh, rows)
+        else:
+            _to_stdout(lambda stdout: write_verification_report(stdout, rows))
     return EXIT_OK if all(r.passed for r in rows) else EXIT_VERIFY_FAILED
 
 

@@ -26,14 +26,13 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from statistics import NormalDist
-from typing import Callable, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
 from .config import ModelConfig
 from .formulas import (
-    estimator_covariance,
+    _covariance_bundle,
     failure_probability,
     mean_inspections,
     window_moments,
@@ -60,12 +59,134 @@ class NonConvergenceError(RuntimeError):
 
 
 @functools.lru_cache(maxsize=64)
-def _scan_grid(lo: float, hi: float) -> np.ndarray:
-    """The scan's 64-point geometric grid over [lo, hi], built once and
-    read-only."""
-    xs = np.geomspace(lo, hi, 64)
-    xs.flags.writeable = False
-    return xs
+def _scan_grid(lo: float, hi: float) -> tuple:
+    """The scan's 64-point geometric grid over [lo, hi], as floats, built
+    once for every search that reaches it."""
+    return tuple(np.geomspace(lo, hi, 64).tolist())
+
+
+def _search(
+    target: float, lo: float, hi: float, rtol: float, atol: float, max_expand: int, trace: dict
+) -> Generator[float, float, float]:
+    """One inversion of a monotone map, as a coroutine: it yields every
+    point where it needs the map, is sent the map's value there, and
+    returns the root or raises (see :func:`invert_monotone`)."""
+    for _ in range(max_expand):
+        xs = _scan_grid(lo, hi)
+        first = (yield xs[0]) - target
+        last = (yield xs[-1]) - target
+        if first == 0.0:
+            return xs[0]
+        if first * last <= 0.0:
+            # i keeps the sign of the first point, j is the first index found
+            # that does not
+            i, j, fi, fj = 0, len(xs) - 1, first, last
+            while j - i > 1:
+                mid = (i + j) // 2
+                fm = (yield xs[mid]) - target
+                if first * fm > 0.0:
+                    i, fi = mid, fm
+                else:
+                    j, fj = mid, fm
+            break
+        lo, hi = lo / 100.0, hi * 100.0
+    else:
+        raise OutOfRangeError(
+            f"target {target!r} outside the attainable range "
+            f"[{min(first, last) + target!r}, {max(first, last) + target!r}]"
+        )
+    trace["bracket"] = (xs[i], xs[j])
+    return (yield from _chandrupatla(xs[i], xs[j], fi, fj, rtol * abs(target) + atol, trace,
+                                     target))
+
+
+def _chandrupatla(
+    a: float, b: float, fa: float, fb: float, tol: float, trace: dict, offset: float = 0.0
+) -> Generator[float, float, float]:
+    """Shrink a sign-change bracket [a, b] of g (values fa, fb) until
+    |g(x)| <= tol at its best point x, or until it spans at most about two
+    ulps of x, when x stands; a coroutine like :func:`_search`, sent the
+    values of g + ``offset``.
+
+    Chandrupatla (1997, Adv. Eng. Software 28:145): each step evaluates
+    inverse quadratic interpolation through the two bracket ends and the
+    point they last replaced where that interpolant is monotone over the
+    bracket, and the midpoint elsewhere; steps keep at least an ulp away
+    from the ends.  The first step bisects.  ``trace["iterations"]`` gets
+    the number of g evaluations made here.
+    """
+    x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+    t = 0.5
+    for iteration in range(200):
+        trace["iterations"] = iteration
+        if abs(fx) <= tol:
+            return x
+        width = abs(b - a)
+        if width <= abs(x) * 4e-16:
+            # bracket exhausted at float resolution; best point stands
+            return x
+        near = abs(x) * 2e-16 / width
+        t = min(max(t, near), 1.0 - near)
+        xt = a + t * (b - a)
+        ft = (yield xt) - offset
+        # a is always the newest point, b the other end, c the point dropped
+        if (ft > 0.0) == (fa > 0.0):
+            c, fc = a, fa
+        else:
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = xt, ft
+        x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+        xi = (a - b) / (c - b)
+        phi = (fa - fb) / (fc - fb)
+        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            t = (fa / (fb - fa) * fc / (fb - fc)
+                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+        else:
+            t = 0.5
+    if abs(fx) <= tol:
+        return x
+    raise NonConvergenceError("root refinement stalled before reaching tolerance")
+
+
+def _solve(
+    func: Callable, targets: Sequence[float], errors: list, traces: list, lo: float = 1e-8,
+    hi: float = 1e2, rtol: float = 1e-12, atol: float = 0.0, max_expand: int = 8,
+) -> list:
+    """Invert a monotone map at every target whose entry of ``errors`` is
+    None, all searches in lockstep.
+
+    Each round evaluates ``func(x, rows)`` once, at the points of every
+    search still running: ``rows`` lists their indices into ``targets``
+    and ``x`` holds their points, a float for one search and an array for
+    several, so one inversion computes in floats throughout.  Returns the
+    roots (NaN where there is none); a search's error goes to its entry of
+    ``errors`` and its bracket, iterations and evaluations to its entry of
+    ``traces``.
+    """
+    roots = [math.nan] * len(targets)
+    searches = {}
+    for k, target in enumerate(targets):
+        if errors[k] is None:
+            traces[k]["evaluations"] = 0
+            searches[k] = _search(target, lo, hi, rtol, atol, max_expand, traces[k])
+    rows, values = list(searches), [None] * len(searches)
+    while rows:
+        asking, points = [], []
+        for k, value in zip(rows, values):
+            try:
+                points.append(searches[k].send(value))
+            except StopIteration as stop:
+                roots[k] = stop.value
+            except (OutOfRangeError, NonConvergenceError) as exc:
+                errors[k] = exc
+            else:
+                asking.append(k)
+                traces[k]["evaluations"] += 1
+        rows = asking
+        if rows:
+            values = func(points[0] if len(points) == 1 else np.array(points), rows)
+            values = values.tolist() if isinstance(values, np.ndarray) else [values]
+    return roots
 
 
 def invert_monotone(
@@ -92,90 +213,51 @@ def invert_monotone(
     Raises OutOfRangeError when no bracket exists and NonConvergenceError
     when the polish stalls.  When ``trace`` is given it receives the
     bracket used, the polish iteration count and the number of func
-    evaluations.
+    evaluations.  This is :func:`_solve` on one target.
     """
-    if trace is None:
-        trace = {}
-    trace["evaluations"] = 0
-
-    def g(x: float) -> float:
-        trace["evaluations"] += 1
-        return func(x) - target
-
-    for _ in range(max_expand):
-        xs = _scan_grid(lo, hi)
-        first, last = g(xs[0]), g(xs[-1])
-        if first == 0.0:
-            return float(xs[0])
-        if first * last <= 0.0:
-            # i keeps the sign of the first point, j is the first index found
-            # that does not
-            i, j, fi, fj = 0, len(xs) - 1, first, last
-            while j - i > 1:
-                mid = (i + j) // 2
-                fm = g(xs[mid])
-                if first * fm > 0.0:
-                    i, fi = mid, fm
-                else:
-                    j, fj = mid, fm
-            break
-        lo, hi = lo / 100.0, hi * 100.0
-    else:
-        raise OutOfRangeError(
-            f"target {target!r} outside the attainable range "
-            f"[{min(first, last) + target!r}, {max(first, last) + target!r}]"
-        )
-    a, b = float(xs[i]), float(xs[j])
-    trace["bracket"] = (a, b)
-    return _chandrupatla(g, a, b, fi, fj, rtol * abs(target) + atol, trace)
+    errors = [None]
+    roots = _solve(lambda x, rows: func(x), [target], errors, [{} if trace is None else trace],
+                   lo, hi, rtol, atol, max_expand)
+    return _only(roots, errors)
 
 
-def _chandrupatla(
-    g: Callable[[float], float], a: float, b: float, fa: float, fb: float, tol: float,
-    trace: dict,
-) -> float:
-    """Shrink a sign-change bracket [a, b] of g (values fa, fb) until
-    |g(x)| <= tol at its best point x, or until it spans at most about two
-    ulps of x, when x stands.
+def _only(roots: list, errors: list) -> float:
+    """The root of a one-target solve, or its error raised."""
+    if errors[0] is not None:
+        raise errors[0]
+    return roots[0]
 
-    Chandrupatla (1997, Adv. Eng. Software 28:145): each step evaluates
-    inverse quadratic interpolation through the two bracket ends and the
-    point they last replaced where that interpolant is monotone over the
-    bracket, and the midpoint elsewhere; steps keep at least an ulp away
-    from the ends.  The first step bisects.  ``trace["iterations"]`` gets
-    the number of g evaluations made here.
-    """
-    x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-    t = 0.5
-    for iteration in range(200):
-        trace["iterations"] = iteration
-        if abs(fx) <= tol:
-            return x
-        width = abs(b - a)
-        if width <= abs(x) * 4e-16:
-            # bracket exhausted at float resolution; best point stands
-            return x
-        near = abs(x) * 2e-16 / width
-        t = min(max(t, near), 1.0 - near)
-        xt = a + t * (b - a)
-        ft = g(xt)
-        # a is always the newest point, b the other end, c the point dropped
-        if (ft > 0.0) == (fa > 0.0):
-            c, fc = a, fa
-        else:
-            c, fc, b, fb = b, fb, a, fa
-        a, fa = xt, ft
-        x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-        xi = (a - b) / (c - b)
-        phi = (fa - fb) / (fc - fb)
-        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
-            t = (fa / (fb - fa) * fc / (fb - fc)
-                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
-        else:
-            t = 0.5
-    if abs(fx) <= tol:
-        return x
-    raise NonConvergenceError("root refinement stalled before reaching tolerance")
+
+def _mean_inspection_roots(targets: Sequence[float], shape: int, insp: InspectionLaw,
+                           errors: list, traces: list) -> list:
+    """:func:`invert_mean_inspections` at every target at once."""
+    for k, t in enumerate(targets):
+        if errors[k] is None and not t > 1.0:
+            errors[k] = OutOfRangeError(f"mean inspections per cycle must exceed 1, got {t!r}")
+    return _solve(lambda mu, rows: mean_inspections(SaneLaw(shape, mu), insp), targets, errors,
+                  traces)
+
+
+def _failure_rate_roots(targets: Sequence[float], shape: int, mu: Sequence[float],
+                        insp: InspectionLaw, errors: list, traces: list) -> list:
+    """:func:`invert_failure_probability` at every target at once, target
+    k at the damage rate ``mu[k]``."""
+    for k, t in enumerate(targets):
+        if errors[k] is None and not 0.0 < t < 1.0:
+            errors[k] = DegenerateDataError(
+                "failure rate not identifiable: per-cycle failure fraction "
+                f"{t!r} is outside (0, 1)")
+
+    def func(lam, rows: list):
+        sane = SaneLaw(shape, _batch([mu[k] for k in rows]))
+        return failure_probability(sane, DamageLaw(lam), insp)
+
+    return _solve(func, targets, errors, traces, atol=1e-12, rtol=0.0)
+
+
+def _batch(values: list):
+    """A float for one value, an array for several."""
+    return values[0] if len(values) == 1 else np.array(values)
 
 
 def invert_mean_inspections(
@@ -186,31 +268,19 @@ def invert_mean_inspections(
     The map decreases from +inf (rate -> 0) to 1 (rate -> inf), so targets
     at or below 1 are rejected.
     """
-    if not target > 1.0:
-        raise OutOfRangeError(
-            f"mean inspections per cycle must exceed 1, got {target!r}"
-        )
-    return invert_monotone(
-        lambda mu: mean_inspections(SaneLaw(shape, mu), insp), target, trace=trace
-    )
+    errors = [None]
+    roots = _mean_inspection_roots([target], shape, insp, errors, [{} if trace is None else trace])
+    return _only(roots, errors)
 
 
 def invert_failure_probability(
     target: float, sane: SaneLaw, insp: InspectionLaw, trace: Optional[dict] = None
 ) -> float:
     """Failure rate whose per-cycle failure probability equals ``target``."""
-    if not 0.0 < target < 1.0:
-        raise DegenerateDataError(
-            "failure rate not identifiable: per-cycle failure fraction "
-            f"{target!r} is outside (0, 1)"
-        )
-    return invert_monotone(
-        lambda lam: failure_probability(sane, DamageLaw(lam), insp),
-        target,
-        atol=1e-12,
-        rtol=0.0,
-        trace=trace,
-    )
+    errors = [None]
+    roots = _failure_rate_roots([target], sane.shape, [sane.rate], insp, errors,
+                                [{} if trace is None else trace])
+    return _only(roots, errors)
 
 
 def failure_rate_from_cycle_identity(
@@ -289,6 +359,10 @@ def _z_quantile(confidence: float) -> float:
         raise ValueError("confidence must lie in [0, 1)")
     if confidence == 0.0:
         return 0.0
+    # imported here: `statistics` loads random, fractions and decimal,
+    # which nothing else in cbmkit needs
+    from statistics import NormalDist
+
     return NormalDist().inv_cdf(0.5 * (1.0 + confidence))
 
 
@@ -320,63 +394,121 @@ def asymptotic_estimate(
       :func:`cbmkit.formulas.estimator_covariance`).  Both estimators are
       consistent and coincide on exact inputs; the tabulated one matches
       the published rows.
+
+    This is :func:`asymptotic_estimates` on one snapshot, its error raised.
     """
+    (report,) = _estimates([snapshot], config, confidence, interval)
+    if isinstance(report, Exception):
+        raise report
+    return report
+
+
+def asymptotic_estimates(
+    snapshots: Sequence[CountSnapshot],
+    config: ModelConfig,
+    confidence: Optional[float] = None,
+    interval: str = "delta",
+) -> list:
+    """:func:`asymptotic_estimate` of every snapshot, solved as one batch.
+
+    Returns one entry per snapshot: its report, or the error its single
+    estimate raises (OutOfRangeError, DegenerateDataError,
+    NonConvergenceError, or a ValueError where the covariance is not
+    defined), returned rather than raised.  Every report equals the single
+    estimate's bit for bit, whatever else the batch holds.
+    """
+    return _estimates(snapshots, config, confidence, interval)
+
+
+def _estimates(
+    snapshots: Sequence[CountSnapshot],
+    config: ModelConfig,
+    confidence: Optional[float],
+    interval: str,
+) -> list:
     confidence = config.confidence if confidence is None else confidence
-    n_r, n_i, n_f, t = snapshot.repairs, snapshot.inspections, snapshot.failures, snapshot.time
-    if n_r < 1:
-        raise DegenerateDataError("no completed cycles: nothing to estimate")
-    if n_i <= n_r:
-        raise OutOfRangeError("mean inspections per cycle must exceed 1")
-    if n_f < 1:
-        raise DegenerateDataError("lambda not identifiable: no failures observed")
-    if n_r < 100:
-        warnings.warn(
-            f"only {n_r} cycles observed; asymptotic intervals are dubious",
-            stacklevel=2,
-        )
+    errors: list = []
+    for snap in snapshots:
+        n_r, n_i, n_f = snap.repairs, snap.inspections, snap.failures
+        if n_r < 1:
+            errors.append(DegenerateDataError("no completed cycles: nothing to estimate"))
+        elif n_i <= n_r:
+            errors.append(OutOfRangeError("mean inspections per cycle must exceed 1"))
+        elif n_f < 1:
+            errors.append(DegenerateDataError("lambda not identifiable: no failures observed"))
+        else:
+            errors.append(None)
+            if n_r < 100:
+                # stack: here, asymptotic_estimate(s), its caller
+                warnings.warn(
+                    f"only {n_r} cycles observed; asymptotic intervals are dubious",
+                    stacklevel=3,
+                )
 
     shape = config.sane.shape
     insp = config.inspection
-    mu_trace: dict = {}
-    lam_trace: dict = {}
-    mu_hat = invert_mean_inspections(n_i / n_r, shape, insp, trace=mu_trace)
+    ratios = [math.nan if e else s.inspections / s.repairs for s, e in zip(snapshots, errors)]
+    fractions = [math.nan if e else s.failures / s.repairs for s, e in zip(snapshots, errors)]
+    mu_traces: list = [{} for _ in snapshots]
+    lam_traces: list = [{} for _ in snapshots]
+    mu_hat = _mean_inspection_roots(ratios, shape, insp, errors, mu_traces)
     if interval == "tabulated":
-        lam_hat = failure_rate_from_cycle_identity(
-            n_f / n_r, mu_hat, t, n_r, shape
-        )
+        lam_hat = [math.nan] * len(snapshots)
+        for i, snap in enumerate(snapshots):
+            if errors[i] is None:
+                try:
+                    lam_hat[i] = failure_rate_from_cycle_identity(
+                        fractions[i], mu_hat[i], snap.time, snap.repairs, shape
+                    )
+                except (OutOfRangeError, DegenerateDataError) as exc:
+                    errors[i] = exc
     else:
-        lam_hat = invert_failure_probability(
-            n_f / n_r, SaneLaw(shape, mu_hat), insp, trace=lam_trace
-        )
+        lam_hat = _failure_rate_roots(fractions, shape, mu_hat, insp, errors, lam_traces)
 
-    bundle = estimator_covariance(
-        SaneLaw(shape, mu_hat), DamageLaw(lam_hat), insp, convention=interval
+    solved = [i for i, e in enumerate(errors) if e is None]
+    if not solved:
+        return errors
+    bundle, problems = _covariance_bundle(
+        SaneLaw(shape, _batch([mu_hat[i] for i in solved])),
+        DamageLaw(_batch([lam_hat[i] for i in solved])), insp, interval,
     )
     z = _z_quantile(confidence)
-    hw_mu = z * math.sqrt(bundle.param_cov[0, 0] / t)
-    hw_lam = z * math.sqrt(bundle.param_cov[1, 1] / t)
-    return EstimateReport(
-        method="AM",
-        mu_hat=mu_hat,
-        lambda_hat=lam_hat,
-        ci_mu=(mu_hat - hw_mu, mu_hat + hw_mu),
-        ci_lambda=(lam_hat - hw_lam, lam_hat + hw_lam),
-        confidence=confidence,
-        sigma2=bundle.param_cov,
-        diagnostics={
-            "interval": interval,
-            "t": t,
-            "n_r": n_r,
-            "n_i": n_i,
-            "n_f": n_f,
-            "mu_bracket": mu_trace.get("bracket"),
-            "mu_iterations": mu_trace.get("iterations"),
-            "mu_evaluations": mu_trace.get("evaluations"),
-            "lambda_bracket": lam_trace.get("bracket"),
-            "lambda_iterations": lam_trace.get("iterations"),
-            "lambda_evaluations": lam_trace.get("evaluations"),
-        },
-    )
+    results = list(errors)
+    for k, i in enumerate(solved):
+        snap, mu_trace, lam_trace = snapshots[i], mu_traces[i], lam_traces[i]
+        mu_i, lam_i, t = mu_hat[i], lam_hat[i], snap.time
+        try:
+            if problems[k] is not None:
+                raise ValueError(problems[k])
+            param_cov = bundle.param_cov if len(solved) == 1 else bundle.param_cov[k]
+            hw_mu = z * math.sqrt(param_cov[0, 0] / t)
+            hw_lam = z * math.sqrt(param_cov[1, 1] / t)
+        except ValueError as exc:
+            results[i] = exc
+            continue
+        results[i] = EstimateReport(
+            method="AM",
+            mu_hat=mu_i,
+            lambda_hat=lam_i,
+            ci_mu=(mu_i - hw_mu, mu_i + hw_mu),
+            ci_lambda=(lam_i - hw_lam, lam_i + hw_lam),
+            confidence=confidence,
+            sigma2=param_cov,
+            diagnostics={
+                "interval": interval,
+                "t": t,
+                "n_r": snap.repairs,
+                "n_i": snap.inspections,
+                "n_f": snap.failures,
+                "mu_bracket": mu_trace.get("bracket"),
+                "mu_iterations": mu_trace.get("iterations"),
+                "mu_evaluations": mu_trace.get("evaluations"),
+                "lambda_bracket": lam_trace.get("bracket"),
+                "lambda_iterations": lam_trace.get("iterations"),
+                "lambda_evaluations": lam_trace.get("evaluations"),
+            },
+        )
+    return results
 
 
 # ---------------------------------------------------------------------------

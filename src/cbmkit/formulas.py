@@ -15,6 +15,13 @@ smooth through the diagonal, so inversion and differentiation stay
 accurate there.  Both branches live in ``_indexed_series_sum`` only; the
 parameter sensitivities come from the same series carried one Taylor order
 further, not from hand-differentiated copies of it.
+
+Every closed form is elementwise over laws with arrays of rates, and
+with scalar rates the same code computes in Python floats, so a lone
+element is never boxed into an array.  Each element gets the bits it gets
+alone: sums run term by term in index order (no ``np.dot`` or ``@``, whose
+BLAS kernels sum in their own order), and ``exp``, ``expm1`` and powers
+are the C library's scalar routines, not numpy's SIMD loops.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -30,6 +38,11 @@ from .laws import (
     DamageLaw,
     InspectionLaw,
     SaneLaw,
+    _all,
+    _any,
+    _power,
+    _value,
+    _where,
     laplace_jet,
     one_minus_laplace,
 )
@@ -47,15 +60,30 @@ _DIAGONAL_TERMS = 3
 MAX_SHAPE = DERIVATIVE_CAP - _DIAGONAL_TERMS - 1
 
 
-def _near_diagonal(mu: float, lam: float, shape: int, spacing: float) -> bool:
+def _near_diagonal(mu, lam, shape: int, spacing: float):
     # The generic branch divides by (mu-lam)^shape, losing roughly
     # 16*shape/(shape+4) digits at the crossover; balancing that loss
     # against the O(((mu-lam)*spacing)^4) truncation of the resummation
     # puts the switch at |mu-lam|*spacing = 10^(-16/(shape+4)).  The
     # relative floor keeps exact near-equal inputs on the smooth branch
     # whatever the spacing.
-    width = max(EQUAL_RATE_BAND * max(mu, lam), 10.0 ** (-16.0 / (shape + 4)) / spacing)
+    width = _maximum(EQUAL_RATE_BAND * _maximum(mu, lam), 10.0 ** (-16.0 / (shape + 4)) / spacing)
     return abs(mu - lam) <= width
+
+
+def _maximum(a, b):
+    """The larger of a and b, elementwise."""
+    return _where(a >= b, a, b)
+
+
+def _elements(value) -> list:
+    """The elements of a float or an array, as a list."""
+    return value.tolist() if isinstance(value, np.ndarray) else [value]
+
+
+def _rates(*laws) -> list:
+    """The laws' rates: floats, or float arrays for arrays of rates."""
+    return [_value(law.rate) for law in laws]
 
 
 # ---------------------------------------------------------------------------
@@ -63,71 +91,74 @@ def _near_diagonal(mu: float, lam: float, shape: int, spacing: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    k = len(a)
-    out = np.zeros(k)
-    for i in range(k):
-        out[i] = np.dot(a[: i + 1], b[: i + 1][::-1])
+def _series_mul(a: list, b: list) -> list:
+    """Taylor coefficients of a product, a row per order; coefficient i sums
+    a[j] * b[i - j] over j = 0..i in that order."""
+    out = []
+    for i in range(len(a)):
+        total = a[0] * b[i]
+        for j in range(1, i + 1):
+            total = total + a[j] * b[i - j]
+        out.append(total)
     return out
 
 
-def _series_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    k = len(num)
-    out = np.zeros(k)
-    out[0] = num[0] / den[0]
-    for i in range(1, k):
-        out[i] = (num[i] - np.dot(den[1 : i + 1], out[:i][::-1])) / den[0]
+def _series_reciprocal(den: list) -> list:
+    """Taylor coefficients of 1/f from those of f: coefficient i is
+    -sum_{j=1..i} den[j] out[i - j] / den[0], the sum taken with j from i
+    down to 1."""
+    out = [1.0 / den[0]]
+    for i in range(1, len(den)):
+        total = 0.0
+        for p in range(i):
+            total = total + den[i - p] * out[p]
+        out.append(-total / den[0])
     return out
 
 
 @dataclass(frozen=True)
 class LawDerivatives:
-    """Raw derivatives at one anchor of the rational functions of L.
+    """Raw derivatives of L, 1/(1-L), L/(1-L) and L/(1-L)^2 at an anchor
+    (a float) or at an array of anchors, a row per order: a float, or an
+    array over the anchors.  ``one_minus`` is 1 - L without cancellation."""
 
-    ``inv_one_minus`` is 1/(1-L), ``gain`` is L/(1-L) and ``gain_sq`` is
-    L/(1-L)^2, each as arrays of derivatives 0..order.
-    """
-
-    anchor: float
-    laplace: np.ndarray
-    inv_one_minus: np.ndarray
-    gain: np.ndarray
-    gain_sq: np.ndarray
+    anchor: float | np.ndarray
+    laplace: tuple
+    one_minus: float | np.ndarray
+    inv_one_minus: tuple
+    gain: tuple
+    gain_sq: tuple
 
 
-# typed: a numpy scalar and an equal float keep separate entries, so a
-# caller always gets the bundle its own argument computes
-@functools.lru_cache(maxsize=32, typed=True)
-def law_derivatives(s: float, insp: InspectionLaw, order: int) -> LawDerivatives:
+def law_derivatives(s, insp: InspectionLaw, order: int) -> LawDerivatives:
     """Derivative bundle of L, 1/(1-L), L/(1-L), L/(1-L)^2 at s.
 
-    Cached per (s, insp, order): an inversion in the failure rate reuses
-    the jet at the fixed damage rate, and the moment bundle and the
-    sensitivities share theirs.  Every caller gets the same arrays, so
-    they are read-only.
+    A float anchor's bundle is cached (its rows are immutable floats): an
+    inversion in the failure rate reads the one at its fixed damage rate at
+    every step, and the moment bundle and the sensitivities share theirs.
     """
-    jet = laplace_jet(s, insp, order)
-    fact = np.array([math.factorial(i) for i in range(order + 1)], dtype=float)
-    l_taylor = np.asarray(jet.coefficients) / fact
-    den = -l_taylor
+    x = _value(s)
+    if isinstance(x, np.ndarray):
+        return _derivatives(x, insp, order)
+    return _cached_derivatives(x, insp, order)
+
+
+def _derivatives(x, insp: InspectionLaw, order: int) -> LawDerivatives:
+    laplace = laplace_jet(x, insp, order).coefficients
+    taylor = [v / math.factorial(i) for i, v in enumerate(laplace)]
     # The order-0 coefficient of 1-L is rebuilt without cancellation; the
     # higher coefficients are exact sign flips.
-    den[0] = one_minus_laplace(s, insp)
-    one = np.zeros(order + 1)
-    one[0] = 1.0
-    w = _series_div(one, den)
-    psi = _series_mul(l_taylor, w)
-    phi = _series_mul(psi, w)
-    out = LawDerivatives(
-        anchor=s,
-        laplace=np.asarray(jet.coefficients, dtype=float),
-        inv_one_minus=w * fact,
-        gain=psi * fact,
-        gain_sq=phi * fact,
-    )
-    for arr in (out.laplace, out.inv_one_minus, out.gain, out.gain_sq):
-        arr.setflags(write=False)
-    return out
+    one_minus = one_minus_laplace(x, insp)
+    w = _series_reciprocal([one_minus] + [-v for v in taylor[1:]])
+    psi = _series_mul(taylor, w)
+
+    def raw(series: list) -> tuple:
+        return tuple(v * math.factorial(i) for i, v in enumerate(series))
+
+    return LawDerivatives(x, tuple(laplace), one_minus, raw(w), raw(psi), raw(_series_mul(psi, w)))
+
+
+_cached_derivatives = functools.lru_cache(maxsize=32)(_derivatives)
 
 
 # ---------------------------------------------------------------------------
@@ -135,55 +166,72 @@ def law_derivatives(s: float, insp: InspectionLaw, order: int) -> LawDerivatives
 # ---------------------------------------------------------------------------
 
 
-def _taylor_tail(h_lam: float, h_mu: np.ndarray, mu: float, lam: float, n: int) -> float:
+def _taylor_tail(h_lam, h_mu, mu, lam, n: int):
     """h(lam) minus its Taylor polynomial of degree n - 1 about mu."""
-    acc = h_lam
-    for j in range(n):
-        acc -= (mu - lam) ** j / math.factorial(j) * (-1.0) ** j * h_mu[j]
+    acc = h_lam - h_mu[0] if n else h_lam
+    for j in range(1, n):
+        acc = acc - _power(mu - lam, j) / math.factorial(j) * (-1.0) ** j * h_mu[j]
     return acc
 
 
 def _indexed_series_sum(
     n: int,
-    mu_derivs: np.ndarray,
-    at_lam: float,
-    mu: float,
-    lam: float,
-    diagonal: bool,
-    slope_at_lam: float | None = None,
-) -> float | tuple[float, float]:
+    mu_derivs,
+    at_lam,
+    mu,
+    lam,
+    diagonal,
+    slope_at_lam=None,
+):
     """sum_k k^w E[exp(-lam D_k) * integral] = (-mu)^n h[mu (n times), lam].
 
     h is a rational function of L, ``mu_derivs`` its derivatives at mu and
     ``at_lam`` its value at lam.  Generic branch: (mu/(mu-lam))^n (h(lam) -
-    sum_{j<n} (mu-lam)^j/j! (-1)^j h^(j)(mu)).  ``diagonal`` branch
-    (chosen by the caller at the sane shape): the same analytic function,
-    resummed as mu^n (-1)^n sum_m (lam-mu)^m / (m+n)! h^(m+n)(mu).  Given
-    ``slope_at_lam`` = h'(lam), returns (value, d value / d lam).
+    sum_{j<n} (mu-lam)^j/j! (-1)^j h^(j)(mu)), which reads ``mu_derivs``
+    to order n - 1 only.  ``diagonal`` branch (chosen per element by the
+    caller at the sane shape): the same analytic function, resummed as
+    mu^n (-1)^n sum_m (lam-mu)^m / (m+n)! h^(m+n)(mu).  In a batch that
+    mixes the two, both branches are evaluated for all elements and the
+    mask picks; each may overflow or divide by zero on the other's
+    elements, harmlessly.  Given ``slope_at_lam`` = h'(lam), returns
+    (value, d value / d lam).
     """
-    if diagonal:
+
+    def resummed() -> tuple:
         eps = lam - mu
+        powers = [_power(eps, m) for m in range(_DIAGONAL_TERMS + 1)]
         total = d_total = 0.0
         for m in range(_DIAGONAL_TERMS + 1):
             fm = math.factorial(m + n)
-            total += eps**m / fm * mu_derivs[m + n]
+            total = total + powers[m] / fm * mu_derivs[m + n]
             if m >= 1:
-                d_total += m * eps ** (m - 1) / fm * mu_derivs[m + n]
-        scale = (-1.0) ** n * mu**n
-        value, slope = scale * total, scale * d_total
-    else:
-        rho = (mu / (mu - lam)) ** n
+                d_total = d_total + m * powers[m - 1] / fm * mu_derivs[m + n]
+        scale = (-1.0) ** n * _power(mu, n)
+        return scale * total, scale * d_total
+
+    def generic() -> tuple:
+        rho = _power(mu / (mu - lam), n)
         acc = _taylor_tail(at_lam, mu_derivs, mu, lam, n)
-        value = rho * acc
-        if slope_at_lam is not None:
-            d_acc = _taylor_tail(slope_at_lam, mu_derivs[1:], mu, lam, n - 1)
-            slope = rho * (n / (mu - lam) * acc + d_acc)
+        if slope_at_lam is None:
+            return rho * acc, None
+        d_acc = _taylor_tail(slope_at_lam, mu_derivs[1:], mu, lam, n - 1)
+        return rho * acc, rho * (n / (mu - lam) * acc + d_acc)
+
+    if not _any(diagonal):
+        value, slope = generic()
+    elif _all(diagonal):
+        value, slope = resummed()
+    else:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            (on, d_on), (off, d_off) = resummed(), generic()
+        value = _where(diagonal, on, off)
+        slope = None if slope_at_lam is None else _where(diagonal, d_on, d_off)
     return value if slope_at_lam is None else (value, slope)
 
 
 def inspection_series(
     sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw, kind: str = "plain"
-) -> float:
+):
     """The two Laplace-transform series over inspection indices.
 
     ``plain`` is sum_k E[exp(-lam D_k) int_0^{D_k} exp(lam t) dF_s(t)] and
@@ -193,13 +241,14 @@ def inspection_series(
     """
     if kind not in ("plain", "weighted"):
         raise ValueError(f"kind must be 'plain' or 'weighted', got {kind!r}")
-    n, mu, lam = sane.shape, sane.rate, damage.rate
+    n = sane.shape
+    mu, lam = _rates(sane, damage)
     diagonal = _near_diagonal(mu, lam, n, insp.spacing)
-    at_mu = law_derivatives(mu, insp, n + _DIAGONAL_TERMS)
+    # the generic branch reads the jet at mu to order n - 1 only
+    at_mu = law_derivatives(mu, insp, n + _DIAGONAL_TERMS if _any(diagonal) else n - 1)
     at_lam = law_derivatives(lam, insp, 0)
-    if kind == "plain":
-        return _indexed_series_sum(n, at_mu.gain, at_lam.gain[0], mu, lam, diagonal)
-    return _indexed_series_sum(n, at_mu.gain_sq, at_lam.gain_sq[0], mu, lam, diagonal)
+    h = "gain" if kind == "plain" else "gain_sq"
+    return _indexed_series_sum(n, getattr(at_mu, h), getattr(at_lam, h)[0], mu, lam, diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -207,34 +256,35 @@ def inspection_series(
 # ---------------------------------------------------------------------------
 
 
-def _taylor_mean(w: np.ndarray, mu: float, n: int) -> float:
+def _taylor_mean(w, mu, n: int):
     """sum_{i<n} mu^i/i! (-1)^i w^(i)(mu) for w = 1/(1-L)."""
-    total = 0.0
-    for i in range(n):
-        total += mu**i / math.factorial(i) * (-1.0) ** i * w[i]
+    total = w[0]
+    for i in range(1, n):
+        total = total + _power(mu, i) / math.factorial(i) * (-1.0) ** i * w[i]
     return total
 
 
-def mean_inspections(sane: SaneLaw, insp: InspectionLaw) -> float:
+def mean_inspections(sane: SaneLaw, insp: InspectionLaw):
     """Expected number of inspections charged to one cycle.
 
     Equals sum_{i<shape} mu^i/i! (-1)^i d^i/ds^i [1/(1-L)](mu); always >= 1.
     """
-    mu, n = sane.rate, sane.shape
+    n = sane.shape
+    (mu,) = _rates(sane)
     return _taylor_mean(law_derivatives(mu, insp, n - 1).inv_one_minus, mu, n)
 
 
-def failure_probability(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> float:
+def failure_probability(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw):
     """P(cycle ends in failure rather than detection).
 
     One minus the detection probability (1 - L(lam)) * plain series, which
     is exact for the absolutely continuous damage-time laws supported here.
     """
     series = inspection_series(sane, damage, insp, "plain")
-    return 1.0 - one_minus_laplace(damage.rate, insp) * series
+    return 1.0 - law_derivatives(damage.rate, insp, 0).one_minus * series
 
 
-def mean_cycle_length(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> float:
+def mean_cycle_length(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw):
     """E[cycle length] = mean damage time + failure probability / failure rate."""
     return sane.mean + failure_probability(sane, damage, insp) / damage.rate
 
@@ -246,7 +296,8 @@ def mean_cycle_length(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> 
 
 @dataclass(frozen=True)
 class CycleMoments:
-    """First and second moments of one renewal cycle.
+    """First and second moments of one renewal cycle (elementwise arrays
+    for arrays of rates).
 
     ``mean_cycle_on_failure`` is E[length * failed-indicator] (the cycle
     length equals the failure time on failure cycles) and
@@ -267,11 +318,11 @@ class CycleMoments:
 
     @property
     def var_cycle(self) -> float:
-        return self.mean_cycle_sq - self.mean_cycle**2
+        return self.mean_cycle_sq - _power(self.mean_cycle, 2)
 
     @property
     def var_inspections(self) -> float:
-        return self.mean_inspections_sq - self.mean_inspections**2
+        return self.mean_inspections_sq - _power(self.mean_inspections, 2)
 
     @property
     def var_failure(self) -> float:
@@ -279,17 +330,20 @@ class CycleMoments:
 
 
 def cycle_moments(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> CycleMoments:
-    n, mu, lam = sane.shape, sane.rate, damage.rate
+    n = sane.shape
+    mu, lam = _rates(sane, damage)
     at_mu = law_derivatives(mu, insp, n + _DIAGONAL_TERMS + 1)
     at_lam = law_derivatives(lam, insp, 1)
-    oml = one_minus_laplace(lam, insp)
+    oml = at_lam.one_minus
     l_lam = at_lam.laplace[0]
     lp_lam = at_lam.laplace[1]
 
     diagonal = _near_diagonal(mu, lam, n, insp.spacing)
     plain = _indexed_series_sum(n, at_mu.gain, at_lam.gain[0], mu, lam, diagonal)
     weighted = _indexed_series_sum(n, at_mu.gain_sq, at_lam.gain_sq[0], mu, lam, diagonal)
-    first_age = _indexed_series_sum(n, -at_mu.gain[1:], -at_lam.gain[1], mu, lam, diagonal)
+    first_age = _indexed_series_sum(
+        n, [-v for v in at_mu.gain[1:]], -at_lam.gain[1], mu, lam, diagonal
+    )
 
     detect = oml * plain
     p_fail = 1.0 - detect
@@ -300,7 +354,7 @@ def cycle_moments(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> Cycl
 
     e_k_sq = mk
     for i in range(n):
-        e_k_sq += 2.0 * mu**i / math.factorial(i) * (-1.0) ** i * at_mu.gain_sq[i]
+        e_k_sq = e_k_sq + 2.0 * _power(mu, i) / math.factorial(i) * (-1.0) ** i * at_mu.gain_sq[i]
 
     # E[inspections on detected cycles]: the weighted series collects the
     # k-th term of the detection decomposition, the geometric tail supplies
@@ -313,7 +367,7 @@ def cycle_moments(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> Cycl
     age_weighted = oml * first_age + lp_lam * detect / oml
 
     e_x_on_fail = p_fail / lam + n / mu - age_weighted
-    e_x_sq = n * (n + 1) / mu**2 + 2.0 * e_x_on_fail / lam
+    e_x_sq = n * (n + 1) / _power(mu, 2) + 2.0 * e_x_on_fail / lam
 
     cov_xi = e_x_on_fail - mx * p_fail
     cov_ki = detect * mk - e_k_detected
@@ -333,29 +387,68 @@ def cycle_moments(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> Cycl
     )
 
 
+
+
 # ---------------------------------------------------------------------------
 # Count-rate CLT matrix
 # ---------------------------------------------------------------------------
 
 
-def _rate_covariance_raw(
-    var_x: float, var_i: float, var_k: float, cov_xi: float, cov_xk: float,
-    cov_ik: float, p_fail: float, mk: float, mx: float,
-) -> np.ndarray:
+def _matrices(rows: list) -> np.ndarray:
+    """Nested lists of elementwise entries as a matrix, or as one matrix per
+    element (element axis first) for entries that are arrays."""
+    matrix = np.array(rows)
+    return matrix if matrix.ndim == 2 else np.moveaxis(matrix, -1, 0)
+
+
+def _rate_covariance(moments: CycleMoments, var_x=None, cov_xi=None) -> list:
     """Assemble the 3x3 limit covariance of (repair, failure, inspection)
-    count rates from per-cycle moments, without consistency checks."""
+    count rates from per-cycle moments (with the cycle-length variance and
+    cycle/failure covariance replaced where given), without consistency
+    checks, as nested lists of elementwise entries."""
+    var_x = moments.var_cycle if var_x is None else var_x
+    cov_xi = moments.cov_cycle_failure if cov_xi is None else cov_xi
+    var_i, var_k = moments.var_failure, moments.var_inspections
+    cov_xk, cov_ik = moments.cov_inspections_cycle, moments.cov_inspections_failure
+    p_fail, mk, mx = moments.failure_prob, moments.mean_inspections, moments.mean_cycle
+    mx_sq = _power(mx, 2)
     r11 = var_x
     r12 = p_fail * var_x - mx * cov_xi
     r13 = mk * var_x - mx * cov_xk
-    r22 = p_fail**2 * var_x - 2.0 * p_fail * mx * cov_xi + mx**2 * var_i
+    r22 = _power(p_fail, 2) * var_x - 2.0 * p_fail * mx * cov_xi + mx_sq * var_i
     r23 = (
         p_fail * mk * var_x
         - p_fail * mx * cov_xk
         - mk * mx * cov_xi
-        + mx**2 * cov_ik
+        + mx_sq * cov_ik
     )
-    r33 = mk**2 * var_x - 2.0 * mk * mx * cov_xk + mx**2 * var_k
-    return np.array([[r11, r12, r13], [r12, r22, r23], [r13, r23, r33]]) / mx**3
+    r33 = _power(mk, 2) * var_x - 2.0 * mk * mx * cov_xk + mx_sq * var_k
+    mx_cube = _power(mx, 3)
+    return [[r / mx_cube for r in row] for row in ((r11, r12, r13), (r12, r22, r23), (r13, r23, r33))]
+
+
+def _variance_problems(moments: CycleMoments) -> list:
+    """Per element, why the moments are inconsistent (a negative variance),
+    or None."""
+    tol = -1e-10
+    names = ("cycle length", "failure indicator", "inspection count")
+    negative = zip(*(_elements(v < tol * scale) for v, scale in (
+        (moments.var_cycle, moments.mean_cycle_sq),
+        (moments.var_failure, 1.0),
+        (moments.var_inspections, moments.mean_inspections_sq),
+    )))
+    # the first failing quantity names the problem
+    return [
+        next((f"inconsistent moments: negative variance of {name}"
+              for name, bad in zip(names, flags) if bad), None)
+        for flags in negative
+    ]
+
+
+def _raise_first(problems: list) -> None:
+    for problem in problems:
+        if problem is not None:
+            raise ValueError(problem)
 
 
 def count_rate_covariance(moments: CycleMoments) -> np.ndarray:
@@ -364,30 +457,11 @@ def count_rate_covariance(moments: CycleMoments) -> np.ndarray:
 
     Rows and columns are ordered (repairs, failures, inspections); entries
     are assembled from the per-cycle moments by bilinearity and scaled by
-    mean_cycle^-3.
+    mean_cycle^-3.  Moments of arrays of rates give one matrix per element
+    (element axis first).
     """
-    var_x = moments.var_cycle
-    var_i = moments.var_failure
-    var_k = moments.var_inspections
-    tol = -1e-10
-    for name, v, scale in (
-        ("cycle length", var_x, moments.mean_cycle_sq),
-        ("failure indicator", var_i, 1.0),
-        ("inspection count", var_k, moments.mean_inspections_sq),
-    ):
-        if v < tol * scale:
-            raise ValueError(f"inconsistent moments: negative variance of {name}")
-    return _rate_covariance_raw(
-        var_x,
-        var_i,
-        var_k,
-        moments.cov_cycle_failure,
-        moments.cov_inspections_cycle,
-        moments.cov_inspections_failure,
-        moments.failure_prob,
-        moments.mean_inspections,
-        moments.mean_cycle,
-    )
+    _raise_first(_variance_problems(moments))
+    return _matrices(_rate_covariance(moments))
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +498,17 @@ def parameter_sensitivities(
     branch chosen at shape n, which keeps all three uniformly accurate
     through the equal-rates diagonal for every supported shape.
     """
-    n, mu, lam = sane.shape, sane.rate, damage.rate
+    n = sane.shape
+    mu, lam = _rates(sane, damage)
     diagonal = _near_diagonal(mu, lam, n, insp.spacing)
     at_mu = law_derivatives(mu, insp, n + _DIAGONAL_TERMS + 1)
     at_lam = law_derivatives(lam, insp, 1)
-    oml = one_minus_laplace(lam, insp)
+    oml = at_lam.one_minus
     psi, psi_lam = at_mu.gain, at_lam.gain
     plain, slope = _indexed_series_sum(n, psi, psi_lam[0], mu, lam, diagonal, psi_lam[1])
     plain_next = _indexed_series_sum(n + 1, psi, psi_lam[0], mu, lam, diagonal)
     return Sensitivities(
-        dmk_dmu=(-mu) ** (n - 1) / math.factorial(n - 1) * at_mu.inv_one_minus[n],
+        dmk_dmu=_power(-mu, n - 1) / math.factorial(n - 1) * at_mu.inv_one_minus[n],
         dpd_dmu=-oml * n * (plain - plain_next) / mu,
         dpd_dlambda=at_lam.laplace[1] * plain - oml * slope,
     )
@@ -449,12 +524,70 @@ class CovarianceBundle:
     """Count-rate covariance, the estimator linearization, and their product.
 
     ``param_cov`` scales like t * Var(estimates): the confidence half-width
-    at level z is z * sqrt(param_cov[i, i] / t).
+    at level z is z * sqrt(param_cov[i, i] / t).  For arrays of rates each
+    field holds one matrix per element, element axis first.
     """
 
     counts_cov: np.ndarray
     jacobian: np.ndarray
     param_cov: np.ndarray
+
+
+def _sandwich(jac: list, cov: list) -> list:
+    """jac @ cov @ jac.T for a 2x3 and a 3x3 matrix of elementwise entries,
+    every sum in index order."""
+    left = [[jac[a][0] * cov[0][c] + jac[a][1] * cov[1][c] + jac[a][2] * cov[2][c]
+             for c in range(3)] for a in range(2)]
+    return [[left[a][0] * jac[b][0] + left[a][1] * jac[b][1] + left[a][2] * jac[b][2]
+             for b in range(2)] for a in range(2)]
+
+
+def _covariance_bundle(
+    sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw, convention: str
+) -> tuple[Optional[CovarianceBundle], list]:
+    """The bundle of :func:`estimator_covariance` at every element, and per
+    element the reason it is not defined there (None where it is); at a
+    single element where it is not defined, no bundle."""
+    if convention not in ("delta", "tabulated"):
+        raise ValueError(f"unknown convention {convention!r}")
+    moments = cycle_moments(sane, damage, insp)
+    sens = parameter_sensitivities(sane, damage, insp)
+    mx, mk, pd = moments.mean_cycle, moments.mean_inspections, moments.failure_prob
+    fp, gm, gl = sens.dmk_dmu, sens.dpd_dmu, sens.dpd_dlambda
+    problems = _variance_problems(moments) if convention == "delta" else [None] * len(
+        _elements(mx))
+    flat = _elements(abs(gl) < 1e-14 * _maximum(abs(pd), 1e-300))
+    problems = [
+        "failure rate not identifiable: flat failure probability" if f else p
+        for p, f in zip(problems, flat)
+    ]
+    if not isinstance(mx, np.ndarray) and problems[0] is not None:
+        return None, problems
+    # elements where the bundle is not defined may divide by zero here
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if convention == "delta":
+            rate_cov = _rate_covariance(moments)
+            jac = [
+                [-mx * mk / fp, 0.0 * mx, mx / fp],
+                [mx * (mk * gm / fp - pd) / gl, mx / gl, -mx * gm / (fp * gl)],
+            ]
+        else:
+            n = sane.shape
+            mu, lam = _rates(sane, damage)
+            at_lam = law_derivatives(lam, insp, 1)
+            detect = 1.0 - pd
+            on_fail = pd / lam + n / mu - at_lam.laplace[1] / at_lam.one_minus * detect
+            cov_xi = on_fail - mk * pd
+            var_x = n * (n + 1) / _power(mu, 2) + 2.0 * on_fail / lam - _power(mx, 2)
+            rate_cov = _rate_covariance(moments, var_x, cov_xi)
+            scale = mx / fp
+            jac = [
+                [scale * -mk, scale * 1.0, scale * 0.0],
+                [scale * (mk * gm / gl - pd * fp / gl), scale * (-gm / gl),
+                 scale * (fp / (mx * gl))],
+            ]
+        param_cov = _sandwich(jac, rate_cov)
+    return CovarianceBundle(_matrices(rate_cov), _matrices(jac), _matrices(param_cov)), problems
 
 
 def estimator_covariance(
@@ -479,52 +612,13 @@ def estimator_covariance(
     and failure/inspection columns transposed relative to the count
     ordering.  It is provided for reproduction only; its off-convention
     moment matrix is not checked for consistency.
+
+    For arrays of rates each field holds one matrix per element; a
+    ValueError names the first element where the bundle is not defined.
     """
-    moments = cycle_moments(sane, damage, insp)
-    sens = parameter_sensitivities(sane, damage, insp)
-    mx, mk, pd = moments.mean_cycle, moments.mean_inspections, moments.failure_prob
-    fp, gm, gl = sens.dmk_dmu, sens.dpd_dmu, sens.dpd_dlambda
-    if abs(gl) < 1e-14 * max(abs(pd), 1e-300):
-        raise ValueError("failure rate not identifiable: flat failure probability")
-
-    if convention == "delta":
-        rate_cov = count_rate_covariance(moments)
-        jac = np.array(
-            [
-                [-mx * mk / fp, 0.0, mx / fp],
-                [mx * (mk * gm / fp - pd) / gl, mx / gl, -mx * gm / (fp * gl)],
-            ]
-        )
-    elif convention == "tabulated":
-        n, mu, lam = sane.shape, sane.rate, damage.rate
-        at_lam = law_derivatives(lam, insp, 1)
-        oml = one_minus_laplace(lam, insp)
-        detect = 1.0 - pd
-        on_fail = pd / lam + n / mu - at_lam.laplace[1] / oml * detect
-        cov_xi = on_fail - mk * pd
-        var_x = n * (n + 1) / mu**2 + 2.0 * on_fail / lam - mx**2
-        rate_cov = _rate_covariance_raw(
-            var_x,
-            moments.var_failure,
-            moments.var_inspections,
-            cov_xi,
-            moments.cov_inspections_cycle,
-            moments.cov_inspections_failure,
-            pd,
-            mk,
-            mx,
-        )
-        jac = (mx / fp) * np.array(
-            [
-                [-mk, 1.0, 0.0],
-                [mk * gm / gl - pd * fp / gl, -gm / gl, fp / (mx * gl)],
-            ]
-        )
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-
-    param_cov = jac @ rate_cov @ jac.T
-    return CovarianceBundle(counts_cov=rate_cov, jacobian=jac, param_cov=param_cov)
+    bundle, problems = _covariance_bundle(sane, damage, insp, convention)
+    _raise_first(problems)
+    return bundle
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,20 @@ DETERMINISTIC = "deterministic"
 UNIFORM = "uniform"
 
 
+def _check_rate(rate) -> None:
+    # a rate may be an array of rates, one law per element, for the closed
+    # forms' elementwise evaluation
+    if not ((rate > 0.0).all() if isinstance(rate, np.ndarray) else rate > 0.0):
+        raise ValueError(f"rate must be positive, got {rate!r}")
+
+
 @dataclass(frozen=True)
 class SaneLaw:
     """Gamma law of the repair-to-damage time, rate parameterization.
 
     ``shape`` must be a positive integer so draws are exact sums of
-    exponentials and all closed forms stay polynomial in the rate.
+    exponentials and all closed forms stay polynomial in the rate.  The
+    closed forms also take an array of rates, one law per element.
     """
 
     shape: int
@@ -39,8 +47,7 @@ class SaneLaw:
     def __post_init__(self) -> None:
         if not isinstance(self.shape, int) or self.shape < 1:
             raise ValueError(f"shape must be a positive integer, got {self.shape!r}")
-        if not self.rate > 0.0:
-            raise ValueError(f"rate must be positive, got {self.rate!r}")
+        _check_rate(self.rate)
         # Integer shape >= 1 makes the law absolutely continuous: no atom at
         # zero, which the closed forms silently rely on.
 
@@ -56,8 +63,7 @@ class DamageLaw:
     rate: float
 
     def __post_init__(self) -> None:
-        if not self.rate > 0.0:
-            raise ValueError(f"rate must be positive, got {self.rate!r}")
+        _check_rate(self.rate)
 
     @property
     def mean(self) -> float:
@@ -95,21 +101,69 @@ class InspectionLaw:
 
 @dataclass(frozen=True)
 class TaylorJet:
-    """Raw derivatives ``L(s), L'(s), ..., L^(k)(s)`` at a single anchor.
+    """Raw derivatives ``L(s), L'(s), ..., L^(k)(s)`` at an anchor.
 
     Coefficients are plain derivatives, not Taylor-scaled; divide by i! to
-    get series coefficients.
+    get series coefficients.  At an array of anchors the coefficients are
+    one array, a row per order and a column per anchor.
     """
 
     anchor: float
-    coefficients: tuple[float, ...]
+    coefficients: tuple | np.ndarray
 
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
 
-    def __getitem__(self, i: int) -> float:
+    def __getitem__(self, i: int):
         return self.coefficients[i]
+
+
+def _value(s):
+    """A rate or an anchor as the closed forms compute with it: a float, or
+    a float array of several, one per element."""
+    if isinstance(s, (float, int)):
+        return float(s)
+    x = np.asarray(s, dtype=float)
+    return x if x.ndim else float(x)
+
+
+def _where(mask, a, b):
+    """``np.where`` elementwise; on a single element (a bool mask) the value
+    chosen, without boxing it into an array."""
+    if isinstance(mask, np.ndarray):
+        return np.where(mask, a, b)
+    return a if mask else b
+
+
+def _any(mask) -> bool:
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
+
+
+def _all(mask) -> bool:
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else mask
+
+
+def _libm(fn, x):
+    """``fn``, a :mod:`math` function, on a float or on every element of an
+    array: the C library's scalar bits on every CPU, where numpy's vector
+    loops round differently with and without AVX-512."""
+    if isinstance(x, np.ndarray):
+        return np.array(list(map(fn, x.tolist())), dtype=float)
+    return fn(x)
+
+
+def _power(x, p: int):
+    """x ** p elementwise with the C library's pow, as Python's float power
+    rounds (x * x is not always pow(x, 2)); p = 0 and 1 are exact.  A
+    scalar x gives a float."""
+    if not isinstance(x, np.ndarray):
+        return math.pow(x, p)
+    if p == 0:
+        return np.ones_like(x)
+    if p == 1:
+        return x
+    return np.array([math.pow(v, p) for v in x.tolist()], dtype=float)
 
 
 def survival_sane(t: float, law: SaneLaw) -> float:
@@ -156,60 +210,67 @@ def laplace(s: float, law: InspectionLaw) -> float:
     return laplace_jet(s, law, 0)[0]
 
 
-def one_minus_laplace(s: float, law: InspectionLaw) -> float:
+def one_minus_laplace(s, law: InspectionLaw):
     """1 - E[exp(-s*gap)], computed without cancellation for small s.
 
     The naive difference loses all digits once s*spacing is tiny; both
-    branches below keep every term positive.
+    branches below keep every term positive.  Accepts a scalar or an array
+    of s, elementwise.
     """
-    if s == 0.0:
-        return 0.0
+    x = _value(s)
     if law.kind == DETERMINISTIC:
-        return -math.expm1(-s * law.spacing)
+        return -_libm(math.expm1, -x * law.spacing)
     a = law.spacing - law.half_width
-    two_hs = 2.0 * law.half_width * s
-    q = -math.expm1(-two_hs) / two_hs
-    return (1.0 - q) - q * math.expm1(-s * a)
+    zero = x == 0.0
+    two_hs = 2.0 * law.half_width * _where(zero, 1.0, x)
+    q = -_libm(math.expm1, -two_hs) / two_hs
+    return _where(zero, 0.0, (1.0 - q) - q * _libm(math.expm1, -x * a))
 
 
-def laplace_jet(s: float, law: InspectionLaw, order: int) -> TaylorJet:
+def laplace_jet(s, law: InspectionLaw, order: int) -> TaylorJet:
     """Exact derivatives of the gap Laplace transform at s, orders 0..order.
 
     Deterministic gaps give (-spacing)^i * exp(-s*spacing) directly.  For
     uniform gaps, L(s) = (exp(-s(c-h)) - exp(-s(c+h))) / (2hs) and the
     derivatives follow from the Leibniz rule on the two exponentials and
-    the 1/s factor; no quadrature anywhere.
+    the 1/s factor, each derivative summed in index order; no quadrature
+    anywhere.  A scalar anchor gives a tuple of floats; at an array of
+    anchors the coefficients are one array, a row per order and a column
+    per anchor.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order > DERIVATIVE_CAP:
         raise ValueError(f"order {order} exceeds the cap {DERIVATIVE_CAP}")
-    if s == 0.0:
-        if order == 0:
-            return TaylorJet(0.0, (1.0,))
-        raise ValueError("s = 0 is only valid for order 0")
-    if s < 0.0:
-        raise ValueError("s must be nonnegative")
-
+    x = _value(s)
+    zero = x == 0.0
+    if not _all(x > 0.0):
+        if order > 0 and _any(zero):
+            raise ValueError("s = 0 is only valid for order 0")
+        if _any(x < 0.0):
+            raise ValueError("s must be nonnegative")
     if law.kind == DETERMINISTIC:
-        c = law.spacing
-        e = math.exp(-s * c)
-        return TaylorJet(s, tuple((-c) ** i * e for i in range(order + 1)))
-
-    a = law.spacing - law.half_width
-    b = law.spacing + law.half_width
-    ea = math.exp(-s * a)
-    eb = math.exp(-s * b)
-    # d^j (e^{-sa} - e^{-sb}) and d^m (1/s), combined by Leibniz.
-    diff = [(-a) ** j * ea - (-b) ** j * eb for j in range(order + 1)]
-    inv = [(-1.0) ** m * math.factorial(m) * s ** (-(m + 1)) for m in range(order + 1)]
-    coeffs = []
-    for i in range(order + 1):
-        total = 0.0
-        for j in range(i + 1):
-            total += math.comb(i, j) * diff[j] * inv[i - j]
-        coeffs.append(total / (2.0 * law.half_width))
-    return TaylorJet(s, tuple(coeffs))
+        e = _libm(math.exp, -x * law.spacing)
+        rows = [(-law.spacing) ** i * e for i in range(order + 1)]
+    else:
+        a = law.spacing - law.half_width
+        b = law.spacing + law.half_width
+        # d^j (e^{-sa} - e^{-sb}) and d^m (1/s) = (-1)^m m! s^-(m+1),
+        # combined by Leibniz; s = 0 (order 0 only) is the limit 1
+        ea, eb = _libm(math.exp, -x * a), _libm(math.exp, -x * b)
+        diff = [(-a) ** j * ea - (-b) ** j * eb for j in range(order + 1)]
+        safe = _where(zero, 1.0, x)
+        inv = [(-1.0) ** m * math.factorial(m) * _power(safe, -(m + 1)) for m in range(order + 1)]
+        rows = []
+        for i in range(order + 1):
+            total = 0.0
+            for j in range(i + 1):
+                total = total + math.comb(i, j) * diff[j] * inv[i - j]
+            rows.append(total / (2.0 * law.half_width))
+        rows[0] = _where(zero, 1.0, rows[0])
+    if isinstance(x, np.ndarray):
+        return TaylorJet(x, np.array(rows))
+    return TaylorJet(s, tuple(rows))
 
 
 def sample_sane(rng: np.random.Generator, law: SaneLaw) -> float:

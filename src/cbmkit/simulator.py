@@ -28,7 +28,7 @@ import warnings
 from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -316,18 +316,31 @@ def counts_at(t: float, cycles: CycleBatch) -> CountSnapshot:
     cycle that will end in failure is counted when the cycle completes,
     never before.
     """
+    (snapshot,) = counts_at_times([t], cycles)
+    return snapshot
+
+
+def counts_at_times(times: Sequence[float], cycles: CycleBatch) -> list[CountSnapshot]:
+    """:func:`counts_at` at every time, from one search of the running
+    totals; a time outside the batch's span raises for the first such."""
     totals = cycles.totals
     end = float(totals.time[-1])
-    if t < 0.0 or t > end:
-        raise ValueError(f"time {t} outside the simulated range [0, {end}]")
+    at = np.asarray(times, dtype=float)
+    outside = (at < 0.0) | (at > end)
+    if outside.any():
+        raise ValueError(f"time {times[int(np.argmax(outside))]} outside the simulated range [0, {end}]")
     # cycles ended at or before t; the open one started at totals.time[done]
-    done = int(np.searchsorted(totals.time, t, side="right")) - 1
+    done = np.searchsorted(totals.time, at, side="right") - 1
     offsets = totals.inspections
-    inspections = int(offsets[done])
-    if done < len(cycles):
-        schedule = cycles.inspection_ages[offsets[done]:offsets[done + 1]]
-        inspections += int(np.searchsorted(schedule, t - totals.time[done], side="right"))
-    return CountSnapshot(t, done, inspections, int(totals.failures[done]))
+    inspections = offsets[done].tolist()
+    for k in np.flatnonzero(done < len(cycles)).tolist():
+        d = done[k]
+        schedule = cycles.inspection_ages[offsets[d]:offsets[d + 1]]
+        inspections[k] += int(np.searchsorted(schedule, at[k] - totals.time[d], side="right"))
+    return [
+        CountSnapshot(t, n_r, n_i, n_f)
+        for t, n_r, n_i, n_f in zip(times, done.tolist(), inspections, totals.failures[done].tolist())
+    ]
 
 
 def snapshot_rows(
@@ -341,7 +354,7 @@ def snapshot_rows(
         totals.time[1:].tolist(), range(1, len(cycles) + 1),
         totals.inspections[1:].tolist(), totals.failures[1:].tolist(),
     )
-    at_grid = [astuple(counts_at(t, cycles)) for t in sorted(map(float, grid))]
+    at_grid = [astuple(s) for s in counts_at_times(sorted(map(float, grid)), cycles)]
     return heapq.merge(at_grid, ends, key=itemgetter(0))
 
 

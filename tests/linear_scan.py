@@ -32,7 +32,7 @@ def linear_scan_invert(
 
     for _ in range(max_expand):
         xs = np.geomspace(lo, hi, 64)
-        vals = [g(x) for x in xs]
+        vals = [g(x) for x in xs.tolist()]
         bracket = None
         for i in range(len(xs) - 1):
             if vals[i] == 0.0:
@@ -53,4 +53,11 @@ def linear_scan_invert(
     if trace is None:
         trace = {}
     trace["bracket"] = (a, b)
-    return _chandrupatla(g, a, b, fa, fb, rtol * abs(target) + atol, trace)
+    # the polish is a coroutine: it yields its points and is sent func there
+    polish = _chandrupatla(a, b, fa, fb, rtol * abs(target) + atol, trace, target)
+    try:
+        x = next(polish)
+        while True:
+            x = polish.send(func(x))
+    except StopIteration as stop:
+        return stop.value

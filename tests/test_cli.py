@@ -1,5 +1,9 @@
+import errno
 import hashlib
+import io
 import math
+import os
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from cbmkit import cli
 from cbmkit.config import ConfigError, parse_config, serialize_config
+from cbmkit.estimators import NonConvergenceError
 from cbmkit.oracle import verification_rows
 
 CONFIG_TEXT = """\
@@ -29,7 +34,7 @@ PINNED_EVENT_ROWS = {
     1: [
         (
             "AM,0.0002238960911716233,0.00019279205015376477,0.00025500013218948182,"
-            "0.00018457449503144979,9.79414907982352e-05,0.00027120749926466437,"
+            "0.00018457449503144979,9.7941490798235186e-05,0.00027120749926466442,"
             "0.94999999999999996,990198,200,997,18,1"
         ),
         (
@@ -55,13 +60,14 @@ PINNED_EVENT_ROWS = {
 
 # `convergence --grid-count 20` at horizon 2e6, seed 3, base rates: the
 # rows of TestConvergenceCommand.test_rows_pinned, by (shape, gap law),
-# recorded from the Chandrupatla count inversion; they hold with numpy's
-# AVX-512 loops switched off through NPY_DISABLE_CPU_FEATURES
+# recorded from the batched count inversion of 0.6.0 (closed forms summed
+# in index order, no BLAS); they hold with numpy's AVX-512 loops switched
+# off through NPY_DISABLE_CPU_FEATURES
 PINNED_CONVERGENCE_ROWS = {
     (1, "deterministic"): [
         (
             "100000,0.00083772840937105305,0.00037253040442375261,0.00061771135139328953,"
-            "0.0010577454673488167,0.00014545814869022303,0.00059960266015728222"
+            "0.0010577454673488165,0.00014545814869022284,0.00059960266015728243"
         ),
         (
             "200000,0.00081799738343942105,0.00051102199186670103,0.00066605755769273808,"
@@ -85,7 +91,7 @@ PINNED_CONVERGENCE_ROWS = {
         ),
         (
             "700000,0.00092168158050903563,0.00055817345583132779,0.00083332758937909005,"
-            "0.0010100355716389812,0.00045292260088536574,0.00066342431077728988"
+            "0.0010100355716389812,0.0004529226008853659,0.00066342431077728967"
         ),
         (
             "800000,0.00093110581765929856,0.00055837761336694337,0.00084783338018228917,"
@@ -117,7 +123,7 @@ PINNED_CONVERGENCE_ROWS = {
         ),
         (
             "1500000,0.00097644465469390199,0.0005388225817724335,0.00091335953537925664,"
-            "0.0010395297740085473,0.00047002149918367318,0.00060762366436119383"
+            "0.0010395297740085473,0.00047002149918367328,0.00060762366436119372"
         ),
         (
             "1600000,0.00097945683832714216,0.0005417419295886169,0.0009182415144391538,"
@@ -129,7 +135,7 @@ PINNED_CONVERGENCE_ROWS = {
         ),
         (
             "1800000,0.00097249587145258217,0.00054567947332985034,0.00091510427872852976,"
-            "0.0010298874641766346,0.00048228478308969203,0.00060907416357000859"
+            "0.0010298874641766346,0.00048228478308969208,0.00060907416357000859"
         ),
         (
             "1900000,0.00097408968611916412,0.00054734758960538557,0.00091816444263266301,"
@@ -146,16 +152,16 @@ PINNED_CONVERGENCE_ROWS = {
             "0.0011473991724968732,0.00017067016266721422,0.00091911728139613025"
         ),
         (
-            "200000,0.0008760004870551545,0.00077670090544253981,0.00073313086582128611,"
+            "200000,0.0008760004870551545,0.00077670090544253981,0.000733130865821286,"
             "0.001018870108289023,0.00043368825327277325,0.0011197135576123064"
         ),
         (
             "300000,0.00086343335539081556,0.00086679945495372489,0.00074801405595370627,"
-            "0.00097885265482792485,0.00056268095442707283,0.0011709179554803769"
+            "0.00097885265482792485,0.00056268095442707305,0.0011709179554803767"
         ),
         (
-            "400000,0.00085218017239425004,0.00079768623086382776,0.0007528686457564705,"
-            "0.00095149169903202958,0.00054768895099240717,0.0010476835107352484"
+            "400000,0.00085218017239425004,0.00079768623086406943,0.00075286864575647224,"
+            "0.00095149169903202785,0.00054768895099119763,0.0010476835107369412"
         ),
         (
             "500000,0.00089926533510485153,0.00071620687044395091,0.00080733188450821201,"
@@ -163,7 +169,7 @@ PINNED_CONVERGENCE_ROWS = {
         ),
         (
             "600000,0.00092962546161088331,0.00062870684802663029,0.00084379958604329734,"
-            "0.0010154513371784693,0.00046092280439614242,0.00079649089165711811"
+            "0.0010154513371784693,0.00046092280439614236,0.00079649089165711822"
         ),
         (
             "700000,0.00095000145316055684,0.00065629667613071338,0.0008695246060657089,"
@@ -174,16 +180,16 @@ PINNED_CONVERGENCE_ROWS = {
             "0.0010571459002783781,0.0005027541383084193,0.00079233296580429708"
         ),
         (
-            "900000,0.0010035822977655193,0.00060343681305391006,0.0009300405393654614,"
-            "0.0010771240561655772,0.00047427507834292874,0.00073259854776489138"
+            "900000,0.0010035822977655193,0.00060343681305390919,0.0009300405393654614,"
+            "0.0010771240561655772,0.00047427507834292733,0.00073259854776489106"
         ),
         (
             "1000000,0.00098705637825342537,0.00057661337847390252,0.00091796304801564316,"
-            "0.0010561497084912075,0.00045672804701427468,0.0006964987099335304"
+            "0.0010561497084912077,0.00045672804701427468,0.0006964987099335304"
         ),
         (
-            "1100000,0.00099780927981365911,0.00057717386274706004,0.00093148327514045771,"
-            "0.0010641352844868606,0.00046332027270509286,0.00069102745278902728"
+            "1100000,0.00099780927981365911,0.00057717386274706113,0.00093148327514045749,"
+            "0.0010641352844868606,0.00046332027270509454,0.00069102745278902772"
         ),
         (
             "1200000,0.00099513799531602111,0.00057900803286417796,0.00093174547241913353,"
@@ -191,15 +197,15 @@ PINNED_CONVERGENCE_ROWS = {
         ),
         (
             "1300000,0.00099521323343406787,0.00056309852048192139,0.00093427934647743701,"
-            "0.0010561471203906986,0.00045987193508483052,0.00066632510587901221"
+            "0.0010561471203906986,0.0004598719350848309,0.00066632510587901188"
         ),
         (
             "1400000,0.00098661347247405956,0.00056929430738503043,0.00092822423630715425,"
             "0.0010450027086409649,0.00046876716537743888,0.00066982144939262199"
         ),
         (
-            "1500000,0.00099086612768542665,0.00054575058887694006,0.00093426950740356724,"
-            "0.0010474627479672861,0.00045134337330965114,0.00064015780444422893"
+            "1500000,0.00099086612768542665,0.00054575058887693431,0.00093426950740356724,"
+            "0.0010474627479672861,0.00045134337330964838,0.00064015780444422025"
         ),
         (
             "1600000,0.00097605181723886829,0.00056071513780086787,0.00092178809234336808,"
@@ -207,15 +213,15 @@ PINNED_CONVERGENCE_ROWS = {
         ),
         (
             "1700000,0.00098612566538649549,0.00054469724523394222,0.00093312056593114283,"
-            "0.0010391307648418481,0.00045594451322295416,0.00063344997724493028"
+            "0.0010391307648418481,0.00045594451322295411,0.00063344997724493028"
         ),
         (
-            "1800000,0.00097761014406735208,0.00055916607007769836,0.00092639671811871251,"
+            "1800000,0.00097761014406735208,0.00055916607007769836,0.0009263967181187124,"
             "0.0010288235700159918,0.00047116435109674753,0.00064716778905864918"
         ),
         (
             "1900000,0.00097982809609026755,0.00054190866129274779,0.00092988740938551432,"
-            "0.0010297687827950208,0.00045799867034426489,0.00062581865224123063"
+            "0.0010297687827950208,0.00045799867034426538,0.0006258186522412302"
         ),
         (
             "2000000,0.00099217611898685552,0.00053742911054999664,0.00094311053457750112,"
@@ -385,8 +391,8 @@ class TestEstimateCommand:
     @pytest.mark.parametrize("shape", [1, 2])
     def test_events_rows_pinned(self, tmp_path, config_file, capsys, shape):
         # a fixed 200-cycle deterministic-gap log built by arithmetic alone;
-        # the AM rows are recorded from the Chandrupatla count inversion,
-        # the MLE rows from the Newton fit (which the AM estimate starts)
+        # the AM rows are recorded from the count inversion of 0.6.0, the
+        # MLE rows from the Newton fit (which the AM estimate starts)
         lines = ["cycle,y_s,y_d,k_r,v_s,z_d,x_r,end"]
         for i in range(200):
             y_s = 45.0 * ((i * 37) % 200) + 7.5
@@ -627,6 +633,104 @@ class TestInputErrors:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as under ``cbmkit verify | head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+class TestOutputs:
+    """Every output path is opened before the work starts, a failed command
+    leaves no partial output, and a closed stdout is not an error."""
+
+    @pytest.mark.parametrize("corrupt, expected", [(False, 0), (True, 1)], ids=["pass", "fail"])
+    def test_verify_into_a_closed_pipe(self, corrupt, expected, config_file, monkeypatch, capsys):
+        if corrupt:
+            rows = verification_rows
+            monkeypatch.setattr(cli, "verification_rows", lambda *a: rows(
+                *a, closed_overrides={"mean_cycle": 10.0}))
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code = cli.main(["verify", "--config", config_file, "--samples", "10000"])
+        assert code == expected
+        assert capsys.readouterr().err == ""
+
+    def test_estimate_into_a_closed_pipe(self, config_file, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code = cli.main(["estimate", "--config", config_file,
+                         "--counts", "33501", "53116", "8255", "50001908"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("case", ["simulate-snapshots", "simulate-events", "convergence",
+                                      "verify", "verify-missing-folder"])
+    def test_unusable_path_fails_before_the_work(self, case, config_file, tmp_path,
+                                                 monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the work started before the output paths were checked")
+
+        monkeypatch.setattr(cli, "simulate_horizon", never)
+        monkeypatch.setattr(cli, "verification_rows", never)
+        events, snapshots = str(tmp_path / "ev.csv"), str(tmp_path / "sn.csv")
+        argv = {
+            "simulate-snapshots": ["simulate", "--events", events, "--snapshots", str(tmp_path)],
+            "simulate-events": ["simulate", "--events", str(tmp_path), "--snapshots", snapshots],
+            "convergence": ["convergence", "--grid-count", "5", "--out", str(tmp_path)],
+            "verify": ["verify", "--samples", "20000", "--out", str(tmp_path)],
+            "verify-missing-folder": ["verify", "--samples", "20000",
+                                      "--out", str(tmp_path / "missing" / "report.csv")],
+        }[case]
+        code = cli.main(argv + ["--config", config_file])
+        err = capsys.readouterr().err
+        TestInputErrors._assert_one_line_config_error(code, capsys, err)
+        assert str(tmp_path) in err
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+    def test_check_leaves_no_file_for_the_writer(self, config_file, tmp_path, monkeypatch):
+        # the writer creates the file: truncating one the check had created
+        # makes ext4 flush it on close
+        out = tmp_path / "report.csv"
+        rows = verification_rows
+
+        def work(*args):
+            assert not out.exists()
+            return rows(*args)
+
+        monkeypatch.setattr(cli, "verification_rows", work)
+        code = cli.main(["verify", "--config", config_file, "--samples", "10000", "--out", str(out)])
+        assert code == 0
+        assert out.read_text().startswith("quantity,")
+
+    def test_failed_command_leaves_outputs_as_they_were(self, config_file, tmp_path,
+                                                         monkeypatch):
+        def stalls(*args, **kwargs):
+            raise NonConvergenceError("stalled")
+
+        monkeypatch.setattr(cli, "simulate_horizon", stalls)
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("old\n")
+        code = cli.main(["simulate", "--config", config_file,
+                         "--events", str(old), "--snapshots", str(new)])
+        assert code == 3
+        assert old.read_text() == "old\n"
+        assert not new.exists()
+        # a dangling symlink stays as it was, and its target is not left behind
+        link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+        link.symlink_to(target)
+        code = cli.main(["simulate", "--config", config_file,
+                         "--events", str(old), "--snapshots", str(link)])
+        assert code == 3
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert not target.exists()
+
+    def test_rewrites_an_existing_file(self, config_file, tmp_path):
+        out = tmp_path / "series.csv"
+        out.write_text("x" * 10_000)
+        assert cli.main(["convergence", "--config", config_file, "--out", str(out)]) == 0
+        assert out.read_text().startswith("t,mu_hat,")
+        assert "x" not in out.read_text()
 
 
 class TestConfigProperties:

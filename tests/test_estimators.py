@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -12,9 +12,12 @@ from cbmkit import estimators
 from cbmkit import formulas as F
 from cbmkit.estimators import (
     DegenerateDataError,
+    EstimateReport,
+    NonConvergenceError,
     ObservedData,
     OutOfRangeError,
     asymptotic_estimate,
+    asymptotic_estimates,
     censored_log_likelihood,
     failure_rate_from_cycle_identity,
     full_information_estimate,
@@ -422,6 +425,129 @@ class TestAsymptoticEstimate:
                     errors.append(abs(report.mu_hat - cfg.sane.rate))
                 medians.append(float(np.median(errors)))
         assert medians[0] > medians[1] > medians[2]
+
+
+BASE_CONFIGS = [make_config(shape=n, kind=k) for n in (1, 2) for k in ("deterministic", "uniform")]
+
+
+def _snapshots(draw_config):
+    """Snapshots of every kind a series meets: feasible counts, counts with
+    no failure (mu-only rows), counts out of range or with no cycle, and
+    exact expected counts whose failure rate sits in the equal-rates band."""
+    t = st.floats(1e5, 5e7)
+    feasible = st.builds(
+        lambda n_r, ratio, frac, t: CountSnapshot(t, n_r, round(n_r * ratio), round(n_r * frac)),
+        st.integers(100, 40000), st.floats(1.05, 4.0), st.floats(0.01, 0.6), t,
+    )
+    few = st.builds(
+        lambda n_r, extra, n_f, t: CountSnapshot(t, n_r, n_r + extra, min(n_f, n_r)),
+        st.integers(1, 99), st.integers(1, 200), st.integers(1, 30), t,
+    )
+    no_failure = st.builds(
+        lambda n_r, ratio, t: CountSnapshot(t, n_r, round(n_r * ratio), 0),
+        st.integers(1, 40000), st.floats(1.05, 4.0), t,
+    )
+    out_of_range = st.one_of(
+        st.builds(lambda n_r, t: CountSnapshot(t, n_r, n_r, 1), st.integers(1, 1000), t),
+        st.builds(lambda n_r, t: CountSnapshot(t, n_r, n_r * 10**15, 1), st.integers(1, 1000), t),
+        st.builds(lambda t: CountSnapshot(t, 0, 0, 0), t),
+    )
+
+    def band(mu, rel, n_r):
+        cfg = draw_config
+        m = F.cycle_moments(SaneLaw(cfg.sane.shape, mu), DamageLaw(mu * (1.0 + rel)),
+                            cfg.inspection)
+        return CountSnapshot(n_r * m.mean_cycle, n_r, n_r * m.mean_inspections,
+                             n_r * m.failure_prob)
+
+    equal_rates = st.builds(band, st.floats(2e-4, 3e-3), st.floats(-1e-7, 1e-7),
+                            st.integers(1000, 40000))
+    return st.one_of(feasible, few, no_failure, out_of_range, equal_rates)
+
+
+def _single(snap, cfg, interval):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return asymptotic_estimate(snap, cfg, interval=interval)
+        except (ValueError, NonConvergenceError) as exc:
+            return exc
+
+
+class TestBatchedEstimates:
+    """One batch solves every snapshot; each row must be the single
+    estimate's, bit for bit, or the same error, whatever the batch mixes."""
+
+    @seed(20261018)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_single_estimates(self, data):
+        cfg = data.draw(st.sampled_from(BASE_CONFIGS))
+        interval = data.draw(st.sampled_from(["delta", "tabulated"]))
+        snaps = data.draw(st.lists(_snapshots(cfg), min_size=1, max_size=8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            batch = asymptotic_estimates(snaps, cfg, interval=interval)
+        assert len(batch) == len(snaps)
+        for snap, row in zip(snaps, batch):
+            single = _single(snap, cfg, interval)
+            if isinstance(single, Exception):
+                assert (type(row), str(row)) == (type(single), str(single))
+                continue
+            assert isinstance(row, EstimateReport)
+            for name in ("mu_hat", "lambda_hat", "ci_mu", "ci_lambda", "diagnostics"):
+                assert getattr(row, name) == getattr(single, name), name
+            assert row.sigma2.tobytes() == single.sigma2.tobytes()
+
+    def test_equal_rates_rows_take_the_diagonal(self):
+        # the band strategy above must reach the resummation branch
+        cfg = BASE_CONFIGS[3]
+        m = F.cycle_moments(cfg.sane, DamageLaw(cfg.sane.rate), cfg.inspection)
+        snap = CountSnapshot(1e7 * m.mean_cycle, 1e7, 1e7 * m.mean_inspections,
+                             1e7 * m.failure_prob)
+        (row,) = asymptotic_estimates([snap], cfg)
+        assert F._near_diagonal(row.mu_hat, row.lambda_hat, 2, 1000.0)
+
+    def test_warns_for_each_short_snapshot(self, base_config):
+        snaps = [CountSnapshot(5e4, 30, 60, 8), CountSnapshot(5e4, 40, 90, 8)]
+        with pytest.warns(UserWarning, match="dubious") as record:
+            asymptotic_estimates(snaps, base_config)
+        assert len(record) == 2
+        assert record[0].filename == __file__
+
+    @seed(20261018)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cfg=st.sampled_from(BASE_CONFIGS),
+        mu=st.lists(st.floats(1e-6, 1e-1), min_size=2, max_size=2),
+        rel=st.lists(st.one_of(st.floats(-1e-7, 1e-7), st.floats(-0.9, 9.0)),
+                     min_size=2, max_size=2),
+    )
+    def test_maps_do_not_depend_on_the_batch(self, cfg, mu, rel):
+        # [a, b] gives the bits of [a] and [b] alone, across branches too
+        n, insp = cfg.sane.shape, cfg.inspection
+        lam = [m * (1.0 + r) for m, r in zip(mu, rel)]
+        pair = SaneLaw(n, np.array(mu)), DamageLaw(np.array(lam))
+        singles = [(SaneLaw(n, m), DamageLaw(v)) for m, v in zip(mu, lam)]
+        assert F.mean_inspections(pair[0], insp).tolist() == [
+            F.mean_inspections(s, insp) for s, _ in singles]
+        assert F.failure_probability(*pair, insp).tolist() == [
+            F.failure_probability(s, d, insp) for s, d in singles]
+        for func in (F.cycle_moments, F.parameter_sensitivities):
+            batch = func(*pair, insp)
+            for k, (s, d) in enumerate(singles):
+                one = func(s, d, insp)
+                for field in dataclasses.fields(one):
+                    assert getattr(batch, field.name)[k] == getattr(one, field.name), field.name
+        batch, problems = F._covariance_bundle(*pair, insp, "delta")
+        for k, (s, d) in enumerate(singles):
+            try:
+                one = F.estimator_covariance(s, d, insp)
+            except ValueError as exc:
+                assert problems[k] == str(exc)
+            else:
+                assert problems[k] is None
+                assert batch.param_cov[k].tobytes() == one.param_cov.tobytes()
 
 
 class TestCensoredLikelihood:

@@ -185,19 +185,35 @@ class TestCycleMoments:
 
 class TestLawDerivativesCache:
     def test_cached_arrays_are_read_only(self):
+        # a float anchor's cached bundle is shared, so its rows are tuples
         bundle = F.law_derivatives(1e-3, UNIF, 5)
-        for arr in (bundle.laplace, bundle.inv_one_minus, bundle.gain, bundle.gain_sq):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
+        for rows in (bundle.laplace, bundle.inv_one_minus, bundle.gain, bundle.gain_sq):
+            with pytest.raises(TypeError):
+                rows[0] = 0.0
 
     @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
     def test_repeated_calls_agree(self, law):
         first = F.law_derivatives(7.3e-4, law, 6)
         again = F.law_derivatives(7.3e-4, law, 6)
         assert again is first
-        fresh = F.law_derivatives.__wrapped__(7.3e-4, law, 6)
+        fresh = F._derivatives(7.3e-4, law, 6)
         for name in ("laplace", "inv_one_minus", "gain", "gain_sq"):
-            assert getattr(again, name).tobytes() == getattr(fresh, name).tobytes()
+            assert [v.hex() for v in getattr(again, name)] == [
+                v.hex() for v in getattr(fresh, name)]
+
+    @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
+    def test_array_rows_are_the_single_anchor_floats(self, law):
+        # a single anchor computes in floats, an array of anchors in rows;
+        # each column is its anchor's bundle, bit for bit
+        anchors = [7.3e-4, 1e-3, 2.5e-2]
+        batch = F.law_derivatives(np.array(anchors), law, 6)
+        for k, s in enumerate(anchors):
+            one = F.law_derivatives(s, law, 6)
+            assert type(one.one_minus) is float
+            assert batch.one_minus[k] == one.one_minus
+            for name in ("laplace", "inv_one_minus", "gain", "gain_sq"):
+                assert all(type(v) is float for v in getattr(one, name))
+                assert [row[k] for row in getattr(batch, name)] == list(getattr(one, name))
 
 
 class TestCountRateCovariance:
@@ -433,8 +449,17 @@ class TestExpPolyMoments:
 
 class TestEstimatorCovariance:
     def test_product_is_exact(self, any_config):
+        # param_cov is jacobian @ counts_cov @ jacobian.T with every sum
+        # taken in index order, whatever BLAS numpy was built with
         b = F.estimator_covariance(any_config.sane, any_config.damage, any_config.inspection)
-        assert np.array_equal(b.param_cov, b.jacobian @ b.counts_cov @ b.jacobian.T)
+        jac, cov = b.jacobian.tolist(), b.counts_cov.tolist()
+        left = [[jac[a][0] * cov[0][c] + jac[a][1] * cov[1][c] + jac[a][2] * cov[2][c]
+                 for c in range(3)] for a in range(2)]
+        expected = [[left[a][0] * jac[c][0] + left[a][1] * jac[c][1] + left[a][2] * jac[c][2]
+                     for c in range(2)] for a in range(2)]
+        assert b.param_cov.tolist() == expected
+        assert_allclose(b.param_cov, b.jacobian @ b.counts_cov @ b.jacobian.T,
+                        rtol=0, atol=1e-14 * np.abs(b.param_cov).max())
 
     def test_identity_wiring(self, any_config):
         # replacing the count covariance by the identity must give J J^T
