@@ -266,24 +266,15 @@ def _parse_counts(tokens: Sequence[str]) -> CountSnapshot:
 
 
 def _estimate_rows(args: argparse.Namespace, config: ModelConfig) -> list[str]:
-    interval = args.interval
+    interval = args.interval or ("tabulated" if args.reproduce else "delta")
+    if args.method != "mle" and not (args.reproduce or args.counts or args.events):
+        raise ConfigError("estimate needs --counts, --events or --reproduce")
+    # the AM counts: a preset's, else --counts, else the event log's
     if args.reproduce:
         preset = PUBLISHED_TABLES[args.reproduce]
-        snapshot = CountSnapshot(
-            preset["t"], preset["n_r"], preset["n_i"], preset["n_f"]
-        )
-        if interval is None:
-            interval = "tabulated"
-    elif args.counts:
-        snapshot = _parse_counts(args.counts)
-    elif args.method == "am" or args.method == "both":
-        if not args.events:
-            raise ConfigError("estimate needs --counts, --events or --reproduce")
-        snapshot = None
+        snapshot = CountSnapshot(preset["t"], preset["n_r"], preset["n_i"], preset["n_f"])
     else:
-        snapshot = None
-    if interval is None:
-        interval = "delta"
+        snapshot = _parse_counts(args.counts) if args.counts else None
 
     cycles = log_counts = None
     if args.events:
@@ -292,7 +283,7 @@ def _estimate_rows(args: argparse.Namespace, config: ModelConfig) -> list[str]:
         except ValueError as exc:
             raise ConfigError(f"{args.events}: {exc}") from None
         log_counts = cycles.counts()
-        if args.counts is None and args.reproduce is None:
+        if snapshot is None:
             snapshot = log_counts
 
     rows = []

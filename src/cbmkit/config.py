@@ -9,10 +9,10 @@ serializing then parsing is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from .laws import DETERMINISTIC, DamageLaw, InspectionLaw, SaneLaw
+from .laws import DamageLaw, InspectionLaw, SaneLaw
 
 
 class ConfigError(ValueError):
@@ -36,9 +36,6 @@ class ModelConfig:
             raise ConfigError("confidence must lie in [0, 1)")
         if any(t <= 0.0 or t > self.horizon for t in self.grid):
             raise ConfigError("grid times must lie in (0, horizon]")
-
-    def with_overrides(self, **kwargs) -> "ModelConfig":
-        return replace(self, **kwargs)
 
 
 _KEYS = (
@@ -114,22 +111,3 @@ def serialize_config(config: ModelConfig) -> str:
     ]
     return "\n".join(lines) + "\n"
 
-
-def deterministic_config(
-    shape: int = 1,
-    damage_rate: float = 5e-4,
-    sane_rate: float = 1e-3,
-    spacing: float = 1000.0,
-    horizon: float = 5e7,
-    seed: Optional[int] = None,
-    **kwargs,
-) -> ModelConfig:
-    """Convenience constructor for the common deterministic-gap setup."""
-    return ModelConfig(
-        SaneLaw(shape, sane_rate),
-        DamageLaw(damage_rate),
-        InspectionLaw(DETERMINISTIC, spacing),
-        horizon,
-        seed,
-        **kwargs,
-    )

@@ -16,8 +16,6 @@ likelihood evaluation reads them.  The fit takes Newton steps from the
 asymptotic estimate: the score and the Hessian are posterior moments of the
 damage age in each window (Louis's identity), from the same moments pass as
 the likelihood value, and the intervals invert that Hessian at the optimum.
-A fully observed variant (closed-form, uses the latent times) is provided
-for verification.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .formulas import (
     window_moments,
 )
 from .laws import DETERMINISTIC, DamageLaw, InspectionLaw, SaneLaw
-from .simulator import CountSnapshot, CycleBatch, CycleRecord
+from .simulator import CountSnapshot, CycleBatch
 
 
 class OutOfRangeError(ValueError):
@@ -372,10 +370,7 @@ def _z_quantile(confidence: float) -> float:
 
 
 def asymptotic_estimate(
-    snapshot: CountSnapshot,
-    config: ModelConfig,
-    confidence: Optional[float] = None,
-    interval: str = "delta",
+    snapshot: CountSnapshot, config: ModelConfig, interval: str = "delta"
 ) -> EstimateReport:
     """Point estimates and confidence intervals from bare counts.
 
@@ -397,17 +392,14 @@ def asymptotic_estimate(
 
     This is :func:`asymptotic_estimates` on one snapshot, its error raised.
     """
-    (report,) = _estimates([snapshot], config, confidence, interval)
+    (report,) = _estimates([snapshot], config, interval)
     if isinstance(report, Exception):
         raise report
     return report
 
 
 def asymptotic_estimates(
-    snapshots: Sequence[CountSnapshot],
-    config: ModelConfig,
-    confidence: Optional[float] = None,
-    interval: str = "delta",
+    snapshots: Sequence[CountSnapshot], config: ModelConfig, interval: str = "delta"
 ) -> list:
     """:func:`asymptotic_estimate` of every snapshot, solved as one batch.
 
@@ -417,16 +409,10 @@ def asymptotic_estimates(
     defined), returned rather than raised.  Every report equals the single
     estimate's bit for bit, whatever else the batch holds.
     """
-    return _estimates(snapshots, config, confidence, interval)
+    return _estimates(snapshots, config, interval)
 
 
-def _estimates(
-    snapshots: Sequence[CountSnapshot],
-    config: ModelConfig,
-    confidence: Optional[float],
-    interval: str,
-) -> list:
-    confidence = config.confidence if confidence is None else confidence
+def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval: str) -> list:
     errors: list = []
     for snap in snapshots:
         n_r, n_i, n_f = snap.repairs, snap.inspections, snap.failures
@@ -472,7 +458,7 @@ def _estimates(
         SaneLaw(shape, _batch([mu_hat[i] for i in solved])),
         DamageLaw(_batch([lam_hat[i] for i in solved])), insp, interval,
     )
-    z = _z_quantile(confidence)
+    z = _z_quantile(config.confidence)
     results = list(errors)
     for k, i in enumerate(solved):
         snap, mu_trace, lam_trace = snapshots[i], mu_traces[i], lam_traces[i]
@@ -492,7 +478,7 @@ def _estimates(
             lambda_hat=lam_i,
             ci_mu=(mu_i - hw_mu, mu_i + hw_mu),
             ci_lambda=(lam_i - hw_lam, lam_i + hw_lam),
-            confidence=confidence,
+            confidence=config.confidence,
             sigma2=param_cov,
             diagnostics={
                 "interval": interval,
@@ -629,9 +615,14 @@ def _rates(logs: np.ndarray) -> tuple[float, float]:
     return math.exp(logs[0]), math.exp(logs[1])
 
 
+# the Newton fit stops once a step is at most this in both log parameters,
+# and gives up after this many steps
+_STEP_TOL = 1e-10
+_MAX_STEPS = 50
+
+
 def _newton_fit(
-    data: ObservedData, shape: int, start: np.ndarray, step_tol: float = 1e-10,
-    max_iter: int = 50,
+    data: ObservedData, shape: int, start: np.ndarray
 ) -> tuple[np.ndarray, _LikelihoodTerms, int, int]:
     """Maximize the censored likelihood over (log mu, log lam) by Newton.
 
@@ -640,7 +631,7 @@ def _newton_fit(
     curvature (an EM-like step, always uphill).  Steps are capped at 1 in
     each log parameter and halved until the likelihood does not drop by more
     than its rounding.  Converged when the Newton step is at most
-    ``step_tol`` in both log parameters; returns the last evaluated point,
+    ``_STEP_TOL`` in both log parameters; returns the last evaluated point,
     its terms, the steps taken and the likelihood evaluations.
     """
 
@@ -653,7 +644,7 @@ def _newton_fit(
     evaluations = 1
     if not math.isfinite(terms.value):
         raise NonConvergenceError("censored likelihood is not finite at the start")
-    for iteration in range(max_iter):
+    for iteration in range(_MAX_STEPS):
         rates = np.array(_rates(logs))
         grad = rates * terms.score
         hess = terms.hessian * np.outer(rates, rates) + np.diag(grad)
@@ -666,7 +657,7 @@ def _newton_fit(
         else:
             step = grad / terms.complete
         size = float(np.max(np.abs(step)))
-        if size <= step_tol:
+        if size <= _STEP_TOL:
             return logs, terms, iteration, evaluations
         if size > 1.0:
             step = step / size
@@ -681,14 +672,10 @@ def _newton_fit(
         else:
             raise NonConvergenceError("Newton step found no likelihood increase")
         logs, terms = trial_logs, trial
-    raise NonConvergenceError(f"Newton iteration did not converge in {max_iter} steps")
+    raise NonConvergenceError(f"Newton iteration did not converge in {_MAX_STEPS} steps")
 
 
-def mle_estimate(
-    data: ObservedData,
-    config: ModelConfig,
-    confidence: Optional[float] = None,
-) -> EstimateReport:
+def mle_estimate(data: ObservedData, config: ModelConfig) -> EstimateReport:
     """Censored maximum likelihood over (log mu, log lam).
 
     Starts from the asymptotic estimate and takes safeguarded Newton steps
@@ -699,7 +686,6 @@ def mle_estimate(
     ``log_likelihood`` and ``score_norm`` (Euclidean norm of the score in
     the log parameters), and the start.
     """
-    confidence = config.confidence if confidence is None else confidence
     n_fail = data.fail_z.size
     n_r = n_fail + data.det_b.size
     if n_fail == 0 or n_fail == n_r:
@@ -730,7 +716,7 @@ def mle_estimate(
     if det <= 0.0 or info[0, 0] <= 0.0:
         raise NonConvergenceError("observed information is not positive definite")
     cov = np.array([[info[1, 1], -info[0, 1]], [-info[0, 1], info[0, 0]]]) / det
-    z = _z_quantile(confidence)
+    z = _z_quantile(config.confidence)
     hw_mu = z * math.sqrt(cov[0, 0])
     hw_lam = z * math.sqrt(cov[1, 1])
     return EstimateReport(
@@ -739,7 +725,7 @@ def mle_estimate(
         lambda_hat=lam_hat,
         ci_mu=(mu_hat - hw_mu, mu_hat + hw_mu),
         ci_lambda=(lam_hat - hw_lam, lam_hat + hw_lam),
-        confidence=confidence,
+        confidence=config.confidence,
         sigma2=cov * t_total,
         diagnostics={
             "iterations": iterations,
@@ -752,37 +738,3 @@ def mle_estimate(
         },
     )
 
-
-def full_information_estimate(
-    records: Sequence[CycleRecord],
-    config: ModelConfig,
-    confidence: Optional[float] = None,
-) -> EstimateReport:
-    """Oracle baseline using the latent times themselves (closed form).
-
-    With every damage time and failure delay observed, the maximizers are
-    shape * cycles / total damage time and cycles / total failure delay;
-    intervals use the exact Fisher information of those laws.  This is a
-    verification aid, not an estimator available to a real observer.
-    """
-    confidence = config.confidence if confidence is None else confidence
-    n = len(records)
-    if n == 0:
-        raise DegenerateDataError("no cycles")
-    sum_damage = sum(r.time_to_damage for r in records)
-    sum_fail = sum(r.damage_to_failure for r in records)
-    shape = config.sane.shape
-    mu_hat = shape * n / sum_damage
-    lam_hat = n / sum_fail
-    z = _z_quantile(confidence)
-    hw_mu = z * mu_hat / math.sqrt(shape * n)
-    hw_lam = z * lam_hat / math.sqrt(n)
-    return EstimateReport(
-        method="MLE",
-        mu_hat=mu_hat,
-        lambda_hat=lam_hat,
-        ci_mu=(mu_hat - hw_mu, mu_hat + hw_mu),
-        ci_lambda=(lam_hat - hw_lam, lam_hat + hw_lam),
-        confidence=confidence,
-        diagnostics={"oracle": "full-information", "n_cycles": n},
-    )

@@ -144,7 +144,7 @@ def law_derivatives(s, insp: InspectionLaw, order: int) -> LawDerivatives:
 
 
 def _derivatives(x, insp: InspectionLaw, order: int) -> LawDerivatives:
-    laplace = laplace_jet(x, insp, order).coefficients
+    laplace = laplace_jet(x, insp, order)
     taylor = [v / math.factorial(i) for i, v in enumerate(laplace)]
     # The order-0 coefficient of 1-L is rebuilt without cancellation; the
     # higher coefficients are exact sign flips.

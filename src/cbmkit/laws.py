@@ -99,26 +99,6 @@ class InspectionLaw:
         return self.spacing
 
 
-@dataclass(frozen=True)
-class TaylorJet:
-    """Raw derivatives ``L(s), L'(s), ..., L^(k)(s)`` at an anchor.
-
-    Coefficients are plain derivatives, not Taylor-scaled; divide by i! to
-    get series coefficients.  At an array of anchors the coefficients are
-    one array, a row per order and a column per anchor.
-    """
-
-    anchor: float
-    coefficients: tuple | np.ndarray
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __getitem__(self, i: int):
-        return self.coefficients[i]
-
-
 def _value(s):
     """A rate or an anchor as the closed forms compute with it: a float, or
     a float array of several, one per element."""
@@ -201,15 +181,6 @@ def density_sane(t, law: SaneLaw):
     return out if out.ndim else float(out)
 
 
-def cdf_sane(t: float, law: SaneLaw) -> float:
-    return 1.0 - survival_sane(t, law)
-
-
-def laplace(s: float, law: InspectionLaw) -> float:
-    """Laplace transform E[exp(-s * gap)] of the inspection-gap law."""
-    return laplace_jet(s, law, 0)[0]
-
-
 def one_minus_laplace(s, law: InspectionLaw):
     """1 - E[exp(-s*gap)], computed without cancellation for small s.
 
@@ -227,16 +198,16 @@ def one_minus_laplace(s, law: InspectionLaw):
     return _where(zero, 0.0, (1.0 - q) - q * _libm(math.expm1, -x * a))
 
 
-def laplace_jet(s, law: InspectionLaw, order: int) -> TaylorJet:
+def laplace_jet(s, law: InspectionLaw, order: int):
     """Exact derivatives of the gap Laplace transform at s, orders 0..order.
 
     Deterministic gaps give (-spacing)^i * exp(-s*spacing) directly.  For
     uniform gaps, L(s) = (exp(-s(c-h)) - exp(-s(c+h))) / (2hs) and the
     derivatives follow from the Leibniz rule on the two exponentials and
     the 1/s factor, each derivative summed in index order; no quadrature
-    anywhere.  A scalar anchor gives a tuple of floats; at an array of
-    anchors the coefficients are one array, a row per order and a column
-    per anchor.
+    anywhere.  The derivatives are raw, not Taylor-scaled.  A scalar
+    anchor gives a tuple of floats; an array of anchors gives one array, a
+    row per order and a column per anchor.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -268,9 +239,7 @@ def laplace_jet(s, law: InspectionLaw, order: int) -> TaylorJet:
                 total = total + math.comb(i, j) * diff[j] * inv[i - j]
             rows.append(total / (2.0 * law.half_width))
         rows[0] = _where(zero, 1.0, rows[0])
-    if isinstance(x, np.ndarray):
-        return TaylorJet(x, np.array(rows))
-    return TaylorJet(s, tuple(rows))
+    return np.array(rows) if isinstance(x, np.ndarray) else tuple(rows)
 
 
 def sample_sane(rng: np.random.Generator, law: SaneLaw) -> float:

@@ -29,6 +29,9 @@ from .simulator import simulate_cycles, simulate_horizon
 # Fewer cycles than this give meaningless standard errors.
 MIN_SAMPLES = 10_000
 
+# A comparison fails when its |z| exceeds this.
+Z_THRESHOLD = 4.0
+
 # Asymptotic two-sided Kolmogorov-Smirnov critical scales: D_crit = c / sqrt(n).
 KS_CRITICAL_SCALE = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628, 0.001: 1.949}
 
@@ -115,7 +118,6 @@ def verification_rows(
     n_samples: int,
     seed: int,
     closed_overrides: Optional[dict[str, float]] = None,
-    threshold: float = 4.0,
 ) -> list[ComparisonRow]:
     """Compare every closed form against its Monte Carlo estimate.
 
@@ -155,7 +157,7 @@ def verification_rows(
                 mc_value=est.value,
                 mc_se=est.std_err,
                 z_score=z,
-                passed=abs(z) <= threshold,
+                passed=abs(z) <= Z_THRESHOLD,
             )
         )
     return rows
@@ -179,21 +181,19 @@ def write_verification_report(out: TextIO, rows: Iterable[ComparisonRow]) -> Non
 # ---------------------------------------------------------------------------
 
 
-def mc_age_distribution(
-    config: ModelConfig, horizon: float, n_probes: int, seed: int
-) -> np.ndarray:
+def mc_age_distribution(config: ModelConfig, n_probes: int, seed: int) -> np.ndarray:
     """Ages of the repair process sampled at uniform probe times.
 
-    Probes are drawn in [horizon/2, horizon] so the process is well past
-    its transient; the simulation itself runs until the first cycle end
-    beyond the horizon.
+    Probes are drawn in the second half of the config's horizon so the
+    process is well past its transient; the simulation itself runs until
+    the first cycle end beyond the horizon.
     """
     if n_probes < 1:
         raise ValueError("need at least one probe")
     rng = np.random.default_rng(seed)
     # 0 and every repair epoch
-    starts = simulate_horizon(rng, config, horizon=horizon).totals.time
-    probes = rng.uniform(horizon / 2.0, horizon, size=n_probes)
+    starts = simulate_horizon(rng, config).totals.time
+    probes = rng.uniform(config.horizon / 2.0, config.horizon, size=n_probes)
     return probes - starts[np.searchsorted(starts, probes, side="right") - 1]
 
 

@@ -281,19 +281,15 @@ def _uniform_schedule(
     return k, detection, ages
 
 
-def simulate_horizon(
-    rng: np.random.Generator, config: ModelConfig, horizon: Optional[float] = None
-) -> CycleBatch:
+def simulate_horizon(rng: np.random.Generator, config: ModelConfig) -> CycleBatch:
     """Simulate whole cycles until their cumulative length reaches the
-    horizon, as one batch with every cycle's inspection ages.
+    config's horizon, as one batch with every cycle's inspection ages.
 
     The last cycle is the first to end at or beyond the horizon, so the
     batch's total time generally overshoots the requested horizon and the
     overshooting cycle is included in the counts.
     """
-    horizon = config.horizon if horizon is None else horizon
-    if not horizon > 0.0:
-        raise ValueError("horizon must be positive")
+    horizon = config.horizon
     blocks = []
     total = 0.0
     while total < horizon:

@@ -16,11 +16,11 @@ from cbmkit.laws import laplace_jet, one_minus_laplace
 def closed_sensitivities(sane, damage, insp):
     """(dmk/dmu, dpd/dmu, dpd/dlambda) from the explicit shape-1/2 formulas."""
     n, mu, lam = sane.shape, sane.rate, damage.rate
-    l_mu, lp, lpp, lppp = laplace_jet(mu, insp, 3).coefficients
+    l_mu, lp, lpp, lppp = laplace_jet(mu, insp, 3)
     om = one_minus_laplace(mu, insp)
     diagonal = _near_diagonal(mu, lam, n, insp.spacing)
     if not diagonal:
-        l_lam, lp_lam = laplace_jet(lam, insp, 1).coefficients
+        l_lam, lp_lam = laplace_jet(lam, insp, 1)
         d = mu - lam
 
     if n == 1:

@@ -20,7 +20,6 @@ from cbmkit.estimators import (
     asymptotic_estimates,
     censored_log_likelihood,
     failure_rate_from_cycle_identity,
-    full_information_estimate,
     invert_failure_probability,
     invert_mean_inspections,
     invert_monotone,
@@ -378,7 +377,7 @@ class TestAsymptoticEstimate:
 
     def test_zero_confidence_gives_point_interval(self, base_config):
         snap = CountSnapshot(50001908.0, 33501, 53116, 8255)
-        report = asymptotic_estimate(snap, base_config, confidence=0.0)
+        report = asymptotic_estimate(snap, dataclasses.replace(base_config, confidence=0.0))
         assert report.ci_mu == (report.mu_hat, report.mu_hat)
         assert report.ci_lambda == (report.lambda_hat, report.lambda_hat)
 
@@ -420,7 +419,7 @@ class TestAsymptoticEstimate:
             for horizon in (1e5, 1e6, 1e7):
                 errors = []
                 for _ in range(50):
-                    cycles = simulate_horizon(rng, cfg, horizon=horizon)
+                    cycles = simulate_horizon(rng, dataclasses.replace(cfg, horizon=horizon))
                     report = asymptotic_estimate(cycles.counts(), cfg)
                     errors.append(abs(report.mu_hat - cfg.sane.rate))
                 medians.append(float(np.median(errors)))
@@ -612,8 +611,8 @@ def _simulated_data(shape):
 
 def _base_run():
     """The base config (seed 22) and the observables of its 2e6 horizon."""
-    cfg = make_config(seed=22)
-    cycles = simulate_horizon(np.random.default_rng(22), cfg, horizon=2e6)
+    cfg = make_config(seed=22, horizon=2e6)
+    cycles = simulate_horizon(np.random.default_rng(22), cfg)
     return cfg, ObservedData.from_event_log_records(cycles, cfg.inspection)
 
 
@@ -704,8 +703,8 @@ class TestNewtonAgainstSimplex:
 
     @pytest.mark.parametrize("shape", [1, 2, 3, 4])
     def test_same_optimum(self, shape):
-        cfg = make_config(shape=shape, seed=31)
-        cycles = simulate_horizon(np.random.default_rng(31 + shape), cfg, horizon=2e6)
+        cfg = make_config(shape=shape, seed=31, horizon=2e6)
+        cycles = simulate_horizon(np.random.default_rng(31 + shape), cfg)
         data = ObservedData.from_event_log_records(cycles, cfg.inspection)
         report = mle_estimate(data, cfg)
         d = report.diagnostics
@@ -744,8 +743,8 @@ class TestMleEstimate:
         # the censoring windows and totals are the fields of the data set,
         # built once by its one builder and read by every likelihood
         # evaluation of a fit; the totals match the cycles exactly
-        cfg = make_config(seed=22)
-        cycles = simulate_horizon(np.random.default_rng(22), cfg, horizon=5e5)
+        cfg = make_config(seed=22, horizon=5e5)
+        cycles = simulate_horizon(np.random.default_rng(22), cfg)
         data = ObservedData.from_event_log_records(cycles, cfg.inspection)
         report = mle_estimate(data, cfg)
         # Newton from the asymptotic start: a few steps, each one pass
@@ -808,23 +807,6 @@ class TestMleEstimate:
             assert data.det_b.tolist() == [r.inspections[-1] for r in detected]
             assert data.fail_a.tolist() == [last_clean(r) for r in failed]
             assert data.fail_z.tolist() == [r.length for r in failed]
-
-
-class TestFullInformationOracle:
-    def test_matches_closed_form(self):
-        cfg = make_config(shape=2)
-        rng = np.random.default_rng(42)
-        records = [simulate_cycle(rng, cfg) for _ in range(5000)]
-        report = full_information_estimate(records, cfg)
-        n = len(records)
-        mu_closed = 2 * n / sum(r.time_to_damage for r in records)
-        lam_closed = n / sum(r.damage_to_failure for r in records)
-        assert_allclose(report.mu_hat, mu_closed, rtol=1e-12)
-        assert_allclose(report.lambda_hat, lam_closed, rtol=1e-12)
-
-    def test_empty_rejected(self, base_config):
-        with pytest.raises(DegenerateDataError):
-            full_information_estimate([], base_config)
 
 
 class TestRoundTripProperty:

@@ -12,7 +12,6 @@ from cbmkit.laws import (
     InspectionLaw,
     SaneLaw,
     cdf_inspection_gap,
-    cdf_sane,
     laplace_jet,
     one_minus_laplace,
     sample_damage,
@@ -104,7 +103,7 @@ class TestLaplaceJet:
         # coefficient i is exactly (-c)^i e^{-sc}
         jet = laplace_jet(1e-3, DET, 2)
         e = math.exp(-1.0)
-        assert jet.coefficients == (e, -1000.0 * e, 1e6 * e)
+        assert jet == (e, -1000.0 * e, 1e6 * e)
 
     def test_uniform_value(self):
         # e^{-sc} sinh(sh)/(sh) at s=1e-3, c=1000, h=100, evaluated by hand
@@ -135,7 +134,7 @@ class TestLaplaceJet:
     def test_deterministic_bit_reproducible(self):
         a = laplace_jet(7e-4, DET, 5)
         b = laplace_jet(7e-4, DET, 5)
-        assert a.coefficients == b.coefficients
+        assert a == b
 
 
 class TestOneMinusLaplace:
@@ -191,7 +190,10 @@ class TestSampling:
     @pytest.mark.parametrize(
         "draw,cdf",
         [
-            (lambda r: sample_sane(r, SaneLaw(2, 1e-3)), lambda x: cdf_sane(x, SaneLaw(2, 1e-3))),
+            (
+                lambda r: sample_sane(r, SaneLaw(2, 1e-3)),
+                lambda x: 1.0 - survival_sane(x, SaneLaw(2, 1e-3)),
+            ),
             (lambda r: sample_damage(r, DamageLaw(5e-4)), lambda x: 1.0 - math.exp(-5e-4 * x)),
             (lambda r: sample_inspection_gap(r, UNIF), lambda x: cdf_inspection_gap(x, UNIF)),
         ],
@@ -206,12 +208,21 @@ class TestSampling:
         assert stat < ks_critical(n, 0.001)
 
 
-class TestTaylorJetShape:
-    @given(order=st.integers(0, 8), s=st.floats(1e-6, 1e-1))
+class TestLaplaceJetContract:
+    @given(
+        order=st.integers(0, DERIVATIVE_CAP),
+        anchors=st.lists(st.floats(1e-6, 1e-1), min_size=1, max_size=5),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_length_is_order_plus_one(self, order, s):
+    def test_float_gives_tuple_array_gives_columns(self, order, anchors):
+        # a float anchor gives a tuple of order + 1 floats; an array of
+        # anchors one (order + 1, n) array whose columns are those tuples,
+        # bit for bit
         for law in (DET, UNIF):
-            jet = laplace_jet(s, law, order)
-            assert jet.order == order
-            assert len(jet.coefficients) == order + 1
-            assert jet.anchor == s
+            rows = laplace_jet(np.array(anchors), law, order)
+            assert isinstance(rows, np.ndarray) and rows.shape == (order + 1, len(anchors))
+            for k, s in enumerate(anchors):
+                jet = laplace_jet(s, law, order)
+                assert type(jet) is tuple and len(jet) == order + 1
+                assert all(type(v) is float for v in jet)
+                assert rows[:, k].tobytes() == np.array(jet).tobytes()

@@ -76,21 +76,22 @@ class TestVerificationRows:
 
 
 class TestAgeDistribution:
-    def test_single_probe(self, base_config):
-        ages = mc_age_distribution(base_config, horizon=1e5, n_probes=1, seed=2)
+    def test_single_probe(self):
+        ages = mc_age_distribution(make_config(horizon=1e5), n_probes=1, seed=2)
         assert ages.shape == (1,)
         assert ages[0] >= 0.0
 
-    def test_reproducible(self, base_config):
-        a = mc_age_distribution(base_config, horizon=1e5, n_probes=50, seed=2)
-        b = mc_age_distribution(base_config, horizon=1e5, n_probes=50, seed=2)
+    def test_reproducible(self):
+        cfg = make_config(horizon=1e5)
+        a = mc_age_distribution(cfg, n_probes=50, seed=2)
+        b = mc_age_distribution(cfg, n_probes=50, seed=2)
         assert np.array_equal(a, b)
 
     def test_deterministic_cycles_give_uniform_age(self):
         # huge damage rate and negligible failure rate: every cycle is one
         # full inspection interval, so the stationary age is uniform
         cfg = make_config(mu=10.0, lam=1e-12, horizon=1e6)
-        ages = mc_age_distribution(cfg, horizon=1e6, n_probes=2000, seed=8)
+        ages = mc_age_distribution(cfg, n_probes=2000, seed=8)
         assert ages.max() < 1000.0
         cdf_vals = np.minimum(np.sort(ages) / 1000.0, 1.0)
         stat = ks_statistic(np.sort(ages), cdf_vals)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ class TestSimulateCycles:
     def test_spacing_multiples_not_running_sums(self):
         # with c = 0.1 the tenth inspection sits at 10 * 0.1 == 1.0, while
         # ten repeated additions of 0.1 stop short of it
-        cfg = make_config().with_overrides(inspection=InspectionLaw("deterministic", 0.1))
+        cfg = replace(make_config(), inspection=InspectionLaw("deterministic", 0.1))
         ages = tuple(i * 0.1 for i in range(1, 11))
         assert ages[-1] == 1.0 and sum([0.1] * 10) != 1.0
         one = simulate_cycle(_ScriptedRng([0.95, 10.0]), cfg)
@@ -168,7 +169,8 @@ class TestSimulateCycles:
     def test_horizon_blocks_join_seamlessly(self, base_config):
         # long enough for several draw blocks; every end snapshot carries
         # the running totals across block boundaries
-        cycles = simulate_horizon(np.random.default_rng(BATCH_SEED), base_config, horizon=2e7)
+        cfg = replace(base_config, horizon=2e7)
+        cycles = simulate_horizon(np.random.default_rng(BATCH_SEED), cfg)
         assert len(cycles) > 2 * simulator._CHUNK
         times, repairs, inspections, failures = map(list, zip(*snapshot_rows(cycles)))
         assert times == np.cumsum([c.length for c in cycles]).tolist()
@@ -177,10 +179,10 @@ class TestSimulateCycles:
         assert failures == np.cumsum([c.failed for c in cycles]).tolist()
 
     def test_uniform_trajectory_counts_match_stored_ages(self):
-        cfg = make_config(shape=2, kind="uniform")
+        cfg = make_config(shape=2, kind="uniform", horizon=2e5)
         law = cfg.inspection
         rng = np.random.default_rng(BATCH_SEED)
-        cycles = simulate_horizon(rng, cfg, horizon=2e5)
+        cycles = simulate_horizon(rng, cfg)
         starts = cycles.totals.time[:-1].tolist()
         ends = cycles.totals.time[1:].tolist()
         for cyc in cycles:
@@ -270,7 +272,7 @@ class TestCycleBatchRows:
 class TestSimulateHorizon:
     def test_stops_at_first_cycle_end_past_horizon(self, base_config):
         rng = np.random.default_rng(3)
-        cycles = simulate_horizon(rng, base_config, horizon=1e5)
+        cycles = simulate_horizon(rng, replace(base_config, horizon=1e5))
         final = cycles.counts()
         ends = cycles.totals.time[1:]
         assert final.time == ends[-1]
@@ -288,9 +290,9 @@ class TestSimulateHorizon:
         # a horizon below the first inspection still completes one cycle
         # (the stopping rule includes the overshooting cycle); counts at
         # grid times before that cycle's end are zero
-        cfg = make_config(seed=5)
+        cfg = make_config(seed=5, horizon=500.0)
         rng = np.random.default_rng(5)
-        cycles = simulate_horizon(rng, cfg, horizon=500.0)
+        cycles = simulate_horizon(rng, cfg)
         assert len(cycles) == 1
         rows = list(snapshot_rows(cycles, [400.0]))
         assert len(rows) == 2
@@ -302,7 +304,7 @@ class TestSimulateHorizon:
         # grid times in any order, one time twice and one at a cycle end:
         # the rows are the stable time sort of the grid snapshots then the
         # cycle ends
-        cycles = simulate_horizon(np.random.default_rng(31), base_config, horizon=1e5)
+        cycles = simulate_horizon(np.random.default_rng(31), replace(base_config, horizon=1e5))
         totals = cycles.totals
         grid = (9e4, float(totals.time[4]), 2e4, 2e4, 0.0)
         ends = [
@@ -319,20 +321,21 @@ class TestSimulateHorizon:
         ]
 
     def test_determinism(self, base_config):
-        c1 = simulate_horizon(np.random.default_rng(99), base_config, horizon=2e5)
-        c2 = simulate_horizon(np.random.default_rng(99), base_config, horizon=2e5)
+        c1 = simulate_horizon(np.random.default_rng(99), replace(base_config, horizon=2e5))
+        c2 = simulate_horizon(np.random.default_rng(99), replace(base_config, horizon=2e5))
         assert list(c1) == list(c2)
         assert list(snapshot_rows(c1)) == list(snapshot_rows(c2))
 
     def test_rejects_bad_horizon(self, base_config):
+        # the config rejects it, so no bad horizon reaches the simulator
         with pytest.raises(ValueError):
-            simulate_horizon(np.random.default_rng(0), base_config, horizon=0.0)
+            simulate_horizon(np.random.default_rng(0), replace(base_config, horizon=0.0))
 
     def test_law_of_large_numbers_bands(self, any_config):
         # count rates against their limits within 4 sqrt(R_ii / T)
         horizon = 1e7
         rng = np.random.default_rng(17)
-        final = simulate_horizon(rng, any_config, horizon=horizon).counts()
+        final = simulate_horizon(rng, replace(any_config, horizon=horizon)).counts()
         t = final.time
         m = F.cycle_moments(any_config.sane, any_config.damage, any_config.inspection)
         rate_cov = F.count_rate_covariance(m)
@@ -345,7 +348,7 @@ class TestSimulateHorizon:
     def test_wald_failure_interarrival(self, base_config):
         # mean time between failures is mean_cycle / failure_prob
         rng = np.random.default_rng(23)
-        cycles = simulate_horizon(rng, base_config, horizon=1e7)
+        cycles = simulate_horizon(rng, replace(base_config, horizon=1e7))
         fail_times = cycles.totals.time[1:][cycles.failed]
         gaps = np.diff(np.concatenate(([0.0], fail_times)))
         m = F.cycle_moments(base_config.sane, base_config.damage, base_config.inspection)
@@ -359,7 +362,7 @@ class TestSimulateHorizon:
         # within 5%, failures within 10%
         cfg = make_config()
         rng = np.random.default_rng(2)
-        final = simulate_horizon(rng, cfg, horizon=5e7).counts()
+        final = simulate_horizon(rng, cfg).counts()
         assert abs(final.repairs - 33501) / 33501 < 0.05
         assert abs(final.failures - 8255) / 8255 < 0.10
         assert abs(final.inspections - 53116) / 53116 < 0.05
@@ -367,7 +370,7 @@ class TestSimulateHorizon:
     def test_reconstruction_from_cycles(self, any_config):
         rng = np.random.default_rng(31)
         grid = [2e4, 5e4, 9e4]
-        cycles = simulate_horizon(rng, any_config, horizon=1e5)
+        cycles = simulate_horizon(rng, replace(any_config, horizon=1e5))
         snapshots = [CountSnapshot(*row) for row in snapshot_rows(cycles, grid)]
         assert len(snapshots) == len(cycles) + len(grid)
         times = [s.time for s in snapshots]
@@ -479,8 +482,8 @@ class TestCountsAtPrefixSums:
 
     @pytest.mark.parametrize("shape, kind", [(1, "deterministic"), (2, "uniform")])
     def test_simulated(self, shape, kind):
-        cfg = make_config(shape=shape, kind=kind, seed=11)
-        cycles = simulate_horizon(np.random.default_rng(11), cfg, horizon=3e5)
+        cfg = make_config(shape=shape, kind=kind, seed=11, horizon=3e5)
+        cycles = simulate_horizon(np.random.default_rng(11), cfg)
         assert len(cycles) > 100
         self._assert_brute(cycles)
 
@@ -493,7 +496,7 @@ class TestCountsAtPrefixSums:
 class TestCsv:
     def test_event_log_round_trip(self, tmp_path, base_config):
         rng = np.random.default_rng(8)
-        cycles = simulate_horizon(rng, base_config, horizon=2e4)
+        cycles = simulate_horizon(rng, replace(base_config, horizon=2e4))
         path = tmp_path / "events.csv"
         write_event_log(path, cycles)
         text = path.read_text()
@@ -515,7 +518,7 @@ class TestCsv:
 
     def test_snapshot_csv(self, tmp_path, base_config):
         rng = np.random.default_rng(9)
-        cycles = simulate_horizon(rng, base_config, horizon=2e4)
+        cycles = simulate_horizon(rng, replace(base_config, horizon=2e4))
         path = tmp_path / "snaps.csv"
         write_snapshots(path, snapshot_rows(cycles, [1e4]))
         lines = path.read_text().splitlines()
