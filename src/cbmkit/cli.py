@@ -17,11 +17,11 @@ import math
 import os
 import sys
 import warnings
-from typing import Callable, Iterator, Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import ConfigError, ModelConfig, config_from_values, parse_config, serialize_config
+from .config import KEYS, ConfigError, ModelConfig, config_from_values, parse_config, serialize_config
 from .estimators import (
     REPORT_HEADER,
     DegenerateDataError,
@@ -35,7 +35,7 @@ from .estimators import (
     mle_estimate,
 )
 from .formulas import MAX_SHAPE
-from .oracle import MIN_SAMPLES, verification_rows, write_verification_report
+from .oracle import MIN_SAMPLES, verification_report, verification_rows
 from .simulator import (
     CountSnapshot,
     CycleBatch,
@@ -47,25 +47,31 @@ from .simulator import (
     write_snapshots,
 )
 
-# Published counts from the bundled reference tables; the estimate
-# --reproduce presets rerun the estimator on exactly these inputs, so no
-# simulation is needed to regenerate the table rows.
+# The run configuration and published counts of each bundled reference
+# table; the estimate --reproduce presets rerun the estimator on exactly
+# these inputs, so no simulation is needed to regenerate the table rows.
+# The rates are nominal (the estimator uses only the shape and the gap law).
+_NOMINAL = {"sane.rate": "1e-3", "damage.rate": "5e-4", "inspection.c": "1000"}
 PUBLISHED_TABLES = {
-    "table1": dict(
-        shape=1, kind="deterministic", h=0.0,
-        n_r=33501, n_i=53116, n_f=8255, t=50001908.0,
+    "table1": (
+        {**_NOMINAL, "sane.shape": "1", "inspection.kind": "deterministic",
+         "inspection.h": "0.0", "horizon": "50001908.0"},
+        CountSnapshot(50001908.0, 33501, 53116, 8255),
     ),
-    "table2": dict(
-        shape=2, kind="deterministic", h=0.0,
-        n_r=20668, n_i=51503, n_f=4369, t=50002058.0,
+    "table2": (
+        {**_NOMINAL, "sane.shape": "2", "inspection.kind": "deterministic",
+         "inspection.h": "0.0", "horizon": "50002058.0"},
+        CountSnapshot(50002058.0, 20668, 51503, 4369),
     ),
-    "table3": dict(
-        shape=1, kind="uniform", h=100.0,
-        n_r=33613, n_i=53133, n_f=8278, t=50001271.0,
+    "table3": (
+        {**_NOMINAL, "sane.shape": "1", "inspection.kind": "uniform",
+         "inspection.h": "100.0", "horizon": "50001271.0"},
+        CountSnapshot(50001271.0, 33613, 53133, 8278),
     ),
-    "table4": dict(
-        shape=2, kind="uniform", h=100.0,
-        n_r=20470, n_i=51522, n_f=4452, t=50000355.0,
+    "table4": (
+        {**_NOMINAL, "sane.shape": "2", "inspection.kind": "uniform",
+         "inspection.h": "100.0", "horizon": "50000355.0"},
+        CountSnapshot(50000355.0, 20470, 51522, 4452),
     ),
 }
 
@@ -76,23 +82,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
-_CONFIG_FLAGS = (
-    ("sane.shape", "gamma shape of the repair-to-damage law"),
-    ("sane.rate", "rate of the repair-to-damage law"),
-    ("damage.rate", "rate of the damage-to-failure law"),
-    ("inspection.kind", "deterministic or uniform"),
-    ("inspection.c", "inspection spacing"),
-    ("inspection.h", "uniform half-width"),
-    ("horizon", "simulation horizon"),
-    ("seed", "random seed (required for stochastic commands)"),
-    ("confidence", "confidence level for intervals"),
-    ("grid", "comma-separated snapshot times"),
-)
-
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a key = value config file")
-    for key, help_text in _CONFIG_FLAGS:
+    for key, help_text in KEYS.items():
         parser.add_argument(f"--{key}", dest=key.replace(".", "__"), help=help_text)
 
 
@@ -106,14 +99,11 @@ def _load_config(
                 text = fh.read()
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"{args.config}: {exc}") from None
-        base = parse_config(text)
-        values.update(
-            (k.strip(), v.strip())
-            for k, _, v in (
-                line.partition("=") for line in serialize_config(base).splitlines()
-            )
-        )
-    for key, _ in _CONFIG_FLAGS:
+        # the file is a whole config: the keys it omits take their defaults
+        for line in serialize_config(parse_config(text)).splitlines():
+            key, _, value = line.partition(" = ")
+            values[key] = value
+    for key in KEYS:
         flag = getattr(args, key.replace(".", "__"), None)
         if flag is not None:
             values[key] = flag
@@ -215,20 +205,20 @@ def _outputs(*paths: Optional[str]) -> Iterator[None]:
         raise
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _emit(path: Optional[str], text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when it is None.
 
-
-def _to_stdout(write: Callable[[TextIO], None]) -> None:
-    """Write to stdout with ``write`` and flush it.
-
-    A reader that has gone away (the ``head`` of ``| head -1``) is not an
-    error: the rest of the output is dropped, and the stdout descriptor is
-    pointed at devnull, so the interpreter's flush at exit stays quiet.
+    A reader of stdout that has gone away (the ``head`` of ``| head -1``)
+    is not an error: the rest of the output is dropped, and the stdout
+    descriptor is pointed at devnull, so the interpreter's flush at exit
+    stays quiet.
     """
+    if path is not None:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        return
     try:
-        write(sys.stdout)
+        sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
         try:
@@ -265,16 +255,15 @@ def _parse_counts(tokens: Sequence[str]) -> CountSnapshot:
     return CountSnapshot(t, n_r, n_i, n_f)
 
 
-def _estimate_rows(args: argparse.Namespace, config: ModelConfig) -> list[str]:
+def _estimate_rows(
+    args: argparse.Namespace, config: ModelConfig, snapshot: Optional[CountSnapshot]
+) -> list[str]:
     interval = args.interval or ("tabulated" if args.reproduce else "delta")
     if args.method != "mle" and not (args.reproduce or args.counts or args.events):
         raise ConfigError("estimate needs --counts, --events or --reproduce")
     # the AM counts: a preset's, else --counts, else the event log's
-    if args.reproduce:
-        preset = PUBLISHED_TABLES[args.reproduce]
-        snapshot = CountSnapshot(preset["t"], preset["n_r"], preset["n_i"], preset["n_f"])
-    else:
-        snapshot = _parse_counts(args.counts) if args.counts else None
+    if snapshot is None and args.counts:
+        snapshot = _parse_counts(args.counts)
 
     cycles = log_counts = None
     if args.events:
@@ -308,28 +297,13 @@ def _estimate_rows(args: argparse.Namespace, config: ModelConfig) -> list[str]:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    defaults = None
-    if args.reproduce:
-        # presets carry the full run configuration of the published rows,
-        # so reproduction needs no config file; the rates are nominal (the
-        # estimator uses only the shape and the gap law)
-        preset = PUBLISHED_TABLES[args.reproduce]
-        defaults = {
-            "sane.shape": str(preset["shape"]),
-            "sane.rate": "1e-3",
-            "damage.rate": "5e-4",
-            "inspection.kind": preset["kind"],
-            "inspection.c": "1000",
-            "inspection.h": str(preset["h"]),
-            "horizon": str(preset["t"]),
-        }
+    # a preset carries the full run configuration of its published rows,
+    # so reproduction needs no config file
+    defaults, snapshot = PUBLISHED_TABLES.get(args.reproduce, (None, None))
     config = _load_config(args, defaults)
     with _outputs(args.out):
-        text = REPORT_HEADER + "\n" + "\n".join(_estimate_rows(args, config)) + "\n"
-        if args.out:
-            _write_text(args.out, text)
-        else:
-            _to_stdout(lambda stdout: stdout.write(text))
+        rows = _estimate_rows(args, config, snapshot)
+        _emit(args.out or None, REPORT_HEADER + "\n" + "\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -348,7 +322,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     with _outputs(args.out):
         cycles = simulate_horizon(np.random.default_rng(seed), config)
         lines = [CONVERGENCE_HEADER, *_convergence_rows(grid, cycles, config)]
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -392,11 +366,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _require_closed_form_shape(config)
     with _outputs(args.out):
         rows = verification_rows(config, args.samples, seed)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                write_verification_report(fh, rows)
-        else:
-            _to_stdout(lambda stdout: write_verification_report(stdout, rows))
+        _emit(args.out or None, verification_report(rows))
     return EXIT_OK if all(r.passed for r in rows) else EXIT_VERIFY_FAILED
 
 

@@ -1,10 +1,9 @@
 """Model configuration: the three laws plus run controls.
 
-Configs serialize to a flat ``key = value`` text format with dotted keys
-(``sane.shape``, ``sane.rate``, ``damage.rate``, ``inspection.kind``,
-``inspection.c``, ``inspection.h``, ``horizon``, ``seed``, ``confidence``,
-``grid``).  Blank lines and ``#`` comments are allowed.  Parsing then
-serializing then parsing is the identity.
+Configs serialize to a flat ``key = value`` text format with the dotted
+keys of :data:`KEYS`, which also names the command-line flags.  Blank
+lines and ``#`` comments are allowed.  Parsing then serializing then
+parsing is the identity.
 """
 
 from __future__ import annotations
@@ -38,18 +37,19 @@ class ModelConfig:
             raise ConfigError("grid times must lie in (0, horizon]")
 
 
-_KEYS = (
-    "sane.shape",
-    "sane.rate",
-    "damage.rate",
-    "inspection.kind",
-    "inspection.c",
-    "inspection.h",
-    "horizon",
-    "seed",
-    "confidence",
-    "grid",
-)
+# Every key, with the help text of its command-line flag.
+KEYS = {
+    "sane.shape": "gamma shape of the repair-to-damage law",
+    "sane.rate": "rate of the repair-to-damage law",
+    "damage.rate": "rate of the damage-to-failure law",
+    "inspection.kind": "deterministic or uniform",
+    "inspection.c": "inspection spacing",
+    "inspection.h": "uniform half-width",
+    "horizon": "simulation horizon",
+    "seed": "random seed (required for stochastic commands)",
+    "confidence": "confidence level for intervals",
+    "grid": "comma-separated snapshot times",
+}
 
 
 def parse_config(text: str) -> ModelConfig:
@@ -62,7 +62,7 @@ def parse_config(text: str) -> ModelConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _KEYS:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")

@@ -55,6 +55,10 @@ class NonConvergenceError(RuntimeError):
 # Bracketed root finding
 # ---------------------------------------------------------------------------
 
+# The first scan grid's ends, and how many times a search widens it a
+# hundredfold each way before it gives up.
+_LO, _HI, _MAX_EXPAND = 1e-8, 1e2, 8
+
 
 @functools.lru_cache(maxsize=64)
 def _scan_grid(lo: float, hi: float) -> tuple:
@@ -63,13 +67,12 @@ def _scan_grid(lo: float, hi: float) -> tuple:
     return tuple(np.geomspace(lo, hi, 64).tolist())
 
 
-def _search(
-    target: float, lo: float, hi: float, rtol: float, atol: float, max_expand: int, trace: dict
-) -> Generator[float, float, float]:
+def _search(target: float, rtol: float, atol: float, trace: dict) -> Generator[float, float, float]:
     """One inversion of a monotone map, as a coroutine: it yields every
     point where it needs the map, is sent the map's value there, and
     returns the root or raises (see :func:`invert_monotone`)."""
-    for _ in range(max_expand):
+    lo, hi = _LO, _HI
+    for _ in range(_MAX_EXPAND):
         xs = _scan_grid(lo, hi)
         first = (yield xs[0]) - target
         last = (yield xs[-1]) - target
@@ -147,8 +150,8 @@ def _chandrupatla(
 
 
 def _solve(
-    func: Callable, targets: Sequence[float], errors: list, traces: list, lo: float = 1e-8,
-    hi: float = 1e2, rtol: float = 1e-12, atol: float = 0.0, max_expand: int = 8,
+    func: Callable, targets: Sequence[float], errors: list, traces: list,
+    rtol: float = 1e-12, atol: float = 0.0,
 ) -> list:
     """Invert a monotone map at every target whose entry of ``errors`` is
     None, all searches in lockstep.
@@ -166,7 +169,7 @@ def _solve(
     for k, target in enumerate(targets):
         if errors[k] is None:
             traces[k]["evaluations"] = 0
-            searches[k] = _search(target, lo, hi, rtol, atol, max_expand, traces[k])
+            searches[k] = _search(target, rtol, atol, traces[k])
     rows, values = list(searches), [None] * len(searches)
     while rows:
         asking, points = [], []
@@ -190,19 +193,16 @@ def _solve(
 def invert_monotone(
     func: Callable[[float], float],
     target: float,
-    lo: float = 1e-8,
-    hi: float = 1e2,
     rtol: float = 1e-12,
     atol: float = 0.0,
-    max_expand: int = 8,
     trace: Optional[dict] = None,
 ) -> float:
     """Solve func(x) = target for monotone func on a positive domain.
 
-    Finds the first interval of a 64-point geometric grid over [lo, hi]
-    where func - target reaches zero or changes sign, expanding the
-    interval geometrically if there is none, then polishes that bracket by
-    Chandrupatla's method (:func:`_chandrupatla`) until
+    Finds the first interval of a 64-point geometric grid over [1e-8, 1e2]
+    where func - target reaches zero or changes sign, widening the grid
+    a hundredfold each way up to 7 times if there is none, then polishes
+    that bracket by Chandrupatla's method (:func:`_chandrupatla`) until
     |func(x) - target| <= rtol*|target| + atol, or until the bracket
     reaches float resolution, when its best point stands.  Monotonicity
     makes the signs on the grid one run of the first point's sign followed
@@ -215,7 +215,7 @@ def invert_monotone(
     """
     errors = [None]
     roots = _solve(lambda x, rows: func(x), [target], errors, [{} if trace is None else trace],
-                   lo, hi, rtol, atol, max_expand)
+                   rtol, atol)
     return _only(roots, errors)
 
 
@@ -353,8 +353,6 @@ class EstimateReport:
 
 
 def _z_quantile(confidence: float) -> float:
-    if not 0.0 <= confidence < 1.0:
-        raise ValueError("confidence must lie in [0, 1)")
     if confidence == 0.0:
         return 0.0
     # imported here: `statistics` loads random, fractions and decimal,

@@ -122,7 +122,6 @@ class LawDerivatives:
     (a float) or at an array of anchors, a row per order: a float, or an
     array over the anchors.  ``one_minus`` is 1 - L without cancellation."""
 
-    anchor: float | np.ndarray
     laplace: tuple
     one_minus: float | np.ndarray
     inv_one_minus: tuple
@@ -155,7 +154,7 @@ def _derivatives(x, insp: InspectionLaw, order: int) -> LawDerivatives:
     def raw(series: list) -> tuple:
         return tuple(v * math.factorial(i) for i, v in enumerate(series))
 
-    return LawDerivatives(x, tuple(laplace), one_minus, raw(w), raw(psi), raw(_series_mul(psi, w)))
+    return LawDerivatives(tuple(laplace), one_minus, raw(w), raw(psi), raw(_series_mul(psi, w)))
 
 
 _cached_derivatives = functools.lru_cache(maxsize=32)(_derivatives)
@@ -229,28 +228,6 @@ def _indexed_series_sum(
     return value if slope_at_lam is None else (value, slope)
 
 
-def inspection_series(
-    sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw, kind: str = "plain"
-):
-    """The two Laplace-transform series over inspection indices.
-
-    ``plain`` is sum_k E[exp(-lam D_k) int_0^{D_k} exp(lam t) dF_s(t)] and
-    satisfies 1 - failure_probability = (1 - L(lam)) * plain for the
-    absolutely continuous damage laws supported here.  ``weighted`` carries
-    an extra factor k per term and feeds the second-moment bundle.
-    """
-    if kind not in ("plain", "weighted"):
-        raise ValueError(f"kind must be 'plain' or 'weighted', got {kind!r}")
-    n = sane.shape
-    mu, lam = _rates(sane, damage)
-    diagonal = _near_diagonal(mu, lam, n, insp.spacing)
-    # the generic branch reads the jet at mu to order n - 1 only
-    at_mu = law_derivatives(mu, insp, n + _DIAGONAL_TERMS if _any(diagonal) else n - 1)
-    at_lam = law_derivatives(lam, insp, 0)
-    h = "gain" if kind == "plain" else "gain_sq"
-    return _indexed_series_sum(n, getattr(at_mu, h), getattr(at_lam, h)[0], mu, lam, diagonal)
-
-
 # ---------------------------------------------------------------------------
 # First moments
 # ---------------------------------------------------------------------------
@@ -277,11 +254,19 @@ def mean_inspections(sane: SaneLaw, insp: InspectionLaw):
 def failure_probability(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw):
     """P(cycle ends in failure rather than detection).
 
-    One minus the detection probability (1 - L(lam)) * plain series, which
-    is exact for the absolutely continuous damage-time laws supported here.
+    One minus the detection probability (1 - L(lam)) * S, with the series
+    over inspection indices S = sum_k E[exp(-lam D_k) int_0^{D_k}
+    exp(lam t) dF_s(t)]; exact for the absolutely continuous damage-time
+    laws supported here.
     """
-    series = inspection_series(sane, damage, insp, "plain")
-    return 1.0 - law_derivatives(damage.rate, insp, 0).one_minus * series
+    n = sane.shape
+    mu, lam = _rates(sane, damage)
+    diagonal = _near_diagonal(mu, lam, n, insp.spacing)
+    # the generic branch reads the jet at mu to order n - 1 only
+    at_mu = law_derivatives(mu, insp, n + _DIAGONAL_TERMS if _any(diagonal) else n - 1)
+    at_lam = law_derivatives(lam, insp, 0)
+    series = _indexed_series_sum(n, at_mu.gain, at_lam.gain[0], mu, lam, diagonal)
+    return 1.0 - at_lam.one_minus * series
 
 
 def mean_cycle_length(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -166,14 +166,14 @@ def verification_rows(
 VERIFICATION_HEADER = "quantity,closed_form,mc_value,mc_se,z_score,pass"
 
 
-def write_verification_report(out: TextIO, rows: Iterable[ComparisonRow]) -> None:
-    """Write the rows as the verification-report CSV to a text stream."""
-    out.write(VERIFICATION_HEADER + "\n")
-    for r in rows:
-        out.write(
-            f"{r.quantity},{r.closed_form:.17g},{r.mc_value:.17g},"
-            f"{r.mc_se:.17g},{r.z_score:.17g},{'true' if r.passed else 'false'}\n"
-        )
+def verification_report(rows: Iterable[ComparisonRow]) -> str:
+    """The rows as the verification-report CSV text."""
+    lines = [VERIFICATION_HEADER] + [
+        f"{r.quantity},{r.closed_form:.17g},{r.mc_value:.17g},"
+        f"{r.mc_se:.17g},{r.z_score:.17g},{'true' if r.passed else 'false'}"
+        for r in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -20,17 +20,16 @@ from cbmkit.estimators import OutOfRangeError, _chandrupatla
 def linear_scan_invert(
     func: Callable[[float], float],
     target: float,
-    lo: float = 1e-8,
-    hi: float = 1e2,
     rtol: float = 1e-12,
     atol: float = 0.0,
-    max_expand: int = 8,
     trace: Optional[dict] = None,
 ) -> float:
     def g(x: float) -> float:
         return func(x) - target
 
-    for _ in range(max_expand):
+    # the grid over [1e-8, 1e2], widened a hundredfold each way up to 7 times
+    lo, hi = 1e-8, 1e2
+    for _ in range(8):
         xs = np.geomspace(lo, hi, 64)
         vals = [g(x) for x in xs.tolist()]
         bracket = None

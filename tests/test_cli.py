@@ -416,6 +416,78 @@ class TestEstimateCommand:
         assert abs(float(row[4]) - 0.0004918) / 0.0004918 < 1e-3
 
 
+# A complete deterministic-gap config without inspection.h (so 0), seed or
+# confidence: read as a whole, it replaces every value of a preset.
+DET_CONFIG_TEXT = """\
+sane.shape = 1
+sane.rate = 1e-3
+damage.rate = 5e-4
+inspection.kind = deterministic
+inspection.c = 1000
+horizon = 5e7
+"""
+TABLE3_COUNTS = ["--counts", "33613", "53133", "8278", "50001271"]
+
+
+class TestPresetWithConfig:
+    """How --reproduce, --config and the key flags combine: the preset
+    gives the defaults, a config file replaces all of them, a flag wins
+    over both."""
+
+    @pytest.fixture
+    def det_file(self, tmp_path):
+        path = tmp_path / "det.cfg"
+        path.write_text(DET_CONFIG_TEXT)
+        return str(path)
+
+    @staticmethod
+    def _run(capsys, *argv):
+        assert cli.main(["estimate", *argv]) == 0
+        return capsys.readouterr().out
+
+    def test_config_file_overrides_every_preset_value(self, det_file, capsys):
+        alone = self._run(capsys, "--reproduce", "table3")
+        assert alone.splitlines()[1].split(",")[1] == "0.0010030348594014331"
+        # the file's deterministic gaps and its omitted inspection.h (0)
+        # replace the preset's uniform gaps of half-width 100
+        with_file = self._run(capsys, "--reproduce", "table3", "--config", det_file)
+        assert with_file.splitlines()[1].split(",")[1] == "0.0010013586231576584"
+        assert with_file == self._run(capsys, "--config", det_file, *TABLE3_COUNTS,
+                                      "--interval", "tabulated")
+
+    def test_config_file_missing_a_key_with_preset(self, det_file, capsys):
+        path = det_file.replace("det.cfg", "no-rate.cfg")
+        with open(path, "w") as fh:
+            fh.write(DET_CONFIG_TEXT.replace("sane.rate = 1e-3\n", ""))
+        code = cli.main(["estimate", "--reproduce", "table3", "--config", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "config error: missing key 'sane.rate'\n"
+
+    def test_flag_overrides_file_and_preset(self, det_file, capsys):
+        # a flag over the preset: half-width 50 instead of the preset's 100
+        narrow = self._run(capsys, "--reproduce", "table3", "--inspection.h", "50")
+        assert narrow == self._run(capsys, "--config", det_file, *TABLE3_COUNTS,
+                                   "--interval", "tabulated",
+                                   "--inspection.kind", "uniform", "--inspection.h", "50")
+        alone = self._run(capsys, "--reproduce", "table3")
+        assert narrow != alone
+        # flags over the file: its deterministic gaps back to the preset's
+        assert alone == self._run(capsys, "--reproduce", "table3", "--config", det_file,
+                                  "--inspection.kind", "uniform", "--inspection.h", "100")
+
+    @pytest.mark.parametrize("argv", [["--reproduce", "table1"], TABLE3_COUNTS],
+                             ids=["reproduce", "counts"])
+    def test_stdout_bytes_are_the_out_file(self, argv, det_file, tmp_path, capsysbinary):
+        out = tmp_path / "estimate.csv"
+        argv = ["estimate", "--config", det_file, *argv]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert cli.main(argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+
 class TestConvergenceCommand:
     def test_single_point_grid(self, tmp_path, config_file):
         out = tmp_path / "series.csv"

@@ -77,16 +77,16 @@ def simpson_adaptive(f, a, b, tol=1e-12, depth=30):
 
 class TestInvertMonotone:
     def test_finds_root(self):
-        x = invert_monotone(lambda v: v * v, 2.0, 1e-8, 1e2)
+        x = invert_monotone(lambda v: v * v, 2.0)
         assert_allclose(x, math.sqrt(2.0), rtol=1e-10)
 
     def test_expands_bracket(self):
-        x = invert_monotone(lambda v: v, 3e2, 1e-8, 1e2)
+        x = invert_monotone(lambda v: v, 3e2)
         assert_allclose(x, 3e2, rtol=1e-10)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
-            invert_monotone(lambda v: 1.0 / (1.0 + v), 2.0, 1e-8, 1e2, max_expand=2)
+            invert_monotone(lambda v: 1.0 / (1.0 + v), 2.0)
 
 
 class TestBracketSearch:
@@ -155,22 +155,22 @@ class TestBracketSearch:
             self._assert_same(func, [3e2, 1e-11, 1e7, 4e-13])
 
     def test_out_of_range_text(self):
-        self._assert_same(lambda v: 1.0 / (1.0 + v), [2.0, -1.0], max_expand=2)
+        self._assert_same(lambda v: 1.0 / (1.0 + v), [2.0, -1.0])
         expected = self._outcome(linear_scan_invert, lambda v: v, -1.0)
         assert expected[0] is OutOfRangeError
         assert self._outcome(invert_monotone, lambda v: v, -1.0) == expected
 
     @pytest.mark.parametrize(
-        "func, target, kwargs, raises",
+        "func, target, raises",
         [
             (lambda mu: F.mean_inspections(SaneLaw(2, mu), UNIF),
-             F.mean_inspections(SaneLaw(2, 1e-3), UNIF), {}, False),
-            (lambda v: v, 1e-8, {}, False),
-            (lambda v: 1.0 / (1.0 + v), 2.0, {"max_expand": 2}, True),
+             F.mean_inspections(SaneLaw(2, 1e-3), UNIF), False),
+            (lambda v: v, 1e-8, False),
+            (lambda v: 1.0 / (1.0 + v), 2.0, True),
         ],
         ids=["polished", "first-grid-point", "out-of-range"],
     )
-    def test_evaluations_traced(self, func, target, kwargs, raises):
+    def test_evaluations_traced(self, func, target, raises):
         calls = []
 
         def counted(x):
@@ -179,7 +179,7 @@ class TestBracketSearch:
 
         trace = {}
         try:
-            invert_monotone(counted, target, trace=trace, **kwargs)
+            invert_monotone(counted, target, trace=trace)
         except OutOfRangeError:
             assert raises
         else:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cbmkit import formulas as F
-from cbmkit.laws import DamageLaw, InspectionLaw, SaneLaw, laplace_jet, one_minus_laplace
+from cbmkit.laws import DamageLaw, InspectionLaw, SaneLaw, laplace_jet
 from closed_forms import closed_sensitivities
 
 DET = InspectionLaw("deterministic", 1000.0)
@@ -87,26 +87,23 @@ class TestFailureProbability:
 
 
 class TestInspectionSeries:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            F.inspection_series(SaneLaw(1, 1e-3), DamageLaw(5e-4), DET, "other")
+    """The series over inspection indices, seen through the public
+    functions that sum it: failure_probability (the plain series) and
+    cycle_moments (the plain and the k-weighted series)."""
 
     def test_equal_rates_hand_value(self):
-        # plain series at lam = mu, shape 1: -mu L'(mu) / (1 - L(mu))^2
-        mu = 1e-3
-        got = F.inspection_series(SaneLaw(1, mu), DamageLaw(mu), DET, "plain")
-        lp = -1000.0 * E1
-        assert_allclose(got, -mu * lp / (1.0 - E1) ** 2, rtol=1e-12)
+        # 1 - (1 - L(mu)) * (-mu L'(mu) / (1 - L(mu))^2) at lam = mu = 1e-3,
+        # shape 1: 1 - e^{-1} / (1 - e^{-1}), exactly
+        got = F.failure_probability(SaneLaw(1, 1e-3), DamageLaw(1e-3), DET)
+        assert got == 1.0 - E1 / (1.0 - E1)
 
     def test_weighted_dominates_plain(self):
-        # termwise k >= 1
+        # termwise k >= 1: E[inspections; detected] >= P(detected)
         for law in LAWS:
             for mu, lam in grid_rates():
-                for n in (1, 2):
-                    sane, dmg = SaneLaw(n, mu), DamageLaw(lam)
-                    plain = F.inspection_series(sane, dmg, law, "plain")
-                    weighted = F.inspection_series(sane, dmg, law, "weighted")
-                    assert weighted >= plain
+                for n in (1, 2, 3, 4):
+                    m = F.cycle_moments(SaneLaw(n, mu), DamageLaw(lam), law)
+                    assert m.mean_inspections_detected >= 1.0 - m.failure_prob
 
     @given(
         shape=st.integers(1, 3),
@@ -116,13 +113,12 @@ class TestInspectionSeries:
     )
     @settings(max_examples=80, deadline=None)
     def test_detection_identity(self, shape, mu, lam, uniform):
-        # 1 - failure probability equals (1 - L(lam)) * plain series for
-        # these absolutely continuous damage laws, to 1e-12 relative
+        # the moment bundle sums the plain series from a longer jet than
+        # failure_probability does; the jet's shared orders are the same
+        # floats, so the two agree bit for bit
         law = UNIF if uniform else DET
         sane, dmg = SaneLaw(shape, mu), DamageLaw(lam)
-        lhs = 1.0 - F.failure_probability(sane, dmg, law)
-        rhs = one_minus_laplace(lam, law) * F.inspection_series(sane, dmg, law, "plain")
-        assert_allclose(lhs, rhs, rtol=1e-12)
+        assert F.cycle_moments(sane, dmg, law).failure_prob == F.failure_probability(sane, dmg, law)
 
 
 class TestMeanCycle:

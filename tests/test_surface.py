@@ -15,7 +15,7 @@ import cbmkit
 from cbmkit.simulator import read_event_log
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-REMOVED = ("TaylorJet", "deterministic_config", "full_information_estimate")
+REMOVED = ("TaylorJet", "deterministic_config", "full_information_estimate", "inspection_series")
 
 
 def _tracer():
