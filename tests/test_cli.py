@@ -455,11 +455,10 @@ class TestPresetWithConfig:
         assert with_file == self._run(capsys, "--config", det_file, *TABLE3_COUNTS,
                                       "--interval", "tabulated")
 
-    def test_config_file_missing_a_key_with_preset(self, det_file, capsys):
-        path = det_file.replace("det.cfg", "no-rate.cfg")
-        with open(path, "w") as fh:
-            fh.write(DET_CONFIG_TEXT.replace("sane.rate = 1e-3\n", ""))
-        code = cli.main(["estimate", "--reproduce", "table3", "--config", path])
+    def test_config_file_missing_a_key_with_preset(self, tmp_path, capsys):
+        path = tmp_path / "no-rate.cfg"
+        path.write_text(DET_CONFIG_TEXT.replace("sane.rate = 1e-3\n", ""))
+        code = cli.main(["estimate", "--reproduce", "table3", "--config", str(path)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
