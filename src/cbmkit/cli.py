@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import warnings
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -35,16 +35,15 @@ from .estimators import (
     mle_estimate,
 )
 from .formulas import MAX_SHAPE
-from .oracle import MIN_SAMPLES, verification_report, verification_rows
+from .oracle import MIN_SAMPLES, verification_lines, verification_rows
 from .simulator import (
     CountSnapshot,
     CycleBatch,
     counts_at_times,
+    event_log_lines,
     read_event_log,
     simulate_horizon,
-    snapshot_rows,
-    write_event_log,
-    write_snapshots,
+    snapshot_lines,
 )
 
 # The run configuration and published counts of each bundled reference
@@ -76,6 +75,7 @@ PUBLISHED_TABLES = {
 }
 
 CONVERGENCE_HEADER = "t,mu_hat,lambda_hat,mu_lo,mu_hi,lambda_lo,lambda_hi"
+_CONVERGENCE_ROW = "%.17g" + ",%.17g" * 6 + "\n"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -187,7 +187,10 @@ def _outputs(*paths: Optional[str]) -> Iterator[None]:
     until the command writes it; for a new file the check asks whether
     its directory takes new files, without creating one.  A file left
     for the writer to truncate would cost the write a flush on ext4.
+    An empty path names no file: it is a config error.
     """
+    if "" in paths:
+        raise ConfigError("an output path is empty")
     real = {path: os.path.realpath(path) for path in paths if path is not None}
     # the files the command creates: a dangling symlink's target, not the link
     created = list(dict.fromkeys(r for path, r in real.items() if not os.path.exists(path)))
@@ -205,8 +208,10 @@ def _outputs(*paths: Optional[str]) -> Iterator[None]:
         raise
 
 
-def _emit(path: Optional[str], text: str) -> None:
-    """Write ``text`` to the file ``path``, or to stdout when it is None.
+def _emit(path: Optional[str], lines: Iterable[str]) -> None:
+    """Write ``lines`` to the file ``path``, or to stdout when it is None;
+    the lines are written as they come, so a generator's are never held
+    at once.
 
     A reader of stdout that has gone away (the ``head`` of ``| head -1``)
     is not an error: the rest of the output is dropped, and the stdout
@@ -215,10 +220,10 @@ def _emit(path: Optional[str], text: str) -> None:
     """
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(lines)
         return
     try:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         sys.stdout.flush()
     except BrokenPipeError:
         try:
@@ -235,8 +240,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _require_seed(config)
     with _outputs(args.events, args.snapshots):
         cycles = simulate_horizon(np.random.default_rng(seed), config)
-        write_event_log(args.events, cycles)
-        write_snapshots(args.snapshots, snapshot_rows(cycles, config.grid))
+        _emit(args.events, event_log_lines(cycles))
+        _emit(args.snapshots, snapshot_lines(cycles, config.grid))
     return EXIT_OK
 
 
@@ -288,11 +293,7 @@ def _estimate_rows(
             data = ObservedData.from_event_log_records(cycles, config.inspection)
             report = mle_estimate(data, config)
             counts = log_counts
-        rows.append(
-            report.csv_row(
-                counts.time, counts.repairs, counts.inspections, counts.failures, config.seed
-            )
-        )
+        rows.append(report.csv_row(counts, config.seed))
     return rows
 
 
@@ -303,7 +304,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     config = _load_config(args, defaults)
     with _outputs(args.out):
         rows = _estimate_rows(args, config, snapshot)
-        _emit(args.out or None, REPORT_HEADER + "\n" + "\n".join(rows) + "\n")
+        _emit(args.out, [REPORT_HEADER + "\n", *rows])
     return EXIT_OK
 
 
@@ -321,8 +322,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     _require_closed_form_shape(config)
     with _outputs(args.out):
         cycles = simulate_horizon(np.random.default_rng(seed), config)
-        lines = [CONVERGENCE_HEADER, *_convergence_rows(grid, cycles, config)]
-        _emit(args.out, "\n".join(lines) + "\n")
+        _emit(args.out, [CONVERGENCE_HEADER + "\n", *_convergence_rows(grid, cycles, config)])
     return EXIT_OK
 
 
@@ -340,11 +340,8 @@ def _convergence_rows(grid: Sequence[float], cycles: CycleBatch, config: ModelCo
     rows = []
     for t, snapshot, report in zip(grid, snapshots, reports):
         if isinstance(report, EstimateReport):
-            rows.append(
-                f"{t:.17g},{report.mu_hat:.17g},{report.lambda_hat:.17g},"
-                f"{report.ci_mu[0]:.17g},{report.ci_mu[1]:.17g},"
-                f"{report.ci_lambda[0]:.17g},{report.ci_lambda[1]:.17g}"
-            )
+            rows.append(_CONVERGENCE_ROW % (t, report.mu_hat, report.lambda_hat,
+                                            *report.ci_mu, *report.ci_lambda))
             continue
         if not isinstance(report, (OutOfRangeError, DegenerateDataError)):
             raise report
@@ -354,7 +351,7 @@ def _convergence_rows(grid: Sequence[float], cycles: CycleBatch, config: ModelCo
             ) if snapshot.repairs else None
         except (OutOfRangeError, DegenerateDataError):
             mu_hat = None
-        rows.append(f"{t:.17g},,,,,," if mu_hat is None else f"{t:.17g},{mu_hat:.17g},,,,,")
+        rows.append("%.17g,,,,,,\n" % t if mu_hat is None else "%.17g,%.17g,,,,,\n" % (t, mu_hat))
     return rows
 
 
@@ -366,7 +363,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _require_closed_form_shape(config)
     with _outputs(args.out):
         rows = verification_rows(config, args.samples, seed)
-        _emit(args.out or None, verification_report(rows))
+        _emit(args.out, verification_lines(rows))
     return EXIT_OK if all(r.passed for r in rows) else EXIT_VERIFY_FAILED
 
 

@@ -8,6 +8,7 @@ parsing is the identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,11 +30,11 @@ class ModelConfig:
     grid: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.horizon > 0.0:
-            raise ConfigError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ConfigError("horizon must be positive and finite")
         if not 0.0 <= self.confidence < 1.0:
             raise ConfigError("confidence must lie in [0, 1)")
-        if any(t <= 0.0 or t > self.horizon for t in self.grid):
+        if not all(0.0 < t <= self.horizon for t in self.grid):
             raise ConfigError("grid times must lie in (0, horizon]")
 
 

@@ -313,6 +313,7 @@ REPORT_HEADER = (
     "method,mu_hat,mu_lo,mu_hi,lambda_hat,lambda_lo,lambda_hi,"
     "confidence,t,n_r,n_i,n_f,seed"
 )
+_REPORT_ROW = "%s" + ",%.17g" * 11 + ",%s\n"
 
 
 @dataclass(frozen=True)
@@ -326,30 +327,14 @@ class EstimateReport:
     sigma2: Optional[np.ndarray] = None
     diagnostics: dict = field(default_factory=dict)
 
-    def csv_row(
-        self,
-        t: float = float("nan"),
-        n_r: float = float("nan"),
-        n_i: float = float("nan"),
-        n_f: float = float("nan"),
-        seed: Optional[int] = None,
-    ) -> str:
-        cells = [
-            self.method,
-            format(self.mu_hat, ".17g"),
-            format(self.ci_mu[0], ".17g"),
-            format(self.ci_mu[1], ".17g"),
-            format(self.lambda_hat, ".17g"),
-            format(self.ci_lambda[0], ".17g"),
-            format(self.ci_lambda[1], ".17g"),
-            format(self.confidence, ".17g"),
-            format(t, ".17g"),
-            format(n_r, ".17g"),
-            format(n_i, ".17g"),
-            format(n_f, ".17g"),
-            "" if seed is None else str(seed),
-        ]
-        return ",".join(cells)
+    def csv_row(self, counts: CountSnapshot, seed: Optional[int]) -> str:
+        """The report's line of the estimate CSV, with the counts it was
+        estimated from."""
+        return _REPORT_ROW % (
+            self.method, self.mu_hat, *self.ci_mu, self.lambda_hat, *self.ci_lambda,
+            self.confidence, counts.time, counts.repairs, counts.inspections, counts.failures,
+            "" if seed is None else seed,
+        )
 
 
 def _z_quantile(confidence: float) -> float:
@@ -402,9 +387,9 @@ def asymptotic_estimates(
     """:func:`asymptotic_estimate` of every snapshot, solved as one batch.
 
     Returns one entry per snapshot: its report, or the error its single
-    estimate raises (OutOfRangeError, DegenerateDataError,
-    NonConvergenceError, or a ValueError where the covariance is not
-    defined), returned rather than raised.  Every report equals the single
+    estimate raises (OutOfRangeError, NonConvergenceError, or
+    DegenerateDataError, also where the covariance is not defined),
+    returned rather than raised.  Every report equals the single
     estimate's bit for bit, whatever else the batch holds.
     """
     return _estimates(snapshots, config, interval)
@@ -463,7 +448,7 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
         mu_i, lam_i, t = mu_hat[i], lam_hat[i], snap.time
         try:
             if problems[k] is not None:
-                raise ValueError(problems[k])
+                raise DegenerateDataError(problems[k])
             param_cov = bundle.param_cov if len(solved) == 1 else bundle.param_cov[k]
             hw_mu = z * math.sqrt(param_cov[0, 0] / t)
             hw_lam = z * math.sqrt(param_cov[1, 1] / t)

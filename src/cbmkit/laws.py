@@ -28,8 +28,9 @@ UNIFORM = "uniform"
 def _check_rate(rate) -> None:
     # a rate may be an array of rates, one law per element, for the closed
     # forms' elementwise evaluation
-    if not ((rate > 0.0).all() if isinstance(rate, np.ndarray) else rate > 0.0):
-        raise ValueError(f"rate must be positive, got {rate!r}")
+    if not (((0.0 < rate) & (rate < math.inf)).all() if isinstance(rate, np.ndarray)
+            else 0.0 < rate < math.inf):
+        raise ValueError(f"rate must be positive and finite, got {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,8 @@ class InspectionLaw:
     def __post_init__(self) -> None:
         if self.kind not in (DETERMINISTIC, UNIFORM):
             raise ValueError(f"unknown inspection kind {self.kind!r}")
-        if not self.spacing > 0.0:
-            raise ValueError(f"spacing must be positive, got {self.spacing!r}")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing!r}")
         if self.kind == DETERMINISTIC:
             if self.half_width != 0.0:
                 raise ValueError("deterministic gaps take no half_width")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -166,14 +166,17 @@ def verification_rows(
 VERIFICATION_HEADER = "quantity,closed_form,mc_value,mc_se,z_score,pass"
 
 
-def verification_report(rows: Iterable[ComparisonRow]) -> str:
-    """The rows as the verification-report CSV text."""
-    lines = [VERIFICATION_HEADER] + [
-        f"{r.quantity},{r.closed_form:.17g},{r.mc_value:.17g},"
-        f"{r.mc_se:.17g},{r.z_score:.17g},{'true' if r.passed else 'false'}"
-        for r in rows
-    ]
-    return "\n".join(lines) + "\n"
+_VERIFICATION_ROW = "%s,%.17g,%.17g,%.17g,%.17g,%s\n"
+
+
+def verification_lines(rows: Iterable[ComparisonRow]) -> Iterator[str]:
+    """The rows as the verification-report CSV, line by line."""
+    yield VERIFICATION_HEADER + "\n"
+    for r in rows:
+        yield _VERIFICATION_ROW % (
+            r.quantity, r.closed_form, r.mc_value, r.mc_se, r.z_score,
+            "true" if r.passed else "false",
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -355,29 +355,25 @@ def snapshot_rows(
 
 
 EVENT_LOG_HEADER = "cycle,y_s,y_d,k_r,v_s,z_d,x_r,end"
+_EVENT_LOG_ROW = "%d,%.17g,%.17g,%d,%.17g,%.17g,%.17g,%s\n"
+_ENDS = ("Detected", "Failed")
 SNAPSHOT_HEADER = "t,n_r,n_i,n_f"
+_SNAPSHOT_ROW = "%.17g,%d,%d,%d\n"
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def write_event_log(path, cycles: CycleBatch) -> None:
+def event_log_lines(cycles: CycleBatch) -> Iterator[str]:
+    """The event-log CSV of ``cycles``, line by line."""
+    yield EVENT_LOG_HEADER + "\n"
     rows = zip(*(getattr(cycles, name).tolist() for name in _PER_CYCLE))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(EVENT_LOG_HEADER + "\n")
-        for i, (y_s, y_d, k, v, z, x, failed) in enumerate(rows, start=1):
-            end = "Failed" if failed else "Detected"
-            fh.write(f"{i},{_fmt(y_s)},{_fmt(y_d)},{k},{_fmt(v)},{_fmt(z)},{_fmt(x)},{end}\n")
+    for i, (y_s, y_d, k, v, z, x, failed) in enumerate(rows, start=1):
+        yield _EVENT_LOG_ROW % (i, y_s, y_d, k, v, z, x, _ENDS[failed])
 
 
-def write_snapshots(path, rows: Iterable[tuple[float, int, int, int]]) -> None:
-    """Write ``(t, n_r, n_i, n_f)`` rows, such as :func:`snapshot_rows`'s,
-    as the snapshot CSV."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SNAPSHOT_HEADER + "\n")
-        for t, n_r, n_i, n_f in rows:
-            fh.write(f"{_fmt(t)},{n_r},{n_i},{n_f}\n")
+def snapshot_lines(cycles: CycleBatch, grid: Iterable[float]) -> Iterator[str]:
+    """The snapshot CSV, line by line: the rows of :func:`snapshot_rows`."""
+    yield SNAPSHOT_HEADER + "\n"
+    for row in snapshot_rows(cycles, grid):
+        yield _SNAPSHOT_ROW % row
 
 
 # one event-log row as read: the numeric fields, then whether it failed

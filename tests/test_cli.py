@@ -355,6 +355,17 @@ class TestEstimateCommand:
         assert code == 3
         assert "not identifiable" in capsys.readouterr().err
 
+    def test_undefined_covariance_exit_3(self, config_file, tmp_path, capsys):
+        # a failure fraction this close to 1 leaves the failure probability
+        # flat in lambda, so the interval covariance is not defined
+        out = tmp_path / "est.csv"
+        code = cli.main(["estimate", "--config", config_file,
+                         "--counts", "1000", "1500", "999.9999999999", "1e6", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "estimation infeasible: failure rate not identifiable: flat failure probability\n")
+        assert not out.exists()
+
     def test_counts_interval_choice(self, config_file, capsys):
         args = ["estimate", "--config", config_file,
                 "--counts", "33501", "53116", "8255", "50001908"]
@@ -590,13 +601,38 @@ class TestInputErrors:
             ["estimate", "--counts", "100", "200", "10", "5000", "--sane.shape", "5"],
             ["estimate", "--counts", "100", "200", "10", "-5"],
             ["estimate", "--counts", "100", "200", "ten", "5000"],
+            # non-finite values
+            ["simulate", "--horizon", "inf", "--events", "ev.csv", "--snapshots", "sn.csv"],
+            ["simulate", "--grid", "nan", "--events", "ev.csv", "--snapshots", "sn.csv"],
+            ["convergence", "--grid", "nan", "--out", "conv.csv"],
+            ["verify", "--samples", "20000", "--sane.rate", "inf", "--out", "report.csv"],
+            ["verify", "--samples", "20000", "--damage.rate", "inf", "--out", "report.csv"],
+            ["verify", "--samples", "20000", "--inspection.c", "inf", "--out", "report.csv"],
+            # empty output paths
+            ["estimate", "--counts", "100", "200", "10", "5000", "--out", ""],
+            ["estimate", "--counts", "500", "900", "0", "700000", "--out", ""],
+            ["convergence", "--grid-count", "5", "--out", ""],
+            ["verify", "--samples", "20000", "--out", ""],
+            ["simulate", "--events", "", "--snapshots", "sn.csv"],
+            ["simulate", "--events", "ev.csv", "--snapshots", ""],
         ],
         ids=["samples-100", "samples-0", "verify-shape-5", "estimate-am-shape-5",
-             "negative-time", "non-numeric-count"],
+             "negative-time", "non-numeric-count", "horizon-inf", "grid-nan",
+             "convergence-grid-nan", "sane-rate-inf", "damage-rate-inf", "spacing-inf",
+             "estimate-out-empty", "infeasible-out-empty", "convergence-out-empty",
+             "verify-out-empty", "events-empty", "snapshots-empty"],
     )
-    def test_one_line_config_error(self, argv, config_file, capsys):
+    def test_one_line_config_error(self, argv, config_file, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the work started despite the config error")
+
+        # relative output paths land beside the config file, and none is made
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "simulate_horizon", never)
+        monkeypatch.setattr(cli, "verification_rows", never)
         code = cli.main(argv + ["--config", config_file])
         self._assert_one_line_config_error(code, capsys)
+        assert os.listdir(tmp_path) == ["run.cfg"]
 
     @pytest.mark.parametrize("count", [-3, 0])
     def test_grid_count_below_one(self, count, config_file, tmp_path, capsys):

@@ -29,11 +29,11 @@ from cbmkit.laws import DamageLaw, InspectionLaw, SaneLaw, density_sane
 from cbmkit.simulator import (
     CountSnapshot,
     CycleRecord,
+    event_log_lines,
     read_event_log,
     simulate_cycle,
     simulate_cycles,
     simulate_horizon,
-    write_event_log,
 )
 from conftest import batch_of, make_config
 from linear_scan import linear_scan_invert
@@ -403,9 +403,9 @@ class TestAsymptoticEstimate:
     def test_csv_row_and_flat_text(self, base_config):
         snap = CountSnapshot(50001908.0, 33501, 53116, 8255)
         report = asymptotic_estimate(snap, base_config)
-        row = report.csv_row(snap.time, snap.repairs, snap.inspections, snap.failures, 7)
+        row = report.csv_row(snap, 7)
         assert row.startswith("AM,")
-        assert row.endswith(",7")
+        assert row.endswith(",7\n")
 
     def test_consistency_medians_shrink(self):
         # median absolute error decreases across growing horizons
@@ -506,6 +506,24 @@ class TestBatchedEstimates:
                              1e7 * m.failure_prob)
         (row,) = asymptotic_estimates([snap], cfg)
         assert F._near_diagonal(row.mu_hat, row.lambda_hat, 2, 1000.0)
+
+    def test_flat_failure_probability_is_degenerate(self, base_config):
+        # a failure fraction this close to 1 leaves the failure probability
+        # flat in lambda: that row's covariance is not defined, the others'
+        # rows are unchanged
+        flat = CountSnapshot(1e6, 1000, 1500, 999.9999999999)
+        snaps = [CountSnapshot(50001908.0, 33501, 53116, 8255), flat,
+                 CountSnapshot(50002058.0, 20668, 51503, 4369)]
+        batch = asymptotic_estimates(snaps, base_config)
+        assert type(batch[1]) is DegenerateDataError
+        assert str(batch[1]) == "failure rate not identifiable: flat failure probability"
+        with pytest.raises(DegenerateDataError, match="flat failure probability"):
+            asymptotic_estimate(flat, base_config)
+        for k in (0, 2):
+            single = asymptotic_estimate(snaps[k], base_config)
+            for name in ("mu_hat", "lambda_hat", "ci_mu", "ci_lambda", "diagnostics"):
+                assert getattr(batch[k], name) == getattr(single, name), name
+            assert batch[k].sigma2.tobytes() == single.sigma2.tobytes()
 
     def test_warns_for_each_short_snapshot(self, base_config):
         snaps = [CountSnapshot(5e4, 30, 60, 8), CountSnapshot(5e4, 40, 90, 8)]
@@ -776,7 +794,7 @@ class TestMleEstimate:
         # back from an event log without them, give the same bits
         batch = simulate_cycles(np.random.default_rng(3), make_config(), 3000, inspections=True)
         path = tmp_path / "events.csv"
-        write_event_log(path, batch)
+        path.write_text("".join(event_log_lines(batch)))
         direct = ObservedData.from_event_log_records(batch, DET)
         via_log = ObservedData.from_event_log_records(read_event_log(path), DET)
         assert 0 < direct.fail_z.size < 3000

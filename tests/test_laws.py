@@ -40,6 +40,14 @@ class TestValidation:
             InspectionLaw("uniform", 1000.0, 1000.0)
         with pytest.raises(ValueError):
             InspectionLaw("deterministic", 1000.0, 5.0)
+        # non-finite values, also as one element of the closed forms' array rates
+        for bad in (math.inf, math.nan):
+            for build in (lambda: SaneLaw(1, bad), lambda: DamageLaw(bad),
+                          lambda: SaneLaw(1, np.array([1e-3, bad])),
+                          lambda: DamageLaw(np.array([bad, 1e-3])),
+                          lambda: InspectionLaw("deterministic", bad)):
+                with pytest.raises(ValueError, match="finite"):
+                    build()
 
     def test_means(self):
         assert SaneLaw(2, 1e-3).mean == 2000.0

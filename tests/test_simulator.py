@@ -13,13 +13,13 @@ from cbmkit.simulator import (
     CountSnapshot,
     CycleRecord,
     counts_at,
+    event_log_lines,
     read_event_log,
     simulate_cycle,
     simulate_cycles,
     simulate_horizon,
+    snapshot_lines,
     snapshot_rows,
-    write_event_log,
-    write_snapshots,
 )
 from conftest import batch_of, make_config
 
@@ -315,7 +315,7 @@ class TestSimulateHorizon:
         expected = sorted((*(counts_at(t, cycles) for t in grid), *ends), key=lambda s: s.time)
         assert [CountSnapshot(*row) for row in snapshot_rows(cycles, grid)] == expected
         path = tmp_path / "snaps.csv"
-        write_snapshots(path, snapshot_rows(cycles, grid))
+        path.write_text("".join(snapshot_lines(cycles, grid)))
         assert path.read_text().splitlines()[1:] == [
             f"{s.time:.17g},{s.repairs},{s.inspections},{s.failures}" for s in expected
         ]
@@ -498,7 +498,7 @@ class TestCsv:
         rng = np.random.default_rng(8)
         cycles = simulate_horizon(rng, replace(base_config, horizon=2e4))
         path = tmp_path / "events.csv"
-        write_event_log(path, cycles)
+        path.write_text("".join(event_log_lines(cycles)))
         text = path.read_text()
         assert text.startswith("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n")
         assert "\r" not in text
@@ -520,7 +520,7 @@ class TestCsv:
         rng = np.random.default_rng(9)
         cycles = simulate_horizon(rng, replace(base_config, horizon=2e4))
         path = tmp_path / "snaps.csv"
-        write_snapshots(path, snapshot_rows(cycles, [1e4]))
+        path.write_text("".join(snapshot_lines(cycles, [1e4])))
         lines = path.read_text().splitlines()
         assert lines[0] == "t,n_r,n_i,n_f"
         assert len(lines) == len(cycles) + 2
@@ -529,7 +529,7 @@ class TestCsv:
         cfg = make_config()
         rec = _cycle(1234.56789012345678, [1000.0], failed=False)
         path = tmp_path / "one.csv"
-        write_event_log(path, batch_of([rec]))
+        path.write_text("".join(event_log_lines(batch_of([rec]))))
         assert format(1234.56789012345678, ".17g") in path.read_text()
 
     def test_read_rejects_foreign_header(self, tmp_path):
@@ -628,6 +628,6 @@ class TestEventLogReader:
     def test_written_logs_take_one_pass(self, tmp_path):
         batch = simulate_cycles(np.random.default_rng(4), make_config(), 500, inspections=True)
         path = tmp_path / "events.csv"
-        write_event_log(path, batch)
+        path.write_text("".join(event_log_lines(batch)))
         assert simulator._read_plain_log(path) is not None
         assert self._outcome(read_event_log, path) == self._outcome(simulator._read_rows, path)
