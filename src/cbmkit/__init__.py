@@ -23,17 +23,15 @@ from .formulas import (
     cycle_moments,
     estimator_covariance,
     failure_probability,
-    mean_cycle_length,
     mean_inspections,
     parameter_sensitivities,
 )
 from .laws import DamageLaw, InspectionLaw, SaneLaw, laplace_jet, survival_sane
-from .oracle import McEstimate, mc_age_distribution, mc_moment_set, verification_rows
+from .oracle import mc_age_distribution, verification_rows
 from .simulator import (
     CountSnapshot,
     CycleRecord,
     CycleBatch,
-    counts_at,
     counts_at_times,
     simulate_cycle,
     simulate_cycles,
@@ -41,7 +39,7 @@ from .simulator import (
     snapshot_rows,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "ConfigError",
@@ -54,7 +52,6 @@ __all__ = [
     "DegenerateDataError",
     "EstimateReport",
     "InspectionLaw",
-    "McEstimate",
     "ModelConfig",
     "NonConvergenceError",
     "ObservedData",
@@ -65,7 +62,6 @@ __all__ = [
     "asymptotic_estimates",
     "censored_log_likelihood",
     "count_rate_covariance",
-    "counts_at",
     "counts_at_times",
     "cycle_moments",
     "estimator_covariance",
@@ -74,8 +70,6 @@ __all__ = [
     "invert_mean_inspections",
     "laplace_jet",
     "mc_age_distribution",
-    "mc_moment_set",
-    "mean_cycle_length",
     "mean_inspections",
     "mle_estimate",
     "parameter_sensitivities",

@@ -30,6 +30,8 @@ class ModelConfig:
     grid: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.horizon < math.inf:
             raise ConfigError("horizon must be positive and finite")
         if not 0.0 <= self.confidence < 1.0:

@@ -258,26 +258,21 @@ def _batch(values: list):
     return values[0] if len(values) == 1 else np.array(values)
 
 
-def invert_mean_inspections(
-    target: float, shape: int, insp: InspectionLaw, trace: Optional[dict] = None
-) -> float:
+def invert_mean_inspections(target: float, shape: int, insp: InspectionLaw) -> float:
     """Damage rate whose mean inspections-per-cycle equals ``target``.
 
     The map decreases from +inf (rate -> 0) to 1 (rate -> inf), so targets
     at or below 1 are rejected.
     """
     errors = [None]
-    roots = _mean_inspection_roots([target], shape, insp, errors, [{} if trace is None else trace])
+    roots = _mean_inspection_roots([target], shape, insp, errors, [{}])
     return _only(roots, errors)
 
 
-def invert_failure_probability(
-    target: float, sane: SaneLaw, insp: InspectionLaw, trace: Optional[dict] = None
-) -> float:
+def invert_failure_probability(target: float, sane: SaneLaw, insp: InspectionLaw) -> float:
     """Failure rate whose per-cycle failure probability equals ``target``."""
     errors = [None]
-    roots = _failure_rate_roots([target], sane.shape, [sane.rate], insp, errors,
-                                [{} if trace is None else trace])
+    roots = _failure_rate_roots([target], sane.shape, [sane.rate], insp, errors, [{}])
     return _only(roots, errors)
 
 
@@ -464,11 +459,6 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
             confidence=config.confidence,
             sigma2=param_cov,
             diagnostics={
-                "interval": interval,
-                "t": t,
-                "n_r": snap.repairs,
-                "n_i": snap.inspections,
-                "n_f": snap.failures,
                 "mu_bracket": mu_trace.get("bracket"),
                 "mu_iterations": mu_trace.get("iterations"),
                 "mu_evaluations": mu_trace.get("evaluations"),

@@ -269,11 +269,6 @@ def failure_probability(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw):
     return 1.0 - at_lam.one_minus * series
 
 
-def mean_cycle_length(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw):
-    """E[cycle length] = mean damage time + failure probability / failure rate."""
-    return sane.mean + failure_probability(sane, damage, insp) / damage.rate
-
-
 # ---------------------------------------------------------------------------
 # Second-moment bundle
 # ---------------------------------------------------------------------------

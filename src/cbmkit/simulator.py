@@ -12,7 +12,7 @@ draws one, :func:`simulate_horizon` joins its blocks into one, and
 :func:`read_event_log` parses a log into one (without the ages, which logs
 do not carry).  The running totals of cycle time, inspections and failures
 are built once per batch, adding left to right; :func:`snapshot_rows`,
-:func:`counts_at` and the likelihood's total time all read them.
+:func:`counts_at_times` and the likelihood's total time all read them.
 :func:`simulate_cycle` draws one cycle with scalar calls and is kept as
 the reference the hand traces pin; a batch yields the same
 :class:`CycleRecord` rows on iteration or indexing.  Deterministic gaps
@@ -303,22 +303,12 @@ def simulate_horizon(rng: np.random.Generator, config: ModelConfig) -> CycleBatc
     )
 
 
-def counts_at(t: float, cycles: CycleBatch) -> CountSnapshot:
-    """Observer counts at a time within the batch's span.
-
-    Completed cycles contribute their full inspection charge; the open
-    cycle contributes only the planned inspections already elapsed (one
-    planned at exactly ``t`` included).  The unplanned inspection of a
-    cycle that will end in failure is counted when the cycle completes,
-    never before.
-    """
-    (snapshot,) = counts_at_times([t], cycles)
-    return snapshot
-
-
 def counts_at_times(times: Sequence[float], cycles: CycleBatch) -> list[CountSnapshot]:
-    """:func:`counts_at` at every time, from one search of the running
-    totals; a time outside the batch's span raises for the first such."""
+    """Observer counts at each time within the batch's span, from one
+    search of the running totals; a time outside the span raises for the
+    first such.  The open cycle counts only its planned inspections
+    already elapsed (one at exactly the time included); a failure cycle's
+    unplanned inspection counts when the cycle completes, never before."""
     totals = cycles.totals
     end = float(totals.time[-1])
     at = np.asarray(times, dtype=float)

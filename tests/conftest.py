@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,16 @@ def batch_of(records):
     columns = [np.array([getattr(r, name) for r in records]) for name in names]
     ages = np.array([a for r in records for a in r.inspections], dtype=float)
     return CycleBatch(*columns, ages)
+
+
+def halved_cycle_square(cycle_moments):
+    """``cycle_moments`` with E[length^2] set to half of E[length]^2: an
+    inconsistent moment set, whose cycle-length variance is negative."""
+    def inconsistent(*args):
+        m = cycle_moments(*args)
+        return replace(m, mean_cycle_sq=0.5 * m.mean_cycle**2)
+
+    return inconsistent
 
 
 @pytest.fixture

@@ -3,16 +3,19 @@ import hashlib
 import io
 import math
 import os
+import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbmkit import cli
+from cbmkit import cli, oracle
 from cbmkit.config import ConfigError, parse_config, serialize_config
 from cbmkit.estimators import NonConvergenceError
 from cbmkit.oracle import verification_rows
+from conftest import halved_cycle_square
 
 CONFIG_TEXT = """\
 # base run
@@ -574,6 +577,16 @@ class TestVerifyCommand:
                          "--samples", "20000", "--out", str(tmp_path / "v.csv")])
         assert code == 1
 
+    def test_inconsistent_closed_forms_exit_1(self, tmp_path, config_file, monkeypatch,
+                                              capsys):
+        monkeypatch.setattr(oracle, "cycle_moments", halved_cycle_square(oracle.cycle_moments))
+        out = tmp_path / "v.csv"
+        code = cli.main(["verify", "--config", config_file,
+                         "--samples", "20000", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        assert len(out.read_text().splitlines()) == 17
+
     def test_missing_seed_exit_2(self, config_file):
         code = cli.main(["verify", "--config", config_file, "--seed", "",
                          "--samples", "20000"])
@@ -615,16 +628,27 @@ class TestInputErrors:
             ["verify", "--samples", "20000", "--out", ""],
             ["simulate", "--events", "", "--snapshots", "sn.csv"],
             ["simulate", "--events", "ev.csv", "--snapshots", ""],
+            # a negative seed, as a flag and as a config-file line
+            ["simulate", "--seed", "-1", "--events", "ev.csv", "--snapshots", "sn.csv"],
+            ["verify", "--samples", "20000", "seed = -1", "--out", "report.csv"],
         ],
         ids=["samples-100", "samples-0", "verify-shape-5", "estimate-am-shape-5",
              "negative-time", "non-numeric-count", "horizon-inf", "grid-nan",
              "convergence-grid-nan", "sane-rate-inf", "damage-rate-inf", "spacing-inf",
              "estimate-out-empty", "infeasible-out-empty", "convergence-out-empty",
-             "verify-out-empty", "events-empty", "snapshots-empty"],
+             "verify-out-empty", "events-empty", "snapshots-empty", "seed-negative-flag",
+             "seed-negative-file"],
     )
     def test_one_line_config_error(self, argv, config_file, tmp_path, monkeypatch, capsys):
         def never(*args, **kwargs):
             raise AssertionError("the work started despite the config error")
+
+        # a `key = value` item replaces that key's line of the config file
+        for line in [a for a in argv if " = " in a]:
+            key = line.partition(" = ")[0]
+            text = re.sub(rf"(?m)^{re.escape(key)} = .*$", line, Path(config_file).read_text())
+            Path(config_file).write_text(text)
+        argv = [a for a in argv if " = " not in a]
 
         # relative output paths land beside the config file, and none is made
         monkeypatch.chdir(tmp_path)

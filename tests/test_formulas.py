@@ -125,22 +125,37 @@ class TestMeanCycle:
     def test_composition(self):
         sane, dmg = SaneLaw(1, 1e-3), DamageLaw(5e-4)
         p_fail = F.failure_probability(sane, dmg, DET)
-        got = F.mean_cycle_length(sane, dmg, DET)
+        got = F.cycle_moments(sane, dmg, DET).mean_cycle
         assert_allclose(got, 1000.0 + p_fail / 5e-4, rtol=1e-14)
         assert_allclose(got, 1489.84, atol=0.005)
+
+    @given(
+        shape=st.integers(1, 3),
+        mu=st.floats(2e-4, 5e-3),
+        lam=st.floats(1e-4, 3e-3),
+        uniform=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mean_damage_time_plus_failure_term(self, shape, mu, lam, uniform):
+        # E[cycle length] = mean damage time + failure probability / failure
+        # rate, bit for bit
+        law = UNIF if uniform else DET
+        sane, dmg = SaneLaw(shape, mu), DamageLaw(lam)
+        expected = sane.mean + F.failure_probability(sane, dmg, law) / dmg.rate
+        assert F.cycle_moments(sane, dmg, law).mean_cycle == expected
 
     def test_slow_failure_limit(self):
         # as the failure rate vanishes the cycle ends at detection, so the
         # mean cycle tends to mean damage time plus mean overshoot, which
         # for deterministic gaps is bounded by one spacing
-        m1 = F.mean_cycle_length(SaneLaw(2, 1e-3), DamageLaw(1e-10), DET)
-        m2 = F.mean_cycle_length(SaneLaw(2, 1e-3), DamageLaw(1e-12), DET)
+        m1 = F.cycle_moments(SaneLaw(2, 1e-3), DamageLaw(1e-10), DET).mean_cycle
+        m2 = F.cycle_moments(SaneLaw(2, 1e-3), DamageLaw(1e-12), DET).mean_cycle
         assert_allclose(m1, m2, rtol=1e-6)
         assert 2000.0 < m2 < 3000.0
 
     def test_observed_mean_cycle_of_reference_run(self):
         # the published deterministic run: elapsed time over repairs
-        got = F.mean_cycle_length(SaneLaw(1, 1e-3), DamageLaw(5e-4), DET)
+        got = F.cycle_moments(SaneLaw(1, 1e-3), DamageLaw(5e-4), DET).mean_cycle
         assert abs(got - 50001908.0 / 33501.0) / got < 0.01
 
 

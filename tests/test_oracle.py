@@ -6,32 +6,39 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cbmkit import formulas as F
+from cbmkit import oracle
 from cbmkit.oracle import (
     cycle_length_survival,
     ks_critical,
     ks_statistic,
     limiting_age_cdf,
     mc_age_distribution,
-    mc_moment_set,
     verification_rows,
 )
-from conftest import make_config
+from conftest import halved_cycle_square, make_config
+
+
+def _by_quantity(rows):
+    return {r.quantity: r for r in rows}
 
 
 class TestMcMomentSet:
+    """The Monte Carlo columns of the verification rows of the cycle
+    moments."""
+
     def test_reproducible_bit_for_bit(self, base_config):
-        a = mc_moment_set(base_config, 20_000, seed=3)
-        b = mc_moment_set(base_config, 20_000, seed=3)
+        a = verification_rows(base_config, 20_000, seed=3)
+        b = verification_rows(base_config, 20_000, seed=3)
         assert a == b
-        # one estimate per cycle moment, under its closed-form name
-        assert list(a) == [f.name for f in dataclasses.fields(F.CycleMoments)]
+        # one row per cycle moment first, under its closed-form name
+        assert [r.quantity for r in a[:10]] == [f.name for f in dataclasses.fields(F.CycleMoments)]
 
     def test_rejects_small_sample(self, base_config):
         with pytest.raises(ValueError):
-            mc_moment_set(base_config, 5_000, seed=1)
+            verification_rows(base_config, 5_000, seed=1)
 
     def test_matches_closed_forms(self, base_config):
-        est = mc_moment_set(base_config, 100_000, seed=11)
+        rows = _by_quantity(verification_rows(base_config, 100_000, seed=11))
         closed = F.cycle_moments(
             base_config.sane, base_config.damage, base_config.inspection
         )
@@ -42,22 +49,24 @@ class TestMcMomentSet:
             "mean_cycle_on_failure",
             "mean_inspections_detected",
         ):
-            assert abs(est[name].z_score(getattr(closed, name))) <= 4.0
+            assert rows[name].closed_form == getattr(closed, name)
+            assert abs(rows[name].z_score) <= 4.0
 
     def test_fast_failures_degenerate(self):
         # failures almost always precede the first inspection
         cfg = make_config(lam=1.0, horizon=1e5)
-        est = mc_moment_set(cfg, 20_000, seed=5)
+        row = _by_quantity(verification_rows(cfg, 20_000, seed=5))["failure_prob"]
         closed = F.cycle_moments(cfg.sane, cfg.damage, cfg.inspection)
         assert closed.failure_prob > 0.999
-        assert abs(est["failure_prob"].z_score(closed.failure_prob)) <= 4.0
+        assert row.closed_form == closed.failure_prob
+        assert abs(row.z_score) <= 4.0
 
     def test_se_halves_when_samples_quadruple(self, base_config):
         ratios = []
         for seed in range(10):
-            small = mc_moment_set(base_config, 10_000, seed=seed)
-            large = mc_moment_set(base_config, 40_000, seed=100 + seed)
-            ratios.append(large["mean_cycle"].std_err / small["mean_cycle"].std_err)
+            small = _by_quantity(verification_rows(base_config, 10_000, seed=seed))
+            large = _by_quantity(verification_rows(base_config, 40_000, seed=100 + seed))
+            ratios.append(large["mean_cycle"].mc_se / small["mean_cycle"].mc_se)
         assert 0.4 <= float(np.mean(ratios)) <= 0.6
 
 
@@ -73,6 +82,14 @@ class TestVerificationRows:
         )
         failed = [r for r in rows if not r.passed]
         assert [r.quantity for r in failed] == ["mean_cycle"]
+
+    def test_inconsistent_closed_forms_fail_rows(self, base_config, monkeypatch):
+        # a negative cycle-length variance is a failing comparison, not an
+        # error: the oracle compares, it does not check
+        monkeypatch.setattr(oracle, "cycle_moments", halved_cycle_square(oracle.cycle_moments))
+        rows = verification_rows(base_config, 20_000, seed=9)
+        assert len(rows) == 16
+        assert not _by_quantity(rows)["mean_cycle_sq"].passed
 
 
 class TestAgeDistribution:

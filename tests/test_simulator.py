@@ -12,7 +12,7 @@ from cbmkit.oracle import MIN_SAMPLES, verification_rows
 from cbmkit.simulator import (
     CountSnapshot,
     CycleRecord,
-    counts_at,
+    counts_at_times,
     event_log_lines,
     read_event_log,
     simulate_cycle,
@@ -203,7 +203,7 @@ class TestSimulateCycles:
                     inspections += len(cyc.inspections)
                 elif start <= t:
                     inspections += sum(1 for a in cyc.inspections if a <= t - start)
-            snap = counts_at(t, cycles)
+            snap = counts_at_times([t], cycles)[0]
             assert (snap.repairs, snap.inspections, snap.failures) == (
                 repairs, inspections, failures,
             )
@@ -312,7 +312,8 @@ class TestSimulateHorizon:
                           int(totals.failures[i]))
             for i in range(1, len(cycles) + 1)
         ]
-        expected = sorted((*(counts_at(t, cycles) for t in grid), *ends), key=lambda s: s.time)
+        at_grid = [counts_at_times([t], cycles)[0] for t in grid]
+        expected = sorted((*at_grid, *ends), key=lambda s: s.time)
         assert [CountSnapshot(*row) for row in snapshot_rows(cycles, grid)] == expected
         path = tmp_path / "snaps.csv"
         path.write_text("".join(snapshot_lines(cycles, grid)))
@@ -390,16 +391,17 @@ class TestSimulateHorizon:
 
 class TestAgeAndIndex:
     """The age of the repair process and the planned inspections elapsed
-    in the open cycle, as counts_at reads them from a hand-built batch: a
-    failed cycle of length 1500 charged two inspections, then a detected
-    one of length 3000 with inspections at ages 1000, 2000 and 3000."""
+    in the open cycle, as counts_at_times reads them from a hand-built
+    batch: a failed cycle of length 1500 charged two inspections, then a
+    detected one of length 3000 with inspections at ages 1000, 2000 and
+    3000."""
 
     CYCLES = [_cycle(1500.0, [1000.0, 2000.0], failed=True, count=2),
               _cycle(3000.0, [1000.0, 2000.0, 3000.0], failed=False)]
 
     @staticmethod
     def _counts(t, records):
-        snap = counts_at(t, batch_of(records))
+        snap = counts_at_times([t], batch_of(records))[0]
         return snap.repairs, snap.inspections, snap.failures
 
     def test_at_repair_epoch(self):
@@ -452,8 +454,8 @@ def _brute_counts(t, cycles):
 
 
 class TestCountsAtPrefixSums:
-    """counts_at searches the running totals built once per batch; a walk
-    over the cycles is the reference."""
+    """counts_at_times searches the running totals built once per batch; a
+    walk over the cycles is the reference."""
 
     @staticmethod
     def _times(cycles):
@@ -467,7 +469,7 @@ class TestCountsAtPrefixSums:
 
     def _assert_brute(self, cycles):
         for t in self._times(cycles):
-            snap = counts_at(t, cycles)
+            snap = counts_at_times([t], cycles)[0]
             assert (snap.time, snap.repairs, snap.inspections, snap.failures) == (
                 _brute_counts(t, cycles)), t
             assert all(type(v) is int for v in (snap.repairs, snap.inspections, snap.failures))

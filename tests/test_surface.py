@@ -15,7 +15,8 @@ import cbmkit
 from cbmkit.simulator import read_event_log
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-REMOVED = ("TaylorJet", "deterministic_config", "full_information_estimate", "inspection_series")
+REMOVED = ("TaylorJet", "deterministic_config", "full_information_estimate", "inspection_series",
+           "counts_at", "mean_cycle_length", "mc_moment_set", "McEstimate")
 
 
 def _tracer():
