@@ -36,6 +36,9 @@ class ModelConfig:
             raise ConfigError("horizon must be positive and finite")
         if not 0.0 <= self.confidence < 1.0:
             raise ConfigError("confidence must lie in [0, 1)")
+        # the interval quantile's argument; 1 at the largest double below 1
+        if not 0.5 * (1.0 + self.confidence) < 1.0:
+            raise ConfigError("confidence must be at most 0.9999999999999998")
         if not all(0.0 < t <= self.horizon for t in self.grid):
             raise ConfigError("grid times must lie in (0, horizon]")
 

@@ -236,15 +236,21 @@ def _mean_inspection_roots(targets: Sequence[float], shape: int, insp: Inspectio
                   traces)
 
 
+def _check_fractions(fractions: Sequence[float], errors: list) -> None:
+    """Record, where no error is recorded yet, a failure fraction outside
+    (0, 1), from which no failure rate follows."""
+    for k, f in enumerate(fractions):
+        if errors[k] is None and not 0.0 < f < 1.0:
+            errors[k] = DegenerateDataError(
+                "failure rate not identifiable: per-cycle failure fraction "
+                f"{f!r} is outside (0, 1)")
+
+
 def _failure_rate_roots(targets: Sequence[float], shape: int, mu: Sequence[float],
                         insp: InspectionLaw, errors: list, traces: list) -> list:
     """:func:`invert_failure_probability` at every target at once, target
     k at the damage rate ``mu[k]``."""
-    for k, t in enumerate(targets):
-        if errors[k] is None and not 0.0 < t < 1.0:
-            errors[k] = DegenerateDataError(
-                "failure rate not identifiable: per-cycle failure fraction "
-                f"{t!r} is outside (0, 1)")
+    _check_fractions(targets, errors)
 
     def func(lam, rows: list):
         sane = SaneLaw(shape, _batch([mu[k] for k in rows]))
@@ -274,30 +280,6 @@ def invert_failure_probability(target: float, sane: SaneLaw, insp: InspectionLaw
     errors = [None]
     roots = _failure_rate_roots([target], sane.shape, [sane.rate], insp, errors, [{}])
     return _only(roots, errors)
-
-
-def failure_rate_from_cycle_identity(
-    fail_fraction: float, mu_hat: float, t: float, n_r: float, shape: int
-) -> float:
-    """Failure rate from the mean-cycle identity, the reference tables'
-    convention.
-
-    Solves mean cycle = shape/mu + fraction/rate with the observed mean
-    cycle t/n_r plugged in.  Consistent like the probability inversion
-    (the two coincide on exact inputs) but uses the observed cycle length
-    instead of the failure-probability map.
-    """
-    if not 0.0 < fail_fraction < 1.0:
-        raise DegenerateDataError(
-            "failure rate not identifiable: per-cycle failure fraction "
-            f"{fail_fraction!r} is outside (0, 1)"
-        )
-    denom = t / n_r - shape / mu_hat
-    if denom <= 0.0:
-        raise OutOfRangeError(
-            "observed mean cycle is shorter than the implied mean damage time"
-        )
-    return fail_fraction / denom
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +399,17 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
     lam_traces: list = [{} for _ in snapshots]
     mu_hat = _mean_inspection_roots(ratios, shape, insp, errors, mu_traces)
     if interval == "tabulated":
+        # the mean-cycle identity: observed mean cycle = shape/mu + fraction/rate
+        _check_fractions(fractions, errors)
         lam_hat = [math.nan] * len(snapshots)
         for i, snap in enumerate(snapshots):
             if errors[i] is None:
-                try:
-                    lam_hat[i] = failure_rate_from_cycle_identity(
-                        fractions[i], mu_hat[i], snap.time, snap.repairs, shape
-                    )
-                except (OutOfRangeError, DegenerateDataError) as exc:
-                    errors[i] = exc
+                denom = snap.time / snap.repairs - shape / mu_hat[i]
+                if denom <= 0.0:
+                    errors[i] = OutOfRangeError(
+                        "observed mean cycle is shorter than the implied mean damage time")
+                else:
+                    lam_hat[i] = fractions[i] / denom
     else:
         lam_hat = _failure_rate_roots(fractions, shape, mu_hat, insp, errors, lam_traces)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -381,13 +381,11 @@ def _matrices(rows: list) -> np.ndarray:
     return matrix if matrix.ndim == 2 else np.moveaxis(matrix, -1, 0)
 
 
-def _rate_covariance(moments: CycleMoments, var_x=None, cov_xi=None) -> list:
+def _rate_covariance(moments: CycleMoments) -> list:
     """Assemble the 3x3 limit covariance of (repair, failure, inspection)
-    count rates from per-cycle moments (with the cycle-length variance and
-    cycle/failure covariance replaced where given), without consistency
-    checks, as nested lists of elementwise entries."""
-    var_x = moments.var_cycle if var_x is None else var_x
-    cov_xi = moments.cov_cycle_failure if cov_xi is None else cov_xi
+    count rates from per-cycle moments, without consistency checks, as
+    nested lists of elementwise entries."""
+    var_x, cov_xi = moments.var_cycle, moments.cov_cycle_failure
     var_i, var_k = moments.var_failure, moments.var_inspections
     cov_xk, cov_ik = moments.cov_inspections_cycle, moments.cov_inspections_failure
     p_fail, mk, mx = moments.failure_prob, moments.mean_inspections, moments.mean_cycle
@@ -546,7 +544,6 @@ def _covariance_bundle(
     # elements where the bundle is not defined may divide by zero here
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if convention == "delta":
-            rate_cov = _rate_covariance(moments)
             jac = [
                 [-mx * mk / fp, 0.0 * mx, mx / fp],
                 [mx * (mk * gm / fp - pd) / gl, mx / gl, -mx * gm / (fp * gl)],
@@ -557,15 +554,17 @@ def _covariance_bundle(
             at_lam = law_derivatives(lam, insp, 1)
             detect = 1.0 - pd
             on_fail = pd / lam + n / mu - at_lam.laplace[1] / at_lam.one_minus * detect
-            cov_xi = on_fail - mk * pd
-            var_x = n * (n + 1) / _power(mu, 2) + 2.0 * on_fail / lam - _power(mx, 2)
-            rate_cov = _rate_covariance(moments, var_x, cov_xi)
+            # the reference tables' cycle-length moments replace the consistent ones
+            moments = replace(moments,
+                              mean_cycle_sq=n * (n + 1) / _power(mu, 2) + 2.0 * on_fail / lam,
+                              cov_cycle_failure=on_fail - mk * pd)
             scale = mx / fp
             jac = [
                 [scale * -mk, scale * 1.0, scale * 0.0],
                 [scale * (mk * gm / gl - pd * fp / gl), scale * (-gm / gl),
                  scale * (fp / (mx * gl))],
             ]
+        rate_cov = _rate_covariance(moments)
         param_cov = _sandwich(jac, rate_cov)
     return CovarianceBundle(_matrices(rate_cov), _matrices(jac), _matrices(param_cov)), problems
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cbmkit import cli, oracle
 from cbmkit.config import ConfigError, parse_config, serialize_config
-from cbmkit.estimators import NonConvergenceError
+from cbmkit.estimators import REPORT_HEADER, NonConvergenceError
 from cbmkit.oracle import verification_rows
 from conftest import halved_cycle_square
 
@@ -234,6 +234,67 @@ PINNED_CONVERGENCE_ROWS = {
 }
 
 
+# shape 2, uniform gaps of half-width 100, base rates, confidence 0.9
+SHAPE2_UNIFORM_FLAGS = (
+    "--sane.shape", "2", "--sane.rate", "1e-3", "--damage.rate", "5e-4",
+    "--inspection.kind", "uniform", "--inspection.c", "1000", "--inspection.h", "100",
+    "--horizon", "5e7", "--confidence", "0.9",
+)
+
+# The AM row that `estimate ARGV` prints, by ARGV: the published-table
+# presets in both interval conventions and bare counts in the tabulated one;
+# the rows of TestEstimateCommand.test_estimate_rows_pinned, recorded at
+# 0.10.0
+PINNED_ESTIMATE_ROWS = {
+    ("--reproduce", "table1"): (
+        "AM,0.00099618362146656494,0.00095429484949515798,0.001038072393437972,"
+        "0.00050419709111467609,0.00048713585691251678,0.00052125832531683546,"
+        "0.94999999999999996,50001908,33501,53116,8255,"
+    ),
+    ("--reproduce", "table1", "--interval", "delta"): (
+        "AM,0.00099618362146656494,0.00098506870416292455,0.0010072985387702053,"
+        "0.00050394123281420004,0.00049258785844032106,0.00051529460718807902,"
+        "0.94999999999999996,50001908,33501,53116,8255,"
+    ),
+    ("--reproduce", "table2"): (
+        "AM,0.0010054153481371725,0.00097418188863157118,0.0010366488076427737,"
+        "0.00049152288179677068,0.00047865802264187408,0.00050438774095166723,"
+        "0.94999999999999996,50002058,20668,51503,4369,"
+    ),
+    ("--reproduce", "table2", "--interval", "delta"): (
+        "AM,0.0010054153481371725,0.00099552633819215489,0.0010153043580821901,"
+        "0.00049181804832062093,0.00047657246356272095,0.0005070636330785209,"
+        "0.94999999999999996,50002058,20668,51503,4369,"
+    ),
+    ("--reproduce", "table3"): (
+        "AM,0.0010030348594014331,0.00096055017693673665,0.0010455195418661296,"
+        "0.00050200203245133576,0.00048493987901370746,0.00051906418588896401,"
+        "0.94999999999999996,50001271,33613,53133,8278,"
+    ),
+    ("--reproduce", "table3", "--interval", "delta"): (
+        "AM,0.0010030348594014331,0.00099183994185606341,0.0010142297769468029,"
+        "0.00050208793222365181,0.00049078761938326366,0.00051338824506403995,"
+        "0.94999999999999996,50001271,33613,53133,8278,"
+    ),
+    ("--reproduce", "table4"): (
+        "AM,0.00099375725443044682,0.00096350895867278424,0.0010240055501881094,"
+        "0.00050572683011979871,0.00049270445417622457,0.00051874920606337284,"
+        "0.94999999999999996,50000355,20470,51522,4452,"
+    ),
+    ("--reproduce", "table4", "--interval", "delta"): (
+        "AM,0.00099375725443044682,0.0009839264072933234,0.0010035881015675702,"
+        "0.00050719455365432116,0.00049158801872486101,0.0005228010885837813,"
+        "0.94999999999999996,50000355,20470,51522,4452,"
+    ),
+    SHAPE2_UNIFORM_FLAGS + ("--counts", "20470", "51522", "4452", "50000355",
+                            "--interval", "tabulated"): (
+        "AM,0.00099375725443044682,0.00096837208440765795,0.0010191424244532358,"
+        "0.00050572683011979871,0.00049479810771914693,0.00051665555252045049,"
+        "0.90000000000000002,50000355,20470,51522,4452,"
+    ),
+}
+
+
 # sha256 of the event log and of the snapshot file that `simulate` writes at
 # horizon 3e5, seed 5, grid 1e4, 1.5e5, 3e5, base rates: the files of
 # TestSimulateCommand.test_csv_bytes_pinned, by (shape, gap law).  Recorded
@@ -428,6 +489,26 @@ class TestEstimateCommand:
         row = capsys.readouterr().out.strip().splitlines()[1].split(",")
         assert abs(float(row[1]) - 0.0010054) / 0.0010054 < 1e-3
         assert abs(float(row[4]) - 0.0004918) / 0.0004918 < 1e-3
+
+    @pytest.mark.parametrize("argv", list(PINNED_ESTIMATE_ROWS), ids=[
+        "table1", "table1-delta", "table2", "table2-delta", "table3", "table3-delta",
+        "table4", "table4-delta", "counts-shape2-uniform-tabulated"])
+    def test_estimate_rows_pinned(self, argv, capsys):
+        assert cli.main(["estimate", *argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == f"{REPORT_HEADER}\n{PINNED_ESTIMATE_ROWS[argv]}\n"
+
+    def test_mean_cycle_below_damage_time_exit_3(self, config_file, tmp_path, capsys):
+        # the tabulated failure rate divides by the observed mean cycle less
+        # shape/mu, which these counts make negative
+        out = tmp_path / "est.csv"
+        code = cli.main(["estimate", "--config", config_file, "--counts", "100", "400", "10",
+                         "1e5", "--interval", "tabulated", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr() == ("", "estimation infeasible: observed mean cycle is "
+                                           "shorter than the implied mean damage time\n")
+        assert not out.exists()
 
 
 # A complete deterministic-gap config without inspection.h (so 0), seed or
@@ -631,13 +712,24 @@ class TestInputErrors:
             # a negative seed, as a flag and as a config-file line
             ["simulate", "--seed", "-1", "--events", "ev.csv", "--snapshots", "sn.csv"],
             ["verify", "--samples", "20000", "seed = -1", "--out", "report.csv"],
+            # confidences without a finite interval quantile: the largest
+            # double below 1 rounds 0.5 * (1 + confidence) to 1
+            ["estimate", "--counts", "1000", "1500", "200", "1e6",
+             "--confidence", "0.9999999999999999", "--out", "est.csv"],
+            ["convergence", "--grid-count", "5", "--confidence", "0.9999999999999999",
+             "--out", "conv.csv"],
+            # and confidences outside [0, 1)
+            ["estimate", "--counts", "1000", "1500", "200", "1e6", "--confidence", "1",
+             "--out", "est.csv"],
+            ["convergence", "--grid-count", "5", "--confidence", "-0.1", "--out", "conv.csv"],
         ],
         ids=["samples-100", "samples-0", "verify-shape-5", "estimate-am-shape-5",
              "negative-time", "non-numeric-count", "horizon-inf", "grid-nan",
              "convergence-grid-nan", "sane-rate-inf", "damage-rate-inf", "spacing-inf",
              "estimate-out-empty", "infeasible-out-empty", "convergence-out-empty",
              "verify-out-empty", "events-empty", "snapshots-empty", "seed-negative-flag",
-             "seed-negative-file"],
+             "seed-negative-file", "estimate-confidence-below-1",
+             "convergence-confidence-below-1", "confidence-1", "confidence-negative"],
     )
     def test_one_line_config_error(self, argv, config_file, tmp_path, monkeypatch, capsys):
         def never(*args, **kwargs):
@@ -657,6 +749,19 @@ class TestInputErrors:
         code = cli.main(argv + ["--config", config_file])
         self._assert_one_line_config_error(code, capsys)
         assert os.listdir(tmp_path) == ["run.cfg"]
+
+    def test_mle_confidence_below_1(self, config_file, tmp_path, capsys):
+        # the MLE's interval quantile, on a log the fit accepts
+        log, out = tmp_path / "events.csv", tmp_path / "est.csv"
+        assert cli.main(["simulate", "--config", config_file, "--events", str(log),
+                         "--snapshots", str(tmp_path / "snapshots.csv")]) == 0
+        capsys.readouterr()
+        argv = ["estimate", "--config", config_file, "--method", "mle", "--events", str(log)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        code = cli.main(argv + ["--confidence", "0.9999999999999999", "--out", str(out)])
+        self._assert_one_line_config_error(code, capsys)
+        assert not out.exists()
 
     @pytest.mark.parametrize("count", [-3, 0])
     def test_grid_count_below_one(self, count, config_file, tmp_path, capsys):

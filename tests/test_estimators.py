@@ -19,7 +19,6 @@ from cbmkit.estimators import (
     asymptotic_estimate,
     asymptotic_estimates,
     censored_log_likelihood,
-    failure_rate_from_cycle_identity,
     invert_failure_probability,
     invert_mean_inspections,
     invert_monotone,
@@ -321,7 +320,8 @@ class TestInvertFailureProbability:
         # identity, not the probability inversion (0.000503941); both are
         # consistent estimators
         mu = invert_mean_inspections(53116 / 33501, 1, DET)
-        lam = failure_rate_from_cycle_identity(8255 / 33501, mu, 50001908.0, 33501, 1)
+        lam = asymptotic_estimate(CountSnapshot(50001908.0, 33501, 53116, 8255), make_config(),
+                                  interval="tabulated").lambda_hat
         assert_allclose(lam, 0.000504197, rtol=1e-4)
         lam_prob = invert_failure_probability(8255 / 33501, SaneLaw(1, mu), DET)
         assert_allclose(lam_prob, 0.000503941, rtol=1e-5)
@@ -825,6 +825,87 @@ class TestMleEstimate:
             assert data.det_b.tolist() == [r.inspections[-1] for r in detected]
             assert data.fail_a.tolist() == [last_clean(r) for r in failed]
             assert data.fail_z.tolist() == [r.length for r in failed]
+
+
+class TestNewtonSafeguards:
+    """The fit's guards, driven through a likelihood that misbehaves on
+    purpose: no simulated log reaches them."""
+
+    @staticmethod
+    def _patch_values(monkeypatch, value_at):
+        """Let evaluation k (from 0) of the likelihood read value_at(k,
+        terms) instead of its true value; returns the evaluated rates."""
+        real = estimators._likelihood_terms
+        points = []
+
+        def terms(data, sane, damage):
+            true = real(data, sane, damage)
+            value = value_at(len(points), true)
+            points.append((sane.rate, damage.rate))
+            return dataclasses.replace(true, value=value)
+
+        monkeypatch.setattr(estimators, "_likelihood_terms", terms)
+        return points
+
+    def test_rejected_step_is_halved(self, monkeypatch):
+        cfg, data = _base_run()
+        expected = mle_estimate(data, cfg)
+        # the first trial point reads as a likelihood drop
+        points = self._patch_values(monkeypatch, lambda k, t: -math.inf if k == 1 else t.value)
+        report = mle_estimate(data, cfg)
+        logs = np.log(points)
+        assert_allclose(logs[2] - logs[0], (logs[1] - logs[0]) / 2.0, rtol=1e-9, atol=1e-13)
+        d = report.diagnostics
+        assert d["likelihood_evaluations"] == d["iterations"] + 2
+        assert_allclose([report.mu_hat, report.lambda_hat],
+                        [expected.mu_hat, expected.lambda_hat], rtol=1e-9)
+
+    def test_no_likelihood_increase(self, monkeypatch):
+        cfg, data = _base_run()
+        points = self._patch_values(monkeypatch, lambda k, t: t.value if k == 0 else -math.inf)
+        with pytest.raises(NonConvergenceError,
+                           match="^Newton step found no likelihood increase$"):
+            mle_estimate(data, cfg)
+        # the start and 60 ever shorter trials of the first step
+        assert len(points) == 61
+
+    def test_likelihood_not_finite_at_the_start(self, monkeypatch):
+        cfg, data = _base_run()
+        self._patch_values(monkeypatch, lambda k, t: math.nan)
+        with pytest.raises(NonConvergenceError,
+                           match="^censored likelihood is not finite at the start$"):
+            mle_estimate(data, cfg)
+
+    def test_step_limit(self, monkeypatch):
+        # a likelihood that rises by 1 per evaluation with a constant slope
+        # and no curvature: every capped step of 1 is taken, none is short
+        cfg, data = _base_run()
+        calls = []
+
+        def rising(data, sane, damage):
+            calls.append(None)
+            return estimators._LikelihoodTerms(
+                float(len(calls)), np.array([1.0 / sane.rate, 1.0 / damage.rate]),
+                np.zeros((2, 2)), np.ones(2))
+
+        monkeypatch.setattr(estimators, "_likelihood_terms", rising)
+        with pytest.raises(NonConvergenceError,
+                           match=f"^Newton iteration did not converge in {estimators._MAX_STEPS} "
+                                 "steps$"):
+            mle_estimate(data, cfg)
+        assert len(calls) == estimators._MAX_STEPS + 1
+
+    def test_uninformative_counts_take_the_crude_start(self, base_config):
+        # every cycle ends by its first inspection: one inspection per
+        # cycle, where the mean-inspections map has no root
+        data = _observed(*[((1000.0,), False, 1000.0)] * 30,
+                         *[((1000.0,), True, 37.0 * i + 100.0) for i in range(12)])
+        assert data.n_inspections == 42
+        report = mle_estimate(data, base_config)
+        d = report.diagnostics
+        assert (d["start_mu"], d["start_lambda"]) == (42 / data.total_time, 12 / data.total_time)
+        assert d["score_norm"] <= 1e-9
+        assert report.ci_mu[0] < report.mu_hat < report.ci_mu[1]
 
 
 class TestRoundTripProperty:

@@ -136,16 +136,25 @@ class TestCycleLengthSurvival:
             cycle_length_survival(500.0, cfg)
 
     def test_monte_carlo_cross_check(self, base_config):
+        self._cross_check(base_config, (500.0, 1500.0, 2500.0, 4000.0))
+
+    def test_monte_carlo_cross_check_shape_two(self):
+        # the second term of the gamma tail, (1 + mu u) exp(-mu u), on both
+        # sides of the first inspection
+        self._cross_check(make_config(shape=2), (300.0, 999.0, 1000.0, 1500.0, 2500.0))
+
+    @staticmethod
+    def _cross_check(config, us):
         from cbmkit.simulator import simulate_cycle
 
         rng = np.random.default_rng(31)
         lengths = np.array(
-            [simulate_cycle(rng, base_config).length for _ in range(100_000)]
+            [simulate_cycle(rng, config).length for _ in range(100_000)]
         )
-        for u in (500.0, 1500.0, 2500.0, 4000.0):
+        for u in us:
             p = (lengths > u).mean()
             se = math.sqrt(max(p * (1 - p), 1e-12) / len(lengths))
-            assert abs(cycle_length_survival(u, base_config) - p) <= 4.0 * se + 1e-9
+            assert abs(cycle_length_survival(u, config) - p) <= 4.0 * se + 1e-9
 
 
 class TestLimitingAgeCdf:
@@ -164,6 +173,20 @@ class TestLimitingAgeCdf:
         # integral of the survival over everything equals the mean cycle
         big = limiting_age_cdf(base_config, np.array([50_000.0]))
         assert_allclose(big[0], 1.0, atol=1e-9)
+
+    def test_density_normalization_shape_two(self):
+        big = limiting_age_cdf(make_config(shape=2), np.array([50_000.0]))
+        assert_allclose(big[0], 1.0, atol=1e-9)
+
+
+class TestZScore:
+    def test_zero_standard_error(self):
+        # a Monte Carlo column without spread: a closed form that equals it
+        # scores 0, any other scores +inf, whichever side it lies on
+        constant = oracle._McEstimate(0.25, 0.0)
+        assert constant.z_score(0.25) == 0.0
+        assert constant.z_score(0.5) == math.inf
+        assert constant.z_score(0.0) == math.inf
 
 
 class TestKsHelpers:

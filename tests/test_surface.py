@@ -16,7 +16,9 @@ from cbmkit.simulator import read_event_log
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 REMOVED = ("TaylorJet", "deterministic_config", "full_information_estimate", "inspection_series",
-           "counts_at", "mean_cycle_length", "mc_moment_set", "McEstimate")
+           "counts_at", "mean_cycle_length", "mc_moment_set", "McEstimate",
+           "failure_rate_from_cycle_identity")
+MODULES = ("cli", "config", "laws", "formulas", "estimators", "simulator", "oracle")
 
 
 def _tracer():
@@ -34,6 +36,8 @@ class TestPublicSurface:
     def test_removed_names_stay_out(self):
         assert not set(REMOVED) & set(cbmkit.__all__)
         assert not any(hasattr(cbmkit, name) for name in REMOVED)
+        for module in (importlib.import_module(f"cbmkit.{m}") for m in MODULES):
+            assert not [name for name in REMOVED if hasattr(module, name)], module.__name__
 
 
 class TestBenchmarkReach:
