@@ -118,8 +118,8 @@ def _require_seed(config: ModelConfig) -> int:
 
 def _require_closed_form_shape(config: ModelConfig) -> None:
     """The closed forms (counting estimates, their intervals, the oracle's
-    moments) need jets of order shape + 4; simulation and the event-log
-    MLE do not."""
+    moments) read jets of order shape and are checked for shapes up to
+    MAX_SHAPE; simulation and the event-log MLE read no jets."""
     if config.sane.shape > MAX_SHAPE:
         raise ConfigError(
             f"sane.shape {config.sane.shape} exceeds {MAX_SHAPE}, the largest "

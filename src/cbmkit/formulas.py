@@ -4,24 +4,27 @@ Everything here is an exact expression in the inspection-gap Laplace
 transform L and its derivatives at the damage rate ``mu`` (and at the
 failure rate ``lam``).  Derivatives of 1/(1-L), L/(1-L) and L/(1-L)^2 are
 obtained by truncated-series arithmetic over the jets from
-:func:`cbmkit.laws.laplace_jet`; there is no quadrature and no symbolic
-algebra.
+:func:`cbmkit.laws.laplace_jet`, read to order shape at most; there is no
+quadrature on the real line and no symbolic algebra.
 
 The rate pair (mu, lam) hits a removable singularity on the diagonal
 mu = lam: the generic expressions carry (mu - lam)^-shape factors whose
-poles only cancel analytically.  Inside a band around the diagonal (see
-``_near_diagonal``) the code switches to a Taylor resummation that is
-smooth through the diagonal, so inversion and differentiation stay
-accurate there.  Both branches live in ``_indexed_series_sum`` only; the
-parameter sensitivities come from the same series carried one Taylor order
-further, not from hand-differentiated copies of it.
+poles only cancel analytically.  Within |lam - mu| <= mu/4 (see
+``_near_diagonal``) the inspection series are instead the divided
+differences they are, written as Cauchy integrals over the circle
+|z - mu| = mu/2 and summed by the trapezoid rule, which reads only L and
+1 - L at the nodes and is smooth through the diagonal.  The parameter
+sensitivities come from the same series, not from hand-differentiated
+copies of them.
 
 Every closed form is elementwise over laws with arrays of rates, and
 with scalar rates the same code computes in Python floats, so a lone
-element is never boxed into an array.  Each element gets the bits it gets
-alone: sums run term by term in index order (no ``np.dot`` or ``@``, whose
-BLAS kernels sum in their own order), and ``exp``, ``expm1`` and powers
-are the C library's scalar routines, not numpy's SIMD loops.
+element is never boxed into an array (the contour's nodes are an array
+axis either way).  Each element gets the bits it gets alone: sums run
+term by term in index order (no ``np.dot`` or ``@``, whose BLAS kernels
+sum in their own order), and ``exp``, ``expm1``, the trigonometric
+functions and powers are the C library's scalar routines, not numpy's
+SIMD loops.
 """
 
 from __future__ import annotations
@@ -34,41 +37,47 @@ from typing import Optional
 import numpy as np
 
 from .laws import (
-    DERIVATIVE_CAP,
     DamageLaw,
     InspectionLaw,
     SaneLaw,
     _all,
     _any,
+    _cdiv,
     _power,
     _value,
     _where,
+    complex_laplace,
     laplace_jet,
     one_minus_laplace,
 )
 
-# Relative half-width of the band around mu = lam inside which the diagonal
-# expansion must be used (the generic branch cancels to noise there).
-EQUAL_RATE_BAND = 1e-6
+# The largest gamma shape the closed forms support: shapes 1 to 4 are the
+# ones checked against an independent 50-digit reference.
+MAX_SHAPE = 4
 
-# Terms kept in the diagonal Taylor resummation; the truncation error is
-# O(((lam-mu) * spacing)^4), far below float resolution inside the band.
-_DIAGONAL_TERMS = 3
+# Trapezoid rule on the circle |z - mu| = mu/2 with N equispaced nodes
+# z_k = mu (1 + u_k/2), u_k = exp(2 pi i k/N).  The integrands are real on
+# the real axis, so only the conjugate half k = 0..N/2 is summed, with
+# weight 1 at both ends and 2 between.
+_NODES = 64
+_WEIGHTS = np.array([[1.0]] + [[2.0]] * (_NODES // 2 - 1) + [[1.0]])
 
-# The moment bundle asks for jets of order shape + _DIAGONAL_TERMS + 1, so
-# the derivative cap bounds the gamma shapes the closed forms support.
-MAX_SHAPE = DERIVATIVE_CAP - _DIAGONAL_TERMS - 1
+
+@functools.lru_cache(maxsize=None)
+def _unit_power(p: int) -> tuple:
+    """u_k^p at the summed nodes as an (re, im) pair of columns."""
+    angles = [2.0 * math.pi * (k * p % _NODES) / _NODES for k in range(_NODES // 2 + 1)]
+    return (np.array([[math.cos(t)] for t in angles]),
+            np.array([[math.sin(t)] for t in angles]))
 
 
-def _near_diagonal(mu, lam, shape: int, spacing: float):
-    # The generic branch divides by (mu-lam)^shape, losing roughly
-    # 16*shape/(shape+4) digits at the crossover; balancing that loss
-    # against the O(((mu-lam)*spacing)^4) truncation of the resummation
-    # puts the switch at |mu-lam|*spacing = 10^(-16/(shape+4)).  The
-    # relative floor keeps exact near-equal inputs on the smooth branch
-    # whatever the spacing.
-    width = _maximum(EQUAL_RATE_BAND * _maximum(mu, lam), 10.0 ** (-16.0 / (shape + 4)) / spacing)
-    return abs(mu - lam) <= width
+def _near_diagonal(mu, lam):
+    # The circle |z - mu| = mu/2 then encloses lam at least mu/4 inside it,
+    # and every zero of 1 - L (Re z <= 0) lies at least mu/2 outside it, so
+    # the trapezoid sums converge like 2^-N on both sides.  Outside, the
+    # generic branch's division by (mu - lam)^shape costs a few 1e-10
+    # relative at shape 4 and mu*c = 1e-4; at mu/8 it would cost 7e-9.
+    return abs(lam - mu) <= 0.25 * mu
 
 
 def _maximum(a, b):
@@ -173,59 +182,73 @@ def _taylor_tail(h_lam, h_mu, mu, lam, n: int):
     return acc
 
 
-def _indexed_series_sum(
-    n: int,
-    mu_derivs,
-    at_lam,
-    mu,
-    lam,
-    diagonal,
-    slope_at_lam=None,
-):
-    """sum_k k^w E[exp(-lam D_k) * integral] = (-mu)^n h[mu (n times), lam].
+def _indexed_series_sum(n: int, mu_derivs, at_lam, mu, lam, slope_at_lam=None):
+    """sum_k k^w E[exp(-lam D_k) * integral] = (-mu)^n h[mu (n times), lam],
+    off the equal-rates band.
 
     h is a rational function of L, ``mu_derivs`` its derivatives at mu and
-    ``at_lam`` its value at lam.  Generic branch: (mu/(mu-lam))^n (h(lam) -
-    sum_{j<n} (mu-lam)^j/j! (-1)^j h^(j)(mu)), which reads ``mu_derivs``
-    to order n - 1 only.  ``diagonal`` branch (chosen per element by the
-    caller at the sane shape): the same analytic function, resummed as
-    mu^n (-1)^n sum_m (lam-mu)^m / (m+n)! h^(m+n)(mu).  In a batch that
-    mixes the two, both branches are evaluated for all elements and the
-    mask picks; each may overflow or divide by zero on the other's
-    elements, harmlessly.  Given ``slope_at_lam`` = h'(lam), returns
-    (value, d value / d lam).
+    ``at_lam`` its value at lam: (mu/(mu-lam))^n (h(lam) - sum_{j<n}
+    (mu-lam)^j/j! (-1)^j h^(j)(mu)), which reads ``mu_derivs`` to order
+    n - 1 only.  Given ``slope_at_lam`` = h'(lam), returns (value,
+    d value / d lam).
     """
+    rho = _power(mu / (mu - lam), n)
+    acc = _taylor_tail(at_lam, mu_derivs, mu, lam, n)
+    if slope_at_lam is None:
+        return rho * acc
+    d_acc = _taylor_tail(slope_at_lam, mu_derivs[1:], mu, lam, n - 1)
+    return rho * acc, rho * (n / (mu - lam) * acc + d_acc)
 
-    def resummed() -> tuple:
-        eps = lam - mu
-        powers = [_power(eps, m) for m in range(_DIAGONAL_TERMS + 1)]
-        total = d_total = 0.0
-        for m in range(_DIAGONAL_TERMS + 1):
-            fm = math.factorial(m + n)
-            total = total + powers[m] / fm * mu_derivs[m + n]
-            if m >= 1:
-                d_total = d_total + m * powers[m - 1] / fm * mu_derivs[m + n]
-        scale = (-1.0) ** n * _power(mu, n)
-        return scale * total, scale * d_total
 
-    def generic() -> tuple:
-        rho = _power(mu / (mu - lam), n)
-        acc = _taylor_tail(at_lam, mu_derivs, mu, lam, n)
-        if slope_at_lam is None:
-            return rho * acc, None
-        d_acc = _taylor_tail(slope_at_lam, mu_derivs[1:], mu, lam, n - 1)
-        return rho * acc, rho * (n / (mu - lam) * acc + d_acc)
+def _circle_values(mu, insp: InspectionLaw) -> tuple:
+    """psi = L/(1-L) and 1 - L at the contour's nodes about mu, (re, im)
+    pairs with a row per node and a column per element."""
+    cos, sin = _unit_power(1)
+    laplace, one_minus = complex_laplace(mu * (1.0 + 0.5 * cos), mu * (0.5 * sin), insp)
+    return _cdiv(laplace, one_minus), one_minus
 
-    if not _any(diagonal):
-        value, slope = generic()
-    elif _all(diagonal):
-        value, slope = resummed()
-    else:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            (on, d_on), (off, d_off) = resummed(), generic()
-        value = _where(diagonal, on, off)
-        slope = None if slope_at_lam is None else _where(diagonal, d_on, d_off)
-    return value if slope_at_lam is None else (value, slope)
+
+def _circle_sum(values: tuple, n: int, mu, lam, squared: bool = False):
+    """(-mu)^n h[mu (n times), lam] in the equal-rates band, from h at the
+    contour's nodes: with eps = (lam - mu)/mu, (-1)^n 2^(n-1) (1/N) Re
+    sum_k h(z_k) u_k^(1-n) / (u_k/2 - eps).  ``squared`` squares the kernel,
+    which gives mu times the series' slope in lam."""
+    cos, sin = _unit_power(1)
+    gap = (0.5 * cos - (lam - mu) / mu, 0.5 * sin)
+    kernel = _cdiv(_unit_power(1 - n), gap)
+    if squared:
+        kernel = _cdiv(kernel, gap)
+    terms = _WEIGHTS * (values[0] * kernel[0] - values[1] * kernel[1])
+    total = terms[0]
+    for row in terms[1:]:
+        total = total + row
+    total = total * ((-1.0) ** n * 2.0 ** (n - 1) / _NODES)
+    return total if isinstance(mu, np.ndarray) else float(total[0])
+
+
+def _by_band(mu, lam, generic, contour) -> tuple:
+    """``generic`` on the elements off the equal-rates band and ``contour``
+    on those in it, put back in place.  Each gets a function that restricts
+    an elementwise argument to its own elements and returns a tuple of
+    elementwise values; neither runs on the other's elements."""
+    band = _near_diagonal(mu, lam)
+    if not _any(band):
+        return generic(_whole)
+    if _all(band):
+        return contour(_whole)
+    off, on = np.flatnonzero(~band), np.flatnonzero(band)
+    parts = [branch(lambda v, rows=rows: v[rows] if isinstance(v, np.ndarray) else v)
+             for branch, rows in ((generic, off), (contour, on))]
+    out = []
+    for generic_part, contour_part in zip(*parts):
+        full = np.empty(band.shape)
+        full[off], full[on] = generic_part, contour_part
+        out.append(full)
+    return tuple(out)
+
+
+def _whole(value):
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +284,17 @@ def failure_probability(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw):
     """
     n = sane.shape
     mu, lam = _rates(sane, damage)
-    diagonal = _near_diagonal(mu, lam, n, insp.spacing)
-    # the generic branch reads the jet at mu to order n - 1 only
-    at_mu = law_derivatives(mu, insp, n + _DIAGONAL_TERMS if _any(diagonal) else n - 1)
+    at_mu = law_derivatives(mu, insp, n - 1)
     at_lam = law_derivatives(lam, insp, 0)
-    series = _indexed_series_sum(n, at_mu.gain, at_lam.gain[0], mu, lam, diagonal)
+
+    def generic(pick) -> tuple:
+        psi = [pick(v) for v in at_mu.gain]
+        return (_indexed_series_sum(n, psi, pick(at_lam.gain[0]), pick(mu), pick(lam)),)
+
+    def contour(pick) -> tuple:
+        return (_circle_sum(_circle_values(pick(mu), insp)[0], n, pick(mu), pick(lam)),)
+
+    (series,) = _by_band(mu, lam, generic, contour)
     return 1.0 - at_lam.one_minus * series
 
 
@@ -312,18 +341,30 @@ class CycleMoments:
 def cycle_moments(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> CycleMoments:
     n = sane.shape
     mu, lam = _rates(sane, damage)
-    at_mu = law_derivatives(mu, insp, n + _DIAGONAL_TERMS + 1)
+    at_mu = law_derivatives(mu, insp, n)
     at_lam = law_derivatives(lam, insp, 1)
     oml = at_lam.one_minus
     l_lam = at_lam.laplace[0]
     lp_lam = at_lam.laplace[1]
 
-    diagonal = _near_diagonal(mu, lam, n, insp.spacing)
-    plain = _indexed_series_sum(n, at_mu.gain, at_lam.gain[0], mu, lam, diagonal)
-    weighted = _indexed_series_sum(n, at_mu.gain_sq, at_lam.gain_sq[0], mu, lam, diagonal)
-    first_age = _indexed_series_sum(
-        n, [-v for v in at_mu.gain[1:]], -at_lam.gain[1], mu, lam, diagonal
-    )
+    def generic(pick) -> tuple:
+        def series(mu_derivs, value):
+            return _indexed_series_sum(n, [pick(v) for v in mu_derivs], pick(value),
+                                       pick(mu), pick(lam))
+
+        return (series(at_mu.gain, at_lam.gain[0]), series(at_mu.gain_sq, at_lam.gain_sq[0]),
+                series([-v for v in at_mu.gain[1:]], -at_lam.gain[1]))
+
+    def contour(pick) -> tuple:
+        # (-psi')[mu (n times), lam] = -n psi[mu (n+1 times), lam]
+        # - psi[mu (n times), lam, lam], integrating by parts on the circle
+        m, l = pick(mu), pick(lam)
+        psi, one_minus = _circle_values(m, insp)
+        first_age = (n * _circle_sum(psi, n + 1, m, l) - _circle_sum(psi, n, m, l, True)) / m
+        gain_sq = _cdiv(psi, one_minus)
+        return _circle_sum(psi, n, m, l), _circle_sum(gain_sq, n, m, l), first_age
+
+    plain, weighted, first_age = _by_band(mu, lam, generic, contour)
 
     detect = oml * plain
     p_fail = 1.0 - detect
@@ -472,19 +513,28 @@ def parameter_sensitivities(
     (-mu)^(n-1)/(n-1)! w^(n)(mu).  The failure probability is
     1 - (1-L(lam)) S_n with S_n = (-mu)^n psi[mu (n times), lam] the plain
     series of psi = L/(1-L), so d/dlambda takes the series' own slope and
-    dS_n/dmu = n (S_n - S_{n+1}) / mu exactly.  S_n and S_{n+1} share the
-    branch chosen at shape n, which keeps all three uniformly accurate
-    through the equal-rates diagonal for every supported shape.
+    dS_n/dmu = n (S_n - S_{n+1}) / mu exactly.  In the equal-rates band all
+    three series are trapezoid sums over the same nodes; the slope's kernel
+    is the plain one squared.
     """
     n = sane.shape
     mu, lam = _rates(sane, damage)
-    diagonal = _near_diagonal(mu, lam, n, insp.spacing)
-    at_mu = law_derivatives(mu, insp, n + _DIAGONAL_TERMS + 1)
+    at_mu = law_derivatives(mu, insp, n)
     at_lam = law_derivatives(lam, insp, 1)
     oml = at_lam.one_minus
-    psi, psi_lam = at_mu.gain, at_lam.gain
-    plain, slope = _indexed_series_sum(n, psi, psi_lam[0], mu, lam, diagonal, psi_lam[1])
-    plain_next = _indexed_series_sum(n + 1, psi, psi_lam[0], mu, lam, diagonal)
+
+    def generic(pick) -> tuple:
+        psi, psi_lam, m, l = [pick(v) for v in at_mu.gain], at_lam.gain, pick(mu), pick(lam)
+        plain, slope = _indexed_series_sum(n, psi, pick(psi_lam[0]), m, l, pick(psi_lam[1]))
+        return plain, slope, _indexed_series_sum(n + 1, psi, pick(psi_lam[0]), m, l)
+
+    def contour(pick) -> tuple:
+        m, l = pick(mu), pick(lam)
+        psi = _circle_values(m, insp)[0]
+        return (_circle_sum(psi, n, m, l), _circle_sum(psi, n, m, l, True) / m,
+                _circle_sum(psi, n + 1, m, l))
+
+    plain, slope, plain_next = _by_band(mu, lam, generic, contour)
     return Sensitivities(
         dmk_dmu=_power(-mu, n - 1) / math.factorial(n - 1) * at_mu.inv_one_minus[n],
         dpd_dmu=-oml * n * (plain - plain_next) / mu,

@@ -16,10 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Jets beyond this order are never needed: the closed forms ask for order
-# shape + 4, so the cap bounds formulas.MAX_SHAPE = 4; it also keeps the
-# recurrences auditable.
+# Jets beyond this order are never needed: the closed forms read them to
+# order shape, at most formulas.MAX_SHAPE = 4, and cross the equal-rates
+# diagonal on a contour that needs none; the cap keeps the recurrences
+# auditable.
 DERIVATIVE_CAP = 8
+
+# Below this u = 2 * half_width * s, 1 - q(u) for q(u) = (1 - exp(-u))/u is
+# summed from its series sum_k (-1)^(k+1) u^k/(k+1)! (the terms past k = 9
+# fall under double resolution), not taken as a difference near zero.
+_SERIES_BELOW = 0.05
+_ONE_MINUS_Q = tuple((-1.0) ** (k + 1) / math.factorial(k + 1) for k in range(1, 10))
+
+_LN2 = math.log(2.0)
 
 DETERMINISTIC = "deterministic"
 UNIFORM = "uniform"
@@ -130,7 +139,7 @@ def _libm(fn, x):
     array: the C library's scalar bits on every CPU, where numpy's vector
     loops round differently with and without AVX-512."""
     if isinstance(x, np.ndarray):
-        return np.array(list(map(fn, x.tolist())), dtype=float)
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return fn(x)
 
 
@@ -182,6 +191,24 @@ def density_sane(t, law: SaneLaw):
     return out if out.ndim else float(out)
 
 
+def _one_minus_q(u):
+    """1 - (1 - exp(-u))/u for u > 0, and the q it is taken from."""
+    q = -_libm(math.expm1, -u) / u
+    near = u < _SERIES_BELOW
+    if not _any(near):
+        return 1.0 - q, q
+    return _where(near, _one_minus_q_series((u, 0.0))[0], 1.0 - q), q
+
+
+def _one_minus_q_series(w: tuple) -> tuple:
+    """1 - q(w) from its series, for an (re, im) pair w."""
+    acc = (_ONE_MINUS_Q[-1], 0.0)
+    for c in _ONE_MINUS_Q[-2::-1]:
+        re, im = _cmul(acc, w)
+        acc = (re + c, im)
+    return _cmul(acc, w)
+
+
 def one_minus_laplace(s, law: InspectionLaw):
     """1 - E[exp(-s*gap)], computed without cancellation for small s.
 
@@ -194,9 +221,68 @@ def one_minus_laplace(s, law: InspectionLaw):
         return -_libm(math.expm1, -x * law.spacing)
     a = law.spacing - law.half_width
     zero = x == 0.0
-    two_hs = 2.0 * law.half_width * _where(zero, 1.0, x)
-    q = -_libm(math.expm1, -two_hs) / two_hs
-    return _where(zero, 0.0, (1.0 - q) - q * _libm(math.expm1, -x * a))
+    one_minus_q, q = _one_minus_q(2.0 * law.half_width * _where(zero, 1.0, x))
+    return _where(zero, 0.0, one_minus_q - q * _libm(math.expm1, -x * a))
+
+
+def _cmul(a: tuple, b: tuple) -> tuple:
+    """(re, im) product of two (re, im) pairs."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _cdiv(a: tuple, b: tuple) -> tuple:
+    """(re, im) quotient a/b of two (re, im) pairs."""
+    norm = b[0] * b[0] + b[1] * b[1]
+    return (a[0] * b[0] + a[1] * b[1]) / norm, (a[1] * b[0] - a[0] * b[1]) / norm
+
+
+def _exp_pair(x: np.ndarray, y: np.ndarray) -> tuple:
+    """exp(-w) and 1 - exp(-w) for w = x + iy, x >= 0, as (re, im) pairs
+    of arrays, with two C library calls per element.
+
+    1 - exp(-w) = (1 - exp(-x)) + 2 exp(-x) sin^2(y/2) + i exp(-x) sin(y)
+    sums terms of one sign in its real part.  exp(-x) and 1 - exp(-x) come
+    from one call, expm1 below x = ln 2 and exp above, the other from it by
+    one operation that cancels nothing; sin(y/2) and cos(y/2) come from
+    t = tan(y/4) as 2t/(1+t^2) and (1-t^2)/(1+t^2).
+    """
+    e, one_minus_e = np.empty_like(x), np.empty_like(x)
+    near = x < _LN2
+    one_minus_e[near] = -_libm(math.expm1, -x[near])
+    e[near] = 1.0 - one_minus_e[near]
+    e[~near] = _libm(math.exp, -x[~near])
+    one_minus_e[~near] = 1.0 - e[~near]
+    t = _libm(math.tan, 0.25 * y)
+    t_sq = t * t
+    sin_half, cos_half = 2.0 * t / (1.0 + t_sq), (1.0 - t_sq) / (1.0 + t_sq)
+    e_sin = 2.0 * e * sin_half
+    return ((e - e_sin * sin_half, -e_sin * cos_half),
+            (one_minus_e + e_sin * sin_half, e_sin * cos_half))
+
+
+def complex_laplace(x, y, law: InspectionLaw) -> tuple:
+    """L(z) and 1 - L(z) at z = x + iy with x > 0, each an (re, im) pair of
+    elementwise arrays, in real arithmetic with the C library's scalar
+    routines and without cancellation.
+
+    Deterministic gaps: L = exp(-zc).  Uniform gaps: L = exp(-za) q(2hz)
+    with a = c - h and q(w) = (1 - exp(-w))/w, so 1 - L = (1 - q) +
+    q (1 - exp(-za)), 1 - q taken from its series for small |w|.
+    """
+    if law.kind == DETERMINISTIC:
+        return _exp_pair(x * law.spacing, y * law.spacing)
+    a = law.spacing - law.half_width
+    e_za, one_minus_e_za = _exp_pair(x * a, y * a)
+    two_h = 2.0 * law.half_width
+    w = (two_h * x, two_h * y)
+    q = _cdiv(_exp_pair(*w)[1], w)
+    one_minus_q = (1.0 - q[0], -q[1])
+    near = w[0] * w[0] + w[1] * w[1] < _SERIES_BELOW * _SERIES_BELOW
+    if near.any():
+        series = _one_minus_q_series(w)
+        one_minus_q = tuple(np.where(near, *pair) for pair in zip(series, one_minus_q))
+    q_part = _cmul(q, one_minus_e_za)
+    return _cmul(e_za, q), (one_minus_q[0] + q_part[0], one_minus_q[1] + q_part[1])
 
 
 def laplace_jet(s, law: InspectionLaw, order: int):
@@ -239,6 +325,12 @@ def laplace_jet(s, law: InspectionLaw, order: int):
             for j in range(i + 1):
                 total = total + math.comb(i, j) * diff[j] * inv[i - j]
             rows.append(total / (2.0 * law.half_width))
+        # below the series switch the value is exp(-sa) q(2hs), which
+        # cancels nothing, not the difference of the two exponentials
+        u = 2.0 * law.half_width * safe
+        near = u < _SERIES_BELOW
+        if _any(near):
+            rows[0] = _where(near, ea * (-_libm(math.expm1, -u) / u), rows[0])
         rows[0] = _where(zero, 1.0, rows[0])
     return np.array(rows) if isinstance(x, np.ndarray) else tuple(rows)
 

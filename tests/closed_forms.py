@@ -4,13 +4,21 @@
 inspection series carried one Taylor order further.  The expressions here
 were differentiated by hand from the shape-1 and shape-2 closed forms and
 use nothing of that series code: only the gap Laplace transform, its
-derivatives, and the band of ``_near_diagonal`` to pick the equal-rates
-formulas.  Their generic branch divides by up to (mu - lam)^3 and degrades
-inside that band, so compare them away from the diagonal or exactly on it.
+derivatives, and a band of their own to pick the equal-rates formulas.
+Their generic branch divides by up to (mu - lam)^3 and degrades inside that
+band, so compare them away from the diagonal or exactly on it.
 """
 
-from cbmkit.formulas import Sensitivities, _near_diagonal
+from cbmkit.formulas import Sensitivities
 from cbmkit.laws import laplace_jet, one_minus_laplace
+
+
+def _near_diagonal(mu, lam, shape, spacing):
+    # where the equal-rates limits replace the generic formulas: the band
+    # that balances the generic formulas' loss of about 16*shape/(shape+4)
+    # digits against the limits' own truncation, floored at 1e-6 relative
+    width = max(1e-6 * max(mu, lam), 10.0 ** (-16.0 / (shape + 4)) / spacing)
+    return abs(mu - lam) <= width
 
 
 def closed_sensitivities(sane, damage, insp):

@@ -337,6 +337,20 @@ class TestInvertFailureProbability:
         # mutually inconsistent, so only the weaker bound is asserted here
         assert_allclose(lam, 0.0005064, rtol=2e-3)
 
+    def test_meets_tolerance_near_equal_rates(self):
+        # shape 2 uniform counts (111 repairs, 37 failures) whose estimate
+        # lies inside the equal-rates band, lambda/mu = 1.004: the map is
+        # smooth to far below the inversion's atol = 1e-12 there, in steady
+        # steps of about 2.5e-12 per 1e-11 relative change of lambda
+        sane = SaneLaw(2, 0.0008634333553908156)
+        lam = invert_failure_probability(37 / 111, sane, UNIF)
+        assert F._near_diagonal(sane.rate, lam)
+        assert abs(F.failure_probability(sane, DamageLaw(lam), UNIF) - 37 / 111) <= 1e-12
+        values = [F.failure_probability(SaneLaw(2, 8.634e-4), DamageLaw(8.668e-4 * (1 + k * 1e-11)),
+                                        UNIF) for k in range(11)]
+        steps = np.diff(values)
+        assert steps.min() > 0.9 * steps.max() > 0.0
+
     def test_degenerate_fraction(self):
         with pytest.raises(DegenerateDataError):
             invert_failure_probability(0.0, SaneLaw(1, 1e-3), DET)
@@ -499,13 +513,13 @@ class TestBatchedEstimates:
             assert row.sigma2.tobytes() == single.sigma2.tobytes()
 
     def test_equal_rates_rows_take_the_diagonal(self):
-        # the band strategy above must reach the resummation branch
+        # the band strategy above must reach the contour branch
         cfg = BASE_CONFIGS[3]
         m = F.cycle_moments(cfg.sane, DamageLaw(cfg.sane.rate), cfg.inspection)
         snap = CountSnapshot(1e7 * m.mean_cycle, 1e7, 1e7 * m.mean_inspections,
                              1e7 * m.failure_prob)
         (row,) = asymptotic_estimates([snap], cfg)
-        assert F._near_diagonal(row.mu_hat, row.lambda_hat, 2, 1000.0)
+        assert F._near_diagonal(row.mu_hat, row.lambda_hat)
 
     def test_flat_failure_probability_is_degenerate(self, base_config):
         # a failure fraction this close to 1 leaves the failure probability

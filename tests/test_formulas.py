@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from cbmkit import formulas as F
 from cbmkit.laws import DamageLaw, InspectionLaw, SaneLaw, laplace_jet
 from closed_forms import closed_sensitivities
+import precise_forms
 
 DET = InspectionLaw("deterministic", 1000.0)
 UNIF = InspectionLaw("uniform", 1000.0, 100.0)
@@ -86,6 +87,61 @@ class TestFailureProbability:
             assert abs(nearby - center) <= 1e-6 * center
 
 
+def _reference_misses(shape: int, mu: float, lam: float, insp) -> bool:
+    """Whether failure_probability misses the 50-digit reference by more
+    than 1e-9 relative plus 4 ulps of 1."""
+    got = F.failure_probability(SaneLaw(shape, mu), DamageLaw(lam), insp)
+    ref = precise_forms.failure_probability(shape, mu, lam, insp)
+    return abs(Decimal(got) - ref) > Decimal("1e-9") * abs(ref) + 4 * Decimal(2.0**-52)
+
+
+@st.composite
+def _rate_ratios(draw):
+    """lam/mu log-uniform in [1e-3, 1e3], half the draws within 0.3 of 1,
+    so the equal-rates band and its surroundings get as many as the rest."""
+    if draw(st.booleans()):
+        return draw(st.floats(0.7, 1.3))
+    return 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
+class TestDecimalReference:
+    """failure_probability against the independent 50-digit reference of
+    ``precise_forms``, on both sides of the equal-rates band.  Uniform gaps
+    are swept from mu*c = 0.1 only: below it the uniform jet at mu (the
+    Leibniz sum over exp(-sa) - exp(-sb) and m!/s^(m+1)) cancels in the
+    generic branch, which the strict xfail below keeps in view."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        shape=st.integers(1, 4),
+        ratio=_rate_ratios(),
+        uniform=st.booleans(),
+        log_muc=st.floats(-4.0, 1.0),
+    )
+    def test_sweep(self, shape, ratio, uniform, log_muc):
+        if uniform:
+            log_muc = -1.0 + (log_muc + 4.0) * 0.4  # mu*c in [0.1, 10]
+        mu = 10.0**log_muc / 1000.0
+        assert not _reference_misses(shape, mu, mu * ratio, UNIF if uniform else DET)
+
+    @pytest.mark.xfail(strict=True, reason="the uniform jet at mu cancels below mu*c = 0.1 "
+                       "(its Leibniz sum over exp(-sa) - exp(-sb) and m!/s^(m+1))")
+    def test_uniform_below_a_tenth(self):
+        mu = 1e-4 / 1000.0
+        misses = [_reference_misses(shape, mu, mu * float(ratio), UNIF)
+                  for shape in (1, 2, 3, 4) for ratio in np.geomspace(1e-3, 1e3, 10)]
+        assert not any(misses)
+
+    @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    def test_equal_rates_band(self, law, shape):
+        # the contour over the whole band at mu*c = 1e-4 and 1, edges
+        # included; inside it the uniform jet is not read
+        for mu in (1e-7, 1e-3):
+            for ratio in (0.75, 0.8, 0.9, 0.99, 1.0, 1.01, 1.1, 1.2, 1.25):
+                assert not _reference_misses(shape, mu, mu * ratio, law)
+
+
 class TestInspectionSeries:
     """The series over inspection indices, seen through the public
     functions that sum it: failure_probability (the plain series) and
@@ -93,9 +149,11 @@ class TestInspectionSeries:
 
     def test_equal_rates_hand_value(self):
         # 1 - (1 - L(mu)) * (-mu L'(mu) / (1 - L(mu))^2) at lam = mu = 1e-3,
-        # shape 1: 1 - e^{-1} / (1 - e^{-1}), exactly
+        # shape 1: 1 - e^{-1} / (1 - e^{-1}) = 0.41802329313067358...; the
+        # contour's bits are pinned, 4 ulps above the nearest float
         got = F.failure_probability(SaneLaw(1, 1e-3), DamageLaw(1e-3), DET)
-        assert got == 1.0 - E1 / (1.0 - E1)
+        assert got == 0.41802329313067377
+        assert got == pytest.approx(1.0 - 1.0 / (math.e - 1.0), rel=1e-15)
 
     def test_weighted_dominates_plain(self):
         # termwise k >= 1: E[inspections; detected] >= P(detected)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from cbmkit.laws import (
     survival_sane,
 )
 from cbmkit.oracle import ks_critical, ks_statistic
+import precise_forms
 
 DET = InspectionLaw("deterministic", 1000.0)
 UNIF = InspectionLaw("uniform", 1000.0, 100.0)
@@ -159,6 +161,17 @@ class TestOneMinusLaplace:
         assert_allclose(
             one_minus_laplace(s, UNIF), s * 1000.0 - s**2 * second_moment / 2.0, rtol=1e-6
         )
+
+    @pytest.mark.parametrize("sc", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+    def test_uniform_matches_decimal_reference(self, sc):
+        # 1 - q(2hs) is summed from its series near zero, and L itself is
+        # exp(-sa) q(2hs) there, neither a difference: a few ulps even at
+        # s*c = 1e-6
+        s = sc / 1000.0
+        ref = precise_forms.one_minus_laplace(s, UNIF)
+        assert abs(Decimal(one_minus_laplace(s, UNIF)) - ref) <= Decimal("1e-15") * ref
+        ref = precise_forms.laplace(s, UNIF)
+        assert abs(Decimal(laplace_jet(s, UNIF, 0)[0]) - ref) <= Decimal("4e-15") * ref
 
 
 class TestSampling:
