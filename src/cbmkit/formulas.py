@@ -223,7 +223,7 @@ def _circle_sum(values: tuple, n: int, mu, lam, squared: bool = False):
     for row in terms[1:]:
         total = total + row
     total = total * ((-1.0) ** n * 2.0 ** (n - 1) / _NODES)
-    return total if isinstance(mu, np.ndarray) else float(total[0])
+    return total if isinstance(mu, np.ndarray) or isinstance(lam, np.ndarray) else float(total[0])
 
 
 def _by_band(mu, lam, generic, contour) -> tuple:
