@@ -39,7 +39,7 @@ from .simulator import (
     snapshot_rows,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = [
     "ConfigError",

@@ -34,7 +34,7 @@ from .estimators import (
     invert_mean_inspections,
     mle_estimate,
 )
-from .formulas import MAX_SHAPE
+from .laws import MAX_SHAPE
 from .oracle import MIN_SAMPLES, verification_lines, verification_rows
 from .simulator import (
     CountSnapshot,
@@ -127,8 +127,16 @@ def _require_closed_form_shape(config: ModelConfig) -> None:
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors (its subcommands' parsers' too) are
+    config errors: one line from ``main``, not a usage block."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cbmkit",
         description="simulate and estimate a three-state system under "
         "condition-based maintenance",
@@ -368,8 +376,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "simulate": _cmd_simulate,
         "estimate": _cmd_estimate,
@@ -377,7 +383,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        args = build_parser().parse_args(argv)
+        with warnings.catch_warnings():
+            # a warning is one line too, not Python's source-line pair
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return handlers[args.command](args)
     except (ConfigError, OSError) as exc:
         # OSError: a path that cannot be read or written (missing, a
         # directory, no permission)

@@ -15,7 +15,8 @@ differences they are, written as Cauchy integrals over the circle
 |z - mu| = mu/2 and summed by the trapezoid rule, which reads only L and
 1 - L at the nodes and is smooth through the diagonal.  The parameter
 sensitivities come from the same series, not from hand-differentiated
-copies of them.
+copies of them, and from the same pass as the cycle moments: one jet per
+rate and one band split give both.
 
 Every closed form is elementwise over laws with arrays of rates, and
 with scalar rates the same code computes in Python floats, so a lone
@@ -37,6 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .laws import (
+    MAX_SHAPE,
     DamageLaw,
     InspectionLaw,
     SaneLaw,
@@ -50,10 +52,6 @@ from .laws import (
     laplace_jet,
     one_minus_laplace,
 )
-
-# The largest gamma shape the closed forms support: shapes 1 to 4 are the
-# ones checked against an independent 50-digit reference.
-MAX_SHAPE = 4
 
 # Trapezoid rule on the circle |z - mu| = mu/2 with N equispaced nodes
 # z_k = mu (1 + u_k/2), u_k = exp(2 pi i k/N).  The integrands are real on
@@ -141,9 +139,11 @@ class LawDerivatives:
 def law_derivatives(s, insp: InspectionLaw, order: int) -> LawDerivatives:
     """Derivative bundle of L, 1/(1-L), L/(1-L), L/(1-L)^2 at s.
 
-    A float anchor's bundle is cached (its rows are immutable floats): an
-    inversion in the failure rate reads the one at its fixed damage rate at
-    every step, and the moment bundle and the sensitivities share theirs.
+    A float anchor's bundle is cached (its rows are immutable floats): a
+    single inversion reads the one at its fixed damage rate at every step,
+    and its scan grid repeats the same points from call to call.  The cycle
+    moments and the sensitivities come from one pass and need no cache to
+    share theirs.
     """
     x = _value(s)
     if isinstance(x, np.ndarray):
@@ -299,7 +299,7 @@ def failure_probability(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw):
 
 
 # ---------------------------------------------------------------------------
-# Second-moment bundle
+# Second-moment bundle and sensitivities
 # ---------------------------------------------------------------------------
 
 
@@ -338,7 +338,26 @@ class CycleMoments:
         return self.failure_prob * (1.0 - self.failure_prob)
 
 
-def cycle_moments(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> CycleMoments:
+@dataclass(frozen=True)
+class Sensitivities:
+    """Derivatives of the invertible maps behind the count-ratio estimator.
+
+    ``dmk_dmu`` is d(mean inspections)/d(damage rate) and is negative;
+    ``dpd_dlambda`` is d(failure probability)/d(failure rate) and is
+    positive.
+    """
+
+    dmk_dmu: float
+    dpd_dmu: float
+    dpd_dlambda: float
+
+
+def _closed_forms(
+    sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw
+) -> tuple[CycleMoments, Sensitivities]:
+    """The cycle moments and the sensitivities at one rate pair, from one
+    jet per rate and one band split: the plain series S_n, its slope in lam
+    and S_(n+1) serve both."""
     n = sane.shape
     mu, lam = _rates(sane, damage)
     at_mu = law_derivatives(mu, insp, n)
@@ -348,23 +367,25 @@ def cycle_moments(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> Cycl
     lp_lam = at_lam.laplace[1]
 
     def generic(pick) -> tuple:
-        def series(mu_derivs, value):
-            return _indexed_series_sum(n, [pick(v) for v in mu_derivs], pick(value),
-                                       pick(mu), pick(lam))
-
-        return (series(at_mu.gain, at_lam.gain[0]), series(at_mu.gain_sq, at_lam.gain_sq[0]),
-                series([-v for v in at_mu.gain[1:]], -at_lam.gain[1]))
+        m, l = pick(mu), pick(lam)
+        psi, psi_lam = [pick(v) for v in at_mu.gain], [pick(v) for v in at_lam.gain]
+        plain, slope = _indexed_series_sum(n, psi, psi_lam[0], m, l, psi_lam[1])
+        weighted = _indexed_series_sum(n, [pick(v) for v in at_mu.gain_sq],
+                                       pick(at_lam.gain_sq[0]), m, l)
+        first_age = _indexed_series_sum(n, [-v for v in psi[1:]], -psi_lam[1], m, l)
+        return plain, weighted, first_age, slope, _indexed_series_sum(n + 1, psi, psi_lam[0], m, l)
 
     def contour(pick) -> tuple:
         # (-psi')[mu (n times), lam] = -n psi[mu (n+1 times), lam]
         # - psi[mu (n times), lam, lam], integrating by parts on the circle
         m, l = pick(mu), pick(lam)
         psi, one_minus = _circle_values(m, insp)
-        first_age = (n * _circle_sum(psi, n + 1, m, l) - _circle_sum(psi, n, m, l, True)) / m
-        gain_sq = _cdiv(psi, one_minus)
-        return _circle_sum(psi, n, m, l), _circle_sum(gain_sq, n, m, l), first_age
+        plain_next = _circle_sum(psi, n + 1, m, l)
+        scaled_slope = _circle_sum(psi, n, m, l, True)
+        return (_circle_sum(psi, n, m, l), _circle_sum(_cdiv(psi, one_minus), n, m, l),
+                (n * plain_next - scaled_slope) / m, scaled_slope / m, plain_next)
 
-    plain, weighted, first_age = _by_band(mu, lam, generic, contour)
+    plain, weighted, first_age, slope, plain_next = _by_band(mu, lam, generic, contour)
 
     detect = oml * plain
     p_fail = 1.0 - detect
@@ -394,7 +415,7 @@ def cycle_moments(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> Cycl
     cov_ki = detect * mk - e_k_detected
     cov_kx = (n / mu) * mk_next + (1.0 / lam - mx) * mk - e_k_detected / lam
 
-    return CycleMoments(
+    moments = CycleMoments(
         mean_inspections=mk,
         failure_prob=p_fail,
         mean_cycle=mx,
@@ -406,8 +427,33 @@ def cycle_moments(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> Cycl
         mean_cycle_on_failure=e_x_on_fail,
         mean_inspections_detected=e_k_detected,
     )
+    return moments, Sensitivities(
+        dmk_dmu=_power(-mu, n - 1) / math.factorial(n - 1) * at_mu.inv_one_minus[n],
+        dpd_dmu=-oml * n * (plain - plain_next) / mu,
+        dpd_dlambda=lp_lam * plain - oml * slope,
+    )
 
 
+def cycle_moments(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> CycleMoments:
+    return _closed_forms(sane, damage, insp)[0]
+
+
+def parameter_sensitivities(
+    sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw
+) -> Sensitivities:
+    """Derivatives (dmk/dmu, dpd/dmu, dpd/dlambda) of the estimating maps.
+
+    Each comes from the jets that define the map, one Taylor order up;
+    nothing is differentiated by hand.  With w = 1/(1-L), the
+    mean-inspections sum telescopes under d/dmu to its last term,
+    (-mu)^(n-1)/(n-1)! w^(n)(mu).  The failure probability is
+    1 - (1-L(lam)) S_n with S_n = (-mu)^n psi[mu (n times), lam] the plain
+    series of psi = L/(1-L), so d/dlambda takes the series' own slope and
+    dS_n/dmu = n (S_n - S_{n+1}) / mu exactly.  In the equal-rates band all
+    three series are trapezoid sums over the same nodes; the slope's kernel
+    is the plain one squared.
+    """
+    return _closed_forms(sane, damage, insp)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -484,65 +530,6 @@ def count_rate_covariance(moments: CycleMoments) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Sensitivities
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Sensitivities:
-    """Derivatives of the invertible maps behind the count-ratio estimator.
-
-    ``dmk_dmu`` is d(mean inspections)/d(damage rate) and is negative;
-    ``dpd_dlambda`` is d(failure probability)/d(failure rate) and is
-    positive.
-    """
-
-    dmk_dmu: float
-    dpd_dmu: float
-    dpd_dlambda: float
-
-
-def parameter_sensitivities(
-    sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw
-) -> Sensitivities:
-    """Derivatives (dmk/dmu, dpd/dmu, dpd/dlambda) of the estimating maps.
-
-    Each comes from the jets that define the map, one Taylor order up;
-    nothing is differentiated by hand.  With w = 1/(1-L), the
-    mean-inspections sum telescopes under d/dmu to its last term,
-    (-mu)^(n-1)/(n-1)! w^(n)(mu).  The failure probability is
-    1 - (1-L(lam)) S_n with S_n = (-mu)^n psi[mu (n times), lam] the plain
-    series of psi = L/(1-L), so d/dlambda takes the series' own slope and
-    dS_n/dmu = n (S_n - S_{n+1}) / mu exactly.  In the equal-rates band all
-    three series are trapezoid sums over the same nodes; the slope's kernel
-    is the plain one squared.
-    """
-    n = sane.shape
-    mu, lam = _rates(sane, damage)
-    at_mu = law_derivatives(mu, insp, n)
-    at_lam = law_derivatives(lam, insp, 1)
-    oml = at_lam.one_minus
-
-    def generic(pick) -> tuple:
-        psi, psi_lam, m, l = [pick(v) for v in at_mu.gain], at_lam.gain, pick(mu), pick(lam)
-        plain, slope = _indexed_series_sum(n, psi, pick(psi_lam[0]), m, l, pick(psi_lam[1]))
-        return plain, slope, _indexed_series_sum(n + 1, psi, pick(psi_lam[0]), m, l)
-
-    def contour(pick) -> tuple:
-        m, l = pick(mu), pick(lam)
-        psi = _circle_values(m, insp)[0]
-        return (_circle_sum(psi, n, m, l), _circle_sum(psi, n, m, l, True) / m,
-                _circle_sum(psi, n + 1, m, l))
-
-    plain, slope, plain_next = _by_band(mu, lam, generic, contour)
-    return Sensitivities(
-        dmk_dmu=_power(-mu, n - 1) / math.factorial(n - 1) * at_mu.inv_one_minus[n],
-        dpd_dmu=-oml * n * (plain - plain_next) / mu,
-        dpd_dlambda=at_lam.laplace[1] * plain - oml * slope,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Estimator covariance (delta method)
 # ---------------------------------------------------------------------------
 
@@ -578,8 +565,7 @@ def _covariance_bundle(
     single element where it is not defined, no bundle."""
     if convention not in ("delta", "tabulated"):
         raise ValueError(f"unknown convention {convention!r}")
-    moments = cycle_moments(sane, damage, insp)
-    sens = parameter_sensitivities(sane, damage, insp)
+    moments, sens = _closed_forms(sane, damage, insp)
     mx, mk, pd = moments.mean_cycle, moments.mean_inspections, moments.failure_prob
     fp, gm, gl = sens.dmk_dmu, sens.dpd_dmu, sens.dpd_dlambda
     problems = _variance_problems(moments) if convention == "delta" else [None] * len(

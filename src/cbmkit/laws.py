@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Jets beyond this order are never needed: the closed forms read them to
-# order shape, at most formulas.MAX_SHAPE = 4, and cross the equal-rates
-# diagonal on a contour that needs none; the cap keeps the recurrences
-# auditable.
-DERIVATIVE_CAP = 8
+# The largest gamma shape the closed forms support: shapes 1 to 4 are the
+# ones checked against an independent 50-digit reference.  The closed forms
+# read jets to order shape at most and cross the equal-rates diagonal on a
+# contour that needs none, so it caps the jet order too.
+MAX_SHAPE = 4
 
 # Below this u = 2 * half_width * s, 1 - q(u) for q(u) = (1 - exp(-u))/u is
 # summed from its series sum_k (-1)^(k+1) u^k/(k+1)! (the terms past k = 9
@@ -298,8 +298,8 @@ def laplace_jet(s, law: InspectionLaw, order: int):
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if order > DERIVATIVE_CAP:
-        raise ValueError(f"order {order} exceeds the cap {DERIVATIVE_CAP}")
+    if order > MAX_SHAPE:
+        raise ValueError(f"order {order} exceeds the largest shape, {MAX_SHAPE}")
     x = _value(s)
     zero = x == 0.0
     if not _all(x > 0.0):

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from cbmkit import cli, oracle
 from cbmkit.config import ConfigError, parse_config, serialize_config
-from cbmkit.estimators import REPORT_HEADER, NonConvergenceError
+from cbmkit.estimators import REPORT_HEADER, NonConvergenceError, asymptotic_estimate
 from cbmkit.oracle import verification_rows
+from cbmkit.simulator import CountSnapshot
 from conftest import halved_cycle_square
 
 CONFIG_TEXT = """\
@@ -728,6 +729,12 @@ class TestInputErrors:
             ["estimate", "--counts", "1000", "1500", "200", "1e6", "--confidence", "1",
              "--out", "est.csv"],
             ["convergence", "--grid-count", "5", "--confidence", "-0.1", "--out", "conv.csv"],
+            # command lines the argument parser rejects: no usage block
+            ["bogus", "--out", "est.csv"],
+            ["estimate", "--counts", "1000", "1500", "200", "1e6", "--method", "xyz",
+             "--out", "est.csv"],
+            ["verify", "--samples", "abc", "--out", "report.csv"],
+            ["convergence", "--grid-count", "5"],
         ],
         ids=["samples-100", "samples-0", "verify-shape-5", "estimate-am-shape-5",
              "negative-time", "non-numeric-count", "horizon-inf", "grid-nan",
@@ -735,7 +742,8 @@ class TestInputErrors:
              "estimate-out-empty", "infeasible-out-empty", "convergence-out-empty",
              "verify-out-empty", "events-empty", "snapshots-empty", "seed-negative-flag",
              "seed-negative-file", "estimate-confidence-below-1",
-             "convergence-confidence-below-1", "confidence-1", "confidence-negative"],
+             "convergence-confidence-below-1", "confidence-1", "confidence-negative",
+             "unknown-subcommand", "method-choice", "samples-not-integer", "out-missing"],
     )
     def test_one_line_config_error(self, argv, config_file, tmp_path, monkeypatch, capsys):
         def never(*args, **kwargs):
@@ -755,6 +763,16 @@ class TestInputErrors:
         code = cli.main(argv + ["--config", config_file])
         self._assert_one_line_config_error(code, capsys)
         assert os.listdir(tmp_path) == ["run.cfg"]
+
+    def test_few_cycles_warning_is_one_line(self, config_file, capsys):
+        code = cli.main(["estimate", "--config", config_file, "--counts", "50", "80", "10",
+                         "1e5"])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert err == "warning: only 50.0 cycles observed; asymptotic intervals are dubious\n"
+        # a library caller still gets the UserWarning
+        with pytest.warns(UserWarning, match="only 50 cycles observed"):
+            asymptotic_estimate(CountSnapshot(1e5, 50, 80, 10), parse_config(CONFIG_TEXT))
 
     def test_mle_confidence_below_1(self, config_file, tmp_path, capsys):
         # the MLE's interval quantile, on a log the fit accepts

@@ -276,17 +276,17 @@ class TestCycleMoments:
 class TestLawDerivativesCache:
     def test_cached_arrays_are_read_only(self):
         # a float anchor's cached bundle is shared, so its rows are tuples
-        bundle = F.law_derivatives(1e-3, UNIF, 5)
+        bundle = F.law_derivatives(1e-3, UNIF, 4)
         for rows in (bundle.laplace, bundle.inv_one_minus, bundle.gain, bundle.gain_sq):
             with pytest.raises(TypeError):
                 rows[0] = 0.0
 
     @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
     def test_repeated_calls_agree(self, law):
-        first = F.law_derivatives(7.3e-4, law, 6)
-        again = F.law_derivatives(7.3e-4, law, 6)
+        first = F.law_derivatives(7.3e-4, law, 4)
+        again = F.law_derivatives(7.3e-4, law, 4)
         assert again is first
-        fresh = F._derivatives(7.3e-4, law, 6)
+        fresh = F._derivatives(7.3e-4, law, 4)
         for name in ("laplace", "inv_one_minus", "gain", "gain_sq"):
             assert [v.hex() for v in getattr(again, name)] == [
                 v.hex() for v in getattr(fresh, name)]
@@ -296,9 +296,9 @@ class TestLawDerivativesCache:
         # a single anchor computes in floats, an array of anchors in rows;
         # each column is its anchor's bundle, bit for bit
         anchors = [7.3e-4, 1e-3, 2.5e-2]
-        batch = F.law_derivatives(np.array(anchors), law, 6)
+        batch = F.law_derivatives(np.array(anchors), law, 4)
         for k, s in enumerate(anchors):
-            one = F.law_derivatives(s, law, 6)
+            one = F.law_derivatives(s, law, 4)
             assert type(one.one_minus) is float
             assert batch.one_minus[k] == one.one_minus
             for name in ("laplace", "inv_one_minus", "gain", "gain_sq"):
@@ -577,10 +577,40 @@ class TestEstimatorCovariance:
             F.estimator_covariance(SaneLaw(1, 1e-3), DamageLaw(5e-4), DET, "other")
 
     def test_non_identifiability_guard(self, monkeypatch):
+        # the real moments with a flat failure probability, through the one
+        # pass the covariance makes
         flat = F.Sensitivities(dmk_dmu=-900.0, dpd_dmu=0.0, dpd_dlambda=0.0)
-        monkeypatch.setattr(F, "parameter_sensitivities", lambda *a, **k: flat)
+        closed_forms = F._closed_forms
+        monkeypatch.setattr(F, "_closed_forms", lambda *a: (closed_forms(*a)[0], flat))
         with pytest.raises(ValueError, match="identifiable"):
             F.estimator_covariance(SaneLaw(1, 1e-3), DamageLaw(5e-4), DET)
+
+    @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
+    def test_one_pass_per_batch(self, law, monkeypatch):
+        # a 100-element batch, a third of it in the equal-rates band: one
+        # jet at each rate, one band split and one contour evaluation
+        mu = np.geomspace(5e-4, 2e-3, 100)
+        lam = mu * np.where(np.arange(100) % 3 == 0, 1.1, 0.5)
+        calls = []
+
+        def counted(name, func):
+            def wrapper(*args):
+                calls.append(name)
+                return func(*args)
+            return wrapper
+
+        jets = F.law_derivatives
+
+        def law_derivatives(s, insp, order):
+            calls.append("jet at mu" if s is mu else "jet at lam" if s is lam else s)
+            return jets(s, insp, order)
+
+        monkeypatch.setattr(F, "law_derivatives", law_derivatives)
+        for name in ("_by_band", "_circle_values"):
+            monkeypatch.setattr(F, name, counted(name, getattr(F, name)))
+        bundle = F.estimator_covariance(SaneLaw(2, mu), DamageLaw(lam), law)
+        assert bundle.param_cov.shape == (100, 2, 2)
+        assert calls == ["jet at mu", "jet at lam", "_by_band", "_circle_values"]
 
     def test_published_jacobian_forms_agree_and_differ_from_delta(self):
         # The two printed jacobian displays (theorem statement and proof
