@@ -119,7 +119,7 @@ def _require_seed(config: ModelConfig) -> int:
 def _require_closed_form_shape(config: ModelConfig) -> None:
     """The closed forms (counting estimates, their intervals, the oracle's
     moments) read jets of order shape and are checked for shapes up to
-    MAX_SHAPE; simulation and the event-log MLE read no jets."""
+    MAX_SHAPE; simulation and the event-log MLE do without them above it."""
     if config.sane.shape > MAX_SHAPE:
         raise ConfigError(
             f"sane.shape {config.sane.shape} exceeds {MAX_SHAPE}, the largest "
@@ -384,10 +384,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         args = build_parser().parse_args(argv)
-        with warnings.catch_warnings():
-            # a warning is one line too, not Python's source-line pair
-            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-            return handlers[args.command](args)
+        with warnings.catch_warnings(record=True) as caught:
+            code = handlers[args.command](args)
+        # one line per warning, and none from a command that then failed
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+        return code
     except (ConfigError, OSError) as exc:
         # OSError: a path that cannot be read or written (missing, a
         # directory, no permission)

@@ -35,7 +35,7 @@ from .formulas import (
     mean_inspections,
     window_moments,
 )
-from .laws import DETERMINISTIC, DamageLaw, InspectionLaw, SaneLaw
+from .laws import DETERMINISTIC, MAX_SHAPE, DamageLaw, InspectionLaw, SaneLaw
 from .simulator import CountSnapshot, CycleBatch
 
 
@@ -635,13 +635,13 @@ def _newton_fit(
 def mle_estimate(data: ObservedData, config: ModelConfig) -> EstimateReport:
     """Censored maximum likelihood over (log mu, log lam).
 
-    Starts from the asymptotic estimate and takes safeguarded Newton steps
-    on the analytic score and Hessian (see :func:`_newton_fit`); intervals
-    come from the inverse observed information, the same analytic Hessian
-    at the optimum.  Diagnostics: the Newton ``iterations``, the
-    ``likelihood_evaluations`` (each one moments pass), the final
-    ``log_likelihood`` and ``score_norm`` (Euclidean norm of the score in
-    the log parameters), and the start.
+    Starts from the asymptotic estimate (up to MAX_SHAPE) and takes
+    safeguarded Newton steps on the analytic score and Hessian (see
+    :func:`_newton_fit`); intervals come from the inverse observed
+    information, the same analytic Hessian at the optimum.  Diagnostics:
+    the Newton ``iterations``, the ``likelihood_evaluations`` (each one
+    moments pass), the final ``log_likelihood`` and ``score_norm``
+    (Euclidean norm of the score in the log parameters), and the start.
     """
     n_fail = data.fail_z.size
     n_r = n_fail + data.det_b.size
@@ -652,17 +652,17 @@ def mle_estimate(data: ObservedData, config: ModelConfig) -> EstimateReport:
     shape = config.sane.shape
     insp = config.inspection
 
-    n_i = data.n_inspections
     t_total = data.total_time
-    try:
-        start_mu = invert_mean_inspections(n_i / n_r, shape, insp)
-        start_lam = invert_failure_probability(
-            n_fail / n_r, SaneLaw(shape, start_mu), insp
-        )
-    except (OutOfRangeError, DegenerateDataError):
-        # crude moment start when the count ratios are uninformative
-        start_mu = shape * n_r / t_total
-        start_lam = n_fail / t_total
+    # crude moment start above the closed forms' shapes, or when the count
+    # ratios are uninformative
+    start_mu, start_lam = shape * n_r / t_total, n_fail / t_total
+    if shape <= MAX_SHAPE:
+        try:
+            mu = invert_mean_inspections(data.n_inspections / n_r, shape, insp)
+            lam = invert_failure_probability(n_fail / n_r, SaneLaw(shape, mu), insp)
+            start_mu, start_lam = mu, lam
+        except (OutOfRangeError, DegenerateDataError):
+            pass
 
     start_logs = np.array([math.log(start_mu), math.log(start_lam)])
     logs, terms, iterations, evaluations = _newton_fit(data, shape, start_logs)

@@ -770,6 +770,13 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert code == 0
         assert err == "warning: only 50.0 cycles observed; asymptotic intervals are dubious\n"
+        # an estimate that then fails prints only its error line
+        code = cli.main(["estimate", "--config", config_file, "--counts", "50", "80",
+                         "49.99999999999", "1e5"])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "estimation infeasible: failure rate not identifiable: flat failure probability"
+        ]
         # a library caller still gets the UserWarning
         with pytest.warns(UserWarning, match="only 50 cycles observed"):
             asymptotic_estimate(CountSnapshot(1e5, 50, 80, 10), parse_config(CONFIG_TEXT))
@@ -800,20 +807,22 @@ class TestInputErrors:
         assert not out.exists()
 
     def test_shape_beyond_the_closed_forms(self, config_file, tmp_path, capsys):
-        # only the commands that evaluate closed forms reject shape 5;
-        # simulation and the event-log MLE read no Laplace-transform jets
-        shape = ["--config", config_file, "--sane.shape", "5"]
-        events = str(tmp_path / "ev.csv")
-        code = cli.main(["simulate", *shape, "--events", events,
-                         "--snapshots", str(tmp_path / "snap.csv")])
-        assert code == 0
-        assert cli.main(["estimate", *shape, "--events", events, "--method", "mle"]) == 0
-        capsys.readouterr()
-        code = cli.main(["convergence", *shape, "--out", str(tmp_path / "conv.csv")])
-        self._assert_one_line_config_error(code, capsys)
-        assert not (tmp_path / "conv.csv").exists()
-        code = cli.main(["estimate", *shape, "--events", events, "--method", "both"])
-        self._assert_one_line_config_error(code, capsys)
+        # only the commands that evaluate closed forms reject shapes above 4;
+        # simulation reads no Laplace-transform jets, and the event-log MLE
+        # starts from the crude moment start there
+        for sane_shape in ["5", "6", "10"]:
+            shape = ["--config", config_file, "--sane.shape", sane_shape]
+            events = str(tmp_path / "ev.csv")
+            code = cli.main(["simulate", *shape, "--events", events,
+                             "--snapshots", str(tmp_path / "snap.csv")])
+            assert code == 0
+            assert cli.main(["estimate", *shape, "--events", events, "--method", "mle"]) == 0
+            capsys.readouterr()
+            code = cli.main(["convergence", *shape, "--out", str(tmp_path / "conv.csv")])
+            self._assert_one_line_config_error(code, capsys)
+            assert not (tmp_path / "conv.csv").exists()
+            code = cli.main(["estimate", *shape, "--events", events, "--method", "both"])
+            self._assert_one_line_config_error(code, capsys)
 
     @pytest.mark.parametrize(
         "case", ["events-directory", "out-directory", "config-directory", "config-not-utf8"]
