@@ -3,9 +3,9 @@
 Everything here is an exact expression in the inspection-gap Laplace
 transform L and its derivatives at the damage rate ``mu`` (and at the
 failure rate ``lam``).  Derivatives of 1/(1-L), L/(1-L) and L/(1-L)^2 are
-obtained by truncated-series arithmetic over the jets from
-:func:`cbmkit.laws.laplace_jet`, read to order shape at most; there is no
-quadrature on the real line and no symbolic algebra.
+obtained by truncated-series arithmetic over the jets and 1 - L of one
+pass of ``laws._transform`` per anchor, read to order shape at most;
+there is no quadrature on the real line and no symbolic algebra.
 
 The rate pair (mu, lam) hits a removable singularity on the diagonal
 mu = lam: the generic expressions carry (mu - lam)^-shape factors whose
@@ -45,12 +45,10 @@ from .laws import (
     _all,
     _any,
     _cdiv,
-    _power,
+    _exp_poly_moments,
+    _transform,
     _value,
-    _where,
     complex_laplace,
-    laplace_jet,
-    one_minus_laplace,
 )
 
 # Trapezoid rule on the circle |z - mu| = mu/2 with N equispaced nodes
@@ -78,9 +76,17 @@ def _near_diagonal(mu, lam):
     return abs(lam - mu) <= 0.25 * mu
 
 
-def _maximum(a, b):
-    """The larger of a and b, elementwise."""
-    return _where(a >= b, a, b)
+def _power(x, p: int):
+    """x ** p elementwise with the C library's pow, as Python's float power
+    rounds (x * x is not always pow(x, 2)); p = 0 and 1 are exact.  A
+    scalar x gives a float."""
+    if not isinstance(x, np.ndarray):
+        return math.pow(x, p)
+    if p == 0:
+        return np.ones_like(x)
+    if p == 1:
+        return x
+    return np.array([math.pow(v, p) for v in x.tolist()], dtype=float)
 
 
 def _elements(value) -> list:
@@ -152,11 +158,10 @@ def law_derivatives(s, insp: InspectionLaw, order: int) -> LawDerivatives:
 
 
 def _derivatives(x, insp: InspectionLaw, order: int) -> LawDerivatives:
-    laplace = laplace_jet(x, insp, order)
+    laplace, one_minus = _transform(x, insp, order)
     taylor = [v / math.factorial(i) for i, v in enumerate(laplace)]
-    # The order-0 coefficient of 1-L is rebuilt without cancellation; the
-    # higher coefficients are exact sign flips.
-    one_minus = one_minus_laplace(x, insp)
+    # The order-0 coefficient of 1-L is its own cancellation-free value;
+    # the higher coefficients are exact sign flips.
     w = _series_reciprocal([one_minus] + [-v for v in taylor[1:]])
     psi = _series_mul(taylor, w)
 
@@ -570,7 +575,7 @@ def _covariance_bundle(
     fp, gm, gl = sens.dmk_dmu, sens.dpd_dmu, sens.dpd_dlambda
     problems = _variance_problems(moments) if convention == "delta" else [None] * len(
         _elements(mx))
-    flat = _elements(abs(gl) < 1e-14 * _maximum(abs(pd), 1e-300))
+    flat = _elements(abs(gl) < 1e-14 * np.fmax(abs(pd), 1e-300))
     problems = [
         "failure rate not identifiable: flat failure probability" if f else p
         for p, f in zip(problems, flat)
@@ -647,7 +652,8 @@ def _window_sums(a, b, n: int, theta: float, orders: int) -> list:
     (b-w)^(n-1) is expanded binomially about b, so every P_r is a weighted
     sum of the moments m_r..m_(r+n-1) from one moments pass.
     """
-    gap = b - a
+    # an array even for scalar ends: the engine takes two floats in floats
+    gap = np.asarray(b - a)
     moments = _exp_poly_moments(gap, theta, n - 1 + orders)
     weights = [math.comb(n - 1, i) * (-1.0) ** i * b ** (n - 1 - i) for i in range(n)]
     sums = []
@@ -692,67 +698,3 @@ def window_moments(a, b, sane: SaneLaw, damage: DamageLaw) -> tuple:
     log_value = n * math.log(mu) - math.lgamma(n) - mu * b + np.log(p0)
     mean = p1 / p0
     return log_value, mean, p2 / p0 - mean * mean
-
-
-@functools.lru_cache(maxsize=None)
-def _series_coefficients(top: int, negative: bool, terms: int) -> tuple:
-    # theta > 0: mu_top(x) = sum_j x^j / (j! (top+j+1)); theta < 0:
-    # mu_top(x) = exp(x) sum_j |x|^j top! / (top+j+1)!; positive terms both
-    if negative:
-        return tuple(
-            math.factorial(top) / math.factorial(top + j + 1) for j in range(terms)
-        )
-    return tuple(1.0 / (math.factorial(j) * (top + j + 1)) for j in range(terms))
-
-
-def _exp_poly_moments(g, theta: float, top: int) -> list:
-    """m_i = int_0^g w^i exp(theta w) dw for i = 0..top, accurate for every
-    theta*g.
-
-    With x = theta*g, m_i = g^(i+1) mu_i(x) and mu_i(x) = int_0^1 t^i
-    exp(x t) dt, the phi-function exp(x) i! phi_(i+1)(-x).  The upward
-    recursion mu_i = (exp(x) - i mu_(i-1))/x multiplies the rounding error
-    of mu_0 by about (top+1)!/|x|^top, so it is used where that is at most
-    one, |x| >= ((top+1)!)^(1/top).  Below the switch, mu_top is a power
-    series in |x| with positive terms only (the Taylor series for x > 0,
-    exp(x) times the phi series for x < 0), summed to double precision,
-    and the downward recursion mu_(i-1) = (exp(x) - x mu_i)/i, whose error
-    shrinks by |x|/i per step, gives the rest.  Orders 0..6 match a
-    high-precision reference to a few ulps times |x|.
-    """
-    g = np.asarray(g, dtype=float)
-    flat = g.reshape(-1)
-    x = theta * flat
-    ex = np.exp(x)
-    small = np.abs(x) < math.factorial(top + 1) ** (1.0 / max(top, 1))
-    every = bool(small.all())
-    out = np.empty((top + 1, flat.size))
-    if small.any():
-        pick = slice(None) if every else small
-        xs, es, gs = x[pick], ex[pick], flat[pick]
-        ax = np.abs(xs)
-        # terms until r^j/j! drops below half an ulp at the largest |x|
-        r, terms, last = float(ax.max()), 1, 1.0
-        while last > 2.0**-54:
-            last *= r / terms
-            terms += 1
-        coefficients = _series_coefficients(top, theta < 0.0, terms)
-        acc = np.full_like(xs, coefficients[-1])
-        for c in coefficients[-2::-1]:
-            acc *= ax
-            acc += c
-        if theta < 0.0:
-            acc *= es
-        out[top, pick] = acc * gs ** (top + 1)
-        for i in range(top, 0, -1):
-            acc = (es - xs * acc) / i
-            out[i - 1, pick] = acc * gs**i
-    if not every:
-        big = ~small
-        xb, eb, gb = x[big], ex[big], flat[big]
-        prev = np.expm1(xb) / theta
-        out[0, big] = prev
-        for i in range(1, top + 1):
-            prev = (gb**i * eb - i * prev) / theta
-            out[i, big] = prev
-    return [m.reshape(g.shape) for m in out]

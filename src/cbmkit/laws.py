@@ -5,12 +5,14 @@ integer shape and rate parameterization, mean = shape/rate), the time from
 damage to failure (exponential), and the gap between consecutive planned
 inspections (deterministic or uniform).  Besides sampling and pointwise
 survival/density evaluation, this module produces exact derivative jets of
-the inspection-gap Laplace transform, which the closed-form machinery in
-:mod:`cbmkit.formulas` consumes.
+the inspection-gap Laplace transform (from the exponential moments that
+also give the censored likelihood's window integral), which the closed-form
+machinery in :mod:`cbmkit.formulas` consumes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,9 +24,9 @@ import numpy as np
 # contour that needs none, so it caps the jet order too.
 MAX_SHAPE = 4
 
-# Below this u = 2 * half_width * s, 1 - q(u) for q(u) = (1 - exp(-u))/u is
-# summed from its series sum_k (-1)^(k+1) u^k/(k+1)! (the terms past k = 9
-# fall under double resolution), not taken as a difference near zero.
+# Below |w| = 2 * half_width * |z| of this, 1 - q(w), q(w) = (1 - exp(-w))/w,
+# is summed from its series sum_k (-1)^(k+1) w^k/(k+1)! (the terms past
+# k = 9 fall under double resolution), not taken as a difference near zero.
 _SERIES_BELOW = 0.05
 _ONE_MINUS_Q = tuple((-1.0) ** (k + 1) / math.factorial(k + 1) for k in range(1, 10))
 
@@ -118,14 +120,6 @@ def _value(s):
     return x if x.ndim else float(x)
 
 
-def _where(mask, a, b):
-    """``np.where`` elementwise; on a single element (a bool mask) the value
-    chosen, without boxing it into an array."""
-    if isinstance(mask, np.ndarray):
-        return np.where(mask, a, b)
-    return a if mask else b
-
-
 def _any(mask) -> bool:
     return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
 
@@ -141,19 +135,6 @@ def _libm(fn, x):
     if isinstance(x, np.ndarray):
         return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return fn(x)
-
-
-def _power(x, p: int):
-    """x ** p elementwise with the C library's pow, as Python's float power
-    rounds (x * x is not always pow(x, 2)); p = 0 and 1 are exact.  A
-    scalar x gives a float."""
-    if not isinstance(x, np.ndarray):
-        return math.pow(x, p)
-    if p == 0:
-        return np.ones_like(x)
-    if p == 1:
-        return x
-    return np.array([math.pow(v, p) for v in x.tolist()], dtype=float)
 
 
 def survival_sane(t: float, law: SaneLaw) -> float:
@@ -191,15 +172,6 @@ def density_sane(t, law: SaneLaw):
     return out if out.ndim else float(out)
 
 
-def _one_minus_q(u):
-    """1 - (1 - exp(-u))/u for u > 0, and the q it is taken from."""
-    q = -_libm(math.expm1, -u) / u
-    near = u < _SERIES_BELOW
-    if not _any(near):
-        return 1.0 - q, q
-    return _where(near, _one_minus_q_series((u, 0.0))[0], 1.0 - q), q
-
-
 def _one_minus_q_series(w: tuple) -> tuple:
     """1 - q(w) from its series, for an (re, im) pair w."""
     acc = (_ONE_MINUS_Q[-1], 0.0)
@@ -207,22 +179,6 @@ def _one_minus_q_series(w: tuple) -> tuple:
         re, im = _cmul(acc, w)
         acc = (re + c, im)
     return _cmul(acc, w)
-
-
-def one_minus_laplace(s, law: InspectionLaw):
-    """1 - E[exp(-s*gap)], computed without cancellation for small s.
-
-    The naive difference loses all digits once s*spacing is tiny; both
-    branches below keep every term positive.  Accepts a scalar or an array
-    of s, elementwise.
-    """
-    x = _value(s)
-    if law.kind == DETERMINISTIC:
-        return -_libm(math.expm1, -x * law.spacing)
-    a = law.spacing - law.half_width
-    zero = x == 0.0
-    one_minus_q, q = _one_minus_q(2.0 * law.half_width * _where(zero, 1.0, x))
-    return _where(zero, 0.0, one_minus_q - q * _libm(math.expm1, -x * a))
 
 
 def _cmul(a: tuple, b: tuple) -> tuple:
@@ -285,54 +241,155 @@ def complex_laplace(x, y, law: InspectionLaw) -> tuple:
     return _cmul(e_za, q), (one_minus_q[0] + q_part[0], one_minus_q[1] + q_part[1])
 
 
+@functools.lru_cache(maxsize=None)
+def _series_coefficients(top: int, negative: bool, terms: int) -> tuple:
+    # theta > 0: mu_top(x) = sum_j x^j / (j! (top+j+1)); theta < 0:
+    # mu_top(x) = exp(x) sum_j |x|^j top! / (top+j+1)!; positive terms both
+    if negative:
+        return tuple(
+            math.factorial(top) / math.factorial(top + j + 1) for j in range(terms)
+        )
+    return tuple(1.0 / (math.factorial(j) * (top + j + 1)) for j in range(terms))
+
+
+@functools.lru_cache(maxsize=16)
+def _series_terms(reach: float) -> int:
+    """Terms until reach^j/j! drops below half an ulp."""
+    terms, last = 1, 1.0
+    while last > 2.0**-54:
+        last *= reach / terms
+        terms += 1
+    return terms
+
+
+def _exp_poly_moments(g, theta, top: int, exp=np.exp, expm1=np.expm1,
+                      elementwise: bool = False) -> list:
+    """m_i = int_0^g w^i exp(theta w) dw for i = 0..top, accurate for every
+    theta*g.
+
+    With x = theta*g, m_i = g^(i+1) mu_i(x) and mu_i(x) = int_0^1 t^i
+    exp(x t) dt, the phi-function exp(x) i! phi_(i+1)(-x).  The upward
+    recursion mu_i = (exp(x) - i mu_(i-1))/x multiplies the rounding error
+    of mu_0 by about (top+1)!/|x|^top, so it is used where that is at most
+    one, |x| >= ((top+1)!)^(1/top).  Below the switch, mu_top is a power
+    series in |x| with positive terms only (the Taylor series for x > 0,
+    exp(x) times the phi series for x < 0), summed to double precision,
+    and the downward recursion mu_(i-1) = (exp(x) - x mu_i)/i, whose error
+    shrinks by |x|/i per step, gives the rest.  Orders 0..6 match a
+    high-precision reference to a few ulps times |x|.
+
+    g or theta may be an array (theta's elements of one sign); two floats
+    compute in floats.  Each caller passes its exponentials: the censored
+    likelihood's window (``formulas._window_sums``) numpy's, the uniform
+    gap transform (``_transform``, theta = -s) the C library's, with the
+    series summed over ``elementwise`` anchors to the terms of the whole
+    range below the switch, so each anchor gets the bits it gets alone.
+    """
+    switch = math.factorial(top + 1) ** (1.0 / max(top, 1))
+    reach = switch if elementwise else None
+    if not isinstance(g, np.ndarray) and not isinstance(theta, np.ndarray):
+        x = theta * g
+        out = [[0.0] for _ in range(top + 1)]
+        _moments(out, 0, x, exp(x), g, theta, top, expm1, abs(x) < switch, reach)
+        return [m[0] for m in out]
+    x = np.asarray(theta * g)
+    shape, x = x.shape, x.reshape(-1)
+    ex = exp(x)
+    small = np.abs(x) < switch
+    # each side of the switch on its own elements, rows written into one block
+    out = np.empty((top + 1, x.size))
+    sides = ([(small, True), (~small, False)] if small.any() and not small.all()
+             else [(slice(None), bool(small.all()))])
+    for rows, series in sides:
+        _moments(out, rows, x[rows], ex[rows], _part(g, rows), _part(theta, rows), top, expm1,
+                 series, reach)
+    return [m.reshape(shape) for m in out]
+
+
+def _part(value, rows):
+    """The elements ``rows`` of an array, flattened, or a float as is."""
+    return value.reshape(-1)[rows] if isinstance(value, np.ndarray) else value
+
+
+def _moments(out, rows, x, ex, g, theta, top: int, expm1, series: bool, reach) -> None:
+    """out[i][rows] = m_i for i = 0..top on one side of the switch: above it
+    the upward recursion, below it mu_top from its series (Horner's rule, in
+    place on arrays, to the terms of ``reach`` or of the largest |x|) and
+    the downward recursion."""
+    if not series:
+        prev = out[0][rows] = expm1(x) / theta
+        for i in range(1, top + 1):
+            prev = out[i][rows] = (g**i * ex - i * prev) / theta
+        return
+    ax = abs(x)
+    negative = _any(theta < 0.0)
+    terms = _series_terms(reach or float(np.max(ax, initial=0.0)))
+    coefficients = _series_coefficients(top, negative, terms)
+    acc = ax * coefficients[-1]
+    for c in coefficients[-2:0:-1]:
+        acc += c
+        acc *= ax
+    acc += coefficients[0]
+    if negative:
+        acc *= ex
+    out[top][rows] = acc * g ** (top + 1)
+    for i in range(top, 0, -1):
+        acc = (ex - x * acc) / i
+        out[i - 1][rows] = acc * g**i
+
+
+def _transform(x, law: InspectionLaw, order: int) -> tuple:
+    """L^(i) for i = 0..order, and 1 - L, at anchors x, in one pass.
+
+    Uniform gaps on [a, a + 2h] read m_j = int_0^2h w^j exp(-x w) dw to
+    MAX_SHAPE at any order, so row i does not depend on it: L^(i) = (-1)^i
+    exp(-xa)/(2h) sum_j C(i,j) a^(i-j) m_j sums terms of one sign, and
+    1 - L = -expm1(-xa) + exp(-xa) x (m_0 - m_1/(2h)), m_1/(2h) <= m_0/2.
+    """
+    if order > MAX_SHAPE:
+        raise ValueError(f"order {order} exceeds the largest shape, {MAX_SHAPE}")
+    if law.kind == DETERMINISTIC:
+        c = law.spacing
+        e = _libm(math.exp, -x * c)
+        return [(-c) ** i * e for i in range(order + 1)], -_libm(math.expm1, -x * c)
+    a, two_h = law.spacing - law.half_width, 2.0 * law.half_width
+    m = _exp_poly_moments(two_h, -x, MAX_SHAPE, lambda v: _libm(math.exp, v),
+                          lambda v: _libm(math.expm1, v), elementwise=True)
+    e = _libm(math.exp, -x * a)
+    # sums[k] = sum_j C(i,j) a^(i-j) m_(j+k), taken to i + 1 by Pascal's rule
+    rows, sums = [], m
+    for i in range(order + 1):
+        rows.append((-1.0) ** i * e * sums[0] / two_h)
+        sums = [a * v + w for v, w in zip(sums, sums[1:])]
+    return rows, -_libm(math.expm1, -x * a) + e * x * (m[0] - m[1] / two_h)
+
+
 def laplace_jet(s, law: InspectionLaw, order: int):
     """Exact derivatives of the gap Laplace transform at s, orders 0..order.
 
-    Deterministic gaps give (-spacing)^i * exp(-s*spacing) directly.  For
-    uniform gaps, L(s) = (exp(-s(c-h)) - exp(-s(c+h))) / (2hs) and the
-    derivatives follow from the Leibniz rule on the two exponentials and
-    the 1/s factor, each derivative summed in index order; no quadrature
-    anywhere.  The derivatives are raw, not Taylor-scaled.  A scalar
-    anchor gives a tuple of floats; an array of anchors gives one array, a
-    row per order and a column per anchor.
+    Deterministic gaps give (-spacing)^i * exp(-s*spacing) directly; for
+    uniform gaps each derivative sums terms of one sign over the
+    exponential moments of the gap (see ``_transform``), for every s.  The
+    derivatives are raw, not Taylor-scaled.  A scalar anchor gives a tuple
+    of floats; an array of anchors gives one array, a row per order and a
+    column per anchor.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if order > MAX_SHAPE:
-        raise ValueError(f"order {order} exceeds the largest shape, {MAX_SHAPE}")
     x = _value(s)
-    zero = x == 0.0
     if not _all(x > 0.0):
-        if order > 0 and _any(zero):
+        if order > 0 and _any(x == 0.0):
             raise ValueError("s = 0 is only valid for order 0")
         if _any(x < 0.0):
             raise ValueError("s must be nonnegative")
-    if law.kind == DETERMINISTIC:
-        e = _libm(math.exp, -x * law.spacing)
-        rows = [(-law.spacing) ** i * e for i in range(order + 1)]
-    else:
-        a = law.spacing - law.half_width
-        b = law.spacing + law.half_width
-        # d^j (e^{-sa} - e^{-sb}) and d^m (1/s) = (-1)^m m! s^-(m+1),
-        # combined by Leibniz; s = 0 (order 0 only) is the limit 1
-        ea, eb = _libm(math.exp, -x * a), _libm(math.exp, -x * b)
-        diff = [(-a) ** j * ea - (-b) ** j * eb for j in range(order + 1)]
-        safe = _where(zero, 1.0, x)
-        inv = [(-1.0) ** m * math.factorial(m) * _power(safe, -(m + 1)) for m in range(order + 1)]
-        rows = []
-        for i in range(order + 1):
-            total = 0.0
-            for j in range(i + 1):
-                total = total + math.comb(i, j) * diff[j] * inv[i - j]
-            rows.append(total / (2.0 * law.half_width))
-        # below the series switch the value is exp(-sa) q(2hs), which
-        # cancels nothing, not the difference of the two exponentials
-        u = 2.0 * law.half_width * safe
-        near = u < _SERIES_BELOW
-        if _any(near):
-            rows[0] = _where(near, ea * (-_libm(math.expm1, -u) / u), rows[0])
-        rows[0] = _where(zero, 1.0, rows[0])
+    rows = _transform(x, law, order)[0]
     return np.array(rows) if isinstance(x, np.ndarray) else tuple(rows)
+
+
+def one_minus_laplace(s, law: InspectionLaw):
+    """1 - E[exp(-s*gap)] from terms of one sign, where the naive difference
+    loses every digit at small s; elementwise over an array of s."""
+    return _transform(_value(s), law, 0)[1]
 
 
 def sample_sane(rng: np.random.Generator, law: SaneLaw) -> float:

@@ -1,4 +1,6 @@
-"""An independent 50-digit reference for the failure probability.
+"""An independent 50-digit reference for the closed forms: the failure
+probability, the mean inspections per cycle and the raw derivatives of
+the gap transform.
 
 Built on the standard library's ``decimal`` only, and on nothing of
 ``cbmkit`` but its law parameters.  The inspection-gap transform L is
@@ -114,3 +116,22 @@ def failure_probability(shape: int, mu, lam, insp) -> Decimal:
             tail = at_lam / (1 - at_lam) - sum(psi[j] * gap**j for j in range(n))
             difference = tail / gap**n
         return 1 - (1 - laplace(lam, insp)) * (-mu) ** n * difference
+
+
+def laplace_jet(s, insp, order: int) -> list:
+    """L^(i)(s) = i! L_i for i = 0..order, the Taylor coefficients of L
+    about s."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        taylor = _laplace_taylor(_decimal(s), insp, order + 1)
+        return [coefficient * math.factorial(i) for i, coefficient in enumerate(taylor)]
+
+
+def mean_inspections(shape: int, mu, insp) -> Decimal:
+    """sum_{i<n} (-mu)^i w_i for the Taylor coefficients w_i of
+    w = 1/(1 - L) = 1 + psi about mu, n = shape."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        mu = _decimal(mu)
+        psi = _psi_taylor(mu, insp, shape)
+        return 1 + sum((-mu) ** i * coefficient for i, coefficient in enumerate(psi))

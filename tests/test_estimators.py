@@ -239,7 +239,7 @@ class TestChandrupatla:
         def func(mu):
             return F.mean_inspections(SaneLaw(shape, mu), law)
 
-        targets = [func(mu) for mu in (1e-4, 1e-3, 3e-3)] + [53116 / 33501, 51503 / 20668]
+        targets = [func(mu) for mu in (3e-5, 1e-4, 1e-3, 3e-3)] + [53116 / 33501, 51503 / 20668]
         for target in targets:
             self._check(func, target)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cbmkit import formulas as F
+from cbmkit import laws
 from cbmkit.laws import DamageLaw, InspectionLaw, SaneLaw, laplace_jet
 from closed_forms import closed_sensitivities
 import precise_forms
@@ -105,11 +107,9 @@ def _rate_ratios(draw):
 
 
 class TestDecimalReference:
-    """failure_probability against the independent 50-digit reference of
-    ``precise_forms``, on both sides of the equal-rates band.  Uniform gaps
-    are swept from mu*c = 0.1 only: below it the uniform jet at mu (the
-    Leibniz sum over exp(-sa) - exp(-sb) and m!/s^(m+1)) cancels in the
-    generic branch, which the strict xfail below keeps in view."""
+    """failure_probability and mean_inspections against the independent
+    50-digit reference of ``precise_forms``, on both sides of the
+    equal-rates band, for both gap laws over mu*c in [1e-4, 10]."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -119,18 +119,17 @@ class TestDecimalReference:
         log_muc=st.floats(-4.0, 1.0),
     )
     def test_sweep(self, shape, ratio, uniform, log_muc):
-        if uniform:
-            log_muc = -1.0 + (log_muc + 4.0) * 0.4  # mu*c in [0.1, 10]
         mu = 10.0**log_muc / 1000.0
         assert not _reference_misses(shape, mu, mu * ratio, UNIF if uniform else DET)
 
-    @pytest.mark.xfail(strict=True, reason="the uniform jet at mu cancels below mu*c = 0.1 "
-                       "(its Leibniz sum over exp(-sa) - exp(-sb) and m!/s^(m+1))")
-    def test_uniform_below_a_tenth(self):
-        mu = 1e-4 / 1000.0
-        misses = [_reference_misses(shape, mu, mu * float(ratio), UNIF)
-                  for shape in (1, 2, 3, 4) for ratio in np.geomspace(1e-3, 1e3, 10)]
-        assert not any(misses)
+    @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    def test_mean_inspections(self, law, shape):
+        for muc in np.geomspace(1e-4, 10.0, 26).tolist():
+            mu = muc / 1000.0
+            got = F.mean_inspections(SaneLaw(shape, mu), law)
+            ref = precise_forms.mean_inspections(shape, mu, law)
+            assert abs(Decimal(got) - ref) <= Decimal("1e-12") * ref, muc
 
     @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
     @pytest.mark.parametrize("shape", [1, 2, 3, 4])
@@ -305,6 +304,26 @@ class TestLawDerivativesCache:
                 assert all(type(v) is float for v in getattr(one, name))
                 assert [row[k] for row in getattr(batch, name)] == list(getattr(one, name))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        log_sc=st.lists(st.floats(-9.0, 1.0), min_size=2, max_size=12),
+        order=st.integers(0, 4),
+        law=st.sampled_from(LAWS),
+    )
+    def test_batches_across_the_series_switch(self, log_sc, order, law):
+        # s*c from 1e-9 to 10 in one array, both ends included: the uniform
+        # moments' series and recursion sides both run, and each element
+        # gets the bits of its own float bundle, without a numpy warning
+        anchors = [10.0**v / 1000.0 for v in [-9.0, *log_sc, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = F.law_derivatives(np.array(anchors), law, order)
+        for k, s in enumerate(anchors):
+            one = F.law_derivatives(s, law, order)
+            assert batch.one_minus[k] == one.one_minus
+            for name in ("laplace", "inv_one_minus", "gain", "gain_sq"):
+                assert [row[k] for row in getattr(batch, name)] == list(getattr(one, name)), name
+
 
 class TestCountRateCovariance:
     def test_first_entry_assembly(self):
@@ -478,13 +497,13 @@ class TestExpPolyMoments:
 
     @staticmethod
     def assert_accurate(g, theta, top):
-        got = F._exp_poly_moments(g, theta, top)
+        got = laws._exp_poly_moments(g, theta, top)
         g = np.asarray(g, dtype=float)
         assert len(got) == top + 1
-        assert all(isinstance(m, np.ndarray) and m.shape == g.shape for m in got)
+        assert all(np.shape(m) == g.shape for m in got)
         for k, value in enumerate(g.reshape(-1)):
             want = decimal_moments(float(value), theta, top)
-            have = [float(m.reshape(-1)[k]) for m in got]
+            have = [float(np.reshape(m, -1)[k]) for m in got]
             assert_allclose(have, want, rtol=1e-12, atol=0.0, err_msg=f"g={value!r}")
 
     # top = shape - 1 for shapes 1-4
@@ -507,7 +526,7 @@ class TestExpPolyMoments:
     def test_theta_zero_takes_the_series_everywhere(self, top):
         g = np.geomspace(1e-2, 1e5, 40)
         self.assert_accurate(g, 0.0, top)
-        for i, m in enumerate(F._exp_poly_moments(g, 0.0, top)):
+        for i, m in enumerate(laws._exp_poly_moments(g, 0.0, top)):
             assert_allclose(m, g ** (i + 1) / (i + 1), rtol=4e-16)
 
     @pytest.mark.parametrize("top", [0, 3])
@@ -515,8 +534,20 @@ class TestExpPolyMoments:
     @pytest.mark.parametrize("g", [0.0, 7.5, 1234.5])
     def test_scalar_input(self, g, theta, top):
         self.assert_accurate(g, theta, top)
-        got = F._exp_poly_moments(g, theta, top)
-        assert all(m.ndim == 0 for m in got)
+        got = laws._exp_poly_moments(g, theta, top)
+        assert all(isinstance(m, float) for m in got)
+
+    @pytest.mark.parametrize("top", [0, 4])
+    @pytest.mark.parametrize("elementwise", [False, True])
+    def test_array_of_theta(self, top, elementwise):
+        # the uniform transform's call: one g, an array of theta = -s
+        # straddling the switch, each element as accurate as alone
+        g = 200.0
+        thetas = -np.geomspace(1e-11, 0.5, 40)
+        got = laws._exp_poly_moments(g, thetas, top, elementwise=elementwise)
+        for k, theta in enumerate(thetas.tolist()):
+            assert_allclose([float(m[k]) for m in got], decimal_moments(g, theta, top),
+                            rtol=1e-12, atol=0.0, err_msg=f"theta={theta!r}")
 
     def test_two_dimensional_input(self):
         g = np.geomspace(1.0, 1e4, 12).reshape(3, 4)
@@ -532,7 +563,7 @@ class TestExpPolyMoments:
         for g in (1000.0, 7.5):
             for x in self.X:
                 theta = sign * x / g
-                got = [float(m) for m in F._exp_poly_moments(g, theta, top)]
+                got = [float(m) for m in laws._exp_poly_moments(g, theta, top)]
                 assert_allclose(got, decimal_moments(g, theta, top), rtol=1e-12, atol=0.0,
                                 err_msg=f"theta*g={sign * x!r}, g={g!r}")
 

@@ -142,6 +142,16 @@ class TestLaplaceJet:
             fd = (hi[i - 1] - lo[i - 1]) / (2.0 * step)
             assert_allclose(jet[i], fd, rtol=1e-6)
 
+    @pytest.mark.parametrize("law", [UNIF, InspectionLaw("uniform", 800.0, 700.0)])
+    def test_uniform_matches_decimal_reference(self, law):
+        # every order to 1e-14 relative from s*c = 1e-7 to 50: the sums
+        # over the gap's exponential moments have terms of one sign
+        for sc in np.geomspace(1e-7, 50.0, 49).tolist():
+            s = sc / law.spacing
+            ref = precise_forms.laplace_jet(s, law, MAX_SHAPE)
+            for i, (got, want) in enumerate(zip(laplace_jet(s, law, MAX_SHAPE), ref)):
+                assert abs(Decimal(got) - want) <= Decimal("1e-14") * abs(want), (sc, i)
+
     def test_deterministic_bit_reproducible(self):
         a = laplace_jet(7e-4, DET, 4)
         b = laplace_jet(7e-4, DET, 4)
@@ -165,9 +175,8 @@ class TestOneMinusLaplace:
 
     @pytest.mark.parametrize("sc", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0])
     def test_uniform_matches_decimal_reference(self, sc):
-        # 1 - q(2hs) is summed from its series near zero, and L itself is
-        # exp(-sa) q(2hs) there, neither a difference: a few ulps even at
-        # s*c = 1e-6
+        # 1 - L and L both sum terms of one sign over the gap's exponential
+        # moments, neither a difference: a few ulps even at s*c = 1e-6
         s = sc / 1000.0
         ref = precise_forms.one_minus_laplace(s, UNIF)
         assert abs(Decimal(one_minus_laplace(s, UNIF)) - ref) <= Decimal("1e-15") * ref
