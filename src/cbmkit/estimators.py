@@ -425,15 +425,18 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
     for k, i in enumerate(solved):
         snap, mu_trace, lam_trace = snapshots[i], mu_traces[i], lam_traces[i]
         mu_i, lam_i, t = mu_hat[i], lam_hat[i], snap.time
-        try:
-            if problems[k] is not None:
-                raise DegenerateDataError(problems[k])
-            param_cov = bundle.param_cov if len(solved) == 1 else bundle.param_cov[k]
-            hw_mu = z * math.sqrt(param_cov[0, 0] / t)
-            hw_lam = z * math.sqrt(param_cov[1, 1] / t)
-        except ValueError as exc:
-            results[i] = exc
+        if problems[k] is not None:
+            results[i] = DegenerateDataError(problems[k])
             continue
+        param_cov = bundle.param_cov if len(solved) == 1 else bundle.param_cov[k]
+        var_mu, var_lam = param_cov[0, 0], param_cov[1, 1]
+        if not (var_mu >= 0.0 and var_lam >= 0.0):
+            results[i] = DegenerateDataError(
+                f"interval covariance not defined: parameter variances {float(var_mu)!r} "
+                f"and {float(var_lam)!r}")
+            continue
+        hw_mu = z * math.sqrt(var_mu / t)
+        hw_lam = z * math.sqrt(var_lam / t)
         results[i] = EstimateReport(
             method="AM",
             mu_hat=mu_i,
@@ -463,20 +466,15 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
 class ObservedData:
     """What an observer sees of a set of cycles, as the likelihood reads it.
 
-    A detection cycle contributes the window from its last clean inspection
-    ``det_a`` to the detection ``det_b``; a failure cycle its last clean
-    inspection ``fail_a`` and its exact failure age ``fail_z``.  Without a
-    clean inspection the age is 0.  Each column keeps cycle order.  The
-    failures count as inspections in ``n_inspections``, and ``total_time``
-    is the running sum of the cycle lengths.
+    Every cycle contributes its censoring window, from its last clean
+    inspection ``a`` (0 without one) to its end ``b``: the detection age or
+    the exact failure age.  Both columns keep cycle order; ``counts`` are
+    the batch's counts at the end of its last cycle.
     """
 
-    det_a: np.ndarray
-    det_b: np.ndarray
-    fail_a: np.ndarray
-    fail_z: np.ndarray
-    n_inspections: int
-    total_time: float
+    a: np.ndarray
+    b: np.ndarray
+    counts: CountSnapshot
 
     @classmethod
     def from_event_log_records(
@@ -484,37 +482,37 @@ class ObservedData:
     ) -> "ObservedData":
         """The observables of a batch of cycles.
 
-        The censoring windows come from the batch's inspection ages when it
-        has them.  A parsed event log has none; with deterministic gaps the
-        k-th age is ``c * k``, and with any other gap law the likelihood
-        cannot be built (DegenerateDataError).
+        The last clean inspections come from the batch's inspection ages
+        when it has them.  A parsed event log has none; with deterministic
+        gaps the k-th age is ``c * k``, and with any other gap law the
+        likelihood cannot be built (DegenerateDataError), nor where a cycle
+        does not end after its last clean inspection.
         """
         k = cycles.inspection_count
         if cycles.inspection_ages.size:
-            ages = cycles.inspection_ages
             last = cycles.totals.inspections[1:] - 1
-            before = np.where(k >= 2, ages[np.maximum(last - 1, 0)], 0.0)
-            end = ages[last]
+            a = np.where(k >= 2, cycles.inspection_ages[np.maximum(last - 1, 0)], 0.0)
         elif insp.kind == DETERMINISTIC:
-            before = insp.spacing * (k - 1)
-            end = insp.spacing * k
+            a = insp.spacing * (k - 1)
         else:
             raise DegenerateDataError(
                 "event logs do not carry the planned schedule; the censored "
                 "likelihood from a log requires deterministic gaps"
             )
-        failed = cycles.failed
-        counts = cycles.counts()
-        return cls(
-            before[~failed], end[~failed], before[failed], cycles.length[failed],
-            counts.inspections, counts.time,
-        )
+        b = cycles.length
+        if not (b > a).all():
+            i = int(np.argmin(b > a))
+            raise DegenerateDataError(
+                f"cycle {i + 1} ends at age {float(b[i])!r}, not after its last clean "
+                f"inspection at age {float(a[i])!r}"
+            )
+        return cls(a, b, cycles.counts())
 
 
 @dataclass(frozen=True)
 class _LikelihoodTerms:
     """The censored log-likelihood with its gradient and Hessian in
-    (mu, lam), from one moments pass over each window set."""
+    (mu, lam), from one moments pass over the windows."""
 
     value: float
     score: np.ndarray
@@ -530,19 +528,13 @@ def _likelihood_terms(data: ObservedData, sane: SaneLaw, damage: DamageLaw) -> _
     Hessian is [[-N n/mu^2 + V, -V], [-V, -n_f/lam^2 + V]] with
     V = sum Var_i[u]; a non-finite value reads as -inf."""
     n, mu, lam = sane.shape, sane.rate, damage.rate
-    n_fail = data.fail_z.size
-    n_all = n_fail + data.det_b.size
-    value = n_fail * math.log(lam)
-    sum_u = sum_w = var = 0.0
+    n_fail, n_all = data.counts.failures, data.counts.repairs
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for a, b in ((data.det_a, data.det_b), (data.fail_a, data.fail_z)):
-            if b.size:
-                log_value, mean_w, var_w = window_moments(a, b, sane, damage)
-                value += float(log_value.sum())
-                w = float(mean_w.sum())
-                sum_w += w
-                sum_u += float(b.sum()) - w
-                var += float(var_w.sum())
+        log_value, mean_w, var_w = window_moments(data.a, data.b, sane, damage)
+        value = n_fail * math.log(lam) + float(log_value.sum())
+        sum_w = float(mean_w.sum())
+        sum_u = float(data.b.sum()) - sum_w
+        var = float(var_w.sum())
     if not math.isfinite(value + sum_u + var):
         value = -math.inf
     score = np.array([n_all * n / mu - sum_u, n_fail / lam - sum_w])
@@ -558,11 +550,10 @@ def censored_log_likelihood(
 ) -> float:
     """Log-likelihood of the observables under the two candidate laws.
 
-    A detection at age b after a clean inspection at age a contributes
-    log int_a^b exp(-lam (b-u)) dF_s(u); an exact failure at age z after a
-    clean inspection at age a contributes log lam int_a^z exp(-lam (z-u))
-    dF_s(u).  The sum is over cycles, order-free; the value is the one the
-    fit's Newton steps read.
+    A cycle that ends at age b after a clean inspection at age a
+    contributes log int_a^b exp(-lam (b-u)) dF_s(u), and log lam more when
+    it ends in an exact failure.  The sum is over cycles, order-free; the
+    value is the one the fit's Newton steps read.
     """
     return _likelihood_terms(data, sane, damage).value
 
@@ -643,8 +634,8 @@ def mle_estimate(data: ObservedData, config: ModelConfig) -> EstimateReport:
     moments pass), the final ``log_likelihood`` and ``score_norm``
     (Euclidean norm of the score in the log parameters), and the start.
     """
-    n_fail = data.fail_z.size
-    n_r = n_fail + data.det_b.size
+    counts = data.counts
+    n_r, n_fail = counts.repairs, counts.failures
     if n_fail == 0 or n_fail == n_r:
         raise DegenerateDataError(
             "censored likelihood needs at least one detection and one failure"
@@ -652,13 +643,13 @@ def mle_estimate(data: ObservedData, config: ModelConfig) -> EstimateReport:
     shape = config.sane.shape
     insp = config.inspection
 
-    t_total = data.total_time
+    t_total = counts.time
     # crude moment start above the closed forms' shapes, or when the count
     # ratios are uninformative
     start_mu, start_lam = shape * n_r / t_total, n_fail / t_total
     if shape <= MAX_SHAPE:
         try:
-            mu = invert_mean_inspections(data.n_inspections / n_r, shape, insp)
+            mu = invert_mean_inspections(counts.inspections / n_r, shape, insp)
             lam = invert_failure_probability(n_fail / n_r, SaneLaw(shape, mu), insp)
             start_mu, start_lam = mu, lam
         except (OutOfRangeError, DegenerateDataError):

@@ -439,6 +439,42 @@ class TestEstimateCommand:
             "estimation infeasible: failure rate not identifiable: flat failure probability\n")
         assert not out.exists()
 
+    def test_negative_parameter_variance_exit_3(self, config_file, tmp_path, capsys):
+        # counts whose delta-method parameter covariance has a negative
+        # diagonal: infeasible, not a math domain error
+        out = tmp_path / "est.csv"
+        code = cli.main(["estimate", "--config", config_file, "--sane.shape", "2",
+                         "--counts", "142667.74932316577", "142667.74932316583",
+                         "8.361688631161266", "4703460.384428939", "--out", str(out)])
+        assert code == 3
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.startswith("estimation infeasible: interval covariance not defined: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("5,1500,900,3,3000,2400,2000,Detected",
+         "cycle 5 ends at age 2000.0, not after its last clean inspection at age 2000.0"),
+        ("5,1500,10,3,3000,1510,1510,Failed",
+         "cycle 5 ends at age 1510.0, not after its last clean inspection at age 2000.0"),
+    ])
+    def test_cycle_ending_before_its_window_exit_3(self, config_file, tmp_path, capsys, row,
+                                                   message):
+        # a simulated log with its fifth row replaced by one that ends at or
+        # before the visit it was clean at (c * (k_r - 1) = 2000)
+        ev, sn = tmp_path / "e.csv", tmp_path / "s.csv"
+        assert cli.main(["simulate", "--config", config_file, "--horizon", "2000000",
+                         "--grid", "", "--events", str(ev), "--snapshots", str(sn)]) == 0
+        lines = ev.read_text().splitlines()
+        lines[5] = row
+        ev.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = cli.main(["estimate", "--config", config_file, "--horizon", "2000000",
+                         "--events", str(ev), "--method", "mle"])
+        assert code == 3
+        assert capsys.readouterr() == ("", f"estimation infeasible: {message}\n")
+
     def test_counts_interval_choice(self, config_file, capsys):
         args = ["estimate", "--config", config_file,
                 "--counts", "33501", "53116", "8255", "50001908"]

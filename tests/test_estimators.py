@@ -539,6 +539,26 @@ class TestBatchedEstimates:
                 assert getattr(batch[k], name) == getattr(single, name), name
             assert batch[k].sigma2.tobytes() == single.sigma2.tobytes()
 
+    def test_negative_parameter_variance_is_degenerate(self):
+        # counts that put the estimate where the delta-method parameter
+        # covariance has a negative diagonal: that row is infeasible, the
+        # other row is its single estimate
+        cfg = make_config(shape=2, horizon=1e6)
+        bad = CountSnapshot(4703460.384428939, 142667.74932316577, 142667.74932316583,
+                            8.361688631161266)
+        good = CountSnapshot(50002058.0, 20668, 51503, 4369)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = asymptotic_estimates([good, bad], cfg)
+        assert type(batch[1]) is DegenerateDataError
+        assert str(batch[1]).startswith("interval covariance not defined: parameter variances ")
+        with pytest.raises(DegenerateDataError, match="^interval covariance not defined"):
+            asymptotic_estimate(bad, cfg)
+        single = asymptotic_estimate(good, cfg)
+        for name in ("mu_hat", "lambda_hat", "ci_mu", "ci_lambda", "diagnostics"):
+            assert getattr(batch[0], name) == getattr(single, name), name
+        assert batch[0].sigma2.tobytes() == single.sigma2.tobytes()
+
     def test_warns_for_each_short_snapshot(self, base_config):
         snaps = [CountSnapshot(5e4, 30, 60, 8), CountSnapshot(5e4, 40, 90, 8)]
         with pytest.warns(UserWarning, match="dubious") as record:
@@ -658,7 +678,7 @@ class TestLikelihoodDerivatives:
     @pytest.mark.parametrize("shape", [1, 2, 3, 4, 5])
     def test_matches_central_differences(self, shape, x):
         data = _simulated_data(shape)
-        assert 0 < data.fail_z.size < 60
+        assert 0 < data.counts.failures < 60
         mu = 1e-3
         lam = mu - x / 1000.0
 
@@ -668,9 +688,8 @@ class TestLikelihoodDerivatives:
         sane, damage = SaneLaw(shape, mu), DamageLaw(lam)
         terms = estimators._likelihood_terms(data, sane, damage)
         # the value in logs against the window integrals themselves
-        direct = (np.log(F.detection_window_integral(data.det_a, data.det_b, sane, damage)).sum()
-                  + np.log(lam * F.detection_window_integral(data.fail_a, data.fail_z, sane,
-                                                             damage)).sum())
+        direct = (np.log(F.detection_window_integral(data.a, data.b, sane, damage)).sum()
+                  + data.counts.failures * math.log(lam))
         assert terms.value == pytest.approx(direct, rel=1e-13)
         # relative steps 1e-6 for the slopes and 1e-4 for the curvatures;
         # the value sums terms of a few thousand, so rounding alone moves a
@@ -729,13 +748,83 @@ class TestLikelihoodDerivatives:
         assert terms.value == pytest.approx(report.diagnostics["log_likelihood"], rel=1e-14)
 
 
+def _two_set_terms(data, failed, sane, damage):
+    """The likelihood terms as the detection cycles and the failure cycles
+    give them apart, one moments pass over each set: the reference for the
+    one pass over every cycle."""
+    n, mu, lam = sane.shape, sane.rate, damage.rate
+    n_fail, n_all = int(failed.sum()), failed.size
+    value = n_fail * math.log(lam)
+    sum_u = sum_w = var = 0.0
+    for part in (~failed, failed):
+        a, b = data.a[part], data.b[part]
+        log_value, mean_w, var_w = F.window_moments(a, b, sane, damage)
+        value += float(log_value.sum())
+        sum_w += float(mean_w.sum())
+        sum_u += float(b.sum()) - float(mean_w.sum())
+        var += float(var_w.sum())
+    score = np.array([n_all * n / mu - sum_u, n_fail / lam - sum_w])
+    hessian = np.array([[-n_all * n / mu**2 + var, -var], [-var, -n_fail / lam**2 + var]])
+    return value, score, hessian, np.array([mu * sum_u, lam * sum_w])
+
+
+class TestOneWindowSet:
+    """One moments pass over every cycle's window against the detection and
+    failure sets summed apart."""
+
+    RATES = [(1e-3, 5e-4), (1.3e-3, 3e-4), (8e-4, 8.1e-4), (6e-4, 2e-3)]
+
+    @staticmethod
+    def _check(data, failed, shape):
+        assert data.counts.failures == int(failed.sum())
+        assert 0 < data.counts.failures < data.counts.repairs
+        for mu, lam in TestOneWindowSet.RATES:
+            sane, damage = SaneLaw(shape, mu), DamageLaw(lam)
+            terms = estimators._likelihood_terms(data, sane, damage)
+            value, score, hessian, complete = _two_set_terms(data, failed, sane, damage)
+            assert terms.value == pytest.approx(value, rel=1e-13, abs=0.0)
+            assert_allclose(terms.complete, complete, rtol=1e-13, atol=0.0)
+            # score and Hessian entries are differences of sums of up to a
+            # few million; each is held to 1e-13 of its count term (or of
+            # the variance sum, off the diagonal)
+            n_all, n_fail, var = data.counts.repairs, data.counts.failures, -hessian[0, 1]
+            first = np.array([n_all * shape / mu, n_fail / lam])
+            assert np.all(np.abs(terms.score - score) <= 1e-13 * first)
+            second = np.array([[n_all * shape / mu**2, var], [var, n_fail / lam**2]])
+            assert np.all(np.abs(terms.hessian - hessian) <= 1e-13 * second)
+
+    @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    def test_in_memory_batches(self, shape, kind):
+        cfg = make_config(shape=shape, kind=kind)
+        batch = simulate_cycles(np.random.default_rng(40 + shape), cfg, 2000, inspections=True)
+        data = ObservedData.from_event_log_records(batch, cfg.inspection)
+        self._check(data, batch.failed, shape)
+
+    def test_parsed_log(self, tmp_path):
+        batch = simulate_cycles(np.random.default_rng(41), make_config(), 2000)
+        path = tmp_path / "events.csv"
+        path.write_text("".join(event_log_lines(batch)))
+        parsed = read_event_log(path)
+        self._check(ObservedData.from_event_log_records(parsed, DET), parsed.failed, 1)
+
+
 class TestNewtonAgainstSimplex:
     """The Newton fit against the derivative-free simplex walk, which reads
     only likelihood values, from the same start."""
 
     @pytest.mark.parametrize("shape", [1, 2, 3, 4])
     def test_same_optimum(self, shape):
-        cfg = make_config(shape=shape, seed=31, horizon=2e6)
+        self._check_same_optimum(shape, "deterministic")
+
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    def test_same_optimum_uniform(self, shape):
+        # the last clean inspections read off the uniform schedules
+        self._check_same_optimum(shape, "uniform")
+
+    @staticmethod
+    def _check_same_optimum(shape, kind):
+        cfg = make_config(shape=shape, kind=kind, seed=31, horizon=2e6)
         cycles = simulate_horizon(np.random.default_rng(31 + shape), cfg)
         data = ObservedData.from_event_log_records(cycles, cfg.inspection)
         report = mle_estimate(data, cfg)
@@ -788,14 +877,14 @@ class TestMleEstimate:
 
         rows = list(cycles)
         n_fail = sum(1 for c in rows if c.failed)
-        assert data.fail_a.size == n_fail == data.fail_z.size
-        assert data.det_a.size == len(rows) - n_fail == data.det_b.size
+        assert data.a.size == data.b.size == data.counts.repairs == len(rows)
+        assert data.counts.failures == n_fail
         # planned visits that happened, plus the failure itself
-        assert data.n_inspections == sum(len(c.inspections) - c.failed for c in rows) + n_fail
+        assert data.counts.inspections == sum(len(c.inspections) - c.failed for c in rows) + n_fail
         total = 0.0
         for c in rows:
             total += c.length
-        assert data.total_time == total
+        assert data.counts.time == total
 
     def test_event_log_projection_uniform_rejected(self):
         batch = simulate_cycles(np.random.default_rng(3), make_config(kind="uniform"), 10)
@@ -811,34 +900,37 @@ class TestMleEstimate:
         path.write_text("".join(event_log_lines(batch)))
         direct = ObservedData.from_event_log_records(batch, DET)
         via_log = ObservedData.from_event_log_records(read_event_log(path), DET)
-        assert 0 < direct.fail_z.size < 3000
-        for name in ("det_a", "det_b", "fail_a", "fail_z"):
+        assert 0 < direct.counts.failures < 3000
+        for name in ("a", "b"):
             one, other = getattr(direct, name), getattr(via_log, name)
             assert one.dtype == other.dtype == np.float64
             assert one.tobytes() == other.tobytes(), name
-        assert direct.n_inspections == via_log.n_inspections
-        assert direct.total_time == via_log.total_time
-        assert (type(direct.n_inspections), type(direct.total_time)) == (int, float)
+        assert direct.counts == via_log.counts
+        assert (type(direct.counts.inspections), type(direct.counts.time)) == (int, float)
 
     def test_observed_projection_drops_latents(self):
-        # only the censoring windows, the exact failure ages and the totals
-        # remain; each window is read off the cycle's schedule
-        assert [f.name for f in dataclasses.fields(ObservedData)] == [
-            "det_a", "det_b", "fail_a", "fail_z", "n_inspections", "total_time",
-        ]
+        # only the censoring windows and the counts remain; each window runs
+        # from the second-to-last planned age (0 without one) to the
+        # cycle's end
+        assert [f.name for f in dataclasses.fields(ObservedData)] == ["a", "b", "counts"]
         for cfg in (make_config(), make_config(shape=2, kind="uniform")):
             batch = simulate_cycles(np.random.default_rng(13), cfg, 500, inspections=True)
             data = ObservedData.from_event_log_records(batch, cfg.inspection)
-            detected = [r for r in batch if not r.failed]
-            failed = [r for r in batch if r.failed]
+            assert data.a.tolist() == [
+                r.inspections[-2] if r.inspection_count >= 2 else 0.0 for r in batch]
+            assert data.b.tolist() == [r.length for r in batch]
+            assert data.counts == batch.counts()
 
-            def last_clean(r):
-                return r.inspections[-2] if r.inspection_count >= 2 else 0.0
-
-            assert data.det_a.tolist() == [last_clean(r) for r in detected]
-            assert data.det_b.tolist() == [r.inspections[-1] for r in detected]
-            assert data.fail_a.tolist() == [last_clean(r) for r in failed]
-            assert data.fail_z.tolist() == [r.length for r in failed]
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_cycle_ending_at_its_last_clean_inspection_rejected(self, failed):
+        # the second cycle was clean at 2000 and ends there: an empty window
+        batch = batch_of([
+            CycleRecord(0.0, 0.0, (1000.0,), 1, 1000.0, math.inf, 1000.0, False),
+            CycleRecord(0.0, 0.0, (1000.0, 2000.0, 3000.0), 3, 3000.0, 2000.0, 2000.0, failed),
+        ])
+        message = r"^cycle 2 ends at age 2000\.0, not after its last clean inspection at age 2000\.0$"
+        with pytest.raises(DegenerateDataError, match=message):
+            ObservedData.from_event_log_records(batch, DET)
 
 
 class TestNewtonSafeguards:
@@ -914,10 +1006,11 @@ class TestNewtonSafeguards:
         # cycle, where the mean-inspections map has no root
         data = _observed(*[((1000.0,), False, 1000.0)] * 30,
                          *[((1000.0,), True, 37.0 * i + 100.0) for i in range(12)])
-        assert data.n_inspections == 42
+        assert data.counts.inspections == 42
         report = mle_estimate(data, base_config)
         d = report.diagnostics
-        assert (d["start_mu"], d["start_lambda"]) == (42 / data.total_time, 12 / data.total_time)
+        t = data.counts.time
+        assert (d["start_mu"], d["start_lambda"]) == (42 / t, 12 / t)
         assert d["score_norm"] <= 1e-9
         assert report.ci_mu[0] < report.mu_hat < report.ci_mu[1]
 
