@@ -31,7 +31,7 @@ import numpy as np
 from .config import ModelConfig
 from .formulas import (
     _covariance_bundle,
-    failure_probability,
+    _failure_map,
     mean_inspections,
     window_moments,
 )
@@ -158,8 +158,10 @@ def _solve(
 
     Each round evaluates ``func(x, rows)`` once, at the points of every
     search still running: ``rows`` lists their indices into ``targets``
-    and ``x`` holds their points, a float for one search and an array for
-    several, so one inversion computes in floats throughout.  Returns the
+    and ``x`` holds their points, a float where they are all one point
+    (one search, or a round of the scan grid that every search has
+    reached) and an array otherwise, so one inversion computes in floats
+    throughout.  A float value serves every row of its round.  Returns the
     roots (NaN where there is none); a search's error goes to its entry of
     ``errors`` and its bracket, iterations and evaluations to its entry of
     ``traces``.
@@ -185,8 +187,9 @@ def _solve(
                 traces[k]["evaluations"] += 1
         rows = asking
         if rows:
-            values = func(points[0] if len(points) == 1 else np.array(points), rows)
-            values = values.tolist() if isinstance(values, np.ndarray) else [values]
+            shared = points.count(points[0]) == len(points)
+            values = func(points[0] if shared else np.array(points), rows)
+            values = values.tolist() if isinstance(values, np.ndarray) else [values] * len(rows)
     return roots
 
 
@@ -249,14 +252,17 @@ def _check_fractions(fractions: Sequence[float], errors: list) -> None:
 def _failure_rate_roots(targets: Sequence[float], shape: int, mu: Sequence[float],
                         insp: InspectionLaw, errors: list, traces: list) -> list:
     """:func:`invert_failure_probability` at every target at once, target
-    k at the damage rate ``mu[k]``."""
+    k at the damage rate ``mu[k]``: one failure-probability map over the
+    damage rates of the searches, built before the first round, serves
+    every round (see :func:`cbmkit.formulas._failure_map`)."""
     _check_fractions(targets, errors)
-
-    def func(lam, rows: list):
-        sane = SaneLaw(shape, _batch([mu[k] for k in rows]))
-        return failure_probability(sane, DamageLaw(lam), insp)
-
-    return _solve(func, targets, errors, traces, atol=1e-12, rtol=0.0)
+    live = [k for k, e in enumerate(errors) if e is None]
+    if not live:
+        return [math.nan] * len(targets)
+    position = {k: i for i, k in enumerate(live)}
+    failure = _failure_map(SaneLaw(shape, _batch([mu[k] for k in live])), insp)
+    return _solve(lambda lam, rows: failure(lam, [position[k] for k in rows]), targets, errors,
+                  traces, atol=1e-12, rtol=0.0)
 
 
 def _batch(values: list):

@@ -46,6 +46,7 @@ from .laws import (
     _any,
     _cdiv,
     _exp_poly_moments,
+    _part,
     _transform,
     _value,
     complex_laplace,
@@ -287,20 +288,55 @@ def failure_probability(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw):
     exp(lam t) dF_s(t)]; exact for the absolutely continuous damage-time
     laws supported here.
     """
+    return _failure_map(sane, insp)(_value(damage.rate))
+
+
+def _failure_map(sane: SaneLaw, insp: InspectionLaw):
+    """:func:`failure_probability` at the damage rates of ``sane`` as a
+    function ``f(lam, rows=None)`` of the failure rate ``lam``, on the
+    elements ``rows`` (a list of indices, all when None; one row computes
+    in floats).
+
+    The jets at the damage rates are computed here, once, and each
+    element's contour nodes the first time it is in the equal-rates band,
+    so a search that keeps its damage rate pays for neither again.
+    """
     n = sane.shape
-    mu, lam = _rates(sane, damage)
-    at_mu = law_derivatives(mu, insp, n - 1)
-    at_lam = law_derivatives(lam, insp, 0)
+    (mu,) = _rates(sane)
+    psi_mu = law_derivatives(mu, insp, n - 1).gain
+    nodes = np.empty((2, _NODES // 2 + 1, np.size(mu)))
+    ready = np.zeros(np.size(mu), dtype=bool)
 
-    def generic(pick) -> tuple:
-        psi = [pick(v) for v in at_mu.gain]
-        return (_indexed_series_sum(n, psi, pick(at_lam.gain[0]), pick(mu), pick(lam)),)
+    def circle(cols: np.ndarray) -> tuple:
+        new = cols[~ready[cols]]
+        if new.size:
+            nodes[:, :, new] = _circle_values(_part(mu, new), insp)[0]
+            ready[new] = True
+        return nodes[0][:, cols], nodes[1][:, cols]
 
-    def contour(pick) -> tuple:
-        return (_circle_sum(_circle_values(pick(mu), insp)[0], n, pick(mu), pick(lam)),)
+    def evaluate(lam, rows: Optional[list] = None):
+        cols = np.arange(np.size(mu)) if rows is None else np.array(rows)
 
-    (series,) = _by_band(mu, lam, generic, contour)
-    return 1.0 - at_lam.one_minus * series
+        def take(v):
+            if rows is None or not isinstance(v, np.ndarray):
+                return v
+            return v[cols] if len(rows) > 1 else float(v[rows[0]])
+
+        m, psi = take(mu), [take(v) for v in psi_mu]
+        at_lam = law_derivatives(lam, insp, 0)
+
+        def generic(pick) -> tuple:
+            return (_indexed_series_sum(n, [pick(v) for v in psi], pick(at_lam.gain[0]),
+                                        pick(m), pick(lam)),)
+
+        def contour(pick) -> tuple:
+            own = pick(cols) if isinstance(m, np.ndarray) else cols
+            return (_circle_sum(circle(own), n, pick(m), pick(lam)),)
+
+        (series,) = _by_band(m, lam, generic, contour)
+        return 1.0 - at_lam.one_minus * series
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------

@@ -379,11 +379,11 @@ class TestAsymptoticEstimate:
         n_r = round(cfg.horizon / m.mean_cycle)
         snap = CountSnapshot(cfg.horizon, n_r, round(n_r * m.mean_inspections),
                              round(n_r * m.failure_prob))
+        # every map call of the lockstep driver, whichever map it solves
         calls = []
-        for name in ("mean_inspections", "failure_probability"):
-            original = getattr(estimators, name)
-            monkeypatch.setattr(estimators, name,
-                                lambda *a, _f=original: calls.append(1) or _f(*a))
+        solve = estimators._solve
+        monkeypatch.setattr(estimators, "_solve", lambda func, *a, **k: solve(
+            lambda x, rows: calls.append(1) or func(x, rows), *a, **k))
         report = asymptotic_estimate(snap, cfg)
         d = report.diagnostics
         assert d["mu_evaluations"] <= 14 and d["lambda_evaluations"] <= 14
@@ -485,6 +485,83 @@ def _single(snap, cfg, interval):
             return asymptotic_estimate(snap, cfg, interval=interval)
         except (ValueError, NonConvergenceError) as exc:
             return exc
+
+
+class TestLockstepRounds:
+    """What one round of the lockstep driver evaluates: one float call where
+    every search asks for the same point, and for the failure rate, the
+    work at each search's fixed damage rate once per solve."""
+
+    def test_shared_point_is_one_float_call(self, monkeypatch):
+        # a round whose searches share their point (the scan ends and its
+        # index bisection) calls mean_inspections once at a float, whose
+        # value serves every row; the polish rounds take arrays.  Each root
+        # and trace is the single inversion's.
+        targets = [F.mean_inspections(SaneLaw(2, mu), UNIF) for mu in (7e-4, 1e-3, 1.3e-3)]
+        rates = []
+        original = estimators.mean_inspections
+        monkeypatch.setattr(estimators, "mean_inspections",
+                            lambda sane, insp: rates.append(sane.rate) or original(sane, insp))
+        errors, traces = [None] * 3, [{} for _ in targets]
+        roots = estimators._mean_inspection_roots(targets, 2, UNIF, errors, traces)
+        shared = [r for r in rates if isinstance(r, float)]
+        assert len(shared) >= 2 and len(shared) < len(rates)
+        for target, root, trace in zip(targets, roots, traces):
+            single = {}
+            assert root == invert_monotone(
+                lambda mu: original(SaneLaw(2, mu), UNIF), target, trace=single)
+            assert trace == single
+        assert errors == [None] * 3
+
+    def test_scalar_value_spreads_over_rows(self):
+        # equal targets ask for one point every round
+        target = F.mean_inspections(SaneLaw(1, 1e-3), DET)
+        seen = []
+
+        def func(mu, rows):
+            seen.append((type(mu), list(rows)))
+            return F.mean_inspections(SaneLaw(1, mu), DET)
+
+        errors, traces = [None] * 4, [{} for _ in range(4)]
+        roots = estimators._solve(func, [target] * 4, errors, traces)
+        assert seen and all(entry == (float, [0, 1, 2, 3]) for entry in seen)
+        assert roots == [invert_mean_inspections(target, 1, DET)] * 4
+        assert [t["evaluations"] for t in traces] == [len(seen)] * 4
+
+    def test_damage_rate_work_done_once(self, monkeypatch):
+        # a failure-rate solve whose estimates end in the equal-rates band
+        # for rows 0 and 2: the jets at the damage rates take one pass of
+        # _transform, and each in-band row's contour nodes one
+        # _circle_values call, however many rounds read them
+        mus = [8e-4, 1e-3, 1.2e-3, 9e-4]
+        lams = [8.1e-4, 2e-4, 1.19e-3, 5e-3]
+        targets = [F.failure_probability(SaneLaw(2, m), DamageLaw(v), UNIF)
+                   for m, v in zip(mus, lams)]
+        singles = [invert_failure_probability(t, SaneLaw(2, m), UNIF) for t, m in zip(targets, mus)]
+        anchors, circles = [], []
+        transform, circle_values = F._transform, F._circle_values
+        monkeypatch.setattr(F, "_transform",
+                            lambda x, *a: anchors.append(np.atleast_1d(x).tolist()) or transform(x, *a))
+        monkeypatch.setattr(F, "_circle_values",
+                            lambda mu, *a: circles.extend(np.atleast_1d(mu).tolist())
+                            or circle_values(mu, *a))
+        errors, traces = [None] * 4, [{} for _ in mus]
+        roots = estimators._failure_rate_roots(targets, 2, mus, UNIF, errors, traces)
+        assert roots == singles
+        assert [x for x in anchors if set(x) & set(mus)] == [mus]
+        assert len(circles) == len(set(circles)) and {mus[0], mus[2]} <= set(circles)
+        assert min(t["evaluations"] for t in traces) > 2
+
+    def test_failure_rate_rows_with_errors(self):
+        # rows the solve skips stay out of the map: NaN damage rates of
+        # failed mean-inspection searches never reach it
+        target = F.failure_probability(SaneLaw(1, 1e-3), DamageLaw(5e-4), DET)
+        errors = [OutOfRangeError("x"), None, None]
+        roots = estimators._failure_rate_roots([target, 1.5, target], 1, [math.nan, 1e-3, 1e-3],
+                                               DET, errors, [{}, {}, {}])
+        assert math.isnan(roots[0]) and math.isnan(roots[1])
+        assert type(errors[1]) is DegenerateDataError
+        assert roots[2] == invert_failure_probability(target, SaneLaw(1, 1e-3), DET)
 
 
 class TestBatchedEstimates:

@@ -142,8 +142,12 @@ class TestDecimalReference:
 
 
 class TestMixedRateInputs:
-    """A float damage rate with an array of failure rates that straddles
-    the equal-rates band: every element gets the bits of its own call."""
+    """A float rate of one law with an array of the other's that straddles
+    the equal-rates band (a float failure rate is a lockstep round whose
+    searches all ask for one point): every element gets the bits of its
+    own call."""
+
+    MUS = np.array([5e-4, 8.5e-4, 1e-3, 1.2e-3, 2e-3])  # 8.5e-4..1.2e-3 hold 1e-3 in the band
 
     @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -160,6 +164,35 @@ class TestMixedRateInputs:
                 for name in type(single).__dataclass_fields__:
                     assert np.broadcast_to(getattr(batch, name), lams.shape)[i] == \
                         getattr(single, name), (func.__name__, name, lam)
+
+    @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_float_failure_rate(self, law, n):
+        lam = 1e-3
+        band = F._near_diagonal(self.MUS, lam)
+        assert band.any() and not band.all()
+        singles = [F.failure_probability(SaneLaw(n, mu), DamageLaw(lam), law)
+                   for mu in self.MUS.tolist()]
+        assert F.failure_probability(SaneLaw(n, self.MUS), DamageLaw(lam), law).tolist() == singles
+
+    @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_map_rows_are_single_calls(self, law, n):
+        # one map serves calls on any rows, in floats for one row; the
+        # contour nodes it keeps from a call give the next the same bits
+        failure = F._failure_map(SaneLaw(n, self.MUS), law)
+        mus = self.MUS.tolist()
+        for lam, rows in ((1e-3, [0, 2, 4]), (1.1e-3, [3]), (1e-3, [3, 1, 2]),
+                          (np.array([9e-4, 4e-3]), [1, 4]), (8e-4, None)):
+            got = failure(lam, rows)
+            rows = range(len(mus)) if rows is None else rows
+            lams = np.broadcast_to(lam, (len(rows),)).tolist()
+            want = [F.failure_probability(SaneLaw(n, mus[k]), DamageLaw(v), law)
+                    for k, v in zip(rows, lams)]
+            if len(want) == 1:
+                assert type(got) is float and got == want[0]
+            else:
+                assert got.tolist() == want
 
 
 class TestInspectionSeries:
