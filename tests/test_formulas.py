@@ -178,8 +178,8 @@ class TestMixedRateInputs:
     @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_map_rows_are_single_calls(self, law, n):
-        # one map serves calls on any rows, in floats for one row; the
-        # contour nodes it keeps from a call give the next the same bits
+        # one map serves calls on any rows, in floats for one row, each
+        # with the bits of the elements' own calls
         failure = F._failure_map(SaneLaw(n, self.MUS), law)
         mus = self.MUS.tolist()
         for lam, rows in ((1e-3, [0, 2, 4]), (1.1e-3, [3]), (1e-3, [3, 1, 2]),
