@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import math
 import os
 import sys
@@ -135,7 +136,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by
+    every later one."""
     parser = _Parser(
         prog="cbmkit",
         description="simulate and estimate a three-state system under "

@@ -20,7 +20,6 @@ the likelihood value, and the intervals invert that Hessian at the optimum.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -55,25 +54,26 @@ class NonConvergenceError(RuntimeError):
 # Bracketed root finding
 # ---------------------------------------------------------------------------
 
-# The first scan grid's ends, and how many times a search widens it a
-# hundredfold each way before it gives up.
-_LO, _HI, _MAX_EXPAND = 1e-8, 1e2, 8
+
+def _scan_grids(lo: float, hi: float, count: int) -> tuple:
+    """The scan's 64-point geometric grids, as floats: the first over
+    [lo, hi], each next one a hundredfold wider each way."""
+    grids = []
+    for _ in range(count):
+        grids.append(tuple(np.geomspace(lo, hi, 64).tolist()))
+        lo, hi = lo / 100.0, hi * 100.0
+    return tuple(grids)
 
 
-@functools.lru_cache(maxsize=64)
-def _scan_grid(lo: float, hi: float) -> tuple:
-    """The scan's 64-point geometric grid over [lo, hi], as floats, built
-    once for every search that reaches it."""
-    return tuple(np.geomspace(lo, hi, 64).tolist())
+# every grid a search scans before it gives up
+_SCAN_GRIDS = _scan_grids(1e-8, 1e2, 8)
 
 
 def _search(target: float, rtol: float, atol: float, trace: dict) -> Generator[float, float, float]:
     """One inversion of a monotone map, as a coroutine: it yields every
     point where it needs the map, is sent the map's value there, and
     returns the root or raises (see :func:`invert_monotone`)."""
-    lo, hi = _LO, _HI
-    for _ in range(_MAX_EXPAND):
-        xs = _scan_grid(lo, hi)
+    for xs in _SCAN_GRIDS:
         first = (yield xs[0]) - target
         last = (yield xs[-1]) - target
         if first == 0.0:
@@ -90,7 +90,6 @@ def _search(target: float, rtol: float, atol: float, trace: dict) -> Generator[f
                 else:
                     j, fj = mid, fm
             break
-        lo, hi = lo / 100.0, hi * 100.0
     else:
         raise OutOfRangeError(
             f"target {target!r} outside the attainable range "
@@ -156,34 +155,35 @@ def _solve(
     """Invert a monotone map at every target whose entry of ``errors`` is
     None, all searches in lockstep.
 
+    The searches are numbered by their position among those targets.
     Each round evaluates ``func(x, rows)`` once, at the points of every
-    search still running: ``rows`` lists their indices into ``targets``
-    and ``x`` holds their points, a float where they are all one point
-    (one search, or a round of the scan grid that every search has
-    reached) and an array otherwise, so one inversion computes in floats
-    throughout.  A float value serves every row of its round.  Returns the
-    roots (NaN where there is none); a search's error goes to its entry of
-    ``errors`` and its bracket, iterations and evaluations to its entry of
-    ``traces``.
+    search still running: ``rows`` lists their numbers and ``x`` holds
+    their points, a float where they are all one point (one search, or a
+    round of the scan grid that every search has reached) and an array
+    otherwise, so one inversion computes in floats throughout.  A float
+    value serves every row of its round.  Returns the roots (NaN where
+    there is none); a search's error goes to its entry of ``errors`` and
+    its bracket, iterations and evaluations to its entry of ``traces``.
     """
     roots = [math.nan] * len(targets)
-    searches = {}
-    for k, target in enumerate(targets):
-        if errors[k] is None:
-            traces[k]["evaluations"] = 0
-            searches[k] = _search(target, rtol, atol, traces[k])
-    rows, values = list(searches), [None] * len(searches)
+    live = [k for k, e in enumerate(errors) if e is None]
+    searches = []
+    for k in live:
+        traces[k]["evaluations"] = 0
+        searches.append(_search(targets[k], rtol, atol, traces[k]))
+    rows, values = list(range(len(live))), [None] * len(live)
     while rows:
         asking, points = [], []
-        for k, value in zip(rows, values):
+        for r, value in zip(rows, values):
+            k = live[r]
             try:
-                points.append(searches[k].send(value))
+                points.append(searches[r].send(value))
             except StopIteration as stop:
                 roots[k] = stop.value
             except (OutOfRangeError, NonConvergenceError) as exc:
                 errors[k] = exc
             else:
-                asking.append(k)
+                asking.append(r)
                 traces[k]["evaluations"] += 1
         rows = asking
         if rows:
@@ -259,10 +259,8 @@ def _failure_rate_roots(targets: Sequence[float], shape: int, mu: Sequence[float
     live = [k for k, e in enumerate(errors) if e is None]
     if not live:
         return [math.nan] * len(targets)
-    position = {k: i for i, k in enumerate(live)}
     failure = _failure_map(SaneLaw(shape, _batch([mu[k] for k in live])), insp)
-    return _solve(lambda lam, rows: failure(lam, [position[k] for k in rows]), targets, errors,
-                  traces, atol=1e-12, rtol=0.0)
+    return _solve(failure, targets, errors, traces, atol=1e-12, rtol=0.0)
 
 
 def _batch(values: list):
@@ -318,6 +316,16 @@ class EstimateReport:
             self.confidence, counts.time, counts.repairs, counts.inspections, counts.failures,
             "" if seed is None else seed,
         )
+
+
+def _report(method: str, mu: float, lam: float, var_mu: float, var_lam: float, z: float,
+            confidence: float, sigma2: np.ndarray, **diagnostics) -> EstimateReport:
+    """The report of estimates ``mu`` and ``lam`` with variances
+    ``var_mu`` and ``var_lam``: intervals of half-width z * sqrt(var)."""
+    hw_mu = z * math.sqrt(var_mu)
+    hw_lam = z * math.sqrt(var_lam)
+    return EstimateReport(method, mu, lam, (mu - hw_mu, mu + hw_mu), (lam - hw_lam, lam + hw_lam),
+                          confidence, sigma2, diagnostics)
 
 
 def _z_quantile(confidence: float) -> float:
@@ -429,8 +437,6 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
     z = _z_quantile(config.confidence)
     results = list(errors)
     for k, i in enumerate(solved):
-        snap, mu_trace, lam_trace = snapshots[i], mu_traces[i], lam_traces[i]
-        mu_i, lam_i, t = mu_hat[i], lam_hat[i], snap.time
         if problems[k] is not None:
             results[i] = DegenerateDataError(problems[k])
             continue
@@ -441,24 +447,15 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
                 f"interval covariance not defined: parameter variances {float(var_mu)!r} "
                 f"and {float(var_lam)!r}")
             continue
-        hw_mu = z * math.sqrt(var_mu / t)
-        hw_lam = z * math.sqrt(var_lam / t)
-        results[i] = EstimateReport(
-            method="AM",
-            mu_hat=mu_i,
-            lambda_hat=lam_i,
-            ci_mu=(mu_i - hw_mu, mu_i + hw_mu),
-            ci_lambda=(lam_i - hw_lam, lam_i + hw_lam),
-            confidence=config.confidence,
-            sigma2=param_cov,
-            diagnostics={
-                "mu_bracket": mu_trace.get("bracket"),
-                "mu_iterations": mu_trace.get("iterations"),
-                "mu_evaluations": mu_trace.get("evaluations"),
-                "lambda_bracket": lam_trace.get("bracket"),
-                "lambda_iterations": lam_trace.get("iterations"),
-                "lambda_evaluations": lam_trace.get("evaluations"),
-            },
+        mu_trace, lam_trace, t = mu_traces[i], lam_traces[i], snapshots[i].time
+        results[i] = _report(
+            "AM", mu_hat[i], lam_hat[i], var_mu / t, var_lam / t, z, config.confidence, param_cov,
+            mu_bracket=mu_trace.get("bracket"),
+            mu_iterations=mu_trace.get("iterations"),
+            mu_evaluations=mu_trace.get("evaluations"),
+            lambda_bracket=lam_trace.get("bracket"),
+            lambda_iterations=lam_trace.get("iterations"),
+            lambda_evaluations=lam_trace.get("evaluations"),
         )
     return results
 
@@ -670,25 +667,15 @@ def mle_estimate(data: ObservedData, config: ModelConfig) -> EstimateReport:
     if det <= 0.0 or info[0, 0] <= 0.0:
         raise NonConvergenceError("observed information is not positive definite")
     cov = np.array([[info[1, 1], -info[0, 1]], [-info[0, 1], info[0, 0]]]) / det
-    z = _z_quantile(config.confidence)
-    hw_mu = z * math.sqrt(cov[0, 0])
-    hw_lam = z * math.sqrt(cov[1, 1])
-    return EstimateReport(
-        method="MLE",
-        mu_hat=mu_hat,
-        lambda_hat=lam_hat,
-        ci_mu=(mu_hat - hw_mu, mu_hat + hw_mu),
-        ci_lambda=(lam_hat - hw_lam, lam_hat + hw_lam),
-        confidence=config.confidence,
-        sigma2=cov * t_total,
-        diagnostics={
-            "iterations": iterations,
-            "likelihood_evaluations": evaluations,
-            "log_likelihood": terms.value,
-            "score_norm": math.hypot(mu_hat * terms.score[0], lam_hat * terms.score[1]),
-            "n_cycles": n_r,
-            "start_mu": start_mu,
-            "start_lambda": start_lam,
-        },
+    return _report(
+        "MLE", mu_hat, lam_hat, cov[0, 0], cov[1, 1], _z_quantile(config.confidence),
+        config.confidence, cov * t_total,
+        iterations=iterations,
+        likelihood_evaluations=evaluations,
+        log_likelihood=terms.value,
+        score_norm=math.hypot(mu_hat * terms.score[0], lam_hat * terms.score[1]),
+        n_cycles=n_r,
+        start_mu=start_mu,
+        start_lambda=start_lam,
     )
 

@@ -15,8 +15,8 @@ from cbmkit import cli, oracle
 from cbmkit.config import ConfigError, parse_config, serialize_config
 from cbmkit.estimators import REPORT_HEADER, NonConvergenceError, asymptotic_estimate
 from cbmkit.oracle import verification_rows
-from cbmkit.simulator import CountSnapshot
-from conftest import halved_cycle_square
+from cbmkit.simulator import CountSnapshot, CycleRecord
+from conftest import batch_of, halved_cycle_square
 
 CONFIG_TEXT = """\
 # base run
@@ -656,6 +656,14 @@ class TestConvergenceCommand:
         assert float(last[3]) < 0.001 < float(last[4])
         assert float(last[5]) < 0.0005 < float(last[6])
 
+    def test_row_empty_where_damage_rate_fails_too(self):
+        # at t = 1000 one cycle has ended, detected at its only inspection:
+        # one inspection per cycle gives neither the estimate nor the
+        # damage rate alone
+        record = CycleRecord(500.0, 1e9, (1000.0,), 1, 1000.0, math.inf, 1000.0, False)
+        rows = cli._convergence_rows([1000.0], batch_of([record]), parse_config(CONFIG_TEXT))
+        assert rows == ["1000,,,,,,\n"]
+
     def test_grid_count_flag(self, tmp_path, config_file):
         out = tmp_path / "series.csv"
         code = cli.main(["convergence", "--config", config_file, "--grid-count", "4",
@@ -820,6 +828,21 @@ class TestInputErrors:
         # a library caller still gets the UserWarning
         with pytest.warns(UserWarning, match="only 50 cycles observed"):
             asymptotic_estimate(CountSnapshot(1e5, 50, 80, 10), parse_config(CONFIG_TEXT))
+
+    def test_parser_built_once(self, config_file, capsys):
+        # one parser serves every command of the process, and a rejected
+        # command line leaves it as it was
+        assert cli.build_parser() is cli.build_parser()
+        assert cli.main(["estimate", "--config", config_file, "--counts", "1000", "1500", "200",
+                         "1e6"]) == 0
+        capsys.readouterr()
+        code = cli.main(["estimate", "--config", config_file, "--counts", "1000", "1500", "200",
+                         "1e6", "--method", "xyz"])
+        self._assert_one_line_config_error(code, capsys)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cbmkit")
 
     def test_mle_confidence_below_1(self, config_file, tmp_path, capsys):
         # the MLE's interval quantile, on a log the fit accepts

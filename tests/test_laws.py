@@ -105,6 +105,17 @@ class TestLaplaceJet:
         with pytest.raises(ValueError):
             laplace_jet(0.0, DET, 1)
 
+    @pytest.mark.parametrize(
+        "s, order, message",
+        [(1e-3, -1, "order must be nonnegative"), (-1e-3, 0, "s must be nonnegative"),
+         (np.array([1e-3, -1e-3]), 2, "s must be nonnegative")],
+        ids=["negative-order", "negative-anchor", "negative-array-anchor"],
+    )
+    def test_rejects_negative_arguments(self, s, order, message):
+        for law in (DET, UNIF):
+            with pytest.raises(ValueError, match=message):
+                laplace_jet(s, law, order)
+
     def test_order_cap(self):
         # jets are read to order shape, so the shape cap is the order cap
         with pytest.raises(ValueError, match="largest shape"):
@@ -213,6 +224,15 @@ class TestSampling:
         rng = np.random.default_rng(44)
         draws = [sample_inspection_gap(rng, UNIF) for _ in range(10_000)]
         assert min(draws) >= 900.0 and max(draws) <= 1100.0
+
+    @pytest.mark.parametrize(
+        "x, law, expected",
+        [(999.0, DET, 0.0), (1000.0, DET, 1.0), (850.0, UNIF, 0.0), (900.0, UNIF, 0.0),
+         (950.0, UNIF, 0.25), (1100.0, UNIF, 1.0), (1200.0, UNIF, 1.0)],
+    )
+    def test_gap_cdf(self, x, law, expected):
+        # a step at the spacing; a ramp over [c - h, c + h], flat outside it
+        assert cdf_inspection_gap(x, law) == expected
 
     def test_deterministic_gap_constant(self):
         rng = np.random.default_rng(45)

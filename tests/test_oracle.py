@@ -98,6 +98,10 @@ class TestAgeDistribution:
         assert ages.shape == (1,)
         assert ages[0] >= 0.0
 
+    def test_rejects_no_probes(self):
+        with pytest.raises(ValueError, match="at least one probe"):
+            mc_age_distribution(make_config(horizon=1e5), n_probes=0, seed=2)
+
     def test_reproducible(self):
         cfg = make_config(horizon=1e5)
         a = mc_age_distribution(cfg, n_probes=50, seed=2)
@@ -168,6 +172,14 @@ class TestLimitingAgeCdf:
 
     def test_empty_input(self, base_config):
         assert limiting_age_cdf(base_config, np.array([])).size == 0
+
+    def test_rejects_negative_age(self, base_config):
+        with pytest.raises(ValueError, match="ages are nonnegative"):
+            limiting_age_cdf(base_config, np.array([500.0, -1.0]))
+
+    def test_only_zero_ages(self, base_config):
+        vals = limiting_age_cdf(base_config, [0.0, 0.0])
+        assert vals.tolist() == [0.0, 0.0]
 
     def test_density_normalization(self, base_config):
         # integral of the survival over everything equals the mean cycle

@@ -136,6 +136,10 @@ class TestSimulateCycles:
             z = _two_sample_z(np.asarray(one, dtype=float), many.astype(float))
             assert abs(z) <= 4.0
 
+    def test_rejects_negative_count(self):
+        with pytest.raises(ValueError, match="cycle count must be nonnegative, got -1"):
+            simulate_cycles(np.random.default_rng(BATCH_SEED), make_config(), -1)
+
     def test_deterministic_count_is_ceiling(self):
         for shape in (1, 2):
             cfg = make_config(shape=shape)
