@@ -34,7 +34,7 @@ from .formulas import (
     mean_inspections,
     window_moments,
 )
-from .laws import DETERMINISTIC, MAX_SHAPE, DamageLaw, InspectionLaw, SaneLaw
+from .laws import DETERMINISTIC, MAX_SHAPE, DamageLaw, InspectionLaw, SaneLaw, _batch
 from .simulator import CountSnapshot, CycleBatch
 
 
@@ -263,11 +263,6 @@ def _failure_rate_roots(targets: Sequence[float], shape: int, mu: Sequence[float
     return _solve(failure, targets, errors, traces, atol=1e-12, rtol=0.0)
 
 
-def _batch(values: list):
-    """A float for one value, an array for several."""
-    return values[0] if len(values) == 1 else np.array(values)
-
-
 def invert_mean_inspections(target: float, shape: int, insp: InspectionLaw) -> float:
     """Damage rate whose mean inspections-per-cycle equals ``target``.
 
@@ -440,7 +435,7 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
         if problems[k] is not None:
             results[i] = DegenerateDataError(problems[k])
             continue
-        param_cov = bundle.param_cov if len(solved) == 1 else bundle.param_cov[k]
+        param_cov = np.reshape(bundle.param_cov, (-1, 2, 2))[k]
         var_mu, var_lam = param_cov[0, 0], param_cov[1, 1]
         if not (var_mu >= 0.0 and var_lam >= 0.0):
             results[i] = DegenerateDataError(

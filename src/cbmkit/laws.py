@@ -36,12 +36,14 @@ DETERMINISTIC = "deterministic"
 UNIFORM = "uniform"
 
 
-def _check_rate(rate) -> None:
-    # a rate may be an array of rates, one law per element, for the closed
-    # forms' elementwise evaluation
+def _store_rate(law) -> None:
+    """Check a law's rate and keep it as the closed forms compute with it: a
+    float, or a float array of rates, one law per element."""
+    rate = law.rate
     if not (((0.0 < rate) & (rate < math.inf)).all() if isinstance(rate, np.ndarray)
             else 0.0 < rate < math.inf):
         raise ValueError(f"rate must be positive and finite, got {rate!r}")
+    object.__setattr__(law, "rate", _value(rate))
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class SaneLaw:
     def __post_init__(self) -> None:
         if not isinstance(self.shape, int) or self.shape < 1:
             raise ValueError(f"shape must be a positive integer, got {self.shape!r}")
-        _check_rate(self.rate)
+        _store_rate(self)
         # Integer shape >= 1 makes the law absolutely continuous: no atom at
         # zero, which the closed forms silently rely on.
 
@@ -75,7 +77,7 @@ class DamageLaw:
     rate: float
 
     def __post_init__(self) -> None:
-        _check_rate(self.rate)
+        _store_rate(self)
 
     @property
     def mean(self) -> float:
@@ -118,6 +120,12 @@ def _value(s):
         return float(s)
     x = np.asarray(s, dtype=float)
     return x if x.ndim else float(x)
+
+
+def _batch(values):
+    """A float for one value, a float array for several, from a list or an
+    array of rates or anchors."""
+    return float(values[0]) if len(values) == 1 else np.asarray(values, dtype=float)
 
 
 def _any(mask) -> bool:

@@ -4,6 +4,7 @@ import io
 import math
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -474,6 +475,24 @@ class TestEstimateCommand:
                          "--events", str(ev), "--method", "mle"])
         assert code == 3
         assert capsys.readouterr() == ("", f"estimation infeasible: {message}\n")
+
+    def test_likelihood_not_finite_exit_3(self, config_file, tmp_path, capsys):
+        # a detection, a failure and a cycle at age 1e300 whose window term
+        # overflows: the likelihood at the AM start is not finite, with no
+        # value patched
+        ev = tmp_path / "e.csv"
+        ev.write_text("\n".join([
+            "cycle,y_s,y_d,k_r,v_s,z_d,x_r,end",
+            "1,110.01481267803983,1408.8943745108606,1,1000,1518.9091871889004,1000,Detected",
+            "2,1484.8111309053138,332.84783103632458,2,2000,1817.6589619416384,"
+            "1817.6589619416384,Failed",
+            "3,1e300,1,1000000,1e300,1e300,1e300,Detected",
+        ]) + "\n")
+        code = cli.main(["estimate", "--config", config_file, "--events", str(ev),
+                         "--method", "mle"])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "estimation infeasible: censored likelihood is not finite at the start\n")
 
     def test_counts_interval_choice(self, config_file, capsys):
         args = ["estimate", "--config", config_file,
@@ -995,6 +1014,24 @@ class TestOutputs:
                          "--counts", "33501", "53116", "8255", "50001908"])
         assert code == 0
         assert capsys.readouterr().err == ""
+
+    def test_estimate_into_a_closed_os_pipe(self):
+        # a pipe whose read end is closed before the command writes: the
+        # write fails with EPIPE, stdout's descriptor goes to devnull, and
+        # the interpreter's flush at exit stays quiet
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "cbmkit.cli", "estimate", "--reproduce", "table1"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 0
+        assert done.stderr == b""
 
     @pytest.mark.parametrize("case", ["simulate-snapshots", "simulate-events", "convergence",
                                       "verify", "verify-missing-folder"])
