@@ -35,6 +35,7 @@ from .estimators import (
     invert_mean_inspections,
     mle_estimate,
 )
+from .formulas import CONVENTIONS
 from .laws import MAX_SHAPE
 from .oracle import MIN_SAMPLES, verification_lines, verification_rows
 from .simulator import (
@@ -169,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_est.add_argument(
         "--interval",
-        choices=("delta", "tabulated"),
+        choices=CONVENTIONS,
         default=None,
         help="interval convention (default: delta; --reproduce defaults to tabulated)",
     )

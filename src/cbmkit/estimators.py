@@ -29,6 +29,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .formulas import (
+    _check_convention,
     _covariance_bundle,
     _failure_map,
     mean_inspections,
@@ -382,6 +383,7 @@ def asymptotic_estimates(
 
 
 def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval: str) -> list:
+    _check_convention(interval)
     errors: list = []
     for snap in snapshots:
         n_r, n_i, n_f = snap.repairs, snap.inspections, snap.failures

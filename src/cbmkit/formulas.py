@@ -25,7 +25,8 @@ axis either way).  Each element gets the bits it gets alone: sums run
 term by term in index order (no ``np.dot`` or ``@``, whose BLAS kernels
 sum in their own order), and ``exp``, ``expm1``, the trigonometric
 functions and powers are the C library's scalar routines, not numpy's
-SIMD loops.
+SIMD loops, all taken through ``laws._libm`` (powers through
+``laws._power``).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .laws import (
     _batch,
     _cdiv,
     _exp_poly_moments,
+    _power,
     _transform,
     _value,
     complex_laplace,
@@ -74,19 +76,6 @@ def _near_diagonal(mu, lam):
     # generic branch's division by (mu - lam)^shape costs a few 1e-10
     # relative at shape 4 and mu*c = 1e-4; at mu/8 it would cost 7e-9.
     return abs(lam - mu) <= 0.25 * mu
-
-
-def _power(x, p: int):
-    """x ** p elementwise with the C library's pow, as Python's float power
-    rounds (x * x is not always pow(x, 2)); p = 0 and 1 are exact.  A
-    scalar x gives a float."""
-    if not isinstance(x, np.ndarray):
-        return math.pow(x, p)
-    if p == 0:
-        return np.ones_like(x)
-    if p == 1:
-        return x
-    return np.array([math.pow(v, p) for v in x.tolist()], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +553,15 @@ class CovarianceBundle:
     param_cov: np.ndarray
 
 
+# The interval conventions of :func:`estimator_covariance`.
+CONVENTIONS = ("delta", "tabulated")
+
+
+def _check_convention(convention: str) -> None:
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+
+
 def _sandwich(jac: list, cov: list) -> list:
     """jac @ cov @ jac.T for a 2x3 and a 3x3 matrix of elementwise entries,
     every sum in index order."""
@@ -579,8 +577,7 @@ def _covariance_bundle(
     """The bundle of :func:`estimator_covariance` at every element, and per
     element the reason it is not defined there (None where it is); at a
     single element where it is not defined, no bundle."""
-    if convention not in ("delta", "tabulated"):
-        raise ValueError(f"unknown convention {convention!r}")
+    _check_convention(convention)
     moments, sens = _closed_forms(sane, damage, insp)
     mx, mk, pd = moments.mean_cycle, moments.mean_inspections, moments.failure_prob
     fp, gm, gl = sens.dmk_dmu, sens.dpd_dmu, sens.dpd_dlambda

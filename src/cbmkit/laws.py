@@ -145,6 +145,14 @@ def _libm(fn, x):
     return fn(x)
 
 
+_LIBM_EXP = functools.partial(_libm, math.exp), functools.partial(_libm, math.expm1)
+
+
+def _power(x, p: int):
+    """x ** p by the C library's pow (x * x is not always pow(x, 2)); x itself at p = 1."""
+    return x if p == 1 else _libm(lambda v: math.pow(v, p), x)
+
+
 def survival_sane(t: float, law: SaneLaw) -> float:
     """P(damage later than t): sum_{i<shape} (rate*t)^i/i! * exp(-rate*t).
 
@@ -270,8 +278,7 @@ def _series_terms(reach: float) -> int:
     return terms
 
 
-def _exp_poly_moments(g, theta, top: int, exp=np.exp, expm1=np.expm1,
-                      elementwise: bool = False) -> list:
+def _exp_poly_moments(g, theta, top: int, elementwise: bool = False) -> list:
     """m_i = int_0^g w^i exp(theta w) dw for i = 0..top, accurate for every
     theta*g.
 
@@ -287,14 +294,14 @@ def _exp_poly_moments(g, theta, top: int, exp=np.exp, expm1=np.expm1,
     high-precision reference to a few ulps times |x|.
 
     g or theta may be an array (theta's elements of one sign); two floats
-    compute in floats.  Each caller passes its exponentials: the censored
-    likelihood's window (``formulas._window_sums``) numpy's, the uniform
-    gap transform (``_transform``, theta = -s) the C library's, with the
-    series summed over ``elementwise`` anchors to the terms of the whole
-    range below the switch, so each anchor gets the bits it gets alone.
+    compute in floats.  One switch picks the arithmetic: ``elementwise``
+    (``_transform``'s gap law, theta = -s) takes exp and expm1 from the C
+    library through ``_libm`` and the series to the whole range below the
+    switch, so each anchor gets its bits alone; the default (the censored
+    likelihood's window) takes numpy's and the series to the largest |x|.
     """
     switch = math.factorial(top + 1) ** (1.0 / max(top, 1))
-    reach = switch if elementwise else None
+    reach, exp, expm1 = (switch, *_LIBM_EXP) if elementwise else (None, np.exp, np.expm1)
     if not isinstance(g, np.ndarray) and not isinstance(theta, np.ndarray):
         x = theta * g
         out = [[0.0] for _ in range(top + 1)]
@@ -361,8 +368,7 @@ def _transform(x, law: InspectionLaw, order: int) -> tuple:
         e = _libm(math.exp, -x * c)
         return [(-c) ** i * e for i in range(order + 1)], -_libm(math.expm1, -x * c)
     a, two_h = law.spacing - law.half_width, 2.0 * law.half_width
-    m = _exp_poly_moments(two_h, -x, MAX_SHAPE, lambda v: _libm(math.exp, v),
-                          lambda v: _libm(math.expm1, v), elementwise=True)
+    m = _exp_poly_moments(two_h, -x, MAX_SHAPE, elementwise=True)
     e = _libm(math.exp, -x * a)
     # sums[k] = sum_j C(i,j) a^(i-j) m_(j+k), taken to i + 1 by Pascal's rule
     rows, sums = [], m

@@ -204,6 +204,11 @@ def _survival_given_segment(u: np.ndarray, seg_start, config: ModelConfig):
     return sane_tail + fail_path
 
 
+def _check_deterministic(config: ModelConfig) -> None:
+    if config.inspection.kind != DETERMINISTIC:
+        raise ValueError("closed-form cycle-length survival requires deterministic gaps")
+
+
 def cycle_length_survival(u, config: ModelConfig):
     """P(cycle length > u) in closed form, deterministic gaps only.
 
@@ -213,10 +218,7 @@ def cycle_length_survival(u, config: ModelConfig):
     is the right-continuous survival (detection puts mass exactly at the
     inspection multiples).
     """
-    if config.inspection.kind != DETERMINISTIC:
-        raise ValueError(
-            "closed-form cycle-length survival requires deterministic gaps"
-        )
+    _check_deterministic(config)
     u = np.asarray(u, dtype=float)
     c = config.inspection.spacing
     out = _survival_given_segment(u, np.floor(u / c) * c, config)
@@ -224,12 +226,14 @@ def cycle_length_survival(u, config: ModelConfig):
 
 
 def limiting_age_cdf(config: ModelConfig, xs: Sequence[float]) -> np.ndarray:
-    """Long-run CDF of the repair-process age at the given points.
+    """Long-run CDF of the repair-process age at the given points,
+    deterministic gaps only.
 
     F(x) = int_0^x P(cycle > u) du / E[cycle], integrated by trapezoid on
     a per-segment grid (the survival jumps at inspection multiples, so
     segments are integrated separately and summed).
     """
+    _check_deterministic(config)
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         return xs.copy()
@@ -268,7 +272,8 @@ def limiting_age_cdf(config: ModelConfig, xs: Sequence[float]) -> np.ndarray:
 def ks_statistic(samples: np.ndarray, cdf_values: np.ndarray) -> float:
     """Two-sided Kolmogorov-Smirnov distance of samples to a continuous CDF.
 
-    ``cdf_values`` are the model CDF evaluated at the *sorted* samples.
+    ``cdf_values`` are the model CDF at ``samples`` as given, element for
+    element; the samples need not be sorted.
     """
     n = len(samples)
     order = np.argsort(samples)

@@ -1033,6 +1033,24 @@ class TestOutputs:
         assert done.returncode == 0
         assert done.stderr == b""
 
+    def test_emit_points_stdout_at_devnull_after_a_broken_pipe(self):
+        # the exit flush has too little left to fail, so read the descriptor
+        # itself: after the failed write it must be devnull
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = ("import os, sys; from cbmkit import cli; cli._emit(None, ['x\\n'] * 3); "
+                  "sys.stderr.write(str(os.path.samestat(os.fstat(1), os.stat(os.devnull))))")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-c", script], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 0
+        assert done.stderr == b"True"
+
     @pytest.mark.parametrize("case", ["simulate-snapshots", "simulate-events", "convergence",
                                       "verify", "verify-missing-folder"])
     def test_unusable_path_fails_before_the_work(self, case, config_file, tmp_path,

@@ -408,6 +408,19 @@ class TestAsymptoticEstimate:
         with pytest.raises(DegenerateDataError):
             asymptotic_estimate(CountSnapshot(1e6, 0, 0, 0), base_config)
 
+    def test_unknown_interval_rejected_before_any_work(self, base_config, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("an inversion ran before the convention was checked")
+
+        monkeypatch.setattr(estimators, "_solve", never)
+        feasible = CountSnapshot(50001908.0, 33501, 53116, 8255)
+        empty = CountSnapshot(5e7, 0, 0, 0)
+        with pytest.raises(ValueError, match="^unknown convention 'bogus'$"):
+            asymptotic_estimate(feasible, base_config, interval="bogus")
+        for batch in ([feasible, empty], [empty]):
+            with pytest.raises(ValueError, match="^unknown convention 'bogus'$"):
+                asymptotic_estimates(batch, base_config, interval="bogus")
+
     def test_interval_ordering(self, base_config):
         snap = CountSnapshot(50001908.0, 33501, 53116, 8255)
         report = asymptotic_estimate(snap, base_config)

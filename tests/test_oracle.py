@@ -177,6 +177,11 @@ class TestLimitingAgeCdf:
         with pytest.raises(ValueError, match="ages are nonnegative"):
             limiting_age_cdf(base_config, np.array([500.0, -1.0]))
 
+    def test_uniform_law_rejected(self):
+        # the same check as the cycle-length survival it integrates
+        with pytest.raises(ValueError, match="requires deterministic gaps"):
+            limiting_age_cdf(make_config(kind="uniform"), np.array([100.0, 900.0]))
+
     def test_only_zero_ages(self, base_config):
         vals = limiting_age_cdf(base_config, [0.0, 0.0])
         assert vals.tolist() == [0.0, 0.0]
@@ -207,6 +212,11 @@ class TestKsHelpers:
         samples = np.sort(rng.uniform(0.0, 1.0, size=5000))
         stat = ks_statistic(samples, samples)
         assert stat < ks_critical(5000, 0.05)
+
+    def test_statistic_reads_unsorted_aligned_samples(self):
+        rng = np.random.default_rng(6)
+        samples = rng.uniform(0.0, 1.0, size=5000)
+        assert ks_statistic(samples, samples) == ks_statistic(np.sort(samples), np.sort(samples))
 
     def test_statistic_large_for_wrong_cdf(self):
         # samples from U[0.5, 1.5] tested against the U[0, 1] cdf
