@@ -20,6 +20,7 @@ the likelihood value, and the intervals invert that Hessian at the optimum.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -70,10 +71,30 @@ def _scan_grids(lo: float, hi: float, count: int) -> tuple:
 _SCAN_GRIDS = _scan_grids(1e-8, 1e2, 8)
 
 
-def _search(target: float, rtol: float, atol: float, trace: dict) -> Generator[float, float, float]:
+# the brackets a seeded search tries before the scan, as factors either side
+# of its start
+_SEED_FACTORS = (1.02, 1.3)
+
+
+def _search(target: float, rtol: float, atol: float, trace: dict,
+            start: float = math.nan) -> Generator[float, float, float]:
     """One inversion of a monotone map, as a coroutine: it yields every
     point where it needs the map, is sent the map's value there, and
-    returns the root or raises (see :func:`invert_monotone`)."""
+    returns the root or raises (see :func:`invert_monotone`).
+
+    A ``start`` inside the outermost scan grid is tried first: the
+    brackets [start/1.02, start*1.02], then [start/1.3, start*1.3], each
+    polished at once if its ends change sign; the scan runs only when
+    neither does, or without a start (NaN)."""
+    tol = rtol * abs(target) + atol
+    if _SCAN_GRIDS[-1][0] <= start <= _SCAN_GRIDS[-1][-1]:
+        for factor in _SEED_FACTORS:
+            a, b = start / factor, start * factor
+            fa = (yield a) - target
+            fb = (yield b) - target
+            if fa * fb <= 0.0:
+                trace["bracket"] = (a, b)
+                return (yield from _chandrupatla(a, b, fa, fb, tol, trace, target))
     for xs in _SCAN_GRIDS:
         first = (yield xs[0]) - target
         last = (yield xs[-1]) - target
@@ -97,8 +118,7 @@ def _search(target: float, rtol: float, atol: float, trace: dict) -> Generator[f
             f"[{min(first, last) + target!r}, {max(first, last) + target!r}]"
         )
     trace["bracket"] = (xs[i], xs[j])
-    return (yield from _chandrupatla(xs[i], xs[j], fi, fj, rtol * abs(target) + atol, trace,
-                                     target))
+    return (yield from _chandrupatla(xs[i], xs[j], fi, fj, tol, trace, target))
 
 
 def _chandrupatla(
@@ -119,15 +139,17 @@ def _chandrupatla(
     x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
     t = 0.5
     for iteration in range(200):
-        trace["iterations"] = iteration
-        if abs(fx) <= tol:
+        size, width = abs(x), abs(b - a)
+        # within tolerance, or the bracket exhausted at float resolution:
+        # the best point stands
+        if abs(fx) <= tol or width <= size * 4e-16:
+            trace["iterations"] = iteration
             return x
-        width = abs(b - a)
-        if width <= abs(x) * 4e-16:
-            # bracket exhausted at float resolution; best point stands
-            return x
-        near = abs(x) * 2e-16 / width
-        t = min(max(t, near), 1.0 - near)
+        near = size * 2e-16 / width
+        if t < near:
+            t = near
+        if t > 1.0 - near:
+            t = 1.0 - near
         xt = a + t * (b - a)
         ft = (yield xt) - offset
         # a is always the newest point, b the other end, c the point dropped
@@ -144,6 +166,7 @@ def _chandrupatla(
                  + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
         else:
             t = 0.5
+    trace["iterations"] = iteration
     if abs(fx) <= tol:
         return x
     raise NonConvergenceError("root refinement stalled before reaching tolerance")
@@ -151,10 +174,11 @@ def _chandrupatla(
 
 def _solve(
     func: Callable, targets: Sequence[float], errors: list, traces: list,
-    rtol: float = 1e-12, atol: float = 0.0,
+    rtol: float = 1e-12, atol: float = 0.0, starts: Optional[Sequence[float]] = None,
 ) -> list:
     """Invert a monotone map at every target whose entry of ``errors`` is
-    None, all searches in lockstep.
+    None, all searches in lockstep, each from its entry of ``starts``
+    where given (see :func:`_search`) and by the scan otherwise.
 
     The searches are numbered by their position among those targets.
     Each round evaluates ``func(x, rows)`` once, at the points of every
@@ -168,30 +192,31 @@ def _solve(
     """
     roots = [math.nan] * len(targets)
     live = [k for k, e in enumerate(errors) if e is None]
-    searches = []
-    for k in live:
-        traces[k]["evaluations"] = 0
-        searches.append(_search(targets[k], rtol, atol, traces[k]))
+    sends = [
+        _search(targets[k], rtol, atol, traces[k], math.nan if starts is None else starts[k]).send
+        for k in live
+    ]
     rows, values = list(range(len(live))), [None] * len(live)
-    while rows:
+    # a search that ends in this round has asked in every earlier one
+    for evaluations in itertools.count():
         asking, points = [], []
         for r, value in zip(rows, values):
-            k = live[r]
             try:
-                points.append(searches[r].send(value))
+                points.append(sends[r](value))
             except StopIteration as stop:
-                roots[k] = stop.value
+                roots[live[r]] = stop.value
             except (OutOfRangeError, NonConvergenceError) as exc:
-                errors[k] = exc
+                errors[live[r]] = exc
             else:
                 asking.append(r)
-                traces[k]["evaluations"] += 1
+                continue
+            traces[live[r]]["evaluations"] = evaluations
         rows = asking
-        if rows:
-            shared = points.count(points[0]) == len(points)
-            values = func(points[0] if shared else np.array(points), rows)
-            values = values.tolist() if isinstance(values, np.ndarray) else [values] * len(rows)
-    return roots
+        if not rows:
+            return roots
+        shared = points.count(points[0]) == len(points)
+        values = func(points[0] if shared else np.array(points), rows)
+        values = values.tolist() if isinstance(values, np.ndarray) else [values] * len(rows)
 
 
 def invert_monotone(
@@ -203,9 +228,10 @@ def invert_monotone(
 ) -> float:
     """Solve func(x) = target for monotone func on a positive domain.
 
-    Finds the first interval of a 64-point geometric grid over [1e-8, 1e2]
-    where func - target reaches zero or changes sign, widening the grid
-    a hundredfold each way up to 7 times if there is none, then polishes
+    A bare target gives no start, so this always scans: it finds the
+    first interval of a 64-point geometric grid over [1e-8, 1e2] where
+    func - target reaches zero or changes sign, widening the grid a
+    hundredfold each way up to 7 times if there is none, then polishes
     that bracket by Chandrupatla's method (:func:`_chandrupatla`) until
     |func(x) - target| <= rtol*|target| + atol, or until the bracket
     reaches float resolution, when its best point stands.  Monotonicity
@@ -231,13 +257,27 @@ def _only(roots: list, errors: list) -> float:
 
 
 def _mean_inspection_roots(targets: Sequence[float], shape: int, insp: InspectionLaw,
-                           errors: list, traces: list) -> list:
-    """:func:`invert_mean_inspections` at every target at once."""
+                           errors: list, traces: list,
+                           starts: Optional[Sequence[float]] = None) -> list:
+    """:func:`invert_mean_inspections` at every target at once, from
+    ``starts`` where given."""
     for k, t in enumerate(targets):
         if errors[k] is None and not t > 1.0:
             errors[k] = OutOfRangeError(f"mean inspections per cycle must exceed 1, got {t!r}")
     return _solve(lambda mu, rows: mean_inspections(SaneLaw(shape, mu), insp), targets, errors,
-                  traces)
+                  traces, starts=starts)
+
+
+def _damage_rate_start(ratio: float, shape: int, spacing: float) -> float:
+    """The damage rate at which ``ratio`` inspections per cycle are
+    expected, from the moment identities: the exact inverse of
+    1/(1 - exp(-mu c)) at shape 1 (deterministic gaps), and of
+    shape/(mu c) + 1/2 above that; NaN where ``ratio`` is not above 1."""
+    if not ratio > 1.0:
+        return math.nan
+    if shape == 1:
+        return -math.log1p(-1.0 / ratio) / spacing
+    return shape / (spacing * (ratio - 0.5))
 
 
 def _check_fractions(fractions: Sequence[float], errors: list) -> None:
@@ -251,17 +291,19 @@ def _check_fractions(fractions: Sequence[float], errors: list) -> None:
 
 
 def _failure_rate_roots(targets: Sequence[float], shape: int, mu: Sequence[float],
-                        insp: InspectionLaw, errors: list, traces: list) -> list:
+                        insp: InspectionLaw, errors: list, traces: list,
+                        starts: Optional[Sequence[float]] = None) -> list:
     """:func:`invert_failure_probability` at every target at once, target
-    k at the damage rate ``mu[k]``: one failure-probability map over the
-    damage rates of the searches, built before the first round, serves
-    every round (see :func:`cbmkit.formulas._failure_map`)."""
+    k at the damage rate ``mu[k]`` and from ``starts`` where given: one
+    failure-probability map over the damage rates of the searches, built
+    before the first round, serves every round (see
+    :func:`cbmkit.formulas._failure_map`)."""
     _check_fractions(targets, errors)
     live = [k for k, e in enumerate(errors) if e is None]
     if not live:
         return [math.nan] * len(targets)
     failure = _failure_map(SaneLaw(shape, _batch([mu[k] for k in live])), insp)
-    return _solve(failure, targets, errors, traces, atol=1e-12, rtol=0.0)
+    return _solve(failure, targets, errors, traces, atol=1e-12, rtol=0.0, starts=starts)
 
 
 def invert_mean_inspections(target: float, shape: int, insp: InspectionLaw) -> float:
@@ -408,21 +450,24 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
     fractions = [math.nan if e else s.failures / s.repairs for s, e in zip(snapshots, errors)]
     mu_traces: list = [{} for _ in snapshots]
     lam_traces: list = [{} for _ in snapshots]
-    mu_hat = _mean_inspection_roots(ratios, shape, insp, errors, mu_traces)
+    # every search starts from the moment identities
+    mu_starts = [_damage_rate_start(r, shape, insp.spacing) for r in ratios]
+    mu_hat = _mean_inspection_roots(ratios, shape, insp, errors, mu_traces, mu_starts)
+    # the mean-cycle identity, observed mean cycle = shape/mu + fraction/rate:
+    # the tabulated failure rate, and the delta one's start
+    delay = [math.nan if e else s.time / s.repairs - shape / m
+             for s, m, e in zip(snapshots, mu_hat, errors)]
+    identity = [f / d if d > 0.0 else math.nan for f, d in zip(fractions, delay)]
     if interval == "tabulated":
-        # the mean-cycle identity: observed mean cycle = shape/mu + fraction/rate
         _check_fractions(fractions, errors)
-        lam_hat = [math.nan] * len(snapshots)
-        for i, snap in enumerate(snapshots):
-            if errors[i] is None:
-                denom = snap.time / snap.repairs - shape / mu_hat[i]
-                if denom <= 0.0:
-                    errors[i] = OutOfRangeError(
-                        "observed mean cycle is shorter than the implied mean damage time")
-                else:
-                    lam_hat[i] = fractions[i] / denom
+        for i, d in enumerate(delay):
+            if errors[i] is None and d <= 0.0:
+                errors[i] = OutOfRangeError(
+                    "observed mean cycle is shorter than the implied mean damage time")
+        lam_hat = identity
     else:
-        lam_hat = _failure_rate_roots(fractions, shape, mu_hat, insp, errors, lam_traces)
+        lam_hat = _failure_rate_roots(fractions, shape, mu_hat, insp, errors, lam_traces,
+                                      identity)
 
     solved = [i for i, e in enumerate(errors) if e is None]
     if not solved:

@@ -88,7 +88,8 @@ def _running_sums(values: np.ndarray, start: float = 0) -> np.ndarray:
     all these sums, so they agree to the bit (numpy's pairwise ``np.sum``
     would not).
     """
-    return np.cumsum(np.concatenate(([start], values)))
+    sums = np.concatenate(([start], values))
+    return np.cumsum(sums, out=sums)
 
 
 class _Totals(NamedTuple):
@@ -287,45 +288,69 @@ def simulate_horizon(rng: np.random.Generator, config: ModelConfig) -> CycleBatc
 
     The last cycle is the first to end at or beyond the horizon, so the
     batch's total time generally overshoots the requested horizon and the
-    overshooting cycle is included in the counts.
+    overshooting cycle is included in the counts.  The end times each
+    block sums on from the last block's become the batch's time totals,
+    the same bits as summing the joined lengths; only the last block is
+    cut to its kept cycles.
     """
     horizon = config.horizon
-    blocks = []
-    total = 0.0
-    while total < horizon:
+    blocks, ends = [], [np.zeros(1)]
+    while ends[-1][-1] < horizon:
         batch = simulate_cycles(rng, config, _CHUNK, inspections=True)
-        ends = _running_sums(batch.length, total)
-        keep = min(int(np.searchsorted(ends[1:], horizon)) + 1, _CHUNK)
-        blocks.append(batch.head(keep))
-        total = float(ends[keep])
-    return CycleBatch(
+        block_ends = _running_sums(batch.length, ends[-1][-1])
+        keep = int(np.searchsorted(block_ends[1:], horizon)) + 1
+        if keep < _CHUNK:
+            batch, block_ends = batch.head(keep), block_ends[:keep + 1]
+        blocks.append(batch)
+        ends.append(block_ends[1:])
+    joined = CycleBatch(
         *(np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(CycleBatch))
     )
+    # freed first, so that the totals can reuse the blocks' memory
+    del blocks
+    # installed where the cached property would store its own
+    joined.__dict__["totals"] = _Totals(
+        np.concatenate(ends),
+        _running_sums(joined.inspection_count),
+        _running_sums(joined.failed),
+    )
+    return joined
 
 
 def counts_at_times(times: Sequence[float], cycles: CycleBatch) -> list[CountSnapshot]:
     """Observer counts at each time within the batch's span, from one
-    search of the running totals; a time outside the span raises for the
-    first such.  The open cycle counts only its planned inspections
-    already elapsed (one at exactly the time included); a failure cycle's
-    unplanned inspection counts when the cycle completes, never before."""
+    search of the running totals; a time outside the span (or NaN) raises
+    for the first such.  The open cycle counts only its planned
+    inspections already elapsed (one at exactly the time included),
+    counted for every time at once over the open cycles' schedules; a
+    failure cycle's unplanned inspection counts when the cycle completes,
+    never before."""
     totals = cycles.totals
     end = float(totals.time[-1])
     at = np.asarray(times, dtype=float)
-    outside = (at < 0.0) | (at > end)
+    outside = ~((at >= 0.0) & (at <= end))
     if outside.any():
         raise ValueError(f"time {times[int(np.argmax(outside))]} outside the simulated range [0, {end}]")
     # cycles ended at or before t; the open one started at totals.time[done]
     done = np.searchsorted(totals.time, at, side="right") - 1
     offsets = totals.inspections
-    inspections = offsets[done].tolist()
-    for k in np.flatnonzero(done < len(cycles)).tolist():
-        d = done[k]
-        schedule = cycles.inspection_ages[offsets[d]:offsets[d + 1]]
-        inspections[k] += int(np.searchsorted(schedule, at[k] - totals.time[d], side="right"))
+    inspections = offsets[done]
+    # a batch read from a log has no ages, and its open cycles count none
+    if cycles.inspection_ages.size:
+        # every open cycle's schedule, laid end to end, each age against
+        # its own time's elapsed age
+        open_ = np.flatnonzero(done < len(cycles))
+        d = done[open_]
+        first, count = offsets[d], offsets[d + 1] - offsets[d]
+        owner = np.repeat(np.arange(open_.size), count)
+        shift = np.repeat(first - (np.cumsum(count) - count), count)
+        ages = cycles.inspection_ages[np.arange(owner.size) + shift]
+        elapsed = at[open_] - totals.time[d]
+        inspections[open_] += np.bincount(owner[ages <= elapsed[owner]], minlength=open_.size)
     return [
         CountSnapshot(t, n_r, n_i, n_f)
-        for t, n_r, n_i, n_f in zip(times, done.tolist(), inspections, totals.failures[done].tolist())
+        for t, n_r, n_i, n_f in zip(times, done.tolist(), inspections.tolist(),
+                                    totals.failures[done].tolist())
     ]
 
 

@@ -28,6 +28,7 @@ from cbmkit.laws import DamageLaw, InspectionLaw, SaneLaw, density_sane
 from cbmkit.simulator import (
     CountSnapshot,
     CycleRecord,
+    counts_at_times,
     event_log_lines,
     read_event_log,
     simulate_cycle,
@@ -132,6 +133,21 @@ class TestBracketSearch:
             exact = [func(float(lam)) for lam in np.geomspace(1e-6, 1.0, 7)] + [func(mu)]
             early = [1 / 2, 1 / 3, 1 / 7, 2 / 9, 1e-2, 1e-3, 1e-7, 0.9, 0.999]
             self._assert_same(func, exact + early, atol=1e-12, rtol=0.0)
+
+    def test_unusable_start_scans(self):
+        # a start that is not finite and positive, or lies outside the
+        # outermost scan grid, leaves the search to the scan: the same
+        # evaluations, bracket and root as without one
+        def func(mu, rows):
+            return F.mean_inspections(SaneLaw(2, mu), UNIF)
+
+        target = func(1e-3, None)
+        starts = [math.nan, -1e-3, 0.0, math.inf, 1e20, 1e-30]
+        errors, traces = [None] * len(starts), [{} for _ in starts]
+        roots = estimators._solve(func, [target] * len(starts), errors, traces, starts=starts)
+        plain = {}
+        assert roots == [invert_monotone(lambda mu: func(mu, None), target, trace=plain)] * 6
+        assert traces == [plain] * 6 and errors == [None] * 6
 
     @pytest.mark.parametrize("k", [0, 1, 31, 62, 63])
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["increasing", "decreasing"])
@@ -386,8 +402,8 @@ class TestAsymptoticEstimate:
             lambda x, rows: calls.append(1) or func(x, rows), *a, **k))
         report = asymptotic_estimate(snap, cfg)
         d = report.diagnostics
-        assert d["mu_evaluations"] <= 14 and d["lambda_evaluations"] <= 14
-        assert d["mu_evaluations"] + d["lambda_evaluations"] == len(calls) <= 28
+        assert d["mu_evaluations"] <= 8 and d["lambda_evaluations"] <= 8
+        assert d["mu_evaluations"] + d["lambda_evaluations"] == len(calls) <= 16
 
     def test_zero_confidence_gives_point_interval(self, base_config):
         snap = CountSnapshot(50001908.0, 33501, 53116, 8255)
@@ -489,6 +505,18 @@ def _snapshots(draw_config):
     equal_rates = st.builds(band, st.floats(2e-4, 3e-3), st.floats(-1e-7, 1e-7),
                             st.integers(1000, 40000))
     return st.one_of(feasible, few, no_failure, out_of_range, equal_rates)
+
+
+def _bracket_kind(bracket):
+    """"scan" for two neighbours of a scan grid, else the factor f of a
+    seeded bracket [x/f, x*f]."""
+    a, b = bracket
+    for xs in estimators._SCAN_GRIDS:
+        if a in xs:
+            assert xs[xs.index(a) + 1] == b
+            return "scan"
+    (factor,) = [f for f in estimators._SEED_FACTORS if math.isclose(b / a, f * f)]
+    return factor
 
 
 def _single(snap, cfg, interval):
@@ -601,6 +629,49 @@ class TestBatchedEstimates:
             for name in ("mu_hat", "lambda_hat", "ci_mu", "ci_lambda", "diagnostics"):
                 assert getattr(row, name) == getattr(single, name), name
             assert row.sigma2.tobytes() == single.sigma2.tobytes()
+
+    def test_seeded_rows_equal_single_estimates(self):
+        # a batch whose searches leave their starts every way: rows whose
+        # ±2% bracket holds the root, rows that need the ±30% one, rows that
+        # fall back to the scan (early grid times of a short horizon, and a
+        # failure-rate start twice the root), and a row whose failure-rate
+        # start is undefined (observed mean cycle below shape/mu_hat)
+        cfg = BASE_CONFIGS[3]
+        n = cfg.sane.shape
+        m = F.cycle_moments(cfg.sane, cfg.damage, cfg.inspection)
+        n_r = 30000
+        base = CountSnapshot(n_r * m.mean_cycle, n_r, n_r * m.mean_inspections,
+                             n_r * m.failure_prob)
+        exact = asymptotic_estimate(base, cfg)
+        mu_hat, lam_hat = exact.mu_hat, exact.lambda_hat
+
+        def timed(scale):
+            # counts whose failure-rate start is about scale * lam_hat
+            t = n_r * (n / mu_hat + base.failures / base.repairs / (scale * lam_hat))
+            return dataclasses.replace(base, time=t)
+
+        undefined = dataclasses.replace(base, time=0.9 * n_r * n / mu_hat)
+        early = counts_at_times([1e4 * i for i in range(1, 11)],
+                                simulate_horizon(np.random.default_rng(5),
+                                                 dataclasses.replace(cfg, horizon=2e5)))
+        snaps = [base, timed(1.15), timed(0.85), timed(2.0), undefined, *early]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            batch = asymptotic_estimates(snaps, cfg)
+        kinds = []
+        for snap, row in zip(snaps, batch):
+            single = _single(snap, cfg, "delta")
+            if isinstance(single, Exception):
+                assert (type(row), str(row)) == (type(single), str(single))
+                kinds.append(None)
+                continue
+            for name in ("mu_hat", "lambda_hat", "ci_mu", "ci_lambda", "diagnostics"):
+                assert getattr(row, name) == getattr(single, name), name
+            assert row.sigma2.tobytes() == single.sigma2.tobytes()
+            kinds.append(_bracket_kind(row.diagnostics["lambda_bracket"]))
+        assert kinds[:5] == [1.02, 1.3, 1.3, "scan", "scan"]
+        assert {1.3, "scan"} <= set(kinds[5:])
+        assert _bracket_kind(batch[0].diagnostics["mu_bracket"]) == 1.02
 
     def test_equal_rates_rows_take_the_diagonal(self):
         # the band strategy above must reach the contour branch

@@ -22,6 +22,7 @@ from cbmkit.simulator import (
     snapshot_rows,
 )
 from conftest import batch_of, make_config
+from count_loop import loop_counts_at_times
 
 # Seeds of the batch-engine tests, fixed once before their first run.
 SCALAR_SEED = 7001
@@ -181,6 +182,21 @@ class TestSimulateCycles:
         assert repairs == list(range(1, len(cycles) + 1))
         assert inspections == np.cumsum([c.inspection_count for c in cycles]).tolist()
         assert failures == np.cumsum([c.failed for c in cycles]).tolist()
+
+    def test_installed_totals_are_the_joined_running_sums(self, any_config):
+        # the totals installed with the batch (the blocks' end times for
+        # the time) are the running sums over the joined columns, bit for
+        # bit and dtype for dtype; the horizon takes more than two whole
+        # blocks and cuts the last
+        cycles = simulate_horizon(np.random.default_rng(BATCH_SEED),
+                                  replace(any_config, horizon=3e7))
+        assert len(cycles) > 2 * simulator._CHUNK and len(cycles) % simulator._CHUNK
+        assert "totals" in vars(cycles)
+        columns = (cycles.length, cycles.inspection_count, cycles.failed)
+        for installed, values in zip(cycles.totals, columns):
+            recomputed = simulator._running_sums(values)
+            assert installed.dtype == recomputed.dtype
+            assert installed.tobytes() == recomputed.tobytes()
 
     def test_uniform_trajectory_counts_match_stored_ages(self):
         cfg = make_config(shape=2, kind="uniform", horizon=2e5)
@@ -429,6 +445,16 @@ class TestAgeAndIndex:
             with pytest.raises(ValueError, match=r"outside the simulated range \[0, 1000.0\]"):
                 self._counts(t, records)
 
+    def test_nan_time_rejected(self, base_config):
+        # NaN compares false both ways, so it is not inside the span either;
+        # on a simulated batch it read as the counts at the batch's end
+        records = [_cycle(1000.0, [1000.0], failed=False)]
+        with pytest.raises(ValueError, match=r"time nan outside the simulated range \[0, 1000.0\]"):
+            counts_at_times([500.0, math.nan], batch_of(records))
+        cycles = simulate_horizon(np.random.default_rng(3), replace(base_config, horizon=1e5))
+        with pytest.raises(ValueError, match="time nan outside the simulated range"):
+            counts_at_times([math.nan], cycles)
+
     def test_counts_at_matches_age_index(self):
         # at t = 4000 the open cycle's age is 4000 - 1500 and its index is
         # the number of stored inspection ages not past that age; the counts
@@ -497,6 +523,42 @@ class TestCountsAtPrefixSums:
         cycles = batch_of([_cycle(1500.0, [1000.0, 2000.0], failed=True, count=2),
                            _cycle(3000.0, [1000.0, 2000.0, 3000.0], failed=False)])
         assert cycles.totals is cycles.totals
+
+
+class TestCountsAtTimesAgainstLoop:
+    """counts_at_times counts the open cycles' elapsed inspections for all
+    times in one pass; the per-time loop of tests/count_loop.py, one
+    schedule search per time, is the reference."""
+
+    @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
+    def test_same_snapshots(self, kind):
+        cfg = make_config(shape=2, kind=kind, horizon=3e5)
+        cycles = simulate_horizon(np.random.default_rng(BATCH_SEED), cfg)
+        totals = cycles.totals
+        end = float(totals.time[-1])
+        # every planned inspection at its own time, where the batch still runs
+        planned = np.repeat(totals.time[:-1], cycles.inspection_count) + cycles.inspection_ages
+        times = np.concatenate((
+            np.random.default_rng(SCALAR_SEED).uniform(0.0, end, size=300),
+            totals.time, planned[planned <= end], [0.0, end],
+        ))
+        np.random.default_rng(SCALAR_SEED).shuffle(times)
+        times = times.tolist()
+        snaps = counts_at_times(times, cycles)
+        assert snaps == loop_counts_at_times(times, cycles)
+        assert all(type(v) is int for s in snaps for v in (s.repairs, s.inspections, s.failures))
+        assert counts_at_times([], cycles) == []
+
+    def test_batch_without_ages(self, tmp_path):
+        # a batch read from an event log has no ages: its open cycles
+        # count no inspections, as in the loop
+        cycles = simulate_horizon(np.random.default_rng(BATCH_SEED), make_config(horizon=3e5))
+        path = tmp_path / "events.csv"
+        path.write_text("".join(event_log_lines(cycles)))
+        logged = read_event_log(path)
+        times = np.random.default_rng(SCALAR_SEED).uniform(
+            0.0, float(logged.totals.time[-1]), size=50).tolist()
+        assert counts_at_times(times, logged) == loop_counts_at_times(times, logged)
 
 
 class TestCsv:
