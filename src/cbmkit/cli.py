@@ -30,9 +30,8 @@ from .estimators import (
     NonConvergenceError,
     ObservedData,
     OutOfRangeError,
+    _estimates,
     asymptotic_estimate,
-    asymptotic_estimates,
-    invert_mean_inspections,
     mle_estimate,
 )
 from .formulas import CONVENTIONS
@@ -344,27 +343,21 @@ def _convergence_rows(grid: Sequence[float], cycles: CycleBatch, config: ModelCo
 
     Infeasible estimates leave their fields empty: before the first
     failure only the damage rate is reported, without intervals, since the
-    interval covariance needs both rates.
+    interval covariance needs both rates.  That rate is the batch's own
+    search, which runs on rows without failures too.
     """
-    snapshots = counts_at_times(grid, cycles)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        reports = asymptotic_estimates(snapshots, config)
+        reports, mu_hat = _estimates(counts_at_times(grid, cycles), config, "delta")
     rows = []
-    for t, snapshot, report in zip(grid, snapshots, reports):
+    for t, report, mu in zip(grid, reports, mu_hat):
         if isinstance(report, EstimateReport):
             rows.append(_CONVERGENCE_ROW % (t, report.mu_hat, report.lambda_hat,
                                             *report.ci_mu, *report.ci_lambda))
             continue
         if not isinstance(report, (OutOfRangeError, DegenerateDataError)):
             raise report
-        try:
-            mu_hat = invert_mean_inspections(
-                snapshot.inspections / snapshot.repairs, config.sane.shape, config.inspection
-            ) if snapshot.repairs else None
-        except (OutOfRangeError, DegenerateDataError):
-            mu_hat = None
-        rows.append("%.17g,,,,,,\n" % t if mu_hat is None else "%.17g,%.17g,,,,,\n" % (t, mu_hat))
+        rows.append("%.17g,,,,,,\n" % t if math.isnan(mu) else "%.17g,%.17g,,,,,\n" % (t, mu))
     return rows
 
 

@@ -57,68 +57,49 @@ class NonConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _scan_grids(lo: float, hi: float, count: int) -> tuple:
-    """The scan's 64-point geometric grids, as floats: the first over
-    [lo, hi], each next one a hundredfold wider each way."""
-    grids = []
-    for _ in range(count):
-        grids.append(tuple(np.geomspace(lo, hi, 64).tolist()))
-        lo, hi = lo / 100.0, hi * 100.0
-    return tuple(grids)
-
-
-# every grid a search scans before it gives up
-_SCAN_GRIDS = _scan_grids(1e-8, 1e2, 8)
-
-
-# the brackets a seeded search tries before the scan, as factors either side
-# of its start
-_SEED_FACTORS = (1.02, 1.3)
-
-
-def _search(target: float, rtol: float, atol: float, trace: dict,
+def _search(target: float, lo: float, hi: float, tol: float, trace: dict,
             start: float = math.nan) -> Generator[float, float, float]:
-    """One inversion of a monotone map, as a coroutine: it yields every
-    point where it needs the map, is sent the map's value there, and
-    returns the root or raises (see :func:`invert_monotone`).
+    """One inversion of a monotone map whose root the model proves to lie
+    in [lo, hi] (``hi`` may be inf), as a coroutine: it yields every point
+    where it needs the map, is sent the map's value there, and returns a
+    point where the map is within ``tol`` of ``target``.
 
-    A ``start`` inside the outermost scan grid is tried first: the
-    brackets [start/1.02, start*1.02], then [start/1.3, start*1.3], each
-    polished at once if its ends change sign; the scan runs only when
-    neither does, or without a start (NaN)."""
-    tol = rtol * abs(target) + atol
-    if _SCAN_GRIDS[-1][0] <= start <= _SCAN_GRIDS[-1][-1]:
-        for factor in _SEED_FACTORS:
-            a, b = start / factor, start * factor
-            fa = (yield a) - target
-            fb = (yield b) - target
-            if fa * fb <= 0.0:
-                trace["bracket"] = (a, b)
-                return (yield from _chandrupatla(a, b, fa, fb, tol, trace, target))
-    for xs in _SCAN_GRIDS:
-        first = (yield xs[0]) - target
-        last = (yield xs[-1]) - target
-        if first == 0.0:
-            return xs[0]
-        if first * last <= 0.0:
-            # i keeps the sign of the first point, j is the first index found
-            # that does not
-            i, j, fi, fj = 0, len(xs) - 1, first, last
-            while j - i > 1:
-                mid = (i + j) // 2
-                fm = (yield xs[mid]) - target
-                if first * fm > 0.0:
-                    i, fi = mid, fm
-                else:
-                    j, fj = mid, fm
-            break
+    A ``start`` inside [lo, hi] is tried first: [start/1.02, start*1.02],
+    clipped to [lo, hi], is polished at once if its ends change sign.
+    Otherwise an open upper end is found by doubling from ``lo``, and a
+    bracket wider than a factor of 2 is halved geometrically (until an end
+    is the root) before :func:`_chandrupatla` polishes it, recorded in
+    ``trace["bracket"]``.  Proven ends of one sign raise OutOfRangeError,
+    unless one of them already meets the tolerance and stands.
+    """
+    if lo <= start <= hi:
+        a, b = max(start / 1.02, lo), min(start * 1.02, hi)
+        fa = (yield a) - target
+        fb = (yield b) - target
+        if fa * fb <= 0.0:
+            trace["bracket"] = (a, b)
+            return (yield from _chandrupatla(a, b, fa, fb, tol, trace, target))
+    a, b = lo, hi if hi < math.inf else 2.0 * lo
+    fa = (yield a) - target
+    fb = (yield b) - target
+    while hi == math.inf and fa * fb > 0.0 and 2.0 * b < math.inf:
+        a, fa, b = b, fb, 2.0 * b
+        fb = (yield b) - target
+    if fa * fb > 0.0:
+        if min(abs(fa), abs(fb)) > tol:
+            raise OutOfRangeError(
+                f"target {target!r} outside the range [{min(fa, fb) + target!r}, "
+                f"{max(fa, fb) + target!r}] of the map over its proven bracket [{lo!r}, {hi!r}]")
     else:
-        raise OutOfRangeError(
-            f"target {target!r} outside the attainable range "
-            f"[{min(first, last) + target!r}, {max(first, last) + target!r}]"
-        )
-    trace["bracket"] = (xs[i], xs[j])
-    return (yield from _chandrupatla(xs[i], xs[j], fi, fj, tol, trace, target))
+        while fa * fb < 0.0 and b > 2.0 * a:
+            m = math.sqrt(a * b)
+            fm = (yield m) - target
+            if (fm > 0.0) == (fa > 0.0):
+                a, fa = m, fm
+            else:
+                b, fb = m, fm
+    trace["bracket"] = (a, b)
+    return (yield from _chandrupatla(a, b, fa, fb, tol, trace, target))
 
 
 def _chandrupatla(
@@ -126,8 +107,8 @@ def _chandrupatla(
 ) -> Generator[float, float, float]:
     """Shrink a sign-change bracket [a, b] of g (values fa, fb) until
     |g(x)| <= tol at its best point x, or until it spans at most about two
-    ulps of x, when x stands; a coroutine like :func:`_search`, sent the
-    values of g + ``offset``.
+    ulps of x, when x stands.  A coroutine: it yields each point where it
+    needs g, is sent the value of g + ``offset`` there, and returns x.
 
     Chandrupatla (1997, Adv. Eng. Software 28:145): each step evaluates
     inverse quadratic interpolation through the two bracket ends and the
@@ -173,27 +154,29 @@ def _chandrupatla(
 
 
 def _solve(
-    func: Callable, targets: Sequence[float], errors: list, traces: list,
-    rtol: float = 1e-12, atol: float = 0.0, starts: Optional[Sequence[float]] = None,
+    func: Callable, targets: Sequence[float], brackets: Sequence[tuple], errors: list,
+    traces: list, rtol: float = 1e-12, atol: float = 0.0,
+    starts: Optional[Sequence[float]] = None,
 ) -> list:
     """Invert a monotone map at every target whose entry of ``errors`` is
-    None, all searches in lockstep, each from its entry of ``starts``
-    where given (see :func:`_search`) and by the scan otherwise.
+    None, all searches in lockstep: target k over its proven bracket
+    ``brackets[k]``, from ``starts[k]`` where given (see :func:`_search`),
+    until the map is within rtol*|target| + atol of it.
 
     The searches are numbered by their position among those targets.
     Each round evaluates ``func(x, rows)`` once, at the points of every
     search still running: ``rows`` lists their numbers and ``x`` holds
-    their points, a float where they are all one point (one search, or a
-    round of the scan grid that every search has reached) and an array
-    otherwise, so one inversion computes in floats throughout.  A float
-    value serves every row of its round.  Returns the roots (NaN where
-    there is none); a search's error goes to its entry of ``errors`` and
-    its bracket, iterations and evaluations to its entry of ``traces``.
+    their points, a float for one search, so one inversion computes in
+    floats throughout, and an array otherwise.  Returns the roots (NaN
+    where there is none); a search's error goes to its entry of
+    ``errors`` and its bracket, iterations and evaluations to its entry
+    of ``traces``.
     """
     roots = [math.nan] * len(targets)
     live = [k for k, e in enumerate(errors) if e is None]
     sends = [
-        _search(targets[k], rtol, atol, traces[k], math.nan if starts is None else starts[k]).send
+        _search(targets[k], *brackets[k], rtol * abs(targets[k]) + atol, traces[k],
+                math.nan if starts is None else starts[k]).send
         for k in live
     ]
     rows, values = list(range(len(live))), [None] * len(live)
@@ -214,39 +197,8 @@ def _solve(
         rows = asking
         if not rows:
             return roots
-        shared = points.count(points[0]) == len(points)
-        values = func(points[0] if shared else np.array(points), rows)
-        values = values.tolist() if isinstance(values, np.ndarray) else [values] * len(rows)
-
-
-def invert_monotone(
-    func: Callable[[float], float],
-    target: float,
-    rtol: float = 1e-12,
-    atol: float = 0.0,
-    trace: Optional[dict] = None,
-) -> float:
-    """Solve func(x) = target for monotone func on a positive domain.
-
-    A bare target gives no start, so this always scans: it finds the
-    first interval of a 64-point geometric grid over [1e-8, 1e2] where
-    func - target reaches zero or changes sign, widening the grid a
-    hundredfold each way up to 7 times if there is none, then polishes
-    that bracket by Chandrupatla's method (:func:`_chandrupatla`) until
-    |func(x) - target| <= rtol*|target| + atol, or until the bracket
-    reaches float resolution, when its best point stands.  Monotonicity
-    makes the signs on the grid one run of the first point's sign followed
-    by the rest, so that interval is found by bisecting over the grid
-    indices from the two end points, in 8 evaluations per grid.
-    Raises OutOfRangeError when no bracket exists and NonConvergenceError
-    when the polish stalls.  When ``trace`` is given it receives the
-    bracket used, the polish iteration count and the number of func
-    evaluations.  This is :func:`_solve` on one target.
-    """
-    errors = [None]
-    roots = _solve(lambda x, rows: func(x), [target], errors, [{} if trace is None else trace],
-                   rtol, atol)
-    return _only(roots, errors)
+        values = func(points[0] if len(rows) == 1 else np.array(points), rows)
+        values = [values] if len(rows) == 1 else values.tolist()
 
 
 def _only(roots: list, errors: list) -> float:
@@ -257,15 +209,30 @@ def _only(roots: list, errors: list) -> float:
 
 
 def _mean_inspection_roots(targets: Sequence[float], shape: int, insp: InspectionLaw,
-                           errors: list, traces: list,
-                           starts: Optional[Sequence[float]] = None) -> list:
-    """:func:`invert_mean_inspections` at every target at once, from
-    ``starts`` where given."""
+                           errors: list, traces: list) -> list:
+    """:func:`invert_mean_inspections` at every target at once, each
+    search from :func:`_damage_rate_start`.
+
+    The proven bracket: the detection age V, the first planned age at or
+    past the damage age Y, has Y <= V < Y + c + h (c the mean gap, h the
+    uniform half-width), and E[V] = c r at r inspections per cycle by
+    Wald's identity, so shape/(c r) <= mu < shape/(c (r - 1) - h), open
+    above where c (r - 1) <= h.  Within the tolerance of 1 every large
+    enough rate would meet the stopping test: no root is defined there.
+    """
+    c, h = insp.spacing, insp.half_width
+    brackets = [(math.nan, math.nan)] * len(targets)
     for k, t in enumerate(targets):
-        if errors[k] is None and not t > 1.0:
-            errors[k] = OutOfRangeError(f"mean inspections per cycle must exceed 1, got {t!r}")
-    return _solve(lambda mu, rows: mean_inspections(SaneLaw(shape, mu), insp), targets, errors,
-                  traces, starts=starts)
+        if errors[k] is None and not t - 1.0 > 1e-12 * t:
+            errors[k] = OutOfRangeError(
+                "mean inspections per cycle must exceed 1 by more than the inversion "
+                f"tolerance 1e-12 relative, got {t!r}")
+        elif errors[k] is None:
+            excess = c * (t - 1.0) - h
+            brackets[k] = (shape / (c * t), shape / excess if excess > 0.0 else math.inf)
+    starts = [_damage_rate_start(t, shape, c) for t in targets]
+    return _solve(lambda mu, rows: mean_inspections(SaneLaw(shape, mu), insp), targets, brackets,
+                  errors, traces, starts=starts)
 
 
 def _damage_rate_start(ratio: float, shape: int, spacing: float) -> float:
@@ -297,20 +264,39 @@ def _failure_rate_roots(targets: Sequence[float], shape: int, mu: Sequence[float
     k at the damage rate ``mu[k]`` and from ``starts`` where given: one
     failure-probability map over the damage rates of the searches, built
     before the first round, serves every round (see
-    :func:`cbmkit.formulas._failure_map`)."""
+    :func:`cbmkit.formulas._failure_map`).
+
+    The proven bracket: a cycle fails when its failure time, exponential
+    at rate lam from the damage age, comes before the detection delay W
+    = V - Y, so p = 1 - E[exp(-lam W)], where 0 <= W <= w = c + h and
+    E[W] = c E[K](mu) - shape/mu with E[K] the mean inspections per cycle,
+    read from the map's own jets.  Jensen's inequality gives
+    lam >= -log1p(-p)/E[W], and the Edmundson-Madansky bound on the
+    convex exp(-lam W) over [0, w] (Madansky 1959) gives
+    lam <= -log1p(-p w/E[W])/w, open above where p w >= E[W].
+    """
     _check_fractions(targets, errors)
     live = [k for k, e in enumerate(errors) if e is None]
     if not live:
         return [math.nan] * len(targets)
     failure = _failure_map(SaneLaw(shape, _batch([mu[k] for k in live])), insp)
-    return _solve(failure, targets, errors, traces, atol=1e-12, rtol=0.0, starts=starts)
+    w = insp.spacing + insp.half_width
+    brackets = [(math.nan, math.nan)] * len(targets)
+    for k, mean_k in zip(live, np.atleast_1d(failure.mean_inspections).tolist()):
+        p, delay = targets[k], insp.spacing * mean_k - shape / mu[k]
+        brackets[k] = (-math.log1p(-p) / delay,
+                       -math.log1p(-p * w / delay) / w if p * w < delay else math.inf)
+    return _solve(failure, targets, brackets, errors, traces, atol=1e-12, rtol=0.0,
+                  starts=starts)
 
 
 def invert_mean_inspections(target: float, shape: int, insp: InspectionLaw) -> float:
     """Damage rate whose mean inspections-per-cycle equals ``target``.
 
     The map decreases from +inf (rate -> 0) to 1 (rate -> inf), so targets
-    at or below 1 are rejected.
+    not above 1 by more than the inversion tolerance are rejected.  The
+    search starts from the moment identities (see
+    :func:`_mean_inspection_roots`).
     """
     errors = [None]
     roots = _mean_inspection_roots([target], shape, insp, errors, [{}])
@@ -318,7 +304,9 @@ def invert_mean_inspections(target: float, shape: int, insp: InspectionLaw) -> f
 
 
 def invert_failure_probability(target: float, sane: SaneLaw, insp: InspectionLaw) -> float:
-    """Failure rate whose per-cycle failure probability equals ``target``."""
+    """Failure rate whose per-cycle failure probability equals ``target``,
+    searched over the bracket that the model proves (see
+    :func:`_failure_rate_roots`)."""
     errors = [None]
     roots = _failure_rate_roots([target], sane.shape, [sane.rate], insp, errors, [{}])
     return _only(roots, errors)
@@ -404,7 +392,7 @@ def asymptotic_estimate(
 
     This is :func:`asymptotic_estimates` on one snapshot, its error raised.
     """
-    (report,) = _estimates([snapshot], config, interval)
+    (report,), _ = _estimates([snapshot], config, interval)
     if isinstance(report, Exception):
         raise report
     return report
@@ -421,10 +409,43 @@ def asymptotic_estimates(
     returned rather than raised.  Every report equals the single
     estimate's bit for bit, whatever else the batch holds.
     """
-    return _estimates(snapshots, config, interval)
+    return _estimates(snapshots, config, interval)[0]
 
 
-def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval: str) -> list:
+def _count_rates(snapshots: Sequence[CountSnapshot], shape: int, insp: InspectionLaw,
+                 errors: list, mu_traces: list, lam_traces: list,
+                 tabulated: bool = False) -> tuple:
+    """The damage and failure rates of every snapshot whose entry of
+    ``errors`` is None, NaN where there is none: the two searches of the
+    asymptotic method, the second started from the mean-cycle identity
+    (observed mean cycle = shape/mu + fraction/rate), which is also the
+    ``tabulated`` rate.  A snapshot with no failure keeps its damage rate
+    and gets the error "no failures observed"."""
+    ratios = [math.nan if e else s.inspections / s.repairs for s, e in zip(snapshots, errors)]
+    mu_errors = list(errors)
+    mu_hat = _mean_inspection_roots(ratios, shape, insp, mu_errors, mu_traces)
+    for k, snap in enumerate(snapshots):
+        if errors[k] is None:
+            errors[k] = mu_errors[k] if snap.failures >= 1 else DegenerateDataError(
+                "lambda not identifiable: no failures observed")
+    fractions = [math.nan if e else s.failures / s.repairs for s, e in zip(snapshots, errors)]
+    delay = [math.nan if e else s.time / s.repairs - shape / m
+             for s, m, e in zip(snapshots, mu_hat, errors)]
+    identity = [f / d if d > 0.0 else math.nan for f, d in zip(fractions, delay)]
+    if tabulated:
+        _check_fractions(fractions, errors)
+        for i, d in enumerate(delay):
+            if errors[i] is None and d <= 0.0:
+                errors[i] = OutOfRangeError(
+                    "observed mean cycle is shorter than the implied mean damage time")
+        return mu_hat, identity
+    return mu_hat, _failure_rate_roots(fractions, shape, mu_hat, insp, errors, lam_traces,
+                                       identity)
+
+
+def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval: str) -> tuple:
+    """:func:`asymptotic_estimates`, and the damage rate of every snapshot
+    (NaN where there is none), also where the estimate fails later on."""
     _check_convention(interval)
     errors: list = []
     for snap in snapshots:
@@ -433,11 +454,9 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
             errors.append(DegenerateDataError("no completed cycles: nothing to estimate"))
         elif n_i <= n_r:
             errors.append(OutOfRangeError("mean inspections per cycle must exceed 1"))
-        elif n_f < 1:
-            errors.append(DegenerateDataError("lambda not identifiable: no failures observed"))
         else:
             errors.append(None)
-            if n_r < 100:
+            if n_f >= 1 and n_r < 100:
                 # stack: here, asymptotic_estimate(s), its caller
                 warnings.warn(
                     f"only {n_r} cycles observed; asymptotic intervals are dubious",
@@ -446,32 +465,14 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
 
     shape = config.sane.shape
     insp = config.inspection
-    ratios = [math.nan if e else s.inspections / s.repairs for s, e in zip(snapshots, errors)]
-    fractions = [math.nan if e else s.failures / s.repairs for s, e in zip(snapshots, errors)]
     mu_traces: list = [{} for _ in snapshots]
     lam_traces: list = [{} for _ in snapshots]
-    # every search starts from the moment identities
-    mu_starts = [_damage_rate_start(r, shape, insp.spacing) for r in ratios]
-    mu_hat = _mean_inspection_roots(ratios, shape, insp, errors, mu_traces, mu_starts)
-    # the mean-cycle identity, observed mean cycle = shape/mu + fraction/rate:
-    # the tabulated failure rate, and the delta one's start
-    delay = [math.nan if e else s.time / s.repairs - shape / m
-             for s, m, e in zip(snapshots, mu_hat, errors)]
-    identity = [f / d if d > 0.0 else math.nan for f, d in zip(fractions, delay)]
-    if interval == "tabulated":
-        _check_fractions(fractions, errors)
-        for i, d in enumerate(delay):
-            if errors[i] is None and d <= 0.0:
-                errors[i] = OutOfRangeError(
-                    "observed mean cycle is shorter than the implied mean damage time")
-        lam_hat = identity
-    else:
-        lam_hat = _failure_rate_roots(fractions, shape, mu_hat, insp, errors, lam_traces,
-                                      identity)
+    mu_hat, lam_hat = _count_rates(snapshots, shape, insp, errors, mu_traces, lam_traces,
+                                   interval == "tabulated")
 
     solved = [i for i, e in enumerate(errors) if e is None]
     if not solved:
-        return errors
+        return errors, mu_hat
     bundle, problems = _covariance_bundle(
         SaneLaw(shape, _batch([mu_hat[i] for i in solved])),
         DamageLaw(_batch([lam_hat[i] for i in solved])), insp, interval,
@@ -499,7 +500,7 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
             lambda_iterations=lam_trace.get("iterations"),
             lambda_evaluations=lam_trace.get("evaluations"),
         )
-    return results
+    return results, mu_hat
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +672,10 @@ def _newton_fit(
 def mle_estimate(data: ObservedData, config: ModelConfig) -> EstimateReport:
     """Censored maximum likelihood over (log mu, log lam).
 
-    Starts from the asymptotic estimate (up to MAX_SHAPE) and takes
-    safeguarded Newton steps on the analytic score and Hessian (see
+    Starts from the asymptotic delta estimate of the data's counts (up to
+    MAX_SHAPE), from the same searches and so with the same bits as
+    :func:`asymptotic_estimate`, and takes safeguarded Newton steps on the
+    analytic score and Hessian (see
     :func:`_newton_fit`); intervals come from the inverse observed
     information, the same analytic Hessian at the optimum.  Diagnostics:
     the Newton ``iterations``, the ``likelihood_evaluations`` (each one
@@ -693,12 +696,12 @@ def mle_estimate(data: ObservedData, config: ModelConfig) -> EstimateReport:
     # ratios are uninformative
     start_mu, start_lam = shape * n_r / t_total, n_fail / t_total
     if shape <= MAX_SHAPE:
-        try:
-            mu = invert_mean_inspections(counts.inspections / n_r, shape, insp)
-            lam = invert_failure_probability(n_fail / n_r, SaneLaw(shape, mu), insp)
+        errors = [None]
+        (mu,), (lam,) = _count_rates([counts], shape, insp, errors, [{}], [{}])
+        if errors[0] is None:
             start_mu, start_lam = mu, lam
-        except (OutOfRangeError, DegenerateDataError):
-            pass
+        elif isinstance(errors[0], NonConvergenceError):
+            raise errors[0]
 
     start_logs = np.array([math.log(start_mu), math.log(start_lam)])
     logs, terms, iterations, evaluations = _newton_fit(data, shape, start_logs)

@@ -124,15 +124,15 @@ class LawDerivatives:
 def law_derivatives(s, insp: InspectionLaw, order: int) -> LawDerivatives:
     """Derivative bundle of L, 1/(1-L), L/(1-L), L/(1-L)^2 at s.
 
-    A float anchor's bundle is cached (its rows are immutable floats): the
-    scan grids' points repeat from call to call.  Over 8/8/4 benchmark
-    operations (workload seed 3), verify/convergence/events_mle hit it on
-    10 of 16, 28 of 139 and 141 of 216 calls, and 100 single inversions at
-    varying rates, each after one forward failure_probability, took 21.5
-    against 34.5 ms on shape 2 uniform gaps and 13.8 against 19.5 ms on
-    deterministic ones with and without it (best of 7; 2 shared x86 cores,
-    Python 3.11, numpy 2.4).  The cycle moments and the sensitivities come
-    from one pass and need no cache to share theirs.
+    A float anchor's bundle is cached (its rows are immutable floats): a
+    single inversion meets the jets of the forward call at its damage rate
+    again.  At 0.18.0 two ``estimate --events --method both`` commands hit
+    it on 25 of 50 calls (four ``convergence`` commands: 0 of 3), and 100
+    single inversions at varying rates, each after one forward
+    failure_probability, took 32.7 against 38.0 ms on shape 2 uniform gaps
+    and 21.1 against 20.9 ms on deterministic ones with and without it
+    (best of 7; 2 shared x86 cores, Python 3.11, numpy 2.4).  The cycle
+    moments and the sensitivities come from one pass and need no cache.
     """
     x = _value(s)
     if isinstance(x, np.ndarray):
@@ -279,16 +279,17 @@ def _failure_map(sane: SaneLaw, insp: InspectionLaw):
     in floats).
 
     The jets at the damage rates are computed here, once, so a search
-    that keeps its damage rate does not pay for them again.
+    that keeps its damage rate does not pay for them again; the map's
+    ``mean_inspections`` is :func:`mean_inspections` from them.
     """
     n, mu = sane.shape, sane.rate
-    psi_mu = law_derivatives(mu, insp, n - 1).gain
+    jet = law_derivatives(mu, insp, n - 1)
 
     def evaluate(lam, rows: Optional[list] = None):
         def take(v):
             return v if rows is None or not isinstance(v, np.ndarray) else _batch(v[rows])
 
-        m, psi = take(mu), [take(v) for v in psi_mu]
+        m, psi = take(mu), [take(v) for v in jet.gain]
         at_lam = law_derivatives(lam, insp, 0)
 
         def generic(pick) -> tuple:
@@ -301,6 +302,7 @@ def _failure_map(sane: SaneLaw, insp: InspectionLaw):
         (series,) = _by_band(m, lam, generic, contour)
         return 1.0 - at_lam.one_minus * series
 
+    evaluate.mean_inspections = _taylor_mean(jet.inv_one_minus, mu, n)
     return evaluate
 
 

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -21,7 +21,6 @@ from cbmkit.estimators import (
     censored_log_likelihood,
     invert_failure_probability,
     invert_mean_inspections,
-    invert_monotone,
     mle_estimate,
 )
 from cbmkit.laws import DamageLaw, InspectionLaw, SaneLaw, density_sane
@@ -36,7 +35,6 @@ from cbmkit.simulator import (
     simulate_horizon,
 )
 from conftest import batch_of, make_config
-from linear_scan import linear_scan_invert
 from simplex import nelder_mead
 
 DET = InspectionLaw("deterministic", 1000.0)
@@ -75,131 +73,231 @@ def simpson_adaptive(f, a, b, tol=1e-12, depth=30):
     return recurse(a, b, whole, depth)
 
 
-class TestInvertMonotone:
-    def test_finds_root(self):
-        x = invert_monotone(lambda v: v * v, 2.0)
-        assert_allclose(x, math.sqrt(2.0), rtol=1e-10)
+UNIF900 = InspectionLaw("uniform", 1000.0, 900.0)
+LAWS = [DET, UNIF, UNIF900]
+LAW_IDS = ["det", "unif", "unif900"]
 
-    def test_expands_bracket(self):
-        x = invert_monotone(lambda v: v, 3e2)
-        assert_allclose(x, 3e2, rtol=1e-10)
 
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
-            invert_monotone(lambda v: 1.0 / (1.0 + v), 2.0)
+def _damage_bracket(r, shape, law):
+    """The damage rates that give r inspections per cycle, by Wald's
+    identity: shape/(c r) <= mu < shape/(c (r - 1) - h)."""
+    c, h = law.spacing, law.half_width
+    return shape / (c * r), shape / (c * (r - 1.0) - h) if c * (r - 1.0) > h else math.inf
+
+
+def _failure_bracket(p, shape, mu, law):
+    """The failure rates that give failure probability p at the damage
+    rate mu, by Jensen's inequality and the Edmundson-Madansky bound on
+    the detection delay W in [0, w]."""
+    c, w = law.spacing, law.spacing + law.half_width
+    delay = c * F.mean_inspections(SaneLaw(shape, mu), law) - shape / mu
+    return (-math.log1p(-p) / delay,
+            -math.log1p(-p * w / delay) / w if p * w < delay else math.inf)
+
+
+def _one_search(func, target, bracket, **kwargs):
+    """``estimators._solve`` on one target over an explicit bracket: the
+    root, its trace and the points where the map was called; a search
+    error is raised."""
+    calls = []
+
+    def counted(x, rows):
+        calls.append(x)
+        return func(x)
+
+    errors, traces = [None], [{}]
+    (root,) = estimators._solve(counted, [target], [bracket], errors, traces, **kwargs)
+    if errors[0] is not None:
+        raise errors[0]
+    return root, traces[0], calls
 
 
 class TestBracketSearch:
-    """invert_monotone bisects over the grid indices where the reference
-    scans them one by one, and both polish the bracket with the same
-    Chandrupatla helper; bracket, iterations and root must agree."""
+    """Every search runs inside a bracket that the model proves holds its
+    root: Wald's identity for the damage rate, Jensen's inequality and the
+    Edmundson-Madansky bound for the failure rate.  Over the supported
+    domain the map's values at the proven ends straddle the target, or one
+    end already meets the tolerance, and every root meets its stopping
+    test from inside that bracket."""
 
-    XS = np.geomspace(1e-8, 1e2, 64)
-
-    @staticmethod
-    def _outcome(solver, func, target, **kwargs):
-        trace = {}
-        try:
-            x = solver(func, target, trace=trace, **kwargs)
-        except (OutOfRangeError, estimators.NonConvergenceError) as exc:
-            return type(exc), str(exc)
-        return float(x).hex(), trace.get("bracket"), trace.get("iterations")
-
-    def _assert_same(self, func, targets, **kwargs):
-        for target in targets:
-            expected = self._outcome(linear_scan_invert, func, target, **kwargs)
-            assert self._outcome(invert_monotone, func, target, **kwargs) == expected, target
-
-    @pytest.mark.parametrize("law", [DET, UNIF], ids=["det", "unif"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(log_mc=st.floats(-4.0, 1.0))
+    @example(log_mc=-4.0)
+    @example(log_mc=1.0)
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
     @pytest.mark.parametrize("shape", [1, 2, 3, 4])
-    def test_mean_inspections_map(self, shape, law):
-        def func(mu):
-            return F.mean_inspections(SaneLaw(shape, mu), law)
+    def test_mean_inspections_map(self, shape, law, log_mc):
+        mu = 10.0**log_mc / law.spacing
 
-        exact = [func(float(mu)) for mu in np.geomspace(3e-8, 30.0, 8)]
-        # count ratios seen early in a series, and ratios needing expansion
-        early = [2 / 1, 3 / 2, 4 / 3, 7 / 5, 12 / 7, 25 / 11, 101 / 100, 1.0000001, 3e5, 1e7]
-        self._assert_same(func, exact + early)
+        def func(x):
+            return F.mean_inspections(SaneLaw(shape, x), law)
 
-    @pytest.mark.parametrize("law", [DET, UNIF], ids=["det", "unif"])
+        r, tol = func(mu), 1e-12 * func(mu)
+        lo, hi = _damage_bracket(r, shape, law)
+        # the map falls to 1 < r as the rate grows without bound
+        f_lo, f_hi = func(lo) - r, (func(hi) if hi < math.inf else 1.0) - r
+        assert f_lo * f_hi <= 0.0 or min(abs(f_lo), abs(f_hi)) <= tol
+        errors, traces = [None], [{}]
+        (root,) = estimators._mean_inspection_roots([r], shape, law, errors, traces)
+        assert errors == [None]
+        assert abs(func(root) - r) <= tol
+        a, b = traces[0]["bracket"]
+        assert lo <= a <= root <= b <= hi
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(log_mc=st.floats(-4.0, 1.0), log_ratio=st.floats(-3.0, 3.0))
+    @example(log_mc=-4.0, log_ratio=-3.0)
+    @example(log_mc=-4.0, log_ratio=3.0)
+    @example(log_mc=1.0, log_ratio=-3.0)
+    @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
     @pytest.mark.parametrize("shape", [1, 2, 3, 4])
-    def test_failure_probability_map(self, shape, law):
-        for mu in (1e-3, 3.7e-4):
-            sane = SaneLaw(shape, mu)
+    def test_failure_probability_map(self, shape, law, log_mc, log_ratio):
+        # the first example puts the lower end of shape 2 deterministic
+        # gaps a little above the closed form's root, well inside atol
+        mu = 10.0**log_mc / law.spacing
+        lam = mu * 10.0**log_ratio
+        sane = SaneLaw(shape, mu)
 
-            def func(lam):
-                return F.failure_probability(sane, DamageLaw(lam), law)
+        def func(x):
+            return F.failure_probability(sane, DamageLaw(x), law)
 
-            exact = [func(float(lam)) for lam in np.geomspace(1e-6, 1.0, 7)] + [func(mu)]
-            early = [1 / 2, 1 / 3, 1 / 7, 2 / 9, 1e-2, 1e-3, 1e-7, 0.9, 0.999]
-            self._assert_same(func, exact + early, atol=1e-12, rtol=0.0)
+        p = func(lam)
+        errors, traces = [None], [{}]
+        (root,) = estimators._failure_rate_roots([p], shape, [mu], law, errors, traces)
+        if not 0.0 < p < 1.0:
+            # the failure probability rounds to 0 or 1: no rate follows
+            assert type(errors[0]) is DegenerateDataError
+            return
+        lo, hi = _failure_bracket(p, shape, mu, law)
+        # the map rises to 1 > p as the rate grows without bound
+        f_lo, f_hi = func(lo) - p, (func(hi) if hi < math.inf else 1.0) - p
+        assert f_lo * f_hi <= 0.0 or min(abs(f_lo), abs(f_hi)) <= 1e-12
+        assert errors == [None]
+        assert abs(func(root) - p) <= 1e-12
+        a, b = traces[0]["bracket"]
+        assert lo <= a <= root <= b <= hi
 
-    def test_unusable_start_scans(self):
+    def test_unusable_start_takes_the_proven_bracket(self):
         # a start that is not finite and positive, or lies outside the
-        # outermost scan grid, leaves the search to the scan: the same
+        # proven bracket, leaves the search to that bracket: the same
         # evaluations, bracket and root as without one
         def func(mu, rows):
             return F.mean_inspections(SaneLaw(2, mu), UNIF)
 
         target = func(1e-3, None)
+        bracket = _damage_bracket(target, 2, UNIF)
         starts = [math.nan, -1e-3, 0.0, math.inf, 1e20, 1e-30]
         errors, traces = [None] * len(starts), [{} for _ in starts]
-        roots = estimators._solve(func, [target] * len(starts), errors, traces, starts=starts)
-        plain = {}
-        assert roots == [invert_monotone(lambda mu: func(mu, None), target, trace=plain)] * 6
-        assert traces == [plain] * 6 and errors == [None] * 6
+        roots = estimators._solve(func, [target] * len(starts), [bracket] * len(starts), errors,
+                                  traces, starts=starts)
+        plain_errors, plain = [None], [{}]
+        (root,) = estimators._solve(func, [target], [bracket], plain_errors, plain)
+        assert roots == [root] * 6 and traces == plain * 6
+        assert errors == [None] * 6 and plain_errors == [None]
+
+    def test_expansion(self):
+        # an open upper end is found by doubling from the lower one; the
+        # bracket polished spans a factor of 2
+        for func, target in ((lambda v: v, 3e2), (lambda v: 1.0 / v, 4e-13), (lambda v: v, 1e-3)):
+            root, trace, calls = _one_search(func, target, (1e-3, math.inf))
+            a, b = trace["bracket"]
+            assert b == 2.0 * a and a <= root <= b
+            assert abs(func(root) - target) <= 1e-12 * target
+        # the same on the mean-inspections map, whose bracket is open above
+        # where c (r - 1) <= h
+        r = F.mean_inspections(SaneLaw(1, 3e-3), UNIF900)
+        assert 1000.0 * (r - 1.0) <= 900.0
+        errors, traces = [None], [{}]
+        (mu,) = estimators._mean_inspection_roots([r], 1, UNIF900, errors, traces)
+        assert errors == [None]
+        assert abs(F.mean_inspections(SaneLaw(1, mu), UNIF900) - r) <= 1e-12 * r
+
+    XS = np.geomspace(1e-8, 1e2, 64)
 
     @pytest.mark.parametrize("k", [0, 1, 31, 62, 63])
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["increasing", "decreasing"])
     def test_root_on_a_grid_point(self, k, sign):
-        self._assert_same(lambda v: sign * v, [sign * float(self.XS[k])])
-        assert invert_monotone(lambda v: sign * v, sign * float(self.XS[k])) == self.XS[k]
+        # a root on a point of a geometric grid over a ten-decade bracket:
+        # an end that is the root stands as it is, an inner point is found
+        # to the tolerance
+        root, trace, calls = _one_search(lambda v: sign * v, sign * float(self.XS[k]),
+                                         (1e-8, 1e2))
+        assert abs(root - self.XS[k]) <= 1e-12 * self.XS[k]
+        if k in (0, 63):
+            assert root == self.XS[k] and trace["iterations"] == 0
 
     @pytest.mark.parametrize("interval", [0, 62], ids=["first", "last"])
     @pytest.mark.parametrize("func", [lambda v: v, lambda v: -(v**3), lambda v: 1.0 / v],
                              ids=["linear", "cubic", "reciprocal"])
     def test_root_in_an_end_interval(self, interval, func):
+        # a root in the first or last interval of that grid, next to an end
+        # of the bracket: the halving homes in on that end, and the polish
+        # meets the tolerance
         root = math.sqrt(self.XS[interval] * self.XS[interval + 1])
-        self._assert_same(func, [func(root)])
-        trace = {}
-        invert_monotone(func, func(root), trace=trace)
-        assert trace["bracket"] == (self.XS[interval], self.XS[interval + 1])
+        x, trace, calls = _one_search(func, func(root), (1e-8, 1e2))
+        a, b = trace["bracket"]
+        assert a <= x <= b <= 2.0 * a
+        assert abs(func(x) - func(root)) <= 1e-12 * abs(func(root))
 
-    def test_expansion(self):
-        for func in (lambda v: v, lambda v: 1.0 / v):
-            self._assert_same(func, [3e2, 1e-11, 1e7, 4e-13])
+    def test_wide_bracket_is_halved_before_the_polish(self):
+        # fifteen decades come down to a factor of 2 by geometric halving,
+        # whatever end the root lies near
+        for target in (2e-13, 3.7, 5e1):
+            root, trace, calls = _one_search(lambda v: v, target, (1e-13, 1e2))
+            a, b = trace["bracket"]
+            assert b <= 2.0 * a and a <= root <= b
+            assert abs(root - target) <= 1e-12 * target
+            # the two ends, six halvings, then the polish
+            assert calls[:2] == [1e-13, 1e2] and len(calls) - trace["iterations"] == 8
 
-    def test_out_of_range_text(self):
-        self._assert_same(lambda v: 1.0 / (1.0 + v), [2.0, -1.0])
-        expected = self._outcome(linear_scan_invert, lambda v: v, -1.0)
-        assert expected[0] is OutOfRangeError
-        assert self._outcome(invert_monotone, lambda v: v, -1.0) == expected
+    def test_out_of_range_text(self, monkeypatch):
+        # a map wrong at both proven ends is an error that names the bracket
+        original = estimators.mean_inspections
+        monkeypatch.setattr(estimators, "mean_inspections",
+                            lambda sane, insp: 10.0 * original(sane, insp))
+        target = original(SaneLaw(2, 1e-3), UNIF)
+        lo, hi = _damage_bracket(target, 2, UNIF)
+        with pytest.raises(OutOfRangeError) as info:
+            invert_mean_inspections(target, 2, UNIF)
+        assert str(info.value).startswith(f"target {target!r} outside the range [")
+        assert str(info.value).endswith(f"of the map over its proven bracket [{lo!r}, {hi!r}]")
+        # and on an explicit bracket
+        with pytest.raises(OutOfRangeError) as info:
+            _one_search(lambda v: 1.0 / (1.0 + v), 2.0, (1.0, 1e3))
+        low = 1.0 / 1001.0 - 2.0 + 2.0  # as the search rounds it, from f - target
+        assert str(info.value) == (f"target 2.0 outside the range [{low!r}, 0.5] of the "
+                                   "map over its proven bracket [1.0, 1000.0]")
+
+    @pytest.mark.parametrize("bracket, offset", [((1.0, 2.0), 5e-13), ((0.5, 1.0), -5e-13)],
+                             ids=["lower", "upper"])
+    def test_end_within_tolerance_stands(self, bracket, offset):
+        # proven ends of one sign, one of them within the tolerance of the
+        # target: that end is the root, after the two evaluations
+        root, trace, calls = _one_search(lambda v: v + offset, 1.0, bracket)
+        assert root == 1.0 and calls == list(bracket) and trace["iterations"] == 0
+
 
     @pytest.mark.parametrize(
-        "func, target, raises",
+        "func, target, bracket, raises",
         [
             (lambda mu: F.mean_inspections(SaneLaw(2, mu), UNIF),
-             F.mean_inspections(SaneLaw(2, 1e-3), UNIF), False),
-            (lambda v: v, 1e-8, False),
-            (lambda v: 1.0 / (1.0 + v), 2.0, True),
+             F.mean_inspections(SaneLaw(2, 1e-3), UNIF), (1e-4, 1e-2), False),
+            (lambda v: v, 3e2, (1e-3, math.inf), False),
+            (lambda v: 1.0 / (1.0 + v), 2.0, (1e-3, 1e3), True),
         ],
-        ids=["polished", "first-grid-point", "out-of-range"],
+        ids=["polished", "doubled", "out-of-range"],
     )
-    def test_evaluations_traced(self, func, target, raises):
+    def test_evaluations_traced(self, func, target, bracket, raises):
         calls = []
 
-        def counted(x):
+        def counted(x, rows):
             calls.append(x)
             return func(x)
 
-        trace = {}
-        try:
-            invert_monotone(counted, target, trace=trace)
-        except OutOfRangeError:
-            assert raises
-        else:
-            assert not raises
-        assert trace["evaluations"] == len(calls) > 0
+        errors, traces = [None], [{}]
+        estimators._solve(counted, [target], [bracket], errors, traces)
+        assert (type(errors[0]) is OutOfRangeError) == raises
+        assert traces[0]["evaluations"] == len(calls) > 0
 
 
 def _bisect_to_exhaustion(g, lo, hi):
@@ -224,18 +322,11 @@ class TestChandrupatla:
     """The polish meets its residual tolerance on both maps, lands where a
     bisection to exhaustion puts the root within that tolerance, and ends
     at float resolution without raising where the tolerance is out of
-    reach."""
+    reach; each search runs on an explicit bracket some decades wide."""
 
     @staticmethod
-    def _check(func, target, **kwargs):
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            return func(x)
-
-        trace = {}
-        x = invert_monotone(counted, target, trace=trace, **kwargs)
+    def _check(func, target, bracket, **kwargs):
+        x, trace, calls = _one_search(func, target, bracket, **kwargs)
         assert trace["evaluations"] == len(calls) == len(set(calls))
         tol = kwargs.get("rtol", 1e-12) * abs(target) + kwargs.get("atol", 0.0)
         assert abs(func(x) - target) <= tol, target
@@ -257,7 +348,7 @@ class TestChandrupatla:
 
         targets = [func(mu) for mu in (3e-5, 1e-4, 1e-3, 3e-3)] + [53116 / 33501, 51503 / 20668]
         for target in targets:
-            self._check(func, target)
+            self._check(func, target, (1e-6, 1e-1))
 
     @pytest.mark.parametrize("law", [DET, UNIF], ids=["det", "unif"])
     @pytest.mark.parametrize("shape", [1, 2, 3, 4])
@@ -269,7 +360,7 @@ class TestChandrupatla:
 
         targets = [func(lam) for lam in (1e-5, 5e-4, 0.1)] + [8255 / 33501, 4452 / 20470]
         for target in targets:
-            self._check(func, target, atol=1e-12, rtol=0.0)
+            self._check(func, target, (1e-7, 10.0), atol=1e-12, rtol=0.0)
 
     @pytest.mark.parametrize(
         "func",
@@ -277,15 +368,8 @@ class TestChandrupatla:
         ids=["step", "flat-then-steep"],
     )
     def test_ends_at_float_resolution(self, func):
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            return func(x)
-
-        trace = {}
         target = 0.5 if func(1.0) == 1.0 else 1.0
-        x = invert_monotone(counted, target, trace=trace)
+        x, trace, calls = _one_search(func, target, (1e-8, 1e2))
         assert abs(func(x) - target) > 1e-12 * target
         assert x == pytest.approx(0.37, rel=1e-15, abs=0.0)
         assert trace["evaluations"] == len(calls) == len(set(calls))
@@ -507,16 +591,16 @@ def _snapshots(draw_config):
     return st.one_of(feasible, few, no_failure, out_of_range, equal_rates)
 
 
-def _bracket_kind(bracket):
-    """"scan" for two neighbours of a scan grid, else the factor f of a
-    seeded bracket [x/f, x*f]."""
+def _bracket_kind(bracket, start, proven):
+    """"seeded" for the bracket [start/1.02, start*1.02] clipped to the
+    proven one, else "proven": a part of the proven bracket no wider than
+    a factor of 2."""
+    lo, hi = proven
+    if lo <= start <= hi and bracket == (max(start / 1.02, lo), min(start * 1.02, hi)):
+        return "seeded"
     a, b = bracket
-    for xs in estimators._SCAN_GRIDS:
-        if a in xs:
-            assert xs[xs.index(a) + 1] == b
-            return "scan"
-    (factor,) = [f for f in estimators._SEED_FACTORS if math.isclose(b / a, f * f)]
-    return factor
+    assert lo <= a < b <= min(hi, 2.0 * a)
+    return "proven"
 
 
 def _single(snap, cfg, interval):
@@ -533,40 +617,47 @@ class TestLockstepRounds:
     every search asks for the same point, and for the failure rate, the
     work at each search's fixed damage rate once per solve."""
 
-    def test_shared_point_is_one_float_call(self, monkeypatch):
-        # a round whose searches share their point (the scan ends and its
-        # index bisection) calls mean_inspections once at a float, whose
-        # value serves every row; the polish rounds take arrays.  Each root
-        # and trace is the single inversion's.
+    def test_one_search_calls_in_floats(self, monkeypatch):
+        # searches with different targets call mean_inspections at an array
+        # of their points while two or more run, and at a float once one is
+        # left; each root and trace is the single inversion's, which
+        # computes in floats throughout
         targets = [F.mean_inspections(SaneLaw(2, mu), UNIF) for mu in (7e-4, 1e-3, 1.3e-3)]
+        singles = []
+        for target in targets:
+            errors, traces = [None], [{}]
+            (root,) = estimators._mean_inspection_roots([target], 2, UNIF, errors, traces)
+            singles.append((root, traces[0]))
         rates = []
         original = estimators.mean_inspections
         monkeypatch.setattr(estimators, "mean_inspections",
                             lambda sane, insp: rates.append(sane.rate) or original(sane, insp))
         errors, traces = [None] * 3, [{} for _ in targets]
         roots = estimators._mean_inspection_roots(targets, 2, UNIF, errors, traces)
-        shared = [r for r in rates if isinstance(r, float)]
-        assert len(shared) >= 2 and len(shared) < len(rates)
-        for target, root, trace in zip(targets, roots, traces):
-            single = {}
-            assert root == invert_monotone(
-                lambda mu: original(SaneLaw(2, mu), UNIF), target, trace=single)
-            assert trace == single
-        assert errors == [None] * 3
+        assert list(zip(roots, traces)) == singles and errors == [None] * 3
+        evaluations = sorted(t["evaluations"] for t in traces)
+        arrays = [r for r in rates if isinstance(r, np.ndarray)]
+        assert [len(r) for r in arrays] == sorted(
+            (sum(e > k for e in evaluations) for k in range(evaluations[1])), reverse=True)
+        assert [type(r) for r in rates[len(arrays):]] == [float] * (evaluations[2] - evaluations[1])
+        rates.clear()
+        invert_mean_inspections(targets[0], 2, UNIF)
+        assert rates and all(type(r) is float for r in rates)
 
-    def test_scalar_value_spreads_over_rows(self):
-        # equal targets ask for one point every round
+    def test_equal_targets_share_their_rounds(self, monkeypatch):
+        # equal targets ask for the same points every round: one array call
+        # per round, and the single inversion's root for every row
         target = F.mean_inspections(SaneLaw(1, 1e-3), DET)
+        single = invert_mean_inspections(target, 1, DET)
         seen = []
-
-        def func(mu, rows):
-            seen.append((type(mu), list(rows)))
-            return F.mean_inspections(SaneLaw(1, mu), DET)
-
+        original = estimators.mean_inspections
+        monkeypatch.setattr(estimators, "mean_inspections",
+                            lambda sane, insp: seen.append(sane.rate.tolist())
+                            or original(sane, insp))
         errors, traces = [None] * 4, [{} for _ in range(4)]
-        roots = estimators._solve(func, [target] * 4, errors, traces)
-        assert seen and all(entry == (float, [0, 1, 2, 3]) for entry in seen)
-        assert roots == [invert_mean_inspections(target, 1, DET)] * 4
+        roots = estimators._mean_inspection_roots([target] * 4, 1, DET, errors, traces)
+        assert seen and all(x == [x[0]] * 4 for x in seen)
+        assert roots == [single] * 4
         assert [t["evaluations"] for t in traces] == [len(seen)] * 4
 
     def test_damage_rate_work_done_once(self, monkeypatch):
@@ -632,12 +723,13 @@ class TestBatchedEstimates:
 
     def test_seeded_rows_equal_single_estimates(self):
         # a batch whose searches leave their starts every way: rows whose
-        # ±2% bracket holds the root, rows that need the ±30% one, rows that
-        # fall back to the scan (early grid times of a short horizon, and a
-        # failure-rate start twice the root), and a row whose failure-rate
-        # start is undefined (observed mean cycle below shape/mu_hat)
+        # ±2% bracket holds the root, rows whose failure-rate start misses
+        # it by 15% or by a factor of 2 and take the proven bracket, a row
+        # whose failure-rate start is undefined (observed mean cycle below
+        # shape/mu_hat), a row at 1.5 inspections per cycle, where the
+        # damage-rate start misses, and early grid times of a short horizon
         cfg = BASE_CONFIGS[3]
-        n = cfg.sane.shape
+        n, insp = cfg.sane.shape, cfg.inspection
         m = F.cycle_moments(cfg.sane, cfg.damage, cfg.inspection)
         n_r = 30000
         base = CountSnapshot(n_r * m.mean_cycle, n_r, n_r * m.mean_inspections,
@@ -654,7 +746,8 @@ class TestBatchedEstimates:
         early = counts_at_times([1e4 * i for i in range(1, 11)],
                                 simulate_horizon(np.random.default_rng(5),
                                                  dataclasses.replace(cfg, horizon=2e5)))
-        snaps = [base, timed(1.15), timed(0.85), timed(2.0), undefined, *early]
+        far = dataclasses.replace(base, inspections=1.5 * n_r)
+        snaps = [base, timed(1.15), timed(0.85), timed(2.0), undefined, far, *early]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             batch = asymptotic_estimates(snaps, cfg)
@@ -668,10 +761,19 @@ class TestBatchedEstimates:
             for name in ("mu_hat", "lambda_hat", "ci_mu", "ci_lambda", "diagnostics"):
                 assert getattr(row, name) == getattr(single, name), name
             assert row.sigma2.tobytes() == single.sigma2.tobytes()
-            kinds.append(_bracket_kind(row.diagnostics["lambda_bracket"]))
-        assert kinds[:5] == [1.02, 1.3, 1.3, "scan", "scan"]
-        assert {1.3, "scan"} <= set(kinds[5:])
-        assert _bracket_kind(batch[0].diagnostics["mu_bracket"]) == 1.02
+            ratio, fraction = snap.inspections / snap.repairs, snap.failures / snap.repairs
+            delay = snap.time / snap.repairs - n / row.mu_hat
+            kinds.append((
+                _bracket_kind(row.diagnostics["mu_bracket"],
+                              estimators._damage_rate_start(ratio, n, insp.spacing),
+                              _damage_bracket(ratio, n, insp)),
+                _bracket_kind(row.diagnostics["lambda_bracket"],
+                              fraction / delay if delay > 0.0 else math.nan,
+                              _failure_bracket(fraction, n, row.mu_hat, insp)),
+            ))
+        assert [k[1] for k in kinds[:5]] == ["seeded", "proven", "proven", "proven", "proven"]
+        assert [k[0] for k in kinds[:6]] == ["seeded"] * 5 + ["proven"]
+        assert None not in kinds[6:]
 
     def test_equal_rates_rows_take_the_diagonal(self):
         # the band strategy above must reach the contour branch
@@ -701,9 +803,11 @@ class TestBatchedEstimates:
             assert batch[k].sigma2.tobytes() == single.sigma2.tobytes()
 
     def test_negative_parameter_variance_is_degenerate(self):
-        # counts that put the estimate where the delta-method parameter
-        # covariance has a negative diagonal: that row is infeasible, the
-        # other row is its single estimate
+        # counts whose inspections per cycle lie within the inversion
+        # tolerance of 1, where every large enough damage rate meets the
+        # stopping test (they once reached a negative delta-method
+        # variance): that row is infeasible, the other row is its single
+        # estimate
         cfg = make_config(shape=2, horizon=1e6)
         bad = CountSnapshot(4703460.384428939, 142667.74932316577, 142667.74932316583,
                             8.361688631161266)
@@ -711,14 +815,31 @@ class TestBatchedEstimates:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             batch = asymptotic_estimates([good, bad], cfg)
-        assert type(batch[1]) is DegenerateDataError
-        assert str(batch[1]).startswith("interval covariance not defined: parameter variances ")
-        with pytest.raises(DegenerateDataError, match="^interval covariance not defined"):
+        assert type(batch[1]) is OutOfRangeError
+        assert str(batch[1]).startswith("mean inspections per cycle must exceed 1 ")
+        with pytest.raises(OutOfRangeError, match="^mean inspections per cycle must exceed 1 "):
             asymptotic_estimate(bad, cfg)
         single = asymptotic_estimate(good, cfg)
         for name in ("mu_hat", "lambda_hat", "ci_mu", "ci_lambda", "diagnostics"):
             assert getattr(batch[0], name) == getattr(single, name), name
         assert batch[0].sigma2.tobytes() == single.sigma2.tobytes()
+
+    def test_negative_variance_guard(self, base_config, monkeypatch):
+        # a parameter covariance with a negative damage-rate variance leaves
+        # its row infeasible; no counts probed reach it, so the bundle is
+        # made to return one
+        bundle = estimators._covariance_bundle
+
+        def negative(*args):
+            result, problems = bundle(*args)
+            cov = np.array(result.param_cov)
+            cov[..., 0, 0] = -cov[..., 0, 0]
+            return dataclasses.replace(result, param_cov=cov), problems
+
+        monkeypatch.setattr(estimators, "_covariance_bundle", negative)
+        with pytest.raises(DegenerateDataError,
+                           match=r"^interval covariance not defined: parameter variances -\d"):
+            asymptotic_estimate(CountSnapshot(50001908.0, 33501, 53116, 8255), base_config)
 
     def test_warns_for_each_short_snapshot(self, base_config):
         snaps = [CountSnapshot(5e4, 30, 60, 8), CountSnapshot(5e4, 40, 90, 8)]
@@ -1161,6 +1282,18 @@ class TestNewtonSafeguards:
                                  "steps$"):
             mle_estimate(data, cfg)
         assert len(calls) == estimators._MAX_STEPS + 1
+
+    @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
+    @pytest.mark.parametrize("shape", [1, 2])
+    def test_start_is_the_asymptotic_estimate(self, shape, kind):
+        # the fit starts from the delta estimate of the data's counts: the
+        # same two searches, so the same bits
+        cfg = make_config(shape=shape, kind=kind, seed=22, horizon=2e6)
+        cycles = simulate_horizon(np.random.default_rng(22), cfg)
+        data = ObservedData.from_event_log_records(cycles, cfg.inspection)
+        d = mle_estimate(data, cfg).diagnostics
+        am = asymptotic_estimate(data.counts, cfg)
+        assert (d["start_mu"], d["start_lambda"]) == (am.mu_hat, am.lambda_hat)
 
     def test_uninformative_counts_take_the_crude_start(self, base_config):
         # every cycle ends by its first inspection: one inspection per
