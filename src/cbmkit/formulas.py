@@ -122,26 +122,9 @@ class LawDerivatives:
 
 
 def law_derivatives(s, insp: InspectionLaw, order: int) -> LawDerivatives:
-    """Derivative bundle of L, 1/(1-L), L/(1-L), L/(1-L)^2 at s.
-
-    A float anchor's bundle is cached (its rows are immutable floats): a
-    single inversion meets the jets of the forward call at its damage rate
-    again.  At 0.18.0 two ``estimate --events --method both`` commands hit
-    it on 25 of 50 calls (four ``convergence`` commands: 0 of 3), and 100
-    single inversions at varying rates, each after one forward
-    failure_probability, took 32.7 against 38.0 ms on shape 2 uniform gaps
-    and 21.1 against 20.9 ms on deterministic ones with and without it
-    (best of 7; 2 shared x86 cores, Python 3.11, numpy 2.4).  The cycle
-    moments and the sensitivities come from one pass and need no cache.
-    """
-    x = _value(s)
-    if isinstance(x, np.ndarray):
-        return _derivatives(x, insp, order)
-    return _cached_derivatives(x, insp, order)
-
-
-def _derivatives(x, insp: InspectionLaw, order: int) -> LawDerivatives:
-    laplace, one_minus = _transform(x, insp, order)
+    """Derivative bundle of L, 1/(1-L), L/(1-L), L/(1-L)^2 at s, computed
+    afresh on every call; its rows are tuples, so a bundle is immutable."""
+    laplace, one_minus = _transform(_value(s), insp, order)
     taylor = [v / math.factorial(i) for i, v in enumerate(laplace)]
     # The order-0 coefficient of 1-L is its own cancellation-free value;
     # the higher coefficients are exact sign flips.
@@ -152,9 +135,6 @@ def _derivatives(x, insp: InspectionLaw, order: int) -> LawDerivatives:
         return tuple(v * math.factorial(i) for i, v in enumerate(series))
 
     return LawDerivatives(tuple(laplace), one_minus, raw(w), raw(psi), raw(_series_mul(psi, w)))
-
-
-_cached_derivatives = functools.lru_cache(maxsize=32)(_derivatives)
 
 
 # ---------------------------------------------------------------------------

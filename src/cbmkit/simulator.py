@@ -213,13 +213,12 @@ def simulate_cycles(
     """
     if n < 0:
         raise ValueError(f"cycle count must be nonnegative, got {n}")
-    if n <= _CHUNK:
-        return _draw_chunk(rng, config, n, inspections)
     # per-cycle columns are filled in place, so the peak stays at the
-    # result plus one chunk
+    # result plus one chunk; n = 0 still draws one (empty) chunk, which
+    # gives the columns their dtypes
     columns: dict[str, np.ndarray] = {}
     ages = []
-    for start in range(0, n, _CHUNK):
+    for start in range(0, max(n, 1), _CHUNK):
         chunk = _draw_chunk(rng, config, min(_CHUNK, n - start), inspections)
         if not columns:
             columns = {name: np.empty(n, dtype=getattr(chunk, name).dtype) for name in _PER_CYCLE}
@@ -288,33 +287,23 @@ def simulate_horizon(rng: np.random.Generator, config: ModelConfig) -> CycleBatc
 
     The last cycle is the first to end at or beyond the horizon, so the
     batch's total time generally overshoots the requested horizon and the
-    overshooting cycle is included in the counts.  The end times each
-    block sums on from the last block's become the batch's time totals,
-    the same bits as summing the joined lengths; only the last block is
-    cut to its kept cycles.
+    overshooting cycle is included in the counts.  Blocks of 4096 cycles
+    are drawn until one carries the running end past the horizon, and
+    that block is cut to its kept cycles.
     """
     horizon = config.horizon
-    blocks, ends = [], [np.zeros(1)]
-    while ends[-1][-1] < horizon:
-        batch = simulate_cycles(rng, config, _CHUNK, inspections=True)
-        block_ends = _running_sums(batch.length, ends[-1][-1])
-        keep = int(np.searchsorted(block_ends[1:], horizon)) + 1
+    blocks, end = [], 0.0
+    while end < horizon:
+        block = _draw_chunk(rng, config, _CHUNK, True)
+        ends = _running_sums(block.length, end)
+        keep = int(np.searchsorted(ends[1:], horizon)) + 1
         if keep < _CHUNK:
-            batch, block_ends = batch.head(keep), block_ends[:keep + 1]
-        blocks.append(batch)
-        ends.append(block_ends[1:])
-    joined = CycleBatch(
+            block, ends = block.head(keep), ends[:keep + 1]
+        blocks.append(block)
+        end = ends[-1]
+    return CycleBatch(
         *(np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(CycleBatch))
     )
-    # freed first, so that the totals can reuse the blocks' memory
-    del blocks
-    # installed where the cached property would store its own
-    joined.__dict__["totals"] = _Totals(
-        np.concatenate(ends),
-        _running_sums(joined.inspection_count),
-        _running_sums(joined.failed),
-    )
-    return joined
 
 
 def counts_at_times(times: Sequence[float], cycles: CycleBatch) -> list[CountSnapshot]:
@@ -324,7 +313,14 @@ def counts_at_times(times: Sequence[float], cycles: CycleBatch) -> list[CountSna
     inspections already elapsed (one at exactly the time included),
     counted for every time at once over the open cycles' schedules; a
     failure cycle's unplanned inspection counts when the cycle completes,
-    never before."""
+    never before.
+
+    A batch without ages (a parsed event log) gives the counts at every
+    cycle end and inside every cycle charged at most one inspection, whose
+    planned inspection comes at or after the cycle's end.  The first time,
+    in the given order, strictly inside a cycle charged two or more raises
+    ValueError: the batch does not carry that cycle's planned inspections.
+    """
     totals = cycles.totals
     end = float(totals.time[-1])
     at = np.asarray(times, dtype=float)
@@ -335,18 +331,25 @@ def counts_at_times(times: Sequence[float], cycles: CycleBatch) -> list[CountSna
     done = np.searchsorted(totals.time, at, side="right") - 1
     offsets = totals.inspections
     inspections = offsets[done]
-    # a batch read from a log has no ages, and its open cycles count none
+    open_ = np.flatnonzero(done < len(cycles))
+    d = done[open_]
+    count = offsets[d + 1] - offsets[d]
+    elapsed = at[open_] - totals.time[d]
     if cycles.inspection_ages.size:
         # every open cycle's schedule, laid end to end, each age against
         # its own time's elapsed age
-        open_ = np.flatnonzero(done < len(cycles))
-        d = done[open_]
-        first, count = offsets[d], offsets[d + 1] - offsets[d]
         owner = np.repeat(np.arange(open_.size), count)
-        shift = np.repeat(first - (np.cumsum(count) - count), count)
+        shift = np.repeat(offsets[d] - (np.cumsum(count) - count), count)
         ages = cycles.inspection_ages[np.arange(owner.size) + shift]
-        elapsed = at[open_] - totals.time[d]
         inspections[open_] += np.bincount(owner[ages <= elapsed[owner]], minlength=open_.size)
+    else:
+        unknown = np.flatnonzero((elapsed > 0.0) & (count >= 2))
+        if unknown.size:
+            j = unknown[0]
+            raise ValueError(
+                f"time {times[open_[j]]} falls inside cycle {d[j] + 1}, charged {count[j]} "
+                "inspections: a batch without ages does not carry that cycle's planned inspections"
+            )
     return [
         CountSnapshot(t, n_r, n_i, n_f)
         for t, n_r, n_i, n_f in zip(times, done.tolist(), inspections.tolist(),

@@ -1,6 +1,7 @@
 import math
+import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -141,6 +142,17 @@ class TestSimulateCycles:
         with pytest.raises(ValueError, match="cycle count must be nonnegative, got -1"):
             simulate_cycles(np.random.default_rng(BATCH_SEED), make_config(), -1)
 
+    @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
+    def test_zero_cycles(self, kind):
+        # an empty batch with the columns' dtypes, and no draw made
+        rng = np.random.default_rng(BATCH_SEED)
+        batch = simulate_cycles(rng, make_config(kind=kind), 0, inspections=True)
+        drawn = simulate_cycles(np.random.default_rng(BATCH_SEED), make_config(kind=kind), 1)
+        assert len(batch) == 0 and batch.inspection_ages.size == 0
+        assert [batch.inspection_count.dtype, batch.failed.dtype, batch.length.dtype] == [
+            np.int64, np.bool_, np.float64]
+        assert simulate_cycles(rng, make_config(kind=kind), 1).length == drawn.length
+
     def test_deterministic_count_is_ceiling(self):
         for shape in (1, 2):
             cfg = make_config(shape=shape)
@@ -183,20 +195,22 @@ class TestSimulateCycles:
         assert inspections == np.cumsum([c.inspection_count for c in cycles]).tolist()
         assert failures == np.cumsum([c.failed for c in cycles]).tolist()
 
-    def test_installed_totals_are_the_joined_running_sums(self, any_config):
-        # the totals installed with the batch (the blocks' end times for
-        # the time) are the running sums over the joined columns, bit for
-        # bit and dtype for dtype; the horizon takes more than two whole
-        # blocks and cuts the last
+    def test_totals_are_the_joined_running_sums(self, any_config):
+        # the totals of the joined batch are the running sums over its
+        # columns, bit for bit and dtype for dtype, and the block ends that
+        # the horizon loop carries stop it at the first total past the
+        # horizon; the horizon takes more than two whole blocks and cuts
+        # the last
+        horizon = 3e7
         cycles = simulate_horizon(np.random.default_rng(BATCH_SEED),
-                                  replace(any_config, horizon=3e7))
+                                  replace(any_config, horizon=horizon))
         assert len(cycles) > 2 * simulator._CHUNK and len(cycles) % simulator._CHUNK
-        assert "totals" in vars(cycles)
         columns = (cycles.length, cycles.inspection_count, cycles.failed)
-        for installed, values in zip(cycles.totals, columns):
+        for total, values in zip(cycles.totals, columns):
             recomputed = simulator._running_sums(values)
-            assert installed.dtype == recomputed.dtype
-            assert installed.tobytes() == recomputed.tobytes()
+            assert total.dtype == recomputed.dtype
+            assert total.tobytes() == recomputed.tobytes()
+        assert cycles.totals.time[-2] < horizon <= cycles.totals.time[-1]
 
     def test_uniform_trajectory_counts_match_stored_ages(self):
         cfg = make_config(shape=2, kind="uniform", horizon=2e5)
@@ -305,6 +319,25 @@ class TestSimulateHorizon:
         rows = list(snapshot_rows(cycles))
         assert len(rows) == len(cycles)
         assert CountSnapshot(*rows[-1]) == final
+
+    @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
+    @pytest.mark.parametrize("k", [4096, 8192, 8193])
+    def test_stops_at_a_block_boundary(self, kind, k):
+        # a horizon at the end t of cycle k, just below it or just above
+        # it, where k ends a draw block or opens the next: the run holds
+        # k, k and k + 1 cycles, the first k those of a longer run
+        cfg = make_config(shape=2, kind=kind, horizon=3e7)
+        long = simulate_horizon(np.random.default_rng(BATCH_SEED), cfg)
+        t = float(long.totals.time[k])
+        reruns = ((t, k), (np.nextafter(t, 0.0), k), (np.nextafter(t, np.inf), k + 1))
+        for horizon, count in reruns:
+            run = simulate_horizon(np.random.default_rng(BATCH_SEED),
+                                   replace(cfg, horizon=horizon))
+            assert len(run) == count
+            assert run.totals.time[-2] < horizon <= run.totals.time[-1]
+            head, expected = run.head(k), long.head(k)
+            for f in fields(simulator.CycleBatch):
+                assert getattr(head, f.name).tobytes() == getattr(expected, f.name).tobytes()
 
     def test_degenerate_horizon_single_overshooting_cycle(self):
         # a horizon below the first inspection still completes one cycle
@@ -550,15 +583,34 @@ class TestCountsAtTimesAgainstLoop:
         assert counts_at_times([], cycles) == []
 
     def test_batch_without_ages(self, tmp_path):
-        # a batch read from an event log has no ages: its open cycles
-        # count no inspections, as in the loop
-        cycles = simulate_horizon(np.random.default_rng(BATCH_SEED), make_config(horizon=3e5))
-        path = tmp_path / "events.csv"
-        path.write_text("".join(event_log_lines(cycles)))
-        logged = read_event_log(path)
-        times = np.random.default_rng(SCALAR_SEED).uniform(
-            0.0, float(logged.totals.time[-1]), size=50).tolist()
-        assert counts_at_times(times, logged) == loop_counts_at_times(times, logged)
+        # a batch read from an event log has no ages: its counts at every
+        # cycle end and inside every cycle charged at most one inspection
+        # are the simulated batch's; a time inside a cycle charged two or
+        # more raises, the first such in the given order named
+        for i, cfg in enumerate((make_config(horizon=3e5),
+                                 make_config(shape=2, kind="uniform", horizon=3e5))):
+            cycles = simulate_horizon(np.random.default_rng(BATCH_SEED), cfg)
+            path = tmp_path / f"events{i}.csv"
+            path.write_text("".join(event_log_lines(cycles)))
+            logged = read_event_log(path)
+            totals = logged.totals
+            times = np.concatenate((
+                totals.time,
+                np.random.default_rng(SCALAR_SEED).uniform(0.0, totals.time[-1], size=200),
+            )).tolist()
+            done = np.searchsorted(totals.time, times, side="right") - 1
+            counts = np.append(logged.inspection_count, 0)[done]
+            inside = (np.array(times) > totals.time[done]) & (counts >= 2)
+            known = [t for t, u in zip(times, inside) if not u]
+            unknown = [t for t, u in zip(times, inside) if u]
+            assert len(known) > len(cycles) and unknown
+            assert counts_at_times(known, logged) == counts_at_times(known, cycles)
+            for t in unknown:
+                with pytest.raises(ValueError, match="does not carry"):
+                    counts_at_times([t], logged)
+            first = re.escape(repr(unknown[0]))
+            with pytest.raises(ValueError, match=f"^time {first} falls inside cycle"):
+                counts_at_times(known[:5] + unknown, logged)
 
 
 class TestCsv:
