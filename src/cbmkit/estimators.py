@@ -62,61 +62,50 @@ def _search(target: float, lo: float, hi: float, tol: float, trace: dict,
     """One inversion of a monotone map whose root the model proves to lie
     in [lo, hi] (``hi`` may be inf), as a coroutine: it yields every point
     where it needs the map, is sent the map's value there, and returns a
-    point where the map is within ``tol`` of ``target``.
+    point where the map is within ``tol`` of ``target``, or where the
+    bracket spans at most about two ulps of it.
 
-    A ``start`` inside [lo, hi] is tried first: [start/1.02, start*1.02],
-    clipped to [lo, hi], is polished at once if its ends change sign.
-    Otherwise an open upper end is found by doubling from ``lo``, and a
-    bracket wider than a factor of 2 is halved geometrically (until an end
-    is the root) before :func:`_chandrupatla` polishes it, recorded in
-    ``trace["bracket"]``.  Proven ends of one sign raise OutOfRangeError,
-    unless one of them already meets the tolerance and stands.
+    The bracket: a ``start`` inside [lo, hi] is tried first, and
+    [start/1.02, start*1.02], clipped to [lo, hi], is kept if its ends
+    change sign.  Otherwise an open upper end is found by doubling from
+    ``lo``, and a bracket wider than a factor of 2 is halved geometrically
+    until an end is the root.  Proven ends of one sign raise
+    OutOfRangeError, unless one of them already meets the tolerance and
+    stands.  The bracket goes to ``trace["bracket"]``.
+
+    The polish, Chandrupatla (1997, Adv. Eng. Software 28:145): each step
+    evaluates inverse quadratic interpolation through the two bracket ends
+    and the point they last replaced where that interpolant is monotone
+    over the bracket, and the midpoint elsewhere; steps keep at least an
+    ulp away from the ends.  The first step bisects.
+    ``trace["iterations"]`` gets the number of polish evaluations.
     """
     if lo <= start <= hi:
         a, b = max(start / 1.02, lo), min(start * 1.02, hi)
         fa = (yield a) - target
         fb = (yield b) - target
-        if fa * fb <= 0.0:
-            trace["bracket"] = (a, b)
-            return (yield from _chandrupatla(a, b, fa, fb, tol, trace, target))
-    a, b = lo, hi if hi < math.inf else 2.0 * lo
-    fa = (yield a) - target
-    fb = (yield b) - target
-    while hi == math.inf and fa * fb > 0.0 and 2.0 * b < math.inf:
-        a, fa, b = b, fb, 2.0 * b
+    if not (lo <= start <= hi and fa * fb <= 0.0):
+        a, b = lo, hi if hi < math.inf else 2.0 * lo
+        fa = (yield a) - target
         fb = (yield b) - target
-    if fa * fb > 0.0:
-        if min(abs(fa), abs(fb)) > tol:
-            raise OutOfRangeError(
-                f"target {target!r} outside the range [{min(fa, fb) + target!r}, "
-                f"{max(fa, fb) + target!r}] of the map over its proven bracket [{lo!r}, {hi!r}]")
-    else:
-        while fa * fb < 0.0 and b > 2.0 * a:
-            m = math.sqrt(a * b)
-            fm = (yield m) - target
-            if (fm > 0.0) == (fa > 0.0):
-                a, fa = m, fm
-            else:
-                b, fb = m, fm
+        while hi == math.inf and fa * fb > 0.0 and 2.0 * b < math.inf:
+            a, fa, b = b, fb, 2.0 * b
+            fb = (yield b) - target
+        if fa * fb > 0.0:
+            if min(abs(fa), abs(fb)) > tol:
+                raise OutOfRangeError(
+                    f"target {target!r} outside the range [{min(fa, fb) + target!r}, "
+                    f"{max(fa, fb) + target!r}] of the map over its proven bracket "
+                    f"[{lo!r}, {hi!r}]")
+        else:
+            while fa * fb < 0.0 and b > 2.0 * a:
+                m = math.sqrt(a * b)
+                fm = (yield m) - target
+                if (fm > 0.0) == (fa > 0.0):
+                    a, fa = m, fm
+                else:
+                    b, fb = m, fm
     trace["bracket"] = (a, b)
-    return (yield from _chandrupatla(a, b, fa, fb, tol, trace, target))
-
-
-def _chandrupatla(
-    a: float, b: float, fa: float, fb: float, tol: float, trace: dict, offset: float = 0.0
-) -> Generator[float, float, float]:
-    """Shrink a sign-change bracket [a, b] of g (values fa, fb) until
-    |g(x)| <= tol at its best point x, or until it spans at most about two
-    ulps of x, when x stands.  A coroutine: it yields each point where it
-    needs g, is sent the value of g + ``offset`` there, and returns x.
-
-    Chandrupatla (1997, Adv. Eng. Software 28:145): each step evaluates
-    inverse quadratic interpolation through the two bracket ends and the
-    point they last replaced where that interpolant is monotone over the
-    bracket, and the midpoint elsewhere; steps keep at least an ulp away
-    from the ends.  The first step bisects.  ``trace["iterations"]`` gets
-    the number of g evaluations made here.
-    """
     x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
     t = 0.5
     for iteration in range(200):
@@ -132,7 +121,7 @@ def _chandrupatla(
         if t > 1.0 - near:
             t = 1.0 - near
         xt = a + t * (b - a)
-        ft = (yield xt) - offset
+        ft = (yield xt) - target
         # a is always the newest point, b the other end, c the point dropped
         if (ft > 0.0) == (fa > 0.0):
             c, fc = a, fa

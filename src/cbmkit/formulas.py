@@ -225,11 +225,10 @@ def _whole(value):
 
 
 def _taylor_mean(w, mu, n: int):
-    """sum_{i<n} mu^i/i! (-1)^i w^(i)(mu) for w = 1/(1-L)."""
-    total = w[0]
-    for i in range(1, n):
-        total = total + _power(mu, i) / math.factorial(i) * (-1.0) ** i * w[i]
-    return total
+    """sum_{i<n} mu^i/i! (-1)^i w^(i)(mu) for w = 1/(1-L): the Taylor
+    polynomial of w about mu, at 0, as minus :func:`_taylor_tail` with
+    h(0) = 0 (negation is exact, so the sums agree to the bit)."""
+    return -_taylor_tail(0.0, w, mu, 0.0, n)
 
 
 def mean_inspections(sane: SaneLaw, insp: InspectionLaw):

@@ -32,17 +32,6 @@ KS_CRITICAL_SCALE = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628, 0.001: 1.949}
 
 
 @dataclass(frozen=True)
-class _McEstimate:
-    value: float
-    std_err: float
-
-    def z_score(self, closed_form: float) -> float:
-        if self.std_err == 0.0:
-            return 0.0 if closed_form == self.value else math.inf
-        return (closed_form - self.value) / self.std_err
-
-
-@dataclass(frozen=True)
 class ComparisonRow:
     quantity: str
     closed_form: float
@@ -64,20 +53,28 @@ def _cycle_arrays(config: ModelConfig, n_samples: int, seed: int):
     )
 
 
-def _mc_mean(arr: np.ndarray) -> _McEstimate:
-    return _McEstimate(float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr))))
+def _mc_mean(arr: np.ndarray) -> tuple[float, float]:
+    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
 
 
-def _mc_cov(a: np.ndarray, b: np.ndarray) -> _McEstimate:
+def _mc_cov(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     n = len(a)
     w = (a - a.mean()) * (b - b.mean())
-    return _McEstimate(float(w.sum() / (n - 1)), float(w.std(ddof=1) / math.sqrt(n)))
+    return float(w.sum() / (n - 1)), float(w.std(ddof=1) / math.sqrt(n))
+
+
+def _z_score(closed_form: float, value: float, std_err: float) -> float:
+    """(closed_form - value) / std_err; a Monte Carlo column without spread
+    scores 0 against an equal closed form and +inf against any other."""
+    if std_err == 0.0:
+        return 0.0 if closed_form == value else math.inf
+    return (closed_form - value) / std_err
 
 
 def _mc_moments(config: ModelConfig, n_samples: int, seed: int):
-    """Per-cycle (count, length, failed) arrays and the estimate of every
-    cycle moment, keyed by its :class:`~cbmkit.formulas.CycleMoments`
-    field.
+    """Per-cycle (count, length, failed) arrays and the (value, standard
+    error) estimate of every cycle moment, keyed by its
+    :class:`~cbmkit.formulas.CycleMoments` field.
 
     The detected-inspections moment uses the per-cycle statistic
     count * survival(overshoot) evaluated at the configured failure rate,
@@ -138,15 +135,15 @@ def verification_rows(
             closed[name] = rate_cov[i, j] * mx**3
 
     rows = []
-    for name, est in mc.items():
+    for name, (mc_value, mc_se) in mc.items():
         value = overrides.get(name, closed[name])
-        z = est.z_score(value)
+        z = _z_score(value, mc_value, mc_se)
         rows.append(
             ComparisonRow(
                 quantity=name,
                 closed_form=value,
-                mc_value=est.value,
-                mc_se=est.std_err,
+                mc_value=mc_value,
+                mc_se=mc_se,
                 z_score=z,
                 passed=abs(z) <= Z_THRESHOLD,
             )

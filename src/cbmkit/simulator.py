@@ -15,7 +15,7 @@ are built once per batch, adding left to right; :func:`snapshot_rows`,
 :func:`counts_at_times` and the likelihood's total time all read them.
 :func:`simulate_cycle` draws one cycle with scalar calls and is kept as
 the reference the hand traces pin; a batch yields the same
-:class:`CycleRecord` rows on iteration or indexing.  Deterministic gaps
+:class:`CycleRecord` rows on iteration.  Deterministic gaps
 put the k-th inspection at ``k * c`` (not at a running sum of ``c``), with
 ``k = ceil(y_s / c)`` at detection, in both.
 """
@@ -109,9 +109,8 @@ class CycleBatch:
     ``inspection_ages`` concatenates every cycle's planned schedule in
     cycle order, ``inspection_count`` entries per cycle; it is empty
     unless the batch was drawn with ``inspections=True``.  ``len()`` is
-    the number of cycles; iteration and integer indexing yield
-    :class:`CycleRecord` rows (with empty schedules when the batch has no
-    ages).
+    the number of cycles; the batch yields its :class:`CycleRecord` rows
+    by iteration only (with empty schedules when the batch has no ages).
     """
 
     time_to_damage: np.ndarray
@@ -133,12 +132,9 @@ class CycleBatch:
         )
 
     def counts(self) -> CountSnapshot:
-        """Counts at the end of the last cycle."""
-        totals = self.totals
-        return CountSnapshot(
-            float(totals.time[-1]), len(self),
-            int(totals.inspections[-1]), int(totals.failures[-1]),
-        )
+        """Counts at the end of the last cycle, from the one search of
+        :func:`counts_at_times`."""
+        return counts_at_times([float(self.totals.time[-1])], self)[0]
 
     def head(self, count: int) -> CycleBatch:
         """The first ``count`` cycles."""
@@ -152,19 +148,11 @@ class CycleBatch:
         return len(self.length)
 
     def __iter__(self) -> Iterator[CycleRecord]:
-        return self._rows(0, len(self))
-
-    def __getitem__(self, i: int) -> CycleRecord:
-        i = range(len(self))[i]
-        return next(self._rows(i, i + 1))
-
-    def _rows(self, lo: int, hi: int) -> Iterator[CycleRecord]:
-        offsets = self.totals.inspections[lo:hi + 1].tolist()
-        base = offsets[0]
-        ages = self.inspection_ages[base:offsets[-1]].tolist()
-        columns = zip(*(getattr(self, name)[lo:hi].tolist() for name in _PER_CYCLE))
+        offsets = self.totals.inspections.tolist()
+        ages = self.inspection_ages.tolist()
+        columns = zip(*(getattr(self, name).tolist() for name in _PER_CYCLE))
         for (y_s, y_d, k, v, z, x, f), a, b in zip(columns, offsets, offsets[1:]):
-            yield CycleRecord(y_s, y_d, tuple(ages[a - base:b - base]), k, v, z, x, f)
+            yield CycleRecord(y_s, y_d, tuple(ages[a:b]), k, v, z, x, f)
 
 
 _PER_CYCLE = tuple(f.name for f in fields(CycleBatch) if f.name != "inspection_ages")

@@ -335,6 +335,19 @@ PINNED_SIMULATE_SHA256 = {
 }
 
 
+# sha256 of the report that `verify --samples 10000 --seed 3` writes with the
+# base rates at horizon 2e6: the files of
+# TestVerifyCommand.test_report_bytes_pinned, by (shape, gap law).  Recorded on
+# x86-64 Linux, Python 3.11, numpy 2.4; all four hold with numpy's AVX-512
+# loops switched off through NPY_DISABLE_CPU_FEATURES.
+PINNED_VERIFY_SHA256 = {
+    (1, "deterministic"): "e11c70455bb84273cbe47db53e767fa081068c82a8a65cea099588e5d6480417",
+    (1, "uniform"): "7f8bbc8b0c0b43294fef67bacd3392eb572c297881365cf46f1ddfa855174a03",
+    (2, "deterministic"): "d6ef03a5051b350fa4b3667108a2de4890d85cac16f37aabed4e80dfb23fba28",
+    (2, "uniform"): "10811c47f0ae02c3b18aea075b6124f7f1dd3917e162187b23324a631a72330c",
+}
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "run.cfg"
@@ -787,6 +800,18 @@ class TestVerifyCommand:
         code = cli.main(["verify", "--config", config_file, "--seed", "",
                          "--samples", "20000"])
         assert code == 2
+
+    @pytest.mark.parametrize("shape, kind", sorted(PINNED_VERIFY_SHA256))
+    def test_report_bytes_pinned(self, shape, kind, tmp_path):
+        out = tmp_path / "verify.csv"
+        code = cli.main([
+            "verify", "--sane.shape", str(shape), "--sane.rate", "1e-3",
+            "--damage.rate", "5e-4", "--inspection.kind", kind, "--inspection.c", "1000",
+            "--inspection.h", "100" if kind == "uniform" else "0", "--horizon", "2e6",
+            "--seed", "3", "--samples", "10000", "--out", str(out),
+        ])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_VERIFY_SHA256[(shape, kind)]
 
     def test_stdout_bytes_are_the_report_file(self, tmp_path, config_file, capsysbinary):
         out = tmp_path / "verify.csv"

@@ -200,10 +200,9 @@ class TestZScore:
     def test_zero_standard_error(self):
         # a Monte Carlo column without spread: a closed form that equals it
         # scores 0, any other scores +inf, whichever side it lies on
-        constant = oracle._McEstimate(0.25, 0.0)
-        assert constant.z_score(0.25) == 0.0
-        assert constant.z_score(0.5) == math.inf
-        assert constant.z_score(0.0) == math.inf
+        assert oracle._z_score(0.25, 0.25, 0.0) == 0.0
+        assert oracle._z_score(0.5, 0.25, 0.0) == math.inf
+        assert oracle._z_score(0.0, 0.25, 0.0) == math.inf
 
 
 class TestKsHelpers:
