@@ -1,9 +1,13 @@
 """Brute-force Monte Carlo verification of every closed form.
 
 Each closed-form quantity gets an estimate built from plain cycle draws
-(the batch engine :func:`cbmkit.simulator.simulate_cycles`, which the
-horizon simulator also runs on) with a plain standard error, and the
-comparison harness flags any |z| above 4.
+with a plain standard error, and the comparison harness flags any |z|
+above 4.  The cycles come chunk by chunk from the batch engine
+(:func:`cbmkit.simulator.cycle_chunks`, the draw behind
+:func:`~cbmkit.simulator.simulate_cycles`), in one streamed pass that
+keeps only moment sums.  The final algebra runs in
+Python floats and nothing here calls BLAS (no ``@``, ``dot`` or
+``einsum``), so the bits do not depend on the machine's BLAS kernels.
 With a million cycles that threshold has a per-comparison false-alarm rate
 around 6e-5, tolerable across the whole suite.
 """
@@ -19,7 +23,7 @@ import numpy as np
 from .config import ModelConfig
 from .formulas import _matrices, _rate_covariance, cycle_moments, detection_window_integral
 from .laws import DETERMINISTIC
-from .simulator import simulate_cycles, simulate_horizon
+from .simulator import cycle_chunks, simulate_horizon
 
 # Fewer cycles than this give meaningless standard errors.
 MIN_SAMPLES = 10_000
@@ -41,26 +45,10 @@ class ComparisonRow:
     passed: bool
 
 
-def _cycle_arrays(config: ModelConfig, n_samples: int, seed: int):
-    # only these columns outlive the draw
-    cycles = simulate_cycles(np.random.default_rng(seed), config, n_samples)
-    return (
-        cycles.inspection_count.astype(float),
-        cycles.length,
-        cycles.failed.astype(float),
-        cycles.failure_age,
-        cycles.detection_age - cycles.time_to_damage,
-    )
-
-
-def _mc_mean(arr: np.ndarray) -> tuple[float, float]:
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
-
-
-def _mc_cov(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    n = len(a)
-    w = (a - a.mean()) * (b - b.mean())
-    return float(w.sum() / (n - 1)), float(w.std(ddof=1) / math.sqrt(n))
+# The (a, b) of the summed k'^a r'^b, degree by degree; the failed cycles'
+# sums take the nine of degree 1 to 3, which come first.
+_POWERS = tuple((a, d - a) for d in range(1, 5) for a in range(d + 1))
+_FAILED_POWERS = _POWERS[:9]
 
 
 def _z_score(closed_form: float, value: float, std_err: float) -> float:
@@ -71,32 +59,118 @@ def _z_score(closed_form: float, value: float, std_err: float) -> float:
     return (closed_form - value) / std_err
 
 
-def _mc_moments(config: ModelConfig, n_samples: int, seed: int):
-    """Per-cycle (count, length, failed) arrays and the (value, standard
-    error) estimate of every cycle moment, keyed by its
-    :class:`~cbmkit.formulas.CycleMoments` field.
+def _moment_sums(config: ModelConfig, n_samples: int, seed: int):
+    """One pass over the cycles, drawn chunk by chunk: the first chunk's
+    means ``shift`` of (k, r, d); the sums over all cycles of k'^a r'^b for
+    each of :data:`_POWERS`, then of d' and d'^2; the number of failed
+    cycles and their sums of k'^a r'^b for each of :data:`_FAILED_POWERS`.
 
-    The detected-inspections moment uses the per-cycle statistic
-    count * survival(overshoot) evaluated at the configured failure rate,
-    whatever the end type, matching the expectation it estimates.
+    k is the inspection count, r = x - c k the cycle length x less c (the
+    mean gap) times k, d = k * exp(-lam * overshoot) the detected-inspections
+    statistic, and k' = k - shift[0], and so on.  Shifted sums keep the
+    central moments accurate (Chan, Golub & LeVeque, 1983); so does r in
+    place of x, as the rate statistics cancel x against c k.
     """
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"n_samples below {MIN_SAMPLES} gives meaningless standard errors")
-    k, x, failed, fail_age, overshoot = _cycle_arrays(config, n_samples, seed)
-    k_detected = k * np.exp(-config.damage.rate * overshoot)
-    estimates = {
-        "mean_inspections": _mc_mean(k),
-        "failure_prob": _mc_mean(failed),
-        "mean_cycle": _mc_mean(x),
-        "mean_inspections_sq": _mc_mean(k**2),
-        "mean_cycle_sq": _mc_mean(x**2),
-        "cov_cycle_failure": _mc_cov(x, failed),
-        "cov_inspections_failure": _mc_cov(k, failed),
-        "cov_inspections_cycle": _mc_cov(k, x),
-        "mean_cycle_on_failure": _mc_mean(fail_age * failed),
-        "mean_inspections_detected": _mc_mean(k_detected),
-    }
-    return (k, x, failed), estimates
+    rate, spacing = config.damage.rate, config.inspection.spacing
+    shift = None
+    sums, failed_sums, failed = 0.0, 0.0, 0
+    for chunk in cycle_chunks(np.random.default_rng(seed), config, n_samples):
+        k = chunk.inspection_count
+        r = chunk.length - spacing * k
+        d = k * np.exp(-rate * (chunk.detection_age - chunk.time_to_damage))
+        if shift is None:
+            shift = (float(k.mean()), float(r.mean()), float(d.mean()))
+            # the first chunk is the longest; every chunk reuses its rows
+            buffer = np.empty((len(_POWERS) + 2, len(k)))
+        rows = buffer[:, :len(k)]
+        power = dict(zip(_POWERS, rows))
+        np.subtract(k, shift[0], out=power[1, 0])
+        np.subtract(r, shift[1], out=power[0, 1])
+        for a, b in _POWERS[2:]:
+            # one power of k' or r' times a lower monomial
+            if a:
+                np.multiply(power[a - 1, b], power[1, 0], out=power[a, b])
+            else:
+                np.multiply(power[0, b - 1], power[0, 1], out=power[0, b])
+        np.subtract(d, shift[2], out=rows[-2])
+        np.multiply(rows[-2], rows[-2], out=rows[-1])
+        sums = sums + rows.sum(axis=1)
+        on_failed = rows[:len(_FAILED_POWERS)].compress(chunk.failed, axis=1)
+        failed_sums = failed_sums + on_failed.sum(axis=1)
+        failed += on_failed.shape[1]
+    return shift, sums.tolist(), failed, failed_sums.tolist()
+
+
+def _central_moments(n: int, sums: list, failed: int, failed_sums: list):
+    """The shifted means (e_k, e_r), the failure fraction p and every
+    central moment E[dk^a dr^b df^c] of order a + b + c up to 4, keyed by
+    (a, b, c), from the sums of :func:`_moment_sums` (dk = k - mean k, and
+    so on).  The algebra runs in Python floats, each sum correctly
+    rounded by ``math.fsum``, so its bits do not depend on term order or
+    on the Python version.
+
+    As f*f = f, (f - p)^c = f sum_{l>=1} C(c, l) (-p)^(c-l) + (-p)^c;
+    the binomial expansion in k' - e_k and r' - e_r then gives the rest.
+    A column without spread (no failed cycle, or only failed ones) gives
+    exact zeros.
+    """
+    raw = {(0, 0): 1.0, **{q: s / n for q, s in zip(_POWERS, sums)}}
+    p = failed / n
+    raw_failed = {(0, 0): p, **{q: s / n for q, s in zip(_FAILED_POWERS, failed_sums)}}
+    e_k, e_r = raw[1, 0], raw[0, 1]
+
+    def f_centred(a, b, c):
+        if c == 0:
+            return raw[a, b]
+        on_failed = math.fsum(math.comb(c, l) * (-p) ** (c - l) for l in range(1, c + 1))
+        return on_failed * raw_failed[a, b] + (-p) ** c * raw[a, b]
+
+    central = {}
+    for a in range(5):
+        for b in range(5 - a):
+            for c in range(5 - a - b):
+                central[a, b, c] = math.fsum(
+                    math.comb(a, i) * math.comb(b, j) * (-e_k) ** (a - i) * (-e_r) ** (b - j)
+                    * f_centred(i, j, c)
+                    for i in range(a + 1) for j in range(b + 1)
+                )
+    return (e_k, e_r, p), central
+
+
+def _linear(const: float, k: float, r: float, f: float) -> dict:
+    """const + k dk + r dr + f df, as a polynomial: its nonzero
+    coefficients keyed by the exponents of (dk, dr, df)."""
+    terms = zip(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)), (const, k, r, f))
+    return {e: a for e, a in terms if a != 0.0}
+
+
+def _times(p: dict, q: dict) -> dict:
+    """The product of two polynomials of :func:`_linear`."""
+    out: dict = {}
+    for e, a in p.items():
+        for g, b in q.items():
+            key = (e[0] + g[0], e[1] + g[1], e[2] + g[2])
+            out[key] = out.get(key, 0.0) + a * b
+    return out
+
+
+def _estimate(poly: dict, central: dict, n: int, scale: float = 1.0) -> tuple[float, float]:
+    """(value, standard error) of a per-cycle statistic, a polynomial of
+    degree up to 2 in the centred (k, r, f): its sample mean times
+    ``scale``, and the standard error of that mean (ddof=1).  Its variance
+    reads the co-moments of the monomials, E[m m'] - E[m] E[m']."""
+    mean = math.fsum(a * central[e] for e, a in poly.items())
+    var = math.fsum(
+        a * b * (central[e[0] + g[0], e[1] + g[1], e[2] + g[2]] - central[e] * central[g])
+        for e, a in poly.items() for g, b in poly.items()
+    )
+    return mean * scale, _std_err(var, n)
+
+
+def _std_err(var: float, n: int) -> float:
+    """The standard error of a mean of ``n`` values whose variance (ddof=0)
+    is ``var``; a variance that rounds below 0 (or is -0.0) reads 0."""
+    return math.sqrt(var / (n - 1)) if var > 0.0 else 0.0
 
 
 def verification_rows(
@@ -114,24 +188,58 @@ def verification_rows(
     prove it catches a corrupted formula.  The covariance is assembled
     without the library's consistency check, so inconsistent closed forms
     show as failing rows rather than an error.
+
+    Each Monte Carlo value is a sample mean with its standard error
+    (ddof=1), or a sample covariance (ddof=1) with the standard error of
+    the mean of its centred products, as two passes over whole columns
+    would give them.  All come from one streamed pass: cycles are drawn
+    chunk by chunk and only their moment sums are kept, so memory does not
+    grow with ``n_samples``.  The detected-inspections moment uses the
+    per-cycle statistic count * survival(overshoot) at the configured
+    failure rate, whatever the end type, matching the expectation it
+    estimates.
     """
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples below {MIN_SAMPLES} gives meaningless standard errors")
     overrides = closed_overrides or {}
     moments = cycle_moments(config.sane, config.damage, config.inspection)
     rate_cov = _matrices(_rate_covariance(moments))
-    (k, x, failed), mc = _mc_moments(config, n_samples, seed)
-    closed: dict[str, float] = {
-        name: getattr(moments, name) for name in mc
+    shift, sums, failed, failed_sums = _moment_sums(config, n_samples, seed)
+    n, c = n_samples, config.inspection.spacing
+    (e_k, e_r, p), central = _central_moments(n, sums[:-2], failed, failed_sums)
+    mean_k = shift[0] + e_k
+    mean_x = shift[1] + e_r + c * mean_k
+    # k, x = r + c k and f, and the same centred
+    k_, dk = _linear(mean_k, 1.0, 0.0, 0.0), _linear(0.0, 1.0, 0.0, 0.0)
+    x_, dx = _linear(mean_x, c, 1.0, 0.0), _linear(0.0, c, 1.0, 0.0)
+    f_, df = _linear(p, 0.0, 0.0, 1.0), _linear(0.0, 0.0, 0.0, 1.0)
+    cov = n / (n - 1)
+    mc = {
+        "mean_inspections": _estimate(k_, central, n),
+        "failure_prob": _estimate(f_, central, n),
+        "mean_cycle": _estimate(x_, central, n),
+        "mean_inspections_sq": _estimate(_times(k_, k_), central, n),
+        "mean_cycle_sq": _estimate(_times(x_, x_), central, n),
+        "cov_cycle_failure": _estimate(_times(dx, df), central, n, cov),
+        "cov_inspections_failure": _estimate(_times(dk, df), central, n, cov),
+        "cov_inspections_cycle": _estimate(_times(dk, dx), central, n, cov),
+        # the length of a failed cycle is its failure age
+        "mean_cycle_on_failure": _estimate(_times(x_, f_), central, n),
     }
+    d_mean, d_sq = sums[-2] / n, sums[-1] / n
+    mc["mean_inspections_detected"] = (shift[2] + d_mean, _std_err(d_sq - d_mean**2, n))
+    closed: dict[str, float] = {name: getattr(moments, name) for name in mc}
 
     # Count-rate covariance entries: per-cycle statistics with closed-form
-    # constants, so each entry is a plain sample covariance.
+    # constants, linear in (k, x, f) and so in (k, r, f), so each entry is
+    # a sample covariance of centred linear forms.
     mx, mk, pd = moments.mean_cycle, moments.mean_inspections, moments.failure_prob
-    stats = (x, pd * x - mx * failed, mk * x - mx * k)
+    stats = (dx, _linear(0.0, pd * c, pd, -mx), _linear(0.0, mk * c - mx, mk, 0.0))
     labels = ("repair", "failure", "inspection")
     for i in range(3):
         for j in range(i, 3):
             name = f"rate_cov[{labels[i]},{labels[j]}]"
-            mc[name] = _mc_cov(stats[i], stats[j])
+            mc[name] = _estimate(_times(stats[i], stats[j]), central, n, cov)
             closed[name] = rate_cov[i, j] * mx**3
 
     rows = []

@@ -7,8 +7,10 @@ comes first.  Cycles are i.i.d., so repairs form a renewal process;
 failures and inspections are the associated reward processes.
 
 Cycles are held as columns: a :class:`CycleBatch` has one array per cycle
-field plus the flat planned-inspection ages.  :func:`simulate_cycles`
-draws one, :func:`simulate_horizon` joins its blocks into one, and
+field plus the flat planned-inspection ages.  :func:`cycle_chunks` draws
+them in chunks of 4096 (the oracle reads these one by one),
+:func:`simulate_cycles` joins the chunks into one batch,
+:func:`simulate_horizon` joins its blocks into one, and
 :func:`read_event_log` parses a log into one (without the ages, which logs
 do not carry).  The running totals of cycle time, inspections and failures
 are built once per batch, adding left to right; :func:`snapshot_rows`,
@@ -199,21 +201,31 @@ def simulate_cycles(
     every cycle whose age is still short of its damage time.  Set
     ``inspections`` to keep every cycle's inspection ages.
     """
-    if n < 0:
-        raise ValueError(f"cycle count must be nonnegative, got {n}")
     # per-cycle columns are filled in place, so the peak stays at the
     # result plus one chunk; n = 0 still draws one (empty) chunk, which
     # gives the columns their dtypes
     columns: dict[str, np.ndarray] = {}
     ages = []
-    for start in range(0, max(n, 1), _CHUNK):
-        chunk = _draw_chunk(rng, config, min(_CHUNK, n - start), inspections)
+    for i, chunk in enumerate(cycle_chunks(rng, config, n, inspections)):
+        start = i * _CHUNK
         if not columns:
             columns = {name: np.empty(n, dtype=getattr(chunk, name).dtype) for name in _PER_CYCLE}
         for name in _PER_CYCLE:
             columns[name][start:start + _CHUNK] = getattr(chunk, name)
         ages.append(chunk.inspection_ages)
     return CycleBatch(**columns, inspection_ages=np.concatenate(ages))
+
+
+def cycle_chunks(
+    rng: np.random.Generator, config: ModelConfig, n: int, inspections: bool = False
+) -> Iterator[CycleBatch]:
+    """The ``n`` cycles of :func:`simulate_cycles`, drawn and yielded one
+    chunk of at most 4096 at a time: the one place that fixes their draw
+    order.  ``n = 0`` yields one empty chunk."""
+    if n < 0:
+        raise ValueError(f"cycle count must be nonnegative, got {n}")
+    for start in range(0, max(n, 1), _CHUNK):
+        yield _draw_chunk(rng, config, min(_CHUNK, n - start), inspections)
 
 
 def _draw_chunk(
@@ -258,10 +270,11 @@ def _uniform_schedule(
         age = age + rng.uniform(lo, hi, size=idx.size)
         if inspections:
             steps.append((idx, age))
-        done = age >= target
-        k[idx[done]] = step
-        detection[idx[done]] = age[done]
-        idx, age, target = idx[~done], age[~done], target[~done]
+        # every live cycle takes this step; the last write is its own
+        k[idx] = step
+        detection[idx] = age
+        live = age < target
+        idx, age, target = idx[live], age[live], target[live]
     ages = np.empty(int(k.sum()) if inspections else 0)
     first = np.cumsum(k) - k
     for j, (where, values) in enumerate(steps):

@@ -341,10 +341,10 @@ PINNED_SIMULATE_SHA256 = {
 # x86-64 Linux, Python 3.11, numpy 2.4; all four hold with numpy's AVX-512
 # loops switched off through NPY_DISABLE_CPU_FEATURES.
 PINNED_VERIFY_SHA256 = {
-    (1, "deterministic"): "e11c70455bb84273cbe47db53e767fa081068c82a8a65cea099588e5d6480417",
-    (1, "uniform"): "7f8bbc8b0c0b43294fef67bacd3392eb572c297881365cf46f1ddfa855174a03",
-    (2, "deterministic"): "d6ef03a5051b350fa4b3667108a2de4890d85cac16f37aabed4e80dfb23fba28",
-    (2, "uniform"): "10811c47f0ae02c3b18aea075b6124f7f1dd3917e162187b23324a631a72330c",
+    (1, "deterministic"): "d9b98ed28a10d7a364817db3302c5a3764290f693e549e6a8571284f7648a5ca",
+    (1, "uniform"): "7b4112a14b5378612bbeabd707ad0b11c123f834f8ff7ff9f420ebfd26eaecd0",
+    (2, "deterministic"): "f54cbf7d80b6ac5e71229ec7e50ca4b8f1231a349c6002601f80917cb07ba064",
+    (2, "uniform"): "c8d35a25fb20584970581b0590968684f5ab2c04c860bde4227aaa7ff3647afe",
 }
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cbmkit.oracle import (
     verification_rows,
 )
 from conftest import halved_cycle_square, make_config
+from two_pass import two_pass_columns
 
 
 def _by_quantity(rows):
@@ -90,6 +92,94 @@ class TestVerificationRows:
         rows = verification_rows(base_config, 20_000, seed=9)
         assert len(rows) == 16
         assert not _by_quantity(rows)["mean_cycle_sq"].passed
+
+
+# The four base configs and one where nearly every cycle fails.
+_TWO_PASS_CONFIGS = {
+    "n1-det": make_config(),
+    "n2-det": make_config(shape=2),
+    "n1-unif": make_config(kind="uniform"),
+    "n2-unif": make_config(shape=2, kind="uniform"),
+    "lam-1": make_config(lam=1.0),
+}
+
+
+def _assert_matches_two_pass(rows, columns):
+    assert [r.quantity for r in rows] == list(columns)
+    for r in rows:
+        value, se = columns[r.quantity]
+        assert_allclose(r.mc_value, value, rtol=1e-12, atol=0, err_msg=r.quantity)
+        assert_allclose(r.mc_se, se, rtol=1e-9, atol=0, err_msg=r.quantity)
+
+
+class TestStreamedMomentPass:
+    """The one streamed moment pass against two passes over whole
+    columns."""
+
+    # within one chunk, one past a chunk boundary, and many chunks
+    @pytest.mark.parametrize("n", [10_000, 12_289, 100_000])
+    @pytest.mark.parametrize("label", sorted(_TWO_PASS_CONFIGS))
+    def test_matches_two_pass(self, label, n):
+        cfg = _TWO_PASS_CONFIGS[label]
+        _assert_matches_two_pass(verification_rows(cfg, n, seed=5),
+                                 two_pass_columns(cfg, n, seed=5))
+
+    def test_no_failed_cycle(self):
+        # no cycle fails: the four rows built on the failure indicator have
+        # no spread, and read exactly +0.0 with a standard error of 0.0
+        cfg = make_config(lam=1e-7)
+        rows = verification_rows(cfg, 20_000, seed=2)
+        columns = two_pass_columns(cfg, 20_000, seed=2)
+        flat = [r for r in rows if r.mc_se == 0.0]
+        assert [r.quantity for r in flat] == [
+            "failure_prob", "cov_cycle_failure", "cov_inspections_failure",
+            "mean_cycle_on_failure",
+        ]
+        for r in flat:
+            assert columns[r.quantity] == (0.0, 0.0)
+            assert math.copysign(1.0, r.mc_value) == 1.0 and r.mc_value == 0.0
+        # the pass column of the two-pass columns against the same closed forms
+        expected = [
+            abs(oracle._z_score(r.closed_form, *columns[r.quantity])) <= oracle.Z_THRESHOLD
+            for r in rows
+        ]
+        assert [r.passed for r in rows] == expected
+
+    def test_every_cycle_failed(self):
+        # a failure delay of about 1e-3 against gaps of 1000: the failure
+        # indicator is 1 throughout and its rows have no spread
+        cfg = make_config(lam=1e3)
+        rows = _by_quantity(verification_rows(cfg, 10_000, seed=3))
+        assert (rows["failure_prob"].mc_value, rows["failure_prob"].mc_se) == (1.0, 0.0)
+        for name in ("cov_cycle_failure", "cov_inspections_failure"):
+            assert (rows[name].mc_value, rows[name].mc_se) == (0.0, 0.0)
+        _assert_matches_two_pass(list(rows.values()), two_pass_columns(cfg, 10_000, seed=3))
+
+    def test_negative_variance_reads_zero(self):
+        assert oracle._std_err(4.0, 5) == 1.0
+        assert oracle._std_err(-1e-300, 5) == 0.0
+        negative_zero = oracle._std_err(-0.0, 5)
+        assert negative_zero == 0.0 and math.copysign(1.0, negative_zero) == 1.0
+        # central moments whose variance of k rounds below zero: k reads a
+        # standard error of 0
+        central = {(a, b, c): 0.0 for a in range(5) for b in range(5) for c in range(5)}
+        central[0, 0, 0], central[2, 0, 0] = 1.0, -1e-300
+        assert oracle._estimate(oracle._linear(2.0, 1.0, 0.0, 0.0), central, 10) == (2.0, 0.0)
+
+    @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
+    def test_memory_flat_in_samples(self, kind):
+        cfg = make_config(kind=kind)
+        # the first call in a process also pays for one-time set-up
+        verification_rows(cfg, 40_000, seed=3)
+        peaks = []
+        for n in (40_000, 400_000):
+            tracemalloc.start()
+            try:
+                verification_rows(cfg, n, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 1 << 20
 
 
 class TestAgeDistribution:

@@ -31,15 +31,21 @@ BATCH_SEED = 7002
 
 
 class _ScriptedRng:
-    """Stands in for a generator; pops pre-chosen exponential draws (a
-    value, or an array shaped as a sized draw asks)."""
+    """Stands in for a generator; pops pre-chosen exponential and uniform
+    draws (a value, or an array shaped as a sized draw asks)."""
 
     def __init__(self, values):
         self.values = list(values)
 
-    def exponential(self, scale, size=None):
+    def _next(self, size):
         value = self.values.pop(0)
         return value if size is None else np.reshape(value, size)
+
+    def exponential(self, scale, size=None):
+        return self._next(size)
+
+    def uniform(self, low, high, size=None):
+        return self._next(size)
 
 
 def _cycle(length, inspections, failed, count=None):
@@ -182,6 +188,35 @@ class TestSimulateCycles:
         many = simulate_cycles(_ScriptedRng([[1500.0], [500.0]]), cfg, 1, inspections=True)
         assert one.failed and one.length == 2000.0
         assert list(many) == [one]
+
+    def test_uniform_schedule_hand_trace(self):
+        # three cycles on gaps in [900, 1100]: damage at 0 (no inspection),
+        # at 500 (found by the first) and at 2500 (found by the third);
+        # each step draws one gap per cycle still short of its damage
+        cfg = make_config(kind="uniform", lam=1e-9)
+        rng = _ScriptedRng([
+            [[0.0], [500.0], [2500.0]], [1e12, 1e12, 1e12],
+            [950.0, 1000.0], [1050.0], [1080.0],
+        ])
+        batch = simulate_cycles(rng, cfg, 3, inspections=True)
+        assert rng.values == []
+        assert batch.inspection_count.tolist() == [0, 1, 3]
+        assert batch.detection_age.tolist() == [0.0, 950.0, 3130.0]
+        assert [row.inspections for row in batch] == [(), (950.0,), (1000.0, 2050.0, 3130.0)]
+        assert not batch.failed.any()
+
+    @pytest.mark.parametrize("shape", [1, 2])
+    def test_uniform_ages_leave_the_columns_alone(self, shape):
+        # keeping the ages neither draws nor writes anything else
+        cfg = make_config(shape=shape, kind="uniform")
+        kept = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 10_000, inspections=True)
+        plain = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 10_000)
+        for name in simulator._PER_CYCLE:
+            column = getattr(kept, name)
+            assert column.dtype == getattr(plain, name).dtype
+            assert column.tobytes() == getattr(plain, name).tobytes()
+        last = kept.totals.inspections[1:] - 1
+        assert np.array_equal(kept.inspection_ages[last], kept.detection_age)
 
     def test_horizon_blocks_join_seamlessly(self, base_config):
         # long enough for several draw blocks; every end snapshot carries
