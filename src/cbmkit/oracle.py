@@ -2,14 +2,13 @@
 
 Each closed-form quantity gets an estimate built from plain cycle draws
 with a plain standard error, and the comparison harness flags any |z|
-above 4.  The cycles come chunk by chunk from the batch engine
-(:func:`cbmkit.simulator.cycle_chunks`, the draw behind
-:func:`~cbmkit.simulator.simulate_cycles`), in one streamed pass that
-keeps only moment sums.  The final algebra runs in
-Python floats and nothing here calls BLAS (no ``@``, ``dot`` or
-``einsum``), so the bits do not depend on the machine's BLAS kernels.
-With a million cycles that threshold has a per-comparison false-alarm rate
-around 6e-5, tolerable across the whole suite.
+above 4.  The cycles come chunk by chunk from the batch engine's one draw
+loop, :func:`cbmkit.simulator.cycle_chunks` (which the batch simulators
+join), in one streamed pass that keeps only moment sums.  The final
+algebra runs in Python floats and nothing here calls BLAS (no ``@``,
+``dot`` or ``einsum``), so the bits do not depend on the machine's BLAS
+kernels.  With a million cycles that threshold has a per-comparison
+false-alarm rate around 6e-5, tolerable across the whole suite.
 """
 
 from __future__ import annotations

@@ -7,19 +7,19 @@ comes first.  Cycles are i.i.d., so repairs form a renewal process;
 failures and inspections are the associated reward processes.
 
 Cycles are held as columns: a :class:`CycleBatch` has one array per cycle
-field plus the flat planned-inspection ages.  :func:`cycle_chunks` draws
-them in chunks of 4096 (the oracle reads these one by one),
-:func:`simulate_cycles` joins the chunks into one batch,
-:func:`simulate_horizon` joins its blocks into one, and
-:func:`read_event_log` parses a log into one (without the ages, which logs
-do not carry).  The running totals of cycle time, inspections and failures
-are built once per batch, adding left to right; :func:`snapshot_rows`,
-:func:`counts_at_times` and the likelihood's total time all read them.
-:func:`simulate_cycle` draws one cycle with scalar calls and is kept as
-the reference the hand traces pin; a batch yields the same
-:class:`CycleRecord` rows on iteration.  Deterministic gaps
-put the k-th inspection at ``k * c`` (not at a running sum of ``c``), with
-``k = ceil(y_s / c)`` at detection, in both.
+field plus the flat planned-inspection ages.  :func:`cycle_chunks` is the
+one draw loop, yielding chunks of 4096 (endless without a count): the
+oracle reads them one by one, :func:`simulate_cycles` joins ``n`` cycles,
+:func:`simulate_horizon` joins those up to the first cycle end at or past
+the horizon, and :func:`read_event_log` parses a log into one batch
+(without the ages, which logs do not carry).  The running totals of cycle
+time, inspections and failures are built once per batch, adding left to
+right; :func:`snapshot_rows`, :func:`counts_at_times` and the likelihood's
+total time all read them.  :func:`simulate_cycle` draws one cycle with
+scalar calls and is kept as the reference the hand traces pin; a batch
+yields the same :class:`CycleRecord` rows on iteration.  Deterministic
+gaps put the k-th inspection at ``k * c`` (not at a running sum of
+``c``), with ``k = ceil(y_s / c)`` at detection, in both.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ from .laws import (
     sample_sane_many,
 )
 
-# Most cycles one draw of the batch engine holds in its working arrays;
-# larger requests are drawn chunk after chunk from the same generator, and
-# the horizon simulator draws blocks of this many cycles.
+# Most cycles one draw of the batch engine holds in its working arrays:
+# cycle_chunks draws every stream chunk after chunk of this many cycles.
 _CHUNK = 1 << 12
 
 
@@ -196,36 +195,37 @@ def simulate_cycles(
     """Draw ``n`` cycles as arrays, with the semantics of
     :func:`simulate_cycle` but not its draw order.
 
-    Cycles come in chunks; within one, all damage times are drawn first,
-    then all failure delays, then (uniform gaps) one gap per step for
-    every cycle whose age is still short of its damage time.  Set
-    ``inspections`` to keep every cycle's inspection ages.
+    The chunks of :func:`cycle_chunks` are joined; within one, all damage
+    times are drawn first, then all failure delays, then (uniform gaps) one
+    gap per step for every cycle whose age is still short of its damage
+    time.  Set ``inspections`` to keep every cycle's inspection ages.
     """
-    # per-cycle columns are filled in place, so the peak stays at the
-    # result plus one chunk; n = 0 still draws one (empty) chunk, which
-    # gives the columns their dtypes
-    columns: dict[str, np.ndarray] = {}
-    ages = []
-    for i, chunk in enumerate(cycle_chunks(rng, config, n, inspections)):
-        start = i * _CHUNK
-        if not columns:
-            columns = {name: np.empty(n, dtype=getattr(chunk, name).dtype) for name in _PER_CYCLE}
-        for name in _PER_CYCLE:
-            columns[name][start:start + _CHUNK] = getattr(chunk, name)
-        ages.append(chunk.inspection_ages)
-    return CycleBatch(**columns, inspection_ages=np.concatenate(ages))
+    return _join(list(cycle_chunks(rng, config, n, inspections)))
 
 
 def cycle_chunks(
-    rng: np.random.Generator, config: ModelConfig, n: int, inspections: bool = False
+    rng: np.random.Generator, config: ModelConfig, n: Optional[int] = None,
+    inspections: bool = False,
 ) -> Iterator[CycleBatch]:
-    """The ``n`` cycles of :func:`simulate_cycles`, drawn and yielded one
-    chunk of at most 4096 at a time: the one place that fixes their draw
-    order.  ``n = 0`` yields one empty chunk."""
-    if n < 0:
+    """Cycles drawn and yielded one chunk of at most 4096 at a time: the
+    one draw loop, so the one place that fixes their draw order.  ``n``
+    cycles in all (``n = 0`` yields one empty chunk), or, without ``n``,
+    full chunks without end until the consumer stops."""
+    left = math.inf if n is None else n
+    if left < 0:
         raise ValueError(f"cycle count must be nonnegative, got {n}")
-    for start in range(0, max(n, 1), _CHUNK):
-        yield _draw_chunk(rng, config, min(_CHUNK, n - start), inspections)
+    while True:
+        yield _draw_chunk(rng, config, min(_CHUNK, left), inspections)
+        left -= _CHUNK
+        if left <= 0:
+            return
+
+
+def _join(batches: Sequence[CycleBatch]) -> CycleBatch:
+    """One batch of the given batches' cycles, in order."""
+    return CycleBatch(
+        *(np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(CycleBatch))
+    )
 
 
 def _draw_chunk(
@@ -288,23 +288,21 @@ def simulate_horizon(rng: np.random.Generator, config: ModelConfig) -> CycleBatc
 
     The last cycle is the first to end at or beyond the horizon, so the
     batch's total time generally overshoots the requested horizon and the
-    overshooting cycle is included in the counts.  Blocks of 4096 cycles
-    are drawn until one carries the running end past the horizon, and
-    that block is cut to its kept cycles.
+    overshooting cycle is included in the counts.  The endless stream of
+    :func:`cycle_chunks` stops at the chunk that carries the running end
+    to the horizon, cut after the cycle that reaches it.
     """
     horizon = config.horizon
+    chunks = cycle_chunks(rng, config, inspections=True)
     blocks, end = [], 0.0
     while end < horizon:
-        block = _draw_chunk(rng, config, _CHUNK, True)
+        block = next(chunks)
         ends = _running_sums(block.length, end)
-        keep = int(np.searchsorted(ends[1:], horizon)) + 1
-        if keep < _CHUNK:
-            block, ends = block.head(keep), ends[:keep + 1]
-        blocks.append(block)
-        end = ends[-1]
-    return CycleBatch(
-        *(np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(CycleBatch))
-    )
+        keep = min(int(np.searchsorted(ends, horizon)), len(block))
+        # head builds the running totals of its chunk: only the crossing one is cut
+        blocks.append(block if keep == len(block) else block.head(keep))
+        end = ends[keep]
+    return _join(blocks)
 
 
 def counts_at_times(times: Sequence[float], cycles: CycleBatch) -> list[CountSnapshot]:

@@ -448,7 +448,7 @@ class TestSensitivities:
         # failure-probability partials (documented; keeps both truncation
         # and cancellation below the 1e-5 comparison tolerance)
         for law in LAWS:
-            for n in (1, 2):
+            for n in (1, 2, 3, 4):
                 for mu, lam in [(1e-3, 5e-4), (2e-3, 2.5e-4), (5e-4, 1e-3)]:
                     sane, dmg = SaneLaw(n, mu), DamageLaw(lam)
                     s = F.parameter_sensitivities(sane, dmg, law)

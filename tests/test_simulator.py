@@ -370,6 +370,23 @@ class TestSimulateHorizon:
             for f in fields(simulator.CycleBatch):
                 assert getattr(head, f.name).tobytes() == getattr(expected, f.name).tobytes()
 
+    @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
+    def test_stream_stops_at_the_crossing_block(self, kind):
+        # the run draws exactly the blocks up to the one that crosses the
+        # horizon: the generator is left where m whole blocks leave it (the
+        # age probes of mc_age_distribution draw from there), and the kept
+        # cycles are the first of those m blocks
+        cfg = make_config(shape=2, kind=kind, horizon=2e7)
+        rng_a, rng_b = np.random.default_rng(BATCH_SEED), np.random.default_rng(BATCH_SEED)
+        cycles = simulate_horizon(rng_a, cfg)
+        m = -(-len(cycles) // simulator._CHUNK)
+        whole = simulate_cycles(rng_b, cfg, m * simulator._CHUNK, inspections=True)
+        assert m >= 2
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        expected = whole.head(len(cycles))
+        for f in fields(simulator.CycleBatch):
+            assert getattr(cycles, f.name).tobytes() == getattr(expected, f.name).tobytes()
+
     def test_degenerate_horizon_single_overshooting_cycle(self):
         # a horizon below the first inspection still completes one cycle
         # (the stopping rule includes the overshooting cycle); counts at
