@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextlib.contextmanager
-def _outputs(*paths: Optional[str]) -> Iterator[None]:
+def _outputs(*paths: Optional[str], inputs: Sequence[Optional[str]]) -> Iterator[None]:
     """Check that every output path (None for an absent one) can be
     written before the command's work starts, and remove the files the
     command created if it fails, so that it leaves no partial output.
@@ -199,15 +199,23 @@ def _outputs(*paths: Optional[str]) -> Iterator[None]:
     until the command writes it; for a new file the check asks whether
     its directory takes new files, without creating one.  A file left
     for the writer to truncate would cost the write a flush on ext4.
-    An empty path names no file: it is a config error.
+    An empty path names no file, and two outputs that resolve to one
+    file, or an output that resolves to one of the command's ``inputs``,
+    would lose bytes silently: all are config errors.
     """
     if "" in paths:
         raise ConfigError("an output path is empty")
-    real = {path: os.path.realpath(path) for path in paths if path is not None}
+    real = [(path, os.path.realpath(path)) for path in paths if path is not None]
+    read = {os.path.realpath(path) for path in inputs if path is not None}
+    for path, r in real:
+        if [q for _, q in real].count(r) > 1:
+            raise ConfigError(f"two outputs name one file: {r}")
+        if r in read:
+            raise ConfigError(f"output {path} is also an input")
     # the files the command creates: a dangling symlink's target, not the link
-    created = list(dict.fromkeys(r for path, r in real.items() if not os.path.exists(path)))
+    created = [r for path, r in real if not os.path.exists(path)]
     try:
-        for path, r in real.items():
+        for path, r in real:
             if r not in created:
                 open(path, "a").close()
             elif not os.access(os.path.dirname(r), os.W_OK | os.X_OK):
@@ -250,7 +258,7 @@ def _emit(path: Optional[str], lines: Iterable[str]) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     seed = _require_seed(config)
-    with _outputs(args.events, args.snapshots):
+    with _outputs(args.events, args.snapshots, inputs=[args.config]):
         cycles = simulate_horizon(np.random.default_rng(seed), config)
         _emit(args.events, event_log_lines(cycles))
         _emit(args.snapshots, snapshot_lines(cycles, config.grid))
@@ -312,9 +320,11 @@ def _estimate_rows(
 def _cmd_estimate(args: argparse.Namespace) -> int:
     # a preset carries the full run configuration of its published rows,
     # so reproduction needs no config file
+    if args.reproduce and args.counts:
+        raise ConfigError("--counts and --reproduce both give the counts; pass one")
     defaults, snapshot = PUBLISHED_TABLES.get(args.reproduce, (None, None))
     config = _load_config(args, defaults)
-    with _outputs(args.out):
+    with _outputs(args.out, inputs=[args.config, args.events]):
         rows = _estimate_rows(args, config, snapshot)
         _emit(args.out, [REPORT_HEADER + "\n", *rows])
     return EXIT_OK
@@ -332,7 +342,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("convergence needs a grid (config key or --grid-count)")
     _require_closed_form_shape(config)
-    with _outputs(args.out):
+    with _outputs(args.out, inputs=[args.config]):
         cycles = simulate_horizon(np.random.default_rng(seed), config)
         _emit(args.out, [CONVERGENCE_HEADER + "\n", *_convergence_rows(grid, cycles, config)])
     return EXIT_OK
@@ -367,7 +377,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.samples < MIN_SAMPLES:
         raise ConfigError(f"--samples must be at least {MIN_SAMPLES}, got {args.samples}")
     _require_closed_form_shape(config)
-    with _outputs(args.out):
+    with _outputs(args.out, inputs=[args.config]):
         rows = verification_rows(config, args.samples, seed)
         _emit(args.out, verification_lines(rows))
     return EXIT_OK if all(r.passed for r in rows) else EXIT_VERIFY_FAILED

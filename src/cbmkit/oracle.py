@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .config import ModelConfig
-from .formulas import _matrices, _rate_covariance, cycle_moments, detection_window_integral
+from .formulas import _rate_covariance, cycle_moments, detection_window_integral
 from .laws import DETERMINISTIC
 from .simulator import cycle_chunks, simulate_horizon
 
@@ -66,9 +66,10 @@ def _moment_sums(config: ModelConfig, n_samples: int, seed: int):
 
     k is the inspection count, r = x - c k the cycle length x less c (the
     mean gap) times k, d = k * exp(-lam * overshoot) the detected-inspections
-    statistic, and k' = k - shift[0], and so on.  Shifted sums keep the
-    central moments accurate (Chan, Golub & LeVeque, 1983); so does r in
-    place of x, as the rate statistics cancel x against c k.
+    statistic, and k' = k - shift[0], and so on.  The shift keeps the
+    co-moments that :func:`_estimate` reads from these raw sums accurate
+    (Chan, Golub & LeVeque, 1983); so does r in place of x, as the rate
+    statistics cancel x against c k.
     """
     rate, spacing = config.damage.rate, config.inspection.spacing
     shift = None
@@ -100,45 +101,9 @@ def _moment_sums(config: ModelConfig, n_samples: int, seed: int):
     return shift, sums.tolist(), failed, failed_sums.tolist()
 
 
-def _central_moments(n: int, sums: list, failed: int, failed_sums: list):
-    """The shifted means (e_k, e_r), the failure fraction p and every
-    central moment E[dk^a dr^b df^c] of order a + b + c up to 4, keyed by
-    (a, b, c), from the sums of :func:`_moment_sums` (dk = k - mean k, and
-    so on).  The algebra runs in Python floats, each sum correctly
-    rounded by ``math.fsum``, so its bits do not depend on term order or
-    on the Python version.
-
-    As f*f = f, (f - p)^c = f sum_{l>=1} C(c, l) (-p)^(c-l) + (-p)^c;
-    the binomial expansion in k' - e_k and r' - e_r then gives the rest.
-    A column without spread (no failed cycle, or only failed ones) gives
-    exact zeros.
-    """
-    raw = {(0, 0): 1.0, **{q: s / n for q, s in zip(_POWERS, sums)}}
-    p = failed / n
-    raw_failed = {(0, 0): p, **{q: s / n for q, s in zip(_FAILED_POWERS, failed_sums)}}
-    e_k, e_r = raw[1, 0], raw[0, 1]
-
-    def f_centred(a, b, c):
-        if c == 0:
-            return raw[a, b]
-        on_failed = math.fsum(math.comb(c, l) * (-p) ** (c - l) for l in range(1, c + 1))
-        return on_failed * raw_failed[a, b] + (-p) ** c * raw[a, b]
-
-    central = {}
-    for a in range(5):
-        for b in range(5 - a):
-            for c in range(5 - a - b):
-                central[a, b, c] = math.fsum(
-                    math.comb(a, i) * math.comb(b, j) * (-e_k) ** (a - i) * (-e_r) ** (b - j)
-                    * f_centred(i, j, c)
-                    for i in range(a + 1) for j in range(b + 1)
-                )
-    return (e_k, e_r, p), central
-
-
 def _linear(const: float, k: float, r: float, f: float) -> dict:
-    """const + k dk + r dr + f df, as a polynomial: its nonzero
-    coefficients keyed by the exponents of (dk, dr, df)."""
+    """const + k k' + r r' + f f, as a polynomial: its nonzero
+    coefficients keyed by the exponents of (k', r', f)."""
     terms = zip(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)), (const, k, r, f))
     return {e: a for e, a in terms if a != 0.0}
 
@@ -153,14 +118,17 @@ def _times(p: dict, q: dict) -> dict:
     return out
 
 
-def _estimate(poly: dict, central: dict, n: int, scale: float = 1.0) -> tuple[float, float]:
+def _estimate(poly: dict, raw: dict, n: int, scale: float = 1.0) -> tuple[float, float]:
     """(value, standard error) of a per-cycle statistic, a polynomial of
-    degree up to 2 in the centred (k, r, f): its sample mean times
-    ``scale``, and the standard error of that mean (ddof=1).  Its variance
-    reads the co-moments of the monomials, E[m m'] - E[m] E[m']."""
-    mean = math.fsum(a * central[e] for e, a in poly.items())
+    degree up to 2 in the shifted (k', r', f), from the raw moments
+    ``raw[a, b, c]`` = E[k'^a r'^b f^c]: its sample mean times ``scale``,
+    and the standard error of that mean (ddof=1).  Its variance reads the
+    co-moments of the monomials, E[m m'] - E[m] E[m'].  The sums are
+    correctly rounded by ``math.fsum``, so their bits do not depend on
+    term order or on the Python version."""
+    mean = math.fsum(a * raw[e] for e, a in poly.items())
     var = math.fsum(
-        a * b * (central[e[0] + g[0], e[1] + g[1], e[2] + g[2]] - central[e] * central[g])
+        a * b * (raw[e[0] + g[0], e[1] + g[1], e[2] + g[2]] - raw[e] * raw[g])
         for e, a in poly.items() for g, b in poly.items()
     )
     return mean * scale, _std_err(var, n)
@@ -202,28 +170,36 @@ def verification_rows(
         raise ValueError(f"n_samples below {MIN_SAMPLES} gives meaningless standard errors")
     overrides = closed_overrides or {}
     moments = cycle_moments(config.sane, config.damage, config.inspection)
-    rate_cov = _matrices(_rate_covariance(moments))
     shift, sums, failed, failed_sums = _moment_sums(config, n_samples, seed)
     n, c = n_samples, config.inspection.spacing
-    (e_k, e_r, p), central = _central_moments(n, sums[:-2], failed, failed_sums)
-    mean_k = shift[0] + e_k
-    mean_x = shift[1] + e_r + c * mean_k
-    # k, x = r + c k and f, and the same centred
-    k_, dk = _linear(mean_k, 1.0, 0.0, 0.0), _linear(0.0, 1.0, 0.0, 0.0)
-    x_, dx = _linear(mean_x, c, 1.0, 0.0), _linear(0.0, c, 1.0, 0.0)
-    f_, df = _linear(p, 0.0, 0.0, 1.0), _linear(0.0, 0.0, 0.0, 1.0)
+    # E[k'^a r'^b f^c] keyed by (a, b, c); as f*f = f, a key with c >= 1
+    # reads the failed cycles' sums
+    whole = {(0, 0): 1.0, **{q: s / n for q, s in zip(_POWERS, sums[:-2])}}
+    on_failed = {(0, 0): failed / n, **{q: s / n for q, s in zip(_FAILED_POWERS, failed_sums)}}
+    raw = {(a, b, f): (on_failed if f else whole)[a, b]
+           for a in range(5) for b in range(5 - a) for f in range(5 - a - b)}
+    e_k, e_r, p = raw[1, 0, 0], raw[0, 1, 0], raw[0, 0, 1]
+
+    def centred(k, r, f):
+        # k (k' - e_k) + r (r' - e_r) + f (f - p)
+        return _linear(-(k * e_k + r * e_r + f * p), k, r, f)
+
+    # k = k' + shift[0], x = r + c k and f, and the same centred
+    k_, dk = _linear(shift[0], 1.0, 0.0, 0.0), centred(1.0, 0.0, 0.0)
+    x_, dx = _linear(shift[1] + c * shift[0], c, 1.0, 0.0), centred(c, 1.0, 0.0)
+    f_, df = _linear(0.0, 0.0, 0.0, 1.0), centred(0.0, 0.0, 1.0)
     cov = n / (n - 1)
     mc = {
-        "mean_inspections": _estimate(k_, central, n),
-        "failure_prob": _estimate(f_, central, n),
-        "mean_cycle": _estimate(x_, central, n),
-        "mean_inspections_sq": _estimate(_times(k_, k_), central, n),
-        "mean_cycle_sq": _estimate(_times(x_, x_), central, n),
-        "cov_cycle_failure": _estimate(_times(dx, df), central, n, cov),
-        "cov_inspections_failure": _estimate(_times(dk, df), central, n, cov),
-        "cov_inspections_cycle": _estimate(_times(dk, dx), central, n, cov),
+        "mean_inspections": _estimate(k_, raw, n),
+        "failure_prob": _estimate(f_, raw, n),
+        "mean_cycle": _estimate(x_, raw, n),
+        "mean_inspections_sq": _estimate(_times(k_, k_), raw, n),
+        "mean_cycle_sq": _estimate(_times(x_, x_), raw, n),
+        "cov_cycle_failure": _estimate(_times(dx, df), raw, n, cov),
+        "cov_inspections_failure": _estimate(_times(dk, df), raw, n, cov),
+        "cov_inspections_cycle": _estimate(_times(dk, dx), raw, n, cov),
         # the length of a failed cycle is its failure age
-        "mean_cycle_on_failure": _estimate(_times(x_, f_), central, n),
+        "mean_cycle_on_failure": _estimate(_times(x_, f_), raw, n),
     }
     d_mean, d_sq = sums[-2] / n, sums[-1] / n
     mc["mean_inspections_detected"] = (shift[2] + d_mean, _std_err(d_sq - d_mean**2, n))
@@ -233,13 +209,14 @@ def verification_rows(
     # constants, linear in (k, x, f) and so in (k, r, f), so each entry is
     # a sample covariance of centred linear forms.
     mx, mk, pd = moments.mean_cycle, moments.mean_inspections, moments.failure_prob
-    stats = (dx, _linear(0.0, pd * c, pd, -mx), _linear(0.0, mk * c - mx, mk, 0.0))
+    rate_cov = _rate_covariance(moments)
+    stats = (dx, centred(pd * c, pd, -mx), centred(mk * c - mx, mk, 0.0))
     labels = ("repair", "failure", "inspection")
     for i in range(3):
         for j in range(i, 3):
             name = f"rate_cov[{labels[i]},{labels[j]}]"
-            mc[name] = _estimate(_times(stats[i], stats[j]), central, n, cov)
-            closed[name] = rate_cov[i, j] * mx**3
+            mc[name] = _estimate(_times(stats[i], stats[j]), raw, n, cov)
+            closed[name] = rate_cov[i][j] * mx**3
 
     rows = []
     for name, (mc_value, mc_se) in mc.items():

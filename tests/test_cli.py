@@ -341,10 +341,10 @@ PINNED_SIMULATE_SHA256 = {
 # x86-64 Linux, Python 3.11, numpy 2.4; all four hold with numpy's AVX-512
 # loops switched off through NPY_DISABLE_CPU_FEATURES.
 PINNED_VERIFY_SHA256 = {
-    (1, "deterministic"): "d9b98ed28a10d7a364817db3302c5a3764290f693e549e6a8571284f7648a5ca",
-    (1, "uniform"): "7b4112a14b5378612bbeabd707ad0b11c123f834f8ff7ff9f420ebfd26eaecd0",
-    (2, "deterministic"): "f54cbf7d80b6ac5e71229ec7e50ca4b8f1231a349c6002601f80917cb07ba064",
-    (2, "uniform"): "c8d35a25fb20584970581b0590968684f5ab2c04c860bde4227aaa7ff3647afe",
+    (1, "deterministic"): "90080002624499a166363b0dde0f2b1fb5148d69be4b6f44eedc60dbb18d884a",
+    (1, "uniform"): "dec4d414adf1a07e280c7c379194317e9045afb025054d0313c1aa691214d3e0",
+    (2, "deterministic"): "408cca15f2c4f99cccedcf17ba829d312b4b168292bcf352b70f9e630e778450",
+    (2, "uniform"): "8b35440a935d6a28c94896ff3819b33edc25c535e2a01c1392d5c9787d0448e5",
 }
 
 
@@ -868,6 +868,13 @@ class TestInputErrors:
              "--out", "est.csv"],
             ["verify", "--samples", "abc", "--out", "report.csv"],
             ["convergence", "--grid-count", "5"],
+            # a preset's counts and --counts at once
+            ["estimate", "--reproduce", "table1", "--counts", "100", "150", "20", "1e5",
+             "--out", "est.csv"],
+            # an output that names the config file
+            ["verify", "--samples", "20000", "--out", "run.cfg"],
+            ["convergence", "--grid-count", "5", "--out", "run.cfg"],
+            ["simulate", "--events", "run.cfg", "--snapshots", "sn.csv"],
         ],
         ids=["samples-100", "samples-0", "verify-shape-5", "estimate-am-shape-5",
              "negative-time", "non-numeric-count", "horizon-inf", "grid-nan",
@@ -876,7 +883,9 @@ class TestInputErrors:
              "verify-out-empty", "events-empty", "snapshots-empty", "seed-negative-flag",
              "seed-negative-file", "estimate-confidence-below-1",
              "convergence-confidence-below-1", "confidence-1", "confidence-negative",
-             "unknown-subcommand", "method-choice", "samples-not-integer", "out-missing"],
+             "unknown-subcommand", "method-choice", "samples-not-integer", "out-missing",
+             "reproduce-with-counts", "verify-out-is-config", "convergence-out-is-config",
+             "events-is-config"],
     )
     def test_one_line_config_error(self, argv, config_file, tmp_path, monkeypatch, capsys):
         def never(*args, **kwargs):
@@ -896,6 +905,29 @@ class TestInputErrors:
         code = cli.main(argv + ["--config", config_file])
         self._assert_one_line_config_error(code, capsys)
         assert os.listdir(tmp_path) == ["run.cfg"]
+
+    @pytest.mark.parametrize("through_link", [False, True], ids=["same-path", "symlink"])
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_output_names_another_file(self, command, through_link, config_file, tmp_path,
+                                       capsys):
+        # the later writer would replace the other file's bytes: a config
+        # error before any work, and every file stays as it was
+        log, link = tmp_path / "log.csv", tmp_path / "link.csv"
+        assert cli.main(["simulate", "--config", config_file, "--events", str(log),
+                         "--snapshots", str(tmp_path / "snapshots.csv")]) == 0
+        link.symlink_to(log)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        other = str(link if through_link else log)
+        argv = {"simulate": ["simulate", "--events", str(log), "--snapshots", other],
+                "estimate": ["estimate", "--events", str(log), "--method", "both",
+                             "--out", other]}[command]
+        capsys.readouterr()
+        code = cli.main(argv + ["--config", config_file])
+        err = capsys.readouterr().err
+        self._assert_one_line_config_error(code, capsys, err)
+        assert err == {"simulate": f"config error: two outputs name one file: {log}\n",
+                       "estimate": f"config error: output {other} is also an input\n"}[command]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_few_cycles_warning_is_one_line(self, config_file, capsys):
         code = cli.main(["estimate", "--config", config_file, "--counts", "50", "80", "10",

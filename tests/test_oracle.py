@@ -93,6 +93,50 @@ class TestVerificationRows:
         assert len(rows) == 16
         assert not _by_quantity(rows)["mean_cycle_sq"].passed
 
+    def test_rows_hold_python_scalars(self, base_config):
+        # no numpy scalar in any field, so a row serialises as JSON
+        for r in verification_rows(base_config, 10_000, seed=1):
+            assert [type(v) for v in dataclasses.astuple(r)] == [str, float, float, float,
+                                                                 float, bool]
+
+
+# The time dimension of each row that has one; the others are counts and
+# probabilities, of dimension 0.
+_TIME_DIMENSION = {
+    "mean_cycle": 1, "cov_cycle_failure": 1, "cov_inspections_cycle": 1,
+    "mean_cycle_on_failure": 1, "mean_cycle_sq": 2,
+    **{f"rate_cov[{a},{b}]": 2 for a, b in [
+        ("repair", "repair"), ("repair", "failure"), ("repair", "inspection"),
+        ("failure", "failure"), ("failure", "inspection"), ("inspection", "inspection")]},
+}
+
+
+class TestTimeUnit:
+    """The model has no time unit: every time (c, h, the horizon) times
+    s = 2^j and every rate over s is exact in floats, and scales each row
+    of time dimension d by s^d, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    def test_rows_scale_exactly(self, shape, kind):
+        base = make_config(shape, kind)
+        base_rows = verification_rows(base, 20_000, seed=4)
+        for j in (-40, -20, 20, 40):
+            s = 2.0**j
+            gaps = base.inspection
+            config = dataclasses.replace(
+                base, horizon=base.horizon * s,
+                sane=dataclasses.replace(base.sane, rate=base.sane.rate / s),
+                damage=dataclasses.replace(base.damage, rate=base.damage.rate / s),
+                inspection=dataclasses.replace(gaps, spacing=gaps.spacing * s,
+                                               half_width=gaps.half_width * s))
+            for got, want in zip(verification_rows(config, 20_000, seed=4), base_rows):
+                unit = s ** _TIME_DIMENSION.get(want.quantity, 0)
+                assert (got.quantity, got.closed_form, got.mc_value, got.mc_se) == (
+                    want.quantity, want.closed_form * unit, want.mc_value * unit,
+                    want.mc_se * unit), (j, want.quantity)
+                assert got.z_score == want.z_score, (j, want.quantity)
+
 
 # The four base configs and one where nearly every cycle fails.
 _TWO_PASS_CONFIGS = {
@@ -160,11 +204,11 @@ class TestStreamedMomentPass:
         assert oracle._std_err(-1e-300, 5) == 0.0
         negative_zero = oracle._std_err(-0.0, 5)
         assert negative_zero == 0.0 and math.copysign(1.0, negative_zero) == 1.0
-        # central moments whose variance of k rounds below zero: k reads a
-        # standard error of 0
-        central = {(a, b, c): 0.0 for a in range(5) for b in range(5) for c in range(5)}
-        central[0, 0, 0], central[2, 0, 0] = 1.0, -1e-300
-        assert oracle._estimate(oracle._linear(2.0, 1.0, 0.0, 0.0), central, 10) == (2.0, 0.0)
+        # raw moments E[k'^a r'^b f^c] whose variance of k' rounds below
+        # zero: k = 2 + k' reads a standard error of 0
+        raw = {(a, b, c): 0.0 for a in range(5) for b in range(5) for c in range(5)}
+        raw[0, 0, 0], raw[2, 0, 0] = 1.0, -1e-300
+        assert oracle._estimate(oracle._linear(2.0, 1.0, 0.0, 0.0), raw, 10) == (2.0, 0.0)
 
     @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
     def test_memory_flat_in_samples(self, kind):
