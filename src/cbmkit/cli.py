@@ -189,6 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file_id(path: str) -> object:
+    """A file's (device, inode), which its hard links share, or a new file's resolved path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 @contextlib.contextmanager
 def _outputs(*paths: Optional[str], inputs: Sequence[Optional[str]]) -> Iterator[None]:
     """Check that every output path (None for an absent one) can be
@@ -199,18 +208,19 @@ def _outputs(*paths: Optional[str], inputs: Sequence[Optional[str]]) -> Iterator
     until the command writes it; for a new file the check asks whether
     its directory takes new files, without creating one.  A file left
     for the writer to truncate would cost the write a flush on ext4.
-    An empty path names no file, and two outputs that resolve to one
-    file, or an output that resolves to one of the command's ``inputs``,
-    would lose bytes silently: all are config errors.
+    An empty path names no file, and two outputs that name one file, or
+    an output that names one of the command's ``inputs``, also through a
+    link, would lose bytes silently: all are config errors.
     """
     if "" in paths:
         raise ConfigError("an output path is empty")
     real = [(path, os.path.realpath(path)) for path in paths if path is not None]
-    read = {os.path.realpath(path) for path in inputs if path is not None}
-    for path, r in real:
-        if [q for _, q in real].count(r) > 1:
+    ids = [_file_id(path) for path, _ in real]
+    read = {_file_id(path) for path in inputs if path is not None}
+    for (path, r), i in zip(real, ids):
+        if ids.count(i) > 1:
             raise ConfigError(f"two outputs name one file: {r}")
-        if r in read:
+        if i in read:
             raise ConfigError(f"output {path} is also an input")
     # the files the command creates: a dangling symlink's target, not the link
     created = [r for path, r in real if not os.path.exists(path)]

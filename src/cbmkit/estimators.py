@@ -438,11 +438,9 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
     _check_convention(interval)
     errors: list = []
     for snap in snapshots:
-        n_r, n_i, n_f = snap.repairs, snap.inspections, snap.failures
+        n_r, n_f = snap.repairs, snap.failures
         if n_r < 1:
             errors.append(DegenerateDataError("no completed cycles: nothing to estimate"))
-        elif n_i <= n_r:
-            errors.append(OutOfRangeError("mean inspections per cycle must exceed 1"))
         else:
             errors.append(None)
             if n_f >= 1 and n_r < 100:

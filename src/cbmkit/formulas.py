@@ -563,7 +563,8 @@ def _covariance_bundle(
     mx, mk, pd = moments.mean_cycle, moments.mean_inspections, moments.failure_prob
     fp, gm, gl = sens.dmk_dmu, sens.dpd_dmu, sens.dpd_dlambda
     problems = _variance_problems(moments) if convention == "delta" else [None] * np.size(mx)
-    flat = np.atleast_1d(abs(gl) < 1e-14 * np.fmax(abs(pd), 1e-300)).tolist()
+    # lam dp/dlam has no time unit; 1e-12 is the failure-rate search's atol on p
+    flat = np.atleast_1d(damage.rate * abs(gl) < 1e-12).tolist()
     problems = [
         "failure rate not identifiable: flat failure probability" if f else p
         for p, f in zip(problems, flat)

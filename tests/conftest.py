@@ -28,6 +28,17 @@ def make_config(shape=1, kind="deterministic", mu=BASE_MU, lam=BASE_LAMBDA,
     )
 
 
+def time_scaled(config, s):
+    """``config`` with every time (c, h, the horizon) times ``s`` and every
+    rate over ``s``."""
+    gaps = config.inspection
+    return replace(config, horizon=config.horizon * s,
+                   sane=replace(config.sane, rate=config.sane.rate / s),
+                   damage=replace(config.damage, rate=config.damage.rate / s),
+                   inspection=replace(gaps, spacing=gaps.spacing * s,
+                                      half_width=gaps.half_width * s))
+
+
 def batch_of(records):
     """The columns of a list of cycle records; every record carries its
     whole schedule, as a batch drawn with its inspection ages does."""

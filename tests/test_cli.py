@@ -906,18 +906,19 @@ class TestInputErrors:
         self._assert_one_line_config_error(code, capsys)
         assert os.listdir(tmp_path) == ["run.cfg"]
 
-    @pytest.mark.parametrize("through_link", [False, True], ids=["same-path", "symlink"])
+    @pytest.mark.parametrize("through", ["path", "symlink", "hard link"],
+                             ids=["same-path", "symlink", "hard-link"])
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
-    def test_output_names_another_file(self, command, through_link, config_file, tmp_path,
-                                       capsys):
+    def test_output_names_another_file(self, command, through, config_file, tmp_path, capsys):
         # the later writer would replace the other file's bytes: a config
         # error before any work, and every file stays as it was
-        log, link = tmp_path / "log.csv", tmp_path / "link.csv"
+        log, link, hard = tmp_path / "log.csv", tmp_path / "link.csv", tmp_path / "hard.csv"
         assert cli.main(["simulate", "--config", config_file, "--events", str(log),
                          "--snapshots", str(tmp_path / "snapshots.csv")]) == 0
         link.symlink_to(log)
+        os.link(log, hard)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        other = str(link if through_link else log)
+        other = str({"path": log, "symlink": link, "hard link": hard}[through])
         argv = {"simulate": ["simulate", "--events", str(log), "--snapshots", other],
                 "estimate": ["estimate", "--events", str(log), "--method", "both",
                              "--out", other]}[command]

@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 
 from cbmkit import estimators
 from cbmkit import formulas as F
+from cbmkit.cli import PUBLISHED_TABLES
+from cbmkit.config import config_from_values
 from cbmkit.estimators import (
     DegenerateDataError,
     EstimateReport,
@@ -34,7 +36,7 @@ from cbmkit.simulator import (
     simulate_cycles,
     simulate_horizon,
 )
-from conftest import batch_of, make_config
+from conftest import batch_of, make_config, time_scaled
 from simplex import nelder_mead
 
 DET = InspectionLaw("deterministic", 1000.0)
@@ -488,6 +490,24 @@ class TestAsymptoticEstimate:
         d = report.diagnostics
         assert d["mu_evaluations"] <= 8 and d["lambda_evaluations"] <= 8
         assert d["mu_evaluations"] + d["lambda_evaluations"] == len(calls) <= 16
+
+    @pytest.mark.parametrize("table", sorted(PUBLISHED_TABLES))
+    def test_estimates_scale_exactly(self, table):
+        # times by s = 2^j and rates over s divide each estimate, interval
+        # end and sigma2 entry by s, bit for bit; delta only, as the
+        # tabulated convention depends on the time unit, and j < 200, where
+        # the uniform presets' closed forms overflow in laws._moments
+        values, snap = PUBLISHED_TABLES[table]
+        base_config = config_from_values(values)
+        base = asymptotic_estimate(snap, base_config)
+        for j in range(-300, 151, 10):
+            s = 2.0**j
+            got = asymptotic_estimate(dataclasses.replace(snap, time=snap.time * s),
+                                      time_scaled(base_config, s))
+            assert (got.mu_hat, got.ci_mu, got.lambda_hat, got.ci_lambda) == (
+                base.mu_hat / s, (base.ci_mu[0] / s, base.ci_mu[1] / s),
+                base.lambda_hat / s, (base.ci_lambda[0] / s, base.ci_lambda[1] / s)), j
+            assert got.sigma2.tobytes() == (base.sigma2 / s).tobytes(), j
 
     def test_zero_confidence_gives_point_interval(self, base_config):
         snap = CountSnapshot(50001908.0, 33501, 53116, 8255)

@@ -16,7 +16,7 @@ from cbmkit.oracle import (
     mc_age_distribution,
     verification_rows,
 )
-from conftest import halved_cycle_square, make_config
+from conftest import halved_cycle_square, make_config, time_scaled
 from two_pass import two_pass_columns
 
 
@@ -123,14 +123,8 @@ class TestTimeUnit:
         base_rows = verification_rows(base, 20_000, seed=4)
         for j in (-40, -20, 20, 40):
             s = 2.0**j
-            gaps = base.inspection
-            config = dataclasses.replace(
-                base, horizon=base.horizon * s,
-                sane=dataclasses.replace(base.sane, rate=base.sane.rate / s),
-                damage=dataclasses.replace(base.damage, rate=base.damage.rate / s),
-                inspection=dataclasses.replace(gaps, spacing=gaps.spacing * s,
-                                               half_width=gaps.half_width * s))
-            for got, want in zip(verification_rows(config, 20_000, seed=4), base_rows):
+            rows = verification_rows(time_scaled(base, s), 20_000, seed=4)
+            for got, want in zip(rows, base_rows):
                 unit = s ** _TIME_DIMENSION.get(want.quantity, 0)
                 assert (got.quantity, got.closed_form, got.mc_value, got.mc_se) == (
                     want.quantity, want.closed_form * unit, want.mc_value * unit,

@@ -1,4 +1,5 @@
-"""The public surface, and the names the benchmark harness reads from it.
+"""The public surface, the names the benchmark harness reads from it, and
+the package's design rules, which read one parse of ``src/cbmkit``.
 
 ``perfbench/tracer.py`` wraps cbmkit functions by name and
 ``perfbench/workloads.py`` iterates a parsed event log row by row; a
@@ -6,19 +7,30 @@ cleanup that drops one of those names breaks the traced benchmark, so it
 fails here too.
 """
 
+import ast
+import functools
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import cbmkit
 from cbmkit.simulator import read_event_log
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 REMOVED = ("TaylorJet", "deterministic_config", "full_information_estimate", "inspection_series",
            "counts_at", "mean_cycle_length", "mc_moment_set", "McEstimate",
            "failure_rate_from_cycle_identity")
 MODULES = ("cli", "config", "laws", "formulas", "estimators", "simulator", "oracle")
+# what tests compare other code against: the oracle's age/KS block, the gap
+# CDF of the KS tests and the damage-time density of the quadrature references
+REFERENCES = {"cycle_length_survival", "limiting_age_cdf", "ks_statistic", "ks_critical",
+              "cdf_inspection_gap", "density_sane"}
+# BLAS kernels sum in their own order, so pinned bytes would depend on the
+# machine (docstrings may name these)
+BLAS = {"dot", "matmul", "einsum", "tensordot", "vdot", "inner", "linalg"}
 
 
 def _tracer():
@@ -26,6 +38,40 @@ def _tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _parse(paths):
+    return tuple((str(path.relative_to(ROOT)), ast.parse(path.read_text(encoding="utf-8")))
+                 for path in sorted(paths))
+
+
+@functools.lru_cache(maxsize=None)
+def _package():
+    """(path, tree) of every module under src/cbmkit."""
+    return _parse((ROOT / "src" / "cbmkit").glob("*.py"))
+
+
+def _name(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+@functools.lru_cache(maxsize=None)
+def _read():
+    """Every name the package reads: as a name, an attribute or an imported name."""
+    return frozenset(node.name if isinstance(node, ast.alias) else _name(node)
+                     for _, tree in _package() for node in ast.walk(tree)
+                     if isinstance(node, ast.alias)
+                     or (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)))
+
+
+def _defined(node):
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
 
 
 class TestPublicSurface:
@@ -62,3 +108,86 @@ class TestBenchmarkReach:
         )
         rows = list(read_event_log(path))
         assert [r.inspection_count for r in rows] == [2, 1]
+
+
+class TestDesignRules:
+    def test_version_strings_agree(self):
+        # pyproject.toml by a regex: Python 3.10 has no tomllib
+        text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        match = re.search(r'^version\s*=\s*"([^"]*)"', text, re.MULTILINE)
+        assert match and match.group(1) == cbmkit.__version__
+
+    def test_no_scipy_or_mpmath_imports(self):
+        # neither is a dependency, though a developer machine may have both
+        trees = _package() + _parse((ROOT / "tests").rglob("*.py"))
+        bad = [f"{path}:{node.lineno}: imports {module}"
+               for path, tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for module in [getattr(node, "module", None) or a.name for a in node.names]
+               if module.split(".")[0] in ("scipy", "mpmath")]
+        assert not bad, "\n".join(bad)
+
+    def test_no_unused_imports(self):
+        # __init__.py imports to re-export
+        bad = []
+        for path, tree in [(p, t) for p, t in _package() if not p.endswith("__init__.py")]:
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            bad += [f"{path}:{node.lineno}: {name} is imported but never used"
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", "") != "__future__"
+                    for name in {(a.asname or a.name).split(".")[0] for a in node.names}
+                    if name not in used]
+        assert not bad, "\n".join(bad)
+
+    def test_no_unread_private_names(self):
+        bad = [f"{path}:{node.lineno}: {name} is defined but never read in the package"
+               for path, tree in _package() for node in tree.body for name in _defined(node)
+               if name.startswith("_") and not name.startswith("__") and name not in _read()]
+        assert not bad, "\n".join(bad)
+
+    def test_no_unreached_public_functions(self):
+        # reached: read in the package, exported in cbmkit.__all__, quoted
+        # in perfbench/tracer.py, or a reference
+        tracer = ast.parse(TRACER.read_text(encoding="utf-8"))
+        reached = _read() | REFERENCES | set(cbmkit.__all__) | {
+            node.value.rsplit(".", 1)[-1] for node in ast.walk(tracer)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        bad = [f"{path}:{node.lineno}: {node.name} is public but never reached"
+               for path, tree in _package() if not path.endswith("__init__.py")
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not node.name.startswith("_") and node.name not in reached]
+        assert not bad, "\n".join(bad)
+
+    def test_no_blas_calls(self):
+        def names(node):
+            # every name along a call's target: np.linalg.solve gives np, linalg, solve
+            while isinstance(node, (ast.Name, ast.Attribute)):
+                yield _name(node)
+                node = getattr(node, "value", None)
+
+        bad = [f"{path}:{node.lineno}: " + ("@" if isinstance(node, (ast.BinOp, ast.AugAssign))
+                                            else f"{ast.unparse(node.func)}()")
+               for path, tree in _package() for node in ast.walk(tree)
+               if isinstance(getattr(node, "op", None), ast.MatMult)
+               or (isinstance(node, ast.Call) and BLAS & set(names(node.func)))]
+        assert not bad, "\n".join(bad)
+
+    def test_one_draw_loop(self):
+        # every batch of cycles comes from simulator.cycle_chunks, so the
+        # draw order is fixed in one place
+        def visit(node, path, defs):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs = defs + (node.name,)
+            if "cycle_chunks" not in defs:
+                where = defs[-1] if defs else "module level"
+                if isinstance(node, ast.Call) and _name(node.func) == "_draw_chunk":
+                    yield f"{path}:{node.lineno}: _draw_chunk() called in {where}"
+                elif (isinstance(node, (ast.Name, ast.Attribute))
+                      and isinstance(node.ctx, ast.Load) and _name(node) == "_CHUNK"):
+                    yield f"{path}:{node.lineno}: _CHUNK read in {where}"
+            for child in ast.iter_child_nodes(node):
+                yield from visit(child, path, defs)
+
+        bad = [line for path, tree in _package() for line in visit(tree, path, ())]
+        assert not bad, "\n".join(bad)
