@@ -32,7 +32,7 @@ from .config import ModelConfig
 from .formulas import (
     _check_convention,
     _covariance_bundle,
-    _failure_map,
+    _estimating_maps,
     mean_inspections,
     window_moments,
 )
@@ -253,13 +253,13 @@ def _failure_rate_roots(targets: Sequence[float], shape: int, mu: Sequence[float
     k at the damage rate ``mu[k]`` and from ``starts`` where given: one
     failure-probability map over the damage rates of the searches, built
     before the first round, serves every round (see
-    :func:`cbmkit.formulas._failure_map`).
+    :func:`cbmkit.formulas._estimating_maps`).
 
     The proven bracket: a cycle fails when its failure time, exponential
     at rate lam from the damage age, comes before the detection delay W
     = V - Y, so p = 1 - E[exp(-lam W)], where 0 <= W <= w = c + h and
     E[W] = c E[K](mu) - shape/mu with E[K] the mean inspections per cycle,
-    read from the map's own jets.  Jensen's inequality gives
+    the builder's other map.  Jensen's inequality gives
     lam >= -log1p(-p)/E[W], and the Edmundson-Madansky bound on the
     convex exp(-lam W) over [0, w] (Madansky 1959) gives
     lam <= -log1p(-p w/E[W])/w, open above where p w >= E[W].
@@ -268,10 +268,10 @@ def _failure_rate_roots(targets: Sequence[float], shape: int, mu: Sequence[float
     live = [k for k, e in enumerate(errors) if e is None]
     if not live:
         return [math.nan] * len(targets)
-    failure = _failure_map(SaneLaw(shape, _batch([mu[k] for k in live])), insp)
+    mean, failure = _estimating_maps(SaneLaw(shape, _batch([mu[k] for k in live])), insp)
     w = insp.spacing + insp.half_width
     brackets = [(math.nan, math.nan)] * len(targets)
-    for k, mean_k in zip(live, np.atleast_1d(failure.mean_inspections).tolist()):
+    for k, mean_k in zip(live, np.atleast_1d(mean).tolist()):
         p, delay = targets[k], insp.spacing * mean_k - shape / mu[k]
         brackets[k] = (-math.log1p(-p) / delay,
                        -math.log1p(-p * w / delay) / w if p * w < delay else math.inf)

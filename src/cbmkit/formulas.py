@@ -236,8 +236,7 @@ def mean_inspections(sane: SaneLaw, insp: InspectionLaw):
 
     Equals sum_{i<shape} mu^i/i! (-1)^i d^i/ds^i [1/(1-L)](mu); always >= 1.
     """
-    n, mu = sane.shape, sane.rate
-    return _taylor_mean(law_derivatives(mu, insp, n - 1).inv_one_minus, mu, n)
+    return _estimating_maps(sane, insp)[0]
 
 
 def failure_probability(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw):
@@ -248,23 +247,20 @@ def failure_probability(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw):
     exp(lam t) dF_s(t)]; exact for the absolutely continuous damage-time
     laws supported here.
     """
-    return _failure_map(sane, insp)(damage.rate)
+    return _estimating_maps(sane, insp)[1](damage.rate)
 
 
-def _failure_map(sane: SaneLaw, insp: InspectionLaw):
-    """:func:`failure_probability` at the damage rates of ``sane`` as a
-    function ``f(lam, rows=None)`` of the failure rate ``lam``, on the
-    elements ``rows`` (a list of indices, all when None; one row computes
-    in floats).
-
-    The jets at the damage rates are computed here, once, so a search
-    that keeps its damage rate does not pay for them again; the map's
-    ``mean_inspections`` is :func:`mean_inspections` from them.
+def _estimating_maps(sane: SaneLaw, insp: InspectionLaw) -> tuple:
+    """Both estimating maps at the damage rates of ``sane`` from one jet
+    there, which a search that keeps its damage rate pays for once:
+    :func:`mean_inspections`, and :func:`failure_probability` as a function
+    ``f(lam, rows=None)`` of the failure rate on the elements ``rows`` (a
+    list of indices, all when None; one row computes in floats).
     """
     n, mu = sane.shape, sane.rate
     jet = law_derivatives(mu, insp, n - 1)
 
-    def evaluate(lam, rows: Optional[list] = None):
+    def failure(lam, rows: Optional[list] = None):
         def take(v):
             return v if rows is None or not isinstance(v, np.ndarray) else _batch(v[rows])
 
@@ -281,8 +277,7 @@ def _failure_map(sane: SaneLaw, insp: InspectionLaw):
         (series,) = _by_band(m, lam, generic, contour)
         return 1.0 - at_lam.one_minus * series
 
-    evaluate.mean_inspections = _taylor_mean(jet.inv_one_minus, mu, n)
-    return evaluate
+    return _taylor_mean(jet.inv_one_minus, mu, n), failure
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +336,10 @@ class Sensitivities:
 
 def _closed_forms(
     sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw
-) -> tuple[CycleMoments, Sensitivities]:
+) -> tuple[CycleMoments, Sensitivities, LawDerivatives]:
     """The cycle moments and the sensitivities at one rate pair, from one
     jet per rate and one band split: the plain series S_n, its slope in lam
-    and S_(n+1) serve both."""
+    and S_(n+1) serve both.  The jet at lam, to order 1, comes last."""
     n, mu, lam = sane.shape, sane.rate, damage.rate
     at_mu = law_derivatives(mu, insp, n)
     at_lam = law_derivatives(lam, insp, 1)
@@ -417,7 +412,7 @@ def _closed_forms(
         dmk_dmu=_power(-mu, n - 1) / math.factorial(n - 1) * at_mu.inv_one_minus[n],
         dpd_dmu=-oml * n * (plain - plain_next) / mu,
         dpd_dlambda=lp_lam * plain - oml * slope,
-    )
+    ), at_lam
 
 
 def cycle_moments(sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw) -> CycleMoments:
@@ -559,7 +554,7 @@ def _covariance_bundle(
     element the reason it is not defined there (None where it is); at a
     single element where it is not defined, no bundle."""
     _check_convention(convention)
-    moments, sens = _closed_forms(sane, damage, insp)
+    moments, sens, at_lam = _closed_forms(sane, damage, insp)
     mx, mk, pd = moments.mean_cycle, moments.mean_inspections, moments.failure_prob
     fp, gm, gl = sens.dmk_dmu, sens.dpd_dmu, sens.dpd_dlambda
     problems = _variance_problems(moments) if convention == "delta" else [None] * np.size(mx)
@@ -580,7 +575,6 @@ def _covariance_bundle(
             ]
         else:
             n, mu, lam = sane.shape, sane.rate, damage.rate
-            at_lam = law_derivatives(lam, insp, 1)
             detect = 1.0 - pd
             on_fail = pd / lam + n / mu - at_lam.laplace[1] / at_lam.one_minus * detect
             # the reference tables' cycle-length moments replace the consistent ones

@@ -138,8 +138,8 @@ class CycleBatch:
         return counts_at_times([float(self.totals.time[-1])], self)[0]
 
     def head(self, count: int) -> CycleBatch:
-        """The first ``count`` cycles."""
-        ages = int(self.totals.inspections[count]) if self.inspection_ages.size else 0
+        """The first ``count`` cycles, without building the running totals."""
+        ages = int(self.inspection_count[:count].sum()) if self.inspection_ages.size else 0
         return CycleBatch(
             *(getattr(self, name)[:count] for name in _PER_CYCLE),
             self.inspection_ages[:ages],
@@ -299,8 +299,7 @@ def simulate_horizon(rng: np.random.Generator, config: ModelConfig) -> CycleBatc
         block = next(chunks)
         ends = _running_sums(block.length, end)
         keep = min(int(np.searchsorted(ends, horizon)), len(block))
-        # head builds the running totals of its chunk: only the crossing one is cut
-        blocks.append(block if keep == len(block) else block.head(keep))
+        blocks.append(block.head(keep))
         end = ends[keep]
     return _join(blocks)
 

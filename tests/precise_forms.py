@@ -1,6 +1,6 @@
 """An independent 50-digit reference for the closed forms: the failure
-probability, the mean inspections per cycle and the raw derivatives of
-the gap transform.
+probability, the mean inspections per cycle, the derivatives of both in
+the rate each estimates, and the raw derivatives of the gap transform.
 
 Built on the standard library's ``decimal`` only, and on nothing of
 ``cbmkit`` but its law parameters.  The inspection-gap transform L is
@@ -93,29 +93,52 @@ def _psi_taylor(mu: Decimal, insp, terms: int) -> list:
     return [inverse[0] - 1] + inverse[1:]
 
 
+def _divided_difference(n: int, mu: Decimal, lam: Decimal, insp) -> tuple:
+    """psi[mu (n times), lam] and its derivative in lam: within |lam - mu|
+    < mu/2 the Taylor series sum_m (lam-mu)^m psi_(m+n) and its term-by-term
+    derivative, elsewhere the generic formula and its quotient rule with
+    psi'(lam) = L'(lam)/(1 - L(lam))^2."""
+    gap = lam - mu
+    ratio = abs(gap) / mu
+    if ratio < Decimal("0.5"):
+        terms = n + 2
+        while (terms - n) * ratio ** (terms - n - 1) > _TAIL:
+            terms += 1
+        series = _psi_taylor(mu, insp, terms)[n:]
+        value, slope, power = Decimal(0), Decimal(0), Decimal(1)
+        for m, coefficient in enumerate(series):
+            value += power * coefficient
+            if m + 1 < len(series):
+                slope += (m + 1) * power * series[m + 1]
+            power *= gap
+        return value, slope
+    psi = _psi_taylor(mu, insp, n)
+    at_lam, slope_at_lam = _laplace_taylor(lam, insp, 2)
+    tail = at_lam / (1 - at_lam) - sum(psi[j] * gap**j for j in range(n))
+    tail_slope = slope_at_lam / (1 - at_lam) ** 2 - sum(
+        j * psi[j] * gap ** (j - 1) for j in range(1, n))
+    value = tail / gap**n
+    return value, tail_slope / gap**n - n * value / gap
+
+
 def failure_probability(shape: int, mu, lam, insp) -> Decimal:
     """1 - (1 - L(lam)) (-mu)^n psi[mu (n times), lam] for n = shape."""
-    n = shape
     with localcontext() as ctx:
         ctx.prec = DIGITS
         mu, lam = _decimal(mu), _decimal(lam)
-        gap = lam - mu
-        ratio = abs(gap) / mu
-        if ratio < Decimal("0.5"):
-            terms = n + 1
-            while ratio ** (terms - n) > _TAIL:
-                terms += 1
-            psi = _psi_taylor(mu, insp, terms)
-            difference, power = Decimal(0), Decimal(1)
-            for coefficient in psi[n:]:
-                difference += power * coefficient
-                power *= gap
-        else:
-            psi = _psi_taylor(mu, insp, n)
-            at_lam = laplace(lam, insp)
-            tail = at_lam / (1 - at_lam) - sum(psi[j] * gap**j for j in range(n))
-            difference = tail / gap**n
-        return 1 - (1 - laplace(lam, insp)) * (-mu) ** n * difference
+        difference, _ = _divided_difference(shape, mu, lam, insp)
+        return 1 - (1 - laplace(lam, insp)) * (-mu) ** shape * difference
+
+
+def dpd_dlambda(shape: int, mu, lam, insp) -> Decimal:
+    """d/dlam of :func:`failure_probability`: L'(lam) (-mu)^n D - (1 -
+    L(lam)) (-mu)^n D' with D = psi[mu (n times), lam]."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        mu, lam = _decimal(mu), _decimal(lam)
+        difference, slope = _divided_difference(shape, mu, lam, insp)
+        at_lam, slope_at_lam = _laplace_taylor(lam, insp, 2)
+        return (-mu) ** shape * (slope_at_lam * difference - (1 - at_lam) * slope)
 
 
 def laplace_jet(s, insp, order: int) -> list:
@@ -135,3 +158,14 @@ def mean_inspections(shape: int, mu, insp) -> Decimal:
         mu = _decimal(mu)
         psi = _psi_taylor(mu, insp, shape)
         return 1 + sum((-mu) ** i * coefficient for i, coefficient in enumerate(psi))
+
+
+def dmk_dmu(shape: int, mu, insp) -> Decimal:
+    """d/dmu of :func:`mean_inspections`, which telescopes to its last
+    term: (-mu)^(n-1) n psi_n, psi_n the n-th Taylor coefficient of psi
+    about mu."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        mu = _decimal(mu)
+        psi = _psi_taylor(mu, insp, shape + 1)
+        return (-mu) ** (shape - 1) * shape * psi[shape]

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -1083,6 +1084,69 @@ class TestInputErrors:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestSolverFailuresExit3:
+    """A solver failure on a path the real data do not reach stops the
+    command with one ``estimation infeasible`` line and no output."""
+
+    @staticmethod
+    def _assert_infeasible(code, capsys, out, message):
+        assert code == 3
+        assert capsys.readouterr() == ("", f"estimation infeasible: {message}\n")
+        assert not out.exists()
+
+    @staticmethod
+    def _event_log(config_file, tmp_path, capsys):
+        ev = tmp_path / "e.csv"
+        assert cli.main(["simulate", "--config", config_file, "--horizon", "2000000",
+                         "--grid", "", "--events", str(ev),
+                         "--snapshots", str(tmp_path / "s.csv")]) == 0
+        capsys.readouterr()
+        return str(ev)
+
+    def test_convergence_reraises_a_solver_failure(self, config_file, tmp_path, capsys,
+                                                    monkeypatch):
+        # only out-of-range and degenerate grid points leave empty fields
+        estimates = cli._estimates
+
+        def stalls_last(snapshots, config, interval):
+            reports, mu_hat = estimates(snapshots, config, interval)
+            return reports[:-1] + [NonConvergenceError("stalled")], mu_hat
+
+        monkeypatch.setattr(cli, "_estimates", stalls_last)
+        out = tmp_path / "series.csv"
+        code = cli.main(["convergence", "--config", config_file, "--grid-count", "5",
+                         "--out", str(out)])
+        self._assert_infeasible(code, capsys, out, "stalled")
+
+    def test_mle_reraises_a_stalled_start(self, config_file, tmp_path, capsys, monkeypatch):
+        def stalls(snapshots, shape, insp, errors, *traces):
+            errors[0] = NonConvergenceError("stalled")
+            return [math.nan], [math.nan]
+
+        ev = self._event_log(config_file, tmp_path, capsys)
+        monkeypatch.setattr(estimators, "_count_rates", stalls)
+        out = tmp_path / "est.csv"
+        code = cli.main(["estimate", "--config", config_file, "--horizon", "2000000",
+                         "--events", ev, "--method", "mle", "--out", str(out)])
+        self._assert_infeasible(code, capsys, out, "stalled")
+
+    def test_mle_information_not_positive_definite(self, config_file, tmp_path, capsys,
+                                                   monkeypatch):
+        newton_fit = estimators._newton_fit
+
+        def flat_optimum(data, shape, start):
+            logs, terms, iterations, evaluations = newton_fit(data, shape, start)
+            return logs, replace(terms, hessian=np.zeros((2, 2))), iterations, evaluations
+
+        ev = self._event_log(config_file, tmp_path, capsys)
+        monkeypatch.setattr(estimators, "_newton_fit", flat_optimum)
+        out = tmp_path / "est.csv"
+        code = cli.main(["estimate", "--config", config_file, "--horizon", "2000000",
+                         "--events", ev, "--method", "mle", "--out", str(out)])
+        self._assert_infeasible(code, capsys, out,
+                                "observed information is not positive definite")
 
 
 class _ClosedPipe(io.StringIO):

@@ -89,12 +89,43 @@ class TestFailureProbability:
             assert abs(nearby - center) <= 1e-6 * center
 
 
-def _reference_misses(shape: int, mu: float, lam: float, insp) -> bool:
-    """Whether failure_probability misses the 50-digit reference by more
-    than 1e-9 relative plus 4 ulps of 1."""
-    got = F.failure_probability(SaneLaw(shape, mu), DamageLaw(lam), insp)
-    ref = precise_forms.failure_probability(shape, mu, lam, insp)
+def _misses(got: float, ref: Decimal) -> bool:
+    """Whether ``got`` misses the 50-digit ``ref`` by more than 1e-9
+    relative plus 4 ulps of 1."""
     return abs(Decimal(got) - ref) > Decimal("1e-9") * abs(ref) + 4 * Decimal(2.0**-52)
+
+
+def _reference_misses(shape: int, mu: float, lam: float, insp) -> bool:
+    """Whether failure_probability misses the 50-digit reference."""
+    got = F.failure_probability(SaneLaw(shape, mu), DamageLaw(lam), insp)
+    return _misses(got, precise_forms.failure_probability(shape, mu, lam, insp))
+
+
+# The sensitivity sweep's grid: mu*c and lam/mu on both sides of the
+# equal-rates band.
+SWEEP_MUCS = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
+SWEEP_RATIOS = (1e-3, 1e-2, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 10.0, 1e2, 1e3)
+
+# dpd_dlambda's relative error where it misses the reference, all at
+# mu*c = 1e-4 and lam/mu = 1e-3: L'(lam) S_n cancels against
+# (1 - L(lam)) dS_n/dlam as lam*c falls.
+_SLOPE_MISSES = {
+    ("det", 1): 1.56e-9, ("det", 2): 9.45e-9, ("det", 3): 9.45e-9, ("det", 4): 9.45e-9,
+    ("unif", 2): 1.21e-9, ("unif", 3): 1.21e-9, ("unif", 4): 1.21e-9,
+}
+
+
+def _slope_cells():
+    for law, name in zip(LAWS, ("det", "unif")):
+        for shape in (1, 2, 3, 4):
+            for muc in SWEEP_MUCS:
+                for ratio in SWEEP_RATIOS:
+                    miss = _SLOPE_MISSES.get((name, shape)) if (muc, ratio) == (1e-4, 1e-3) else None
+                    marks = () if miss is None else pytest.mark.xfail(
+                        strict=True, reason=f"{miss:.3g} relative: L'(lam) S_n cancels "
+                                            "against (1 - L(lam)) dS_n/dlam")
+                    yield pytest.param(law, shape, muc, ratio, marks=marks,
+                                       id=f"{name}-{shape}-{muc:g}-{ratio:g}")
 
 
 @st.composite
@@ -107,9 +138,10 @@ def _rate_ratios(draw):
 
 
 class TestDecimalReference:
-    """failure_probability and mean_inspections against the independent
-    50-digit reference of ``precise_forms``, on both sides of the
-    equal-rates band, for both gap laws over mu*c in [1e-4, 10]."""
+    """failure_probability, mean_inspections and their derivatives in the
+    rates they estimate against the independent 50-digit reference of
+    ``precise_forms``, on both sides of the equal-rates band, for both gap
+    laws over mu*c in [1e-4, 10]."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -130,6 +162,24 @@ class TestDecimalReference:
             got = F.mean_inspections(SaneLaw(shape, mu), law)
             ref = precise_forms.mean_inspections(shape, mu, law)
             assert abs(Decimal(got) - ref) <= Decimal("1e-12") * ref, muc
+
+    @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    def test_dmk_dmu(self, law, shape):
+        # from the pass that serves every rate pair; lam does not enter
+        for muc in SWEEP_MUCS:
+            mu = muc / 1000.0
+            ref = precise_forms.dmk_dmu(shape, mu, law)
+            for ratio in SWEEP_RATIOS:
+                sens = F.parameter_sensitivities(SaneLaw(shape, mu), DamageLaw(mu * ratio), law)
+                assert not _misses(sens.dmk_dmu, ref), (muc, ratio)
+
+    @pytest.mark.parametrize("law, shape, muc, ratio", _slope_cells())
+    def test_dpd_dlambda(self, law, shape, muc, ratio):
+        mu = muc / 1000.0
+        sens = F.parameter_sensitivities(SaneLaw(shape, mu), DamageLaw(mu * ratio), law)
+        assert not _misses(sens.dpd_dlambda,
+                           precise_forms.dpd_dlambda(shape, mu, mu * ratio, law))
 
     @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
     @pytest.mark.parametrize("shape", [1, 2, 3, 4])
@@ -180,7 +230,7 @@ class TestMixedRateInputs:
     def test_map_rows_are_single_calls(self, law, n):
         # one map serves calls on any rows, in floats for one row, each
         # with the bits of the elements' own calls
-        failure = F._failure_map(SaneLaw(n, self.MUS), law)
+        _, failure = F._estimating_maps(SaneLaw(n, self.MUS), law)
         mus = self.MUS.tolist()
         for lam, rows in ((1e-3, [0, 2, 4]), (1.1e-3, [3]), (1e-3, [3, 1, 2]),
                           (np.array([9e-4, 4e-3]), [1, 4]), (8e-4, None)):
@@ -656,14 +706,16 @@ class TestEstimatorCovariance:
         # pass the covariance makes
         flat = F.Sensitivities(dmk_dmu=-900.0, dpd_dmu=0.0, dpd_dlambda=0.0)
         closed_forms = F._closed_forms
-        monkeypatch.setattr(F, "_closed_forms", lambda *a: (closed_forms(*a)[0], flat))
+        monkeypatch.setattr(F, "_closed_forms",
+                            lambda *a: (closed_forms(*a)[0], flat, closed_forms(*a)[2]))
         with pytest.raises(ValueError, match="identifiable"):
             F.estimator_covariance(SaneLaw(1, 1e-3), DamageLaw(5e-4), DET)
 
     @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
     def test_one_pass_per_batch(self, law, monkeypatch):
         # a 100-element batch, a third of it in the equal-rates band: one
-        # jet at each rate, one band split and one contour evaluation
+        # jet at each rate, one band split and one contour evaluation,
+        # whichever convention reads them
         mu = np.geomspace(5e-4, 2e-3, 100)
         lam = mu * np.where(np.arange(100) % 3 == 0, 1.1, 0.5)
         calls = []
@@ -683,9 +735,11 @@ class TestEstimatorCovariance:
         monkeypatch.setattr(F, "law_derivatives", law_derivatives)
         for name in ("_by_band", "_circle_values"):
             monkeypatch.setattr(F, name, counted(name, getattr(F, name)))
-        bundle = F.estimator_covariance(SaneLaw(2, mu), DamageLaw(lam), law)
-        assert bundle.param_cov.shape == (100, 2, 2)
-        assert calls == ["jet at mu", "jet at lam", "_by_band", "_circle_values"]
+        for convention in F.CONVENTIONS:
+            calls.clear()
+            bundle = F.estimator_covariance(SaneLaw(2, mu), DamageLaw(lam), law, convention)
+            assert bundle.param_cov.shape == (100, 2, 2)
+            assert calls == ["jet at mu", "jet at lam", "_by_band", "_circle_values"], convention
 
     def test_published_jacobian_forms_agree_and_differ_from_delta(self):
         # The two printed jacobian displays (theorem statement and proof

@@ -321,6 +321,16 @@ class TestCycleBatchRows:
         assert undrawn.inspection_ages.size == 0
         assert all(row.inspections == () for row in undrawn.head(20))
 
+    def test_head_leaves_the_totals_unbuilt(self):
+        # the cut sizes its ages from the counts it keeps, so cutting every
+        # chunk of a horizon costs no running sums over the chunk
+        cfg = make_config(shape=2, kind="uniform")
+        batch = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 50, inspections=True)
+        head = batch.head(20)
+        assert "totals" not in vars(batch)
+        assert head.inspection_ages.tolist() == \
+            batch.inspection_ages[:batch.totals.inspections[20]].tolist()
+
     def test_totals_add_left_to_right(self):
         cfg = make_config(shape=2, kind="uniform")
         batch = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 3000)
