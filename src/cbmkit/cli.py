@@ -5,7 +5,8 @@ Subcommands: ``simulate`` (event-log and snapshot CSVs), ``estimate``
 ``convergence`` (estimate time series over a grid), ``verify`` (Monte
 Carlo check of every closed form).  Exit codes: 0 ok, 1 verification
 failure, 2 config error (invalid input, or a path that cannot be read or
-written), 3 estimation infeasible.
+written), 3 estimation infeasible, 4 internal error (an exception outside
+these, as one line).
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
+EXIT_INTERNAL = 4
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -332,6 +334,13 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     # so reproduction needs no config file
     if args.reproduce and args.counts:
         raise ConfigError("--counts and --reproduce both give the counts; pass one")
+    # an input that the method does not read is an error, not a silent no-op
+    if args.method == "mle" and (args.counts or args.interval):
+        flag = "--counts" if args.counts else "--interval"
+        raise ConfigError(f"--method mle reads no {flag}; it fits the --events log")
+    if args.method == "am" and args.events and (args.counts or args.reproduce):
+        raise ConfigError("--method am reads no --events when --counts or --reproduce "
+                          "gives the counts")
     defaults, snapshot = PUBLISHED_TABLES.get(args.reproduce, (None, None))
     config = _load_config(args, defaults)
     with _outputs(args.out, inputs=[args.config, args.events]):
@@ -416,6 +425,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OutOfRangeError, DegenerateDataError, NonConvergenceError) as exc:
         print(f"estimation infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except Exception as exc:
+        # a fault, not an input error: one line, and an exit code that
+        # verification never gives
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

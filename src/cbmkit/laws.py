@@ -153,31 +153,33 @@ def _power(x, p: int):
     return x if p == 1 else _libm(lambda v: math.pow(v, p), x)
 
 
-def survival_sane(t: float, law: SaneLaw) -> float:
-    """P(damage later than t): sum_{i<shape} (rate*t)^i/i! * exp(-rate*t).
+def survival_sane(t, law: SaneLaw):
+    """P(damage later than t): sum_{i<shape} (rate*t)^i/i! * exp(-rate*t),
+    on a float or on every element of an array, each with its float bits.
 
     Below rate*t = 1 a shape above 1 takes one minus the lower tail
     sum_{i>=shape} instead: the head sum rounds above 1 near t = 0, and
     one minus the tiny tail stays at most 1 and nonincreasing.
     """
-    if t < 0.0:
+    t = _value(t)
+    if _any(t < 0.0):
         raise ValueError("t must be nonnegative")
     x = law.rate * t
-    if law.shape > 1 and x < 1.0:
-        term = x**law.shape / math.factorial(law.shape)
-        tail = 0.0
-        i = law.shape
-        while tail + term != tail:
-            tail += term
-            i += 1
-            term *= x / i
-        return 1.0 - tail * math.exp(-x)
-    term = 1.0
-    acc = 1.0
+    e = _libm(math.exp, -x)
+    term = acc = 1.0
     for i in range(1, law.shape):
-        term *= x / i
-        acc += term
-    return acc * math.exp(-x)
+        term = term * (x / i)
+        acc = acc + term
+    near = x < 1.0
+    if law.shape == 1 or not _any(near):
+        return _value(acc * e)
+    # the tail on the elements below rate*t = 1, summed until none changes
+    x_near = np.where(near, x, 0.0)
+    term, tail, i = _power(x_near, law.shape) / math.factorial(law.shape), 0.0, law.shape
+    while not _all(tail + term == tail):
+        tail, i = tail + term, i + 1
+        term = term * (x_near / i)
+    return _value(np.where(near, 1.0 - tail * e, acc * e))
 
 
 def density_sane(t, law: SaneLaw):

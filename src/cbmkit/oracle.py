@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .formulas import _rate_covariance, cycle_moments, detection_window_integral
-from .laws import DETERMINISTIC
+from .laws import DETERMINISTIC, _value, survival_sane
 from .simulator import cycle_chunks, simulate_horizon
 
 # Fewer cycles than this give meaningless standard errors.
@@ -272,17 +272,9 @@ def mc_age_distribution(config: ModelConfig, n_probes: int, seed: int) -> np.nda
     return probes - starts[np.searchsorted(starts, probes, side="right") - 1]
 
 
-def _survival_given_segment(u: np.ndarray, seg_start, config: ModelConfig):
-    mu, n = config.sane.rate, config.sane.shape
-    x_ = mu * u
-    tail = np.ones_like(u)
-    term = np.ones_like(u)
-    for i in range(1, n):
-        term = term * x_ / i
-        tail += term
-    sane_tail = tail * np.exp(-x_)
-    fail_path = detection_window_integral(seg_start, u, config.sane, config.damage)
-    return sane_tail + fail_path
+def _survival_given_segment(u, seg_start, config: ModelConfig):
+    return survival_sane(u, config.sane) + detection_window_integral(
+        seg_start, u, config.sane, config.damage)
 
 
 def _check_deterministic(config: ModelConfig) -> None:
@@ -302,8 +294,7 @@ def cycle_length_survival(u, config: ModelConfig):
     _check_deterministic(config)
     u = np.asarray(u, dtype=float)
     c = config.inspection.spacing
-    out = _survival_given_segment(u, np.floor(u / c) * c, config)
-    return out if out.ndim else float(out)
+    return _value(_survival_given_segment(u, np.floor(u / c) * c, config))
 
 
 def limiting_age_cdf(config: ModelConfig, xs: Sequence[float]) -> np.ndarray:
@@ -311,8 +302,11 @@ def limiting_age_cdf(config: ModelConfig, xs: Sequence[float]) -> np.ndarray:
     deterministic gaps only.
 
     F(x) = int_0^x P(cycle > u) du / E[cycle], integrated by trapezoid on
-    a per-segment grid (the survival jumps at inspection multiples, so
-    segments are integrated separately and summed).
+    513 points per inspection segment below the largest x: the survival
+    jumps at inspection multiples, so each segment's row keeps its own left
+    end as the branch, and its right end carries the left-limit value.
+    The rows join end to start with a step of zero width, so one
+    cumulative sum over them all integrates every segment.
     """
     _check_deterministic(config)
     xs = np.asarray(xs, dtype=float)
@@ -325,28 +319,13 @@ def limiting_age_cdf(config: ModelConfig, xs: Sequence[float]) -> np.ndarray:
     x_max = float(xs.max())
     if x_max == 0.0:
         return np.zeros_like(xs)
-    n_seg = int(math.floor(x_max / c)) + 1
-    pts_per_seg = 513
-
-    grid_all = []
-    cum_all = []
-    running = 0.0
-    for seg in range(n_seg):
-        lo, hi = seg * c, min((seg + 1) * c, x_max)
-        if hi <= lo:
-            break
-        pts = np.linspace(lo, hi, pts_per_seg)
-        # fix the segment branch so the right endpoint carries the
-        # left-limit value (the integrand is continuous within the segment)
-        vals = _survival_given_segment(pts, lo, config)
-        inc = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(pts)))
-        )
-        grid_all.append(pts)
-        cum_all.append(running + inc)
-        running += inc[-1]
-    grid = np.concatenate(grid_all)
-    cum = np.concatenate(cum_all)
+    seg = np.arange(math.floor(x_max / c) + 1)
+    seg = seg[seg * c < x_max]
+    lo = seg * c
+    pts = np.linspace(lo, np.minimum((seg + 1) * c, x_max), 513, axis=1)
+    vals = _survival_given_segment(pts, lo[:, None], config).ravel()
+    grid = pts.ravel()
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))))
     return np.interp(xs, grid, cum) / mean_cycle
 
 

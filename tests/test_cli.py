@@ -802,6 +802,22 @@ class TestVerifyCommand:
                          "--samples", "20000"])
         assert code == 2
 
+    @pytest.mark.parametrize("shape, kind, mu, h, seed", [
+        (1, "uniform", 1e-6, 100, 11), (4, "deterministic", 1e-6, 0, 3),
+        (3, "uniform", 5e-6, 100, 3), (4, "uniform", 2e-5, 100, 3),
+    ])
+    def test_small_mu_c_probes_pass(self, shape, kind, mu, h, seed, capsys):
+        # the closed forms against Monte Carlo at mu*c of 1e-3 to 2e-2, with
+        # lambda = mu/2: worst |z| 2.1-2.3
+        code = cli.main([
+            "verify", "--sane.shape", str(shape), "--inspection.kind", kind,
+            "--sane.rate", repr(mu), "--damage.rate", repr(mu / 2), "--inspection.c", "1000",
+            "--inspection.h", str(h), "--horizon", "5e7", "--seed", str(seed),
+            "--samples", "100000",
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("shape, kind", sorted(PINNED_VERIFY_SHA256))
     def test_report_bytes_pinned(self, shape, kind, tmp_path):
         out = tmp_path / "verify.csv"
@@ -876,6 +892,14 @@ class TestInputErrors:
             ["verify", "--samples", "20000", "--out", "run.cfg"],
             ["convergence", "--grid-count", "5", "--out", "run.cfg"],
             ["simulate", "--events", "run.cfg", "--snapshots", "sn.csv"],
+            # an input that the method does not read; the log is not read
+            ["estimate", "--method", "mle", "--counts", "100", "150", "20", "1e5",
+             "--events", "log.csv", "--out", "est.csv"],
+            ["estimate", "--method", "mle", "--interval", "delta", "--events", "log.csv",
+             "--out", "est.csv"],
+            ["estimate", "--counts", "100", "150", "20", "1e5", "--events", "log.csv",
+             "--out", "est.csv"],
+            ["estimate", "--reproduce", "table1", "--events", "log.csv", "--out", "est.csv"],
         ],
         ids=["samples-100", "samples-0", "verify-shape-5", "estimate-am-shape-5",
              "negative-time", "non-numeric-count", "horizon-inf", "grid-nan",
@@ -886,7 +910,8 @@ class TestInputErrors:
              "convergence-confidence-below-1", "confidence-1", "confidence-negative",
              "unknown-subcommand", "method-choice", "samples-not-integer", "out-missing",
              "reproduce-with-counts", "verify-out-is-config", "convergence-out-is-config",
-             "events-is-config"],
+             "events-is-config", "mle-with-counts", "mle-with-interval",
+             "am-counts-with-events", "am-reproduce-with-events"],
     )
     def test_one_line_config_error(self, argv, config_file, tmp_path, monkeypatch, capsys):
         def never(*args, **kwargs):
@@ -903,6 +928,7 @@ class TestInputErrors:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cli, "simulate_horizon", never)
         monkeypatch.setattr(cli, "verification_rows", never)
+        monkeypatch.setattr(cli, "read_event_log", never)
         code = cli.main(argv + ["--config", config_file])
         self._assert_one_line_config_error(code, capsys)
         assert os.listdir(tmp_path) == ["run.cfg"]
@@ -1084,6 +1110,43 @@ class TestInputErrors:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestInternalErrors:
+    """An exception outside the documented set is one ``internal error``
+    line and exit 4, never a traceback or exit 1, and the outputs that the
+    command created are removed."""
+
+    @staticmethod
+    def _fault(*args):
+        raise RuntimeError("planted fault")
+
+    def test_simulate(self, config_file, tmp_path, monkeypatch, capsys):
+        # the fault comes after the event log is written
+        monkeypatch.setattr(cli, "snapshot_lines", self._fault)
+        code = cli.main(["simulate", "--config", config_file, "--events",
+                         str(tmp_path / "ev.csv"), "--snapshots", str(tmp_path / "sn.csv")])
+        self._assert_one_internal_error_line(code, capsys)
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+    def test_verify(self, config_file, tmp_path, monkeypatch, capsys):
+        # the fault comes after the report's first line is written
+        def lines(rows):
+            yield oracle.VERIFICATION_HEADER + "\n"
+            self._fault()
+
+        monkeypatch.setattr(cli, "verification_lines", lines)
+        code = cli.main(["verify", "--config", config_file, "--samples", "10000",
+                         "--out", str(tmp_path / "v.csv")])
+        self._assert_one_internal_error_line(code, capsys)
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+    @staticmethod
+    def _assert_one_internal_error_line(code, capsys):
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INTERNAL == 4
+        assert captured.err == "internal error: RuntimeError: planted fault\n"
+        assert captured.out == ""
 
 
 class TestSolverFailuresExit3:

@@ -355,6 +355,58 @@ class TestCycleMoments:
             assert abs(a - b) <= 5e-3 * max(abs(a), abs(b))
 
 
+# The time dimension of each closed-form field that has one: the others are
+# counts and probabilities, of dimension 0, and a derivative in a rate has
+# the dimension of a time.
+_TIME_DIMENSION = {
+    "mean_cycle": 1, "mean_cycle_sq": 2, "cov_cycle_failure": 1, "cov_inspections_cycle": 1,
+    "mean_cycle_on_failure": 1, "dmk_dmu": 1, "dpd_dmu": 1, "dpd_dlambda": 1,
+}
+
+
+class TestTimeUnit:
+    """The model has no time unit: every time (c, h) times s = 2^j and every
+    rate over s scales each CycleMoments and Sensitivities field of time
+    dimension d by s^d, bit for bit.  Measured, this holds on every cell
+    here from j = -214 to j = 195; the two strict xfails mark where it
+    stops (ROADMAP item 12)."""
+
+    RATIOS = (1e-3, 0.5, 1.0, 1.1, 2.0, 100.0)
+
+    @staticmethod
+    def _fields(shape, kind, ratio, s):
+        mu = 1e-3 / s
+        sane, damage = SaneLaw(shape, mu), DamageLaw(mu * ratio)
+        law = InspectionLaw(kind, 1000.0 * s, 100.0 * s if kind == "uniform" else 0.0)
+        return {**vars(F.cycle_moments(sane, damage, law)),
+                **vars(F.parameter_sensitivities(sane, damage, law))}
+
+    def _assert_scales(self, shape, kind, js):
+        for ratio in self.RATIOS:
+            base = self._fields(shape, kind, ratio, 1.0)
+            for j in js:
+                s = 2.0**j
+                want = {k: v * s ** _TIME_DIMENSION.get(k, 0) for k, v in base.items()}
+                assert self._fields(shape, kind, ratio, s) == want, (ratio, j)
+
+    @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    def test_fields_scale_exactly(self, shape, kind):
+        self._assert_scales(shape, kind, range(-210, 191, 10))
+
+    @pytest.mark.parametrize("shape, j", [
+        pytest.param(1, 200, marks=pytest.mark.xfail(
+            strict=True, raises=OverflowError,
+            reason="ROADMAP item 12: g ** (top + 1) in laws._moments overflows")),
+        pytest.param(4, -220, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="ROADMAP item 12: g ** 5 in laws._moments is subnormal, so the "
+                   "values lose their scaling without raising")),
+    ], ids=["item-12-overflow-j200", "item-12-subnormal-j-220"])
+    def test_uniform_edges(self, shape, j):
+        self._assert_scales(shape, "uniform", [j])
+
+
 class TestLawDerivativesCache:
     """Derivative bundles, computed afresh on every call: the name is kept
     from the float-anchor memo these tests once covered, so that the test

@@ -95,6 +95,21 @@ class TestSurvival:
         assert max(values) <= 1.0
         assert all(a >= b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4, 7])
+    def test_array_equals_its_float_calls(self, shape):
+        # each element on its own branch, with the bits of its float call
+        law = SaneLaw(shape, 1e-3)
+        ts = np.concatenate(([0.0, 1e-300, 999.999, 1000.0, 1000.0001, 1e9],
+                             np.random.default_rng(shape).uniform(0.0, 3000.0, 500)))
+        values = survival_sane(ts, law)
+        assert isinstance(values, np.ndarray) and values.shape == ts.shape
+        assert values.tolist() == [survival_sane(t, law) for t in ts.tolist()]
+        assert isinstance(survival_sane(np.float64(500.0), law), float)
+
+    def test_array_rejects_a_negative_element(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            survival_sane(np.array([1.0, -1.0]), SaneLaw(2, 1e-3))
+
 
 class TestLaplaceJet:
     def test_at_zero_order_zero(self):

@@ -262,6 +262,12 @@ class TestCycleLengthSurvival:
         at = cycle_length_survival(1000.0, base_config)
         assert below > at
 
+    @pytest.mark.parametrize("shape", [2, 3, 4])
+    def test_at_most_one(self, shape):
+        # near u = 0 the damage-time survival is one minus its tiny tail
+        us = np.logspace(-12, 2, 200_001)
+        assert cycle_length_survival(us, make_config(shape=shape)).max() <= 1.0
+
     def test_uniform_law_rejected(self):
         cfg = make_config(kind="uniform")
         with pytest.raises(ValueError):
