@@ -39,7 +39,7 @@ from .simulator import (
     snapshot_rows,
 )
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"
 
 __all__ = [
     "ConfigError",

@@ -4,34 +4,34 @@ Everything here is an exact expression in the inspection-gap Laplace
 transform L and its derivatives at the damage rate ``mu`` (and at the
 failure rate ``lam``).  Derivatives of 1/(1-L), L/(1-L) and L/(1-L)^2 are
 obtained by truncated-series arithmetic over the jets and 1 - L of one
-pass of ``laws._transform`` per anchor, read to order shape at most;
-there is no quadrature on the real line and no symbolic algebra.
+pass of ``laws._transform`` per anchor, read to order shape at most off
+the equal-rates band; there is no quadrature on the real line and no
+symbolic algebra.
 
 The rate pair (mu, lam) hits a removable singularity on the diagonal
 mu = lam: the generic expressions carry (mu - lam)^-shape factors whose
 poles only cancel analytically.  Within |lam - mu| <= mu/4 (see
-``_near_diagonal``) the inspection series are instead the divided
-differences they are, written as Cauchy integrals over the circle
-|z - mu| = mu/2 and summed by the trapezoid rule, which reads only L and
-1 - L at the nodes and is smooth through the diagonal.  The parameter
+``_near_diagonal``) the inspection series are instead the confluent
+divided differences they are, h[mu (n times), lam] = sum_m h_(n+m)
+(lam - mu)^m over the Taylor coefficients h_k of h about mu, summed by
+Horner's rule from one jet at mu of the gap scaled by mu, which has no
+time unit and is smooth through the diagonal.  The parameter
 sensitivities come from the same series, not from hand-differentiated
 copies of them, and from the same pass as the cycle moments: one jet per
 rate and one band split give both.
 
 Every closed form is elementwise over laws with arrays of rates, and
 with scalar rates the same code computes in Python floats, so a lone
-element is never boxed into an array (the contour's nodes are an array
-axis either way).  Each element gets the bits it gets alone: sums run
-term by term in index order (no ``np.dot`` or ``@``, whose BLAS kernels
-sum in their own order), and ``exp``, ``expm1``, the trigonometric
-functions and powers are the C library's scalar routines, not numpy's
+element is never boxed into an array.  Each element gets the bits it
+gets alone: sums run term by term in index order (no ``np.dot`` or
+``@``, whose BLAS kernels sum in their own order), and ``exp``,
+``expm1`` and powers are the C library's scalar routines, not numpy's
 SIMD loops, all taken through ``laws._libm`` (powers through
 ``laws._power``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -45,36 +45,26 @@ from .laws import (
     _all,
     _any,
     _batch,
-    _cdiv,
     _exp_poly_moments,
     _power,
     _transform,
     _value,
-    complex_laplace,
 )
 
-# Trapezoid rule on the circle |z - mu| = mu/2 with N equispaced nodes
-# z_k = mu (1 + u_k/2), u_k = exp(2 pi i k/N).  The integrands are real on
-# the real axis, so only the conjugate half k = 0..N/2 is summed, with
-# weight 1 at both ends and 2 between.
-_NODES = 64
-_WEIGHTS = np.array([[1.0]] + [[2.0]] * (_NODES // 2 - 1) + [[1.0]])
-
-
-@functools.lru_cache(maxsize=None)
-def _unit_power(p: int) -> tuple:
-    """u_k^p at the summed nodes as an (re, im) pair of columns."""
-    angles = [2.0 * math.pi * (k * p % _NODES) / _NODES for k in range(_NODES // 2 + 1)]
-    return (np.array([[math.cos(t)] for t in angles]),
-            np.array([[math.sin(t)] for t in angles]))
+# N, the terms of each equal-rates series (see _near_diagonal).
+_BAND_TERMS = 32
 
 
 def _near_diagonal(mu, lam):
-    # The circle |z - mu| = mu/2 then encloses lam at least mu/4 inside it,
-    # and every zero of 1 - L (Re z <= 0) lies at least mu/2 outside it, so
-    # the trapezoid sums converge like 2^-N on both sides.  Outside, the
-    # generic branch's division by (mu - lam)^shape costs a few 1e-10
-    # relative at shape 4 and mu*c = 1e-4; at mu/8 it would cost 7e-9.
+    # The band's series sum T_(n+m) eps^m, m < N, eps = (lam - mu)/mu, over
+    # the Taylor coefficients of psi = L/(1-L) about mu scaled by mu^k.
+    # psi's nearest singularity is its pole at s = 0, mu away, so the T_k
+    # stay near 1/(mu c) at every order, and with |eps| <= 1/4 the terms
+    # left out are 4^-N relative; for lam < mu, psi's complete monotonicity
+    # makes every term the same sign.  Outside, the generic branch's
+    # division by (mu - lam)^shape costs a few 1e-10 relative at shape 4
+    # and mu*c = 1e-4 (up to 2e-9 at lam/mu = 0.74); at mu/8 it would cost
+    # 7e-9.
     return abs(lam - mu) <= 0.25 * mu
 
 
@@ -121,20 +111,37 @@ class LawDerivatives:
     gain_sq: tuple
 
 
+def _gains(laplace: list, one_minus) -> tuple:
+    """Taylor coefficients of w = 1/(1-L) and psi = L/(1-L) from the rows
+    of one ``laws._transform`` pass (raw derivatives and 1 - L)."""
+    # i! as a float: numpy before 2.0 boxes an int past 2^64 as an object
+    taylor = [v / float(math.factorial(i)) for i, v in enumerate(laplace)]
+    # The order-0 coefficient of 1-L is its own cancellation-free value;
+    # the higher coefficients are exact sign flips.
+    w = _series_reciprocal([one_minus] + [-v for v in taylor[1:]])
+    return w, _series_mul(taylor, w)
+
+
 def law_derivatives(s, insp: InspectionLaw, order: int) -> LawDerivatives:
     """Derivative bundle of L, 1/(1-L), L/(1-L), L/(1-L)^2 at s, computed
     afresh on every call; its rows are tuples, so a bundle is immutable."""
     laplace, one_minus = _transform(_value(s), insp, order)
-    taylor = [v / math.factorial(i) for i, v in enumerate(laplace)]
-    # The order-0 coefficient of 1-L is its own cancellation-free value;
-    # the higher coefficients are exact sign flips.
-    w = _series_reciprocal([one_minus] + [-v for v in taylor[1:]])
-    psi = _series_mul(taylor, w)
+    w, psi = _gains(laplace, one_minus)
 
     def raw(series: list) -> tuple:
         return tuple(v * math.factorial(i) for i, v in enumerate(series))
 
     return LawDerivatives(tuple(laplace), one_minus, raw(w), raw(psi), raw(_series_mul(psi, w)))
+
+
+def _band_jet(mu, insp: InspectionLaw, n: int) -> tuple:
+    """The Taylor coefficients of w and psi about mu scaled by mu^k, to
+    the order the band's series of shape n read: one pass at anchor 1 for
+    the gap times mu."""
+    # From mu (c - h) = 1e3 on, exp(-mu (c - h)) = 0 zeroes every row of L
+    # and leaves 1 - L = 1, while the rows' powers of mu c would overflow
+    scale = _value(np.minimum(mu, 1e3 / (insp.spacing - insp.half_width)))
+    return _gains(*_transform(1.0, insp, n + _BAND_TERMS, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -168,34 +175,19 @@ def _indexed_series_sum(n: int, mu_derivs, at_lam, mu, lam, slope_at_lam=None):
     return rho * acc, rho * (n / (mu - lam) * acc + d_acc)
 
 
-def _circle_values(mu, insp: InspectionLaw) -> tuple:
-    """psi = L/(1-L) and 1 - L at the contour's nodes about mu, (re, im)
-    pairs with a row per node and a column per element."""
-    cos, sin = _unit_power(1)
-    laplace, one_minus = complex_laplace(mu * (1.0 + 0.5 * cos), mu * (0.5 * sin), insp)
-    return _cdiv(laplace, one_minus), one_minus
+def _band_sum(h: list, n: int, eps, slope: bool = False):
+    """(-mu)^n h[mu (n times), lam] in the equal-rates band, from h's
+    Taylor coefficients about mu scaled by mu^k: (-1)^n sum_(m<N) h_(n+m)
+    eps^m by Horner's rule, eps = (lam - mu)/mu.  ``slope`` sums the
+    derivative in eps term by term instead, mu times the slope in lam."""
+    acc = 0.0
+    for m in range(_BAND_TERMS - 1, 0 if slope else -1, -1):
+        acc = acc * eps + (m * h[n + m] if slope else h[n + m])
+    return (-1.0) ** n * acc
 
 
-def _circle_sum(values: tuple, n: int, mu, lam, squared: bool = False):
-    """(-mu)^n h[mu (n times), lam] in the equal-rates band, from h at the
-    contour's nodes: with eps = (lam - mu)/mu, (-1)^n 2^(n-1) (1/N) Re
-    sum_k h(z_k) u_k^(1-n) / (u_k/2 - eps).  ``squared`` squares the kernel,
-    which gives mu times the series' slope in lam."""
-    cos, sin = _unit_power(1)
-    gap = (0.5 * cos - (lam - mu) / mu, 0.5 * sin)
-    kernel = _cdiv(_unit_power(1 - n), gap)
-    if squared:
-        kernel = _cdiv(kernel, gap)
-    terms = _WEIGHTS * (values[0] * kernel[0] - values[1] * kernel[1])
-    total = terms[0]
-    for row in terms[1:]:
-        total = total + row
-    total = total * ((-1.0) ** n * 2.0 ** (n - 1) / _NODES)
-    return total if isinstance(mu, np.ndarray) or isinstance(lam, np.ndarray) else float(total[0])
-
-
-def _by_band(mu, lam, generic, contour) -> tuple:
-    """``generic`` on the elements off the equal-rates band and ``contour``
+def _by_band(mu, lam, generic, in_band) -> tuple:
+    """``generic`` on the elements off the equal-rates band and ``in_band``
     on those in it, put back in place.  Each gets a function that restricts
     an elementwise argument to its own elements and returns a tuple of
     elementwise values; neither runs on the other's elements."""
@@ -203,14 +195,14 @@ def _by_band(mu, lam, generic, contour) -> tuple:
     if not _any(band):
         return generic(_whole)
     if _all(band):
-        return contour(_whole)
+        return in_band(_whole)
     off, on = np.flatnonzero(~band), np.flatnonzero(band)
     parts = [branch(lambda v, rows=rows: v[rows] if isinstance(v, np.ndarray) else v)
-             for branch, rows in ((generic, off), (contour, on))]
+             for branch, rows in ((generic, off), (in_band, on))]
     out = []
-    for generic_part, contour_part in zip(*parts):
+    for generic_part, band_part in zip(*parts):
         full = np.empty(band.shape)
-        full[off], full[on] = generic_part, contour_part
+        full[off], full[on] = generic_part, band_part
         out.append(full)
     return tuple(out)
 
@@ -255,10 +247,23 @@ def _estimating_maps(sane: SaneLaw, insp: InspectionLaw) -> tuple:
     there, which a search that keeps its damage rate pays for once:
     :func:`mean_inspections`, and :func:`failure_probability` as a function
     ``f(lam, rows=None)`` of the failure rate on the elements ``rows`` (a
-    list of indices, all when None; one row computes in floats).
+    list of indices, all when None; one row computes in floats).  The
+    equal-rates band's jet at a damage rate is built on the first call
+    that reads it there and kept for the later ones.
     """
     n, mu = sane.shape, sane.rate
     jet = law_derivatives(mu, insp, n - 1)
+    band_psi = {}  # damage rate -> psi's scaled coefficients there
+
+    def scaled_psi(m) -> list:
+        rates = np.atleast_1d(m).tolist()
+        new = sorted(set(rates) - band_psi.keys())
+        if new:
+            psi = _band_jet(_batch(new), insp, n)[1]
+            band_psi.update(zip(new, zip(*(np.atleast_1d(v).tolist() for v in psi))))
+        if isinstance(m, np.ndarray):
+            return list(np.array([band_psi[r] for r in rates]).T)
+        return band_psi[m]
 
     def failure(lam, rows: Optional[list] = None):
         def take(v):
@@ -271,10 +276,11 @@ def _estimating_maps(sane: SaneLaw, insp: InspectionLaw) -> tuple:
             return (_indexed_series_sum(n, [pick(v) for v in psi], pick(at_lam.gain[0]),
                                         pick(m), pick(lam)),)
 
-        def contour(pick) -> tuple:
-            return (_circle_sum(_circle_values(pick(m), insp)[0], n, pick(m), pick(lam)),)
+        def in_band(pick) -> tuple:
+            m_band = pick(m)
+            return (_band_sum(scaled_psi(m_band), n, (pick(lam) - m_band) / m_band),)
 
-        (series,) = _by_band(m, lam, generic, contour)
+        (series,) = _by_band(m, lam, generic, in_band)
         return 1.0 - at_lam.one_minus * series
 
     return _taylor_mean(jet.inv_one_minus, mu, n), failure
@@ -356,17 +362,18 @@ def _closed_forms(
         first_age = _indexed_series_sum(n, [-v for v in psi[1:]], -psi_lam[1], m, l)
         return plain, weighted, first_age, slope, _indexed_series_sum(n + 1, psi, psi_lam[0], m, l)
 
-    def contour(pick) -> tuple:
+    def in_band(pick) -> tuple:
         # (-psi')[mu (n times), lam] = -n psi[mu (n+1 times), lam]
-        # - psi[mu (n times), lam, lam], integrating by parts on the circle
-        m, l = pick(mu), pick(lam)
-        psi, one_minus = _circle_values(m, insp)
-        plain_next = _circle_sum(psi, n + 1, m, l)
-        scaled_slope = _circle_sum(psi, n, m, l, True)
-        return (_circle_sum(psi, n, m, l), _circle_sum(_cdiv(psi, one_minus), n, m, l),
+        # - psi[mu (n times), lam, lam]
+        m = pick(mu)
+        eps = (pick(lam) - m) / m
+        w, psi = _band_jet(m, insp, n)
+        plain_next = _band_sum(psi, n + 1, eps)
+        scaled_slope = _band_sum(psi, n, eps, slope=True)
+        return (_band_sum(psi, n, eps), _band_sum(_series_mul(psi, w), n, eps),
                 (n * plain_next - scaled_slope) / m, scaled_slope / m, plain_next)
 
-    plain, weighted, first_age, slope, plain_next = _by_band(mu, lam, generic, contour)
+    plain, weighted, first_age, slope, plain_next = _by_band(mu, lam, generic, in_band)
 
     detect = oml * plain
     p_fail = 1.0 - detect
@@ -431,8 +438,9 @@ def parameter_sensitivities(
     1 - (1-L(lam)) S_n with S_n = (-mu)^n psi[mu (n times), lam] the plain
     series of psi = L/(1-L), so d/dlambda takes the series' own slope and
     dS_n/dmu = n (S_n - S_{n+1}) / mu exactly.  In the equal-rates band all
-    three series are trapezoid sums over the same nodes; the slope's kernel
-    is the plain one squared.
+    three series are Taylor sums in (lam - mu)/mu over the coefficients of
+    one jet at mu, and the slope is the plain sum's derivative term by
+    term.
     """
     return _closed_forms(sane, damage, insp)[1]
 

@@ -14,23 +14,21 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 # The largest gamma shape the closed forms support: shapes 1 to 4 are the
-# ones checked against an independent 50-digit reference.  The closed forms
-# read jets to order shape at most and cross the equal-rates diagonal on a
-# contour that needs none, so it caps the jet order too.
+# ones checked against an independent 50-digit reference.  It is also the
+# highest order of the public laplace_jet.
 MAX_SHAPE = 4
 
-# Below |w| = 2 * half_width * |z| of this, 1 - q(w), q(w) = (1 - exp(-w))/w,
-# is summed from its series sum_k (-1)^(k+1) w^k/(k+1)! (the terms past
-# k = 9 fall under double resolution), not taken as a difference near zero.
-_SERIES_BELOW = 0.05
-_ONE_MINUS_Q = tuple((-1.0) ** (k + 1) / math.factorial(k + 1) for k in range(1, 10))
-
-_LN2 = math.log(2.0)
+# The highest order _transform computes: the equal-rates band of the closed
+# forms reads its anchor-scaled jet to order shape + 32.  Uniform gaps read
+# their moments to max(order, MAX_SHAPE), so rows up to order 4 keep the
+# bits of the moments to order 4 whatever the order.
+_MAX_ORDER = MAX_SHAPE + 32
 
 DETERMINISTIC = "deterministic"
 UNIFORM = "uniform"
@@ -145,12 +143,14 @@ def _libm(fn, x):
     return fn(x)
 
 
-_LIBM_EXP = functools.partial(_libm, math.exp), functools.partial(_libm, math.expm1)
-
-
 def _power(x, p: int):
     """x ** p by the C library's pow (x * x is not always pow(x, 2)); x itself at p = 1."""
     return x if p == 1 else _libm(lambda v: math.pow(v, p), x)
+
+
+# exp, expm1 and integer powers: the C library's on every element, or numpy's
+_LIBM_OPS = functools.partial(_libm, math.exp), functools.partial(_libm, math.expm1), _power
+_NUMPY_OPS = np.exp, np.expm1, operator.pow
 
 
 def survival_sane(t, law: SaneLaw):
@@ -188,75 +188,6 @@ def density_sane(t, law: SaneLaw):
     n, mu = law.shape, law.rate
     out = mu**n * t ** (n - 1) * np.exp(-mu * t) / math.factorial(n - 1)
     return out if out.ndim else float(out)
-
-
-def _one_minus_q_series(w: tuple) -> tuple:
-    """1 - q(w) from its series, for an (re, im) pair w."""
-    acc = (_ONE_MINUS_Q[-1], 0.0)
-    for c in _ONE_MINUS_Q[-2::-1]:
-        re, im = _cmul(acc, w)
-        acc = (re + c, im)
-    return _cmul(acc, w)
-
-
-def _cmul(a: tuple, b: tuple) -> tuple:
-    """(re, im) product of two (re, im) pairs."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _cdiv(a: tuple, b: tuple) -> tuple:
-    """(re, im) quotient a/b of two (re, im) pairs."""
-    norm = b[0] * b[0] + b[1] * b[1]
-    return (a[0] * b[0] + a[1] * b[1]) / norm, (a[1] * b[0] - a[0] * b[1]) / norm
-
-
-def _exp_pair(x: np.ndarray, y: np.ndarray) -> tuple:
-    """exp(-w) and 1 - exp(-w) for w = x + iy, x >= 0, as (re, im) pairs
-    of arrays, with two C library calls per element.
-
-    1 - exp(-w) = (1 - exp(-x)) + 2 exp(-x) sin^2(y/2) + i exp(-x) sin(y)
-    sums terms of one sign in its real part.  exp(-x) and 1 - exp(-x) come
-    from one call, expm1 below x = ln 2 and exp above, the other from it by
-    one operation that cancels nothing; sin(y/2) and cos(y/2) come from
-    t = tan(y/4) as 2t/(1+t^2) and (1-t^2)/(1+t^2).
-    """
-    e, one_minus_e = np.empty_like(x), np.empty_like(x)
-    near = x < _LN2
-    one_minus_e[near] = -_libm(math.expm1, -x[near])
-    e[near] = 1.0 - one_minus_e[near]
-    e[~near] = _libm(math.exp, -x[~near])
-    one_minus_e[~near] = 1.0 - e[~near]
-    t = _libm(math.tan, 0.25 * y)
-    t_sq = t * t
-    sin_half, cos_half = 2.0 * t / (1.0 + t_sq), (1.0 - t_sq) / (1.0 + t_sq)
-    e_sin = 2.0 * e * sin_half
-    return ((e - e_sin * sin_half, -e_sin * cos_half),
-            (one_minus_e + e_sin * sin_half, e_sin * cos_half))
-
-
-def complex_laplace(x, y, law: InspectionLaw) -> tuple:
-    """L(z) and 1 - L(z) at z = x + iy with x > 0, each an (re, im) pair of
-    elementwise arrays, in real arithmetic with the C library's scalar
-    routines and without cancellation.
-
-    Deterministic gaps: L = exp(-zc).  Uniform gaps: L = exp(-za) q(2hz)
-    with a = c - h and q(w) = (1 - exp(-w))/w, so 1 - L = (1 - q) +
-    q (1 - exp(-za)), 1 - q taken from its series for small |w|.
-    """
-    if law.kind == DETERMINISTIC:
-        return _exp_pair(x * law.spacing, y * law.spacing)
-    a = law.spacing - law.half_width
-    e_za, one_minus_e_za = _exp_pair(x * a, y * a)
-    two_h = 2.0 * law.half_width
-    w = (two_h * x, two_h * y)
-    q = _cdiv(_exp_pair(*w)[1], w)
-    one_minus_q = (1.0 - q[0], -q[1])
-    near = w[0] * w[0] + w[1] * w[1] < _SERIES_BELOW * _SERIES_BELOW
-    if near.any():
-        series = _one_minus_q_series(w)
-        one_minus_q = tuple(np.where(near, *pair) for pair in zip(series, one_minus_q))
-    q_part = _cmul(q, one_minus_e_za)
-    return _cmul(e_za, q), (one_minus_q[0] + q_part[0], one_minus_q[1] + q_part[1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -297,17 +228,17 @@ def _exp_poly_moments(g, theta, top: int, elementwise: bool = False) -> list:
 
     g or theta may be an array (theta's elements of one sign); two floats
     compute in floats.  One switch picks the arithmetic: ``elementwise``
-    (``_transform``'s gap law, theta = -s) takes exp and expm1 from the C
+    (``_transform``'s gap law) takes exp, expm1 and powers from the C
     library through ``_libm`` and the series to the whole range below the
-    switch, so each anchor gets its bits alone; the default (the censored
+    switch, so each element gets its bits alone; the default (the censored
     likelihood's window) takes numpy's and the series to the largest |x|.
     """
     switch = math.factorial(top + 1) ** (1.0 / max(top, 1))
-    reach, exp, expm1 = (switch, *_LIBM_EXP) if elementwise else (None, np.exp, np.expm1)
+    reach, (exp, expm1, power) = (switch, _LIBM_OPS) if elementwise else (None, _NUMPY_OPS)
     if not isinstance(g, np.ndarray) and not isinstance(theta, np.ndarray):
         x = theta * g
         out = [[0.0] for _ in range(top + 1)]
-        _moments(out, 0, x, exp(x), g, theta, top, expm1, abs(x) < switch, reach)
+        _moments(out, 0, x, exp(x), g, theta, top, expm1, power, abs(x) < switch, reach)
         return [m[0] for m in out]
     x = np.asarray(theta * g)
     shape, x = x.shape, x.reshape(-1)
@@ -319,7 +250,7 @@ def _exp_poly_moments(g, theta, top: int, elementwise: bool = False) -> list:
              else [(slice(None), bool(small.all()))])
     for rows, series in sides:
         _moments(out, rows, x[rows], ex[rows], _part(g, rows), _part(theta, rows), top, expm1,
-                 series, reach)
+                 power, series, reach)
     return [m.reshape(shape) for m in out]
 
 
@@ -328,7 +259,8 @@ def _part(value, rows):
     return value.reshape(-1)[rows] if isinstance(value, np.ndarray) else value
 
 
-def _moments(out, rows, x, ex, g, theta, top: int, expm1, series: bool, reach) -> None:
+def _moments(out, rows, x, ex, g, theta, top: int, expm1, power, series: bool,
+             reach) -> None:
     """out[i][rows] = m_i for i = 0..top on one side of the switch: above it
     the upward recursion, below it mu_top from its series (Horner's rule, in
     place on arrays, to the terms of ``reach`` or of the largest |x|) and
@@ -336,7 +268,7 @@ def _moments(out, rows, x, ex, g, theta, top: int, expm1, series: bool, reach) -
     if not series:
         prev = out[0][rows] = expm1(x) / theta
         for i in range(1, top + 1):
-            prev = out[i][rows] = (g**i * ex - i * prev) / theta
+            prev = out[i][rows] = (power(g, i) * ex - i * prev) / theta
         return
     ax = abs(x)
     negative = _any(theta < 0.0)
@@ -349,28 +281,33 @@ def _moments(out, rows, x, ex, g, theta, top: int, expm1, series: bool, reach) -
     acc += coefficients[0]
     if negative:
         acc *= ex
-    out[top][rows] = acc * g ** (top + 1)
+    out[top][rows] = acc * power(g, top + 1)
     for i in range(top, 0, -1):
         acc = (ex - x * acc) / i
-        out[i - 1][rows] = acc * g**i
+        out[i - 1][rows] = acc * power(g, i)
 
 
-def _transform(x, law: InspectionLaw, order: int) -> tuple:
-    """L^(i) for i = 0..order, and 1 - L, at anchors x, in one pass.
+def _transform(x, law: InspectionLaw, order: int, scale=1.0) -> tuple:
+    """L^(i) for i = 0..order, and 1 - L, at anchors x, in one pass, for
+    the gap times ``scale`` (a float or an array, one gap per element):
+    at x = 1 and scale = s, row i is s^i L^(i)(s), free of the time unit.
 
     Uniform gaps on [a, a + 2h] read m_j = int_0^2h w^j exp(-x w) dw to
-    MAX_SHAPE at any order, so row i does not depend on it: L^(i) = (-1)^i
-    exp(-xa)/(2h) sum_j C(i,j) a^(i-j) m_j sums terms of one sign, and
-    1 - L = -expm1(-xa) + exp(-xa) x (m_0 - m_1/(2h)), m_1/(2h) <= m_0/2.
+    max(order, MAX_SHAPE): L^(i) = (-1)^i exp(-xa)/(2h) sum_j C(i,j)
+    a^(i-j) m_j sums terms of one sign, and 1 - L = -expm1(-xa) +
+    exp(-xa) x (m_0 - m_1/(2h)), m_1/(2h) <= m_0/2.
     """
-    if order > MAX_SHAPE:
-        raise ValueError(f"order {order} exceeds the largest shape, {MAX_SHAPE}")
+    if order > _MAX_ORDER:
+        raise ValueError(f"order {order} exceeds the highest jet order, {_MAX_ORDER}")
     if law.kind == DETERMINISTIC:
-        c = law.spacing
+        c = law.spacing * scale
         e = _libm(math.exp, -x * c)
-        return [(-c) ** i * e for i in range(order + 1)], -_libm(math.expm1, -x * c)
-    a, two_h = law.spacing - law.half_width, 2.0 * law.half_width
-    m = _exp_poly_moments(two_h, -x, MAX_SHAPE, elementwise=True)
+        return [_power(-c, i) * e for i in range(order + 1)], -_libm(math.expm1, -x * c)
+    a, two_h = (law.spacing - law.half_width) * scale, 2.0 * law.half_width * scale
+    # past x w = 1e3, exp(-x w) = 0 leaves the moments as they are there,
+    # while w^i in their recursion would overflow
+    span = two_h if _all(x * two_h <= 1e3) else _value(np.minimum(two_h, 1e3 / x))
+    m = _exp_poly_moments(span, -x, max(order, MAX_SHAPE), elementwise=True)
     e = _libm(math.exp, -x * a)
     # sums[k] = sum_j C(i,j) a^(i-j) m_(j+k), taken to i + 1 by Pascal's rule
     rows, sums = [], m
@@ -392,6 +329,8 @@ def laplace_jet(s, law: InspectionLaw, order: int):
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    if order > MAX_SHAPE:
+        raise ValueError(f"order {order} exceeds the largest shape, {MAX_SHAPE}")
     x = _value(s)
     if not _all(x > 0.0):
         if order > 0 and _any(x == 0.0):

@@ -683,25 +683,30 @@ class TestLockstepRounds:
     def test_damage_rate_work_done_once(self, monkeypatch):
         # a failure-rate solve whose estimates end in the equal-rates band
         # for rows 0 and 2: the jets at the damage rates take one pass of
-        # _transform however many rounds read them, and the in-band rows
-        # reach the contour
+        # _transform however many rounds read them, and the band's jet,
+        # the pass at anchor 1 for the gap times mu, at most one per
+        # damage rate, on the rows that reach the band
         mus = [8e-4, 1e-3, 1.2e-3, 9e-4]
         lams = [8.1e-4, 2e-4, 1.19e-3, 5e-3]
         targets = [F.failure_probability(SaneLaw(2, m), DamageLaw(v), UNIF)
                    for m, v in zip(mus, lams)]
         singles = [invert_failure_probability(t, SaneLaw(2, m), UNIF) for t, m in zip(targets, mus)]
-        anchors, circles = [], []
-        transform, circle_values = F._transform, F._circle_values
-        monkeypatch.setattr(F, "_transform",
-                            lambda x, *a: anchors.append(np.atleast_1d(x).tolist()) or transform(x, *a))
-        monkeypatch.setattr(F, "_circle_values",
-                            lambda mu, *a: circles.extend(np.atleast_1d(mu).tolist())
-                            or circle_values(mu, *a))
+        anchors, scaled = [], []
+        transform = F._transform
+
+        def counted(x, insp, order, scale=1.0):
+            if isinstance(scale, float) and scale == 1.0:
+                anchors.append(np.atleast_1d(x).tolist())
+            else:
+                scaled.extend(np.atleast_1d(scale).tolist())
+            return transform(x, insp, order, scale)
+
+        monkeypatch.setattr(F, "_transform", counted)
         errors, traces = [None] * 4, [{} for _ in mus]
         roots = estimators._failure_rate_roots(targets, 2, mus, UNIF, errors, traces)
         assert roots == singles
         assert [x for x in anchors if set(x) & set(mus)] == [mus]
-        assert {mus[0], mus[2]} <= set(circles)
+        assert {mus[0], mus[2]} <= set(scaled) and len(scaled) == len(set(scaled))
         assert min(t["evaluations"] for t in traces) > 2
 
     def test_failure_rate_rows_with_errors(self):
@@ -796,7 +801,7 @@ class TestBatchedEstimates:
         assert None not in kinds[6:]
 
     def test_equal_rates_rows_take_the_diagonal(self):
-        # the band strategy above must reach the contour branch
+        # the band strategy above must reach the equal-rates band
         cfg = BASE_CONFIGS[3]
         m = F.cycle_moments(cfg.sane, DamageLaw(cfg.sane.rate), cfg.inspection)
         snap = CountSnapshot(1e7 * m.mean_cycle, 1e7, 1e7 * m.mean_inspections,

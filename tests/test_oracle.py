@@ -78,6 +78,16 @@ class TestVerificationRows:
         assert len(rows) == 16
         assert all(r.passed for r in rows)
 
+    @pytest.mark.parametrize("lam", [1e-3, 1.2e-3], ids=["lam=mu", "lam=1.2mu"])
+    @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    def test_all_pass_in_equal_rates_band(self, shape, kind, lam):
+        # the band's closed forms against Monte Carlo, one seed for every cell
+        config = make_config(shape, kind, lam=lam)
+        assert F._near_diagonal(config.sane.rate, lam)
+        rows = verification_rows(config, 100_000, seed=3)
+        assert all(r.passed for r in rows)
+
     def test_corrupted_closed_form_flagged(self, base_config):
         rows = verification_rows(
             base_config, 20_000, seed=9, closed_overrides={"mean_cycle": 2000.0}
