@@ -15,11 +15,12 @@ import argparse
 import contextlib
 import errno
 import functools
+import itertools
 import math
 import os
 import sys
 import warnings
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -42,10 +43,9 @@ from .simulator import (
     CountSnapshot,
     CycleBatch,
     counts_at_times,
-    event_log_lines,
+    csv_blocks,
+    horizon_blocks,
     read_event_log,
-    simulate_horizon,
-    snapshot_lines,
 )
 
 # The run configuration and published counts of each bundled reference
@@ -240,6 +240,10 @@ def _outputs(*paths: Optional[str], inputs: Sequence[Optional[str]]) -> Iterator
         raise
 
 
+def _create(path: str) -> TextIO:
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _emit(path: Optional[str], lines: Iterable[str]) -> None:
     """Write ``lines`` to the file ``path``, or to stdout when it is None;
     the lines are written as they come, so a generator's are never held
@@ -251,7 +255,7 @@ def _emit(path: Optional[str], lines: Iterable[str]) -> None:
     stays quiet.
     """
     if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with _create(path) as fh:
             fh.writelines(lines)
         return
     try:
@@ -271,9 +275,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     seed = _require_seed(config)
     with _outputs(args.events, args.snapshots, inputs=[args.config]):
-        cycles = simulate_horizon(np.random.default_rng(seed), config)
-        _emit(args.events, event_log_lines(cycles))
-        _emit(args.snapshots, snapshot_lines(cycles, config.grid))
+        blocks = horizon_blocks(np.random.default_rng(seed), config)
+        # one pass over the stream, both files written block by block; the
+        # first block is drawn before an existing output is rewritten
+        texts = csv_blocks(blocks, config.grid)
+        first = next(texts)
+        with _create(args.events) as event_log, _create(args.snapshots) as snapshot_csv:
+            for events, snapshots in itertools.chain([first], texts):
+                event_log.writelines(events)
+                snapshot_csv.writelines(snapshots)
     return EXIT_OK
 
 
@@ -362,13 +372,16 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         raise ConfigError("convergence needs a grid (config key or --grid-count)")
     _require_closed_form_shape(config)
     with _outputs(args.out, inputs=[args.config]):
-        cycles = simulate_horizon(np.random.default_rng(seed), config)
-        _emit(args.out, [CONVERGENCE_HEADER + "\n", *_convergence_rows(grid, cycles, config)])
+        blocks = horizon_blocks(np.random.default_rng(seed), config)
+        _emit(args.out, [CONVERGENCE_HEADER + "\n", *_convergence_rows(grid, blocks, config)])
     return EXIT_OK
 
 
-def _convergence_rows(grid: Sequence[float], cycles: CycleBatch, config: ModelConfig) -> list[str]:
-    """The time-series rows, every grid time estimated in one batch.
+def _convergence_rows(
+    grid: Sequence[float], cycles: CycleBatch | Iterable[CycleBatch], config: ModelConfig
+) -> list[str]:
+    """The time-series rows, every grid time counted on the cycles (a
+    batch, or a stream of blocks read in order) and estimated in one batch.
 
     Infeasible estimates leave their fields empty: before the first
     failure only the damage rate is reported, without intervals, since the

@@ -19,6 +19,12 @@ class ConfigError(ValueError):
     """Raised on malformed config text or inconsistent values."""
 
 
+# Most cycles a horizon simulation may be predicted to draw (check_horizon):
+# a horizon past it, which the draw would take hours to reach and whose
+# event log would fill a disk, is refused before the first draw.
+MAX_CYCLES = 1 << 27
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     sane: SaneLaw
@@ -41,6 +47,25 @@ class ModelConfig:
             raise ConfigError("confidence must be at most 0.9999999999999998")
         if not all(0.0 < t <= self.horizon for t in self.grid):
             raise ConfigError("grid times must lie in (0, horizon]")
+
+
+def check_horizon(config: ModelConfig) -> None:
+    """Refuse a horizon predicted to take more than :data:`MAX_CYCLES`
+    cycles, with a ConfigError that names the count and the bound.
+
+    A cycle ends at an inspection, the first at ``c - h`` or later, or at
+    the failure, ``Y_d`` or more after the repair; and never before its
+    damage time.  So a cycle lasts at least ``min(c - h, Y_d)`` and at least
+    ``Y_s``, its mean is at least ``max(shape/mu, E[min(c - h, Y_d)])``,
+    and the horizon over that mean is the predicted count.
+    """
+    law, lam = config.inspection, config.damage.rate
+    shortest = max(config.sane.shape / config.sane.rate,
+                   -math.expm1(-lam * (law.spacing - law.half_width)) / lam)
+    cycles = config.horizon / shortest
+    if cycles > MAX_CYCLES:
+        raise ConfigError(f"horizon {config.horizon!r} predicts up to {cycles:.3g} cycles, "
+                          f"more than the bound of {MAX_CYCLES}")
 
 
 # Every key, with the help text of its command-line flag.

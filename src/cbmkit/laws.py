@@ -367,9 +367,13 @@ def sample_inspection_gap(rng: np.random.Generator, law: InspectionLaw) -> float
 
 
 def sample_sane_many(rng: np.random.Generator, law: SaneLaw, size: int) -> np.ndarray:
-    """Vectorized batch of repair-to-damage draws (same law as sample_sane)."""
+    """Vectorized batch of repair-to-damage draws (same law as sample_sane,
+    and the same bits: each row's exponentials added left to right)."""
     draws = rng.exponential(1.0 / law.rate, size=(size, law.shape))
-    return draws.sum(axis=1)
+    total = draws[:, 0].copy()
+    for j in range(1, law.shape):
+        total += draws[:, j]
+    return total
 
 
 def cdf_inspection_gap(x: float, law: InspectionLaw) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from .config import ModelConfig
 from .formulas import _rate_covariance, cycle_moments, detection_window_integral
 from .laws import DETERMINISTIC, _value, survival_sane
-from .simulator import cycle_chunks, simulate_horizon
+from .simulator import cycle_chunks, horizon_blocks
 
 # Fewer cycles than this give meaningless standard errors.
 MIN_SAMPLES = 10_000
@@ -266,8 +266,9 @@ def mc_age_distribution(config: ModelConfig, n_probes: int, seed: int) -> np.nda
     if n_probes < 1:
         raise ValueError("need at least one probe")
     rng = np.random.default_rng(seed)
-    # 0 and every repair epoch
-    starts = simulate_horizon(rng, config).totals.time
+    # 0 and every repair epoch, added left to right as a batch's totals are
+    starts = np.concatenate(([0.0], *(block.length for block in horizon_blocks(rng, config))))
+    np.cumsum(starts, out=starts)
     probes = rng.uniform(config.horizon / 2.0, config.horizon, size=n_probes)
     return probes - starts[np.searchsorted(starts, probes, side="right") - 1]
 

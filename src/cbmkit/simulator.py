@@ -10,12 +10,15 @@ Cycles are held as columns: a :class:`CycleBatch` has one array per cycle
 field plus the flat planned-inspection ages.  :func:`cycle_chunks` is the
 one draw loop, yielding chunks of 4096 (endless without a count): the
 oracle reads them one by one, :func:`simulate_cycles` joins ``n`` cycles,
-:func:`simulate_horizon` joins those up to the first cycle end at or past
-the horizon, and :func:`read_event_log` parses a log into one batch
-(without the ages, which logs do not carry).  The running totals of cycle
-time, inspections and failures are built once per batch, adding left to
-right; :func:`snapshot_rows`, :func:`counts_at_times` and the likelihood's
-total time all read them.  :func:`simulate_cycle` draws one cycle with
+:func:`horizon_blocks` streams them up to the first cycle end at or past
+the horizon (:func:`simulate_horizon` joins that stream), and
+:func:`read_event_log` parses a log into one batch (without the ages,
+which logs do not carry).  The running totals of cycle time, inspections
+and failures are built once per batch, adding left to right, and carried
+from block to block along a stream, so a stream's totals are its join's
+to the bit; :func:`snapshot_rows`, :func:`counts_at_times`, the CSV
+writers and the likelihood's total time all read them, from a batch or
+block by block from a stream.  :func:`simulate_cycle` draws one cycle with
 scalar calls and is kept as the reference the hand traces pin; a batch
 yields the same :class:`CycleRecord` rows on iteration.  Deterministic
 gaps put the k-th inspection at ``k * c`` (not at a running sum of
@@ -29,12 +32,13 @@ import math
 import warnings
 from dataclasses import astuple, dataclass, fields
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import ModelConfig, check_horizon
 from .laws import (
     DETERMINISTIC,
     InspectionLaw,
@@ -95,11 +99,19 @@ def _running_sums(values: np.ndarray, start: float = 0) -> np.ndarray:
 
 class _Totals(NamedTuple):
     """Running totals over a batch's cycles: at index i, the time, the
-    inspections charged and the failures of the first i cycles."""
+    inspections charged and the failures of the first i cycles, added to
+    those of the cycles before the batch."""
 
     time: np.ndarray
     inspections: np.ndarray
     failures: np.ndarray
+
+
+def _totals(cycles: CycleBatch, start: Iterable = (0, 0, 0)) -> _Totals:
+    """The running totals of ``cycles``, carried on from ``start``, the
+    totals of the cycles before them."""
+    columns = (cycles.length, cycles.inspection_count, cycles.failed)
+    return _Totals(*map(_running_sums, columns, start))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,11 +138,7 @@ class CycleBatch:
     @cached_property
     def totals(self) -> _Totals:
         # the inspection totals double as each cycle's offset into the ages
-        return _Totals(
-            _running_sums(self.length),
-            _running_sums(self.inspection_count),
-            _running_sums(self.failed),
-        )
+        return _totals(self)
 
     def counts(self) -> CountSnapshot:
         """Counts at the end of the last cycle, from the one search of
@@ -282,36 +290,108 @@ def _uniform_schedule(
     return k, detection, ages
 
 
-def simulate_horizon(rng: np.random.Generator, config: ModelConfig) -> CycleBatch:
-    """Simulate whole cycles until their cumulative length reaches the
-    config's horizon, as one batch with every cycle's inspection ages.
+def horizon_blocks(rng: np.random.Generator, config: ModelConfig) -> Iterator[CycleBatch]:
+    """Whole cycles until their cumulative length reaches the config's
+    horizon, as a stream of blocks with every cycle's inspection ages.
 
-    The last cycle is the first to end at or beyond the horizon, so the
-    batch's total time generally overshoots the requested horizon and the
-    overshooting cycle is included in the counts.  The endless stream of
-    :func:`cycle_chunks` stops at the chunk that carries the running end
-    to the horizon, cut after the cycle that reaches it.
+    The blocks are the chunks of :func:`cycle_chunks`, the last one cut
+    after the first cycle to end at or beyond the horizon, so the total
+    time generally overshoots the horizon and that cycle is included in
+    the counts.  A horizon predicted to need more cycles than
+    :data:`config.MAX_CYCLES` raises ConfigError here, before the first
+    draw (:func:`config.check_horizon`).
     """
-    horizon = config.horizon
-    chunks = cycle_chunks(rng, config, inspections=True)
-    blocks, end = [], 0.0
+    check_horizon(config)
+    return _cut(cycle_chunks(rng, config, inspections=True), config.horizon)
+
+
+def _cut(chunks: Iterator[CycleBatch], horizon: float) -> Iterator[CycleBatch]:
+    """The chunks up to the one that carries the running end to the
+    horizon, cut after the cycle that reaches it."""
+    end = 0.0
     while end < horizon:
         block = next(chunks)
         ends = _running_sums(block.length, end)
         keep = min(int(np.searchsorted(ends, horizon)), len(block))
-        blocks.append(block.head(keep))
+        yield block.head(keep)
         end = ends[keep]
-    return _join(blocks)
 
 
-def counts_at_times(times: Sequence[float], cycles: CycleBatch) -> list[CountSnapshot]:
-    """Observer counts at each time within the batch's span, from one
-    search of the running totals; a time outside the span (or NaN) raises
-    for the first such.  The open cycle counts only its planned
-    inspections already elapsed (one at exactly the time included),
-    counted for every time at once over the open cycles' schedules; a
-    failure cycle's unplanned inspection counts when the cycle completes,
-    never before.
+def simulate_horizon(rng: np.random.Generator, config: ModelConfig) -> CycleBatch:
+    """The cycles of :func:`horizon_blocks` joined into one batch."""
+    return _join(list(horizon_blocks(rng, config)))
+
+
+def _carried(
+    cycles: CycleBatch | Iterable[CycleBatch],
+) -> Iterator[tuple[CycleBatch, _Totals, int]]:
+    """Each block of a batch (one block) or of a stream of blocks, read in
+    order, with its running totals carried on from the blocks before it
+    and the number of cycles before it."""
+    start, repairs = None, 0
+    for block in (cycles,) if isinstance(cycles, CycleBatch) else cycles:
+        totals = block.totals if start is None else _totals(block, start)
+        yield block, totals, repairs
+        start, repairs = [column[-1] for column in totals], repairs + len(block)
+
+
+def _counts(
+    times: Sequence[float], cycles: CycleBatch | Iterable[CycleBatch],
+) -> Iterator[tuple[CycleBatch, _Totals, int, np.ndarray, list[CountSnapshot]]]:
+    """Each block as :func:`_carried` gives it, with the indices of the
+    ``times`` counted in it (those within its span that no block before it
+    took) and their counts: the one counting routine.  The first time (in
+    the given order) that no block takes raises after the last block."""
+    at = np.asarray(times, dtype=float)
+    pending, end = np.arange(at.size), 0.0
+    for block, totals, repairs in _carried(cycles):
+        end = float(totals.time[-1])
+        mine = (at[pending] >= 0.0) & (at[pending] <= end)
+        here, pending = pending[mine], pending[~mine]
+        # cycles ended at or before t; the open one started at totals.time[done]
+        done = np.searchsorted(totals.time, at[here], side="right") - 1
+        offsets = totals.inspections
+        inspections = offsets[done]
+        open_ = np.flatnonzero(done < len(block))
+        d = done[open_]
+        count = offsets[d + 1] - offsets[d]
+        elapsed = at[here[open_]] - totals.time[d]
+        if block.inspection_ages.size:
+            # every open cycle's schedule, laid end to end, each age against
+            # its own time's elapsed age
+            owner = np.repeat(np.arange(open_.size), count)
+            shift = np.repeat(offsets[d] - offsets[0] - (np.cumsum(count) - count), count)
+            ages = block.inspection_ages[np.arange(owner.size) + shift]
+            inspections[open_] += np.bincount(owner[ages <= elapsed[owner]], minlength=open_.size)
+        else:
+            unknown = np.flatnonzero((elapsed > 0.0) & (count >= 2))
+            if unknown.size:
+                j = unknown[0]
+                raise ValueError(
+                    f"time {times[here[open_[j]]]} falls inside cycle {repairs + d[j] + 1}, "
+                    f"charged {count[j]} inspections: a batch without ages does not carry "
+                    "that cycle's planned inspections"
+                )
+        counts = [
+            CountSnapshot(times[i], n_r, n_i, n_f)
+            for i, n_r, n_i, n_f in zip(here.tolist(), (done + repairs).tolist(),
+                                        inspections.tolist(), totals.failures[done].tolist())
+        ]
+        yield block, totals, repairs, here, counts
+    if pending.size:
+        raise ValueError(f"time {times[pending[0]]} outside the simulated range [0, {end}]")
+
+
+def counts_at_times(
+    times: Sequence[float], cycles: CycleBatch | Iterable[CycleBatch]
+) -> list[CountSnapshot]:
+    """Observer counts at each time, in the given order, from a batch or
+    from a stream of blocks read in order (the counts of the blocks' join);
+    a time outside the span (or NaN) raises for the first such.  The open
+    cycle counts only its planned inspections already elapsed (one at
+    exactly the time included), counted for every time of a block at once
+    over the open cycles' schedules; a failure cycle's unplanned
+    inspection counts when the cycle completes, never before.
 
     A batch without ages (a parsed event log) gives the counts at every
     cycle end and inside every cycle charged at most one inspection, whose
@@ -319,55 +399,36 @@ def counts_at_times(times: Sequence[float], cycles: CycleBatch) -> list[CountSna
     in the given order, strictly inside a cycle charged two or more raises
     ValueError: the batch does not carry that cycle's planned inspections.
     """
-    totals = cycles.totals
-    end = float(totals.time[-1])
-    at = np.asarray(times, dtype=float)
-    outside = ~((at >= 0.0) & (at <= end))
-    if outside.any():
-        raise ValueError(f"time {times[int(np.argmax(outside))]} outside the simulated range [0, {end}]")
-    # cycles ended at or before t; the open one started at totals.time[done]
-    done = np.searchsorted(totals.time, at, side="right") - 1
-    offsets = totals.inspections
-    inspections = offsets[done]
-    open_ = np.flatnonzero(done < len(cycles))
-    d = done[open_]
-    count = offsets[d + 1] - offsets[d]
-    elapsed = at[open_] - totals.time[d]
-    if cycles.inspection_ages.size:
-        # every open cycle's schedule, laid end to end, each age against
-        # its own time's elapsed age
-        owner = np.repeat(np.arange(open_.size), count)
-        shift = np.repeat(offsets[d] - (np.cumsum(count) - count), count)
-        ages = cycles.inspection_ages[np.arange(owner.size) + shift]
-        inspections[open_] += np.bincount(owner[ages <= elapsed[owner]], minlength=open_.size)
-    else:
-        unknown = np.flatnonzero((elapsed > 0.0) & (count >= 2))
-        if unknown.size:
-            j = unknown[0]
-            raise ValueError(
-                f"time {times[open_[j]]} falls inside cycle {d[j] + 1}, charged {count[j]} "
-                "inspections: a batch without ages does not carry that cycle's planned inspections"
-            )
-    return [
-        CountSnapshot(t, n_r, n_i, n_f)
-        for t, n_r, n_i, n_f in zip(times, done.tolist(), inspections.tolist(),
-                                    totals.failures[done].tolist())
-    ]
+    found: list = [None] * len(times)
+    for *_, here, counts in _counts(times, cycles):
+        for i, snapshot in zip(here.tolist(), counts):
+            found[i] = snapshot
+    return found
+
+
+def _snapshot_rows(
+    block: CycleBatch, totals: _Totals, repairs: int, counts: list[CountSnapshot]
+) -> Iterator[tuple[float, int, int, int]]:
+    """A block's cycle ends merged with its grid counts, in time order; a
+    grid row at a cycle end's time comes first."""
+    ends = zip(
+        totals.time[1:].tolist(), range(repairs + 1, repairs + len(block) + 1),
+        totals.inspections[1:].tolist(), totals.failures[1:].tolist(),
+    )
+    yield from heapq.merge(map(astuple, counts), ends, key=itemgetter(0))
 
 
 def snapshot_rows(
-    cycles: CycleBatch, grid: Iterable[float] = ()
+    cycles: CycleBatch | Iterable[CycleBatch], grid: Iterable[float] = ()
 ) -> Iterator[tuple[float, int, int, int]]:
     """The counts at every cycle end and at each grid time as
-    ``(t, n_r, n_i, n_f)``, in time order, read from the running totals; a
-    grid row at a cycle end's time comes first (and equals it)."""
-    totals = cycles.totals
-    ends = zip(
-        totals.time[1:].tolist(), range(1, len(cycles) + 1),
-        totals.inspections[1:].tolist(), totals.failures[1:].tolist(),
+    ``(t, n_r, n_i, n_f)``, in time order, read from the running totals of
+    a batch or of a stream of blocks; a grid row at a cycle end's time
+    comes first (and equals it)."""
+    return chain.from_iterable(
+        _snapshot_rows(block, totals, repairs, counts)
+        for block, totals, repairs, _, counts in _counts(sorted(map(float, grid)), cycles)
     )
-    at_grid = [astuple(s) for s in counts_at_times(sorted(map(float, grid)), cycles)]
-    return heapq.merge(at_grid, ends, key=itemgetter(0))
 
 
 EVENT_LOG_HEADER = "cycle,y_s,y_d,k_r,v_s,z_d,x_r,end"
@@ -377,19 +438,36 @@ SNAPSHOT_HEADER = "t,n_r,n_i,n_f"
 _SNAPSHOT_ROW = "%.17g,%d,%d,%d\n"
 
 
-def event_log_lines(cycles: CycleBatch) -> Iterator[str]:
-    """The event-log CSV of ``cycles``, line by line."""
-    yield EVENT_LOG_HEADER + "\n"
-    rows = zip(*(getattr(cycles, name).tolist() for name in _PER_CYCLE))
-    for i, (y_s, y_d, k, v, z, x, failed) in enumerate(rows, start=1):
+def _event_rows(block: CycleBatch, repairs: int) -> Iterator[str]:
+    rows = zip(*(getattr(block, name).tolist() for name in _PER_CYCLE))
+    for i, (y_s, y_d, k, v, z, x, failed) in enumerate(rows, start=repairs + 1):
         yield _EVENT_LOG_ROW % (i, y_s, y_d, k, v, z, x, _ENDS[failed])
 
 
-def snapshot_lines(cycles: CycleBatch, grid: Iterable[float]) -> Iterator[str]:
+def csv_blocks(
+    cycles: CycleBatch | Iterable[CycleBatch], grid: Iterable[float]
+) -> Iterator[tuple[Iterator[str], Iterator[str]]]:
+    """The event log and the snapshot CSV of a batch or of a stream of
+    blocks, in one pass: per block its event-log lines and its snapshot
+    lines (its cycle ends and the grid times it holds), the first block's
+    after the header lines, each line made as it is read."""
+    headers = [EVENT_LOG_HEADER + "\n"], [SNAPSHOT_HEADER + "\n"]
+    for block, totals, repairs, _, counts in _counts(sorted(map(float, grid)), cycles):
+        snapshots = (_SNAPSHOT_ROW % row for row in _snapshot_rows(block, totals, repairs, counts))
+        yield chain(headers[0], _event_rows(block, repairs)), chain(headers[1], snapshots)
+        headers = (), ()
+
+
+def event_log_lines(cycles: CycleBatch | Iterable[CycleBatch]) -> Iterator[str]:
+    """The event-log CSV of a batch or of a stream of blocks, line by line."""
+    return chain.from_iterable(events for events, _ in csv_blocks(cycles, ()))
+
+
+def snapshot_lines(
+    cycles: CycleBatch | Iterable[CycleBatch], grid: Iterable[float]
+) -> Iterator[str]:
     """The snapshot CSV, line by line: the rows of :func:`snapshot_rows`."""
-    yield SNAPSHOT_HEADER + "\n"
-    for row in snapshot_rows(cycles, grid):
-        yield _SNAPSHOT_ROW % row
+    return chain.from_iterable(snapshots for _, snapshots in csv_blocks(cycles, grid))
 
 
 # one event-log row as read: the numeric fields, then whether it failed

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -938,7 +939,7 @@ class TestInputErrors:
 
         # relative output paths land beside the config file, and none is made
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli, "simulate_horizon", never)
+        monkeypatch.setattr(cli, "horizon_blocks", never)
         monkeypatch.setattr(cli, "verification_rows", never)
         monkeypatch.setattr(cli, "read_event_log", never)
         code = cli.main(argv + ["--config", config_file])
@@ -1115,6 +1116,23 @@ class TestInputErrors:
         self._assert_one_line_config_error(code, capsys, err)
         assert err.startswith(f"config error: {log}: {reason}")
 
+    @pytest.mark.parametrize("command", ["simulate", "convergence"])
+    def test_horizon_past_the_cycle_bound(self, command, config_file, tmp_path, capsys):
+        # a horizon that the draw cannot reach is refused before the first
+        # draw, with the predicted count and the bound; before, the draw ran
+        # until memory ran out
+        old = tmp_path / "old.csv"
+        old.write_text("old\n")
+        outputs = {"simulate": ["--events", str(tmp_path / "ev.csv"), "--snapshots", str(old)],
+                   "convergence": ["--grid-count", "3", "--out", str(old)]}[command]
+        code = cli.main([command, "--config", config_file, "--horizon", "1e300", *outputs])
+        err = capsys.readouterr().err
+        self._assert_one_line_config_error(code, capsys, err)
+        assert err == ("config error: horizon 1e+300 predicts up to 1e+297 cycles, "
+                       "more than the bound of 134217728\n")
+        assert sorted(os.listdir(tmp_path)) == ["old.csv", "run.cfg"]
+        assert old.read_text() == "old\n"
+
     @staticmethod
     def _assert_one_line_config_error(code, capsys, err=None):
         err = capsys.readouterr().err if err is None else err
@@ -1134,12 +1152,34 @@ class TestInternalErrors:
         raise RuntimeError("planted fault")
 
     def test_simulate(self, config_file, tmp_path, monkeypatch, capsys):
-        # the fault comes after the event log is written
-        monkeypatch.setattr(cli, "snapshot_lines", self._fault)
+        # the fault comes after both files have their first block's rows
+        csv_blocks = cli.csv_blocks
+
+        def fault_after_first_block(*args):
+            yield next(csv_blocks(*args))
+            self._fault()
+
+        monkeypatch.setattr(cli, "csv_blocks", fault_after_first_block)
         code = cli.main(["simulate", "--config", config_file, "--events",
                          str(tmp_path / "ev.csv"), "--snapshots", str(tmp_path / "sn.csv")])
         self._assert_one_internal_error_line(code, capsys)
         assert os.listdir(tmp_path) == ["run.cfg"]
+
+    def test_simulate_fault_in_the_first_draw(self, config_file, tmp_path, monkeypatch, capsys):
+        # the first block is drawn before the outputs are opened: an existing
+        # output keeps its bytes, a new one is not left behind
+        def blocks(*args):
+            self._fault()
+            yield
+
+        monkeypatch.setattr(cli, "horizon_blocks", blocks)
+        old = tmp_path / "old.csv"
+        old.write_text("old\n")
+        code = cli.main(["simulate", "--config", config_file, "--events", str(old),
+                         "--snapshots", str(tmp_path / "sn.csv")])
+        self._assert_one_internal_error_line(code, capsys)
+        assert sorted(os.listdir(tmp_path)) == ["old.csv", "run.cfg"]
+        assert old.read_text() == "old\n"
 
     def test_verify(self, config_file, tmp_path, monkeypatch, capsys):
         # the fault comes after the report's first line is written
@@ -1231,9 +1271,47 @@ class _ClosedPipe(io.StringIO):
         raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
 
+class _ClosedPipeOnFile(_ClosedPipe):
+    """A closed pipe whose stream has a real descriptor, which ``_emit``
+    points at devnull: here a file's, so the test's own stdout stays."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+
+class _ClosedPipeWithoutFd(_ClosedPipe):
+    def fileno(self):
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+
 class TestOutputs:
     """Every output path is opened before the work starts, a failed command
     leaves no partial output, and a closed stdout is not an error."""
+
+    def test_closed_pipe_descriptor_goes_to_devnull(self, config_file, tmp_path, monkeypatch,
+                                                    capsys):
+        # in process: the descriptor behind the closed stdout now names
+        # devnull, and a failed verify still returns its own exit code, quietly
+        rows = verification_rows
+        monkeypatch.setattr(cli, "verification_rows", lambda *a: rows(
+            *a, closed_overrides={"mean_cycle": 10.0}))
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipeOnFile(fh.fileno()))
+            code = cli.main(["verify", "--config", config_file, "--samples", "10000"])
+            assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+        assert code == 1
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_without_a_descriptor(self, config_file, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipeWithoutFd())
+        code = cli.main(["estimate", "--config", config_file,
+                         "--counts", "33501", "53116", "8255", "50001908"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("corrupt, expected", [(False, 0), (True, 1)], ids=["pass", "fail"])
     def test_verify_into_a_closed_pipe(self, corrupt, expected, config_file, monkeypatch, capsys):
@@ -1296,7 +1374,7 @@ class TestOutputs:
         def never(*args, **kwargs):
             raise AssertionError("the work started before the output paths were checked")
 
-        monkeypatch.setattr(cli, "simulate_horizon", never)
+        monkeypatch.setattr(cli, "horizon_blocks", never)
         monkeypatch.setattr(cli, "verification_rows", never)
         events, snapshots = str(tmp_path / "ev.csv"), str(tmp_path / "sn.csv")
         argv = {
@@ -1333,7 +1411,7 @@ class TestOutputs:
         def stalls(*args, **kwargs):
             raise NonConvergenceError("stalled")
 
-        monkeypatch.setattr(cli, "simulate_horizon", stalls)
+        monkeypatch.setattr(cli, "horizon_blocks", stalls)
         old, new = tmp_path / "old.csv", tmp_path / "new.csv"
         old.write_text("old\n")
         code = cli.main(["simulate", "--config", config_file,
@@ -1356,6 +1434,33 @@ class TestOutputs:
         assert cli.main(["convergence", "--config", config_file, "--out", str(out)]) == 0
         assert out.read_text().startswith("t,mu_hat,")
         assert "x" not in out.read_text()
+
+
+class TestMemory:
+    """The horizon is read as a stream of blocks, so a command's peak
+    memory does not grow with it."""
+
+    @pytest.mark.parametrize("command", ["simulate", "convergence"])
+    def test_peak_flat_in_the_horizon(self, command, config_file, tmp_path):
+        # tracemalloc sees numpy's buffers too; a first run at a small
+        # horizon fills every cache before the two that are measured
+        outputs = {"simulate": ["--grid", "1e5, 4e5", "--events", str(tmp_path / "ev.csv"),
+                                "--snapshots", str(tmp_path / "sn.csv")],
+                   "convergence": ["--grid-count", "20", "--out", str(tmp_path / "cv.csv")]}
+
+        def peak(horizon):
+            argv = [command, "--config", config_file, "--horizon", horizon, "--seed", "3",
+                    *outputs[command]]
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("5e5")
+        small, large = peak("5e6"), peak("5e7")
+        assert abs(large - small) < 2**20, (small, large)
 
 
 class TestConfigProperties:

@@ -228,6 +228,21 @@ class TestSampling:
         se = math.hypot(scalar.std(ddof=1), batch.std(ddof=1)) / math.sqrt(4000)
         assert abs(scalar.mean() - batch.mean()) <= 4.0 * se
 
+    @pytest.mark.parametrize("shape", [1, 2, 4, 11])
+    def test_batch_sampler_adds_left_to_right(self, shape):
+        # each row's exponentials added in order, as the scalar sampler adds
+        # its draws: the same bits as both, at every shape (numpy's row sum
+        # takes another order from 8 columns on)
+        law = SaneLaw(shape, 1e-3)
+        batch = sample_sane_many(np.random.default_rng(47), law, 5000)
+        draws = np.random.default_rng(47).exponential(1e3, size=(5000, shape))
+        total = draws[:, 0].copy()
+        for column in draws.T[1:]:
+            total = total + column
+        assert batch.tobytes() == total.tobytes()
+        rng = np.random.default_rng(47)
+        assert batch.tolist() == [sample_sane(rng, law) for _ in range(5000)]
+
     def test_exponential_mean(self):
         rng = np.random.default_rng(43)
         law = DamageLaw(5e-4)

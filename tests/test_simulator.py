@@ -8,13 +8,16 @@ import pytest
 
 from cbmkit import formulas as F
 from cbmkit import simulator
+from cbmkit.config import MAX_CYCLES, ConfigError
 from cbmkit.laws import InspectionLaw
 from cbmkit.oracle import MIN_SAMPLES, verification_rows
 from cbmkit.simulator import (
     CountSnapshot,
     CycleRecord,
     counts_at_times,
+    csv_blocks,
     event_log_lines,
+    horizon_blocks,
     read_event_log,
     simulate_cycle,
     simulate_cycles,
@@ -22,7 +25,7 @@ from cbmkit.simulator import (
     snapshot_lines,
     snapshot_rows,
 )
-from conftest import batch_of, make_config
+from conftest import BASE_LAMBDA, SPACING, batch_of, make_config
 from count_loop import loop_counts_at_times
 
 # Seeds of the batch-engine tests, fixed once before their first run.
@@ -499,6 +502,99 @@ class TestSimulateHorizon:
                 nxt = records[snap.repairs]
                 planned_tail = sum(1 for a in nxt.inspections if a <= snap.time - last)
             assert snap.inspections == sum(c.inspection_count for c in done) + planned_tail
+
+
+class TestHorizonBlocks:
+    """The horizon as a stream of blocks: its readers carry their running
+    totals from block to block, so they give the bits of the joined batch."""
+
+    @staticmethod
+    def _stream_and_batch(kind):
+        cfg = make_config(kind=kind, horizon=3e7)
+        blocks = list(horizon_blocks(np.random.default_rng(BATCH_SEED), cfg))
+        return blocks, simulate_horizon(np.random.default_rng(BATCH_SEED), cfg)
+
+    @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
+    def test_blocks_are_the_draw_chunks_cut_at_the_horizon(self, kind):
+        blocks, batch = self._stream_and_batch(kind)
+        assert len(blocks) >= 4
+        assert [len(b) for b in blocks[:-1]] == [simulator._CHUNK] * (len(blocks) - 1)
+        assert sum(map(len, blocks)) == len(batch)
+        for f in fields(simulator.CycleBatch):
+            joined = np.concatenate([getattr(b, f.name) for b in blocks])
+            assert joined.tobytes() == getattr(batch, f.name).tobytes()
+
+    @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
+    def test_counts_over_blocks_are_the_batch_counts(self, kind):
+        # every block's first and last cycle end, a float either side of
+        # each, 0, the end, repeats and random times, shuffled
+        blocks, batch = self._stream_and_batch(kind)
+        ends = np.cumsum([len(b) for b in blocks])
+        edges = batch.totals.time[np.concatenate(([1], ends - 1, ends))]
+        times = np.concatenate((edges, np.nextafter(edges, 0.0), np.nextafter(edges[:-1], np.inf),
+                                [0.0, 0.0, 1e4, 1e4],
+                                np.random.default_rng(SCALAR_SEED).uniform(0.0, edges[-1], 300)))
+        times = np.random.default_rng(SCALAR_SEED).permutation(times).tolist()
+        streamed = counts_at_times(times, iter(blocks))
+        assert streamed == counts_at_times(times, batch)
+        assert all(type(v) is int for s in streamed for v in (s.repairs, s.inspections, s.failures))
+        assert counts_at_times([], iter(blocks)) == []
+
+    @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
+    def test_csv_lines_over_blocks_are_the_batch_lines(self, kind):
+        # a grid out of order with a time at a block's last cycle end: its
+        # row comes before that end's row, in the block that holds it
+        blocks, batch = self._stream_and_batch(kind)
+        boundary = float(batch.totals.time[simulator._CHUNK])
+        grid = (2e7, boundary, 5e3, boundary, float(batch.totals.time[-1]))
+        events = "".join(event_log_lines(batch))
+        snapshots = "".join(snapshot_lines(batch, grid))
+        assert "".join(event_log_lines(iter(blocks))) == events
+        assert "".join(snapshot_lines(iter(blocks), grid)) == snapshots
+        # both files' lines block by block, the headers with the first
+        pairs = [("".join(e), "".join(s)) for e, s in csv_blocks(iter(blocks), grid)]
+        assert len(pairs) == len(blocks)
+        assert ["".join(column) for column in zip(*pairs)] == [events, snapshots]
+        assert list(snapshot_rows(iter(blocks), grid)) == list(snapshot_rows(batch, grid))
+        rows = list(snapshot_rows(iter(blocks), grid))
+        at = [i for i, row in enumerate(rows) if row[0] == boundary]
+        assert len(at) == 3 and rows[at[0]] == rows[at[2]] and rows[at[2]][1] == simulator._CHUNK
+
+    @pytest.mark.parametrize("time", [1e12, -1.0, math.nan])
+    def test_time_no_block_takes_raises_after_the_last(self, time):
+        blocks, batch = self._stream_and_batch("deterministic")
+        end = float(batch.totals.time[-1])
+        match = rf"^time {re.escape(repr(time))} outside the simulated range \[0, {end}\]$"
+        with pytest.raises(ValueError, match=match):
+            counts_at_times([1e4, time, 2e4], iter(blocks))
+        with pytest.raises(ValueError, match=match):
+            list(snapshot_rows(iter(blocks), [1e4, time]))
+
+    @pytest.mark.parametrize("shape, mu", [(1, 1e-3), (3, 1e-3), (1, 1.0)])
+    def test_refuses_a_horizon_past_the_cycle_bound(self, shape, mu):
+        # the predicted count is the horizon over the larger of the mean
+        # damage time shape/mu and E[min(c - h, Y_d)]; at the bound the
+        # stream starts, past it both entry points refuse before any draw
+        cfg = make_config(shape=shape, mu=mu)
+        shortest = max(shape / mu, -math.expm1(-BASE_LAMBDA * SPACING) / BASE_LAMBDA)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        horizon_blocks(rng, replace(cfg, horizon=MAX_CYCLES * shortest))
+        for entry in (horizon_blocks, simulate_horizon):
+            with pytest.raises(ConfigError, match=r"^horizon .* predicts up to 1.34e\+08 cycles, "
+                                                  r"more than the bound of 134217728$"):
+                entry(rng, replace(cfg, horizon=MAX_CYCLES * shortest * 1.000001))
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("shape, kind", [(1, "deterministic"), (2, "uniform"), (4, "uniform")])
+    def test_predicted_cycles_bound_the_count(self, shape, kind):
+        # every cycle lasts at least the shorter mean, so a run's count
+        # stays below the horizon over it, with room to spare
+        cfg = make_config(shape=shape, kind=kind, mu=1e-2, lam=1e-3, horizon=2e6)
+        count = len(simulate_horizon(np.random.default_rng(3), cfg))
+        c_less_h = SPACING - cfg.inspection.half_width
+        shortest = max(shape / 1e-2, -math.expm1(-1e-3 * c_less_h) / 1e-3)
+        assert 0.5 * cfg.horizon / shortest < count < cfg.horizon / shortest
 
 
 class TestAgeAndIndex:
