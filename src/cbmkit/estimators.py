@@ -219,21 +219,28 @@ def _mean_inspection_roots(targets: Sequence[float], shape: int, insp: Inspectio
         elif errors[k] is None:
             excess = c * (t - 1.0) - h
             brackets[k] = (shape / (c * t), shape / excess if excess > 0.0 else math.inf)
-    starts = [_damage_rate_start(t, shape, c) for t in targets]
+    starts = [_damage_rate_start(t, shape, insp) for t in targets]
     return _solve(lambda mu, rows: mean_inspections(SaneLaw(shape, mu), insp), targets, brackets,
                   errors, traces, starts=starts)
 
 
-def _damage_rate_start(ratio: float, shape: int, spacing: float) -> float:
+def _damage_rate_start(ratio: float, shape: int, insp: InspectionLaw) -> float:
     """The damage rate at which ``ratio`` inspections per cycle are
     expected, from the moment identities: the exact inverse of
     1/(1 - exp(-mu c)) at shape 1 (deterministic gaps), and of
-    shape/(mu c) + 1/2 above that; NaN where ``ratio`` is not above 1."""
+    shape/(mu c) + 1/2 above that, each at ``ratio`` less h^2/(6 c^2) for
+    uniform gaps of half-width h; NaN where that is not above 1.
+
+    Renewal theory gives E[N(t)] = t/c + E[G^2]/(2 c^2) - 1 + o(1) for gaps
+    G, so the uniform gaps' E[G^2] = c^2 + h^2/3 adds h^2/(6 c^2) to the
+    count that deterministic gaps expect."""
+    c, h = insp.spacing, insp.half_width
+    ratio = ratio - h * h / (6.0 * c * c)
     if not ratio > 1.0:
         return math.nan
     if shape == 1:
-        return -math.log1p(-1.0 / ratio) / spacing
-    return shape / (spacing * (ratio - 0.5))
+        return -math.log1p(-1.0 / ratio) / c
+    return shape / (c * (ratio - 0.5))
 
 
 def _check_fractions(fractions: Sequence[float], errors: list) -> None:

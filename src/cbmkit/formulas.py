@@ -2,32 +2,34 @@
 
 Everything here is an exact expression in the inspection-gap Laplace
 transform L and its derivatives at the damage rate ``mu`` (and at the
-failure rate ``lam``).  Derivatives of 1/(1-L), L/(1-L) and L/(1-L)^2 are
-obtained by truncated-series arithmetic over the jets and 1 - L of one
-pass of ``laws._transform`` per anchor, read to order shape at most off
-the equal-rates band; there is no quadrature on the real line and no
-symbolic algebra.
+failure rate ``lam``).  Every closed form reads one jet format: the Taylor
+coefficients about a rate x of L, 1/(1-L) and L/(1-L), scaled by x^k,
+t_k = h^(k)(x) x^k / k!, from one pass of ``laws._transform`` at anchor 1
+for the gap times x (see ``_jet``).  They have no time unit, so a closed
+form computes the same bits in every unit and takes its dimension from
+one division by a rate at the end.  There is no quadrature on the real
+line and no symbolic algebra.
 
-The rate pair (mu, lam) hits a removable singularity on the diagonal
-mu = lam: the generic expressions carry (mu - lam)^-shape factors whose
-poles only cancel analytically.  Within |lam - mu| <= mu/4 (see
-``_near_diagonal``) the inspection series are instead the confluent
-divided differences they are, h[mu (n times), lam] = sum_m h_(n+m)
-(lam - mu)^m over the Taylor coefficients h_k of h about mu, summed by
-Horner's rule from one jet at mu of the gap scaled by mu, which has no
-time unit and is smooth through the diagonal.  The parameter
-sensitivities come from the same series, not from hand-differentiated
-copies of them, and from the same pass as the cycle moments: one jet per
-rate and one band split give both.
+The inspection series are (-mu)^n h[mu (n times), lam], divided
+differences of h = L/(1-L) (and of its kin) at the rate pair.  With
+eps = (lam - mu)/mu and the scaled coefficients h_k of h about mu, off
+the equal-rates band they are (-1/eps)^n (h(lam) - sum_(j<n) h_j eps^j);
+within |lam - mu| <= mu/4 (see ``_near_diagonal``), where that division
+by eps^n cancels, they are the Taylor sums (-1)^n sum_m h_(n+m) eps^m of
+the same coefficients, read to N more orders from one jet at mu.  Both
+are summed by Horner's rule.  The parameter sensitivities come from the
+same series, not from hand-differentiated copies of them, and from the
+same jets as the cycle moments: one jet per rate and one band split give
+both.
 
 Every closed form is elementwise over laws with arrays of rates, and
 with scalar rates the same code computes in Python floats, so a lone
 element is never boxed into an array.  Each element gets the bits it
 gets alone: sums run term by term in index order (no ``np.dot`` or
-``@``, whose BLAS kernels sum in their own order), and ``exp``,
-``expm1`` and powers are the C library's scalar routines, not numpy's
-SIMD loops, all taken through ``laws._libm`` (powers through
-``laws._power``).
+``@``, whose BLAS kernels sum in their own order), ``exp`` and ``expm1``
+are the C library's scalar routines, not numpy's SIMD loops (taken
+through ``laws._libm``), and integer powers are running products, which
+round the same in floats and in arrays.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .laws import (
     _any,
     _batch,
     _exp_poly_moments,
-    _power,
     _transform,
     _value,
 )
@@ -62,14 +63,14 @@ def _near_diagonal(mu, lam):
     # stay near 1/(mu c) at every order, and with |eps| <= 1/4 the terms
     # left out are 4^-N relative; for lam < mu, psi's complete monotonicity
     # makes every term the same sign.  Outside, the generic branch's
-    # division by (mu - lam)^shape costs a few 1e-10 relative at shape 4
-    # and mu*c = 1e-4 (up to 2e-9 at lam/mu = 0.74); at mu/8 it would cost
+    # division by eps^shape costs a few 1e-10 relative at shape 4 and
+    # mu*c = 1e-4 (up to 2e-9 at lam/mu = 0.74); at mu/8 it would cost
     # 7e-9.
     return abs(lam - mu) <= 0.25 * mu
 
 
 # ---------------------------------------------------------------------------
-# Series arithmetic on jets
+# Jets: scaled Taylor coefficients and their series arithmetic
 # ---------------------------------------------------------------------------
 
 
@@ -98,50 +99,23 @@ def _series_reciprocal(den: list) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class LawDerivatives:
-    """Raw derivatives of L, 1/(1-L), L/(1-L) and L/(1-L)^2 at an anchor
-    (a float) or at an array of anchors, a row per order: a float, or an
-    array over the anchors.  ``one_minus`` is 1 - L without cancellation."""
-
-    laplace: tuple
-    one_minus: float | np.ndarray
-    inv_one_minus: tuple
-    gain: tuple
-    gain_sq: tuple
-
-
-def _gains(laplace: list, one_minus) -> tuple:
-    """Taylor coefficients of w = 1/(1-L) and psi = L/(1-L) from the rows
-    of one ``laws._transform`` pass (raw derivatives and 1 - L)."""
+def _jet(rate, insp: InspectionLaw, order: int) -> tuple:
+    """(L, 1 - L, w, psi) at ``rate`` (a float, or an array of rates): the
+    Taylor coefficients of L, w = 1/(1-L) and psi = L/(1-L) about the rate
+    scaled by rate^k, t_k = h^(k)(rate) rate^k / k! for k = 0..order, each
+    a tuple of rows, and 1 - L without cancellation.  One pass of
+    ``laws._transform`` at anchor 1 for the gap times the rate, computed
+    afresh on every call."""
+    # From rate (c - h) = 1e3 on, exp(-rate (c - h)) = 0 zeroes every row of L
+    # and leaves 1 - L = 1, while the rows' powers of rate c would overflow
+    scale = _value(np.minimum(rate, 1e3 / (insp.spacing - insp.half_width)))
+    rows, one_minus = _transform(1.0, insp, order, scale)
     # i! as a float: numpy before 2.0 boxes an int past 2^64 as an object
-    taylor = [v / float(math.factorial(i)) for i, v in enumerate(laplace)]
+    laplace = [v / float(math.factorial(i)) for i, v in enumerate(rows)]
     # The order-0 coefficient of 1-L is its own cancellation-free value;
     # the higher coefficients are exact sign flips.
-    w = _series_reciprocal([one_minus] + [-v for v in taylor[1:]])
-    return w, _series_mul(taylor, w)
-
-
-def law_derivatives(s, insp: InspectionLaw, order: int) -> LawDerivatives:
-    """Derivative bundle of L, 1/(1-L), L/(1-L), L/(1-L)^2 at s, computed
-    afresh on every call; its rows are tuples, so a bundle is immutable."""
-    laplace, one_minus = _transform(_value(s), insp, order)
-    w, psi = _gains(laplace, one_minus)
-
-    def raw(series: list) -> tuple:
-        return tuple(v * math.factorial(i) for i, v in enumerate(series))
-
-    return LawDerivatives(tuple(laplace), one_minus, raw(w), raw(psi), raw(_series_mul(psi, w)))
-
-
-def _band_jet(mu, insp: InspectionLaw, n: int) -> tuple:
-    """The Taylor coefficients of w and psi about mu scaled by mu^k, to
-    the order the band's series of shape n read: one pass at anchor 1 for
-    the gap times mu."""
-    # From mu (c - h) = 1e3 on, exp(-mu (c - h)) = 0 zeroes every row of L
-    # and leaves 1 - L = 1, while the rows' powers of mu c would overflow
-    scale = _value(np.minimum(mu, 1e3 / (insp.spacing - insp.half_width)))
-    return _gains(*_transform(1.0, insp, n + _BAND_TERMS, scale))
+    w = _series_reciprocal([one_minus] + [-v for v in laplace[1:]])
+    return tuple(laplace), one_minus, tuple(w), tuple(_series_mul(laplace, w))
 
 
 # ---------------------------------------------------------------------------
@@ -149,41 +123,40 @@ def _band_jet(mu, insp: InspectionLaw, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _taylor_tail(h_lam, h_mu, mu, lam, n: int):
-    """h(lam) minus its Taylor polynomial of degree n - 1 about mu."""
-    acc = h_lam - h_mu[0] if n else h_lam
-    for j in range(1, n):
-        acc = acc - _power(mu - lam, j) / math.factorial(j) * (-1.0) ** j * h_mu[j]
+def _horner(h, eps, slope: bool = False):
+    """sum_k h[k] eps^k by Horner's rule; with ``slope``, its derivative
+    in eps, sum_k k h[k] eps^(k-1), term by term."""
+    acc = 0.0
+    for k in range(len(h) - 1, 0 if slope else -1, -1):
+        acc = acc * eps + (k * h[k] if slope else h[k])
     return acc
 
 
-def _indexed_series_sum(n: int, mu_derivs, at_lam, mu, lam, slope_at_lam=None):
-    """sum_k k^w E[exp(-lam D_k) * integral] = (-mu)^n h[mu (n times), lam],
-    off the equal-rates band.
+def _rho(eps, n: int):
+    """(-1/eps)^n, a running product."""
+    ratio = -1.0 / eps
+    out = ratio
+    for _ in range(n - 1):
+        out = out * ratio
+    return out
 
-    h is a rational function of L, ``mu_derivs`` its derivatives at mu and
-    ``at_lam`` its value at lam: (mu/(mu-lam))^n (h(lam) - sum_{j<n}
-    (mu-lam)^j/j! (-1)^j h^(j)(mu)), which reads ``mu_derivs`` to order
-    n - 1 only.  Given ``slope_at_lam`` = h'(lam), returns (value,
-    d value / d lam).
-    """
-    rho = _power(mu / (mu - lam), n)
-    acc = _taylor_tail(at_lam, mu_derivs, mu, lam, n)
-    if slope_at_lam is None:
-        return rho * acc
-    d_acc = _taylor_tail(slope_at_lam, mu_derivs[1:], mu, lam, n - 1)
-    return rho * acc, rho * (n / (mu - lam) * acc + d_acc)
+
+def _off_band(h: list, at_lam, n: int, eps):
+    """(-mu)^n h[mu (n times), lam] off the equal-rates band, from h's
+    Taylor coefficients about mu scaled by mu^k and its value at lam:
+    (-1/eps)^n (h(lam) - sum_(j<n) h_j eps^j), which reads the
+    coefficients to order n - 1 only.  Horner's rule takes h(lam) - h_0
+    as the constant term, the difference that holds the series' digits."""
+    return _rho(eps, n) * _horner([at_lam - h[0], *(-v for v in h[1:n])], eps)
 
 
 def _band_sum(h: list, n: int, eps, slope: bool = False):
     """(-mu)^n h[mu (n times), lam] in the equal-rates band, from h's
     Taylor coefficients about mu scaled by mu^k: (-1)^n sum_(m<N) h_(n+m)
-    eps^m by Horner's rule, eps = (lam - mu)/mu.  ``slope`` sums the
-    derivative in eps term by term instead, mu times the slope in lam."""
-    acc = 0.0
-    for m in range(_BAND_TERMS - 1, 0 if slope else -1, -1):
-        acc = acc * eps + (m * h[n + m] if slope else h[n + m])
-    return (-1.0) ** n * acc
+    eps^m.  ``slope`` sums the derivative in eps term by term instead, mu
+    times the slope in lam."""
+    acc = _horner(h[n:n + _BAND_TERMS], eps, slope)
+    return -acc if n % 2 else acc
 
 
 def _by_band(mu, lam, generic, in_band) -> tuple:
@@ -216,17 +189,12 @@ def _whole(value):
 # ---------------------------------------------------------------------------
 
 
-def _taylor_mean(w, mu, n: int):
-    """sum_{i<n} mu^i/i! (-1)^i w^(i)(mu) for w = 1/(1-L): the Taylor
-    polynomial of w about mu, at 0, as minus :func:`_taylor_tail` with
-    h(0) = 0 (negation is exact, so the sums agree to the bit)."""
-    return -_taylor_tail(0.0, w, mu, 0.0, n)
-
-
 def mean_inspections(sane: SaneLaw, insp: InspectionLaw):
     """Expected number of inspections charged to one cycle.
 
-    Equals sum_{i<shape} mu^i/i! (-1)^i d^i/ds^i [1/(1-L)](mu); always >= 1.
+    Equals sum_{i<shape} (-1)^i w_i over the scaled Taylor coefficients
+    w_i = mu^i/i! d^i/ds^i [1/(1-L)](mu): the Taylor polynomial of
+    1/(1-L) about mu, at 0.  Always >= 1.
     """
     return _estimating_maps(sane, insp)[0]
 
@@ -252,14 +220,14 @@ def _estimating_maps(sane: SaneLaw, insp: InspectionLaw) -> tuple:
     that reads it there and kept for the later ones.
     """
     n, mu = sane.shape, sane.rate
-    jet = law_derivatives(mu, insp, n - 1)
+    _, _, w, psi_mu = _jet(mu, insp, n - 1)
     band_psi = {}  # damage rate -> psi's scaled coefficients there
 
     def scaled_psi(m) -> list:
         rates = np.atleast_1d(m).tolist()
         new = sorted(set(rates) - band_psi.keys())
         if new:
-            psi = _band_jet(_batch(new), insp, n)[1]
+            psi = _jet(_batch(new), insp, n + _BAND_TERMS)[3]
             band_psi.update(zip(new, zip(*(np.atleast_1d(v).tolist() for v in psi))))
         if isinstance(m, np.ndarray):
             return list(np.array([band_psi[r] for r in rates]).T)
@@ -269,21 +237,20 @@ def _estimating_maps(sane: SaneLaw, insp: InspectionLaw) -> tuple:
         def take(v):
             return v if rows is None or not isinstance(v, np.ndarray) else _batch(v[rows])
 
-        m, psi = take(mu), [take(v) for v in jet.gain]
-        at_lam = law_derivatives(lam, insp, 0)
+        m, psi = take(mu), [take(v) for v in psi_mu]
+        _, one_minus, _, psi_lam = _jet(lam, insp, 0)
+        eps = (lam - m) / m
 
         def generic(pick) -> tuple:
-            return (_indexed_series_sum(n, [pick(v) for v in psi], pick(at_lam.gain[0]),
-                                        pick(m), pick(lam)),)
+            return (_off_band([pick(v) for v in psi], pick(psi_lam[0]), n, pick(eps)),)
 
         def in_band(pick) -> tuple:
-            m_band = pick(m)
-            return (_band_sum(scaled_psi(m_band), n, (pick(lam) - m_band) / m_band),)
+            return (_band_sum(scaled_psi(pick(m)), n, pick(eps)),)
 
         (series,) = _by_band(m, lam, generic, in_band)
-        return 1.0 - at_lam.one_minus * series
+        return 1.0 - one_minus * series
 
-    return _taylor_mean(jet.inv_one_minus, mu, n), failure
+    return _horner(w[:n], -1.0), failure
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +282,11 @@ class CycleMoments:
 
     @property
     def var_cycle(self) -> float:
-        return self.mean_cycle_sq - _power(self.mean_cycle, 2)
+        return self.mean_cycle_sq - self.mean_cycle * self.mean_cycle
 
     @property
     def var_inspections(self) -> float:
-        return self.mean_inspections_sq - _power(self.mean_inspections, 2)
+        return self.mean_inspections_sq - self.mean_inspections * self.mean_inspections
 
     @property
     def var_failure(self) -> float:
@@ -342,49 +309,49 @@ class Sensitivities:
 
 def _closed_forms(
     sane: SaneLaw, damage: DamageLaw, insp: InspectionLaw
-) -> tuple[CycleMoments, Sensitivities, LawDerivatives]:
+) -> tuple[CycleMoments, Sensitivities, tuple]:
     """The cycle moments and the sensitivities at one rate pair, from one
     jet per rate and one band split: the plain series S_n, its slope in lam
     and S_(n+1) serve both.  The jet at lam, to order 1, comes last."""
     n, mu, lam = sane.shape, sane.rate, damage.rate
-    at_mu = law_derivatives(mu, insp, n)
-    at_lam = law_derivatives(lam, insp, 1)
-    oml = at_lam.one_minus
-    l_lam = at_lam.laplace[0]
-    lp_lam = at_lam.laplace[1]
+    _, _, w, psi_mu = _jet(mu, insp, n)
+    at_lam = _jet(lam, insp, 1)
+    (l_lam, lp_scaled), oml, w_lam, psi_lam = at_lam
+    lp_lam = lp_scaled / lam  # L'(lam)
+    sq_mu = _series_mul(psi_mu, w)  # L/(1-L)^2
+    eps = (lam - mu) / mu
 
     def generic(pick) -> tuple:
-        m, l = pick(mu), pick(lam)
-        psi, psi_lam = [pick(v) for v in at_mu.gain], [pick(v) for v in at_lam.gain]
-        plain, slope = _indexed_series_sum(n, psi, psi_lam[0], m, l, psi_lam[1])
-        weighted = _indexed_series_sum(n, [pick(v) for v in at_mu.gain_sq],
-                                       pick(at_lam.gain_sq[0]), m, l)
-        first_age = _indexed_series_sum(n, [-v for v in psi[1:]], -psi_lam[1], m, l)
-        return plain, weighted, first_age, slope, _indexed_series_sum(n + 1, psi, psi_lam[0], m, l)
+        m, e, lp, l, om = pick(mu), pick(eps), pick(lp_lam), pick(l_lam), pick(oml)
+        psi, at = [pick(v) for v in psi_mu], pick(psi_lam[0])
+        plain = _off_band(psi, at, n, e)
+        rho, head, head_slope = _rho(e, n), _horner(psi[:n], e), _horner(psi[:n], e, True)
+        # mu dS_n/dlam, the slope in eps of (-1/eps)^n (psi(lam) - P(eps)),
+        # P the Taylor polynomial of psi of degree n - 1 about mu
+        scaled_slope = rho * (m * pick(psi_lam[1]) / pick(lam) - head_slope) - n * plain / e
+        # dp/dlam with (1 - L(lam)) psi(lam) read as L(lam): psi(lam), near
+        # 1/(lam c) at small lam c, never enters, so nothing large cancels
+        dpd = rho * (om * head_slope - m * lp * (1.0 + head) + n * (l - om * head) / e) / m
+        weighted = _off_band([pick(v) for v in sq_mu], pick(psi_lam[0] * w_lam[0]), n, e)
+        return plain, weighted, scaled_slope, _off_band(psi, at, n + 1, e), dpd
 
     def in_band(pick) -> tuple:
-        # (-psi')[mu (n times), lam] = -n psi[mu (n+1 times), lam]
-        # - psi[mu (n times), lam, lam]
         m = pick(mu)
-        eps = (pick(lam) - m) / m
-        w, psi = _band_jet(m, insp, n)
-        plain_next = _band_sum(psi, n + 1, eps)
-        scaled_slope = _band_sum(psi, n, eps, slope=True)
-        return (_band_sum(psi, n, eps), _band_sum(_series_mul(psi, w), n, eps),
-                (n * plain_next - scaled_slope) / m, scaled_slope / m, plain_next)
+        e = pick(eps)
+        _, _, w_band, psi = _jet(m, insp, n + _BAND_TERMS)
+        plain = _band_sum(psi, n, e)
+        scaled_slope = _band_sum(psi, n, e, slope=True)
+        return (plain, _band_sum(_series_mul(psi, w_band), n, e), scaled_slope,
+                _band_sum(psi, n + 1, e), pick(lp_lam) * plain - pick(oml) * scaled_slope / m)
 
-    plain, weighted, first_age, slope, plain_next = _by_band(mu, lam, generic, in_band)
+    plain, weighted, scaled_slope, plain_next, dpd_dlambda = _by_band(mu, lam, generic, in_band)
 
     detect = oml * plain
     p_fail = 1.0 - detect
 
-    mk = _taylor_mean(at_mu.inv_one_minus, mu, n)
-    mk_next = _taylor_mean(at_mu.inv_one_minus, mu, n + 1)
+    mk = _horner(w[:n], -1.0)
     mx = n / mu + p_fail / lam
-
-    e_k_sq = mk
-    for i in range(n):
-        e_k_sq = e_k_sq + 2.0 * _power(mu, i) / math.factorial(i) * (-1.0) ** i * at_mu.gain_sq[i]
+    e_k_sq = mk + 2.0 * _horner(sq_mu[:n], -1.0)
 
     # E[inspections on detected cycles]: the weighted series collects the
     # k-th term of the detection decomposition, the geometric tail supplies
@@ -392,16 +359,17 @@ def _closed_forms(
     e_k_detected = oml * weighted - l_lam * detect / oml
 
     # Mean inspection age weighted by no-failure survival,
-    # E[D_K exp(-lam (D_K - damage time))]; enters the failure-restricted
-    # cycle-length moment below.
-    age_weighted = oml * first_age + lp_lam * detect / oml
+    # E[D_K exp(-lam (D_K - damage time))], from the series of -psi':
+    # (-mu)^n (-psi')[mu (n times), lam] = (n S_(n+1) - mu dS_n/dlam) / mu.
+    # It enters the failure-restricted cycle-length moment below.
+    age_weighted = oml * (n * plain_next - scaled_slope) / mu + lp_lam * detect / oml
 
     e_x_on_fail = p_fail / lam + n / mu - age_weighted
-    e_x_sq = n * (n + 1) / _power(mu, 2) + 2.0 * e_x_on_fail / lam
+    e_x_sq = n * (n + 1) / mu / mu + 2.0 * e_x_on_fail / lam
 
     cov_xi = e_x_on_fail - mx * p_fail
     cov_ki = detect * mk - e_k_detected
-    cov_kx = (n / mu) * mk_next + (1.0 / lam - mx) * mk - e_k_detected / lam
+    cov_kx = (n / mu) * _horner(w[:n + 1], -1.0) + (1.0 / lam - mx) * mk - e_k_detected / lam
 
     moments = CycleMoments(
         mean_inspections=mk,
@@ -416,9 +384,9 @@ def _closed_forms(
         mean_inspections_detected=e_k_detected,
     )
     return moments, Sensitivities(
-        dmk_dmu=_power(-mu, n - 1) / math.factorial(n - 1) * at_mu.inv_one_minus[n],
+        dmk_dmu=(n * w[n] if n % 2 else -n * w[n]) / mu,
         dpd_dmu=-oml * n * (plain - plain_next) / mu,
-        dpd_dlambda=lp_lam * plain - oml * slope,
+        dpd_dlambda=dpd_dlambda,
     ), at_lam
 
 
@@ -434,15 +402,20 @@ def parameter_sensitivities(
     Each comes from the jets that define the map, one Taylor order up;
     nothing is differentiated by hand.  With w = 1/(1-L), the
     mean-inspections sum telescopes under d/dmu to its last term,
-    (-mu)^(n-1)/(n-1)! w^(n)(mu).  The failure probability is
-    1 - (1-L(lam)) S_n with S_n = (-mu)^n psi[mu (n times), lam] the plain
-    series of psi = L/(1-L), so d/dlambda takes the series' own slope and
-    dS_n/dmu = n (S_n - S_{n+1}) / mu exactly.  In the equal-rates band all
-    three series are Taylor sums in (lam - mu)/mu over the coefficients of
-    one jet at mu, and the slope is the plain sum's derivative term by
-    term.
+    (-1)^(n-1) n w_n / mu over the scaled coefficient w_n.  The failure
+    probability is p = 1 - (1-L(lam)) S_n with S_n = (-mu)^n psi[mu (n
+    times), lam] the plain series of psi = L/(1-L), so dS_n/dmu = n (S_n -
+    S_(n+1)) / mu exactly.  Off the equal-rates band, with rho =
+    (-1/eps)^n and P the Taylor polynomial of psi of degree n - 1 about
+    mu, (1-L(lam)) psi(lam) = L(lam) gives dp/dlam = rho [(1-L) P'(eps)/mu
+    - L'(lam) (1 + P(eps)) + n (L(lam) - (1-L) P(eps))/(eps mu)], free of
+    psi(lam).  In the band all three series are Taylor sums in eps over
+    the coefficients of one jet at mu, dp/dlam = L'(lam) S_n - (1-L(lam))
+    dS_n/dlam, and the slope is the plain sum's derivative term by term.
     """
     return _closed_forms(sane, damage, insp)[1]
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -465,19 +438,19 @@ def _rate_covariance(moments: CycleMoments) -> list:
     var_i, var_k = moments.var_failure, moments.var_inspections
     cov_xk, cov_ik = moments.cov_inspections_cycle, moments.cov_inspections_failure
     p_fail, mk, mx = moments.failure_prob, moments.mean_inspections, moments.mean_cycle
-    mx_sq = _power(mx, 2)
+    mx_sq = mx * mx
     r11 = var_x
     r12 = p_fail * var_x - mx * cov_xi
     r13 = mk * var_x - mx * cov_xk
-    r22 = _power(p_fail, 2) * var_x - 2.0 * p_fail * mx * cov_xi + mx_sq * var_i
+    r22 = p_fail * p_fail * var_x - 2.0 * p_fail * mx * cov_xi + mx_sq * var_i
     r23 = (
         p_fail * mk * var_x
         - p_fail * mx * cov_xk
         - mk * mx * cov_xi
         + mx_sq * cov_ik
     )
-    r33 = _power(mk, 2) * var_x - 2.0 * mk * mx * cov_xk + mx_sq * var_k
-    mx_cube = _power(mx, 3)
+    r33 = mk * mk * var_x - 2.0 * mk * mx * cov_xk + mx_sq * var_k
+    mx_cube = mx_sq * mx
     return [[r / mx_cube for r in row] for row in ((r11, r12, r13), (r12, r22, r23), (r13, r23, r33))]
 
 
@@ -584,10 +557,11 @@ def _covariance_bundle(
         else:
             n, mu, lam = sane.shape, sane.rate, damage.rate
             detect = 1.0 - pd
-            on_fail = pd / lam + n / mu - at_lam.laplace[1] / at_lam.one_minus * detect
+            (_, lp_scaled), one_minus = at_lam[:2]
+            on_fail = pd / lam + n / mu - lp_scaled / lam / one_minus * detect
             # the reference tables' cycle-length moments replace the consistent ones
             moments = replace(moments,
-                              mean_cycle_sq=n * (n + 1) / _power(mu, 2) + 2.0 * on_fail / lam,
+                              mean_cycle_sq=n * (n + 1) / mu / mu + 2.0 * on_fail / lam,
                               cov_cycle_failure=on_fail - mk * pd)
             scale = mx / fp
             jac = [

@@ -6,15 +6,17 @@ damage to failure (exponential), and the gap between consecutive planned
 inspections (deterministic or uniform).  Besides sampling and pointwise
 survival/density evaluation, this module produces exact derivative jets of
 the inspection-gap Laplace transform (from the exponential moments that
-also give the censored likelihood's window integral), which the closed-form
-machinery in :mod:`cbmkit.formulas` consumes.
+also give the censored likelihood's window integral).  The closed-form
+machinery in :mod:`cbmkit.formulas` reads them for the gap times a rate x
+at anchor 1, where row i is x^i L^(i)(x) and has no time unit.  Integer
+powers are running products, which round the same in floats and in
+arrays, so an element of an array gets the bits it gets alone.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,14 +145,9 @@ def _libm(fn, x):
     return fn(x)
 
 
-def _power(x, p: int):
-    """x ** p by the C library's pow (x * x is not always pow(x, 2)); x itself at p = 1."""
-    return x if p == 1 else _libm(lambda v: math.pow(v, p), x)
-
-
-# exp, expm1 and integer powers: the C library's on every element, or numpy's
-_LIBM_OPS = functools.partial(_libm, math.exp), functools.partial(_libm, math.expm1), _power
-_NUMPY_OPS = np.exp, np.expm1, operator.pow
+# exp and expm1: the C library's on every element, or numpy's
+_LIBM_OPS = functools.partial(_libm, math.exp), functools.partial(_libm, math.expm1)
+_NUMPY_OPS = np.exp, np.expm1
 
 
 def survival_sane(t, law: SaneLaw):
@@ -175,7 +172,10 @@ def survival_sane(t, law: SaneLaw):
         return _value(acc * e)
     # the tail on the elements below rate*t = 1, summed until none changes
     x_near = np.where(near, x, 0.0)
-    term, tail, i = _power(x_near, law.shape) / math.factorial(law.shape), 0.0, law.shape
+    term = x_near
+    for _ in range(1, law.shape):
+        term = term * x_near
+    term, tail, i = term / math.factorial(law.shape), 0.0, law.shape
     while not _all(tail + term == tail):
         tail, i = tail + term, i + 1
         term = term * (x_near / i)
@@ -227,18 +227,20 @@ def _exp_poly_moments(g, theta, top: int, elementwise: bool = False) -> list:
     high-precision reference to a few ulps times |x|.
 
     g or theta may be an array (theta's elements of one sign); two floats
-    compute in floats.  One switch picks the arithmetic: ``elementwise``
-    (``_transform``'s gap law) takes exp, expm1 and powers from the C
-    library through ``_libm`` and the series to the whole range below the
-    switch, so each element gets its bits alone; the default (the censored
-    likelihood's window) takes numpy's and the series to the largest |x|.
+    compute in floats.  The powers g^i are running products, which round
+    alike in floats and in arrays.  One switch picks the rest of the
+    arithmetic: ``elementwise`` (``_transform``'s gap law) takes exp and
+    expm1 from the C library through ``_libm`` and the series to the whole
+    range below the switch, so each element gets its bits alone; the
+    default (the censored likelihood's window) takes numpy's and the series
+    to the largest |x|.
     """
     switch = math.factorial(top + 1) ** (1.0 / max(top, 1))
-    reach, (exp, expm1, power) = (switch, _LIBM_OPS) if elementwise else (None, _NUMPY_OPS)
+    reach, (exp, expm1) = (switch, _LIBM_OPS) if elementwise else (None, _NUMPY_OPS)
     if not isinstance(g, np.ndarray) and not isinstance(theta, np.ndarray):
         x = theta * g
         out = [[0.0] for _ in range(top + 1)]
-        _moments(out, 0, x, exp(x), g, theta, top, expm1, power, abs(x) < switch, reach)
+        _moments(out, 0, x, exp(x), g, theta, top, expm1, abs(x) < switch, reach)
         return [m[0] for m in out]
     x = np.asarray(theta * g)
     shape, x = x.shape, x.reshape(-1)
@@ -250,7 +252,7 @@ def _exp_poly_moments(g, theta, top: int, elementwise: bool = False) -> list:
              else [(slice(None), bool(small.all()))])
     for rows, series in sides:
         _moments(out, rows, x[rows], ex[rows], _part(g, rows), _part(theta, rows), top, expm1,
-                 power, series, reach)
+                 series, reach)
     return [m.reshape(shape) for m in out]
 
 
@@ -259,16 +261,18 @@ def _part(value, rows):
     return value.reshape(-1)[rows] if isinstance(value, np.ndarray) else value
 
 
-def _moments(out, rows, x, ex, g, theta, top: int, expm1, power, series: bool,
-             reach) -> None:
+def _moments(out, rows, x, ex, g, theta, top: int, expm1, series: bool, reach) -> None:
     """out[i][rows] = m_i for i = 0..top on one side of the switch: above it
     the upward recursion, below it mu_top from its series (Horner's rule, in
     place on arrays, to the terms of ``reach`` or of the largest |x|) and
     the downward recursion."""
+    powers = [g]  # g^(i + 1) at i
+    for _ in range(top):
+        powers.append(powers[-1] * g)
     if not series:
         prev = out[0][rows] = expm1(x) / theta
         for i in range(1, top + 1):
-            prev = out[i][rows] = (power(g, i) * ex - i * prev) / theta
+            prev = out[i][rows] = (powers[i - 1] * ex - i * prev) / theta
         return
     ax = abs(x)
     negative = _any(theta < 0.0)
@@ -281,10 +285,10 @@ def _moments(out, rows, x, ex, g, theta, top: int, expm1, power, series: bool,
     acc += coefficients[0]
     if negative:
         acc *= ex
-    out[top][rows] = acc * power(g, top + 1)
+    out[top][rows] = acc * powers[top]
     for i in range(top, 0, -1):
         acc = (ex - x * acc) / i
-        out[i - 1][rows] = acc * power(g, i)
+        out[i - 1][rows] = acc * powers[i - 1]
 
 
 def _transform(x, law: InspectionLaw, order: int, scale=1.0) -> tuple:
@@ -302,7 +306,10 @@ def _transform(x, law: InspectionLaw, order: int, scale=1.0) -> tuple:
     if law.kind == DETERMINISTIC:
         c = law.spacing * scale
         e = _libm(math.exp, -x * c)
-        return [_power(-c, i) * e for i in range(order + 1)], -_libm(math.expm1, -x * c)
+        powers = [1.0]  # (-c)^i at i
+        for _ in range(order):
+            powers.append(powers[-1] * -c)
+        return [p * e for p in powers], -_libm(math.expm1, -x * c)
     a, two_h = (law.spacing - law.half_width) * scale, 2.0 * law.half_width * scale
     # past x w = 1e3, exp(-x w) = 0 leaves the moments as they are there,
     # while w^i in their recursion would overflow

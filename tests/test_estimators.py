@@ -366,10 +366,14 @@ class TestChandrupatla:
 
     @pytest.mark.parametrize(
         "func",
-        [lambda v: 0.0 if v < 0.37 else 1.0, lambda v: max(v - 0.37, 0.0) * 1e18],
-        ids=["step", "flat-then-steep"],
+        [lambda v: 0.0 if v < 0.37 else 1.0, lambda v: max(v - 0.37, 0.0) * 1e18,
+         lambda v: (v - 0.37) * 1e18],
+        ids=["step", "flat-then-steep", "steep-line"],
     )
     def test_ends_at_float_resolution(self, func):
+        # the steep line's interpolation steps fall within an ulp of the
+        # newest point, and flat-then-steep's of the other end: both keep
+        # an ulp away
         target = 0.5 if func(1.0) == 1.0 else 1.0
         x, trace, calls = _one_search(func, target, (1e-8, 1e2))
         assert abs(func(x) - target) > 1e-12 * target
@@ -490,6 +494,22 @@ class TestAsymptoticEstimate:
         d = report.diagnostics
         assert d["mu_evaluations"] <= 8 and d["lambda_evaluations"] <= 8
         assert d["mu_evaluations"] + d["lambda_evaluations"] == len(calls) <= 16
+
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    def test_wide_gaps_start_near_the_root(self, shape):
+        # uniform gaps with h = 900 at the base rates: the damage-rate start
+        # from the renewal expansion lies within 1% of the root, and its
+        # bracket holds it, so the search stops within 6 evaluations (9-10
+        # with the deterministic gaps' start)
+        cfg = make_config(shape=shape, kind="uniform")
+        cfg = dataclasses.replace(cfg, inspection=UNIF900)
+        m = F.cycle_moments(cfg.sane, cfg.damage, cfg.inspection)
+        n_r = round(cfg.horizon / m.mean_cycle)
+        snap = CountSnapshot(cfg.horizon, n_r, round(n_r * m.mean_inspections),
+                             round(n_r * m.failure_prob))
+        start = estimators._damage_rate_start(snap.inspections / snap.repairs, shape, UNIF900)
+        assert abs(start / cfg.sane.rate - 1.0) < 0.01
+        assert asymptotic_estimate(snap, cfg).diagnostics["mu_evaluations"] <= 6
 
     @pytest.mark.parametrize("table", sorted(PUBLISHED_TABLES))
     def test_estimates_scale_exactly(self, table):
@@ -682,31 +702,30 @@ class TestLockstepRounds:
 
     def test_damage_rate_work_done_once(self, monkeypatch):
         # a failure-rate solve whose estimates end in the equal-rates band
-        # for rows 0 and 2: the jets at the damage rates take one pass of
-        # _transform however many rounds read them, and the band's jet,
-        # the pass at anchor 1 for the gap times mu, at most one per
-        # damage rate, on the rows that reach the band
+        # for rows 0 and 2: the jet at the damage rates, to order shape - 1,
+        # takes one pass however many rounds read it, and the band's jet,
+        # to order shape + N, at most one per damage rate, on the rows that
+        # reach the band
         mus = [8e-4, 1e-3, 1.2e-3, 9e-4]
         lams = [8.1e-4, 2e-4, 1.19e-3, 5e-3]
         targets = [F.failure_probability(SaneLaw(2, m), DamageLaw(v), UNIF)
                    for m, v in zip(mus, lams)]
         singles = [invert_failure_probability(t, SaneLaw(2, m), UNIF) for t, m in zip(targets, mus)]
-        anchors, scaled = [], []
-        transform = F._transform
+        calls = []
+        jet = F._jet
 
-        def counted(x, insp, order, scale=1.0):
-            if isinstance(scale, float) and scale == 1.0:
-                anchors.append(np.atleast_1d(x).tolist())
-            else:
-                scaled.extend(np.atleast_1d(scale).tolist())
-            return transform(x, insp, order, scale)
+        def counted(rate, insp, order):
+            calls.append((order, np.atleast_1d(rate).tolist()))
+            return jet(rate, insp, order)
 
-        monkeypatch.setattr(F, "_transform", counted)
+        monkeypatch.setattr(F, "_jet", counted)
         errors, traces = [None] * 4, [{} for _ in mus]
         roots = estimators._failure_rate_roots(targets, 2, mus, UNIF, errors, traces)
         assert roots == singles
-        assert [x for x in anchors if set(x) & set(mus)] == [mus]
-        assert {mus[0], mus[2]} <= set(scaled) and len(scaled) == len(set(scaled))
+        assert [rates for order, rates in calls if order == 1] == [mus]
+        band = [r for order, rates in calls if order == 2 + F._BAND_TERMS for r in rates]
+        assert {mus[0], mus[2]} <= set(band) and len(band) == len(set(band))
+        assert {order for order, _ in calls} == {0, 1, 2 + F._BAND_TERMS}
         assert min(t["evaluations"] for t in traces) > 2
 
     def test_failure_rate_rows_with_errors(self):
@@ -790,7 +809,7 @@ class TestBatchedEstimates:
             delay = snap.time / snap.repairs - n / row.mu_hat
             kinds.append((
                 _bracket_kind(row.diagnostics["mu_bracket"],
-                              estimators._damage_rate_start(ratio, n, insp.spacing),
+                              estimators._damage_rate_start(ratio, n, insp),
                               _damage_bracket(ratio, n, insp)),
                 _bracket_kind(row.diagnostics["lambda_bracket"],
                               fraction / delay if delay > 0.0 else math.nan,

@@ -118,26 +118,12 @@ def _reference_misses(shape: int, mu: float, lam: float, insp) -> bool:
 SWEEP_MUCS = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 SWEEP_RATIOS = (1e-3, 1e-2, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 10.0, 1e2, 1e3)
 
-# dpd_dlambda's relative error where it misses the reference, all at
-# mu*c = 1e-4 and lam/mu = 1e-3: L'(lam) S_n cancels against
-# (1 - L(lam)) dS_n/dlam as lam*c falls.
-_SLOPE_MISSES = {
-    ("det", 1): 1.56e-9, ("det", 2): 9.45e-9, ("det", 3): 9.45e-9, ("det", 4): 9.45e-9,
-    ("unif", 2): 1.21e-9, ("unif", 3): 1.21e-9, ("unif", 4): 1.21e-9,
-}
-
-
 def _slope_cells():
     for law, name in zip(LAWS, ("det", "unif")):
         for shape in (1, 2, 3, 4):
             for muc in SWEEP_MUCS:
                 for ratio in SWEEP_RATIOS:
-                    miss = _SLOPE_MISSES.get((name, shape)) if (muc, ratio) == (1e-4, 1e-3) else None
-                    marks = () if miss is None else pytest.mark.xfail(
-                        strict=True, reason=f"{miss:.3g} relative: L'(lam) S_n cancels "
-                                            "against (1 - L(lam)) dS_n/dlam")
-                    yield pytest.param(law, shape, muc, ratio, marks=marks,
-                                       id=f"{name}-{shape}-{muc:g}-{ratio:g}")
+                    yield pytest.param(law, shape, muc, ratio, id=f"{name}-{shape}-{muc:g}-{ratio:g}")
 
 
 @st.composite
@@ -210,11 +196,11 @@ class TestDecimalReference:
     @pytest.mark.parametrize("law, shape, muc", [
         pytest.param(law, shape, muc, id=f"{name}-{shape}-{muc:g}", marks=pytest.mark.xfail(
             strict=True, reason=f"{miss}x the tolerance: the generic branch divides by "
-                                "(mu - lam)^shape"))
+                                "eps^shape"))
         for law, name, shape, muc, miss in [
-            (DET, "det", 4, 1e-4, 4.41), (DET, "det", 4, 2e-4, 1.52),
-            (UNIF, "unif", 3, 1e-4, 1.42), (UNIF, "unif", 4, 1e-4, 7.75),
-            (UNIF, "unif", 4, 2e-4, 4.45)]])
+            (DET, "det", 4, 1e-4, 3.40), (DET, "det", 4, 2e-4, 5.71),
+            (UNIF, "unif", 3, 1e-4, 1.65), (UNIF, "unif", 4, 1e-4, 22.2),
+            (UNIF, "unif", 4, 2e-4, 6.23)]])
     def test_slope_past_band_edge(self, law, shape, muc):
         # mu = muc/1000 rounds up, so lam = 1.25 mu lies one ulp of eps past
         # the band's edge, on the generic branch
@@ -401,9 +387,9 @@ _TIME_DIMENSION = {
 class TestTimeUnit:
     """The model has no time unit: every time (c, h) times s = 2^j and every
     rate over s scales each CycleMoments and Sensitivities field of time
-    dimension d by s^d, bit for bit.  Measured, this holds on every cell
-    here from j = -214 to j = 195; the two strict xfails mark where it
-    stops (ROADMAP item 12)."""
+    dimension d by s^d, bit for bit, for every j at which no such field
+    overflows and each stays 2^53 above the least normal float, so that the
+    terms that reach its last bit are normal too."""
 
     RATIOS = (1e-3, 0.5, 1.0, 1.1, 2.0, 100.0)
 
@@ -415,10 +401,24 @@ class TestTimeUnit:
         return {**vars(F.cycle_moments(sane, damage, law)),
                 **vars(F.parameter_sensitivities(sane, damage, law))}
 
-    def _assert_scales(self, shape, kind, js):
+    @staticmethod
+    def _normal_range(base: dict) -> tuple:
+        """The j from which to which every nonzero field of dimension d > 0,
+        times 2^(d j), lies in [2^-969, 2^1024): from each field's binary
+        exponent e, 2^(e-1) <= |v| < 2^e."""
+        lo, hi = -math.inf, math.inf
+        for name, value in base.items():
+            d = _TIME_DIMENSION.get(name, 0)
+            if d and value:
+                e = math.frexp(value)[1]
+                lo, hi = max(lo, -((968 + e) // d)), min(hi, (1024 - e) // d)
+        return lo, hi
+
+    def _assert_scales(self, shape, kind, js=None):
         for ratio in self.RATIOS:
             base = self._fields(shape, kind, ratio, 1.0)
-            for j in js:
+            lo, hi = self._normal_range(base)
+            for j in js or [*range(lo, hi, 20), hi]:
                 s = 2.0**j
                 want = {k: v * s ** _TIME_DIMENSION.get(k, 0) for k, v in base.items()}
                 assert self._fields(shape, kind, ratio, s) == want, (ratio, j)
@@ -426,36 +426,40 @@ class TestTimeUnit:
     @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
     @pytest.mark.parametrize("shape", [1, 2, 3, 4])
     def test_fields_scale_exactly(self, shape, kind):
-        self._assert_scales(shape, kind, range(-210, 191, 10))
+        # mean_cycle_sq, of dimension 2 and near 1e7 at lam/mu = 1e-3,
+        # bounds the range at about j = -495 and j = 500
+        self._assert_scales(shape, kind)
 
-    @pytest.mark.parametrize("shape, j", [
-        pytest.param(1, 200, marks=pytest.mark.xfail(
-            strict=True, raises=OverflowError,
-            reason="ROADMAP item 12: g ** (top + 1) in laws._moments overflows")),
-        pytest.param(4, -220, marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason="ROADMAP item 12: g ** 5 in laws._moments is subnormal, so the "
-                   "values lose their scaling without raising")),
-    ], ids=["item-12-overflow-j200", "item-12-subnormal-j-220"])
+    @pytest.mark.parametrize("shape, j", [(1, 200), (4, -220)], ids=["overflow-j200", "subnormal-j-220"])
     def test_uniform_edges(self, shape, j):
+        # where a jet in the time unit of c broke: g ** (top + 1) overflowed
+        # at j = 200, and g ** 5 was subnormal at j = -220
         self._assert_scales(shape, "uniform", [j])
 
 
 class TestLawDerivativesCache:
-    """Derivative bundles, computed afresh on every call: the name is kept
-    from the float-anchor memo these tests once covered, so that the test
-    ids stay stable."""
+    """The scaled jets of ``_jet``, computed afresh on every call: the name
+    is kept from the float-anchor memo these tests once covered, so that
+    the test ids stay stable."""
+
+    ROWS = ("laplace", "one_minus", "w", "psi")
+
+    @classmethod
+    def _rows(cls, jet) -> dict:
+        """The jet's rows by name, 1 - L as a row of one."""
+        return {name: list(rows) if isinstance(rows, tuple) else [rows]
+                for name, rows in zip(cls.ROWS, jet)}
 
     def test_cached_arrays_are_read_only(self):
-        # a bundle is immutable, so its rows are tuples
-        bundle = F.law_derivatives(1e-3, UNIF, 4)
-        for rows in (bundle.laplace, bundle.inv_one_minus, bundle.gain, bundle.gain_sq):
+        # a jet is immutable, so its rows are tuples
+        laplace, _, w, psi = F._jet(1e-3, UNIF, 4)
+        for rows in (laplace, w, psi):
             with pytest.raises(TypeError):
                 rows[0] = 0.0
 
     @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
     def test_repeated_calls_agree(self, law, monkeypatch):
-        # each call computes its bundle afresh, to the same bits
+        # each call computes its jet afresh, to the same bits
         calls = []
 
         def transform(*args):
@@ -463,26 +467,31 @@ class TestLawDerivativesCache:
             return laws._transform(*args)
 
         monkeypatch.setattr(F, "_transform", transform)
-        first = F.law_derivatives(7.3e-4, law, 4)
-        again = F.law_derivatives(7.3e-4, law, 4)
+        first = self._rows(F._jet(7.3e-4, law, 4))
+        again = self._rows(F._jet(7.3e-4, law, 4))
         assert len(calls) == 2
-        for name in ("laplace", "inv_one_minus", "gain", "gain_sq"):
-            assert [v.hex() for v in getattr(again, name)] == [
-                v.hex() for v in getattr(first, name)]
+        for name in self.ROWS:
+            assert [v.hex() for v in again[name]] == [v.hex() for v in first[name]]
 
     @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
     def test_array_rows_are_the_single_anchor_floats(self, law):
-        # a single anchor computes in floats, an array of anchors in rows;
-        # each column is its anchor's bundle, bit for bit
-        anchors = [7.3e-4, 1e-3, 2.5e-2]
-        batch = F.law_derivatives(np.array(anchors), law, 4)
-        for k, s in enumerate(anchors):
-            one = F.law_derivatives(s, law, 4)
-            assert type(one.one_minus) is float
-            assert batch.one_minus[k] == one.one_minus
-            for name in ("laplace", "inv_one_minus", "gain", "gain_sq"):
-                assert all(type(v) is float for v in getattr(one, name))
-                assert [row[k] for row in getattr(batch, name)] == list(getattr(one, name))
+        # a single rate computes in floats, an array of rates in rows; each
+        # column is its rate's jet, bit for bit
+        rates = [7.3e-4, 1e-3, 2.5e-2]
+        batch = self._rows(F._jet(np.array(rates), law, 4))
+        for k, s in enumerate(rates):
+            one = self._rows(F._jet(s, law, 4))
+            for name in self.ROWS:
+                assert all(type(v) is float for v in one[name])
+                assert [row[k] for row in batch[name]] == one[name]
+
+    @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
+    def test_order_cap(self, law):
+        # the band of the largest shape reads the highest order there is
+        top = laws.MAX_SHAPE + F._BAND_TERMS
+        assert len(F._jet(1e-3, law, top)[3]) == top + 1
+        with pytest.raises(ValueError, match="highest jet order"):
+            F._jet(1e-3, law, top + 1)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -493,16 +502,15 @@ class TestLawDerivativesCache:
     def test_batches_across_the_series_switch(self, log_sc, order, law):
         # s*c from 1e-9 to 10 in one array, both ends included: the uniform
         # moments' series and recursion sides both run, and each element
-        # gets the bits of its own float bundle, without a numpy warning
-        anchors = [10.0**v / 1000.0 for v in [-9.0, *log_sc, 1.0]]
+        # gets the bits of its own float jet, without a numpy warning
+        rates = [10.0**v / 1000.0 for v in [-9.0, *log_sc, 1.0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = F.law_derivatives(np.array(anchors), law, order)
-        for k, s in enumerate(anchors):
-            one = F.law_derivatives(s, law, order)
-            assert batch.one_minus[k] == one.one_minus
-            for name in ("laplace", "inv_one_minus", "gain", "gain_sq"):
-                assert [row[k] for row in getattr(batch, name)] == list(getattr(one, name)), name
+            batch = self._rows(F._jet(np.array(rates), law, order))
+        for k, s in enumerate(rates):
+            one = self._rows(F._jet(s, law, order))
+            for name in self.ROWS:
+                assert [row[k] for row in batch[name]] == one[name], name
 
 
 class TestCountRateCovariance:
@@ -800,29 +808,27 @@ class TestEstimatorCovariance:
     @pytest.mark.parametrize("law", LAWS, ids=["det", "unif"])
     def test_one_pass_per_batch(self, law, monkeypatch):
         # a 100-element batch, a third of it in the equal-rates band: one
-        # jet at each rate, one band split and one band jet, on the band's
-        # 34 damage rates only, whichever convention reads them
+        # jet at each rate, to orders shape and 1, one band split and one
+        # band jet, to order shape + N on the band's 34 damage rates only,
+        # whichever convention reads them
         mu = np.geomspace(5e-4, 2e-3, 100)
         lam = mu * np.where(np.arange(100) % 3 == 0, 1.1, 0.5)
         calls = []
-        jets, band_jet, by_band = F.law_derivatives, F._band_jet, F._by_band
+        jet, by_band = F._jet, F._by_band
 
-        def law_derivatives(s, insp, order):
-            calls.append("jet at mu" if s is mu else "jet at lam" if s is lam else s)
-            return jets(s, insp, order)
+        def counted_jet(rate, insp, order):
+            where = ("mu" if rate is mu else "lam" if rate is lam
+                     else "band" if rate.tolist() == mu[::3].tolist() else rate)
+            calls.append((where, order))
+            return jet(rate, insp, order)
 
-        def counted_band_jet(m, insp, n):
-            calls.append(("_band_jet", m.tolist() == mu[::3].tolist()))
-            return band_jet(m, insp, n)
-
-        monkeypatch.setattr(F, "law_derivatives", law_derivatives)
-        monkeypatch.setattr(F, "_band_jet", counted_band_jet)
+        monkeypatch.setattr(F, "_jet", counted_jet)
         monkeypatch.setattr(F, "_by_band", lambda *a: calls.append("_by_band") or by_band(*a))
         for convention in F.CONVENTIONS:
             calls.clear()
             bundle = F.estimator_covariance(SaneLaw(2, mu), DamageLaw(lam), law, convention)
             assert bundle.param_cov.shape == (100, 2, 2)
-            assert calls == ["jet at mu", "jet at lam", "_by_band", ("_band_jet", True)], \
+            assert calls == [("mu", 2), ("lam", 1), "_by_band", ("band", 2 + F._BAND_TERMS)], \
                 convention
 
     def test_published_jacobian_forms_agree_and_differ_from_delta(self):

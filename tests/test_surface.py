@@ -22,7 +22,8 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 REMOVED = ("TaylorJet", "deterministic_config", "full_information_estimate", "inspection_series",
            "counts_at", "mean_cycle_length", "mc_moment_set", "McEstimate",
-           "failure_rate_from_cycle_identity")
+           "failure_rate_from_cycle_identity", "LawDerivatives", "law_derivatives", "_band_jet",
+           "_gains", "_taylor_tail", "_indexed_series_sum", "_taylor_mean", "_power")
 MODULES = ("cli", "config", "laws", "formulas", "estimators", "simulator", "oracle")
 # what tests compare other code against: the oracle's age/KS block, the gap
 # CDF of the KS tests and the damage-time density of the quadrature references
@@ -172,6 +173,16 @@ class TestDesignRules:
                if isinstance(getattr(node, "op", None), ast.MatMult)
                or (isinstance(node, ast.Call) and BLAS & set(names(node.func)))]
         assert not bad, "\n".join(bad)
+
+    def test_coverage_allowances_name_statements(self):
+        # the coverage step allows a few unexecuted statements by function
+        # and text, not by line; each must still name a statement
+        import linecov
+
+        found = {(function, text) for path in sorted((ROOT / "src" / "cbmkit").glob("*.py"))
+                 for _, function, text in linecov.statements(path)}
+        assert ("formulas._rho", "out = out * ratio") in found
+        assert set(linecov.ALLOWED) <= found
 
     def test_one_draw_loop(self):
         # every batch of cycles comes from simulator.cycle_chunks, so the
