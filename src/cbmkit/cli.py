@@ -399,7 +399,8 @@ def _convergence_rows(
             continue
         if not isinstance(report, (OutOfRangeError, DegenerateDataError)):
             raise report
-        rows.append("%.17g,,,,,,\n" % t if math.isnan(mu) else "%.17g,%.17g,,,,,\n" % (t, mu))
+        rows.append("%.17g,,,,,,\n" % t if isinstance(mu, Exception)
+                    else "%.17g,%.17g,,,,,\n" % (t, mu))
     return rows
 
 

@@ -5,7 +5,11 @@ The asymptotic method inverts two monotone maps: mean inspections per
 cycle determines the damage rate, then the per-cycle failure fraction
 determines the failure rate.  Confidence intervals come from the
 asymptotic covariance of the count rates pushed through the inverse maps
-(plug-in, evaluated at the point estimates).
+(plug-in, evaluated at the point estimates).  A batch of snapshots solves
+each map in lockstep rounds, and every element keeps one slot per rate: it
+holds the element's count ratio or fraction until its search ends, then
+its rate or the error that stopped it, and the reports take the place of
+the failure rates.  No error table runs beside the slots.
 
 The likelihood baseline works from observables only: the damage time is
 interval-censored between the last clean inspection and the end of the
@@ -143,28 +147,26 @@ def _search(target: float, lo: float, hi: float, tol: float, trace: dict,
 
 
 def _solve(
-    func: Callable, targets: Sequence[float], brackets: Sequence[tuple], errors: list,
-    traces: list, rtol: float = 1e-12, atol: float = 0.0,
-    starts: Optional[Sequence[float]] = None,
+    func: Callable, slots: list, brackets: Sequence[tuple], traces: list,
+    rtol: float = 1e-12, atol: float = 0.0, starts: Optional[Sequence[float]] = None,
 ) -> list:
-    """Invert a monotone map at every target whose entry of ``errors`` is
-    None, all searches in lockstep: target k over its proven bracket
+    """Invert a monotone map at every slot that holds a target (a float),
+    all searches in lockstep: slot k over its proven bracket
     ``brackets[k]``, from ``starts[k]`` where given (see :func:`_search`),
     until the map is within rtol*|target| + atol of it.
 
-    The searches are numbered by their position among those targets.
-    Each round evaluates ``func(x, rows)`` once, at the points of every
-    search still running: ``rows`` lists their numbers and ``x`` holds
-    their points, a float for one search, so one inversion computes in
-    floats throughout, and an array otherwise.  Returns the roots (NaN
-    where there is none); a search's error goes to its entry of
-    ``errors`` and its bracket, iterations and evaluations to its entry
-    of ``traces``.
+    The searches are numbered by their position among those slots.  Each
+    round evaluates ``func(x, rows)`` once, at the points of every search
+    still running: ``rows`` lists their numbers and ``x`` holds their
+    points, a float for one search, so one inversion computes in floats
+    throughout, and an array otherwise.  Each search's slot then holds its
+    root, or the error that stopped it, and its entry of ``traces`` its
+    bracket, iterations and evaluations; a slot that holds an error keeps
+    it.  Returns ``slots``.
     """
-    roots = [math.nan] * len(targets)
-    live = [k for k, e in enumerate(errors) if e is None]
+    live = [k for k, t in enumerate(slots) if not isinstance(t, Exception)]
     sends = [
-        _search(targets[k], *brackets[k], rtol * abs(targets[k]) + atol, traces[k],
+        _search(slots[k], *brackets[k], rtol * abs(slots[k]) + atol, traces[k],
                 math.nan if starts is None else starts[k]).send
         for k in live
     ]
@@ -176,31 +178,30 @@ def _solve(
             try:
                 points.append(sends[r](value))
             except StopIteration as stop:
-                roots[live[r]] = stop.value
+                slots[live[r]] = stop.value
             except (OutOfRangeError, NonConvergenceError) as exc:
-                errors[live[r]] = exc
+                slots[live[r]] = exc
             else:
                 asking.append(r)
                 continue
             traces[live[r]]["evaluations"] = evaluations
         rows = asking
         if not rows:
-            return roots
+            return slots
         values = func(points[0] if len(rows) == 1 else np.array(points), rows)
         values = [values] if len(rows) == 1 else values.tolist()
 
 
-def _only(roots: list, errors: list) -> float:
-    """The root of a one-target solve, or its error raised."""
-    if errors[0] is not None:
-        raise errors[0]
-    return roots[0]
+def _settled(slot):
+    """A slot's root, or its error raised."""
+    if isinstance(slot, Exception):
+        raise slot
+    return slot
 
 
-def _mean_inspection_roots(targets: Sequence[float], shape: int, insp: InspectionLaw,
-                           errors: list, traces: list) -> list:
-    """:func:`invert_mean_inspections` at every target at once, each
-    search from :func:`_damage_rate_start`.
+def _mean_inspection_roots(slots: list, shape: int, insp: InspectionLaw, traces: list) -> list:
+    """:func:`invert_mean_inspections` at every slot that holds a target,
+    each search from :func:`_damage_rate_start`; see :func:`_solve`.
 
     The proven bracket: the detection age V, the first planned age at or
     past the damage age Y, has Y <= V < Y + c + h (c the mean gap, h the
@@ -210,18 +211,21 @@ def _mean_inspection_roots(targets: Sequence[float], shape: int, insp: Inspectio
     enough rate would meet the stopping test: no root is defined there.
     """
     c, h = insp.spacing, insp.half_width
-    brackets = [(math.nan, math.nan)] * len(targets)
-    for k, t in enumerate(targets):
-        if errors[k] is None and not t - 1.0 > 1e-12 * t:
-            errors[k] = OutOfRangeError(
+    brackets = [(math.nan, math.nan)] * len(slots)
+    starts = [math.nan] * len(slots)
+    for k, t in enumerate(slots):
+        if isinstance(t, Exception):
+            continue
+        if not t - 1.0 > 1e-12 * t:
+            slots[k] = OutOfRangeError(
                 "mean inspections per cycle must exceed 1 by more than the inversion "
                 f"tolerance 1e-12 relative, got {t!r}")
-        elif errors[k] is None:
-            excess = c * (t - 1.0) - h
-            brackets[k] = (shape / (c * t), shape / excess if excess > 0.0 else math.inf)
-    starts = [_damage_rate_start(t, shape, insp) for t in targets]
-    return _solve(lambda mu, rows: mean_inspections(SaneLaw(shape, mu), insp), targets, brackets,
-                  errors, traces, starts=starts)
+            continue
+        excess = c * (t - 1.0) - h
+        brackets[k] = (shape / (c * t), shape / excess if excess > 0.0 else math.inf)
+        starts[k] = _damage_rate_start(t, shape, insp)
+    return _solve(lambda mu, rows: mean_inspections(SaneLaw(shape, mu), insp), slots, brackets,
+                  traces, starts=starts)
 
 
 def _damage_rate_start(ratio: float, shape: int, insp: InspectionLaw) -> float:
@@ -243,24 +247,23 @@ def _damage_rate_start(ratio: float, shape: int, insp: InspectionLaw) -> float:
     return shape / (c * (ratio - 0.5))
 
 
-def _check_fractions(fractions: Sequence[float], errors: list) -> None:
-    """Record, where no error is recorded yet, a failure fraction outside
-    (0, 1), from which no failure rate follows."""
-    for k, f in enumerate(fractions):
-        if errors[k] is None and not 0.0 < f < 1.0:
-            errors[k] = DegenerateDataError(
-                "failure rate not identifiable: per-cycle failure fraction "
-                f"{f!r} is outside (0, 1)")
+def _fraction_slot(slot):
+    """A failure-fraction slot as the failure-rate search reads it: an
+    error stays, and a fraction outside (0, 1), from which no failure rate
+    follows, becomes one."""
+    if isinstance(slot, Exception) or 0.0 < slot < 1.0:
+        return slot
+    return DegenerateDataError(
+        f"failure rate not identifiable: per-cycle failure fraction {slot!r} is outside (0, 1)")
 
 
-def _failure_rate_roots(targets: Sequence[float], shape: int, mu: Sequence[float],
-                        insp: InspectionLaw, errors: list, traces: list,
-                        starts: Optional[Sequence[float]] = None) -> list:
-    """:func:`invert_failure_probability` at every target at once, target
-    k at the damage rate ``mu[k]`` and from ``starts`` where given: one
-    failure-probability map over the damage rates of the searches, built
-    before the first round, serves every round (see
-    :func:`cbmkit.formulas._estimating_maps`).
+def _failure_rate_roots(slots: list, shape: int, mu: Sequence[float], insp: InspectionLaw,
+                        traces: list, starts: Optional[Sequence[float]] = None) -> list:
+    """:func:`invert_failure_probability` at every slot that holds a
+    target, slot k at the damage rate ``mu[k]`` and from ``starts`` where
+    given (see :func:`_solve`): one failure-probability map over the
+    damage rates of the searches, built before the first round, serves
+    every round (see :func:`cbmkit.formulas._estimating_maps`).
 
     The proven bracket: a cycle fails when its failure time, exponential
     at rate lam from the damage age, comes before the detection delay W
@@ -271,19 +274,18 @@ def _failure_rate_roots(targets: Sequence[float], shape: int, mu: Sequence[float
     convex exp(-lam W) over [0, w] (Madansky 1959) gives
     lam <= -log1p(-p w/E[W])/w, open above where p w >= E[W].
     """
-    _check_fractions(targets, errors)
-    live = [k for k, e in enumerate(errors) if e is None]
+    slots[:] = map(_fraction_slot, slots)
+    live = [k for k, t in enumerate(slots) if not isinstance(t, Exception)]
     if not live:
-        return [math.nan] * len(targets)
+        return slots
     mean, failure = _estimating_maps(SaneLaw(shape, _batch([mu[k] for k in live])), insp)
     w = insp.spacing + insp.half_width
-    brackets = [(math.nan, math.nan)] * len(targets)
+    brackets = [(math.nan, math.nan)] * len(slots)
     for k, mean_k in zip(live, np.atleast_1d(mean).tolist()):
-        p, delay = targets[k], insp.spacing * mean_k - shape / mu[k]
+        p, delay = slots[k], insp.spacing * mean_k - shape / mu[k]
         brackets[k] = (-math.log1p(-p) / delay,
                        -math.log1p(-p * w / delay) / w if p * w < delay else math.inf)
-    return _solve(failure, targets, brackets, errors, traces, atol=1e-12, rtol=0.0,
-                  starts=starts)
+    return _solve(failure, slots, brackets, traces, atol=1e-12, rtol=0.0, starts=starts)
 
 
 def invert_mean_inspections(target: float, shape: int, insp: InspectionLaw) -> float:
@@ -294,18 +296,14 @@ def invert_mean_inspections(target: float, shape: int, insp: InspectionLaw) -> f
     search starts from the moment identities (see
     :func:`_mean_inspection_roots`).
     """
-    errors = [None]
-    roots = _mean_inspection_roots([target], shape, insp, errors, [{}])
-    return _only(roots, errors)
+    return _settled(_mean_inspection_roots([target], shape, insp, [{}])[0])
 
 
 def invert_failure_probability(target: float, sane: SaneLaw, insp: InspectionLaw) -> float:
     """Failure rate whose per-cycle failure probability equals ``target``,
     searched over the bracket that the model proves (see
     :func:`_failure_rate_roots`)."""
-    errors = [None]
-    roots = _failure_rate_roots([target], sane.shape, [sane.rate], insp, errors, [{}])
-    return _only(roots, errors)
+    return _settled(_failure_rate_roots([target], sane.shape, [sane.rate], insp, [{}])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +386,7 @@ def asymptotic_estimate(
 
     This is :func:`asymptotic_estimates` on one snapshot, its error raised.
     """
-    (report,), _ = _estimates([snapshot], config, interval)
-    if isinstance(report, Exception):
-        raise report
-    return report
+    return _settled(_estimates([snapshot], config, interval)[0][0])
 
 
 def asymptotic_estimates(
@@ -403,76 +398,68 @@ def asymptotic_estimates(
     estimate raises (OutOfRangeError, NonConvergenceError, or
     DegenerateDataError, also where the covariance is not defined),
     returned rather than raised.  Every report equals the single
-    estimate's bit for bit, whatever else the batch holds.
+    estimate's bit for bit, whatever else the batch holds: each element's
+    searches run in the batch's lockstep rounds, and its slot carries its
+    rate or its error from the first check to the report.
     """
     return _estimates(snapshots, config, interval)[0]
 
 
 def _count_rates(snapshots: Sequence[CountSnapshot], shape: int, insp: InspectionLaw,
-                 errors: list, mu_traces: list, lam_traces: list,
-                 tabulated: bool = False) -> tuple:
-    """The damage and failure rates of every snapshot whose entry of
-    ``errors`` is None, NaN where there is none: the two searches of the
-    asymptotic method, the second started from the mean-cycle identity
+                 mu_traces: list, lam_traces: list, tabulated: bool = False) -> tuple:
+    """The damage-rate and the failure-rate slots of every snapshot, each
+    its rate or the error that leaves it undefined: the two searches of
+    the asymptotic method, the second started from the mean-cycle identity
     (observed mean cycle = shape/mu + fraction/rate), which is also the
-    ``tabulated`` rate.  A snapshot with no failure keeps its damage rate
-    and gets the error "no failures observed"."""
-    ratios = [math.nan if e else s.inspections / s.repairs for s, e in zip(snapshots, errors)]
-    mu_errors = list(errors)
-    mu_hat = _mean_inspection_roots(ratios, shape, insp, mu_errors, mu_traces)
-    for k, snap in enumerate(snapshots):
-        if errors[k] is None:
-            errors[k] = mu_errors[k] if snap.failures >= 1 else DegenerateDataError(
-                "lambda not identifiable: no failures observed")
-    fractions = [math.nan if e else s.failures / s.repairs for s, e in zip(snapshots, errors)]
-    delay = [math.nan if e else s.time / s.repairs - shape / m
-             for s, m, e in zip(snapshots, mu_hat, errors)]
-    identity = [f / d if d > 0.0 else math.nan for f, d in zip(fractions, delay)]
-    if tabulated:
-        _check_fractions(fractions, errors)
-        for i, d in enumerate(delay):
-            if errors[i] is None and d <= 0.0:
-                errors[i] = OutOfRangeError(
-                    "observed mean cycle is shorter than the implied mean damage time")
-        return mu_hat, identity
-    return mu_hat, _failure_rate_roots(fractions, shape, mu_hat, insp, errors, lam_traces,
-                                       identity)
+    ``tabulated`` rate.  A snapshot with no completed cycle gets that error
+    in both slots; one with no failure keeps its damage rate, and its
+    failure rate is the error "no failures observed", before any error of
+    the damage rate, of its fraction or of its search."""
+    mu = _mean_inspection_roots(
+        [s.inspections / s.repairs if s.repairs >= 1
+         else DegenerateDataError("no completed cycles: nothing to estimate") for s in snapshots],
+        shape, insp, mu_traces)
+    lam, delays = [], []
+    for s, m in zip(snapshots, mu):
+        if s.repairs >= 1 and s.failures < 1:
+            m = DegenerateDataError("lambda not identifiable: no failures observed")
+        lam.append(m if isinstance(m, Exception) else s.failures / s.repairs)
+        delays.append(math.nan if isinstance(m, Exception) else s.time / s.repairs - shape / m)
+    identity = [f / d if d > 0.0 else math.nan for f, d in zip(lam, delays)]
+    if not tabulated:
+        return mu, _failure_rate_roots(lam, shape, mu, insp, lam_traces, identity)
+    short = "observed mean cycle is shorter than the implied mean damage time"
+    return mu, [f if isinstance(f, Exception) else OutOfRangeError(short) if d <= 0.0 else rate
+                for f, rate, d in zip(map(_fraction_slot, lam), identity, delays)]
 
 
 def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval: str) -> tuple:
-    """:func:`asymptotic_estimates`, and the damage rate of every snapshot
-    (NaN where there is none), also where the estimate fails later on."""
+    """:func:`asymptotic_estimates`, and the damage-rate slot of every
+    snapshot (see :func:`_count_rates`), which holds its rate also where
+    the estimate fails later on."""
     _check_convention(interval)
-    errors: list = []
     for snap in snapshots:
-        n_r, n_f = snap.repairs, snap.failures
-        if n_r < 1:
-            errors.append(DegenerateDataError("no completed cycles: nothing to estimate"))
-        else:
-            errors.append(None)
-            if n_f >= 1 and n_r < 100:
-                # stack: here, asymptotic_estimate(s), its caller
-                warnings.warn(
-                    f"only {n_r} cycles observed; asymptotic intervals are dubious",
-                    stacklevel=3,
-                )
+        if snap.failures >= 1 and 1 <= snap.repairs < 100:
+            # stack: here, asymptotic_estimate(s), its caller
+            warnings.warn(f"only {snap.repairs} cycles observed; asymptotic intervals are dubious",
+                          stacklevel=3)
 
     shape = config.sane.shape
     insp = config.inspection
     mu_traces: list = [{} for _ in snapshots]
     lam_traces: list = [{} for _ in snapshots]
-    mu_hat, lam_hat = _count_rates(snapshots, shape, insp, errors, mu_traces, lam_traces,
-                                   interval == "tabulated")
+    # the failure-rate slots become the results
+    mu, results = _count_rates(snapshots, shape, insp, mu_traces, lam_traces,
+                               interval == "tabulated")
 
-    solved = [i for i, e in enumerate(errors) if e is None]
+    solved = [i for i, lam in enumerate(results) if not isinstance(lam, Exception)]
     if not solved:
-        return errors, mu_hat
+        return results, mu
     bundle, problems = _covariance_bundle(
-        SaneLaw(shape, _batch([mu_hat[i] for i in solved])),
-        DamageLaw(_batch([lam_hat[i] for i in solved])), insp, interval,
+        SaneLaw(shape, _batch([mu[i] for i in solved])),
+        DamageLaw(_batch([results[i] for i in solved])), insp, interval,
     )
     z = _z_quantile(config.confidence)
-    results = list(errors)
     for k, i in enumerate(solved):
         if problems[k] is not None:
             results[i] = DegenerateDataError(problems[k])
@@ -486,7 +473,7 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
             continue
         mu_trace, lam_trace, t = mu_traces[i], lam_traces[i], snapshots[i].time
         results[i] = _report(
-            "AM", mu_hat[i], lam_hat[i], var_mu / t, var_lam / t, z, config.confidence, param_cov,
+            "AM", mu[i], results[i], var_mu / t, var_lam / t, z, config.confidence, param_cov,
             mu_bracket=mu_trace.get("bracket"),
             mu_iterations=mu_trace.get("iterations"),
             mu_evaluations=mu_trace.get("evaluations"),
@@ -494,7 +481,7 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
             lambda_iterations=lam_trace.get("iterations"),
             lambda_evaluations=lam_trace.get("evaluations"),
         )
-    return results, mu_hat
+    return results, mu
 
 
 # ---------------------------------------------------------------------------
@@ -690,12 +677,11 @@ def mle_estimate(data: ObservedData, config: ModelConfig) -> EstimateReport:
     # ratios are uninformative
     start_mu, start_lam = shape * n_r / t_total, n_fail / t_total
     if shape <= MAX_SHAPE:
-        errors = [None]
-        (mu,), (lam,) = _count_rates([counts], shape, insp, errors, [{}], [{}])
-        if errors[0] is None:
+        (mu,), (lam,) = _count_rates([counts], shape, insp, [{}], [{}])
+        if isinstance(lam, NonConvergenceError):
+            raise lam
+        if not isinstance(lam, Exception):
             start_mu, start_lam = mu, lam
-        elif isinstance(errors[0], NonConvergenceError):
-            raise errors[0]
 
     start_logs = np.array([math.log(start_mu), math.log(start_lam)])
     logs, terms, iterations, evaluations = _newton_fit(data, shape, start_logs)

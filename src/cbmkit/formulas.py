@@ -216,22 +216,14 @@ def _estimating_maps(sane: SaneLaw, insp: InspectionLaw) -> tuple:
     :func:`mean_inspections`, and :func:`failure_probability` as a function
     ``f(lam, rows=None)`` of the failure rate on the elements ``rows`` (a
     list of indices, all when None; one row computes in floats).  The
-    equal-rates band's jet at a damage rate is built on the first call
-    that reads it there and kept for the later ones.
+    equal-rates band's jet, to order shape + N, is built at every damage
+    rate of the map on the first call where an element enters the band,
+    and each later call restricts it to its elements as it restricts the
+    jet to order shape - 1.
     """
     n, mu = sane.shape, sane.rate
     _, _, w, psi_mu = _jet(mu, insp, n - 1)
-    band_psi = {}  # damage rate -> psi's scaled coefficients there
-
-    def scaled_psi(m) -> list:
-        rates = np.atleast_1d(m).tolist()
-        new = sorted(set(rates) - band_psi.keys())
-        if new:
-            psi = _jet(_batch(new), insp, n + _BAND_TERMS)[3]
-            band_psi.update(zip(new, zip(*(np.atleast_1d(v).tolist() for v in psi))))
-        if isinstance(m, np.ndarray):
-            return list(np.array([band_psi[r] for r in rates]).T)
-        return band_psi[m]
+    band_jet: list = []  # psi's to order shape + N at every damage rate, once built
 
     def failure(lam, rows: Optional[list] = None):
         def take(v):
@@ -245,7 +237,9 @@ def _estimating_maps(sane: SaneLaw, insp: InspectionLaw) -> tuple:
             return (_off_band([pick(v) for v in psi], pick(psi_lam[0]), n, pick(eps)),)
 
         def in_band(pick) -> tuple:
-            return (_band_sum(scaled_psi(pick(m)), n, pick(eps)),)
+            if not band_jet:
+                band_jet.extend(_jet(mu, insp, n + _BAND_TERMS)[3])
+            return (_band_sum([pick(take(v)) for v in band_jet], n, pick(eps)),)
 
         (series,) = _by_band(m, lam, generic, in_band)
         return 1.0 - one_minus * series
@@ -652,13 +646,14 @@ def window_moments(a, b, sane: SaneLaw, damage: DamageLaw) -> tuple:
     damage age u has mean b - mean and variance var; the censored
     likelihood's score and Hessian are sums of these (Louis's identity:
     observed = complete-data minus missing information).  Value, mean and
-    variance come from one moments pass to order shape + 1, and the log
-    is taken term by term, so exp(-mu b) cannot underflow.
+    variance come from one moments pass to order shape + 1, in units of
+    1/mu: on the windows mu a to mu b, at the rate 1 - lam/mu.  These have
+    no time unit, so the powers of the window lengths to order shape + 1
+    take the same values in every unit, and mu^shape cancels out of the
+    log.  The log is taken term by term, so exp(-mu b) cannot underflow.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     n, mu, lam = sane.shape, sane.rate, damage.rate
-    p0, p1, p2 = _window_sums(a, b, n, mu - lam, 2)
-    log_value = n * math.log(mu) - math.lgamma(n) - mu * b + np.log(p0)
+    a, b = mu * np.asarray(a, dtype=float), mu * np.asarray(b, dtype=float)
+    p0, p1, p2 = _window_sums(a, b, n, 1.0 - lam / mu, 2)
     mean = p1 / p0
-    return log_value, mean, p2 / p0 - mean * mean
+    return np.log(p0) - b - math.lgamma(n), mean / mu, (p2 / p0 - mean * mean) / mu / mu

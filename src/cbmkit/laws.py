@@ -155,8 +155,9 @@ def survival_sane(t, law: SaneLaw):
     on a float or on every element of an array, each with its float bits.
 
     Below rate*t = 1 a shape above 1 takes one minus the lower tail
-    sum_{i>=shape} instead: the head sum rounds above 1 near t = 0, and
-    one minus the tiny tail stays at most 1 and nonincreasing.
+    instead, gamma(shape, rate*t)/(shape-1)! from the exponential moments:
+    the head sum rounds above 1 near t = 0, and one minus the tiny tail
+    stays at most 1 and nonincreasing.
     """
     t = _value(t)
     if _any(t < 0.0):
@@ -170,16 +171,8 @@ def survival_sane(t, law: SaneLaw):
     near = x < 1.0
     if law.shape == 1 or not _any(near):
         return _value(acc * e)
-    # the tail on the elements below rate*t = 1, summed until none changes
-    x_near = np.where(near, x, 0.0)
-    term = x_near
-    for _ in range(1, law.shape):
-        term = term * x_near
-    term, tail, i = term / math.factorial(law.shape), 0.0, law.shape
-    while not _all(tail + term == tail):
-        tail, i = tail + term, i + 1
-        term = term * (x_near / i)
-    return _value(np.where(near, 1.0 - tail * e, acc * e))
+    lower = _exp_poly_moments(np.where(near, x, 0.0), -1.0, law.shape - 1, elementwise=True)[-1]
+    return _value(np.where(near, 1.0 - lower / math.factorial(law.shape - 1), acc * e))
 
 
 def density_sane(t, law: SaneLaw):

@@ -22,7 +22,7 @@ import numpy as np
 from .config import ModelConfig
 from .formulas import _rate_covariance, cycle_moments, detection_window_integral
 from .laws import DETERMINISTIC, _value, survival_sane
-from .simulator import cycle_chunks, horizon_blocks
+from .simulator import _running_sums, cycle_chunks, horizon_blocks
 
 # Fewer cycles than this give meaningless standard errors.
 MIN_SAMPLES = 10_000
@@ -267,8 +267,7 @@ def mc_age_distribution(config: ModelConfig, n_probes: int, seed: int) -> np.nda
         raise ValueError("need at least one probe")
     rng = np.random.default_rng(seed)
     # 0 and every repair epoch, added left to right as a batch's totals are
-    starts = np.concatenate(([0.0], *(block.length for block in horizon_blocks(rng, config))))
-    np.cumsum(starts, out=starts)
+    starts = _running_sums(np.concatenate([block.length for block in horizon_blocks(rng, config)]))
     probes = rng.uniform(config.horizon / 2.0, config.horizon, size=n_probes)
     return probes - starts[np.searchsorted(starts, probes, side="right") - 1]
 
@@ -326,7 +325,7 @@ def limiting_age_cdf(config: ModelConfig, xs: Sequence[float]) -> np.ndarray:
     pts = np.linspace(lo, np.minimum((seg + 1) * c, x_max), 513, axis=1)
     vals = _survival_given_segment(pts, lo[:, None], config).ravel()
     grid = pts.ravel()
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))))
+    cum = _running_sums(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))
     return np.interp(xs, grid, cum) / mean_cycle
 
 

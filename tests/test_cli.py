@@ -1250,9 +1250,10 @@ class TestSolverFailuresExit3:
         self._assert_infeasible(code, capsys, out, "stalled")
 
     def test_mle_reraises_a_stalled_start(self, config_file, tmp_path, capsys, monkeypatch):
-        def stalls(snapshots, shape, insp, errors, *traces):
-            errors[0] = NonConvergenceError("stalled")
-            return [math.nan], [math.nan]
+        def stalls(snapshots, shape, insp, *traces):
+            # a damage-rate search that stalls: both slots hold its error
+            stalled = NonConvergenceError("stalled")
+            return [stalled], [stalled]
 
         ev = self._event_log(config_file, tmp_path, capsys)
         monkeypatch.setattr(estimators, "_count_rates", stalls)

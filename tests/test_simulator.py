@@ -25,7 +25,7 @@ from cbmkit.simulator import (
     snapshot_lines,
     snapshot_rows,
 )
-from conftest import BASE_LAMBDA, SPACING, batch_of, make_config
+from conftest import BASE_LAMBDA, SPACING, batch_of, make_config, time_scaled
 from count_loop import loop_counts_at_times
 
 # Seeds of the batch-engine tests, fixed once before their first run.
@@ -502,6 +502,41 @@ class TestSimulateHorizon:
                 nxt = records[snap.repairs]
                 planned_tail = sum(1 for a in nxt.inspections if a <= snap.time - last)
             assert snap.inspections == sum(c.inspection_count for c in done) + planned_tail
+
+
+class TestTimeUnit:
+    """The model has no time unit: times by s = 2^j and rates over s
+    multiply every time that the simulator draws or totals by s, exactly,
+    while no scaled time leaves the normal floats."""
+
+    TIMES = ("time_to_damage", "damage_to_failure", "detection_age", "failure_age", "length",
+             "inspection_ages")
+
+    @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    def test_simulate_scales_exactly(self, shape, kind):
+        cfg = make_config(shape=shape, kind=kind, horizon=2e6)
+        base = simulate_horizon(np.random.default_rng(7), cfg)
+        grid = np.linspace(0.0, 2e6, 7).tolist()
+        rows = list(snapshot_rows(base, grid))
+        # the j range from the binary exponents of the smallest positive
+        # time (at least 2^-2 on these runs) and of the largest, the last
+        # end past the horizon 2e6 (below 2^21): 2^j times both stays in
+        # the normal floats, [2^-1022, 2^1024)
+        times = np.concatenate([getattr(base, name) for name in self.TIMES])
+        times = times[(times > 0.0) & (times < math.inf)]
+        low, high = math.frexp(times.min())[1] - 1, math.frexp(base.totals.time[-1])[1]
+        js = (-900, -600, -400, -100, 100, 400, 600, 900)
+        assert -1022 - low < js[0] and js[-1] + high < 1024
+        for j in js:
+            s = 2.0**j
+            got = simulate_horizon(np.random.default_rng(7), time_scaled(cfg, s))
+            for name in self.TIMES:
+                assert getattr(got, name).tobytes() == (getattr(base, name) * s).tobytes(), (j, name)
+            for name in ("inspection_count", "failed"):
+                assert getattr(got, name).tobytes() == getattr(base, name).tobytes(), (j, name)
+            assert list(snapshot_rows(got, [t * s for t in grid])) == [
+                (t * s, *counts) for t, *counts in rows], j
 
 
 class TestHorizonBlocks:
