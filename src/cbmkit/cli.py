@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import errno
 import functools
-import itertools
 import math
 import os
 import sys
@@ -201,18 +200,20 @@ def _file_id(path: str) -> object:
 
 
 @contextlib.contextmanager
-def _outputs(*paths: Optional[str], inputs: Sequence[Optional[str]]) -> Iterator[None]:
-    """Check that every output path (None for an absent one) can be
-    written before the command's work starts, and remove the files the
-    command created if it fails, so that it leaves no partial output.
+def _outputs(*paths: Optional[str], inputs: Sequence[Optional[str]]) -> Iterator[list[TextIO]]:
+    """One stream per output path, opened before the command's work
+    starts: stdout for None, the file itself for a FIFO or a device, and
+    for any other path a new file beside the one it names (a symlink's
+    target), renamed over it if the command returns and removed if it
+    raises, so a failed command leaves every output as it was.
 
-    An existing file is opened to append, which leaves its bytes alone
-    until the command writes it; for a new file the check asks whether
-    its directory takes new files, without creating one.  A file left
-    for the writer to truncate would cost the write a flush on ext4.
     An empty path names no file, and two outputs that name one file, or
     an output that names one of the command's ``inputs``, also through a
-    link, would lose bytes silently: all are config errors.
+    link, would lose bytes silently: all are config errors.  A reader of
+    stdout that has gone away (the ``head`` of ``| head -1``) is not an
+    error: the rest of the output is dropped, and the stdout descriptor
+    is pointed at devnull, so the interpreter's flush at exit stays
+    quiet.  A command that writes stdout has no other output.
     """
     if "" in paths:
         raise ConfigError("an output path is empty")
@@ -224,66 +225,60 @@ def _outputs(*paths: Optional[str], inputs: Sequence[Optional[str]]) -> Iterator
             raise ConfigError(f"two outputs name one file: {r}")
         if i in read:
             raise ConfigError(f"output {path} is also an input")
-    # the files the command creates: a dangling symlink's target, not the link
-    created = [r for path, r in real if not os.path.exists(path)]
+    streams: list[TextIO] = []
+    renames: list[tuple[str, str]] = []
     try:
-        for path, r in real:
-            if r not in created:
-                open(path, "a").close()
-            elif not os.access(os.path.dirname(r), os.W_OK | os.X_OK):
-                raise PermissionError(errno.EACCES, "cannot create a file there", path)
-        yield
-    except BaseException:
-        for path in created:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
-
-
-def _create(path: str) -> TextIO:
-    return open(path, "w", encoding="utf-8", newline="\n")
-
-
-def _emit(path: Optional[str], lines: Iterable[str]) -> None:
-    """Write ``lines`` to the file ``path``, or to stdout when it is None;
-    the lines are written as they come, so a generator's are never held
-    at once.
-
-    A reader of stdout that has gone away (the ``head`` of ``| head -1``)
-    is not an error: the rest of the output is dropped, and the stdout
-    descriptor is pointed at devnull, so the interpreter's flush at exit
-    stays quiet.
-    """
-    if path is not None:
-        with _create(path) as fh:
-            fh.writelines(lines)
-        return
-    try:
-        sys.stdout.writelines(lines)
-        sys.stdout.flush()
-    except BrokenPipeError:
+        for path in paths:
+            if path is None:
+                streams.append(sys.stdout)
+            elif os.path.exists(path) and not os.path.isfile(path):
+                # a directory fails here
+                streams.append(open(path, "w", encoding="utf-8", newline="\n"))
+            elif os.path.exists(path) and not os.access(path, os.W_OK):
+                raise PermissionError(errno.EACCES, "Permission denied", path)
+            else:
+                # created exclusively, never through a link left at its
+                # name, with the umask's mode
+                target = os.path.realpath(path)
+                temp = f"{target}.cbmkit-{os.getpid()}.tmp"
+                streams.append(open(temp, "x", encoding="utf-8", newline="\n"))
+                renames.append((temp, target))
         try:
-            fd = sys.stdout.fileno()
-        except (AttributeError, OSError, ValueError):
-            return
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, fd)
-        os.close(devnull)
+            yield streams
+            for stream in streams:
+                stream.flush()
+        except BrokenPipeError:
+            if sys.stdout not in streams:
+                raise
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+        for stream in streams:
+            if stream is not sys.stdout:
+                stream.close()
+        for temp, target in renames:
+            os.replace(temp, target)
+    except BaseException:
+        for stream in streams:
+            if stream is not sys.stdout:
+                with contextlib.suppress(OSError):
+                    stream.close()
+        for temp, _ in renames:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     seed = _require_seed(config)
-    with _outputs(args.events, args.snapshots, inputs=[args.config]):
+    with _outputs(args.events, args.snapshots, inputs=[args.config]) as (event_log, snapshot_csv):
         blocks = horizon_blocks(np.random.default_rng(seed), config)
-        # one pass over the stream, both files written block by block; the
-        # first block is drawn before an existing output is rewritten
-        texts = csv_blocks(blocks, config.grid)
-        first = next(texts)
-        with _create(args.events) as event_log, _create(args.snapshots) as snapshot_csv:
-            for events, snapshots in itertools.chain([first], texts):
-                event_log.writelines(events)
-                snapshot_csv.writelines(snapshots)
+        for events, snapshots in csv_blocks(blocks, config.grid):
+            event_log.writelines(events)
+            snapshot_csv.writelines(snapshots)
     return EXIT_OK
 
 
@@ -353,9 +348,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                           "gives the counts")
     defaults, snapshot = PUBLISHED_TABLES.get(args.reproduce, (None, None))
     config = _load_config(args, defaults)
-    with _outputs(args.out, inputs=[args.config, args.events]):
+    with _outputs(args.out, inputs=[args.config, args.events]) as (out,):
         rows = _estimate_rows(args, config, snapshot)
-        _emit(args.out, [REPORT_HEADER + "\n", *rows])
+        out.writelines([REPORT_HEADER + "\n", *rows])
     return EXIT_OK
 
 
@@ -371,9 +366,9 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("convergence needs a grid (config key or --grid-count)")
     _require_closed_form_shape(config)
-    with _outputs(args.out, inputs=[args.config]):
+    with _outputs(args.out, inputs=[args.config]) as (out,):
         blocks = horizon_blocks(np.random.default_rng(seed), config)
-        _emit(args.out, [CONVERGENCE_HEADER + "\n", *_convergence_rows(grid, blocks, config)])
+        out.writelines([CONVERGENCE_HEADER + "\n", *_convergence_rows(grid, blocks, config)])
     return EXIT_OK
 
 
@@ -410,9 +405,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.samples < MIN_SAMPLES:
         raise ConfigError(f"--samples must be at least {MIN_SAMPLES}, got {args.samples}")
     _require_closed_form_shape(config)
-    with _outputs(args.out, inputs=[args.config]):
+    with _outputs(args.out, inputs=[args.config]) as (out,):
         rows = verification_rows(config, args.samples, seed)
-        _emit(args.out, verification_lines(rows))
+        out.writelines(verification_lines(rows))
     return EXIT_OK if all(r.passed for r in rows) else EXIT_VERIFY_FAILED
 
 

@@ -687,11 +687,14 @@ def mle_estimate(data: ObservedData, config: ModelConfig) -> EstimateReport:
     logs, terms, iterations, evaluations = _newton_fit(data, shape, start_logs)
     mu_hat, lam_hat = _rates(logs)
 
-    info = -terms.hessian
+    # the information in the log rates has no time unit, so its inverse
+    # neither overflows nor underflows with the unit
+    scale = np.outer([mu_hat, lam_hat], [mu_hat, lam_hat])
+    info = -terms.hessian * scale
     det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
     if det <= 0.0 or info[0, 0] <= 0.0:
         raise NonConvergenceError("observed information is not positive definite")
-    cov = np.array([[info[1, 1], -info[0, 1]], [-info[0, 1], info[0, 0]]]) / det
+    cov = np.array([[info[1, 1], -info[0, 1]], [-info[0, 1], info[0, 0]]]) / det * scale
     return _report(
         "MLE", mu_hat, lam_hat, cov[0, 0], cov[1, 1], _z_quantile(config.confidence),
         config.confidence, cov * t_total,

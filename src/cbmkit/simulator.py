@@ -311,7 +311,9 @@ def _cut(chunks: Iterator[CycleBatch], horizon: float) -> Iterator[CycleBatch]:
     end = 0.0
     while end < horizon:
         block = next(chunks)
-        ends = _running_sums(block.length, end)
+        # near the top of the float range the sums past the cut may overflow
+        with np.errstate(over="ignore"):
+            ends = _running_sums(block.length, end)
         keep = min(int(np.searchsorted(ends, horizon)), len(block))
         yield block.head(keep)
         end = ends[keep]

@@ -4,8 +4,10 @@ import io
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -1158,15 +1160,17 @@ class TestInputErrors:
 
 class TestInternalErrors:
     """An exception outside the documented set is one ``internal error``
-    line and exit 4, never a traceback or exit 1, and the outputs that the
-    command created are removed."""
+    line and exit 4, never a traceback or exit 1, and every output stays
+    as it was."""
 
     @staticmethod
     def _fault(*args):
         raise RuntimeError("planted fault")
 
     def test_simulate(self, config_file, tmp_path, monkeypatch, capsys):
-        # the fault comes after both files have their first block's rows
+        # the fault comes in the second block, after both outputs have the
+        # first block's rows: an existing output keeps its bytes, and
+        # neither a new output nor a temporary file is left behind
         csv_blocks = cli.csv_blocks
 
         def fault_after_first_block(*args):
@@ -1174,14 +1178,16 @@ class TestInternalErrors:
             self._fault()
 
         monkeypatch.setattr(cli, "csv_blocks", fault_after_first_block)
-        code = cli.main(["simulate", "--config", config_file, "--events",
-                         str(tmp_path / "ev.csv"), "--snapshots", str(tmp_path / "sn.csv")])
+        old = tmp_path / "ev.csv"
+        old.write_bytes(b"old\n")
+        code = cli.main(["simulate", "--config", config_file, "--horizon", "5e7",
+                         "--events", str(old), "--snapshots", str(tmp_path / "sn.csv")])
         self._assert_one_internal_error_line(code, capsys)
-        assert os.listdir(tmp_path) == ["run.cfg"]
+        assert sorted(os.listdir(tmp_path)) == ["ev.csv", "run.cfg"]
+        assert old.read_bytes() == b"old\n"
 
     def test_simulate_fault_in_the_first_draw(self, config_file, tmp_path, monkeypatch, capsys):
-        # the first block is drawn before the outputs are opened: an existing
-        # output keeps its bytes, a new one is not left behind
+        # an existing output keeps its bytes, a new one is not left behind
         def blocks(*args):
             self._fault()
             yield
@@ -1370,8 +1376,9 @@ class TestOutputs:
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        script = ("import os, sys; from cbmkit import cli; cli._emit(None, ['x\\n'] * 3); "
-                  "sys.stderr.write(str(os.path.samestat(os.fstat(1), os.stat(os.devnull))))")
+        script = ("import os, sys; from cbmkit import cli; "
+                  "code = cli.main(['estimate', '--reproduce', 'table1']); "
+                  "sys.stderr.write(f'{code} {os.path.samestat(os.fstat(1), os.stat(os.devnull))}')")
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -1380,7 +1387,7 @@ class TestOutputs:
         finally:
             os.close(write_end)
         assert done.returncode == 0
-        assert done.stderr == b"True"
+        assert done.stderr == b"0 True"
 
     @pytest.mark.parametrize("case", ["simulate-snapshots", "simulate-events", "convergence",
                                       "verify", "verify-missing-folder"])
@@ -1406,9 +1413,49 @@ class TestOutputs:
         assert str(tmp_path) in err
         assert os.listdir(tmp_path) == ["run.cfg"]
 
+    def test_read_only_output_fails_before_the_work(self, config_file, tmp_path, monkeypatch,
+                                                    capsys):
+        # an existing output that the user may not write is refused, though
+        # its folder takes new files; root may write any file, so the check
+        # is told what it would read for another user
+        def never(*args, **kwargs):
+            raise AssertionError("the work started before the output paths were checked")
+
+        out = tmp_path / "report.csv"
+        out.write_text("old\n")
+        out.chmod(0o444)
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: path != str(out) and access(path, mode))
+        monkeypatch.setattr(cli, "verification_rows", never)
+        code = cli.main(["verify", "--config", config_file, "--samples", "10000",
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        TestInputErrors._assert_one_line_config_error(code, capsys, err)
+        assert str(out) in err
+        assert out.read_text() == "old\n"
+        assert sorted(os.listdir(tmp_path)) == ["report.csv", "run.cfg"]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_fifo_without_a_reader(self, tmp_path, monkeypatch, capsys):
+        # only stdout's reader may go: a FIFO output's is a config error,
+        # and stdout keeps its descriptor
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(tmp_path / "stdout", "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            try:
+                code = cli.main(["estimate", "--reproduce", "table1",
+                                 "--out", f"/dev/fd/{write_end}"])
+            finally:
+                os.close(write_end)
+            assert not os.path.samestat(os.fstat(stdout.fileno()), os.stat(os.devnull))
+        err = capsys.readouterr().err
+        TestInputErrors._assert_one_line_config_error(code, capsys, err)
+        assert "Broken pipe" in err
+
     def test_check_leaves_no_file_for_the_writer(self, config_file, tmp_path, monkeypatch):
-        # the writer creates the file: truncating one the check had created
-        # makes ext4 flush it on close
+        # the rows go to a file beside the output, which appears only when
+        # the command returns
         out = tmp_path / "report.csv"
         rows = verification_rows
 
@@ -1442,6 +1489,45 @@ class TestOutputs:
         assert code == 3
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert not target.exists()
+
+    def test_symlink_output_replaces_its_target(self, tmp_path, capsys):
+        # the new file goes beside the link's target, in another folder,
+        # and the link stays
+        (tmp_path / "data").mkdir()
+        target, link = tmp_path / "data" / "report.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert cli.main(["estimate", "--reproduce", "table1"]) == 0
+        expected = capsys.readouterr().out
+        assert cli.main(["estimate", "--reproduce", "table1", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == expected
+        assert sorted(os.listdir(tmp_path)) == ["data", "link.csv"]
+        assert os.listdir(tmp_path / "data") == ["report.csv"]
+
+    def test_fifo_is_written_in_place(self, tmp_path, capsys):
+        # a FIFO is no regular file: the rows go to its reader, and it stays
+        # a FIFO with no file beside it
+        fifo = tmp_path / "report.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        # a writer still waiting for a reader after a minute is let through
+        # to a closed pipe, so a wrong open fails the test instead of hanging it
+        watchdog = threading.Timer(
+            60, lambda: os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)))
+        watchdog.start()
+        try:
+            code = cli.main(["estimate", "--reproduce", "table1", "--out", str(fifo)])
+        finally:
+            watchdog.cancel()
+        reader.join(timeout=60)
+        assert code == 0 and not reader.is_alive()
+        assert cli.main(["estimate", "--reproduce", "table1"]) == 0
+        assert got == [capsys.readouterr().out]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["report.csv"]
 
     def test_rewrites_an_existing_file(self, config_file, tmp_path):
         out = tmp_path / "series.csv"

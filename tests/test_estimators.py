@@ -1185,12 +1185,13 @@ class TestMleEstimate:
     def test_estimates_scale_with_the_time_unit(self, shape, kind):
         # times by s = 2^j and rates over s divide the fit's estimates and
         # interval ends by s, up to the rounding of its Newton steps: the
-        # window moments compute in units of 1/mu, where no power of a
-        # window length leaves the normal floats.  The range stops where the
-        # observed information's determinant, 2^59 to 2^61 at j = 0 on these
-        # runs and 2^(4j) times that at unit 2^j, does: past j = 240 it
-        # overflows and the intervals are NaN, and below j = -270 it goes
-        # subnormal, then 0, and the information reads as singular
+        # window moments compute in units of 1/mu, and the intervals invert
+        # the information in the log rates, which has no unit.  The range
+        # stops where the Hessian in (mu, lambda), which carries the unit
+        # squared, leaves the floats: from j = 500 the windows' variance
+        # sum, 2^25 to 2^27 times the unit squared on these runs, overflows
+        # and the likelihood reads as not finite at the start, and from
+        # j = -530 mu^2 does
         base_config = make_config(shape=shape, kind=kind, horizon=2e6)
 
         def fit(j):
@@ -1200,7 +1201,7 @@ class TestMleEstimate:
                                 config)
 
         base = fit(0)
-        for j in range(-240, 221, 20):
+        for j in range(-520, 481, 20):
             got = fit(j)
             for name in ("mu_hat", "lambda_hat", "ci_mu", "ci_lambda"):
                 scaled = np.array(getattr(got, name)) * 2.0**j

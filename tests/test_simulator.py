@@ -526,7 +526,7 @@ class TestTimeUnit:
         times = np.concatenate([getattr(base, name) for name in self.TIMES])
         times = times[(times > 0.0) & (times < math.inf)]
         low, high = math.frexp(times.min())[1] - 1, math.frexp(base.totals.time[-1])[1]
-        js = (-900, -600, -400, -100, 100, 400, 600, 900)
+        js = (-900, -600, -400, -100, 100, 400, 600, 900, 1000)
         assert -1022 - low < js[0] and js[-1] + high < 1024
         for j in js:
             s = 2.0**j
