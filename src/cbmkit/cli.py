@@ -23,7 +23,15 @@ from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .config import KEYS, ConfigError, ModelConfig, config_from_values, parse_config, serialize_config
+from .config import (
+    KEYS,
+    ConfigError,
+    ModelConfig,
+    config_from_values,
+    parse_config,
+    require_horizon,
+    serialize_config,
+)
 from .estimators import (
     REPORT_HEADER,
     DegenerateDataError,
@@ -129,6 +137,18 @@ def _require_closed_form_shape(config: ModelConfig) -> None:
         )
 
 
+def _count(text: str) -> int:
+    """A count flag's value: an integer, also in the float syntax of the
+    other numbers (``1e4``) where its value is whole and finite."""
+    with contextlib.suppress(ValueError):
+        return int(text)
+    with contextlib.suppress(ValueError):
+        value = float(text)
+        if value.is_integer():
+            return int(value)
+    raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors (its subcommands' parsers' too) are
     config errors: one line from ``main``, not a usage block."""
@@ -178,13 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convergence", help="estimate along a time grid")
     _add_config_flags(p_conv)
-    p_conv.add_argument("--grid-count", type=int, default=None,
+    p_conv.add_argument("--grid-count", type=_count, default=None,
                         help="evenly spaced grid of this size over (0, horizon]")
     p_conv.add_argument("--out", required=True, help="time-series CSV output path")
 
     p_ver = sub.add_parser("verify", help="Monte Carlo check of the closed forms")
     _add_config_flags(p_ver)
-    p_ver.add_argument("--samples", type=int, default=1_000_000)
+    p_ver.add_argument("--samples", type=_count, default=1_000_000,
+                       help=f"cycles to draw, at least {MIN_SAMPLES} (default 1e6)")
     p_ver.add_argument("--out", help="verification-report CSV output path")
 
     return parser
@@ -360,7 +381,8 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     config = _load_config(args)
     seed = _require_seed(config)
     if args.grid_count is not None:
-        grid = [config.horizon * (i + 1) / args.grid_count for i in range(args.grid_count)]
+        horizon = require_horizon(config)
+        grid = [horizon * (i + 1) / args.grid_count for i in range(args.grid_count)]
     elif config.grid:
         grid = list(config.grid)
     else:

@@ -9,6 +9,7 @@ parsing is the identity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,7 +31,8 @@ class ModelConfig:
     sane: SaneLaw
     damage: DamageLaw
     inspection: InspectionLaw
-    horizon: float
+    # read only where a simulation runs to it (require_horizon)
+    horizon: Optional[float] = None
     seed: Optional[int] = None
     confidence: float = 0.95
     grid: tuple[float, ...] = ()
@@ -38,15 +40,23 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 < self.horizon < math.inf:
+        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
             raise ConfigError("horizon must be positive and finite")
         if not 0.0 <= self.confidence < 1.0:
             raise ConfigError("confidence must lie in [0, 1)")
         # the interval quantile's argument; 1 at the largest double below 1
         if not 0.5 * (1.0 + self.confidence) < 1.0:
             raise ConfigError("confidence must be at most 0.9999999999999998")
-        if not all(0.0 < t <= self.horizon for t in self.grid):
+        top = sys.float_info.max if self.horizon is None else self.horizon
+        if not all(0.0 < t <= top for t in self.grid):
             raise ConfigError("grid times must lie in (0, horizon]")
+
+
+def require_horizon(config: ModelConfig) -> float:
+    """The config's horizon, or a ConfigError that names the missing key."""
+    if config.horizon is None:
+        raise ConfigError("missing key 'horizon': the simulation runs to it")
+    return config.horizon
 
 
 def check_horizon(config: ModelConfig) -> None:
@@ -57,14 +67,16 @@ def check_horizon(config: ModelConfig) -> None:
     the failure, ``Y_d`` or more after the repair; and never before its
     damage time.  So a cycle lasts at least ``min(c - h, Y_d)`` and at least
     ``Y_s``, its mean is at least ``max(shape/mu, E[min(c - h, Y_d)])``,
-    and the horizon over that mean is the predicted count.
+    and the horizon over that mean is the predicted count.  A config
+    without a horizon raises ConfigError too (:func:`require_horizon`).
     """
+    horizon = require_horizon(config)
     law, lam = config.inspection, config.damage.rate
     shortest = max(config.sane.shape / config.sane.rate,
                    -math.expm1(-lam * (law.spacing - law.half_width)) / lam)
-    cycles = config.horizon / shortest
+    cycles = horizon / shortest
     if cycles > MAX_CYCLES:
-        raise ConfigError(f"horizon {config.horizon!r} predicts up to {cycles:.3g} cycles, "
+        raise ConfigError(f"horizon {horizon!r} predicts up to {cycles:.3g} cycles, "
                           f"more than the bound of {MAX_CYCLES}")
 
 
@@ -115,7 +127,7 @@ def config_from_values(values: dict[str, str]) -> ModelConfig:
             float(need("inspection.c")),
             float(values.get("inspection.h", "0")),
         )
-        horizon = float(need("horizon"))
+        horizon = float(values["horizon"]) if values.get("horizon", "") != "" else None
         seed = int(values["seed"]) if values.get("seed", "") != "" else None
         confidence = float(values.get("confidence", "0.95"))
         grid_text = values.get("grid", "").strip()
@@ -135,7 +147,7 @@ def serialize_config(config: ModelConfig) -> str:
         f"inspection.kind = {config.inspection.kind}",
         f"inspection.c = {config.inspection.spacing!r}",
         f"inspection.h = {config.inspection.half_width!r}",
-        f"horizon = {config.horizon!r}",
+        f"horizon = {'' if config.horizon is None else repr(config.horizon)}",
         f"seed = {'' if config.seed is None else config.seed}",
         f"confidence = {config.confidence!r}",
         f"grid = {', '.join(repr(t) for t in config.grid)}",

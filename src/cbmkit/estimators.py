@@ -238,8 +238,8 @@ def _damage_rate_start(ratio: float, shape: int, insp: InspectionLaw) -> float:
     Renewal theory gives E[N(t)] = t/c + E[G^2]/(2 c^2) - 1 + o(1) for gaps
     G, so the uniform gaps' E[G^2] = c^2 + h^2/3 adds h^2/(6 c^2) to the
     count that deterministic gaps expect."""
-    c, h = insp.spacing, insp.half_width
-    ratio = ratio - h * h / (6.0 * c * c)
+    c, g = insp.spacing, insp.half_width / insp.spacing
+    ratio = ratio - g * g / 6.0
     if not ratio > 1.0:
         return math.nan
     if shape == 1:
@@ -338,12 +338,12 @@ class EstimateReport:
         )
 
 
-def _report(method: str, mu: float, lam: float, var_mu: float, var_lam: float, z: float,
+def _report(method: str, mu: float, lam: float, se_mu: float, se_lam: float, z: float,
             confidence: float, sigma2: np.ndarray, **diagnostics) -> EstimateReport:
-    """The report of estimates ``mu`` and ``lam`` with variances
-    ``var_mu`` and ``var_lam``: intervals of half-width z * sqrt(var)."""
-    hw_mu = z * math.sqrt(var_mu)
-    hw_lam = z * math.sqrt(var_lam)
+    """The report of estimates ``mu`` and ``lam`` with standard errors
+    ``se_mu`` and ``se_lam``: intervals of half-width z * se."""
+    hw_mu = z * se_mu
+    hw_lam = z * se_lam
     return EstimateReport(method, mu, lam, (mu - hw_mu, mu + hw_mu), (lam - hw_lam, lam + hw_lam),
                           confidence, sigma2, diagnostics)
 
@@ -473,7 +473,8 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
             continue
         mu_trace, lam_trace, t = mu_traces[i], lam_traces[i], snapshots[i].time
         results[i] = _report(
-            "AM", mu[i], results[i], var_mu / t, var_lam / t, z, config.confidence, param_cov,
+            "AM", mu[i], results[i], math.sqrt(var_mu / t), math.sqrt(var_lam / t), z,
+            config.confidence, param_cov,
             mu_bracket=mu_trace.get("bracket"),
             mu_iterations=mu_trace.get("iterations"),
             mu_evaluations=mu_trace.get("evaluations"),
@@ -538,38 +539,36 @@ class ObservedData:
 
 @dataclass(frozen=True)
 class _LikelihoodTerms:
-    """The censored log-likelihood with its gradient and Hessian in
-    (mu, lam), from one moments pass over the windows."""
+    """The censored log-likelihood with its gradient and Hessian in the log
+    rates, which have no unit, from one moments pass over the windows."""
 
     value: float
     score: np.ndarray
     hessian: np.ndarray
-    # the complete-data curvatures mu * sum E[u] and lam * sum E[b - u]
+    # the complete-data curvatures C = (mu sum E[u], lam sum E[b - u])
     complete: np.ndarray
 
 
 def _likelihood_terms(data: ObservedData, sane: SaneLaw, damage: DamageLaw) -> _LikelihoodTerms:
     """ℓ = N(n log mu - log (n-1)!) + n_f log lam + sum_i log Z_i with
-    Z_i = int_a^b u^(n-1) exp(-mu u - lam (b-u)) du, so
-    dℓ/dmu = N n/mu - sum E_i[u], dℓ/dlam = n_f/lam - sum E_i[b-u], and the
-    Hessian is [[-N n/mu^2 + V, -V], [-V, -n_f/lam^2 + V]] with
-    V = sum Var_i[u]; a non-finite value reads as -inf."""
+    Z_i = int_a^b u^(n-1) exp(-mu u - lam (b-u)) du.  In the log rates, with
+    C as above, V = mu^2 sum Var_i[u] and rho = lam/mu, the score is
+    (N n, n_f) - C and the Hessian [[V, -rho V], [-rho V, rho^2 V]] - diag(C);
+    a non-finite value reads as -inf."""
     n, mu, lam = sane.shape, sane.rate, damage.rate
     n_fail, n_all = data.counts.failures, data.counts.repairs
+    rho = lam / mu
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         log_value, mean_w, var_w = window_moments(data.a, data.b, sane, damage)
         value = n_fail * math.log(lam) + float(log_value.sum())
         sum_w = float(mean_w.sum())
-        sum_u = float(data.b.sum()) - sum_w
+        complete = np.array([mu * float(data.b.sum()) - sum_w, rho * sum_w])
         var = float(var_w.sum())
-    if not math.isfinite(value + sum_u + var):
+    if not math.isfinite(value + sum_w + var):
         value = -math.inf
-    score = np.array([n_all * n / mu - sum_u, n_fail / lam - sum_w])
-    hessian = np.array([
-        [-n_all * n / mu**2 + var, -var],
-        [-var, -n_fail / lam**2 + var],
-    ])
-    return _LikelihoodTerms(value, score, hessian, np.array([mu * sum_u, lam * sum_w]))
+    cross = rho * var
+    hessian = np.array([[var, -cross], [-cross, rho * cross]]) - np.diag(complete)
+    return _LikelihoodTerms(value, np.array([n_all * n, n_fail]) - complete, hessian, complete)
 
 
 def censored_log_likelihood(
@@ -620,9 +619,7 @@ def _newton_fit(
     if not math.isfinite(terms.value):
         raise NonConvergenceError("censored likelihood is not finite at the start")
     for iteration in range(_MAX_STEPS):
-        rates = np.array(_rates(logs))
-        grad = rates * terms.score
-        hess = terms.hessian * np.outer(rates, rates) + np.diag(grad)
+        grad, hess = terms.score, terms.hessian
         det = hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2
         if hess[0, 0] < 0.0 and det > 0.0:
             step = np.array([
@@ -687,21 +684,22 @@ def mle_estimate(data: ObservedData, config: ModelConfig) -> EstimateReport:
     logs, terms, iterations, evaluations = _newton_fit(data, shape, start_logs)
     mu_hat, lam_hat = _rates(logs)
 
-    # the information in the log rates has no time unit, so its inverse
-    # neither overflows nor underflows with the unit
-    scale = np.outer([mu_hat, lam_hat], [mu_hat, lam_hat])
-    info = -terms.hessian * scale
+    # the observed information in the log rates has no time unit, nor has
+    # its inverse; each rate enters its interval once, never squared
+    info = np.diag(terms.score) - terms.hessian
     det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
     if det <= 0.0 or info[0, 0] <= 0.0:
         raise NonConvergenceError("observed information is not positive definite")
-    cov = np.array([[info[1, 1], -info[0, 1]], [-info[0, 1], info[0, 0]]]) / det * scale
+    inverse = np.array([[info[1, 1], -info[0, 1]], [-info[0, 1], info[0, 0]]]) / det
+    rates = np.array([mu_hat, lam_hat])
     return _report(
-        "MLE", mu_hat, lam_hat, cov[0, 0], cov[1, 1], _z_quantile(config.confidence),
-        config.confidence, cov * t_total,
+        "MLE", mu_hat, lam_hat, mu_hat * math.sqrt(inverse[0, 0]),
+        lam_hat * math.sqrt(inverse[1, 1]), _z_quantile(config.confidence),
+        config.confidence, rates[:, None] * inverse * (rates * t_total),
         iterations=iterations,
         likelihood_evaluations=evaluations,
         log_likelihood=terms.value,
-        score_norm=math.hypot(mu_hat * terms.score[0], lam_hat * terms.score[1]),
+        score_norm=math.hypot(*terms.score),
         n_cycles=n_r,
         start_mu=start_mu,
         start_lambda=start_lam,

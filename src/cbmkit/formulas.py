@@ -640,20 +640,20 @@ def detection_window_integral(a, b, sane: SaneLaw, damage: DamageLaw):
 
 def window_moments(a, b, sane: SaneLaw, damage: DamageLaw) -> tuple:
     """Log of :func:`detection_window_integral` with the posterior mean and
-    variance of the damage-to-window-end time, elementwise.
+    variance of the damage-to-window-end time in units of 1/mu, elementwise.
 
     Under the normalized integrand exp(-lam (b - u)) dF_s(u) on (a, b], the
-    damage age u has mean b - mean and variance var; the censored
+    damage age u has mean b - mean/mu and variance var/mu^2; the censored
     likelihood's score and Hessian are sums of these (Louis's identity:
     observed = complete-data minus missing information).  Value, mean and
-    variance come from one moments pass to order shape + 1, in units of
-    1/mu: on the windows mu a to mu b, at the rate 1 - lam/mu.  These have
-    no time unit, so the powers of the window lengths to order shape + 1
-    take the same values in every unit, and mu^shape cancels out of the
-    log.  The log is taken term by term, so exp(-mu b) cannot underflow.
+    variance come from one moments pass to order shape + 1 on the windows
+    mu a to mu b, at the rate 1 - lam/mu.  These have no time unit, so the
+    powers of the window lengths to order shape + 1 take the same values in
+    every unit, and mu^shape cancels out of the log.  The log is taken term
+    by term, so exp(-mu b) cannot underflow.
     """
     n, mu, lam = sane.shape, sane.rate, damage.rate
     a, b = mu * np.asarray(a, dtype=float), mu * np.asarray(b, dtype=float)
     p0, p1, p2 = _window_sums(a, b, n, 1.0 - lam / mu, 2)
     mean = p1 / p0
-    return np.log(p0) - b - math.lgamma(n), mean / mu, (p2 / p0 - mean * mean) / mu / mu
+    return np.log(p0) - b - math.lgamma(n), mean, p2 / p0 - mean * mean

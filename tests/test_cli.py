@@ -65,8 +65,8 @@ PINNED_EVENT_ROWS = {
             "0.94999999999999996,990198,200,997,18,1"
         ),
         (
-            "MLE,0.00044586929271558202,0.00040200286537562792,0.00048973572005553618,"
-            "0.00019339430123921193,0.00010259071564213115,0.00028419788683629269,"
+            "MLE,0.00044586929271558202,0.00040200286537562792,0.00048973572005553607,"
+            "0.00019339430123921193,0.00010259071564213116,0.00028419788683629269,"
             "0.94999999999999996,990198,200,997,18,1"
         ),
     ],
@@ -398,6 +398,18 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             parse_config(bad)
 
+    def test_horizon_is_optional(self):
+        # only a simulation reads it; without one it serializes empty, as
+        # the seed does, and a grid time needs only be positive and finite
+        text = CONFIG_TEXT.replace("horizon = 200000\n", "")
+        cfg = parse_config(text)
+        assert cfg.horizon is None
+        assert "\nhorizon = \n" in serialize_config(cfg)
+        assert parse_config(serialize_config(cfg)) == cfg
+        for grid in ("inf", "0", "-1"):
+            with pytest.raises(ConfigError, match=r"^grid times must lie in \(0, horizon\]$"):
+                parse_config(text.replace("grid = 50000, 100000", f"grid = {grid}"))
+
 
 class TestSimulateCommand:
     def test_writes_both_csvs_deterministically(self, tmp_path, config_file):
@@ -457,7 +469,71 @@ class TestSimulateCommand:
         assert code == 2
 
 
+# the base shape-1 deterministic config without its horizon, run controls
+# and output paths
+BASE_FLAGS = ["--sane.shape", "1", "--sane.rate", "1e-3", "--damage.rate", "5e-4",
+              "--inspection.kind", "deterministic", "--inspection.c", "1000"]
+
+
+class TestHorizonOnlyWhereRead:
+    """Only a simulation to a horizon reads the horizon key."""
+
+    MISSING = "config error: missing key 'horizon': the simulation runs to it\n"
+
+    def test_verify_without_horizon(self, tmp_path, capsys):
+        # the same report as with any horizon: verify draws a count of cycles
+        argv = ["verify", *BASE_FLAGS, "--seed", "3", "--samples", "10000"]
+        assert cli.main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+        assert cli.main(argv + ["--horizon", "2e6", "--out", str(tmp_path / "b.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_estimate_counts_without_horizon(self, capsys):
+        # the counts carry their own time
+        assert cli.main(["estimate", *BASE_FLAGS, "--counts", "33501", "53116", "8255",
+                         "50001908"]) == 0
+        without = capsys.readouterr().out
+        assert cli.main(["estimate", *BASE_FLAGS, "--horizon", "1", "--counts", "33501",
+                         "53116", "8255", "50001908"]) == 0
+        assert capsys.readouterr().out == without
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--events", "ev.csv", "--snapshots", "sn.csv"],
+        ["convergence", "--grid-count", "5", "--out", "cv.csv"],
+        ["convergence", "--grid", "1e5", "--out", "cv.csv"],
+    ], ids=["simulate", "convergence-grid-count", "convergence-grid"])
+    def test_simulation_needs_it(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*argv, *BASE_FLAGS, "--seed", "3"]) == 2
+        assert capsys.readouterr().err == self.MISSING
+        assert os.listdir(tmp_path) == []
+
+
 class TestEstimateCommand:
+    @pytest.mark.parametrize("j", [-530, 500])
+    def test_mle_fit_at_extreme_time_units(self, j, tmp_path, capsys):
+        # the base shape-1 deterministic run with every time times 2^j and
+        # every rate over it: the fit works in the log rates, so its score,
+        # Hessian and information keep no power of the unit, and its rows
+        # are finite, with no warning
+        s = 2.0**j
+        flags = ["--sane.shape", "1", "--sane.rate", repr(1e-3 / s), "--damage.rate",
+                 repr(5e-4 / s), "--inspection.kind", "deterministic", "--inspection.c",
+                 repr(1000.0 * s), "--horizon", repr(2e6 * s), "--seed", "5"]
+        log = str(tmp_path / "events.csv")
+        assert cli.main(["simulate", *flags, "--events", log,
+                         "--snapshots", str(tmp_path / "sn.csv")]) == 0
+        assert cli.main(["estimate", *flags, "--events", log, "--method", "mle"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        header, row = captured.out.splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["method"] == "MLE"
+        for name in ("mu_hat", "mu_lo", "mu_hi", "lambda_hat", "lambda_lo", "lambda_hi", "t"):
+            assert math.isfinite(float(cells[name])), name
+        mu, lam = float(cells["mu_hat"]) * s, float(cells["lambda_hat"]) * s
+        assert 0.8e-3 < mu < 1.2e-3 and 3e-4 < lam < 7e-4
+
     def test_reproduce_table1(self, capsys):
         # presets are self-contained: no config file or flags needed
         assert cli.main(["estimate", "--reproduce", "table1"]) == 0
@@ -592,7 +668,9 @@ class TestEstimateCommand:
         # from the band's Taylor sums (at most 1.1e-14 relative; the root
         # within 3.9e-16 of its failure fraction on precise_forms' map);
         # the AM interval bounds again at 0.25.0, from the anchor-scaled
-        # jets (at most 5.2e-15 relative; the MLE rows kept their bytes)
+        # jets (at most 5.2e-15 relative; the MLE rows kept their bytes);
+        # the shape-2 MLE row's mu_hi and lambda_lo at 0.27.0, when each
+        # half-width took its rate outside the square root (2 ulp and 1 ulp)
         lines = ["cycle,y_s,y_d,k_r,v_s,z_d,x_r,end"]
         for i in range(200):
             y_s = 45.0 * ((i * 37) % 200) + 7.5
@@ -708,6 +786,17 @@ class TestPresetWithConfig:
 
 
 class TestConvergenceCommand:
+    def test_grid_count_takes_the_float_syntax(self, tmp_path, config_file, capsys):
+        argv = ["convergence", "--config", config_file]
+        assert cli.main(argv + ["--grid-count", "1e1", "--out", str(tmp_path / "a.csv")]) == 0
+        assert cli.main(argv + ["--grid-count", "10", "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert cli.main(argv + ["--grid-count", "2.5", "--out", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: cbmkit convergence: argument --grid-count: expected a whole number, "
+            "got '2.5'\n")
+        assert not (tmp_path / "c.csv").exists()
+
     def test_single_point_grid(self, tmp_path, config_file):
         out = tmp_path / "series.csv"
         code = cli.main(["convergence", "--config", config_file,
@@ -858,6 +947,30 @@ class TestVerifyCommand:
         ])
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_VERIFY_SHA256[(shape, kind)]
+
+    def test_samples_take_the_float_syntax(self, tmp_path, config_file, capsys):
+        # a count in the number syntax of the other flags, where it is whole
+        argv = ["verify", "--config", config_file]
+        assert cli.main(argv + ["--samples", "1e4", "--out", str(tmp_path / "a.csv")]) == 0
+        assert cli.main(argv + ["--samples", "10000", "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert cli.main(argv + ["--samples", "1.5e4", "--out", str(tmp_path / "c.csv")]) == 0
+        assert cli.main(argv + ["--samples", "15000", "--out", str(tmp_path / "d.csv")]) == 0
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("value", ["10000.5", "1.00005e4", "1e4.5", "inf", "nan", "ten", ""])
+    def test_samples_not_whole_is_one_config_line(self, value, config_file, capsys):
+        assert cli.main(["verify", "--config", config_file, "--samples", value]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cbmkit verify: argument --samples: expected a whole number, "
+            f"got {value!r}\n")
+
+    def test_samples_have_help_text(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--samples SAMPLES cycles to draw, at least 10000 (default 1e6)" in help_text
 
     def test_stdout_bytes_are_the_report_file(self, tmp_path, config_file, capsysbinary):
         out = tmp_path / "verify.csv"

@@ -510,6 +510,20 @@ class TestAsymptoticEstimate:
         assert abs(start / cfg.sane.rate - 1.0) < 0.01
         assert asymptotic_estimate(snap, cfg).diagnostics["mu_evaluations"] <= 6
 
+    @pytest.mark.parametrize("insp", [DET, UNIF, UNIF900], ids=["det", "unif", "unif900"])
+    @pytest.mark.parametrize("shape", [1, 2])
+    def test_damage_rate_start_scales_exactly(self, shape, insp):
+        # the uniform correction reads h/c, which has no unit, so the start
+        # divides by s = 2^j bit for bit wherever c s stays a normal float;
+        # a correction h^2/(6 c^2) divided 0 by 0 from j = -549, where
+        # 6 c^2 underflows
+        base = estimators._damage_rate_start(1.6, shape, insp)
+        for j in range(-1030, 1011, 10):
+            s = 2.0**j
+            scaled = dataclasses.replace(insp, spacing=insp.spacing * s,
+                                         half_width=insp.half_width * s)
+            assert estimators._damage_rate_start(1.6, shape, scaled) == base / s, j
+
     @pytest.mark.parametrize("table", sorted(PUBLISHED_TABLES))
     def test_estimates_scale_exactly(self, table):
         # times by s = 2^j and rates over s divide each estimate, interval
@@ -994,8 +1008,8 @@ def _base_run():
 
 
 class TestLikelihoodDerivatives:
-    """The analytic score and Hessian against central differences of the
-    likelihood value."""
+    """The analytic score and Hessian in the log rates against central
+    differences of the likelihood value in the log rates."""
 
     # theta*c for c = 1000: on the diagonal, both sides of the 1e-4 switch
     # of the old moments series, and well away from it
@@ -1007,8 +1021,10 @@ class TestLikelihoodDerivatives:
         mu = 1e-3
         lam = mu - x / 1000.0
 
-        def ll(m, l):
-            return censored_log_likelihood(data, SaneLaw(shape, m), DamageLaw(l))
+        def ll(x, y):
+            # at log mu + x and log lam + y
+            return censored_log_likelihood(data, SaneLaw(shape, mu * math.exp(x)),
+                                           DamageLaw(lam * math.exp(y)))
 
         sane, damage = SaneLaw(shape, mu), DamageLaw(lam)
         terms = estimators._likelihood_terms(data, sane, damage)
@@ -1016,24 +1032,19 @@ class TestLikelihoodDerivatives:
         direct = (np.log(F.detection_window_integral(data.a, data.b, sane, damage)).sum()
                   + data.counts.failures * math.log(lam))
         assert terms.value == pytest.approx(direct, rel=1e-13)
-        # relative steps 1e-6 for the slopes and 1e-4 for the curvatures;
-        # the value sums terms of a few thousand, so rounding alone moves a
-        # curvature in the log rates by up to about 1e-16 * 3e3 / 1e-8
-        hm, hl = 1e-6 * mu, 1e-6 * lam
-        grad = [(ll(mu + hm, lam) - ll(mu - hm, lam)) / (2 * hm),
-                (ll(mu, lam + hl) - ll(mu, lam - hl)) / (2 * hl)]
-        hm, hl = 1e-4 * mu, 1e-4 * lam
-        f0 = ll(mu, lam)
-        d_mm = (ll(mu + hm, lam) - 2.0 * f0 + ll(mu - hm, lam)) / hm**2
-        d_ll = (ll(mu, lam + hl) - 2.0 * f0 + ll(mu, lam - hl)) / hl**2
-        d_ml = (ll(mu + hm, lam + hl) - ll(mu + hm, lam - hl)
-                - ll(mu - hm, lam + hl) + ll(mu - hm, lam - hl)) / (4.0 * hm * hl)
-        # scale each entry by the parameters, so all read per unit log change
-        scale = np.array([mu, lam])
-        assert_allclose(terms.score * scale, np.array(grad) * scale, rtol=1e-6, atol=1e-6)
-        assert_allclose(terms.hessian * np.outer(scale, scale),
-                        np.array([[d_mm, d_ml], [d_ml, d_ll]]) * np.outer(scale, scale),
-                        rtol=1e-6, atol=2e-4)
+        # steps 1e-6 in the log rates for the slopes and 1e-4 for the
+        # curvatures; the value sums terms of a few thousand, so rounding
+        # alone moves a curvature in the log rates by up to about
+        # 1e-16 * 3e3 / 1e-8
+        h = 1e-6
+        grad = [(ll(h, 0.0) - ll(-h, 0.0)) / (2 * h), (ll(0.0, h) - ll(0.0, -h)) / (2 * h)]
+        h = 1e-4
+        f0 = ll(0.0, 0.0)
+        d_mm = (ll(h, 0.0) - 2.0 * f0 + ll(-h, 0.0)) / h**2
+        d_ll = (ll(0.0, h) - 2.0 * f0 + ll(0.0, -h)) / h**2
+        d_ml = (ll(h, h) - ll(h, -h) - ll(-h, h) + ll(-h, -h)) / (4.0 * h * h)
+        assert_allclose(terms.score, grad, rtol=1e-6, atol=1e-6)
+        assert_allclose(terms.hessian, [[d_mm, d_ml], [d_ml, d_ll]], rtol=1e-6, atol=2e-4)
 
     def test_newton_steps_shrink_quadratically(self):
         # pure Newton in the log rates from a start 5% off: each step's
@@ -1044,9 +1055,7 @@ class TestLikelihoodDerivatives:
         for _ in range(5):
             rates = np.exp(logs)
             terms = estimators._likelihood_terms(data, SaneLaw(1, rates[0]), DamageLaw(rates[1]))
-            grad = rates * terms.score
-            hess = terms.hessian * np.outer(rates, rates) + np.diag(grad)
-            step = -np.linalg.solve(hess, grad)
+            step = -np.linalg.solve(terms.hessian, terms.score)
             sizes.append(float(np.max(np.abs(step))))
             logs = logs + step
         assert sizes[0] > 1e-2
@@ -1062,9 +1071,8 @@ class TestLikelihoodDerivatives:
         # halving carry every start to the optimum of the asymptotic start
         cfg, data = _base_run()
         report = mle_estimate(data, cfg)
-        rates = np.array(start)
         terms = estimators._likelihood_terms(data, SaneLaw(1, start[0]), DamageLaw(start[1]))
-        hess = terms.hessian * np.outer(rates, rates) + np.diag(rates * terms.score)
+        hess = terms.hessian
         definite = hess[0, 0] < 0.0 and np.linalg.det(hess) > 0.0
         assert definite == (start[0] < 2e-2 and start[1] < 1e-2)
         logs, terms, iterations, _ = estimators._newton_fit(data, 1, np.log(start))
@@ -1074,23 +1082,25 @@ class TestLikelihoodDerivatives:
 
 
 def _two_set_terms(data, failed, sane, damage):
-    """The likelihood terms as the detection cycles and the failure cycles
-    give them apart, one moments pass over each set: the reference for the
-    one pass over every cycle."""
+    """The likelihood terms in the log rates as the detection cycles and the
+    failure cycles give them apart, one moments pass over each set: the
+    reference for the one pass over every cycle."""
     n, mu, lam = sane.shape, sane.rate, damage.rate
     n_fail, n_all = int(failed.sum()), failed.size
     value = n_fail * math.log(lam)
+    # mu sum E[u], mu sum E[b - u] and mu^2 sum Var[u]
     sum_u = sum_w = var = 0.0
     for part in (~failed, failed):
         a, b = data.a[part], data.b[part]
         log_value, mean_w, var_w = F.window_moments(a, b, sane, damage)
         value += float(log_value.sum())
         sum_w += float(mean_w.sum())
-        sum_u += float(b.sum()) - float(mean_w.sum())
+        sum_u += mu * float(b.sum()) - float(mean_w.sum())
         var += float(var_w.sum())
-    score = np.array([n_all * n / mu - sum_u, n_fail / lam - sum_w])
-    hessian = np.array([[-n_all * n / mu**2 + var, -var], [-var, -n_fail / lam**2 + var]])
-    return value, score, hessian, np.array([mu * sum_u, lam * sum_w])
+    rho = lam / mu
+    complete = np.array([sum_u, rho * sum_w])
+    hessian = np.array([[var - sum_u, -rho * var], [-rho * var, rho * rho * var - rho * sum_w]])
+    return value, np.array([n_all * n, n_fail]) - complete, hessian, complete
 
 
 class TestOneWindowSet:
@@ -1109,13 +1119,13 @@ class TestOneWindowSet:
             value, score, hessian, complete = _two_set_terms(data, failed, sane, damage)
             assert terms.value == pytest.approx(value, rel=1e-13, abs=0.0)
             assert_allclose(terms.complete, complete, rtol=1e-13, atol=0.0)
-            # score and Hessian entries are differences of sums of up to a
-            # few million; each is held to 1e-13 of its count term (or of
-            # the variance sum, off the diagonal)
-            n_all, n_fail, var = data.counts.repairs, data.counts.failures, -hessian[0, 1]
-            first = np.array([n_all * shape / mu, n_fail / lam])
+            # score and Hessian entries in the log rates are differences of
+            # sums of up to a few thousand; each is held to 1e-13 of its
+            # count term (or of the variance sum, off the diagonal)
+            n_all, n_fail, cross = data.counts.repairs, data.counts.failures, -hessian[0, 1]
+            first = np.array([n_all * shape, n_fail])
             assert np.all(np.abs(terms.score - score) <= 1e-13 * first)
-            second = np.array([[n_all * shape / mu**2, var], [var, n_fail / lam**2]])
+            second = np.array([[n_all * shape, cross], [cross, n_fail]])
             assert np.all(np.abs(terms.hessian - hessian) <= 1e-13 * second)
 
     @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
@@ -1185,13 +1195,14 @@ class TestMleEstimate:
     def test_estimates_scale_with_the_time_unit(self, shape, kind):
         # times by s = 2^j and rates over s divide the fit's estimates and
         # interval ends by s, up to the rounding of its Newton steps: the
-        # window moments compute in units of 1/mu, and the intervals invert
-        # the information in the log rates, which has no unit.  The range
-        # stops where the Hessian in (mu, lambda), which carries the unit
-        # squared, leaves the floats: from j = 500 the windows' variance
-        # sum, 2^25 to 2^27 times the unit squared on these runs, overflows
-        # and the likelihood reads as not finite at the start, and from
-        # j = -530 mu^2 does
+        # window moments, the score, the Hessian and the information all
+        # compute in the log rates, without a unit, and each rate enters its
+        # interval once.  So the outputs' own exponents bound the range: the
+        # elapsed time, 2e6 s < 2^21 s, stays finite up to j = 1003, and the
+        # largest rate output, the upper end of mu's interval near 1.1e-3/s
+        # > 2^-10/s, down to j = -1033; from j = -1032 at shapes 3 and 4 the
+        # report's sigma2 entry, near the rates over s times a count,
+        # overflows first
         base_config = make_config(shape=shape, kind=kind, horizon=2e6)
 
         def fit(j):
@@ -1201,7 +1212,7 @@ class TestMleEstimate:
                                 config)
 
         base = fit(0)
-        for j in range(-520, 481, 20):
+        for j in [-1031, *range(-1030, 1001, 10), 1003]:
             got = fit(j)
             for name in ("mu_hat", "lambda_hat", "ci_mu", "ci_lambda"):
                 scaled = np.array(getattr(got, name)) * 2.0**j
@@ -1337,15 +1348,15 @@ class TestNewtonSafeguards:
 
     def test_step_limit(self, monkeypatch):
         # a likelihood that rises by 1 per evaluation with a constant slope
-        # and no curvature: every capped step of 1 is taken, none is short
+        # in the log rates and no curvature: every capped step of 1 is
+        # taken, none is short
         cfg, data = _base_run()
         calls = []
 
         def rising(data, sane, damage):
             calls.append(None)
-            return estimators._LikelihoodTerms(
-                float(len(calls)), np.array([1.0 / sane.rate, 1.0 / damage.rate]),
-                np.zeros((2, 2)), np.ones(2))
+            return estimators._LikelihoodTerms(float(len(calls)), np.ones(2), np.zeros((2, 2)),
+                                               np.ones(2))
 
         monkeypatch.setattr(estimators, "_likelihood_terms", rising)
         with pytest.raises(NonConvergenceError,

@@ -13,13 +13,16 @@ import importlib
 import importlib.util
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import cbmkit
+from cbmkit.cli import build_parser
 from cbmkit.simulator import read_event_log
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+README = ROOT / "README.md"
 REMOVED = ("TaylorJet", "deterministic_config", "full_information_estimate", "inspection_series",
            "counts_at", "mean_cycle_length", "mc_moment_set", "McEstimate",
            "failure_rate_from_cycle_identity", "LawDerivatives", "law_derivatives", "_band_jet",
@@ -74,6 +77,31 @@ def _defined(node):
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
     return []
+
+
+def _readme_fenced_lines():
+    """The lines of README's fenced code blocks."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    return [line for block in blocks for line in block.splitlines()]
+
+
+class TestReadme:
+    """README states the command line and the library as they are."""
+
+    def test_command_lines_parse(self):
+        lines = [line for line in _readme_fenced_lines() if line.startswith("cbmkit ")]
+        assert len(lines) >= 5
+        parser = build_parser()
+        for line in lines:
+            # a flag or a value the parser rejects raises ConfigError
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+
+    def test_library_section_names_every_export(self):
+        section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        names = re.findall(r"^- `(\w+)", section, re.MULTILINE)
+        assert sorted(names) == sorted(cbmkit.__all__)
 
 
 class TestPublicSurface:
