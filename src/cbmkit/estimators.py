@@ -325,7 +325,6 @@ class EstimateReport:
     ci_mu: tuple[float, float]
     ci_lambda: tuple[float, float]
     confidence: float
-    sigma2: Optional[np.ndarray] = None
     diagnostics: dict = field(default_factory=dict)
 
     def csv_row(self, counts: CountSnapshot, seed: Optional[int]) -> str:
@@ -339,13 +338,13 @@ class EstimateReport:
 
 
 def _report(method: str, mu: float, lam: float, se_mu: float, se_lam: float, z: float,
-            confidence: float, sigma2: np.ndarray, **diagnostics) -> EstimateReport:
+            confidence: float, **diagnostics) -> EstimateReport:
     """The report of estimates ``mu`` and ``lam`` with standard errors
     ``se_mu`` and ``se_lam``: intervals of half-width z * se."""
     hw_mu = z * se_mu
     hw_lam = z * se_lam
     return EstimateReport(method, mu, lam, (mu - hw_mu, mu + hw_mu), (lam - hw_lam, lam + hw_lam),
-                          confidence, sigma2, diagnostics)
+                          confidence, diagnostics)
 
 
 def _z_quantile(confidence: float) -> float:
@@ -474,7 +473,7 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
         mu_trace, lam_trace, t = mu_traces[i], lam_traces[i], snapshots[i].time
         results[i] = _report(
             "AM", mu[i], results[i], math.sqrt(var_mu / t), math.sqrt(var_lam / t), z,
-            config.confidence, param_cov,
+            config.confidence,
             mu_bracket=mu_trace.get("bracket"),
             mu_iterations=mu_trace.get("iterations"),
             mu_evaluations=mu_trace.get("evaluations"),
@@ -511,8 +510,8 @@ class ObservedData:
         """The observables of a batch of cycles.
 
         The last clean inspections come from the batch's inspection ages
-        when it has them.  A parsed event log has none; with deterministic
-        gaps the k-th age is ``c * k``, and with any other gap law the
+        when it has them.  Deterministic batches and logs have none; with
+        deterministic gaps the k-th age is ``c * k``, and with any other gap law the
         likelihood cannot be built (DegenerateDataError), nor where a cycle
         does not end after its last clean inspection.
         """
@@ -691,11 +690,9 @@ def mle_estimate(data: ObservedData, config: ModelConfig) -> EstimateReport:
     if det <= 0.0 or info[0, 0] <= 0.0:
         raise NonConvergenceError("observed information is not positive definite")
     inverse = np.array([[info[1, 1], -info[0, 1]], [-info[0, 1], info[0, 0]]]) / det
-    rates = np.array([mu_hat, lam_hat])
     return _report(
         "MLE", mu_hat, lam_hat, mu_hat * math.sqrt(inverse[0, 0]),
-        lam_hat * math.sqrt(inverse[1, 1]), _z_quantile(config.confidence),
-        config.confidence, rates[:, None] * inverse * (rates * t_total),
+        lam_hat * math.sqrt(inverse[1, 1]), _z_quantile(config.confidence), config.confidence,
         iterations=iterations,
         likelihood_evaluations=evaluations,
         log_likelihood=terms.value,

@@ -7,7 +7,8 @@ comes first.  Cycles are i.i.d., so repairs form a renewal process;
 failures and inspections are the associated reward processes.
 
 Cycles are held as columns: a :class:`CycleBatch` has one array per cycle
-field plus the flat planned-inspection ages.  :func:`cycle_chunks` is the
+field, plus the deterministic spacing (no ages: the i-th inspection is at
+``i * c``) or the flat planned-inspection ages.  :func:`cycle_chunks` is the
 one draw loop, yielding chunks of 4096 (endless without a count): the
 oracle reads them one by one, :func:`simulate_cycles` joins ``n`` cycles,
 :func:`horizon_blocks` streams them up to the first cycle end at or past
@@ -38,7 +39,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import ModelConfig, check_horizon
+from .config import ConfigError, ModelConfig, check_horizon
 from .laws import (
     DETERMINISTIC,
     InspectionLaw,
@@ -119,11 +120,13 @@ class CycleBatch:
     """Cycles as parallel arrays, one entry per cycle, fields as in
     :class:`CycleRecord`.
 
-    ``inspection_ages`` concatenates every cycle's planned schedule in
-    cycle order, ``inspection_count`` entries per cycle; it is empty
-    unless the batch was drawn with ``inspections=True``.  ``len()`` is
-    the number of cycles; the batch yields its :class:`CycleRecord` rows
-    by iteration only (with empty schedules when the batch has no ages).
+    A deterministic draw stores no ages: a cycle's i-th planned inspection
+    is at ``i * spacing``.  Elsewhere ``spacing`` is 0.0, and
+    ``inspection_ages`` concatenates every cycle's schedule in cycle order,
+    ``inspection_count`` entries per cycle, or is empty (parsed logs, and
+    uniform draws without ``inspections=True``).  ``len()`` is the number of
+    cycles; the batch yields its :class:`CycleRecord` rows by iteration
+    only (with empty schedules when the batch carries neither).
     """
 
     time_to_damage: np.ndarray
@@ -134,6 +137,7 @@ class CycleBatch:
     length: np.ndarray
     failed: np.ndarray
     inspection_ages: np.ndarray
+    spacing: float = 0.0
 
     @cached_property
     def totals(self) -> _Totals:
@@ -150,7 +154,7 @@ class CycleBatch:
         ages = int(self.inspection_count[:count].sum()) if self.inspection_ages.size else 0
         return CycleBatch(
             *(getattr(self, name)[:count] for name in _PER_CYCLE),
-            self.inspection_ages[:ages],
+            self.inspection_ages[:ages], self.spacing,
         )
 
     def __len__(self) -> int:
@@ -158,13 +162,14 @@ class CycleBatch:
 
     def __iter__(self) -> Iterator[CycleRecord]:
         offsets = self.totals.inspections.tolist()
-        ages = self.inspection_ages.tolist()
+        ages, c = self.inspection_ages.tolist(), self.spacing
         columns = zip(*(getattr(self, name).tolist() for name in _PER_CYCLE))
         for (y_s, y_d, k, v, z, x, f), a, b in zip(columns, offsets, offsets[1:]):
-            yield CycleRecord(y_s, y_d, tuple(ages[a:b]), k, v, z, x, f)
+            schedule = tuple(i * c for i in range(1, k + 1)) if c else tuple(ages[a:b])
+            yield CycleRecord(y_s, y_d, schedule, k, v, z, x, f)
 
 
-_PER_CYCLE = tuple(f.name for f in fields(CycleBatch) if f.name != "inspection_ages")
+_PER_CYCLE = tuple(f.name for f in fields(CycleBatch))[:-2]  # all but inspection_ages, spacing
 
 
 def simulate_cycle(rng: np.random.Generator, config: ModelConfig) -> CycleRecord:
@@ -206,7 +211,7 @@ def simulate_cycles(
     The chunks of :func:`cycle_chunks` are joined; within one, all damage
     times are drawn first, then all failure delays, then (uniform gaps) one
     gap per step for every cycle whose age is still short of its damage
-    time.  Set ``inspections`` to keep every cycle's inspection ages.
+    time.  Set ``inspections`` to keep uniform gaps' ages (deterministic: none).
     """
     return _join(list(cycle_chunks(rng, config, n, inspections)))
 
@@ -232,7 +237,8 @@ def cycle_chunks(
 def _join(batches: Sequence[CycleBatch]) -> CycleBatch:
     """One batch of the given batches' cycles, in order."""
     return CycleBatch(
-        *(np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(CycleBatch))
+        *(np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(CycleBatch)[:-1]),
+        batches[0].spacing,
     )
 
 
@@ -243,21 +249,20 @@ def _draw_chunk(
     y_d = rng.exponential(config.damage.mean, size=n)
     law = config.inspection
     if law.kind == DETERMINISTIC:
-        k = np.ceil(y_s / law.spacing).astype(np.int64)
-        detection = k * law.spacing
-        ages = np.empty(0)
-        if inspections:
-            # the i-th inspection of every cycle sits at i * c
-            first = np.cumsum(k) - k
-            ages = (np.arange(k.sum()) - np.repeat(first, k) + 1) * law.spacing
+        k = np.ceil(y_s / law.spacing)
+        if (k >= 2.0**53).any():
+            raise ConfigError(f"a cycle needs {float(k.max())!r} inspections at spacing "
+                              f"{law.spacing!r}: counts at or past 2**53 are not exact")
+        k, detection = k.astype(np.int64), k * law.spacing
+        ages, spacing = np.empty(0), law.spacing
     else:
         k, detection, ages = _uniform_schedule(rng, law, y_s, inspections)
+        spacing = 0.0
     failure = y_s + y_d
     # Ties (detection exactly at the failure instant) count as failures.
     failed = detection >= failure
-    return CycleBatch(
-        y_s, y_d, k, detection, failure, np.where(failed, failure, detection), failed, ages
-    )
+    return CycleBatch(y_s, y_d, k, detection, failure, np.where(failed, failure, detection),
+                      failed, ages, spacing)
 
 
 def _uniform_schedule(
@@ -292,7 +297,7 @@ def _uniform_schedule(
 
 def horizon_blocks(rng: np.random.Generator, config: ModelConfig) -> Iterator[CycleBatch]:
     """Whole cycles until their cumulative length reaches the config's
-    horizon, as a stream of blocks with every cycle's inspection ages.
+    horizon, as a stream of blocks: uniform ones with every cycle's ages.
 
     The blocks are the chunks of :func:`cycle_chunks`, the last one cut
     after the first cycle to end at or beyond the horizon, so the total
@@ -358,7 +363,15 @@ def _counts(
         d = done[open_]
         count = offsets[d + 1] - offsets[d]
         elapsed = at[here[open_]] - totals.time[d]
-        if block.inspection_ages.size:
+        if block.spacing:
+            # the largest i with i * c <= elapsed (elapsed <= length <= k c):
+            # the floor of elapsed / c, moved one step where i * c rounds across it
+            c = block.spacing
+            i = np.floor(elapsed / c)
+            i += (i + 1) * c <= elapsed
+            i -= i * c > elapsed
+            inspections[open_] += i.astype(np.int64)
+        elif block.inspection_ages.size:
             # every open cycle's schedule, laid end to end, each age against
             # its own time's elapsed age
             owner = np.repeat(np.arange(open_.size), count)
@@ -392,10 +405,10 @@ def counts_at_times(
     a time outside the span (or NaN) raises for the first such.  The open
     cycle counts only its planned inspections already elapsed (one at
     exactly the time included), counted for every time of a block at once
-    over the open cycles' schedules; a failure cycle's unplanned
+    from the spacing or over the stored ages; a failure cycle's unplanned
     inspection counts when the cycle completes, never before.
 
-    A batch without ages (a parsed event log) gives the counts at every
+    A batch with neither (a parsed event log) gives the counts at every
     cycle end and inside every cycle charged at most one inspection, whose
     planned inspection comes at or after the cycle's end.  The first time,
     in the given order, strictly inside a cycle charged two or more raises

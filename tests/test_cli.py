@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import io
+import json
 import math
 import os
 import re
@@ -1262,6 +1263,24 @@ class TestInputErrors:
         assert sorted(os.listdir(tmp_path)) == ["old.csv", "run.cfg"]
         assert old.read_text() == "old\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--inspection.c", "1e-300", "--events", "ev.csv", "--snapshots", "out.csv"],
+        ["convergence", "--sane.rate", "1e-300", "--grid-count", "3", "--out", "out.csv"],
+        ["verify", "--inspection.c", "1e-300", "--out", "out.csv"],
+        ["verify", "--sane.rate", "1e-300", "--out", "out.csv"],
+    ], ids=["simulate-c", "convergence-rate", "verify-c", "verify-rate"])
+    def test_deterministic_count_past_2_53(self, argv, config_file, tmp_path, capsys):
+        # a cycle of 2**53 or more deterministic gaps is refused at its
+        # draw; its count overflowed int64 there (internal errors, and
+        # verify compared the closed forms with garbage counts)
+        command, *flags = argv
+        flags = [str(tmp_path / a) if a.endswith(".csv") else a for a in flags]
+        code = cli.main([command, "--config", config_file, *flags])
+        err = capsys.readouterr().err
+        self._assert_one_line_config_error(code, capsys, err)
+        assert "2**53" in err
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
     @staticmethod
     def _assert_one_line_config_error(code, capsys, err=None):
         err = capsys.readouterr().err if err is None else err
@@ -1675,6 +1694,36 @@ class TestMemory:
         peak("5e5")
         small, large = peak("5e6"), peak("5e7")
         assert abs(large - small) < 2**20, (small, large)
+
+
+    def test_fine_deterministic_gaps_store_no_ages(self, tmp_path):
+        # at mu*c = 1e-6 a cycle plans about 1e6 inspections, and a block of
+        # 4096 cycles with stored ages asked for 30.2 GiB; in a child whose
+        # address space is limited to 2 GiB (in that child, never here),
+        # both commands run, and the open first cycle counts i for i * c <= t
+        flags = ["--sane.shape", "1", "--sane.rate", "1e-3", "--damage.rate", "5e-4",
+                 "--inspection.kind", "deterministic", "--inspection.c", "1e-3", "--seed", "1"]
+        sn = str(tmp_path / "sn.csv")
+        runs = [
+            ["simulate", *flags, "--horizon", "10", "--events", str(tmp_path / "ev.csv"),
+             "--snapshots", sn],
+            ["convergence", *flags, "--horizon", "1e5", "--grid-count", "100",
+             "--out", str(tmp_path / "cv.csv")],
+            ["simulate", *flags, "--horizon", "1e4", "--grid", "1, 500.5, 5000",
+             "--events", str(tmp_path / "ev.csv"), "--snapshots", sn],
+        ]
+        script = ("import json, resource, sys; "
+                  "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+                  "from cbmkit import cli; "
+                  "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 0, 0]\n", "")
+        rows = dict(line.split(",", 1) for line in Path(sn).read_text().splitlines())
+        assert (rows["1"], rows["500.5"]) == ("0,1000,0", "0,500500,0")
 
 
 class TestConfigProperties:

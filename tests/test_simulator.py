@@ -1,7 +1,7 @@
 import math
 import re
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -305,13 +305,20 @@ class TestCycleBatchRows:
 
     @pytest.mark.parametrize("shape, kind", [(1, "deterministic"), (2, "uniform")])
     def test_rows_match_columns(self, shape, kind):
+        # a deterministic row's schedule is i * c for i up to its count; a
+        # uniform row's is its slice of the stored ages
         cfg = make_config(shape=shape, kind=kind)
         batch = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 300, inspections=True)
         rows = list(batch)
         assert len(batch) == len(rows) == 300
         offsets = batch.totals.inspections
+        c = cfg.inspection.spacing
         for i, row in enumerate(rows):
-            assert row.inspections == tuple(batch.inspection_ages[offsets[i]:offsets[i + 1]])
+            if kind == "deterministic":
+                k = int(batch.inspection_count[i])
+                assert row.inspections == tuple(j * c for j in range(1, k + 1))
+            else:
+                assert row.inspections == tuple(batch.inspection_ages[offsets[i]:offsets[i + 1]])
             assert row.inspection_count == len(row.inspections)
             assert row.detection_age == row.inspections[-1]
             assert (row.length, row.failed) == (batch.length[i], batch.failed[i])
@@ -347,6 +354,14 @@ class TestCycleBatchRows:
         assert counts.failures == int(batch.failed.sum())
 
 
+def _assert_same_cycles(got, expected):
+    """Two batches hold the same bytes in every array field, and the same
+    spacing."""
+    for name in (*simulator._PER_CYCLE, "inspection_ages"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert got.spacing == expected.spacing
+
+
 class TestSimulateHorizon:
     def test_stops_at_first_cycle_end_past_horizon(self, base_config):
         rng = np.random.default_rng(3)
@@ -379,9 +394,7 @@ class TestSimulateHorizon:
                                    replace(cfg, horizon=horizon))
             assert len(run) == count
             assert run.totals.time[-2] < horizon <= run.totals.time[-1]
-            head, expected = run.head(k), long.head(k)
-            for f in fields(simulator.CycleBatch):
-                assert getattr(head, f.name).tobytes() == getattr(expected, f.name).tobytes()
+            _assert_same_cycles(run.head(k), long.head(k))
 
     @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
     def test_stream_stops_at_the_crossing_block(self, kind):
@@ -396,9 +409,7 @@ class TestSimulateHorizon:
         whole = simulate_cycles(rng_b, cfg, m * simulator._CHUNK, inspections=True)
         assert m >= 2
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
-        expected = whole.head(len(cycles))
-        for f in fields(simulator.CycleBatch):
-            assert getattr(cycles, f.name).tobytes() == getattr(expected, f.name).tobytes()
+        _assert_same_cycles(cycles, whole.head(len(cycles)))
 
     def test_degenerate_horizon_single_overshooting_cycle(self):
         # a horizon below the first inspection still completes one cycle
@@ -535,6 +546,7 @@ class TestTimeUnit:
                 assert getattr(got, name).tobytes() == (getattr(base, name) * s).tobytes(), (j, name)
             for name in ("inspection_count", "failed"):
                 assert getattr(got, name).tobytes() == getattr(base, name).tobytes(), (j, name)
+            assert got.spacing == base.spacing * s, j
             assert list(snapshot_rows(got, [t * s for t in grid])) == [
                 (t * s, *counts) for t, *counts in rows], j
 
@@ -555,9 +567,22 @@ class TestHorizonBlocks:
         assert len(blocks) >= 4
         assert [len(b) for b in blocks[:-1]] == [simulator._CHUNK] * (len(blocks) - 1)
         assert sum(map(len, blocks)) == len(batch)
-        for f in fields(simulator.CycleBatch):
-            joined = np.concatenate([getattr(b, f.name) for b in blocks])
-            assert joined.tobytes() == getattr(batch, f.name).tobytes()
+        for name in (*simulator._PER_CYCLE, "inspection_ages"):
+            joined = np.concatenate([getattr(b, name) for b in blocks])
+            assert joined.tobytes() == getattr(batch, name).tobytes()
+        assert all(b.spacing == batch.spacing for b in blocks)
+
+    @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
+    def test_deterministic_blocks_hold_no_ages(self, kind):
+        # a deterministic block carries its spacing and no age; a uniform
+        # block carries every cycle's ages and no spacing
+        blocks, _ = self._stream_and_batch(kind)
+        for block in blocks:
+            if kind == "deterministic":
+                assert (block.inspection_ages.size, block.spacing) == (0, SPACING)
+            else:
+                assert (block.inspection_ages.size, block.spacing) == (
+                    block.inspection_count.sum(), 0.0)
 
     @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
     def test_counts_over_blocks_are_the_batch_counts(self, kind):
@@ -759,8 +784,13 @@ class TestCountsAtTimesAgainstLoop:
         cycles = simulate_horizon(np.random.default_rng(BATCH_SEED), cfg)
         totals = cycles.totals
         end = float(totals.time[-1])
-        # every planned inspection at its own time, where the batch still runs
-        planned = np.repeat(totals.time[:-1], cycles.inspection_count) + cycles.inspection_ages
+        # every planned inspection at its own time, where the batch still
+        # runs; a deterministic cycle's schedule is i * c
+        if kind == "deterministic":
+            ages = np.concatenate([SPACING * np.arange(1, k + 1) for k in cycles.inspection_count])
+        else:
+            ages = cycles.inspection_ages
+        planned = np.repeat(totals.time[:-1], cycles.inspection_count) + ages
         times = np.concatenate((
             np.random.default_rng(SCALAR_SEED).uniform(0.0, end, size=300),
             totals.time, planned[planned <= end], [0.0, end],
@@ -771,6 +801,25 @@ class TestCountsAtTimesAgainstLoop:
         assert snaps == loop_counts_at_times(times, cycles)
         assert all(type(v) is int for s in snaps for v in (s.repairs, s.inspections, s.failures))
         assert counts_at_times([], cycles) == []
+
+    @pytest.mark.parametrize("c", [0.07, 0.1, 1 / 3, 123.456789, 1000.0])
+    def test_deterministic_counts_at_the_rounding_edges(self, c):
+        # a deterministic batch counts its open cycle from the spacing, not
+        # from stored products i * c: at every planned time start + i * c
+        # and one float either side of it, where t - start may round across
+        # i * c, and at one and two floats below every cycle end
+        cfg = replace(make_config(mu=1 / (30 * c), lam=1 / (60 * c), horizon=5000 * c),
+                      inspection=InspectionLaw("deterministic", c))
+        cycles = simulate_horizon(np.random.default_rng(BATCH_SEED), cfg)
+        totals = cycles.totals
+        planned = np.concatenate([start + c * np.arange(1, k + 1) for start, k in
+                                  zip(totals.time[:-1], cycles.inspection_count)])
+        below = np.nextafter(totals.time[1:], 0.0)
+        times = np.concatenate((planned, np.nextafter(planned, 0.0), np.nextafter(planned, np.inf),
+                                below, np.nextafter(below, 0.0)))
+        times = times[times <= totals.time[-1]].tolist()
+        assert len(cycles) > 100 and len(times) > 10_000
+        assert counts_at_times(times, cycles) == loop_counts_at_times(times, cycles)
 
     def test_batch_without_ages(self, tmp_path):
         # a batch read from an event log has no ages: its counts at every
