@@ -33,16 +33,13 @@ from .simulator import (
     CycleRecord,
     CycleBatch,
     counts_at_times,
-    event_log_lines,
+    csv_blocks,
     horizon_blocks,
     simulate_cycle,
-    simulate_cycles,
     simulate_horizon,
-    snapshot_lines,
-    snapshot_rows,
 )
 
-__version__ = "0.28.0"
+__version__ = "0.29.0"
 
 __all__ = [
     "ConfigError",
@@ -66,9 +63,9 @@ __all__ = [
     "censored_log_likelihood",
     "count_rate_covariance",
     "counts_at_times",
+    "csv_blocks",
     "cycle_moments",
     "estimator_covariance",
-    "event_log_lines",
     "failure_probability",
     "horizon_blocks",
     "invert_failure_probability",
@@ -81,10 +78,7 @@ __all__ = [
     "parse_config",
     "serialize_config",
     "simulate_cycle",
-    "simulate_cycles",
     "simulate_horizon",
-    "snapshot_lines",
-    "snapshot_rows",
     "survival_sane",
     "verification_rows",
 ]

@@ -35,7 +35,7 @@ round the same in floats and in arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -530,6 +530,10 @@ def _covariance_bundle(
     single element where it is not defined, no bundle."""
     _check_convention(convention)
     moments, sens, at_lam = _closed_forms(sane, damage, insp)
+    if not isinstance(moments.mean_cycle, np.ndarray):
+        # numpy floats at one element, so that a product underflowing to zero
+        # divides there as in a batch (under the errstate below), not raising
+        moments, sens = (type(v)(*map(np.float64, astuple(v))) for v in (moments, sens))
     mx, mk, pd = moments.mean_cycle, moments.mean_inspections, moments.failure_prob
     fp, gm, gl = sens.dmk_dmu, sens.dpd_dmu, sens.dpd_dlambda
     problems = _variance_problems(moments) if convention == "delta" else [None] * np.size(mx)

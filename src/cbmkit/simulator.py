@@ -10,20 +10,21 @@ Cycles are held as columns: a :class:`CycleBatch` has one array per cycle
 field, plus the deterministic spacing (no ages: the i-th inspection is at
 ``i * c``) or the flat planned-inspection ages.  :func:`cycle_chunks` is the
 one draw loop, yielding chunks of 4096 (endless without a count): the
-oracle reads them one by one, :func:`simulate_cycles` joins ``n`` cycles,
-:func:`horizon_blocks` streams them up to the first cycle end at or past
-the horizon (:func:`simulate_horizon` joins that stream), and
-:func:`read_event_log` parses a log into one batch (without the ages,
-which logs do not carry).  The running totals of cycle time, inspections
-and failures are built once per batch, adding left to right, and carried
-from block to block along a stream, so a stream's totals are its join's
-to the bit; :func:`snapshot_rows`, :func:`counts_at_times`, the CSV
-writers and the likelihood's total time all read them, from a batch or
-block by block from a stream.  :func:`simulate_cycle` draws one cycle with
-scalar calls and is kept as the reference the hand traces pin; a batch
-yields the same :class:`CycleRecord` rows on iteration.  Deterministic
-gaps put the k-th inspection at ``k * c`` (not at a running sum of
-``c``), with ``k = ceil(y_s / c)`` at detection, in both.
+oracle reads them one by one, without uniform gaps' ages, and
+:func:`horizon_blocks` streams them, with those ages, up to the first
+cycle end at or past the horizon (:func:`simulate_horizon` joins that
+stream); :func:`read_event_log` parses a log into one batch (without the
+ages, which logs do not carry).  The running totals of cycle time,
+inspections and failures are built once per batch, adding left to right,
+and carried from block to block along a stream, so a stream's totals are
+its join's to the bit; :func:`counts_at_times`, :func:`csv_blocks` (the
+event log and the snapshot CSV, in one pass) and the likelihood's total
+time all read them, from a batch or block by block from a stream.
+:func:`simulate_cycle` draws one cycle with scalar calls and is kept as
+the reference the hand traces pin; a batch yields the same
+:class:`CycleRecord` rows on iteration.  Deterministic gaps put the k-th
+inspection at ``k * c`` (not at a running sum of ``c``), with
+``k = ceil(y_s / c)`` at detection, in both.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import warnings
 from dataclasses import astuple, dataclass, fields
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -52,6 +53,8 @@ from .laws import (
 # Most cycles one draw of the batch engine holds in its working arrays:
 # cycle_chunks draws every stream chunk after chunk of this many cycles.
 _CHUNK = 1 << 12
+# Rows a batch converts to Python values at once when it is iterated.
+_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -123,10 +126,10 @@ class CycleBatch:
     A deterministic draw stores no ages: a cycle's i-th planned inspection
     is at ``i * spacing``.  Elsewhere ``spacing`` is 0.0, and
     ``inspection_ages`` concatenates every cycle's schedule in cycle order,
-    ``inspection_count`` entries per cycle, or is empty (parsed logs, and
-    uniform draws without ``inspections=True``).  ``len()`` is the number of
-    cycles; the batch yields its :class:`CycleRecord` rows by iteration
-    only (with empty schedules when the batch carries neither).
+    ``inspection_count`` entries per cycle (uniform draws), or is empty
+    (parsed logs).  ``len()`` is the number of cycles; the batch yields its
+    :class:`CycleRecord` rows by iteration only (with empty schedules when
+    the batch carries neither).
     """
 
     time_to_damage: np.ndarray
@@ -161,12 +164,16 @@ class CycleBatch:
         return len(self.length)
 
     def __iter__(self) -> Iterator[CycleRecord]:
-        offsets = self.totals.inspections.tolist()
-        ages, c = self.inspection_ages.tolist(), self.spacing
-        columns = zip(*(getattr(self, name).tolist() for name in _PER_CYCLE))
-        for (y_s, y_d, k, v, z, x, f), a, b in zip(columns, offsets, offsets[1:]):
-            schedule = tuple(i * c for i in range(1, k + 1)) if c else tuple(ages[a:b])
-            yield CycleRecord(y_s, y_d, schedule, k, v, z, x, f)
+        # in Python values a slice of rows at a time, so that the rows stream
+        c, first = self.spacing, 0
+        for start in range(0, len(self), _ROWS):
+            columns = [getattr(self, name)[start:start + _ROWS].tolist() for name in _PER_CYCLE]
+            offsets = list(accumulate(columns[2], initial=0))
+            ages = self.inspection_ages[first:first + offsets[-1]].tolist()
+            first += offsets[-1]
+            for (y_s, y_d, k, v, z, x, f), a, b in zip(zip(*columns), offsets, offsets[1:]):
+                schedule = tuple(i * c for i in range(1, k + 1)) if c else tuple(ages[a:b])
+                yield CycleRecord(y_s, y_d, schedule, k, v, z, x, f)
 
 
 _PER_CYCLE = tuple(f.name for f in fields(CycleBatch))[:-2]  # all but inspection_ages, spacing
@@ -202,20 +209,6 @@ def simulate_cycle(rng: np.random.Generator, config: ModelConfig) -> CycleRecord
     )
 
 
-def simulate_cycles(
-    rng: np.random.Generator, config: ModelConfig, n: int, inspections: bool = False
-) -> CycleBatch:
-    """Draw ``n`` cycles as arrays, with the semantics of
-    :func:`simulate_cycle` but not its draw order.
-
-    The chunks of :func:`cycle_chunks` are joined; within one, all damage
-    times are drawn first, then all failure delays, then (uniform gaps) one
-    gap per step for every cycle whose age is still short of its damage
-    time.  Set ``inspections`` to keep uniform gaps' ages (deterministic: none).
-    """
-    return _join(list(cycle_chunks(rng, config, n, inspections)))
-
-
 def cycle_chunks(
     rng: np.random.Generator, config: ModelConfig, n: Optional[int] = None,
     inspections: bool = False,
@@ -223,7 +216,11 @@ def cycle_chunks(
     """Cycles drawn and yielded one chunk of at most 4096 at a time: the
     one draw loop, so the one place that fixes their draw order.  ``n``
     cycles in all (``n = 0`` yields one empty chunk), or, without ``n``,
-    full chunks without end until the consumer stops."""
+    full chunks without end until the consumer stops.  Within a chunk all
+    damage times are drawn first, then all failure delays, then (uniform
+    gaps) one gap per step for every cycle whose age is still short of its
+    damage time; ``inspections`` keeps uniform gaps' ages, which the
+    oracle does not read and :func:`horizon_blocks` counts grid times with."""
     left = math.inf if n is None else n
     if left < 0:
         raise ValueError(f"cycle count must be nonnegative, got {n}")
@@ -433,19 +430,6 @@ def _snapshot_rows(
     yield from heapq.merge(map(astuple, counts), ends, key=itemgetter(0))
 
 
-def snapshot_rows(
-    cycles: CycleBatch | Iterable[CycleBatch], grid: Iterable[float] = ()
-) -> Iterator[tuple[float, int, int, int]]:
-    """The counts at every cycle end and at each grid time as
-    ``(t, n_r, n_i, n_f)``, in time order, read from the running totals of
-    a batch or of a stream of blocks; a grid row at a cycle end's time
-    comes first (and equals it)."""
-    return chain.from_iterable(
-        _snapshot_rows(block, totals, repairs, counts)
-        for block, totals, repairs, _, counts in _counts(sorted(map(float, grid)), cycles)
-    )
-
-
 EVENT_LOG_HEADER = "cycle,y_s,y_d,k_r,v_s,z_d,x_r,end"
 _EVENT_LOG_ROW = "%d,%.17g,%.17g,%d,%.17g,%.17g,%.17g,%s\n"
 _ENDS = ("Detected", "Failed")
@@ -464,25 +448,14 @@ def csv_blocks(
 ) -> Iterator[tuple[Iterator[str], Iterator[str]]]:
     """The event log and the snapshot CSV of a batch or of a stream of
     blocks, in one pass: per block its event-log lines and its snapshot
-    lines (its cycle ends and the grid times it holds), the first block's
-    after the header lines, each line made as it is read."""
+    lines (its cycle ends and the grid times it holds, in time order; a
+    grid row at a cycle end's time comes first and equals it), the first
+    block's after the header lines, each line made as it is read."""
     headers = [EVENT_LOG_HEADER + "\n"], [SNAPSHOT_HEADER + "\n"]
     for block, totals, repairs, _, counts in _counts(sorted(map(float, grid)), cycles):
         snapshots = (_SNAPSHOT_ROW % row for row in _snapshot_rows(block, totals, repairs, counts))
         yield chain(headers[0], _event_rows(block, repairs)), chain(headers[1], snapshots)
         headers = (), ()
-
-
-def event_log_lines(cycles: CycleBatch | Iterable[CycleBatch]) -> Iterator[str]:
-    """The event-log CSV of a batch or of a stream of blocks, line by line."""
-    return chain.from_iterable(events for events, _ in csv_blocks(cycles, ()))
-
-
-def snapshot_lines(
-    cycles: CycleBatch | Iterable[CycleBatch], grid: Iterable[float]
-) -> Iterator[str]:
-    """The snapshot CSV, line by line: the rows of :func:`snapshot_rows`."""
-    return chain.from_iterable(snapshots for _, snapshots in csv_blocks(cycles, grid))
 
 
 # one event-log row as read: the numeric fields, then whether it failed

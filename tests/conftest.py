@@ -5,7 +5,8 @@ import pytest
 
 from cbmkit.config import ModelConfig
 from cbmkit.laws import DamageLaw, InspectionLaw, SaneLaw
-from cbmkit.simulator import CycleBatch
+from cbmkit import simulator
+from cbmkit.simulator import CycleBatch, csv_blocks, cycle_chunks
 
 # Base parameter set used throughout: damage rate 1e-3, failure rate 5e-4,
 # inspections every 1000 time units (uniform variant: half-width 100).
@@ -47,6 +48,26 @@ def batch_of(records):
     columns = [np.array([getattr(r, name) for r in records]) for name in names]
     ages = np.array([a for r in records for a in r.inspections], dtype=float)
     return CycleBatch(*columns, ages)
+
+
+def draw_cycles(rng, config, n, inspections=False):
+    """``n`` cycles of the one draw loop joined into one batch;
+    ``inspections`` keeps uniform gaps' ages."""
+    return simulator._join(list(cycle_chunks(rng, config, n, inspections)))
+
+
+def csv_text(cycles, grid=()):
+    """The event log and the snapshot CSV that ``csv_blocks`` streams, each
+    as one string."""
+    pairs = [("".join(e), "".join(s)) for e, s in csv_blocks(cycles, grid)]
+    return "".join(e for e, _ in pairs), "".join(s for _, s in pairs)
+
+
+def snapshot_rows(cycles, grid=()):
+    """The snapshot CSV's rows read back as ``(t, n_r, n_i, n_f)``: every
+    cycle end and grid time, in time order."""
+    rows = (line.split(",") for line in csv_text(cycles, grid)[1].splitlines()[1:])
+    return [(float(t), int(r), int(i), int(f)) for t, r, i, f in rows]
 
 
 def halved_cycle_square(cycle_moments):

@@ -563,6 +563,18 @@ class TestEstimateCommand:
             "estimation infeasible: failure rate not identifiable: flat failure probability\n")
         assert not out.exists()
 
+    def test_underflowing_jacobian_exit_3(self, config_file, tmp_path, capsys):
+        # at c = 1e-300 a product of two sensitivities in the jacobian
+        # underflows to zero: a lone snapshot's covariance is not defined,
+        # as in a batch, rather than an internal error
+        out = tmp_path / "est.csv"
+        code = cli.main(["estimate", "--config", config_file, "--inspection.c", "1e-300",
+                         "--counts", "33501", "53116", "8255", "5e7", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr() == ("", "estimation infeasible: interval covariance not "
+                                       "defined: parameter variances nan and nan\n")
+        assert not out.exists()
+
     def test_negative_parameter_variance_exit_3(self, config_file, tmp_path, capsys):
         # counts whose inspections per cycle lie within the inversion
         # tolerance of 1 (they once reached a negative delta-method

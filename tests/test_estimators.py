@@ -30,13 +30,11 @@ from cbmkit.simulator import (
     CountSnapshot,
     CycleRecord,
     counts_at_times,
-    event_log_lines,
     read_event_log,
     simulate_cycle,
-    simulate_cycles,
     simulate_horizon,
 )
-from conftest import batch_of, make_config, time_scaled
+from conftest import batch_of, csv_text, draw_cycles, make_config, time_scaled
 from simplex import nelder_mead
 
 DET = InspectionLaw("deterministic", 1000.0)
@@ -864,6 +862,18 @@ class TestBatchedEstimates:
             for name in ("mu_hat", "lambda_hat", "ci_mu", "ci_lambda", "diagnostics"):
                 assert getattr(batch[k], name) == getattr(single, name), name
 
+    def test_lone_snapshot_gets_the_batch_error(self):
+        # at c = 1e-300 the jacobian's product of two sensitivities (about
+        # -9e-301 and 4e-301) underflows to zero: a lone snapshot gets the
+        # error its row gets in a batch, not a ZeroDivisionError
+        cfg = dataclasses.replace(make_config(), inspection=InspectionLaw("deterministic", 1e-300))
+        snap = CountSnapshot(5e7, 33501, 53116, 8255)
+        (lone,) = asymptotic_estimates([snap], cfg)
+        for row in (_single(snap, cfg, "delta"), *asymptotic_estimates([snap, snap], cfg)):
+            assert (type(row), str(row)) == (type(lone), str(lone))
+        assert type(lone) is DegenerateDataError
+        assert str(lone) == "interval covariance not defined: parameter variances nan and nan"
+
     def test_negative_parameter_variance_is_degenerate(self):
         # counts whose inspections per cycle lie within the inversion
         # tolerance of 1, where every large enough damage rate meets the
@@ -999,8 +1009,8 @@ class TestCensoredLikelihood:
 
 def _simulated_data(shape):
     """60 deterministic-gap cycles at the base rates."""
-    batch = simulate_cycles(np.random.default_rng(5), make_config(shape=shape), 60,
-                            inspections=True)
+    batch = draw_cycles(np.random.default_rng(5), make_config(shape=shape), 60,
+                        inspections=True)
     return ObservedData.from_event_log_records(batch, DET)
 
 
@@ -1136,14 +1146,14 @@ class TestOneWindowSet:
     @pytest.mark.parametrize("shape", [1, 2, 3, 4])
     def test_in_memory_batches(self, shape, kind):
         cfg = make_config(shape=shape, kind=kind)
-        batch = simulate_cycles(np.random.default_rng(40 + shape), cfg, 2000, inspections=True)
+        batch = draw_cycles(np.random.default_rng(40 + shape), cfg, 2000, inspections=True)
         data = ObservedData.from_event_log_records(batch, cfg.inspection)
         self._check(data, batch.failed, shape)
 
     def test_parsed_log(self, tmp_path):
-        batch = simulate_cycles(np.random.default_rng(41), make_config(), 2000)
+        batch = draw_cycles(np.random.default_rng(41), make_config(), 2000)
         path = tmp_path / "events.csv"
-        path.write_text("".join(event_log_lines(batch)))
+        path.write_text(csv_text(batch)[0])
         parsed = read_event_log(path)
         self._check(ObservedData.from_event_log_records(parsed, DET), parsed.failed, 1)
 
@@ -1253,18 +1263,23 @@ class TestMleEstimate:
             total += c.length
         assert data.counts.time == total
 
-    def test_event_log_projection_uniform_rejected(self):
-        batch = simulate_cycles(np.random.default_rng(3), make_config(kind="uniform"), 10)
-        assert batch.inspection_ages.size == 0
-        with pytest.raises(DegenerateDataError):
-            ObservedData.from_event_log_records(batch, UNIF)
+    def test_event_log_projection_uniform_rejected(self, tmp_path):
+        # a uniform-gap log read back carries neither its ages nor a spacing
+        batch = draw_cycles(np.random.default_rng(3), make_config(kind="uniform"), 10,
+                            inspections=True)
+        path = tmp_path / "events.csv"
+        path.write_text(csv_text(batch)[0])
+        parsed = read_event_log(path)
+        assert (parsed.inspection_ages.size, parsed.spacing) == (0, 0.0)
+        with pytest.raises(DegenerateDataError, match="^event logs do not carry the planned "):
+            ObservedData.from_event_log_records(parsed, UNIF)
 
     def test_one_builder_batch_and_log_agree(self, tmp_path):
         # a deterministic-gap batch with its ages, and the same cycles read
         # back from an event log without them, give the same bits
-        batch = simulate_cycles(np.random.default_rng(3), make_config(), 3000, inspections=True)
+        batch = draw_cycles(np.random.default_rng(3), make_config(), 3000, inspections=True)
         path = tmp_path / "events.csv"
-        path.write_text("".join(event_log_lines(batch)))
+        path.write_text(csv_text(batch)[0])
         direct = ObservedData.from_event_log_records(batch, DET)
         via_log = ObservedData.from_event_log_records(read_event_log(path), DET)
         assert 0 < direct.counts.failures < 3000
@@ -1281,7 +1296,7 @@ class TestMleEstimate:
         # cycle's end
         assert [f.name for f in dataclasses.fields(ObservedData)] == ["a", "b", "counts"]
         for cfg in (make_config(), make_config(shape=2, kind="uniform")):
-            batch = simulate_cycles(np.random.default_rng(13), cfg, 500, inspections=True)
+            batch = draw_cycles(np.random.default_rng(13), cfg, 500, inspections=True)
             data = ObservedData.from_event_log_records(batch, cfg.inspection)
             assert data.a.tolist() == [
                 r.inspections[-2] if r.inspection_count >= 2 else 0.0 for r in batch]

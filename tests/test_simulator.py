@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -16,16 +17,21 @@ from cbmkit.simulator import (
     CycleRecord,
     counts_at_times,
     csv_blocks,
-    event_log_lines,
     horizon_blocks,
     read_event_log,
     simulate_cycle,
-    simulate_cycles,
     simulate_horizon,
-    snapshot_lines,
-    snapshot_rows,
 )
-from conftest import BASE_LAMBDA, SPACING, batch_of, make_config, time_scaled
+from conftest import (
+    BASE_LAMBDA,
+    SPACING,
+    batch_of,
+    csv_text,
+    draw_cycles,
+    make_config,
+    snapshot_rows,
+    time_scaled,
+)
 from count_loop import loop_counts_at_times
 
 # Seeds of the batch-engine tests, fixed once before their first run.
@@ -137,7 +143,7 @@ class TestSimulateCycles:
         n = 20_000
         rng = np.random.default_rng(SCALAR_SEED)
         scalar = [simulate_cycle(rng, cfg) for _ in range(n)]
-        batch = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, n)
+        batch = draw_cycles(np.random.default_rng(BATCH_SEED), cfg, n)
         pairs = (
             ([c.inspection_count for c in scalar], batch.inspection_count),
             ([c.failed for c in scalar], batch.failed),
@@ -149,24 +155,24 @@ class TestSimulateCycles:
 
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError, match="cycle count must be nonnegative, got -1"):
-            simulate_cycles(np.random.default_rng(BATCH_SEED), make_config(), -1)
+            draw_cycles(np.random.default_rng(BATCH_SEED), make_config(), -1)
 
     @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
     def test_zero_cycles(self, kind):
         # an empty batch with the columns' dtypes, and no draw made
         rng = np.random.default_rng(BATCH_SEED)
-        batch = simulate_cycles(rng, make_config(kind=kind), 0, inspections=True)
-        drawn = simulate_cycles(np.random.default_rng(BATCH_SEED), make_config(kind=kind), 1)
+        batch = draw_cycles(rng, make_config(kind=kind), 0, inspections=True)
+        drawn = draw_cycles(np.random.default_rng(BATCH_SEED), make_config(kind=kind), 1)
         assert len(batch) == 0 and batch.inspection_ages.size == 0
         assert [batch.inspection_count.dtype, batch.failed.dtype, batch.length.dtype] == [
             np.int64, np.bool_, np.float64]
-        assert simulate_cycles(rng, make_config(kind=kind), 1).length == drawn.length
+        assert draw_cycles(rng, make_config(kind=kind), 1).length == drawn.length
 
     def test_deterministic_count_is_ceiling(self):
         for shape in (1, 2):
             cfg = make_config(shape=shape)
             c = cfg.inspection.spacing
-            batch = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 50_000)
+            batch = draw_cycles(np.random.default_rng(BATCH_SEED), cfg, 50_000)
             y_s, det = batch.time_to_damage, batch.detection_age
             assert np.array_equal(batch.inspection_count, np.ceil(y_s / c))
             assert (y_s <= det).all()
@@ -179,7 +185,7 @@ class TestSimulateCycles:
         ages = tuple(i * 0.1 for i in range(1, 11))
         assert ages[-1] == 1.0 and sum([0.1] * 10) != 1.0
         one = simulate_cycle(_ScriptedRng([0.95, 10.0]), cfg)
-        many = simulate_cycles(_ScriptedRng([[0.95], [10.0]]), cfg, 1, inspections=True)
+        many = draw_cycles(_ScriptedRng([[0.95], [10.0]]), cfg, 1, inspections=True)
         assert one.inspections == ages
         assert one.detection_age == 1.0
         assert list(many) == [one]
@@ -188,7 +194,7 @@ class TestSimulateCycles:
         # failure at 1500 + 500 == the detection at 2000
         cfg = make_config()
         one = simulate_cycle(_ScriptedRng([1500.0, 500.0]), cfg)
-        many = simulate_cycles(_ScriptedRng([[1500.0], [500.0]]), cfg, 1, inspections=True)
+        many = draw_cycles(_ScriptedRng([[1500.0], [500.0]]), cfg, 1, inspections=True)
         assert one.failed and one.length == 2000.0
         assert list(many) == [one]
 
@@ -201,7 +207,7 @@ class TestSimulateCycles:
             [[0.0], [500.0], [2500.0]], [1e12, 1e12, 1e12],
             [950.0, 1000.0], [1050.0], [1080.0],
         ])
-        batch = simulate_cycles(rng, cfg, 3, inspections=True)
+        batch = draw_cycles(rng, cfg, 3, inspections=True)
         assert rng.values == []
         assert batch.inspection_count.tolist() == [0, 1, 3]
         assert batch.detection_age.tolist() == [0.0, 950.0, 3130.0]
@@ -212,8 +218,8 @@ class TestSimulateCycles:
     def test_uniform_ages_leave_the_columns_alone(self, shape):
         # keeping the ages neither draws nor writes anything else
         cfg = make_config(shape=shape, kind="uniform")
-        kept = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 10_000, inspections=True)
-        plain = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 10_000)
+        kept = draw_cycles(np.random.default_rng(BATCH_SEED), cfg, 10_000, inspections=True)
+        plain = draw_cycles(np.random.default_rng(BATCH_SEED), cfg, 10_000)
         for name in simulator._PER_CYCLE:
             column = getattr(kept, name)
             assert column.dtype == getattr(plain, name).dtype
@@ -289,10 +295,10 @@ class TestSimulateCycles:
         assert first == second
         assert all(r.passed for r in first)
         # chunks are consecutive draws of the one generator
-        whole = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, n)
+        whole = draw_cycles(np.random.default_rng(BATCH_SEED), cfg, n)
         rng = np.random.default_rng(BATCH_SEED)
         sizes = [simulator._CHUNK] * (n // simulator._CHUNK) + [1]
-        parts = [simulate_cycles(rng, cfg, size) for size in sizes]
+        parts = [draw_cycles(rng, cfg, size) for size in sizes]
         for name in ("time_to_damage", "damage_to_failure", "inspection_count",
                      "detection_age", "failure_age", "length", "failed"):
             joined = np.concatenate([getattr(p, name) for p in parts])
@@ -308,7 +314,7 @@ class TestCycleBatchRows:
         # a deterministic row's schedule is i * c for i up to its count; a
         # uniform row's is its slice of the stored ages
         cfg = make_config(shape=shape, kind=kind)
-        batch = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 300, inspections=True)
+        batch = draw_cycles(np.random.default_rng(BATCH_SEED), cfg, 300, inspections=True)
         rows = list(batch)
         assert len(batch) == len(rows) == 300
         offsets = batch.totals.inspections
@@ -323,11 +329,27 @@ class TestCycleBatchRows:
             assert row.detection_age == row.inspections[-1]
             assert (row.length, row.failed) == (batch.length[i], batch.failed[i])
 
+    def test_rows_stream(self):
+        # rows are made a slice at a time: iterating four times the cycles
+        # peaks within 1 MB of the shorter batch (uniform gaps, whose ages
+        # are sliced along with the columns)
+        peaks = []
+        for n in (1 << 15, 1 << 17):
+            cfg = make_config(kind="uniform")
+            batch = draw_cycles(np.random.default_rng(BATCH_SEED), cfg, n, inspections=True)
+            tracemalloc.start()
+            try:
+                assert sum(1 for _ in batch) == n
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1 << 20, peaks
+
     def test_head_keeps_the_schedules(self):
         cfg = make_config(shape=2, kind="uniform")
-        batch = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 50, inspections=True)
+        batch = draw_cycles(np.random.default_rng(BATCH_SEED), cfg, 50, inspections=True)
         assert list(batch.head(20)) == list(batch)[:20]
-        undrawn = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 50)
+        undrawn = draw_cycles(np.random.default_rng(BATCH_SEED), cfg, 50)
         assert undrawn.inspection_ages.size == 0
         assert all(row.inspections == () for row in undrawn.head(20))
 
@@ -335,7 +357,7 @@ class TestCycleBatchRows:
         # the cut sizes its ages from the counts it keeps, so cutting every
         # chunk of a horizon costs no running sums over the chunk
         cfg = make_config(shape=2, kind="uniform")
-        batch = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 50, inspections=True)
+        batch = draw_cycles(np.random.default_rng(BATCH_SEED), cfg, 50, inspections=True)
         head = batch.head(20)
         assert "totals" not in vars(batch)
         assert head.inspection_ages.tolist() == \
@@ -343,7 +365,7 @@ class TestCycleBatchRows:
 
     def test_totals_add_left_to_right(self):
         cfg = make_config(shape=2, kind="uniform")
-        batch = simulate_cycles(np.random.default_rng(BATCH_SEED), cfg, 3000)
+        batch = draw_cycles(np.random.default_rng(BATCH_SEED), cfg, 3000)
         running = [0.0]
         for x in batch.length.tolist():
             running.append(running[-1] + x)
@@ -406,7 +428,7 @@ class TestSimulateHorizon:
         rng_a, rng_b = np.random.default_rng(BATCH_SEED), np.random.default_rng(BATCH_SEED)
         cycles = simulate_horizon(rng_a, cfg)
         m = -(-len(cycles) // simulator._CHUNK)
-        whole = simulate_cycles(rng_b, cfg, m * simulator._CHUNK, inspections=True)
+        whole = draw_cycles(rng_b, cfg, m * simulator._CHUNK, inspections=True)
         assert m >= 2
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
         _assert_same_cycles(cycles, whole.head(len(cycles)))
@@ -441,7 +463,7 @@ class TestSimulateHorizon:
         expected = sorted((*at_grid, *ends), key=lambda s: s.time)
         assert [CountSnapshot(*row) for row in snapshot_rows(cycles, grid)] == expected
         path = tmp_path / "snaps.csv"
-        path.write_text("".join(snapshot_lines(cycles, grid)))
+        path.write_text(csv_text(cycles, grid)[1])
         assert path.read_text().splitlines()[1:] == [
             f"{s.time:.17g},{s.repairs},{s.inspections},{s.failures}" for s in expected
         ]
@@ -607,10 +629,9 @@ class TestHorizonBlocks:
         blocks, batch = self._stream_and_batch(kind)
         boundary = float(batch.totals.time[simulator._CHUNK])
         grid = (2e7, boundary, 5e3, boundary, float(batch.totals.time[-1]))
-        events = "".join(event_log_lines(batch))
-        snapshots = "".join(snapshot_lines(batch, grid))
-        assert "".join(event_log_lines(iter(blocks))) == events
-        assert "".join(snapshot_lines(iter(blocks), grid)) == snapshots
+        events, snapshots = csv_text(batch, grid)
+        assert csv_text(batch)[0] == events
+        assert csv_text(iter(blocks), grid) == (events, snapshots)
         # both files' lines block by block, the headers with the first
         pairs = [("".join(e), "".join(s)) for e, s in csv_blocks(iter(blocks), grid)]
         assert len(pairs) == len(blocks)
@@ -830,7 +851,7 @@ class TestCountsAtTimesAgainstLoop:
                                  make_config(shape=2, kind="uniform", horizon=3e5))):
             cycles = simulate_horizon(np.random.default_rng(BATCH_SEED), cfg)
             path = tmp_path / f"events{i}.csv"
-            path.write_text("".join(event_log_lines(cycles)))
+            path.write_text(csv_text(cycles)[0])
             logged = read_event_log(path)
             totals = logged.totals
             times = np.concatenate((
@@ -857,7 +878,7 @@ class TestCsv:
         rng = np.random.default_rng(8)
         cycles = simulate_horizon(rng, replace(base_config, horizon=2e4))
         path = tmp_path / "events.csv"
-        path.write_text("".join(event_log_lines(cycles)))
+        path.write_text(csv_text(cycles)[0])
         text = path.read_text()
         assert text.startswith("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n")
         assert "\r" not in text
@@ -879,7 +900,7 @@ class TestCsv:
         rng = np.random.default_rng(9)
         cycles = simulate_horizon(rng, replace(base_config, horizon=2e4))
         path = tmp_path / "snaps.csv"
-        path.write_text("".join(snapshot_lines(cycles, [1e4])))
+        path.write_text(csv_text(cycles, [1e4])[1])
         lines = path.read_text().splitlines()
         assert lines[0] == "t,n_r,n_i,n_f"
         assert len(lines) == len(cycles) + 2
@@ -888,7 +909,7 @@ class TestCsv:
         cfg = make_config()
         rec = _cycle(1234.56789012345678, [1000.0], failed=False)
         path = tmp_path / "one.csv"
-        path.write_text("".join(event_log_lines(batch_of([rec]))))
+        path.write_text(csv_text(batch_of([rec]))[0])
         assert format(1234.56789012345678, ".17g") in path.read_text()
 
     def test_read_rejects_foreign_header(self, tmp_path):
@@ -985,8 +1006,8 @@ class TestEventLogReader:
         assert len(read_event_log(path)) == 2
 
     def test_written_logs_take_one_pass(self, tmp_path):
-        batch = simulate_cycles(np.random.default_rng(4), make_config(), 500, inspections=True)
+        batch = draw_cycles(np.random.default_rng(4), make_config(), 500, inspections=True)
         path = tmp_path / "events.csv"
-        path.write_text("".join(event_log_lines(batch)))
+        path.write_text(csv_text(batch)[0])
         assert simulator._read_plain_log(path) is not None
         assert self._outcome(read_event_log, path) == self._outcome(simulator._read_rows, path)

@@ -27,7 +27,8 @@ REMOVED = ("TaylorJet", "deterministic_config", "full_information_estimate", "in
            "counts_at", "mean_cycle_length", "mc_moment_set", "McEstimate",
            "failure_rate_from_cycle_identity", "LawDerivatives", "law_derivatives", "_band_jet",
            "_gains", "_taylor_tail", "_indexed_series_sum", "_taylor_mean", "_power", "_only",
-           "_check_fractions")
+           "_check_fractions", "simulate_cycles", "event_log_lines", "snapshot_lines",
+           "snapshot_rows")
 MODULES = ("cli", "config", "laws", "formulas", "estimators", "simulator", "oracle")
 # what tests compare other code against: the oracle's age/KS block, the gap
 # CDF of the KS tests and the damage-time density of the quadrature references

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from cbmkit.formulas import cycle_moments
-from cbmkit.simulator import simulate_cycles
+from conftest import draw_cycles
 
 
 def mc_mean(arr):
@@ -25,7 +25,7 @@ def mc_cov(a, b):
 def two_pass_columns(config, n_samples, seed):
     """(mc_value, mc_se) of every verification row, by quantity, in row
     order."""
-    cycles = simulate_cycles(np.random.default_rng(seed), config, n_samples)
+    cycles = draw_cycles(np.random.default_rng(seed), config, n_samples)
     k = cycles.inspection_count.astype(float)
     x = cycles.length
     failed = cycles.failed.astype(float)
