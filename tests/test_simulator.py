@@ -10,7 +10,7 @@ import pytest
 from cbmkit import formulas as F
 from cbmkit import simulator
 from cbmkit.config import MAX_CYCLES, ConfigError
-from cbmkit.laws import InspectionLaw
+from cbmkit.laws import InspectionLaw, SaneLaw, sample_sane_many
 from cbmkit.oracle import MIN_SAMPLES, verification_rows
 from cbmkit.simulator import (
     CountSnapshot,
@@ -33,6 +33,7 @@ from conftest import (
     time_scaled,
 )
 from count_loop import loop_counts_at_times
+from schedule_loop import mask_uniform_schedule
 
 # Seeds of the batch-engine tests, fixed once before their first run.
 SCALAR_SEED = 7001
@@ -213,6 +214,34 @@ class TestSimulateCycles:
         assert batch.detection_age.tolist() == [0.0, 950.0, 3130.0]
         assert [row.inspections for row in batch] == [(), (950.0,), (1000.0, 2050.0, 3130.0)]
         assert not batch.failed.any()
+
+    def test_uniform_schedule_hand_trace_all_positive(self):
+        # the same steps on a chunk without a zero damage time, where the
+        # first step carries no index: damage at 500 (found by the first),
+        # at 2500 (by the third) and at 1950 (by the second)
+        cfg = make_config(kind="uniform", lam=1e-9)
+        rng = _ScriptedRng([
+            [[500.0], [2500.0], [1950.0]], [1e12, 1e12, 1e12],
+            [950.0, 1000.0, 1100.0], [1050.0, 900.0], [1080.0],
+        ])
+        batch = draw_cycles(rng, cfg, 3, inspections=True)
+        assert rng.values == []
+        assert batch.inspection_count.tolist() == [1, 3, 2]
+        assert batch.detection_age.tolist() == [950.0, 3130.0, 2000.0]
+        assert [row.inspections for row in batch] == [
+            (950.0,), (1000.0, 2050.0, 3130.0), (1100.0, 2000.0)]
+
+    def test_uniform_schedule_ends_at_an_age_equal_to_the_damage(self):
+        # 950 + 1000 + 1050 == 3000 == the damage time: the third age is
+        # not short of it, so the cycle ends there and draws no fourth gap
+        cfg = make_config(kind="uniform", lam=1e-9)
+        one = simulate_cycle(_ScriptedRng([3000.0, 1e12, 950.0, 1000.0, 1050.0]), cfg)
+        rng = _ScriptedRng([[[3000.0]], [1e12], [950.0], [1000.0], [1050.0]])
+        batch = draw_cycles(rng, cfg, 1, inspections=True)
+        assert rng.values == []
+        assert batch.inspection_count.tolist() == [3]
+        assert batch.detection_age.tolist() == [3000.0]
+        assert list(batch) == [one] and one.inspections == (950.0, 1950.0, 3000.0)
 
     @pytest.mark.parametrize("shape", [1, 2])
     def test_uniform_ages_leave_the_columns_alone(self, shape):
@@ -871,6 +900,50 @@ class TestCountsAtTimesAgainstLoop:
             first = re.escape(repr(unknown[0]))
             with pytest.raises(ValueError, match=f"^time {first} falls inside cycle"):
                 counts_at_times(known[:5] + unknown, logged)
+
+
+def _tied(law, y_s, seed, depth=3):
+    """``y_s`` with every seventh cycle still going past step j set to its
+    own age at step j, for j = 1..depth, under the generator ``seed``: each
+    such cycle must end at exactly its damage time.  A tie at step j leaves
+    every draw up to step j alone, so the ties of earlier steps hold."""
+    y_s = y_s.copy()
+    for j in range(1, depth + 1):
+        k, _, ages = mask_uniform_schedule(np.random.default_rng(seed), law, y_s, True)
+        going = np.flatnonzero(k > j)[::7]
+        y_s[going] = ages[np.cumsum(k)[going] - k[going] + j - 1]
+    return y_s
+
+
+class TestUniformScheduleAgainstLoop:
+    """_uniform_schedule carries its live cycles by integer index; the
+    boolean-mask loop of tests/schedule_loop.py is the reference.  Both
+    must draw the same gaps in the same order: the counts, detection ages,
+    stored ages and the generator's state after the call agree to the bit,
+    so this pins the uniform draw order."""
+
+    @pytest.mark.parametrize("shape", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mu_c", [1e-2, 1.0, 10.0])
+    @pytest.mark.parametrize("h_over_c", [0.1, 0.9])
+    def test_same_draws(self, shape, mu_c, h_over_c):
+        mu = 1e-3
+        c = mu_c / mu
+        law = InspectionLaw("uniform", c, h_over_c * c)
+        ties = 0
+        for n in (0, 1, simulator._CHUNK):
+            drawn = sample_sane_many(np.random.default_rng(SCALAR_SEED + n), SaneLaw(shape, mu), n)
+            zeros = drawn.copy()
+            zeros[::37] = 0.0
+            for y_s in (drawn, _tied(law, drawn, BATCH_SEED), _tied(law, zeros, BATCH_SEED)):
+                for inspections in (False, True):
+                    rngs = np.random.default_rng(BATCH_SEED), np.random.default_rng(BATCH_SEED)
+                    new = simulator._uniform_schedule(rngs[0], law, y_s, inspections)
+                    old = mask_uniform_schedule(rngs[1], law, y_s, inspections)
+                    for a, b in zip(new, old):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+                ties += int(np.count_nonzero((new[1] == y_s) & (y_s > 0.0)))
+        assert ties > 0
 
 
 class TestCsv:
