@@ -103,7 +103,8 @@ def _search(target: float, lo: float, hi: float, tol: float, trace: dict,
                     f"[{lo!r}, {hi!r}]")
         else:
             while fa * fb < 0.0 and b > 2.0 * a:
-                m = math.sqrt(a * b)
+                m = a * b  # sqrt(a) sqrt(b) only where a * b leaves the normal floats
+                m = math.sqrt(m) if 2.0**-1022 <= m < math.inf else math.sqrt(a) * math.sqrt(b)
                 fm = (yield m) - target
                 if (fm > 0.0) == (fa > 0.0):
                     a, fa = m, fm

@@ -612,9 +612,11 @@ def _window_sums(a, b, n: int, theta: float, orders: int) -> list:
     """P_r = int_0^(b-a) w^r (b-w)^(n-1) exp(theta w) dw for r = 0..orders.
 
     (b-w)^(n-1) is expanded binomially about b, so every P_r is a weighted
-    sum of the moments m_r..m_(r+n-1) from one moments pass.
+    sum of the moments m_r..m_(r+n-1) from one moments pass at one rate.
     """
-    # an array even for scalar ends: the engine takes two floats in floats
+    if isinstance(theta, np.ndarray):
+        raise ValueError("the window integrals take one rate per law, not arrays of rates")
+    # an array even for scalar ends: the engine takes a float gap in floats
     gap = np.asarray(b - a)
     moments = _exp_poly_moments(gap, theta, n - 1 + orders)
     weights = [math.comb(n - 1, i) * (-1.0) ** i * b ** (n - 1 - i) for i in range(n)]
@@ -632,10 +634,9 @@ def detection_window_integral(a, b, sane: SaneLaw, damage: DamageLaw):
 
     Closed form through the polynomial-times-exponential moments at rate
     mu - lam, organized around exp(-mu b) so nothing overflows while the
-    rate difference sweeps sign.  Accepts scalar or array endpoints.
+    rate difference sweeps sign.  Scalar or array endpoints, one rate per law.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     n, mu, lam = sane.shape, sane.rate, damage.rate
     (inner,) = _window_sums(a, b, n, mu - lam, 0)
     out = mu**n / math.factorial(n - 1) * np.exp(-mu * b) * inner
@@ -644,17 +645,17 @@ def detection_window_integral(a, b, sane: SaneLaw, damage: DamageLaw):
 
 def window_moments(a, b, sane: SaneLaw, damage: DamageLaw) -> tuple:
     """Log of :func:`detection_window_integral` with the posterior mean and
-    variance of the damage-to-window-end time in units of 1/mu, elementwise.
+    variance of the damage-to-window-end time in units of 1/mu, per window.
 
     Under the normalized integrand exp(-lam (b - u)) dF_s(u) on (a, b], the
     damage age u has mean b - mean/mu and variance var/mu^2; the censored
     likelihood's score and Hessian are sums of these (Louis's identity:
     observed = complete-data minus missing information).  Value, mean and
     variance come from one moments pass to order shape + 1 on the windows
-    mu a to mu b, at the rate 1 - lam/mu.  These have no time unit, so the
-    powers of the window lengths to order shape + 1 take the same values in
-    every unit, and mu^shape cancels out of the log.  The log is taken term
-    by term, so exp(-mu b) cannot underflow.
+    mu a to mu b, at the one rate 1 - lam/mu.  These have no time unit, so
+    the powers of the window lengths to order shape + 1 take the same
+    values in every unit, and mu^shape cancels out of the log.  The log is
+    taken term by term, so exp(-mu b) cannot underflow.
     """
     n, mu, lam = sane.shape, sane.rate, damage.rate
     a, b = mu * np.asarray(a, dtype=float), mu * np.asarray(b, dtype=float)

@@ -124,7 +124,7 @@ def _value(s):
 
 def _batch(values):
     """A float for one value, a float array for several, from a list or an
-    array of rates or anchors."""
+    array of rates."""
     return float(values[0]) if len(values) == 1 else np.asarray(values, dtype=float)
 
 
@@ -204,7 +204,7 @@ def _series_terms(reach: float) -> int:
     return terms
 
 
-def _exp_poly_moments(g, theta, top: int, elementwise: bool = False) -> list:
+def _exp_poly_moments(g, theta: float, top: int, elementwise: bool = False) -> list:
     """m_i = int_0^g w^i exp(theta w) dw for i = 0..top, accurate for every
     theta*g.
 
@@ -219,24 +219,24 @@ def _exp_poly_moments(g, theta, top: int, elementwise: bool = False) -> list:
     shrinks by |x|/i per step, gives the rest.  Orders 0..6 match a
     high-precision reference to a few ulps times |x|.
 
-    g or theta may be an array (theta's elements of one sign); two floats
-    compute in floats.  The powers g^i are running products, which round
-    alike in floats and in arrays.  One switch picks the rest of the
-    arithmetic: ``elementwise`` (``_transform``'s gap law) takes exp and
-    expm1 from the C library through ``_libm`` and the series to the whole
-    range below the switch, so each element gets its bits alone; the
-    default (the censored likelihood's window) takes numpy's and the series
-    to the largest |x|.
+    ``theta`` is one float, whose sign picks the series; ``g`` may be an
+    array, a float computes in floats.  The powers g^i are running
+    products, which round alike in floats and in arrays.  One switch picks
+    the rest of the arithmetic: ``elementwise`` (``_transform``'s gap law)
+    takes exp and expm1 from the C library through ``_libm`` and the series
+    to the whole range below the switch, so each element gets its bits
+    alone; the default (the censored likelihood's window) takes numpy's and
+    the series to the largest |x|.
     """
     switch = math.factorial(top + 1) ** (1.0 / max(top, 1))
     reach, (exp, expm1) = (switch, _LIBM_OPS) if elementwise else (None, _NUMPY_OPS)
-    if not isinstance(g, np.ndarray) and not isinstance(theta, np.ndarray):
+    if not isinstance(g, np.ndarray):
         x = theta * g
         out = [[0.0] for _ in range(top + 1)]
         _moments(out, 0, x, exp(x), g, theta, top, expm1, abs(x) < switch, reach)
         return [m[0] for m in out]
-    x = np.asarray(theta * g)
-    shape, x = x.shape, x.reshape(-1)
+    shape, g = g.shape, g.reshape(-1)
+    x = theta * g
     ex = exp(x)
     small = np.abs(x) < switch
     # each side of the switch on its own elements, rows written into one block
@@ -244,14 +244,8 @@ def _exp_poly_moments(g, theta, top: int, elementwise: bool = False) -> list:
     sides = ([(small, True), (~small, False)] if small.any() and not small.all()
              else [(slice(None), bool(small.all()))])
     for rows, series in sides:
-        _moments(out, rows, x[rows], ex[rows], _part(g, rows), _part(theta, rows), top, expm1,
-                 series, reach)
+        _moments(out, rows, x[rows], ex[rows], g[rows], theta, top, expm1, series, reach)
     return [m.reshape(shape) for m in out]
-
-
-def _part(value, rows):
-    """The elements ``rows`` of an array, flattened, or a float as is."""
-    return value.reshape(-1)[rows] if isinstance(value, np.ndarray) else value
 
 
 def _moments(out, rows, x, ex, g, theta, top: int, expm1, series: bool, reach) -> None:
@@ -268,7 +262,7 @@ def _moments(out, rows, x, ex, g, theta, top: int, expm1, series: bool, reach) -
             prev = out[i][rows] = (powers[i - 1] * ex - i * prev) / theta
         return
     ax = abs(x)
-    negative = _any(theta < 0.0)
+    negative = theta < 0.0
     terms = _series_terms(reach or float(np.max(ax, initial=0.0)))
     coefficients = _series_coefficients(top, negative, terms)
     acc = ax * coefficients[-1]
@@ -284,10 +278,10 @@ def _moments(out, rows, x, ex, g, theta, top: int, expm1, series: bool, reach) -
         out[i - 1][rows] = acc * powers[i - 1]
 
 
-def _transform(x, law: InspectionLaw, order: int, scale=1.0) -> tuple:
-    """L^(i) for i = 0..order, and 1 - L, at anchors x, in one pass, for
-    the gap times ``scale`` (a float or an array, one gap per element):
-    at x = 1 and scale = s, row i is s^i L^(i)(s), free of the time unit.
+def _transform(x: float, law: InspectionLaw, order: int, scale=1.0) -> tuple:
+    """L^(i) for i = 0..order, and 1 - L, at one float anchor x, in one
+    pass, for the gap times ``scale`` (a float or an array, one gap per
+    element): at x = 1 and scale = s, row i is s^i L^(i)(s), unit-free.
 
     Uniform gaps on [a, a + 2h] read m_j = int_0^2h w^j exp(-x w) dw to
     max(order, MAX_SHAPE): L^(i) = (-1)^i exp(-xa)/(2h) sum_j C(i,j)
@@ -317,34 +311,37 @@ def _transform(x, law: InspectionLaw, order: int, scale=1.0) -> tuple:
     return rows, -_libm(math.expm1, -x * a) + e * x * (m[0] - m[1] / two_h)
 
 
-def laplace_jet(s, law: InspectionLaw, order: int):
-    """Exact derivatives of the gap Laplace transform at s, orders 0..order.
-
-    Deterministic gaps give (-spacing)^i * exp(-s*spacing) directly; for
-    uniform gaps each derivative sums terms of one sign over the
-    exponential moments of the gap (see ``_transform``), for every s.  The
-    derivatives are raw, not Taylor-scaled.  A scalar anchor gives a tuple
-    of floats; an array of anchors gives one array, a row per order and a
-    column per anchor.
-    """
+def _anchor(s, order: int) -> float:
+    """The public transforms' one float anchor, checked with the jet order."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order > MAX_SHAPE:
         raise ValueError(f"order {order} exceeds the largest shape, {MAX_SHAPE}")
     x = _value(s)
-    if not _all(x > 0.0):
-        if order > 0 and _any(x == 0.0):
-            raise ValueError("s = 0 is only valid for order 0")
-        if _any(x < 0.0):
-            raise ValueError("s must be nonnegative")
-    rows = _transform(x, law, order)[0]
-    return np.array(rows) if isinstance(x, np.ndarray) else tuple(rows)
+    if isinstance(x, np.ndarray):
+        raise ValueError(f"s must be one anchor, got an array of shape {x.shape}")
+    if x < 0.0:
+        raise ValueError("s must be nonnegative")
+    if order > 0 and x == 0.0:
+        raise ValueError("s = 0 is only valid for order 0")
+    return x
 
 
-def one_minus_laplace(s, law: InspectionLaw):
-    """1 - E[exp(-s*gap)] from terms of one sign, where the naive difference
-    loses every digit at small s; elementwise over an array of s."""
-    return _transform(_value(s), law, 0)[1]
+def laplace_jet(s: float, law: InspectionLaw, order: int) -> tuple:
+    """Exact derivatives of the gap Laplace transform at s, orders 0..order.
+
+    Deterministic gaps give (-spacing)^i * exp(-s*spacing) directly; for
+    uniform gaps each derivative sums terms of one sign over the
+    exponential moments of the gap (see ``_transform``), for every s.  One
+    float anchor gives a tuple of raw derivatives, not Taylor-scaled.
+    """
+    return tuple(_transform(_anchor(s, order), law, order)[0])
+
+
+def one_minus_laplace(s: float, law: InspectionLaw) -> float:
+    """1 - E[exp(-s*gap)] at one anchor s from terms of one sign, where the
+    naive difference loses every digit at small s."""
+    return _transform(_anchor(s, 0), law, 0)[1]
 
 
 def sample_sane(rng: np.random.Generator, law: SaneLaw) -> float:

@@ -575,6 +575,30 @@ class TestEstimateCommand:
                                        "defined: parameter variances nan and nan\n")
         assert not out.exists()
 
+    def test_damage_search_near_the_float_ends_exit_3(self, config_file, tmp_path):
+        # the damage-rate search halves a proven bracket near 1e300 or
+        # 1e-300, where a * b in its geometric midpoint overflows or
+        # underflows: the midpoint stays a finite positive rate, and the
+        # covariance is not defined (exit 3).  In a child, as from the
+        # console: at c = 1e300 the closed forms overflow with a
+        # RuntimeWarning, which this suite turns into an error
+        runs = [["estimate", "--config", config_file, "--sane.shape", str(shape),
+                 "--inspection.c", spacing, "--counts", "1000", "1001", "10", time,
+                 "--out", str(tmp_path / "est.csv")]
+                for spacing, time in (("1e-300", "1e-297"), ("1e300", "1e303"))
+                for shape in (2, 3, 4)]
+        script = ("import json, sys; from cbmkit import cli; "
+                  "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        line = ("estimation infeasible: interval covariance not defined: "
+                "parameter variances nan and nan\n")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[3, 3, 3, 3, 3, 3]\n", line * 6)
+        assert not (tmp_path / "est.csv").exists()
+
     def test_negative_parameter_variance_exit_3(self, config_file, tmp_path, capsys):
         # counts whose inspections per cycle lie within the inversion
         # tolerance of 1 (they once reached a negative delta-method

@@ -249,6 +249,29 @@ class TestBracketSearch:
             # the two ends, six halvings, then the polish
             assert calls[:2] == [1e-13, 1e2] and len(calls) - trace["iterations"] == 8
 
+    @pytest.mark.parametrize("bracket, target", [
+        ((1e200, 1e300), 3e250), ((1e-300, 1e-200), 3e-250), ((1e-160, 1e-150), 3e-155),
+        ((1e-13, 1e2), 3.7),
+    ], ids=["overflow", "underflow", "subnormal", "normal"])
+    def test_geometric_midpoint_at_the_float_ends(self, bracket, target):
+        # a*b past the largest float, to 0 or among the subnormals: the
+        # midpoint is sqrt(a) sqrt(b), inside the bracket; where a*b is a
+        # normal float it stays sqrt(a*b), bit for bit.  A map in log x
+        # keeps the polish away from the ends of the float range
+        lo, hi = bracket
+
+        def log_inside(x):
+            assert lo <= x <= hi, x
+            return math.log(x)
+
+        root, trace, calls = _one_search(log_inside, math.log(target), bracket)
+        product = lo * hi
+        assert calls[2] == (math.sqrt(product) if 2.0**-1022 <= product < math.inf
+                            else math.sqrt(lo) * math.sqrt(hi))
+        a, b = trace["bracket"]
+        assert b <= 2.0 * a and a <= root <= b
+        assert abs(math.log(root) - math.log(target)) <= 1e-12 * abs(math.log(target))
+
     def test_out_of_range_text(self, monkeypatch):
         # a map wrong at both proven ends is an error that names the bracket
         original = estimators.mean_inspections

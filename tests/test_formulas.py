@@ -727,15 +727,17 @@ class TestExpPolyMoments:
 
     @pytest.mark.parametrize("top", [0, 4])
     @pytest.mark.parametrize("elementwise", [False, True])
-    def test_array_of_theta(self, top, elementwise):
-        # the uniform transform's call: one g, an array of theta = -s
-        # straddling the switch, each element as accurate as alone
-        g = 200.0
-        thetas = -np.geomspace(1e-11, 0.5, 40)
-        got = laws._exp_poly_moments(g, thetas, top, elementwise=elementwise)
-        for k, theta in enumerate(thetas.tolist()):
-            assert_allclose([float(m[k]) for m in got], decimal_moments(g, theta, top),
-                            rtol=1e-12, atol=0.0, err_msg=f"theta={theta!r}")
+    @pytest.mark.parametrize("theta", [1.0, -1.0], ids=["positive", "negative"])
+    def test_array_of_g_across_the_switch(self, theta, elementwise, top):
+        # one theta, an array of g whose theta*g straddles the switch: each
+        # side of one call on its own elements, each as accurate as alone
+        g = 200.0 * np.geomspace(1e-11, 0.5, 40)
+        small = np.abs(theta * g) < math.factorial(top + 1) ** (1.0 / max(top, 1))
+        assert small.any() and not small.all()
+        got = laws._exp_poly_moments(g, theta, top, elementwise=elementwise)
+        for k, value in enumerate(g.tolist()):
+            assert_allclose([float(m[k]) for m in got], decimal_moments(value, theta, top),
+                            rtol=1e-12, atol=0.0, err_msg=f"g={value!r}")
 
     def test_two_dimensional_input(self):
         g = np.geomspace(1.0, 1e4, 12).reshape(3, 4)
@@ -754,6 +756,37 @@ class TestExpPolyMoments:
                 got = [float(m) for m in laws._exp_poly_moments(g, theta, top)]
                 assert_allclose(got, decimal_moments(g, theta, top), rtol=1e-12, atol=0.0,
                                 err_msg=f"theta*g={sign * x!r}, g={g!r}")
+
+
+class TestWindowOneRate:
+    """The window integrals at one rate per law, pinned on either side of
+    lam = mu; an array of rates is refused, since one series sign cannot
+    serve rates on both sides."""
+
+    SANE = SaneLaw(2, 1e-3)
+    # detection_window_integral and window_moments at a = 100, b = 900
+    PINS = {
+        5e-4: (0.18932474429758553, -1.66429151458353, 0.31483221321198906, 0.0439779527346921),
+        2e-3: (0.12375820567340126, -2.0894255712597176, 0.25375454607334635,
+               0.037060420971541164),
+    }
+
+    @pytest.mark.parametrize("lam", sorted(PINS))
+    def test_pinned_values(self, lam):
+        damage = DamageLaw(lam)
+        value = F.detection_window_integral(100.0, 900.0, self.SANE, damage)
+        moments = [float(v) for v in F.window_moments(100.0, 900.0, self.SANE, damage)]
+        # the same bits with and without numpy's AVX-512 loops
+        assert (value, *moments) == self.PINS[lam]
+
+    def test_array_of_rates_raises_one_line(self):
+        damage = DamageLaw(np.array(sorted(self.PINS)))
+        for window in (F.detection_window_integral, F.window_moments):
+            with pytest.raises(ValueError, match="one rate per law") as info:
+                window(100.0, 900.0, self.SANE, damage)
+            assert "\n" not in str(info.value)
+        with pytest.raises(ValueError, match="one rate per law"):
+            F.window_moments(100.0, 900.0, SaneLaw(2, np.array([1e-3, 2e-3])), DamageLaw(5e-4))
 
 
 class TestEstimatorCovariance:

@@ -122,9 +122,8 @@ class TestLaplaceJet:
 
     @pytest.mark.parametrize(
         "s, order, message",
-        [(1e-3, -1, "order must be nonnegative"), (-1e-3, 0, "s must be nonnegative"),
-         (np.array([1e-3, -1e-3]), 2, "s must be nonnegative")],
-        ids=["negative-order", "negative-anchor", "negative-array-anchor"],
+        [(1e-3, -1, "order must be nonnegative"), (-1e-3, 0, "s must be nonnegative")],
+        ids=["negative-order", "negative-anchor"],
     )
     def test_rejects_negative_arguments(self, s, order, message):
         for law in (DET, UNIF):
@@ -185,6 +184,19 @@ class TestLaplaceJet:
 
 
 class TestOneMinusLaplace:
+    @pytest.mark.parametrize("s", [-1e-3, -1.0, -math.inf])
+    def test_rejects_a_negative_anchor(self, s):
+        # laplace_jet's check: no negative "1 - L", no bare OverflowError
+        for law in (DET, UNIF):
+            with pytest.raises(ValueError, match="s must be nonnegative"):
+                one_minus_laplace(s, law)
+            with pytest.raises(ValueError, match="s must be nonnegative"):
+                laplace_jet(s, law, 0)
+
+    def test_zero_anchor(self):
+        for law in (DET, UNIF):
+            assert one_minus_laplace(0.0, law) == 0.0
+
     def test_matches_direct_at_moderate_s(self):
         for law in (DET, UNIF):
             s = 2e-3
@@ -290,20 +302,24 @@ class TestSampling:
 
 
 class TestLaplaceJetContract:
-    @given(
-        order=st.integers(0, MAX_SHAPE),
-        anchors=st.lists(st.floats(1e-6, 1e-1), min_size=1, max_size=5),
-    )
+    @given(order=st.integers(0, MAX_SHAPE), s=st.floats(1e-6, 1e-1))
     @settings(max_examples=40, deadline=None)
-    def test_float_gives_tuple_array_gives_columns(self, order, anchors):
-        # a float anchor gives a tuple of order + 1 floats; an array of
-        # anchors one (order + 1, n) array whose columns are those tuples,
-        # bit for bit
+    def test_float_gives_tuple_of_floats(self, order, s):
+        # one float anchor, a tuple of order + 1 floats; a 0-d array or a
+        # numpy float is that float
         for law in (DET, UNIF):
-            rows = laplace_jet(np.array(anchors), law, order)
-            assert isinstance(rows, np.ndarray) and rows.shape == (order + 1, len(anchors))
-            for k, s in enumerate(anchors):
-                jet = laplace_jet(s, law, order)
-                assert type(jet) is tuple and len(jet) == order + 1
-                assert all(type(v) is float for v in jet)
-                assert rows[:, k].tobytes() == np.array(jet).tobytes()
+            jet = laplace_jet(s, law, order)
+            assert type(jet) is tuple and len(jet) == order + 1
+            assert all(type(v) is float for v in jet)
+            assert laplace_jet(np.array(s), law, order) == jet
+            assert laplace_jet(np.float64(s), law, order) == jet
+            assert type(one_minus_laplace(np.array(s), law)) is float
+
+    @pytest.mark.parametrize("anchors", [np.array([1e-3, 2e-3]), np.array([1e-3]), [1e-3]],
+                             ids=["two", "one-element", "list"])
+    def test_array_anchor_raises(self, anchors):
+        for law in (DET, UNIF):
+            with pytest.raises(ValueError, match="s must be one anchor"):
+                laplace_jet(anchors, law, 2)
+            with pytest.raises(ValueError, match="s must be one anchor"):
+                one_minus_laplace(anchors, law)
