@@ -318,59 +318,50 @@ def _parse_counts(tokens: Sequence[str]) -> CountSnapshot:
     return CountSnapshot(t, n_r, n_i, n_f)
 
 
-def _estimate_rows(
-    args: argparse.Namespace, config: ModelConfig, snapshot: Optional[CountSnapshot]
-) -> list[str]:
-    interval = args.interval or ("tabulated" if args.reproduce else "delta")
-    if args.method != "mle" and not (args.reproduce or args.counts or args.events):
-        raise ConfigError("estimate needs --counts, --events or --reproduce")
-    # the AM counts: a preset's, else --counts, else the event log's
-    if snapshot is None and args.counts:
-        snapshot = _parse_counts(args.counts)
-
-    cycles = log_counts = None
-    if args.events:
-        try:
-            cycles = read_event_log(args.events)
-        except ValueError as exc:
-            raise ConfigError(f"{args.events}: {exc}") from None
-        log_counts = cycles.counts()
-        if snapshot is None:
-            snapshot = log_counts
-
-    rows = []
-    methods = ("am", "mle") if args.method == "both" else (args.method,)
-    for method in methods:
-        if method == "am":
-            _require_closed_form_shape(config)
-            report = asymptotic_estimate(snapshot, config, interval=interval)
-            counts = snapshot
-        else:
-            if cycles is None:
-                raise ConfigError("--method mle needs an --events log")
-            data = ObservedData.from_event_log_records(cycles, config.inspection)
-            report = mle_estimate(data, config)
-            counts = log_counts
-        rows.append(report.csv_row(counts, config.seed))
-    return rows
-
-
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    # a preset carries the full run configuration of its published rows,
-    # so reproduction needs no config file
+    # the input rules, in the order README states: the first one broken is
+    # reported, before any log is read or any estimate runs.  An input that
+    # the method does not read is an error, not a silent no-op
     if args.reproduce and args.counts:
         raise ConfigError("--counts and --reproduce both give the counts; pass one")
-    # an input that the method does not read is an error, not a silent no-op
     if args.method == "mle" and (args.counts or args.interval):
         flag = "--counts" if args.counts else "--interval"
         raise ConfigError(f"--method mle reads no {flag}; it fits the --events log")
     if args.method == "am" and args.events and (args.counts or args.reproduce):
         raise ConfigError("--method am reads no --events when --counts or --reproduce "
                           "gives the counts")
-    defaults, snapshot = PUBLISHED_TABLES.get(args.reproduce, (None, None))
+    if args.method != "mle" and not (args.reproduce or args.counts or args.events):
+        raise ConfigError("estimate needs --counts, --events or --reproduce")
+    methods = ("am", "mle") if args.method == "both" else (args.method,)
+    if "mle" in methods and not args.events:
+        raise ConfigError("--method mle needs an --events log")
+    # a preset carries the full run configuration of its published rows,
+    # so reproduction needs no config file
+    defaults, counts = PUBLISHED_TABLES.get(args.reproduce, (None, None))
+    if args.counts:
+        counts = _parse_counts(args.counts)
     config = _load_config(args, defaults)
+    if "am" in methods:
+        _require_closed_form_shape(config)
+    interval = args.interval or ("tabulated" if args.reproduce else "delta")
     with _outputs(args.out, inputs=[args.config, args.events]) as (out,):
-        rows = _estimate_rows(args, config, snapshot)
+        if args.events:
+            try:
+                cycles = read_event_log(args.events)
+            except ValueError as exc:
+                raise ConfigError(f"{args.events}: {exc}") from None
+            log_counts = cycles.counts()
+            # the AM counts: a preset's, else --counts, else the log's
+            if counts is None:
+                counts = log_counts
+        rows = []
+        for method in methods:
+            if method == "am":
+                report = asymptotic_estimate(counts, config, interval=interval)
+                rows.append(report.csv_row(counts, config.seed))
+            else:
+                data = ObservedData.from_event_log_records(cycles, config.inspection)
+                rows.append(mle_estimate(data, config).csv_row(log_counts, config.seed))
         out.writelines([REPORT_HEADER + "\n", *rows])
     return EXIT_OK
 

@@ -38,6 +38,9 @@ class ModelConfig:
     grid: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        # the laws' closed forms take arrays of rates; a run takes one each
+        if not all(isinstance(law.rate, float) for law in (self.sane, self.damage)):
+            raise ConfigError("a config takes one rate per law, not an array of rates")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.horizon is not None and not 0.0 < self.horizon < math.inf:

@@ -88,21 +88,22 @@ def _search(target: float, lo: float, hi: float, tol: float, trace: dict,
         a, b = max(start / 1.02, lo), min(start * 1.02, hi)
         fa = (yield a) - target
         fb = (yield b) - target
-    if not (lo <= start <= hi and fa * fb <= 0.0):
+    # the ends' sides by signs, not by fa * fb, which underflows to 0 below 1e-154
+    if not (lo <= start <= hi and (fa <= 0.0 <= fb or fb <= 0.0 <= fa)):
         a, b = lo, hi if hi < math.inf else 2.0 * lo
         fa = (yield a) - target
         fb = (yield b) - target
-        while hi == math.inf and fa * fb > 0.0 and 2.0 * b < math.inf:
+        while hi == math.inf and (fa > 0.0 < fb or fa < 0.0 > fb) and 2.0 * b < math.inf:
             a, fa, b = b, fb, 2.0 * b
             fb = (yield b) - target
-        if fa * fb > 0.0:
+        if fa > 0.0 < fb or fa < 0.0 > fb:
             if min(abs(fa), abs(fb)) > tol:
                 raise OutOfRangeError(
                     f"target {target!r} outside the range [{min(fa, fb) + target!r}, "
                     f"{max(fa, fb) + target!r}] of the map over its proven bracket "
                     f"[{lo!r}, {hi!r}]")
         else:
-            while fa * fb < 0.0 and b > 2.0 * a:
+            while (fa < 0.0 < fb or fb < 0.0 < fa) and b > 2.0 * a:
                 m = a * b  # sqrt(a) sqrt(b) only where a * b leaves the normal floats
                 m = math.sqrt(m) if 2.0**-1022 <= m < math.inf else math.sqrt(a) * math.sqrt(b)
                 fm = (yield m) - target
@@ -348,6 +349,13 @@ def _report(method: str, mu: float, lam: float, se_mu: float, se_lam: float, z: 
                           confidence, diagnostics)
 
 
+def _standard_error(var: float, t: float) -> float:
+    """sqrt(var / t) in Python floats, taken as sqrt(var) / sqrt(t) where the
+    quotient leaves the normal floats (it overflows at a subnormal time)."""
+    q = float(var) / float(t)
+    return math.sqrt(q) if 2.0**-1022 <= q < math.inf else math.sqrt(var) / math.sqrt(t)
+
+
 def _z_quantile(confidence: float) -> float:
     if confidence == 0.0:
         return 0.0
@@ -473,7 +481,7 @@ def _estimates(snapshots: Sequence[CountSnapshot], config: ModelConfig, interval
             continue
         mu_trace, lam_trace, t = mu_traces[i], lam_traces[i], snapshots[i].time
         results[i] = _report(
-            "AM", mu[i], results[i], math.sqrt(var_mu / t), math.sqrt(var_lam / t), z,
+            "AM", mu[i], results[i], _standard_error(var_mu, t), _standard_error(var_lam, t), z,
             config.confidence,
             mu_bracket=mu_trace.get("bracket"),
             mu_iterations=mu_trace.get("iterations"),

@@ -399,6 +399,15 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             parse_config(bad)
 
+    @pytest.mark.parametrize("mu, lam", [
+        (np.array([1e-3, 2e-3]), 5e-4), (1e-3, np.array([5e-4, 6e-4])), (np.array([1e-3]), 5e-4),
+    ], ids=["sane", "damage", "length-1"])
+    def test_one_rate_per_law(self, mu, lam):
+        # the laws' closed forms take arrays of rates; a run does not
+        with pytest.raises(ConfigError, match="^a config takes one rate per law, not an array "
+                                              "of rates$"):
+            make_config(mu=mu, lam=lam)
+
     def test_horizon_is_optional(self):
         # only a simulation reads it; without one it serializes empty, as
         # the seed does, and a grid time needs only be positive and finite
@@ -508,6 +517,10 @@ class TestHorizonOnlyWhereRead:
         assert cli.main([*argv, *BASE_FLAGS, "--seed", "3"]) == 2
         assert capsys.readouterr().err == self.MISSING
         assert os.listdir(tmp_path) == []
+
+
+# the published counts of table 1
+TABLE1_COUNTS = ["--counts", "33501", "53116", "8255", "50001908"]
 
 
 class TestEstimateCommand:
@@ -692,6 +705,77 @@ class TestEstimateCommand:
 
     def test_no_inputs_is_config_error(self, config_file):
         assert cli.main(["estimate", "--config", config_file]) == 2
+
+    @pytest.mark.parametrize("argv, line", [
+        (["--reproduce", "table1", *TABLE1_COUNTS],
+         "--counts and --reproduce both give the counts; pass one"),
+        (["--config", "{cfg}", "--method", "mle", "--events", "{log}", *TABLE1_COUNTS],
+         "--method mle reads no --counts; it fits the --events log"),
+        (["--config", "{cfg}", "--method", "mle", "--events", "{log}", "--interval", "delta"],
+         "--method mle reads no --interval; it fits the --events log"),
+        (["--config", "{cfg}", "--method", "am", "--events", "{log}", *TABLE1_COUNTS],
+         "--method am reads no --events when --counts or --reproduce gives the counts"),
+        (["--method", "am", "--events", "{log}", "--reproduce", "table1"],
+         "--method am reads no --events when --counts or --reproduce gives the counts"),
+        (["--config", "{cfg}"], "estimate needs --counts, --events or --reproduce"),
+        (["--method", "mle", "--reproduce", "table1"], "--method mle needs an --events log"),
+        (["--config", "{cfg}", "--method", "both", *TABLE1_COUNTS],
+         "--method mle needs an --events log"),
+        (["--config", "{cfg}", "--counts", "100", "200", "ten", "5000"],
+         "--counts needs four numbers, got 100 200 ten 5000"),
+        (["--config", "{partial}", *TABLE1_COUNTS], "missing key 'sane.rate'"),
+        (["--config", "{cfg}", "--sane.shape", "5", "--method", "am", "--events", "{log}"],
+         "sane.shape 5 exceeds 4, the largest shape the closed forms support"),
+    ], ids=["counts-and-preset", "mle-with-counts", "mle-with-interval", "am-log-and-counts",
+            "am-log-and-preset", "no-inputs", "mle-preset-without-log", "both-without-log",
+            "bad-counts", "missing-key", "am-shape-5-with-log"])
+    def test_one_broken_rule_before_any_work(self, argv, line, config_file, tmp_path, capsys,
+                                             monkeypatch):
+        # each invocation breaks one input rule: exit 2 with that rule's
+        # line, before the log is read or an estimate runs, and the output
+        # path is never written
+        calls = []
+
+        def refuse(name):
+            def called(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+            return called
+
+        for name in ("read_event_log", "asymptotic_estimate", "mle_estimate"):
+            monkeypatch.setattr(cli, name, refuse(name))
+        log = tmp_path / "events.csv"
+        log.write_text("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n"
+                       "1,110.01481267803983,1408.8943745108606,1,1000,1518.9091871889004,"
+                       "1000,Detected\n")
+        partial = tmp_path / "partial.cfg"
+        partial.write_text(CONFIG_TEXT.replace("sane.rate = 0.001\n", ""))
+        out = tmp_path / "est.csv"
+        paths = {"cfg": config_file, "log": str(log), "partial": str(partial)}
+        code = cli.main(["estimate", *(arg.format(**paths) for arg in argv), "--out", str(out)])
+        assert (code, capsys.readouterr(), calls) == (2, ("", f"config error: {line}\n"), [])
+        assert not out.exists()
+        assert list(tmp_path.glob("*.cbmkit-*.tmp")) == []
+
+    def test_subnormal_elapsed_time_gives_finite_intervals(self, capsys):
+        # at t = 1e-320 each variance over t overflows: the half-widths are
+        # sqrt(var) / sqrt(t), finite, with no warning.  At t = 1e-300 the
+        # quotient is a normal float and the row keeps the bytes of 0.30.0
+        base = ["estimate", "--sane.shape", "1", "--sane.rate", "1e-3", "--damage.rate", "5e-4",
+                "--inspection.kind", "deterministic", "--inspection.c", "1000",
+                "--counts", "1000", "2000", "500"]
+        assert cli.main([*base, "1e-320"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        cells = out.splitlines()[1].split(",")
+        assert all(math.isfinite(float(cell)) for cell in cells[1:7])
+        assert float(cells[2]) < float(cells[1]) < float(cells[3])
+        assert cli.main([*base, "1e-300"]) == 0
+        assert capsys.readouterr() == (
+            f"{REPORT_HEADER}\n"
+            "AM,0.0006931471805602025,-5.8853916556150166e+148,5.8853916556150166e+148,"
+            "0.0013862943611198243,-1.8862845546474526e+149,1.8862845546474526e+149,"
+            "0.94999999999999996,1e-300,1000,2000,500,\n", "")
 
     @pytest.mark.parametrize("shape", [1, 2])
     def test_events_rows_pinned(self, tmp_path, config_file, capsys, shape):

@@ -249,22 +249,27 @@ class TestBracketSearch:
             # the two ends, six halvings, then the polish
             assert calls[:2] == [1e-13, 1e2] and len(calls) - trace["iterations"] == 8
 
-    @pytest.mark.parametrize("bracket, target", [
-        ((1e200, 1e300), 3e250), ((1e-300, 1e-200), 3e-250), ((1e-160, 1e-150), 3e-155),
-        ((1e-13, 1e2), 3.7),
-    ], ids=["overflow", "underflow", "subnormal", "normal"])
-    def test_geometric_midpoint_at_the_float_ends(self, bracket, target):
+    @pytest.mark.parametrize("bracket, target, scale", [
+        ((1e200, 1e300), 3e250, math.log), ((1e-300, 1e-200), 3e-250, math.log),
+        ((1e-160, 1e-150), 3e-155, math.log), ((1e-13, 1e2), 3.7, math.log),
+        ((1e-300, 1e-200), 3e-250, float), ((1e-200, 1e-190), 3e-195, float),
+    ], ids=["overflow", "underflow", "subnormal", "normal", "offsets-near-1e-250",
+            "offsets-near-1e-195"])
+    def test_geometric_midpoint_at_the_float_ends(self, bracket, target, scale):
         # a*b past the largest float, to 0 or among the subnormals: the
         # midpoint is sqrt(a) sqrt(b), inside the bracket; where a*b is a
         # normal float it stays sqrt(a*b), bit for bit.  A map in log x
-        # keeps the polish away from the ends of the float range
+        # keeps the polish away from the ends of the float range; the
+        # identity map's offsets at both ends lie below 1e-154, where their
+        # product underflows to 0, and the ends' sides still tell the root
+        # inside the bracket, so the bracket is halved all the same
         lo, hi = bracket
 
-        def log_inside(x):
+        def inside(x):
             assert lo <= x <= hi, x
-            return math.log(x)
+            return scale(x)
 
-        root, trace, calls = _one_search(log_inside, math.log(target), bracket)
+        root, trace, calls = _one_search(inside, scale(target), bracket)
         product = lo * hi
         assert calls[2] == (math.sqrt(product) if 2.0**-1022 <= product < math.inf
                             else math.sqrt(lo) * math.sqrt(hi))
