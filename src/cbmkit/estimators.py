@@ -419,17 +419,20 @@ def _count_rates(snapshots: Sequence[CountSnapshot], shape: int, insp: Inspectio
     its rate or the error that leaves it undefined: the two searches of
     the asymptotic method, the second started from the mean-cycle identity
     (observed mean cycle = shape/mu + fraction/rate), which is also the
-    ``tabulated`` rate.  A snapshot with no completed cycle gets that error
-    in both slots; one with no failure keeps its damage rate, and its
-    failure rate is the error "no failures observed", before any error of
-    the damage rate, of its fraction or of its search."""
-    mu = _mean_inspection_roots(
-        [s.inspections / s.repairs if s.repairs >= 1
-         else DegenerateDataError("no completed cycles: nothing to estimate") for s in snapshots],
-        shape, insp, mu_traces)
+    ``tabulated`` rate.  A snapshot whose elapsed time is not finite and
+    positive, and then one with no completed cycle, gets that error in both
+    slots; one with no failure keeps its damage rate, and its failure rate
+    is the error "no failures observed", before any error of the damage
+    rate, of its fraction or of its search."""
+    ratios = [
+        DegenerateDataError(f"elapsed time {s.time!r} is not finite and positive")
+        if not 0.0 < s.time < math.inf
+        else s.inspections / s.repairs if s.repairs >= 1
+        else DegenerateDataError("no completed cycles: nothing to estimate") for s in snapshots]
+    mu = _mean_inspection_roots(ratios, shape, insp, mu_traces)
     lam, delays = [], []
-    for s, m in zip(snapshots, mu):
-        if s.repairs >= 1 and s.failures < 1:
+    for s, r, m in zip(snapshots, ratios, mu):
+        if not isinstance(r, Exception) and s.failures < 1:
             m = DegenerateDataError("lambda not identifiable: no failures observed")
         lam.append(m if isinstance(m, Exception) else s.failures / s.repairs)
         delays.append(math.nan if isinstance(m, Exception) else s.time / s.repairs - shape / m)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -901,6 +902,24 @@ class TestBatchedEstimates:
             assert (type(row), str(row)) == (type(lone), str(lone))
         assert type(lone) is DegenerateDataError
         assert str(lone) == "interval covariance not defined: parameter variances nan and nan"
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_elapsed_time_not_finite_and_positive(self, t, base_config):
+        # no rate comes from such a time: one error in both slots, checked
+        # first, where it raised a ZeroDivisionError (0), a math domain
+        # error (-1) for the whole batch, or gave NaN (nan) or zero-width
+        # (inf) intervals
+        bad = CountSnapshot(t, 100, 200, 30)
+        good = CountSnapshot(50001908.0, 33501, 53116, 8255)
+        line = f"elapsed time {t!r} is not finite and positive"
+        with pytest.raises(DegenerateDataError, match=f"^{re.escape(line)}$"):
+            asymptotic_estimate(bad, base_config)
+        batch = asymptotic_estimates([good, bad], base_config)
+        assert (type(batch[1]), str(batch[1])) == (DegenerateDataError, line)
+        single = asymptotic_estimate(good, base_config)
+        for name in ("mu_hat", "lambda_hat", "ci_mu", "ci_lambda", "diagnostics"):
+            assert getattr(batch[0], name) == getattr(single, name), name
 
     def test_negative_parameter_variance_is_degenerate(self):
         # counts whose inspections per cycle lie within the inversion
