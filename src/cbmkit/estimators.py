@@ -34,6 +34,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .formulas import (
+    _FAILURE_PROB_ATOL,
     _check_convention,
     _covariance_bundle,
     _estimating_maps,
@@ -287,7 +288,8 @@ def _failure_rate_roots(slots: list, shape: int, mu: Sequence[float], insp: Insp
         p, delay = slots[k], insp.spacing * mean_k - shape / mu[k]
         brackets[k] = (-math.log1p(-p) / delay,
                        -math.log1p(-p * w / delay) / w if p * w < delay else math.inf)
-    return _solve(failure, slots, brackets, traces, atol=1e-12, rtol=0.0, starts=starts)
+    return _solve(failure, slots, brackets, traces, atol=_FAILURE_PROB_ATOL, rtol=0.0,
+                  starts=starts)
 
 
 def invert_mean_inspections(target: float, shape: int, insp: InspectionLaw) -> float:
@@ -413,6 +415,14 @@ def asymptotic_estimates(
     return _estimates(snapshots, config, interval)[0]
 
 
+def _time_error(time: float) -> Optional[DegenerateDataError]:
+    """The error of an elapsed time that is not finite and positive, from
+    which neither estimator takes a rate; None for any other time."""
+    if 0.0 < time < math.inf:
+        return None
+    return DegenerateDataError(f"elapsed time {time!r} is not finite and positive")
+
+
 def _count_rates(snapshots: Sequence[CountSnapshot], shape: int, insp: InspectionLaw,
                  mu_traces: list, lam_traces: list, tabulated: bool = False) -> tuple:
     """The damage-rate and the failure-rate slots of every snapshot, each
@@ -425,10 +435,10 @@ def _count_rates(snapshots: Sequence[CountSnapshot], shape: int, insp: Inspectio
     is the error "no failures observed", before any error of the damage
     rate, of its fraction or of its search."""
     ratios = [
-        DegenerateDataError(f"elapsed time {s.time!r} is not finite and positive")
-        if not 0.0 < s.time < math.inf
-        else s.inspections / s.repairs if s.repairs >= 1
-        else DegenerateDataError("no completed cycles: nothing to estimate") for s in snapshots]
+        _time_error(s.time) or (
+            s.inspections / s.repairs if s.repairs >= 1
+            else DegenerateDataError("no completed cycles: nothing to estimate"))
+        for s in snapshots]
     mu = _mean_inspection_roots(ratios, shape, insp, mu_traces)
     lam, delays = [], []
     for s, r, m in zip(snapshots, ratios, mu):
@@ -508,7 +518,8 @@ class ObservedData:
     Every cycle contributes its censoring window, from its last clean
     inspection ``a`` (0 without one) to its end ``b``: the detection age or
     the exact failure age.  Both columns keep cycle order; ``counts`` are
-    the batch's counts at the end of its last cycle.
+    the batch's counts at the end of its last cycle, whose time, the
+    running sum of ``b``, is the total time the likelihood reads.
     """
 
     a: np.ndarray
@@ -573,7 +584,7 @@ def _likelihood_terms(data: ObservedData, sane: SaneLaw, damage: DamageLaw) -> _
         log_value, mean_w, var_w = window_moments(data.a, data.b, sane, damage)
         value = n_fail * math.log(lam) + float(log_value.sum())
         sum_w = float(mean_w.sum())
-        complete = np.array([mu * float(data.b.sum()) - sum_w, rho * sum_w])
+        complete = np.array([mu * data.counts.time - sum_w, rho * sum_w])
         var = float(var_w.sum())
     if not math.isfinite(value + sum_w + var):
         value = -math.inf
@@ -670,8 +681,13 @@ def mle_estimate(data: ObservedData, config: ModelConfig) -> EstimateReport:
     the Newton ``iterations``, the ``likelihood_evaluations`` (each one
     moments pass), the final ``log_likelihood`` and ``score_norm``
     (Euclidean norm of the score in the log parameters), and the start.
+    An elapsed time that is not finite and positive raises the asymptotic
+    method's DegenerateDataError before anything else is read.
     """
     counts = data.counts
+    error = _time_error(counts.time)
+    if error:
+        raise error
     n_r, n_fail = counts.repairs, counts.failures
     if n_fail == 0 or n_fail == n_r:
         raise DegenerateDataError(
@@ -680,10 +696,9 @@ def mle_estimate(data: ObservedData, config: ModelConfig) -> EstimateReport:
     shape = config.sane.shape
     insp = config.inspection
 
-    t_total = counts.time
     # crude moment start above the closed forms' shapes, or when the count
     # ratios are uninformative
-    start_mu, start_lam = shape * n_r / t_total, n_fail / t_total
+    start_mu, start_lam = shape * n_r / counts.time, n_fail / counts.time
     if shape <= MAX_SHAPE:
         (mu,), (lam,) = _count_rates([counts], shape, insp, [{}], [{}])
         if isinstance(lam, NonConvergenceError):

@@ -513,6 +513,11 @@ def _check_convention(convention: str) -> None:
         raise ValueError(f"unknown convention {convention!r}")
 
 
+# The failure-rate search's absolute tolerance on a failure probability; a
+# probability flatter than it in log lam leaves the failure rate unidentified.
+_FAILURE_PROB_ATOL = 1e-12
+
+
 def _sandwich(jac: list, cov: list) -> list:
     """jac @ cov @ jac.T for a 2x3 and a 3x3 matrix of elementwise entries,
     every sum in index order."""
@@ -537,8 +542,7 @@ def _covariance_bundle(
     mx, mk, pd = moments.mean_cycle, moments.mean_inspections, moments.failure_prob
     fp, gm, gl = sens.dmk_dmu, sens.dpd_dmu, sens.dpd_dlambda
     problems = _variance_problems(moments) if convention == "delta" else [None] * np.size(mx)
-    # lam dp/dlam has no time unit; 1e-12 is the failure-rate search's atol on p
-    flat = np.atleast_1d(damage.rate * abs(gl) < 1e-12).tolist()
+    flat = np.atleast_1d(damage.rate * abs(gl) < _FAILURE_PROB_ATOL).tolist()
     problems = [
         "failure rate not identifiable: flat failure probability" if f else p
         for p, f in zip(problems, flat)

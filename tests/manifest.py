@@ -121,6 +121,15 @@ cycle,y_s,y_d,k_r,v_s,z_d,x_r,end
 3,0,0,1,0,0,0,Failed
 """
 
+# cycles whose lengths sum past the float range: their counts have an
+# elapsed time of inf
+OVERFLOW_LOG = """\
+cycle,y_s,y_d,k_r,v_s,z_d,x_r,end
+1,1e308,1,1,1.5e308,1e308,1.5e308,Detected
+2,1e308,1,1,1.7e308,1e308,1.7e308,Failed
+3,1,1,1,2,1,2,Failed
+"""
+
 
 def _probes():
     """Probes that no other tier-1 test holds."""
@@ -147,6 +156,10 @@ def _probes():
     yield _entry("zero-length-log-am", "estimate", *_flags(1, "deterministic"),
                  "--events", log, "--method", "am", "--out", out, files=[out],
                  inputs={log: ZERO_LENGTH_LOG})
+    # a log whose elapsed time is inf: the MLE refuses it as the AM does
+    log = f"{TMP}/overflow.csv"
+    yield _entry("overflow-log-mle", "estimate", *_flags(1, "deterministic"),
+                 "--events", log, "--method", "mle", inputs={log: OVERFLOW_LOG})
 
 
 def _open_items():

@@ -28,6 +28,7 @@ from cbmkit.estimators import (
 from cbmkit.oracle import verification_rows
 from cbmkit.simulator import CountSnapshot, CycleRecord, counts_at_times, simulate_horizon
 from conftest import batch_of, halved_cycle_square, make_config
+import manifest
 
 CONFIG_TEXT = """\
 # base run
@@ -619,6 +620,21 @@ class TestEstimateCommand:
         assert code == 3
         assert capsys.readouterr() == (
             "", "estimation infeasible: censored likelihood is not finite at the start\n")
+
+    def test_overflowing_elapsed_time_mle_exit_3(self):
+        # lengths that sum to inf: the MLE refuses the log with the AM's
+        # line at shape 3, and at shape 5, where its start is the crude one
+        # (shape 1 is a manifest entry).  Run as the console script runs,
+        # whose warning filters keep the sum's overflow warning off stderr
+        # when the command fails
+        log = f"{manifest.TMP}/overflow.csv"
+        records, _ = manifest.run([
+            manifest._entry(f"overflow-log-mle-shape{shape}", "estimate",
+                            *manifest._flags(shape, "deterministic"), "--events", log,
+                            "--method", "mle", inputs={log: manifest.OVERFLOW_LOG})
+            for shape in (3, 5)])
+        line = "estimation infeasible: elapsed time inf is not finite and positive\n"
+        assert [(r["exit"], r["stderr"]) for r in records] == [(3, line)] * 2
 
     def test_counts_interval_choice(self, config_file, capsys):
         args = ["estimate", "--config", config_file,

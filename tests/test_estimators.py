@@ -920,6 +920,10 @@ class TestBatchedEstimates:
         single = asymptotic_estimate(good, base_config)
         for name in ("mu_hat", "lambda_hat", "ci_mu", "ci_lambda", "diagnostics"):
             assert getattr(batch[0], name) == getattr(single, name), name
+        # the MLE refuses it with the same error, before its start (where
+        # it raised a math domain error, a ZeroDivisionError or a bad rate)
+        with pytest.raises(DegenerateDataError, match=f"^{re.escape(line)}$"):
+            mle_estimate(ObservedData(np.zeros(1), np.ones(1), bad), base_config)
 
     def test_negative_parameter_variance_is_degenerate(self):
         # counts whose inspections per cycle lie within the inversion
@@ -1052,6 +1056,20 @@ class TestCensoredLikelihood:
         assert censored_log_likelihood(data, sane, dmg) == pytest.approx(
             censored_log_likelihood(shuffled, sane, dmg), rel=1e-15
         )
+
+    def test_total_time_is_the_counts_time(self):
+        # lengths whose pairwise np.sum is another float than their running
+        # sum, the counts' time: the complete-data curvature in log mu reads
+        # the counts' time, the t that the report prints
+        b = np.random.default_rng(0).exponential(3000.0, 64) + 1000.0
+        time = float(np.cumsum(b)[-1])
+        assert float(b.sum()) != time
+        data = ObservedData(np.zeros_like(b), b, CountSnapshot(time, 64, 200, 20))
+        sane, dmg = SaneLaw(2, 1e-3), DamageLaw(5e-4)
+        sum_w = float(F.window_moments(data.a, data.b, sane, dmg)[1].sum())
+        complete = estimators._likelihood_terms(data, sane, dmg).complete
+        assert complete[0] == 1e-3 * time - sum_w
+        assert complete[0] != 1e-3 * float(b.sum()) - sum_w
 
 
 def _simulated_data(shape):
