@@ -25,6 +25,7 @@ import numpy as np
 
 from .config import (
     KEYS,
+    MAX_GRID_COUNT,
     ConfigError,
     ModelConfig,
     config_from_values,
@@ -369,6 +370,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_convergence(args: argparse.Namespace) -> int:
     if args.grid_count is not None and args.grid_count < 1:
         raise ConfigError(f"--grid-count must be at least 1, got {args.grid_count}")
+    if args.grid_count is not None and args.grid_count > MAX_GRID_COUNT:
+        raise ConfigError(f"--grid-count must be at most {MAX_GRID_COUNT}, got {args.grid_count}")
     config = _load_config(args)
     seed = _require_seed(config)
     if args.grid_count is not None:

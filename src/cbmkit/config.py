@@ -25,6 +25,11 @@ class ConfigError(ValueError):
 # event log would fill a disk, is refused before the first draw.
 MAX_CYCLES = 1 << 27
 
+# Most times a --grid-count grid may hold: convergence keeps every grid
+# row in memory at once, about 3.6 KB each at its peak (peak RSS over 1e4
+# to 3e5 rows of the base config), so this bound keeps that under 1 GB.
+MAX_GRID_COUNT = 1 << 18
+
 
 @dataclass(frozen=True)
 class ModelConfig:

@@ -22,7 +22,7 @@ import numpy as np
 from .config import ModelConfig
 from .formulas import _rate_covariance, cycle_moments, detection_window_integral
 from .laws import DETERMINISTIC, _value, survival_sane
-from .simulator import _running_sums, cycle_chunks, horizon_blocks
+from .simulator import _running_sums, _schedule_index, cycle_chunks, horizon_blocks
 
 # Fewer cycles than this give meaningless standard errors.
 MIN_SAMPLES = 10_000
@@ -289,12 +289,13 @@ def cycle_length_survival(u, config: ModelConfig):
     inspection segment and no failure has occurred yet; earlier-segment
     damage always ends the cycle by the segment's inspection.  The value
     is the right-continuous survival (detection puts mass exactly at the
-    inspection multiples).
+    inspection multiples): its segment starts at the last inspection age
+    at or before u.
     """
     _check_deterministic(config)
     u = np.asarray(u, dtype=float)
     c = config.inspection.spacing
-    return _value(_survival_given_segment(u, np.floor(u / c) * c, config))
+    return _value(_survival_given_segment(u, _schedule_index(u, c) * c, config))
 
 
 def limiting_age_cdf(config: ModelConfig, xs: Sequence[float]) -> np.ndarray:
@@ -319,8 +320,8 @@ def limiting_age_cdf(config: ModelConfig, xs: Sequence[float]) -> np.ndarray:
     x_max = float(xs.max())
     if x_max == 0.0:
         return np.zeros_like(xs)
-    seg = np.arange(math.floor(x_max / c) + 1)
-    seg = seg[seg * c < x_max]
+    # the segments that start below x_max
+    seg = np.arange(_schedule_index(x_max, c, detection=True))
     lo = seg * c
     pts = np.linspace(lo, np.minimum((seg + 1) * c, x_max), 513, axis=1)
     vals = _survival_given_segment(pts, lo[:, None], config).ravel()

@@ -23,8 +23,9 @@ time all read them, from a batch or block by block from a stream.
 :func:`simulate_cycle` draws one cycle with scalar calls and is kept as
 the reference the hand traces pin; a batch yields the same
 :class:`CycleRecord` rows on iteration.  Deterministic gaps put the k-th
-inspection at ``k * c`` (not at a running sum of ``c``), with
-``k = ceil(y_s / c)`` at detection, in both.
+inspection at ``k * c`` (not at a running sum of ``c``), and
+:func:`_schedule_index` is the one place that finds an index on those
+ages: the detection's and the counts' alike.
 """
 
 from __future__ import annotations
@@ -95,10 +96,33 @@ def _running_sums(values: np.ndarray, start: float = 0) -> np.ndarray:
     Cycle times are always totalled this way, left to right: the end
     times, the counts of an event log and the likelihood's total time are
     all these sums, so they agree to the bit (numpy's pairwise ``np.sum``
-    would not).
+    would not).  A sum past the float range is inf, without a warning:
+    the one overflow policy of cycle-time totals, which the estimators
+    refuse as an elapsed time that is not finite.
     """
     sums = np.concatenate(([start], values))
-    return np.cumsum(sums, out=sums)
+    with np.errstate(over="ignore"):
+        return np.cumsum(sums, out=sums)
+
+
+def _schedule_index(t, c: float, detection: bool = False):
+    """An index on the deterministic schedule of spacing ``c``, whose i-th
+    age is the float product ``i * c``: the largest i with ``i * c <= t``
+    (the inspections elapsed by age ``t``) or, for the ``detection`` of a
+    damage at age ``t``, the smallest k >= 0 with ``k * c >= t`` (so
+    ``t = 0`` gives 0); as floats, elementwise.
+
+    The ceiling or floor of the rounded quotient ``t / c`` is one step off
+    where ``t`` lies within a few ulps of an age; the nearest integer m to
+    it is not off by more than the one step between m and the index, and
+    the product ``m * c`` against ``t`` tells which side that step is on.
+    """
+    k = np.rint(np.asarray(t, dtype=float) / c)
+    if detection:
+        k += k * c < t
+    else:
+        k -= k * c > t
+    return k
 
 
 class _Totals(NamedTuple):
@@ -186,7 +210,8 @@ def simulate_cycle(rng: np.random.Generator, config: ModelConfig) -> CycleRecord
     y_d = sample_damage(rng, config.damage)
     law = config.inspection
     if law.kind == DETERMINISTIC:
-        ages = [i * law.spacing for i in range(1, math.ceil(y_s / law.spacing) + 1)]
+        k = int(_schedule_index(y_s, law.spacing, detection=True))
+        ages = [i * law.spacing for i in range(1, k + 1)]
     else:
         ages = []
         age = 0.0
@@ -246,7 +271,7 @@ def _draw_chunk(
     y_d = rng.exponential(config.damage.mean, size=n)
     law = config.inspection
     if law.kind == DETERMINISTIC:
-        k = np.ceil(y_s / law.spacing)
+        k = _schedule_index(y_s, law.spacing, detection=True)
         if (k >= 2.0**53).any():
             raise ConfigError(f"a cycle needs {float(k.max())!r} inspections at spacing "
                               f"{law.spacing!r}: counts at or past 2**53 are not exact")
@@ -332,9 +357,7 @@ def _cut(chunks: Iterator[CycleBatch], horizon: float) -> Iterator[CycleBatch]:
     end = 0.0
     while end < horizon:
         block = next(chunks)
-        # near the top of the float range the sums past the cut may overflow
-        with np.errstate(over="ignore"):
-            ends = _running_sums(block.length, end)
+        ends = _running_sums(block.length, end)
         keep = min(int(np.searchsorted(ends, horizon)), len(block))
         yield block.head(keep)
         end = ends[keep]
@@ -380,13 +403,8 @@ def _counts(
         count = offsets[d + 1] - offsets[d]
         elapsed = at[here[open_]] - totals.time[d]
         if block.spacing:
-            # the largest i with i * c <= elapsed (elapsed <= length <= k c):
-            # the floor of elapsed / c, moved one step where i * c rounds across it
-            c = block.spacing
-            i = np.floor(elapsed / c)
-            i += (i + 1) * c <= elapsed
-            i -= i * c > elapsed
-            inspections[open_] += i.astype(np.int64)
+            # elapsed <= length <= k c: the inspections elapsed are at most k
+            inspections[open_] += _schedule_index(elapsed, block.spacing).astype(np.int64)
         elif block.inspection_ages.size:
             # every open cycle's schedule, laid end to end, each age against
             # its own time's elapsed age

@@ -160,6 +160,11 @@ def _probes():
     log = f"{TMP}/overflow.csv"
     yield _entry("overflow-log-mle", "estimate", *_flags(1, "deterministic"),
                  "--events", log, "--method", "mle", inputs={log: OVERFLOW_LOG})
+    # a grid past the bound on the rows convergence holds: refused, no output
+    out = f"{TMP}/grid-past-bound.csv"
+    yield _entry("convergence-grid-count-past-bound", "convergence", *_flags(1, "deterministic"),
+                 "--horizon", "5e7", "--seed", "3", "--grid-count", "1e8", "--out", out,
+                 files=[out])
 
 
 def _open_items():

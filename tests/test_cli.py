@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbmkit import cli, estimators, oracle
-from cbmkit.config import ConfigError, parse_config, serialize_config
+from cbmkit.config import MAX_GRID_COUNT, ConfigError, parse_config, serialize_config
 from cbmkit.estimators import (
     REPORT_HEADER,
     NonConvergenceError,
@@ -621,20 +621,31 @@ class TestEstimateCommand:
         assert capsys.readouterr() == (
             "", "estimation infeasible: censored likelihood is not finite at the start\n")
 
-    def test_overflowing_elapsed_time_mle_exit_3(self):
+    @staticmethod
+    def _estimate_overflow_log(tmp_path, capsys, shape, method):
+        log = tmp_path / "overflow.csv"
+        log.write_text(manifest.OVERFLOW_LOG)
+        code = cli.main(["estimate", *manifest._flags(shape, "deterministic"),
+                         "--events", str(log), "--method", method])
+        return code, capsys.readouterr()
+
+    def test_overflowing_elapsed_time_mle_exit_3(self, tmp_path, capsys):
         # lengths that sum to inf: the MLE refuses the log with the AM's
         # line at shape 3, and at shape 5, where its start is the crude one
-        # (shape 1 is a manifest entry).  Run as the console script runs,
-        # whose warning filters keep the sum's overflow warning off stderr
-        # when the command fails
-        log = f"{manifest.TMP}/overflow.csv"
-        records, _ = manifest.run([
-            manifest._entry(f"overflow-log-mle-shape{shape}", "estimate",
-                            *manifest._flags(shape, "deterministic"), "--events", log,
-                            "--method", "mle", inputs={log: manifest.OVERFLOW_LOG})
-            for shape in (3, 5)])
+        # (shape 1 is a manifest entry).  In this process, under the
+        # suite's error::RuntimeWarning filter: the totals overflow without
+        # a warning
         line = "estimation infeasible: elapsed time inf is not finite and positive\n"
-        assert [(r["exit"], r["stderr"]) for r in records] == [(3, line)] * 2
+        for shape in (3, 5):
+            assert self._estimate_overflow_log(tmp_path, capsys, shape, "mle") == (3, ("", line))
+
+    @pytest.mark.parametrize("method", ["am", "both"])
+    def test_overflowing_elapsed_time_am_exit_3(self, method, tmp_path, capsys):
+        # the AM reads the same totals: the one elapsed-time line, no
+        # internal error from an overflow warning, and no row
+        line = "estimation infeasible: elapsed time inf is not finite and positive\n"
+        for shape in (1, 3):
+            assert self._estimate_overflow_log(tmp_path, capsys, shape, method) == (3, ("", line))
 
     def test_counts_interval_choice(self, config_file, capsys):
         args = ["estimate", "--config", config_file,
@@ -1233,6 +1244,33 @@ class TestInputErrors:
         self._assert_one_line_config_error(code, capsys, err)
         assert err == f"config error: --grid-count must be at least 1, got {count}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("count", [MAX_GRID_COUNT + 1, "1e8"])
+    def test_grid_count_above_the_bound(self, count, config_file, tmp_path, capsys, monkeypatch):
+        # convergence holds every grid row at once: a count past the bound
+        # is refused before the output opens or any draw starts
+        def never(*args, **kwargs):
+            raise AssertionError("the draw started despite the config error")
+
+        monkeypatch.setattr(cli, "horizon_blocks", never)
+        out = tmp_path / "conv.csv"
+        code = cli.main(["convergence", "--config", config_file, "--grid-count", str(count),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        self._assert_one_line_config_error(code, capsys, err)
+        assert err == (f"config error: --grid-count must be at most {MAX_GRID_COUNT}, "
+                       f"got {int(float(count))}\n")
+        assert not out.exists()
+
+    def test_grid_count_at_the_bound(self, config_file, tmp_path, monkeypatch):
+        # the bound itself is a grid: it reaches the rows (stubbed here)
+        monkeypatch.setattr(cli, "horizon_blocks", lambda rng, config: iter(()))
+        monkeypatch.setattr(cli, "_convergence_rows", lambda grid, blocks, config: [
+            f"{len(grid)},{grid[-1]!r}\n"])
+        out = tmp_path / "conv.csv"
+        assert cli.main(["convergence", "--config", config_file, "--grid-count",
+                         str(MAX_GRID_COUNT), "--out", str(out)]) == 0
+        assert out.read_text() == f"{cli.CONVERGENCE_HEADER}\n{MAX_GRID_COUNT},200000.0\n"
 
     def test_shape_beyond_the_closed_forms(self, config_file, tmp_path, capsys):
         # only the commands that evaluate closed forms reject shapes above 4;

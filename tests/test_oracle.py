@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from cbmkit import formulas as F
 from cbmkit import oracle
+from cbmkit.laws import InspectionLaw
 from cbmkit.oracle import (
     cycle_length_survival,
     ks_critical,
@@ -282,6 +283,21 @@ class TestCycleLengthSurvival:
         cfg = make_config(kind="uniform")
         with pytest.raises(ValueError):
             cycle_length_survival(500.0, cfg)
+
+    @pytest.mark.parametrize("c", [0.1, 0.3, 1.1, 7.3, 9.9, 123.456, 1000.0])
+    def test_segment_of_every_inspection_age(self, c):
+        # at each of the first 200 ages i * c the survival is the
+        # right-continuous value, on the segment that starts there; one
+        # float below it, the segment before: the last age at or before u
+        cfg = dataclasses.replace(make_config(mu=0.1 / c, lam=0.05 / c),
+                                  inspection=InspectionLaw("deterministic", c))
+        i = np.arange(1, 201)
+        ages = i * c
+        u = np.concatenate((ages, np.nextafter(ages, 0.0)))
+        starts = np.concatenate((ages, (i - 1) * c))
+        expected = oracle._survival_given_segment(u, starts, cfg)
+        assert np.array_equal(cycle_length_survival(u, cfg), expected)
+        assert (expected[:200] < expected[200:]).all()
 
     def test_monte_carlo_cross_check(self, base_config):
         self._cross_check(base_config, (500.0, 1500.0, 2500.0, 4000.0))

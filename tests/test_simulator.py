@@ -823,6 +823,83 @@ class TestCountsAtPrefixSums:
         assert cycles.totals is cycles.totals
 
 
+# spacings at which the quotient by c rounds across some of the first 200
+# ages i * c (all but 1000, whose products are exact)
+EDGE_SPACINGS = [0.1, 1.1, 9.9, 123.456, 1000.0]
+
+
+def _edge_ages(c, top=200):
+    """0, then every planned age ``i * c`` for i = 1..top, and one float
+    below and one above each."""
+    ages = np.arange(1, top + 1) * c
+    return np.concatenate(([0.0], ages, np.nextafter(ages, 0.0), np.nextafter(ages, np.inf)))
+
+
+def _stub_damage_ages(monkeypatch, y_s):
+    """The damage ages the batch and the scalar draw take, in order:
+    ``y_s``, in place of the repair-to-damage law's draws."""
+    scalar = iter(y_s.tolist())
+    monkeypatch.setattr(simulator, "sample_sane_many", lambda rng, law, n: y_s[:n].copy())
+    monkeypatch.setattr(simulator, "sample_sane", lambda rng, law: next(scalar))
+
+
+def _spaced(c):
+    return replace(make_config(), inspection=InspectionLaw("deterministic", c))
+
+
+class TestScheduleIndex:
+    """The deterministic schedule's one index rule, judged on the float
+    ages ``i * c``: a detection at the first age at or after the damage,
+    a count of the ages at or before the time, at those ages and one
+    float either side of them, where the quotient by c can round across."""
+
+    def test_index_rule_on_the_float_ages(self):
+        # both indices against their definitions on the products i * c, at
+        # ages, one and two floats either side, midpoints and random times,
+        # for spacings over the whole float range and up to 2^50 steps
+        rng = np.random.default_rng(SCALAR_SEED)
+        spacings = np.concatenate((EDGE_SPACINGS, [1 / 3, 1e-300, 1e300, 5e-324],
+                                   rng.uniform(0.01, 100.0, 40), 10.0 ** rng.uniform(-300, 300, 40)))
+        for c in spacings.tolist():
+            i = np.concatenate((np.arange(0, 500), rng.integers(0, 2**50, 500))).astype(float)
+            with np.errstate(over="ignore"):
+                ages = i * c
+                ages = ages[ages < np.inf]
+                near = [ages, np.nextafter(ages, 0.0), np.nextafter(ages, np.inf)]
+                near += [np.nextafter(near[1], 0.0), np.nextafter(near[2], np.inf)]
+                t = np.concatenate(near + [ages + 0.5 * c, rng.uniform(0.0, ages.max(), 1000)])
+                t = t[(t >= 0.0) & (t < np.inf) & (t / c < 2.0**51)]
+            k = simulator._schedule_index(t, c, detection=True)
+            assert ((k * c >= t) & ((k - 1) * c < t)).all(), c
+            i = simulator._schedule_index(t, c)
+            assert ((i * c <= t) & ((i + 1) * c > t)).all(), c
+
+    @pytest.mark.parametrize("c", EDGE_SPACINGS)
+    def test_detection_is_the_first_age_at_or_after_the_damage(self, c, monkeypatch):
+        y_s = _edge_ages(c)
+        y_d = np.random.default_rng(SCALAR_SEED).exponential(2.0 * c, size=y_s.size)
+        _stub_damage_ages(monkeypatch, y_s)
+        cfg = _spaced(c)
+        batch = draw_cycles(_ScriptedRng([y_d]), cfg, y_s.size)
+        one = [simulate_cycle(_ScriptedRng([v]), cfg) for v in y_d.tolist()]
+        k = batch.inspection_count
+        assert k[0] == 0 and batch.detection_age[0] == 0.0
+        assert ((k - 1) * c < y_s).all() and (y_s <= k * c).all()
+        assert list(batch) == one
+        assert batch.failed.any() and not batch.failed.all()
+
+    @pytest.mark.parametrize("c", EDGE_SPACINGS)
+    def test_counts_at_the_ages_are_the_loop_counts(self, c, monkeypatch):
+        # one cycle open past the 200th age: each time at an age or one
+        # float below it counts the ages at or before it
+        _stub_damage_ages(monkeypatch, np.array([200.5 * c]))
+        cycles = draw_cycles(_ScriptedRng([[1e6 * c]]), _spaced(c), 1)
+        times = _edge_ages(c)[:401].tolist()
+        counts = counts_at_times(times, cycles)
+        assert counts == loop_counts_at_times(times, cycles)
+        assert [s.inspections for s in counts[1:201]] == list(range(1, 201))
+
+
 class TestCountsAtTimesAgainstLoop:
     """counts_at_times counts the open cycles' elapsed inspections for all
     times in one pass; the per-time loop of tests/count_loop.py, one

@@ -37,6 +37,8 @@ REFERENCES = {"cycle_length_survival", "limiting_age_cdf", "ks_statistic", "ks_c
 # BLAS kernels sum in their own order, so pinned bytes would depend on the
 # machine (docstrings may name these)
 BLAS = {"dot", "matmul", "einsum", "tensordot", "vdot", "inner", "linalg"}
+# what turns a quotient into an integer
+ROUNDING = {"ceil", "floor", "rint", "round", "trunc"}
 
 
 def _tracer():
@@ -231,4 +233,31 @@ class TestDesignRules:
                 yield from visit(child, path, defs)
 
         bad = [line for path, tree in _package() for line in visit(tree, path, ())]
+        assert not bad, "\n".join(bad)
+
+    def test_one_schedule_index_and_one_overflow_policy(self):
+        # the deterministic schedule's index is found in
+        # simulator._schedule_index only (no rounding of a quotient
+        # elsewhere in the simulator or the oracle), and the overflow
+        # policy of cycle-time totals is set in simulator._running_sums only
+        def visit(node, path, defs):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs = defs + (node.name,)
+            where = defs[-1] if defs else "module level"
+            rounded_quotient = (
+                isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+                or isinstance(node, ast.Call) and _name(node.func) in ROUNDING
+                and any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.Div)
+                        for a in ast.walk(node)))
+            if rounded_quotient and "_schedule_index" not in defs:
+                yield f"{path}:{node.lineno}: {ast.unparse(node)} in {where}"
+            if (path.endswith("simulator.py") and _name(node) == "errstate"
+                    and "_running_sums" not in defs):
+                yield f"{path}:{node.lineno}: errstate in {where}"
+            for child in ast.iter_child_nodes(node):
+                yield from visit(child, path, defs)
+
+        bad = [line for path, tree in _package()
+               if path.endswith(("simulator.py", "oracle.py"))
+               for line in visit(tree, path, ())]
         assert not bad, "\n".join(bad)
