@@ -39,7 +39,7 @@ from .simulator import (
     simulate_horizon,
 )
 
-__version__ = "0.34.0"
+__version__ = "0.35.0"
 
 __all__ = [
     "ConfigError",

@@ -24,7 +24,9 @@ from typing import Iterable, Iterator, Optional, Sequence, TextIO
 import numpy as np
 
 from .config import (
+    INEXACT,
     KEYS,
+    MAX_COUNT,
     MAX_GRID_COUNT,
     ConfigError,
     ModelConfig,
@@ -139,15 +141,20 @@ def _require_closed_form_shape(config: ModelConfig) -> None:
 
 
 def _count(text: str) -> int:
-    """A count flag's value: an integer, also in the float syntax of the
-    other numbers (``1e4``) where its value is whole and finite."""
+    """A count flag's value: an integer below :data:`config.MAX_COUNT`,
+    also in the float syntax of the other numbers (``1e4``) where its value
+    is whole and finite."""
+    value = None
     with contextlib.suppress(ValueError):
-        return int(text)
+        value = int(text)
     with contextlib.suppress(ValueError):
-        value = float(text)
-        if value.is_integer():
-            return int(value)
-    raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
+        if value is None and float(text).is_integer():
+            value = int(float(text))
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
+    if value >= MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"{INEXACT}, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -349,9 +356,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         if args.events:
             try:
                 cycles = read_event_log(args.events)
+                log_counts = cycles.counts()
             except ValueError as exc:
                 raise ConfigError(f"{args.events}: {exc}") from None
-            log_counts = cycles.counts()
             # the AM counts: a preset's, else --counts, else the log's
             if counts is None:
                 counts = log_counts

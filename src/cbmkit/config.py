@@ -25,6 +25,12 @@ class ConfigError(ValueError):
 # event log would fill a disk, is refused before the first draw.
 MAX_CYCLES = 1 << 27
 
+# The one count-exactness bound: a float holds every integer below it, so
+# an inspection count is refused at or past it wherever it is predicted
+# (check_counts), drawn, read from a log or totalled, with this reason.
+MAX_COUNT = 2**53
+INEXACT = "counts at or past 2**53 are not exact"
+
 # Most times a --grid-count grid may hold: convergence keeps every grid
 # row in memory at once, about 3.6 KB each at its peak (peak RSS over 1e4
 # to 3e5 rows of the base config), so this bound keeps that under 1 GB.
@@ -86,6 +92,25 @@ def check_horizon(config: ModelConfig) -> None:
     if cycles > MAX_CYCLES:
         raise ConfigError(f"horizon {horizon!r} predicts up to {cycles:.3g} cycles, "
                           f"more than the bound of {MAX_CYCLES}")
+
+
+def check_counts(config: ModelConfig) -> None:
+    """Refuse a config whose cycles are predicted to need :data:`MAX_COUNT`
+    or more inspections each, with a ConfigError that names the count.
+
+    A cycle's detection age, the first planned age at or past its damage
+    time ``Y_s``, is at most ``K (c + h)`` for its ``K`` inspections, so
+    ``E[K] >= shape / (mu (c + h))``.  The bound is compared as a product,
+    so a product ``mu (c + h)`` that underflows to 0 is refused too.
+    """
+    sane, law = config.sane, config.inspection
+    longest = law.spacing + law.half_width
+    width = sane.rate * longest
+    if not width * MAX_COUNT > sane.shape:
+        least = sane.shape / width if width else math.inf
+        raise ConfigError(f"sane.shape {sane.shape}, sane.rate {sane.rate!r} and gaps of up to "
+                          f"{longest!r} predict at least {least:.3g} inspections per cycle: "
+                          + INEXACT)
 
 
 # Every key, with the help text of its command-line flag.

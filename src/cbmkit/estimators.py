@@ -76,7 +76,8 @@ def _search(target: float, lo: float, hi: float, tol: float, trace: dict,
     ``lo``, and a bracket wider than a factor of 2 is halved geometrically
     until an end is the root.  Proven ends of one sign raise
     OutOfRangeError, unless one of them already meets the tolerance and
-    stands.  The bracket goes to ``trace["bracket"]``.
+    stands, and so does a lower end past the float range, before the map
+    is evaluated.  The bracket goes to ``trace["bracket"]``.
 
     The polish, Chandrupatla (1997, Adv. Eng. Software 28:145): each step
     evaluates inverse quadratic interpolation through the two bracket ends
@@ -85,6 +86,9 @@ def _search(target: float, lo: float, hi: float, tol: float, trace: dict,
     ulp away from the ends.  The first step bisects.
     ``trace["iterations"]`` gets the number of polish evaluations.
     """
+    if not lo < math.inf:
+        raise OutOfRangeError(f"target {target!r}: the proven bracket [{lo!r}, {hi!r}] "
+                              "lies past the float range")
     if lo <= start <= hi:
         a, b = max(start / 1.02, lo), min(start * 1.02, hi)
         fa = (yield a) - target

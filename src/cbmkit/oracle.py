@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import ModelConfig, check_counts
 from .formulas import _rate_covariance, cycle_moments, detection_window_integral
 from .laws import DETERMINISTIC, _value, survival_sane
 from .simulator import _running_sums, _schedule_index, cycle_chunks, horizon_blocks
@@ -169,6 +169,8 @@ def verification_rows(
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples below {MIN_SAMPLES} gives meaningless standard errors")
     overrides = closed_overrides or {}
+    # the closed forms do not read a config whose counts would not be exact
+    check_counts(config)
     moments = cycle_moments(config.sane, config.damage, config.inspection)
     shift, sums, failed, failed_sums = _moment_sums(config, n_samples, seed)
     n, c = n_samples, config.inspection.spacing

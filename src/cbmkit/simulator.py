@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import ConfigError, ModelConfig, check_horizon
+from .config import INEXACT, MAX_COUNT, ConfigError, ModelConfig, check_counts, check_horizon
 from .laws import (
     DETERMINISTIC,
     InspectionLaw,
@@ -137,9 +137,18 @@ class _Totals(NamedTuple):
 
 def _totals(cycles: CycleBatch, start: Iterable = (0, 0, 0)) -> _Totals:
     """The running totals of ``cycles``, carried on from ``start``, the
-    totals of the cycles before them."""
+    totals of the cycles before them.  An inspection total at or past
+    :data:`config.MAX_COUNT` raises ConfigError: it is not exact, and int64
+    would wrap it."""
     columns = (cycles.length, cycles.inspection_count, cycles.failed)
-    return _Totals(*map(_running_sums, columns, start))
+    totals = _Totals(*map(_running_sums, columns, start))
+    # each count and the start are below the bound, so the totals pass it
+    # before they could wrap, and the largest one tells
+    inspections = totals.inspections
+    if inspections.max() >= MAX_COUNT:
+        first = inspections[np.argmax(inspections >= MAX_COUNT)]
+        raise ConfigError(f"an inspection total reaches {first}: {INEXACT}")
+    return totals
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,10 +254,14 @@ def cycle_chunks(
     damage times are drawn first, then all failure delays, then (uniform
     gaps) one gap per step for every cycle whose age is still short of its
     damage time; ``inspections`` keeps uniform gaps' ages, which the
-    oracle does not read and :func:`horizon_blocks` counts grid times with."""
+    oracle does not read and :func:`horizon_blocks` counts grid times with.
+    A config predicted to need :data:`config.MAX_COUNT` or more inspections
+    a cycle raises ConfigError before the first draw
+    (:func:`config.check_counts`)."""
     left = math.inf if n is None else n
     if left < 0:
         raise ValueError(f"cycle count must be nonnegative, got {n}")
+    check_counts(config)
     while True:
         yield _draw_chunk(rng, config, min(_CHUNK, left), inspections)
         left -= _CHUNK
@@ -272,9 +285,9 @@ def _draw_chunk(
     law = config.inspection
     if law.kind == DETERMINISTIC:
         k = _schedule_index(y_s, law.spacing, detection=True)
-        if (k >= 2.0**53).any():
+        if (k >= MAX_COUNT).any():
             raise ConfigError(f"a cycle needs {float(k.max())!r} inspections at spacing "
-                              f"{law.spacing!r}: counts at or past 2**53 are not exact")
+                              f"{law.spacing!r}: {INEXACT}")
         k, detection = k.astype(np.int64), k * law.spacing
         ages, spacing = np.empty(0), law.spacing
     else:
@@ -523,7 +536,7 @@ def read_event_log(path) -> CycleBatch:
     a deterministic gap law).  A wrong header, a row without eight fields,
     an end other than Failed/Detected, a field that does not parse, a time
     that is not finite and nonnegative or a count ``k_r`` outside
-    [1, 2**63) raises ValueError naming the first offending line.
+    [1, 2**53) raises ValueError naming the first offending line.
 
     A plain log is read in one ``np.loadtxt`` pass and checked column by
     column; any other log, and any log that pass or its checks reject, is
@@ -585,7 +598,7 @@ def _read_plain_log(path) -> Optional[np.ndarray]:
     end = table["end"]
     if not (
         ((end == "Failed") | (end == "Detected")).all()
-        and (table["k_r"] >= 1).all()
+        and ((table["k_r"] >= 1) & (table["k_r"] < MAX_COUNT)).all()
         and all(((table[name] >= 0.0) & (table[name] < math.inf)).all() for name in _TIMES)
     ):
         return None
@@ -607,9 +620,9 @@ def _parse_row(lineno: int, line: str) -> tuple:
         raise ValueError(f"line {lineno}: {exc}") from None
     for name, value in zip(_LOG_ROW.names, values):
         if name == "k_r":
-            if not 1 <= value < 2**63:
+            if not 1 <= value < MAX_COUNT:
                 raise ValueError(
-                    f"line {lineno}: k_r must be at least 1 and below 2**63, got {value}"
+                    f"line {lineno}: k_r must be at least 1 and below 2**53, got {value}"
                 )
         elif not 0.0 <= value < math.inf:
             raise ValueError(f"line {lineno}: {name} must be finite and nonnegative, got {value}")

@@ -7,7 +7,9 @@ a warning gives the same exit code as from the installed script.  Each
 entry's record is its exit code, its exact stderr, the sha256 of its
 stdout, and the sha256 of each output file it names (null where that file
 must not exist).  ``{tmp}`` stands for the folder in arguments, in stderr
-and in file names.
+and in file names.  Each entry runs under its own alarm of ``ALARM_S``
+seconds: one that runs past it is recorded with the exit ``"timeout"``,
+which fails that entry alone, and the next entry runs.
 
 Running this file as a script rewrites ``manifest.json`` beside it:
 
@@ -24,6 +26,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -32,6 +35,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "manifest.json"
 TMP = "{tmp}"
+# Seconds one entry may run: far past any recorded entry, and short of
+# stalling the whole run.
+ALARM_S = 60
 
 
 def _flags(shape, kind, mu="1e-3", lam="5e-4", c="1000"):
@@ -190,32 +196,92 @@ def _open_items():
                  note="item 12: mean_cycle_sq leaves the floats at c = 1e300")
 
 
-ENTRIES = [*_base_runs(), *_presets(), *_pinned_files(), *_probes(), *_open_items()]
+# a log of one cycle charged 2**53 inspections, the first count not exact
+COUNT_PAST_BOUND_LOG = """\
+cycle,y_s,y_d,k_r,v_s,z_d,x_r,end
+1,1500.5,800.25,9007199254740992,2000,2300.75,2000,Detected
+"""
+
+
+def _count_bound():
+    """Counts at or past 2**53, predicted, totalled or read: each is
+    refused with one line."""
+    run = [*_flags(1, "deterministic"), "--seed", "3"]
+    for command, outputs in (
+        ("simulate", ["--grid", "5e7,1e8,1.5e8,2e8", "--events", f"{TMP}/count-total-e.csv",
+                      "--snapshots", f"{TMP}/count-total-s.csv"]),
+        ("convergence", ["--grid-count", "4", "--out", f"{TMP}/count-total.csv"]),
+    ):
+        files = [arg for arg in outputs if arg.startswith(TMP)]
+        yield _entry(f"count-total-{command}-c-1e-11", command, *run, "--inspection.c", "1e-11",
+                     "--horizon", "2e8", *outputs, files=files)
+    out = f"{TMP}/count-predicted.csv"
+    yield _entry("count-predicted-verify-uniform-sane-rate-1e-300", "verify",
+                 *_flags(1, "uniform", mu="1e-300"), "--seed", "3", "--samples", "10000",
+                 "--out", out, files=[out])
+    yield _entry("count-predicted-verify-c-5e-324", "verify", *run, "--inspection.c", "5e-324",
+                 "--out", out, files=[out])
+    yield _entry("count-estimate-c-5e-324", "estimate", *run, "--inspection.c", "5e-324",
+                 "--counts", "10", "20", "3", "1e4")
+    log = f"{TMP}/count-past-bound.csv"
+    yield _entry("count-log-k-r-2-53", "estimate", *run, "--events", log,
+                 inputs={log: COUNT_PAST_BOUND_LOG})
+
+
+ENTRIES = [*_base_runs(), *_presets(), *_pinned_files(), *_probes(), *_open_items(),
+           *_count_bound()]
+
+
+class _Timeout(BaseException):
+    """An entry ran past its alarm; not an Exception, so the command's
+    own handlers let it through."""
+
+
+@contextlib.contextmanager
+def _alarm(seconds: int):
+    """Raise :class:`_Timeout` in the body once ``seconds`` have passed."""
+    def ring(signum, frame):
+        raise _Timeout
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _record(entry: dict, tmp: str, seconds: int = ALARM_S) -> dict:
+    """Run one entry in this process under ``tmp`` and its own alarm, and
+    return its record."""
+    from cbmkit import cli
+
+    for path, text in entry.get("inputs", {}).items():
+        Path(path.replace(TMP, tmp)).write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with _alarm(seconds), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([arg.replace(TMP, tmp) for arg in entry["argv"]])
+    except _Timeout:
+        code = "timeout"
+    files = {}
+    for path in entry["files"]:
+        real = Path(path.replace(TMP, tmp))
+        files[path] = _digest(real.read_bytes()) if real.exists() else None
+    return {"exit": code, "stderr": err.getvalue().replace(tmp, TMP),
+            "stdout_sha256": _digest(out.getvalue().encode("utf-8")), "files": files}
 
 
 def _child(tmp: str) -> None:
     """Run the entries read from stdin in this process, under ``tmp``, and
     write their records and the temporary output files left behind to
     stdout as JSON."""
-    from cbmkit import cli
-
-    def digest(data: bytes) -> str:
-        return hashlib.sha256(data).hexdigest()
-
-    records = []
-    for entry in json.load(sys.stdin):
-        for path, text in entry.get("inputs", {}).items():
-            Path(path.replace(TMP, tmp)).write_text(text, encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([arg.replace(TMP, tmp) for arg in entry["argv"]])
-        files = {}
-        for path in entry["files"]:
-            real = Path(path.replace(TMP, tmp))
-            files[path] = digest(real.read_bytes()) if real.exists() else None
-        records.append({"exit": code, "stderr": err.getvalue().replace(tmp, TMP),
-                        "stdout_sha256": digest(out.getvalue().encode("utf-8")),
-                        "files": files})
+    records = [_record(entry, tmp) for entry in json.load(sys.stdin)]
     left = sorted(p.name for p in Path(tmp).glob("*.cbmkit-*.tmp"))
     json.dump({"records": records, "left": left}, sys.stdout)
 
@@ -251,6 +317,9 @@ def record() -> None:
     records, left = run(ENTRIES)
     if left:
         raise RuntimeError(f"temporary files left behind: {left}")
+    stalled = [e["name"] for e, r in zip(ENTRIES, records) if r["exit"] == "timeout"]
+    if stalled:
+        raise RuntimeError(f"entries past their {ALARM_S} s alarm: {stalled}")
     order = ("name", "note", "argv", "inputs", "exit", "stderr", "stdout_sha256", "files")
     merged = [{**entry, **rec} for entry, rec in zip(ENTRIES, records)]
     MANIFEST.write_text(_dump([{key: e[key] for key in order if key in e} for e in merged]),

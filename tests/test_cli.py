@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbmkit import cli, estimators, oracle
+from cbmkit import cli, estimators, oracle, simulator
 from cbmkit.config import MAX_GRID_COUNT, ConfigError, parse_config, serialize_config
 from cbmkit.estimators import (
     REPORT_HEADER,
@@ -1331,11 +1332,12 @@ class TestInputErrors:
              "line 2: end 'Lost' is neither Failed nor Detected"),
             ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW + "\n"
              + GOOD_ROW.replace(",2,", ",0,") + "\n",
-             "line 3: k_r must be at least 1 and below 2**63, got 0\n"),
+             "line 3: k_r must be at least 1 and below 2**53, got 0\n"),
             ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW.replace(",2,", ",-3,") + "\n",
-             "line 2: k_r must be at least 1 and below 2**63, got -3\n"),
-            ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW.replace(",2,", f",{2**63},") + "\n",
-             f"line 2: k_r must be at least 1 and below 2**63, got {2**63}\n"),
+             "line 2: k_r must be at least 1 and below 2**53, got -3\n"),
+            # the bound itself
+            ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW.replace(",2,", f",{2**53},") + "\n",
+             f"line 2: k_r must be at least 1 and below 2**53, got {2**53}\n"),
             ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW.replace("800.25", "nan") + "\n",
              "line 2: y_d must be finite and nonnegative, got nan\n"),
             ("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + GOOD_ROW.replace(",2000,D", ",inf,D") + "\n",
@@ -1403,6 +1405,119 @@ class TestInputErrors:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestCountBound:
+    """One count-exactness rule, ``config.MAX_COUNT``: an inspection count
+    at or past 2**53 is refused wherever it is predicted, drawn, read or
+    totalled, and so is a count flag; each refusal is one line, exit 2,
+    with no output file and no temporary file left."""
+
+    BASE = ["--sane.shape", "1", "--sane.rate", "1e-3", "--damage.rate", "5e-4",
+            "--inspection.kind", "deterministic", "--inspection.c", "1000",
+            "--inspection.h", "0", "--seed", "3"]
+    UNIFORM = ["--inspection.kind", "uniform", "--inspection.h", "100"]
+
+    @staticmethod
+    def _run(argv, tmp_path, capsys, code=2):
+        out = str(tmp_path / "out.csv")
+        argv = [out if a == "OUT" else str(tmp_path / "snap.csv") if a == "SNAP" else a
+                for a in argv]
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " if code == 2 else "estimation infeasible: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not [p for p in os.listdir(tmp_path) if p.endswith((".csv", ".tmp"))]
+        return err
+
+    @pytest.mark.parametrize("command, outputs", [
+        ("simulate", ["--grid", "5e7,1e8,1.5e8,2e8", "--events", "OUT", "--snapshots", "SNAP"]),
+        ("convergence", ["--grid-count", "4", "--out", "OUT"]),
+    ])
+    def test_inspection_total_past_the_bound(self, command, outputs, tmp_path, capsys):
+        # about 1e14 inspections a cycle: the running total passes 2**53
+        # within the first block; it wrapped in int64 (a negative snapshot
+        # count, and convergence printed mu_hat 0.0128 against 1e-3)
+        err = self._run([command, *self.BASE, "--inspection.c", "1e-11", "--horizon", "2e8",
+                         *outputs], tmp_path, capsys)
+        assert err == ("config error: an inspection total reaches 9259766086295084: "
+                       "counts at or past 2**53 are not exact\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--samples", "10000", "--out", "OUT"],
+        ["simulate", "--horizon", "2e6", "--events", "OUT", "--snapshots", "SNAP"],
+        ["convergence", "--horizon", "2e6", "--grid-count", "4", "--out", "OUT"],
+    ], ids=["verify", "simulate", "convergence"])
+    def test_predicted_count_refused_before_the_draw(self, argv, tmp_path, capsys, monkeypatch):
+        # uniform gaps at mu*c = 1e-297: verify ran on past 30 s, simulate
+        # and convergence ran out of memory
+        def never(*args):
+            raise AssertionError("a chunk was drawn despite the predicted count")
+
+        monkeypatch.setattr(simulator, "_draw_chunk", never)
+        command, *rest = argv
+        started = time.monotonic()
+        err = self._run([command, *self.BASE, *self.UNIFORM, "--sane.rate", "1e-300", *rest],
+                        tmp_path, capsys)
+        assert time.monotonic() - started < 1.0
+        assert err == ("config error: sane.shape 1, sane.rate 1e-300 and gaps of up to 1100.0 "
+                       "predict at least 9.09e+296 inspections per cycle: "
+                       "counts at or past 2**53 are not exact\n")
+
+    def test_spacing_whose_product_underflows(self, tmp_path, capsys):
+        # mu * c = 0: the closed forms divided by zero (exit 4)
+        err = self._run(["verify", *self.BASE, "--inspection.c", "5e-324", "--out", "OUT"],
+                        tmp_path, capsys)
+        assert "predict at least inf inspections per cycle" in err
+
+    def test_drawn_count_past_the_bound(self, tmp_path, capsys):
+        # E[K] is about 2**52, so the prediction passes, but a draw of
+        # Y_s at twice its mean or more needs 2**53 gaps of 1
+        err = self._run(["verify", *self.BASE, "--sane.rate", repr(2.0**-52),
+                         "--inspection.c", "1", "--samples", "10000", "--out", "OUT"],
+                        tmp_path, capsys)
+        assert err.startswith("config error: a cycle needs ")
+        assert err.endswith(" inspections at spacing 1.0: counts at or past 2**53 are not exact\n")
+
+    @pytest.mark.parametrize("flag, value", [("--samples", "1e16"), ("--samples", str(2**53)),
+                                             ("--grid-count", "1e20")])
+    def test_count_flag_past_the_bound(self, flag, value, tmp_path, capsys):
+        # verify --samples 1e16 drew until it was killed
+        command = "verify" if flag == "--samples" else "convergence"
+        err = self._run([command, *self.BASE, "--horizon", "2e6", flag, value, "--out", "OUT"],
+                        tmp_path, capsys)
+        assert err == (f"config error: cbmkit {command}: argument {flag}: "
+                       f"counts at or past 2**53 are not exact, got {value!r}\n")
+
+    ROW = "1500.5,800.25,{k},2000,2300.75,2000,Detected\n"
+
+    @pytest.mark.parametrize("counts, reason", [
+        ([5 * 10**18, 5 * 10**18, 1], "line 2: k_r must be at least 1 and below 2**53, "
+                                     "got 5000000000000000000"),
+        ([2**53, 1], f"line 2: k_r must be at least 1 and below 2**53, got {2**53}"),
+        # every row below the bound, their total at it
+        ([2**52, 2**52 - 1, 1, 1], "an inspection total reaches 9007199254740992: "
+                                   "counts at or past 2**53 are not exact"),
+    ], ids=["wrapping-rows", "row-at-the-bound", "total-at-the-bound"])
+    @pytest.mark.parametrize("method", ["am", "mle"])
+    def test_log_counts_past_the_bound(self, counts, reason, method, tmp_path, capsys):
+        # two rows of 5e18 were read, and their total wrapped to
+        # -8446744073709551615 (exit 3)
+        log = tmp_path / "log.txt"
+        log.write_text("cycle,y_s,y_d,k_r,v_s,z_d,x_r,end\n" + "".join(
+            f"{i}," + self.ROW.format(k=k) for i, k in enumerate(counts, start=1)))
+        err = self._run(["estimate", *self.BASE, "--events", str(log), "--method", method,
+                         "--out", "OUT"], tmp_path, capsys)
+        assert err == f"config error: {log}: {reason}\n"
+
+    def test_estimate_bracket_past_the_float_range(self, tmp_path, capsys):
+        # the lower end shape / (c r) of the damage rate's bracket is inf:
+        # the search started there and exited 4
+        err = self._run(["estimate", *self.BASE, "--inspection.c", "5e-324",
+                         "--counts", "10", "20", "3", "1e4", "--out", "OUT"],
+                        tmp_path, capsys, code=3)
+        assert err == ("estimation infeasible: target 2.0: the proven bracket [inf, inf] "
+                       "lies past the float range\n")
 
 
 class TestInternalErrors:

@@ -5,10 +5,12 @@ gives the exit code, the stderr and the output bytes it recorded.
 """
 
 import json
+import time
 
 import pytest
 
 import manifest
+from cbmkit import cli
 
 RECORDED = json.loads(manifest.MANIFEST.read_text(encoding="utf-8"))
 FIELDS = ("exit", "stderr", "stdout_sha256", "files")
@@ -42,3 +44,22 @@ def test_no_temporary_file_is_left(runs):
     # command failed
     _, left = runs
     assert left == []
+
+
+def test_an_entry_past_its_alarm_fails_alone(tmp_path, monkeypatch):
+    # a command that stalls is recorded as a timeout, and the next entry
+    # runs as if it had not
+    def stalls(args):
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            pass
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_verify", stalls)
+    stalled = manifest._entry("stalls", "verify")
+    started = time.monotonic()
+    record = manifest._record(stalled, str(tmp_path), seconds=1)
+    assert time.monotonic() - started < 10.0
+    assert record["exit"] == "timeout"
+    preset = next(e for e in RECORDED if e["name"] == "table1")
+    assert manifest._record(preset, str(tmp_path)) == {key: preset[key] for key in FIELDS}

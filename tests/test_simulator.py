@@ -9,14 +9,16 @@ import pytest
 
 from cbmkit import formulas as F
 from cbmkit import simulator
-from cbmkit.config import MAX_CYCLES, ConfigError
+from cbmkit.config import MAX_COUNT, MAX_CYCLES, ConfigError, check_counts
 from cbmkit.laws import InspectionLaw, SaneLaw, sample_sane_many
 from cbmkit.oracle import MIN_SAMPLES, verification_rows
 from cbmkit.simulator import (
     CountSnapshot,
+    CycleBatch,
     CycleRecord,
     counts_at_times,
     csv_blocks,
+    cycle_chunks,
     horizon_blocks,
     read_event_log,
     simulate_cycle,
@@ -1161,3 +1163,59 @@ class TestEventLogReader:
         path.write_text(csv_text(batch)[0])
         assert simulator._read_plain_log(path) is not None
         assert self._outcome(read_event_log, path) == self._outcome(simulator._read_rows, path)
+
+
+class TestCountBound:
+    """``config.MAX_COUNT`` in the library: the draw loop refuses a config
+    predicted to need 2**53 inspections a cycle, and the running totals
+    refuse a total at or past it, also one carried over from a block
+    before."""
+
+    @staticmethod
+    def _log_batch(counts):
+        n = len(counts)
+        ones = np.ones(n)
+        return CycleBatch(ones, ones, np.array(counts, dtype=np.int64), ones, 2 * ones, ones,
+                          np.zeros(n, dtype=bool), np.empty(0))
+
+    @pytest.mark.parametrize("kind", ["deterministic", "uniform"])
+    def test_draw_loop_refuses_a_predicted_count(self, kind, monkeypatch):
+        # E[K] >= shape / (mu (c + h)): at mu = 1e-300 and c = 1000, about 1e297
+        def never(*args):
+            raise AssertionError("drew a chunk")
+
+        monkeypatch.setattr(simulator, "_draw_chunk", never)
+        chunks = cycle_chunks(np.random.default_rng(1), make_config(kind=kind, mu=1e-300), 10)
+        with pytest.raises(ConfigError, match=r"predict at least (1e\+297|9\.09e\+296) inspections "
+                                              r"per cycle: counts at or past 2\*\*53 are not exact$"):
+            next(chunks)
+
+    @pytest.mark.parametrize("shape", [1, 3])
+    def test_prediction_at_the_bound(self, shape):
+        # shape / (mu c) = 2**53 exactly is refused, one ulp of mu above it is not
+        gaps = InspectionLaw("deterministic", 1.0)
+        mu = shape / MAX_COUNT
+        with pytest.raises(ConfigError, match="predict at least 9.01e\\+15 inspections"):
+            check_counts(replace(make_config(shape, mu=mu), inspection=gaps))
+        check_counts(replace(make_config(shape, mu=math.nextafter(mu, 1.0)), inspection=gaps))
+
+    def test_totals_refuse_a_total_past_the_bound(self):
+        batch = self._log_batch([2**52, 2**52 - 1, 1, 1])
+        with pytest.raises(ConfigError, match="^an inspection total reaches 9007199254740992: "):
+            batch.counts()
+        assert self._log_batch([2**52, 2**52 - 1]).counts().inspections == 2**53 - 1
+
+    def test_totals_refuse_a_carried_total(self):
+        # each block's own total is below the bound; the carried one is not
+        blocks = [self._log_batch([2**52]), self._log_batch([2**52 - 1]),
+                  self._log_batch([1])]
+        assert counts_at_times([2.0], blocks[:2])[0].inspections == 2**53 - 1
+        with pytest.raises(ConfigError, match="^an inspection total reaches 9007199254740992: "):
+            counts_at_times([3.0], blocks)
+
+    def test_totals_refuse_before_a_wrap(self):
+        # 1100 counts just below 2**53 total past 2**63: the first total at
+        # or past the bound is named, not a wrapped one
+        batch = self._log_batch([2**53 - 1] * 1100)
+        with pytest.raises(ConfigError, match=f"^an inspection total reaches {2 * (2**53 - 1)}: "):
+            batch.counts()

@@ -39,6 +39,8 @@ REFERENCES = {"cycle_length_survival", "limiting_age_cdf", "ks_statistic", "ks_c
 BLAS = {"dot", "matmul", "einsum", "tensordot", "vdot", "inner", "linalg"}
 # what turns a quotient into an integer
 ROUNDING = {"ceil", "floor", "rint", "round", "trunc"}
+# the nodes of an expression of constants alone
+CONSTANT = (ast.BinOp, ast.UnaryOp, ast.Constant, ast.operator, ast.unaryop)
 
 
 def _tracer():
@@ -260,4 +262,23 @@ class TestDesignRules:
         bad = [line for path, tree in _package()
                if path.endswith(("simulator.py", "oracle.py"))
                for line in visit(tree, path, ())]
+        assert not bad, "\n".join(bad)
+
+    def test_one_count_bound(self):
+        # config.MAX_COUNT is the only count-exactness bound in the package:
+        # no other expression of constants evaluates to 2**53 or 2**63
+        bounds = {2**53, 2**63}
+
+        def visit(node, path):
+            if (path.endswith("config.py") and isinstance(node, ast.Assign)
+                    and [_name(t) for t in node.targets] == ["MAX_COUNT"]):
+                return
+            if (isinstance(node, ast.expr) and all(isinstance(n, CONSTANT) for n in ast.walk(node))
+                    and eval(compile(ast.Expression(node), "<constant>", "eval")) in bounds):
+                yield f"{path}:{node.lineno}: {ast.unparse(node)}"
+                return
+            for child in ast.iter_child_nodes(node):
+                yield from visit(child, path)
+
+        bad = [line for path, tree in _package() for line in visit(tree, path)]
         assert not bad, "\n".join(bad)
