@@ -26,8 +26,8 @@ from .formulas import (
     mean_inspections,
     parameter_sensitivities,
 )
-from .laws import DamageLaw, InspectionLaw, SaneLaw, laplace_jet, survival_sane
-from .oracle import mc_age_distribution, verification_rows
+from .laws import DamageLaw, InspectionLaw, SaneLaw, laplace_jet
+from .oracle import verification_rows
 from .simulator import (
     CountSnapshot,
     CycleRecord,
@@ -39,7 +39,7 @@ from .simulator import (
     simulate_horizon,
 )
 
-__version__ = "0.35.0"
+__version__ = "0.36.0"
 
 __all__ = [
     "ConfigError",
@@ -71,7 +71,6 @@ __all__ = [
     "invert_failure_probability",
     "invert_mean_inspections",
     "laplace_jet",
-    "mc_age_distribution",
     "mean_inspections",
     "mle_estimate",
     "parameter_sensitivities",
@@ -79,6 +78,5 @@ __all__ = [
     "serialize_config",
     "simulate_cycle",
     "simulate_horizon",
-    "survival_sane",
     "verification_rows",
 ]

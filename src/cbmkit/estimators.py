@@ -279,7 +279,9 @@ def _failure_rate_roots(slots: list, shape: int, mu: Sequence[float], insp: Insp
     the builder's other map.  Jensen's inequality gives
     lam >= -log1p(-p)/E[W], and the Edmundson-Madansky bound on the
     convex exp(-lam W) over [0, w] (Madansky 1959) gives
-    lam <= -log1p(-p w/E[W])/w, open above where p w >= E[W].
+    lam <= -log1p(-p w/E[W])/w, open above where p w >= E[W].  As -log1p(-t)
+    is convex, the ends are in order wherever 0 < E[W] <= w; an E[W] that
+    cancels outside that range (many inspections a cycle) is refused.
     """
     slots[:] = map(_fraction_slot, slots)
     live = [k for k, t in enumerate(slots) if not isinstance(t, Exception)]
@@ -290,8 +292,13 @@ def _failure_rate_roots(slots: list, shape: int, mu: Sequence[float], insp: Insp
     brackets = [(math.nan, math.nan)] * len(slots)
     for k, mean_k in zip(live, np.atleast_1d(mean).tolist()):
         p, delay = slots[k], insp.spacing * mean_k - shape / mu[k]
-        brackets[k] = (-math.log1p(-p) / delay,
-                       -math.log1p(-p * w / delay) / w if p * w < delay else math.inf)
+        if 0.0 < delay <= w:
+            brackets[k] = (-math.log1p(-p) / delay,
+                           -math.log1p(-p * w / delay) / w if p * w < delay else math.inf)
+        else:
+            slots[k] = OutOfRangeError(f"failure rate not bracketed: the mean detection delay "
+                                       f"c E[K] - shape/mu = {delay!r} lies outside (0, {w!r}], "
+                                       f"lost to cancellation at E[K] = {mean_k!r}")
     return _solve(failure, slots, brackets, traces, atol=_FAILURE_PROB_ATOL, rtol=0.0,
                   starts=starts)
 

@@ -3,14 +3,13 @@
 Three laws drive everything: the time from repair to damage (gamma with
 integer shape and rate parameterization, mean = shape/rate), the time from
 damage to failure (exponential), and the gap between consecutive planned
-inspections (deterministic or uniform).  Besides sampling and pointwise
-survival/density evaluation, this module produces exact derivative jets of
-the inspection-gap Laplace transform (from the exponential moments that
-also give the censored likelihood's window integral).  The closed-form
-machinery in :mod:`cbmkit.formulas` reads them for the gap times a rate x
-at anchor 1, where row i is x^i L^(i)(x) and has no time unit.  Integer
-powers are running products, which round the same in floats and in
-arrays, so an element of an array gets the bits it gets alone.
+inspections (deterministic or uniform).  Besides sampling, this module
+produces exact derivative jets of the inspection-gap Laplace transform
+(from the exponential moments that also give the censored likelihood's
+window integral), which the closed forms of :mod:`cbmkit.formulas` read
+for the gap times a rate x at anchor 1: row i is x^i L^(i)(x), without a
+time unit.  Integer powers are running products, which round the same in
+floats and in arrays, so an element of an array gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -148,39 +147,6 @@ def _libm(fn, x):
 # exp and expm1: the C library's on every element, or numpy's
 _LIBM_OPS = functools.partial(_libm, math.exp), functools.partial(_libm, math.expm1)
 _NUMPY_OPS = np.exp, np.expm1
-
-
-def survival_sane(t, law: SaneLaw):
-    """P(damage later than t): sum_{i<shape} (rate*t)^i/i! * exp(-rate*t),
-    on a float or on every element of an array, each with its float bits.
-
-    Below rate*t = 1 a shape above 1 takes one minus the lower tail
-    instead, gamma(shape, rate*t)/(shape-1)! from the exponential moments:
-    the head sum rounds above 1 near t = 0, and one minus the tiny tail
-    stays at most 1 and nonincreasing.
-    """
-    t = _value(t)
-    if _any(t < 0.0):
-        raise ValueError("t must be nonnegative")
-    x = law.rate * t
-    e = _libm(math.exp, -x)
-    term = acc = 1.0
-    for i in range(1, law.shape):
-        term = term * (x / i)
-        acc = acc + term
-    near = x < 1.0
-    if law.shape == 1 or not _any(near):
-        return _value(acc * e)
-    lower = _exp_poly_moments(np.where(near, x, 0.0), -1.0, law.shape - 1, elementwise=True)[-1]
-    return _value(np.where(near, 1.0 - lower / math.factorial(law.shape - 1), acc * e))
-
-
-def density_sane(t, law: SaneLaw):
-    """Gamma density at t; accepts scalars or arrays."""
-    t = np.asarray(t, dtype=float)
-    n, mu = law.shape, law.rate
-    out = mu**n * t ** (n - 1) * np.exp(-mu * t) / math.factorial(n - 1)
-    return out if out.ndim else float(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -372,14 +338,3 @@ def sample_sane_many(rng: np.random.Generator, law: SaneLaw, size: int) -> np.nd
         total += draws[:, j]
     return total
 
-
-def cdf_inspection_gap(x: float, law: InspectionLaw) -> float:
-    if law.kind == DETERMINISTIC:
-        return 0.0 if x < law.spacing else 1.0
-    lo = law.spacing - law.half_width
-    hi = law.spacing + law.half_width
-    if x <= lo:
-        return 0.0
-    if x >= hi:
-        return 1.0
-    return (x - lo) / (hi - lo)

@@ -15,23 +15,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .config import ModelConfig, check_counts
-from .formulas import _rate_covariance, cycle_moments, detection_window_integral
-from .laws import DETERMINISTIC, _value, survival_sane
-from .simulator import _running_sums, _schedule_index, cycle_chunks, horizon_blocks
+from .formulas import _rate_covariance, cycle_moments
+from .simulator import cycle_chunks
 
 # Fewer cycles than this give meaningless standard errors.
 MIN_SAMPLES = 10_000
 
 # A comparison fails when its |z| exceeds this.
 Z_THRESHOLD = 4.0
-
-# Asymptotic two-sided Kolmogorov-Smirnov critical scales: D_crit = c / sqrt(n).
-KS_CRITICAL_SCALE = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628, 0.001: 1.949}
 
 
 @dataclass(frozen=True)
@@ -252,99 +248,3 @@ def verification_lines(rows: Iterable[ComparisonRow]) -> Iterator[str]:
             "true" if r.passed else "false",
         )
 
-
-# ---------------------------------------------------------------------------
-# Age of the repair process
-# ---------------------------------------------------------------------------
-
-
-def mc_age_distribution(config: ModelConfig, n_probes: int, seed: int) -> np.ndarray:
-    """Ages of the repair process sampled at uniform probe times.
-
-    Probes are drawn in the second half of the config's horizon so the
-    process is well past its transient; the simulation itself runs until
-    the first cycle end beyond the horizon.
-    """
-    if n_probes < 1:
-        raise ValueError("need at least one probe")
-    rng = np.random.default_rng(seed)
-    # 0 and every repair epoch, added left to right as a batch's totals are
-    starts = _running_sums(np.concatenate([block.length for block in horizon_blocks(rng, config)]))
-    probes = rng.uniform(config.horizon / 2.0, config.horizon, size=n_probes)
-    return probes - starts[np.searchsorted(starts, probes, side="right") - 1]
-
-
-def _survival_given_segment(u, seg_start, config: ModelConfig):
-    return survival_sane(u, config.sane) + detection_window_integral(
-        seg_start, u, config.sane, config.damage)
-
-
-def _check_deterministic(config: ModelConfig) -> None:
-    if config.inspection.kind != DETERMINISTIC:
-        raise ValueError("closed-form cycle-length survival requires deterministic gaps")
-
-
-def cycle_length_survival(u, config: ModelConfig):
-    """P(cycle length > u) in closed form, deterministic gaps only.
-
-    Either the damage has not happened by u, or it happened in the current
-    inspection segment and no failure has occurred yet; earlier-segment
-    damage always ends the cycle by the segment's inspection.  The value
-    is the right-continuous survival (detection puts mass exactly at the
-    inspection multiples): its segment starts at the last inspection age
-    at or before u.
-    """
-    _check_deterministic(config)
-    u = np.asarray(u, dtype=float)
-    c = config.inspection.spacing
-    return _value(_survival_given_segment(u, _schedule_index(u, c) * c, config))
-
-
-def limiting_age_cdf(config: ModelConfig, xs: Sequence[float]) -> np.ndarray:
-    """Long-run CDF of the repair-process age at the given points,
-    deterministic gaps only.
-
-    F(x) = int_0^x P(cycle > u) du / E[cycle], integrated by trapezoid on
-    513 points per inspection segment below the largest x: the survival
-    jumps at inspection multiples, so each segment's row keeps its own left
-    end as the branch, and its right end carries the left-limit value.
-    The rows join end to start with a step of zero width, so one
-    cumulative sum over them all integrates every segment.
-    """
-    _check_deterministic(config)
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        return xs.copy()
-    if (xs < 0).any():
-        raise ValueError("ages are nonnegative")
-    c = config.inspection.spacing
-    mean_cycle = cycle_moments(config.sane, config.damage, config.inspection).mean_cycle
-    x_max = float(xs.max())
-    if x_max == 0.0:
-        return np.zeros_like(xs)
-    # the segments that start below x_max
-    seg = np.arange(_schedule_index(x_max, c, detection=True))
-    lo = seg * c
-    pts = np.linspace(lo, np.minimum((seg + 1) * c, x_max), 513, axis=1)
-    vals = _survival_given_segment(pts, lo[:, None], config).ravel()
-    grid = pts.ravel()
-    cum = _running_sums(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))
-    return np.interp(xs, grid, cum) / mean_cycle
-
-
-def ks_statistic(samples: np.ndarray, cdf_values: np.ndarray) -> float:
-    """Two-sided Kolmogorov-Smirnov distance of samples to a continuous CDF.
-
-    ``cdf_values`` are the model CDF at ``samples`` as given, element for
-    element; the samples need not be sorted.
-    """
-    n = len(samples)
-    order = np.argsort(samples)
-    f = np.asarray(cdf_values)[order]
-    upper = np.max(np.arange(1, n + 1) / n - f)
-    lower = np.max(f - np.arange(0, n) / n)
-    return float(max(upper, lower))
-
-
-def ks_critical(n: int, level: float) -> float:
-    return KS_CRITICAL_SCALE[level] / math.sqrt(n)

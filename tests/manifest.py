@@ -228,8 +228,17 @@ def _count_bound():
                  inputs={log: COUNT_PAST_BOUND_LOG})
 
 
+def _delay_cancellation():
+    """Counts of 1e16 and 4e15 inspections a cycle: the mean detection
+    delay c E[K] - shape/mu cancels to 0 and to past the largest gap, and
+    the failure rate's bracket is refused with one line."""
+    for inspections in ("1e17", "4e16"):
+        yield _entry(f"delay-cancels-estimate-counts-{inspections}", "estimate",
+                     *_flags(1, "deterministic"), "--counts", "10", inspections, "3", "1e4")
+
+
 ENTRIES = [*_base_runs(), *_presets(), *_pinned_files(), *_probes(), *_open_items(),
-           *_count_bound()]
+           *_count_bound(), *_delay_cancellation()]
 
 
 class _Timeout(BaseException):

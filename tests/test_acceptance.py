@@ -21,14 +21,9 @@ from cbmkit.estimators import (
     mle_estimate,
 )
 from cbmkit.laws import DamageLaw, SaneLaw
-from cbmkit.oracle import (
-    ks_critical,
-    ks_statistic,
-    limiting_age_cdf,
-    mc_age_distribution,
-    verification_rows,
-)
+from cbmkit.oracle import verification_rows
 from cbmkit.simulator import CountSnapshot, simulate_horizon
+from age_law import ks_critical, ks_statistic, limiting_age_cdf, mc_age_distribution
 from closed_forms import closed_sensitivities
 from conftest import make_config
 

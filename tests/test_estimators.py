@@ -26,7 +26,7 @@ from cbmkit.estimators import (
     invert_mean_inspections,
     mle_estimate,
 )
-from cbmkit.laws import DamageLaw, InspectionLaw, SaneLaw, density_sane
+from cbmkit.laws import DamageLaw, InspectionLaw, SaneLaw
 from cbmkit.simulator import (
     CountSnapshot,
     CycleRecord,
@@ -35,6 +35,7 @@ from cbmkit.simulator import (
     simulate_cycle,
     simulate_horizon,
 )
+from age_law import density_sane
 from conftest import batch_of, csv_text, draw_cycles, make_config, time_scaled
 from simplex import nelder_mead
 
@@ -488,6 +489,14 @@ class TestInvertFailureProbability:
             invert_failure_probability(0.0, SaneLaw(1, 1e-3), DET)
         with pytest.raises(DegenerateDataError):
             invert_failure_probability(1.0, SaneLaw(1, 1e-3), DET)
+
+    @pytest.mark.parametrize("inspections, delay", [(1e18, "0.0"), (4e17, "1024.0")])
+    def test_cancelled_detection_delay_is_refused(self, inspections, delay):
+        # 1e16 and 4e15 inspections a cycle: c E[K] - shape/mu cancels to 0
+        # and to past the gap, and neither bounds the failure rate
+        with pytest.raises(OutOfRangeError, match=rf"= {delay} lies outside \(0, 1000\.0\], "
+                                                  "lost to cancellation"):
+            asymptotic_estimate(CountSnapshot(1e5, 100, inspections, 30), make_config())
 
 
 class TestAsymptoticEstimate:

@@ -453,7 +453,7 @@ class TestSimulateHorizon:
     def test_stream_stops_at_the_crossing_block(self, kind):
         # the run draws exactly the blocks up to the one that crosses the
         # horizon: the generator is left where m whole blocks leave it (the
-        # age probes of mc_age_distribution draw from there), and the kept
+        # age probes of tests/age_law.py draw from there), and the kept
         # cycles are the first of those m blocks
         cfg = make_config(shape=2, kind=kind, horizon=2e7)
         rng_a, rng_b = np.random.default_rng(BATCH_SEED), np.random.default_rng(BATCH_SEED)

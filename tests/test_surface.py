@@ -28,12 +28,12 @@ REMOVED = ("TaylorJet", "deterministic_config", "full_information_estimate", "in
            "failure_rate_from_cycle_identity", "LawDerivatives", "law_derivatives", "_band_jet",
            "_gains", "_taylor_tail", "_indexed_series_sum", "_taylor_mean", "_power", "_only",
            "_check_fractions", "simulate_cycles", "event_log_lines", "snapshot_lines",
-           "snapshot_rows")
+           "snapshot_rows",
+           # the age/KS reference and the law values only tests read: tests/age_law.py
+           "mc_age_distribution", "cycle_length_survival", "limiting_age_cdf",
+           "_survival_given_segment", "_check_deterministic", "ks_statistic", "ks_critical",
+           "KS_CRITICAL_SCALE", "survival_sane", "density_sane", "cdf_inspection_gap")
 MODULES = ("cli", "config", "laws", "formulas", "estimators", "simulator", "oracle")
-# what tests compare other code against: the oracle's age/KS block, the gap
-# CDF of the KS tests and the damage-time density of the quadrature references
-REFERENCES = {"cycle_length_survival", "limiting_age_cdf", "ks_statistic", "ks_critical",
-              "cdf_inspection_gap", "density_sane"}
 # BLAS kernels sum in their own order, so pinned bytes would depend on the
 # machine (docstrings may name these)
 BLAS = {"dot", "matmul", "einsum", "tensordot", "vdot", "inner", "linalg"}
@@ -181,10 +181,10 @@ class TestDesignRules:
         assert not bad, "\n".join(bad)
 
     def test_no_unreached_public_functions(self):
-        # reached: read in the package, exported in cbmkit.__all__, quoted
-        # in perfbench/tracer.py, or a reference
+        # reached: read in the package, exported in cbmkit.__all__ or quoted
+        # in perfbench/tracer.py
         tracer = ast.parse(TRACER.read_text(encoding="utf-8"))
-        reached = _read() | REFERENCES | set(cbmkit.__all__) | {
+        reached = _read() | set(cbmkit.__all__) | {
             node.value.rsplit(".", 1)[-1] for node in ast.walk(tracer)
             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
         bad = [f"{path}:{node.lineno}: {node.name} is public but never reached"
@@ -240,8 +240,9 @@ class TestDesignRules:
     def test_one_schedule_index_and_one_overflow_policy(self):
         # the deterministic schedule's index is found in
         # simulator._schedule_index only (no rounding of a quotient
-        # elsewhere in the simulator or the oracle), and the overflow
-        # policy of cycle-time totals is set in simulator._running_sums only
+        # elsewhere in the simulator, the oracle or the age-law reference
+        # of tests/age_law.py), and the overflow policy of cycle-time
+        # totals is set in simulator._running_sums only
         def visit(node, path, defs):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defs = defs + (node.name,)
@@ -259,8 +260,9 @@ class TestDesignRules:
             for child in ast.iter_child_nodes(node):
                 yield from visit(child, path, defs)
 
-        bad = [line for path, tree in _package()
-               if path.endswith(("simulator.py", "oracle.py"))
+        trees = _package() + _parse([ROOT / "tests" / "age_law.py"])
+        bad = [line for path, tree in trees
+               if path.endswith(("simulator.py", "oracle.py", "age_law.py"))
                for line in visit(tree, path, ())]
         assert not bad, "\n".join(bad)
 
